@@ -16,7 +16,7 @@ import click
 
 from . import baselines, datagen, referee, report
 from .exceptions import CTFBenchError
-from .matio import atomic_write_bytes
+from .matio import atomic_write_bytes, dump_json
 from .metrics import SCORE_IDS, MetricWindows
 
 
@@ -44,7 +44,7 @@ def main():
 
 
 def _echo_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    click.echo(dump_json(payload), nl=False)
 
 
 def _safe_name(name: str) -> str:
@@ -172,13 +172,11 @@ def _score_table(card: referee.ScoreCard) -> str:
 def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kmax, bins,
           card_out, store, as_json):
     """Score a submission against a pack and emit a scorecard."""
-    defaults = MetricWindows()
-    windows = MetricWindows(
-        short_k=short_k if short_k is not None else defaults.short_k,
-        long_k=long_k if long_k is not None else defaults.long_k,
-        kmax=kmax if kmax is not None else defaults.kmax,
-        bins=bins if bins is not None else defaults.bins,
-    )
+    given = {"short_k": short_k, "long_k": long_k, "kmax": kmax, "bins": bins}
+    try:
+        windows = MetricWindows(**{k: v for k, v in given.items() if v is not None})
+    except ValueError as exc:
+        raise click.UsageError(str(exc), ctx)
     try:
         pack = datagen.read_pack(pack_dir)
         if runs_glob:
@@ -282,7 +280,10 @@ def leaderboard_show(store, dataset, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def report_cmd(kind, store, dataset, out_dir, baseline_method, as_json):
     """Render leaderboard entries as charts or tables."""
-    board = referee.load_leaderboard(store) if Path(store).is_file() else referee.Leaderboard()
+    try:
+        board = referee.load_leaderboard(store)
+    except CTFBenchError as exc:
+        raise click.ClickException(str(exc))
     datasets = [dataset] if dataset else sorted(board.datasets)
     datasets = [ds for ds in datasets if board.entries(ds)]
     if not datasets:

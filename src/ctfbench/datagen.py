@@ -23,8 +23,7 @@ derived from the master seed and recorded in the manifest.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +126,10 @@ class PackConfig:
             raise ValueError("dt must be positive")
         if self.spinup_steps < 0:
             raise ValueError("spinup_steps must be >= 0")
+        if len(self.train_params) != 3:
+            raise ValueError(
+                f"train_params must hold exactly three values, got {len(self.train_params)}"
+            )
         _check_param_ordering(self.train_params, self.interp_param, self.extrap_param)
 
 
@@ -214,23 +217,7 @@ class Manifest:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "system": self.system,
-            "format_version": self.format_version,
-            "created": self.created,
-            "dt": self.dt,
-            "spinup_steps": self.spinup_steps,
-            "base_params": self.base_params,
-            "varied_param": self.varied_param,
-            "nominal_param": self.nominal_param,
-            "train_params": list(self.train_params),
-            "interp_param": self.interp_param,
-            "extrap_param": self.extrap_param,
-            "noise_levels": self.noise_levels,
-            "seeds": self.seeds,
-            "matrices": self.matrices,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Manifest":
@@ -266,15 +253,10 @@ def add_noise(x: np.ndarray, level: NoiseLevel, seed: int) -> np.ndarray:
 
 def _simulate(cfg: PackConfig, param_value: float, steps: int, seed: int) -> np.ndarray:
     sim = SimConfig(dt=cfg.dt, total_steps=steps, spinup_steps=cfg.spinup_steps, seed=seed)
+    params = {**_BASE_PARAMS[cfg.system], _VARIED_PARAM[cfg.system]: param_value}
     if cfg.system == "lorenz":
-        return integrate_lorenz(LorenzParams(rho=param_value), sim)
-    base = _BASE_PARAMS["ks"]
-    params = KSParams(
-        domain_length=base["domain_length"],
-        grid_points=base["grid_points"],
-        viscosity=param_value,
-    )
-    return integrate_ks(params, sim)
+        return integrate_lorenz(LorenzParams(**params), sim)
+    return integrate_ks(KSParams(**params), sim)
 
 
 def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
@@ -284,17 +266,7 @@ def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
     cfg = _DEFAULTS[system]
     if not overrides:
         return cfg
-    unknown = set(overrides) - {
-        "dt",
-        "spinup_steps",
-        "nominal_param",
-        "train_params",
-        "interp_param",
-        "extrap_param",
-        "noise_medium",
-        "noise_high",
-        "created",
-    }
+    unknown = set(overrides) - ({f.name for f in fields(PackConfig)} - {"system"})
     if unknown:
         raise ValueError(f"unknown pack overrides: {sorted(unknown)}")
     if "train_params" in overrides:
@@ -384,12 +356,9 @@ def validate_pack(pack: DatasetPack) -> None:
         x = group.get(name)
         if x is None:
             raise PackValidationError(f"pack missing matrix {name}")
-        if x.shape != (rows, cols):
-            raise PackValidationError(
-                f"shape mismatch for {name}: got {x.shape}, expected ({rows}, {cols})"
-            )
-        if not np.all(np.isfinite(x)):
-            raise PackValidationError(f"non-finite values in {name}")
+        why = matio.problem(x, (rows, cols))
+        if why is not None:
+            raise PackValidationError(f"{name}: {why}")
     union = {**pack.train, **pack.test}
     for a, b in EQUAL_WINDOWS:
         if not np.array_equal(union[a], union[b]):
@@ -401,8 +370,7 @@ def write_pack(pack: DatasetPack, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     validate_pack(pack)
-    payload = json.dumps(pack.manifest.to_dict(), indent=2, sort_keys=True) + "\n"
-    matio.atomic_write_bytes(directory / "manifest.json", payload.encode())
+    matio.write_json(directory / "manifest.json", pack.manifest.to_dict())
     for name in MATRIX_LAYOUT:
         group = pack.train if name.endswith("train") else pack.test
         matio.write_matrix(directory / f"{name}.mat", group[name])
@@ -423,22 +391,18 @@ def read_pack(directory: str | Path) -> DatasetPack:
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise PackValidationError(f"missing manifest: {manifest_path}")
-    manifest = Manifest.from_dict(json.loads(manifest_path.read_text()))
-    manifest.validate()
+    manifest = Manifest.from_dict(matio.read_json(manifest_path, PackValidationError))
+    try:
+        manifest.validate()
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise PackValidationError(f"{manifest_path}: malformed manifest: {exc}") from exc
     train: dict[str, np.ndarray] = {}
     test: dict[str, np.ndarray] = {}
     for name in MATRIX_LAYOUT:
         path = directory / f"{name}.mat"
         if not path.is_file():
             raise PackValidationError(f"missing matrix file: {path}")
-        x = matio.read_matrix(path)
-        entry = manifest.matrices[name]
-        if x.shape != (entry["rows"], entry["cols"]):
-            raise PackValidationError(
-                f"{name}: file shape {x.shape} does not match manifest "
-                f"({entry['rows']}, {entry['cols']})"
-            )
-        (train if name.endswith("train") else test)[name] = x
+        (train if name.endswith("train") else test)[name] = matio.read_matrix(path)
     pack = DatasetPack(
         dataset_id=manifest.dataset_id, train=train, test=test, manifest=manifest
     )

@@ -130,6 +130,31 @@ def _resolve_ic(cfg: SimConfig, n: int) -> np.ndarray:
     return ic.copy()
 
 
+def _drive(step, state: np.ndarray, cfg: SimConfig, record, cols: int) -> np.ndarray:
+    """Advance `state` through the spin-up, then record `record(state)` as
+    one row per step, starting with the state after the spin-up.
+
+    Raises DivergenceError with the absolute step index (spin-up included)
+    when the spin-up state or a recorded row after the first is non-finite.
+    """
+    # Overflow is the divergence signal, detected explicitly below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(cfg.spinup_steps):
+            state = step(state)
+            if not np.all(np.isfinite(state)):
+                raise DivergenceError(i + 1)
+
+        out = np.empty((cfg.total_steps, cols))
+        out[0] = record(state)
+        for i in range(1, cfg.total_steps):
+            state = step(state)
+            row = record(state)
+            if not np.all(np.isfinite(row)):
+                raise DivergenceError(cfg.spinup_steps + i)
+            out[i] = row
+    return out
+
+
 def integrate_lorenz(params: LorenzParams, cfg: SimConfig) -> np.ndarray:
     """Integrate the Lorenz system with the classical 4th-order Runge-Kutta
     method and return a (total_steps, 3) trajectory matrix.
@@ -138,7 +163,6 @@ def integrate_lorenz(params: LorenzParams, cfg: SimConfig) -> np.ndarray:
     included) if the state becomes non-finite.
     """
     dt = cfg.dt
-    state = _resolve_ic(cfg, 3)
 
     def step(s: np.ndarray) -> np.ndarray:
         k1 = lorenz_rhs(s, params)
@@ -147,21 +171,7 @@ def integrate_lorenz(params: LorenzParams, cfg: SimConfig) -> np.ndarray:
         k4 = lorenz_rhs(s + dt * k3, params)
         return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    # Overflow is the divergence signal, detected explicitly below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(cfg.spinup_steps):
-            state = step(state)
-            if not np.all(np.isfinite(state)):
-                raise DivergenceError(i + 1)
-
-        out = np.empty((cfg.total_steps, 3))
-        out[0] = state
-        for i in range(1, cfg.total_steps):
-            state = step(state)
-            if not np.all(np.isfinite(state)):
-                raise DivergenceError(cfg.spinup_steps + i)
-            out[i] = state
-    return out
+    return _drive(step, _resolve_ic(cfg, 3), cfg, lambda s: s, 3)
 
 
 class _ETDRK4:
@@ -228,22 +238,5 @@ def integrate_ks(params: KSParams, cfg: SimConfig) -> np.ndarray:
     """
     n = params.grid_points
     stepper = _ETDRK4(params, cfg.dt)
-    u = _resolve_ic(cfg, n)
-    v = np.fft.rfft(u)
-
-    # Overflow is the divergence signal, detected explicitly below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(cfg.spinup_steps):
-            v = stepper.step(v)
-            if not np.all(np.isfinite(v)):
-                raise DivergenceError(i + 1)
-
-        out = np.empty((cfg.total_steps, n))
-        out[0] = np.fft.irfft(v, n)
-        for i in range(1, cfg.total_steps):
-            v = stepper.step(v)
-            row = np.fft.irfft(v, n)
-            if not np.all(np.isfinite(row)):
-                raise DivergenceError(cfg.spinup_steps + i)
-            out[i] = row
-    return out
+    v0 = np.fft.rfft(_resolve_ic(cfg, n))
+    return _drive(stepper.step, v0, cfg, lambda v: np.fft.irfft(v, n), n)

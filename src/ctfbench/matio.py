@@ -4,11 +4,14 @@ Layout of a `.mat` file: the 8-byte magic ``CTFMAT01``, a little-endian
 u64 row count, a little-endian u64 column count, then rows*cols
 little-endian float64 values in row-major order. Writes are atomic
 (temp file + rename). CSV files hold one time step per row with
-full-precision decimal values.
+full-precision decimal values. JSON documents (manifests, scorecards,
+leaderboards) are written with sorted keys, a 2-space indent and a
+trailing newline.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import tempfile
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import MatrixFormatError
+from .exceptions import CTFBenchError, MatrixFormatError
 
 MAGIC = b"CTFMAT01"
 _HEADER = struct.Struct("<QQ")
@@ -27,6 +30,16 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise MatrixFormatError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
     return a
+
+
+def problem(x: np.ndarray, shape: tuple[int, int]) -> str | None:
+    """Why `x` is not an acceptable matrix of `shape` (wrong shape or a
+    non-finite value), or None when it is."""
+    if x.shape != shape:
+        return f"shape {tuple(x.shape)} does not match required {shape}"
+    if not np.all(np.isfinite(x)):
+        return "contains non-finite values"
+    return None
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
@@ -98,3 +111,25 @@ def read_any(path: str | Path) -> np.ndarray:
     if path.suffix == ".csv":
         return read_csv(path)
     return read_matrix(path)
+
+
+def dump_json(doc: dict) -> str:
+    """The JSON document form: sorted keys, 2-space indent, trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write `doc` atomically in the JSON document form."""
+    atomic_write_bytes(path, dump_json(doc).encode())
+
+
+def read_json(path: str | Path, error: type[CTFBenchError] = CTFBenchError) -> dict:
+    """Read a JSON object; an unreadable file, invalid JSON or a top-level
+    value that is not an object raises `error`."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise error(f"{path}: not a readable JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc

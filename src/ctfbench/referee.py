@@ -11,8 +11,7 @@ score depending on it, while the remaining scores are still computed.
 from __future__ import annotations
 
 import fnmatch
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -172,14 +171,9 @@ def validate_submission(
             continue
         seen.add(name)
         pred = sub.predictions.get(name)
-        if pred is None:
-            violations.append(f"{name}: missing prediction")
-        elif pred.shape != task.truth_shape:
-            violations.append(
-                f"{name}: shape {tuple(pred.shape)} does not match required {task.truth_shape}"
-            )
-        elif not np.all(np.isfinite(pred)):
-            violations.append(f"{name}: contains non-finite values")
+        why = "missing prediction" if pred is None else matio.problem(pred, task.truth_shape)
+        if why is not None:
+            violations.append(f"{name}: {why}")
     return violations
 
 
@@ -210,65 +204,58 @@ class ScoreCard:
             "format": SCORECARD_FORMAT,
             "method": self.method_name,
             "dataset": self.dataset_id,
-            "runs": [
-                {"run_id": r.run_id, "scores": r.scores, "composite": r.composite}
-                for r in self.runs
-            ],
+            "runs": [asdict(r) for r in self.runs],
             "aggregate": {
-                "scores": {
-                    sid: {"mean": a.mean, "std": a.std}
-                    for sid, a in self.aggregate_scores.items()
-                },
-                "composite": {
-                    "mean": self.aggregate_composite.mean,
-                    "std": self.aggregate_composite.std,
-                },
+                "scores": {sid: asdict(a) for sid, a in self.aggregate_scores.items()},
+                "composite": asdict(self.aggregate_composite),
             },
             "windows": self.windows,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScoreCard":
-        if d.get("format") != SCORECARD_FORMAT:
-            raise CTFBenchError(f"scorecard version mismatch: {d.get('format')!r}")
         return cls(
             method_name=d["method"],
             dataset_id=d["dataset"],
-            runs=[
-                RunScores(r["run_id"], dict(r["scores"]), r["composite"]) for r in d["runs"]
-            ],
+            runs=[RunScores(**r) for r in d["runs"]],
             aggregate_scores={
-                sid: ScoreAggregate(v["mean"], v["std"])
-                for sid, v in d["aggregate"]["scores"].items()
+                sid: ScoreAggregate(**v) for sid, v in d["aggregate"]["scores"].items()
             },
-            aggregate_composite=ScoreAggregate(
-                d["aggregate"]["composite"]["mean"], d["aggregate"]["composite"]["std"]
-            ),
+            aggregate_composite=ScoreAggregate(**d["aggregate"]["composite"]),
             windows=dict(d.get("windows", {})),
         )
 
 
-def _dumps(payload: dict) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+def _load_versioned(path: str | Path, fmt: str, from_dict):
+    """Read a JSON document of version `fmt` and build it with `from_dict`.
+
+    Unreadable JSON, another format string or a missing or mistyped field
+    raises CTFBenchError.
+    """
+    doc = matio.read_json(path)
+    if doc.get("format") != fmt:
+        raise CTFBenchError(f"{path}: version mismatch: {doc.get('format')!r} != {fmt!r}")
+    try:
+        return from_dict(doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CTFBenchError(
+            f"{path}: malformed {fmt} document ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def write_scorecard(card: ScoreCard, path: str | Path) -> None:
-    matio.atomic_write_bytes(path, _dumps(card.to_dict()))
+    matio.write_json(path, card.to_dict())
 
 
 def read_scorecard(path: str | Path) -> ScoreCard:
-    return ScoreCard.from_dict(json.loads(Path(path).read_text()))
+    return _load_versioned(path, SCORECARD_FORMAT, ScoreCard.from_dict)
 
 
 def _check_truth(pack: DatasetPack, task: TaskSpec) -> np.ndarray:
     truth = pack.test[task.truth_name]
-    if truth.shape != task.truth_shape:
-        raise PackValidationError(
-            f"corrupted pack: {task.truth_name} has shape {truth.shape}, "
-            f"expected {task.truth_shape}"
-        )
-    if not np.all(np.isfinite(truth)):
-        raise PackValidationError(f"corrupted pack: non-finite values in {task.truth_name}")
+    why = matio.problem(truth, task.truth_shape)
+    if why is not None:
+        raise PackValidationError(f"corrupted pack: {task.truth_name}: {why}")
     return truth
 
 
@@ -279,7 +266,7 @@ def evaluate_task(task: TaskSpec, sub: Submission, pack: DatasetPack) -> float |
     """
     truth = _check_truth(pack, task)
     pred = sub.predictions.get(task.prediction_name)
-    if pred is None or pred.shape != truth.shape or not np.all(np.isfinite(pred)):
+    if pred is None or matio.problem(pred, truth.shape) is not None:
         return None
     if task.metric is MetricKind.SHORT_TIME:
         s = metrics.score_short_time(pred, truth, task.windows.short_k)
@@ -320,12 +307,7 @@ def evaluate(
         runs=[run],
         aggregate_scores={sid: ScoreAggregate(filled[sid], 0.0) for sid in SCORE_IDS},
         aggregate_composite=ScoreAggregate(comp, 0.0),
-        windows={
-            "short_k": base.short_k,
-            "long_k": base.long_k,
-            "kmax": base.kmax,
-            "bins": base.bins,
-        },
+        windows=asdict(base),
     )
 
 
@@ -397,9 +379,7 @@ class Leaderboard:
                         "rank": e.rank,
                         "method": e.method_name,
                         "composite": {"mean": e.composite_mean, "std": e.composite_std},
-                        "scores": {
-                            sid: {"mean": a.mean, "std": a.std} for sid, a in e.scores.items()
-                        },
+                        "scores": {sid: asdict(a) for sid, a in e.scores.items()},
                         "runs": e.runs,
                     }
                     for e in entries
@@ -410,8 +390,6 @@ class Leaderboard:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Leaderboard":
-        if d.get("format") != LEADERBOARD_FORMAT:
-            raise CTFBenchError(f"leaderboard version mismatch: {d.get('format')!r}")
         board = cls()
         for ds, entries in d.get("datasets", {}).items():
             board.datasets[ds] = [
@@ -420,10 +398,7 @@ class Leaderboard:
                     method_name=e["method"],
                     composite_mean=e["composite"]["mean"],
                     composite_std=e["composite"]["std"],
-                    scores={
-                        sid: ScoreAggregate(v["mean"], v["std"])
-                        for sid, v in e["scores"].items()
-                    },
+                    scores={sid: ScoreAggregate(**v) for sid, v in e["scores"].items()},
                     runs=e["runs"],
                 )
                 for e in entries
@@ -436,11 +411,11 @@ def load_leaderboard(path: str | Path) -> Leaderboard:
     path = Path(path)
     if not path.is_file():
         return Leaderboard()
-    return Leaderboard.from_dict(json.loads(path.read_text()))
+    return _load_versioned(path, LEADERBOARD_FORMAT, Leaderboard.from_dict)
 
 
 def save_leaderboard(board: Leaderboard, path: str | Path) -> None:
-    matio.atomic_write_bytes(path, _dumps(board.to_dict()))
+    matio.write_json(path, board.to_dict())
 
 
 def update_leaderboard(store: str | Path, card: ScoreCard) -> Leaderboard:

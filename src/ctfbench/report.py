@@ -15,7 +15,7 @@ import math
 from xml.sax.saxutils import escape, quoteattr
 
 from .metrics import SCORE_IDS
-from .referee import LeaderboardEntry, ScoreCard
+from .referee import LeaderboardEntry, ScoreAggregate, ScoreCard
 
 _PALETTE = (
     "#1f77b4",
@@ -198,49 +198,31 @@ def render_top3(cards: list[ScoreCard], baseline: ScoreCard | None = None) -> st
     return _svg(w, h, body)
 
 
-def _cell(mean: float, std: float) -> str:
-    return f"{mean:.2f} (± {std:.2f})"
+def _cell(agg: ScoreAggregate) -> str:
+    return f"{agg.mean:.2f} (± {agg.std:.2f})"
 
 
-def _ordered(cards: list[ScoreCard]) -> list[ScoreCard]:
-    return sorted(cards, key=lambda c: (-c.aggregate_composite.mean, c.method_name))
+def _rows(cards: list[ScoreCard]) -> list[list[str]]:
+    """Header plus one row per card in leaderboard order."""
+    ordered = sorted(cards, key=lambda c: (-c.aggregate_composite.mean, c.method_name))
+    return [["model", "avg_score", *SCORE_IDS]] + [
+        [c.method_name, _cell(c.aggregate_composite),
+         *(_cell(c.aggregate_scores[sid]) for sid in SCORE_IDS)]
+        for c in ordered
+    ]
 
 
 def export_table(cards: list[ScoreCard]) -> str:
     """CSV score table: model, composite, E1..E12 as "mean (± std)" cells,
     rows in leaderboard order."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["model", "avg_score", *SCORE_IDS])
-    for card in _ordered(cards):
-        writer.writerow(
-            [
-                card.method_name,
-                _cell(card.aggregate_composite.mean, card.aggregate_composite.std),
-                *(
-                    _cell(card.aggregate_scores[sid].mean, card.aggregate_scores[sid].std)
-                    for sid in SCORE_IDS
-                ),
-            ]
-        )
+    csv.writer(buf, lineterminator="\n").writerows(_rows(cards))
     return buf.getvalue()
 
 
 def export_table_markdown(cards: list[ScoreCard]) -> str:
     """The same table as a Markdown pipe table."""
-    header = ["model", "avg_score", *SCORE_IDS]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join("---" for _ in header) + "|",
-    ]
-    for card in _ordered(cards):
-        row = [
-            card.method_name,
-            _cell(card.aggregate_composite.mean, card.aggregate_composite.std),
-            *(
-                _cell(card.aggregate_scores[sid].mean, card.aggregate_scores[sid].std)
-                for sid in SCORE_IDS
-            ),
-        ]
-        lines.append("| " + " | ".join(row) + " |")
+    header, *rows = _rows(cards)
+    lines = ["| " + " | ".join(header) + " |", "|" + "|".join("---" for _ in header) + "|"]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
     return "\n".join(lines) + "\n"

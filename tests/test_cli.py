@@ -104,6 +104,16 @@ class TestGenerate:
         assert payload["matrices"] == 19
         assert payload["manifest"]["seeds"]["master"] == 4
 
+    def test_wrong_train_param_count_is_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["generate", "--system", "lorenz", "--train-params", "26,30",
+             "--out", str(tmp_path / "p")],
+        )
+        assert result.exit_code == 1
+        assert "Error:" in result.output
+        assert "exactly three" in result.output
+
     def test_timestamp_override_lands_in_manifest(self, runner, tmp_path):
         out = tmp_path / "stamped"
         result = runner.invoke(
@@ -210,6 +220,28 @@ class TestScore:
         assert result.exit_code == 0
         card = referee.read_scorecard(card_path)
         assert card.windows == {"short_k": 50, "long_k": 500, "kmax": 100, "bins": 21}
+
+    @pytest.mark.parametrize("flag,value", [("--short-k", "0"), ("--long-k", "0"),
+                                            ("--kmax", "0"), ("--bins", "1")])
+    def test_out_of_range_window_is_usage_error(self, runner, cli_pack_dir, zeros_run_dir,
+                                                flag, value):
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(zeros_run_dir),
+             flag, value],
+        )
+        assert result.exit_code == 2
+        assert f"Error: {flag[2:].replace('-', '_')} must be >= " in result.output
+
+    def test_manifest_not_json_is_error(self, runner, zeros_run_dir, tmp_path):
+        pack_dir = tmp_path / "pack"
+        pack_dir.mkdir()
+        (pack_dir / "manifest.json").write_text("{not json")
+        result = runner.invoke(
+            main, ["score", "--pack", str(pack_dir), "--submission", str(zeros_run_dir)]
+        )
+        assert result.exit_code == 1
+        assert "Error:" in result.output and "manifest.json" in result.output
 
     def test_store_updated_when_given(self, runner, cli_pack_dir, zeros_run_dir, tmp_path):
         store = tmp_path / "board.json"
@@ -346,6 +378,36 @@ class TestReportCli:
         )
         assert result.exit_code != 0
         assert "not on" in result.output
+
+
+class TestBrokenStore:
+    @pytest.fixture()
+    def card_path(self, tmp_path, cli_pack_dir):
+        pack = cb.read_pack(cli_pack_dir)
+        path = tmp_path / "card.json"
+        referee.write_scorecard(referee.evaluate(oracle_submission(pack), pack), path)
+        return path
+
+    @pytest.fixture(params=[
+        "{not json",
+        '{"format": "ctfbench-leaderboard/0"}',
+        '{"format": "ctfbench-leaderboard/1", "datasets": {"ODE_Lorenz": [{"method": "m"}]}}',
+    ], ids=["not-json", "wrong-format", "no-rank"])
+    def store(self, tmp_path, request):
+        path = tmp_path / "board.json"
+        path.write_text(request.param)
+        return path
+
+    @pytest.mark.parametrize("command", [
+        lambda card, out: ["leaderboard", "show"],
+        lambda card, out: ["report", "--kind", "table", "--out", str(out)],
+        lambda card, out: ["leaderboard", "add", "--card", str(card)],
+    ], ids=["show", "report", "add"])
+    def test_is_error(self, runner, store, card_path, command):
+        argv = command(card_path, store.parent / "charts")
+        result = runner.invoke(main, [*argv, "--store", str(store)])
+        assert result.exit_code == 1, result.output
+        assert "Error:" in result.output and "board.json" in result.output
 
 
 class TestConfigFile:

@@ -176,6 +176,29 @@ def test_version_mismatch_fails_read(lorenz_pack, tmp_path):
         cb.read_pack(directory)
 
 
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", "{}"])
+def test_unreadable_manifest_fails_read(lorenz_pack, tmp_path, text):
+    directory = tmp_path / "pack"
+    cb.write_pack(lorenz_pack, directory)
+    (directory / "manifest.json").write_text(text)
+    with pytest.raises(PackValidationError):
+        cb.read_pack(directory)
+
+
+@pytest.mark.parametrize(
+    "key,value", [("train_params", ["a", "b", "c"]), ("noise_levels", {"extreme": 0.5}),
+                  ("matrices", [])]
+)
+def test_mistyped_manifest_fails_read(lorenz_pack, tmp_path, key, value):
+    directory = tmp_path / "pack"
+    cb.write_pack(lorenz_pack, directory)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest[key] = value
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(PackValidationError, match="malformed manifest"):
+        cb.read_pack(directory)
+
+
 def test_missing_matrix_fails_read(lorenz_pack, tmp_path):
     directory = tmp_path / "pack"
     cb.write_pack(lorenz_pack, directory)
@@ -238,6 +261,11 @@ class TestConfig:
     def test_extrap_inside_training_range_rejected(self):
         with pytest.raises(PackValidationError, match="extrapolation"):
             datagen.resolve_config("lorenz", {"extrap_param": 29.0})
+
+    @pytest.mark.parametrize("values", [(26.0, 30.0), (25.0, 26.0, 30.0, 31.0)])
+    def test_train_params_need_exactly_three(self, values):
+        with pytest.raises(ValueError, match="exactly three"):
+            cb.build_pack("lorenz", 0, {"train_params": values})
 
     def test_ks_defaults(self):
         cfg = datagen.resolve_config("ks")

@@ -74,6 +74,16 @@ class TestIntegrateLorenz:
         assert err.value.step >= 1
         assert str(err.value.step) in str(err.value)
 
+    # Absolute step numbers recorded with the original per-system loops; a
+    # spin-up of 10 diverges inside the spin-up, one of 4 while recording.
+    @pytest.mark.parametrize("spinup", [10, 4])
+    def test_divergence_step_pinned(self, spinup):
+        with pytest.raises(DivergenceError) as err:
+            integrate_lorenz(
+                LorenzParams(), lorenz_cfg(dt=0.15, total_steps=50, spinup_steps=spinup)
+            )
+        assert err.value.step == 7
+
     def test_spinup_shifts_recording(self):
         cfg_a = lorenz_cfg(total_steps=20, spinup_steps=5)
         cfg_b = lorenz_cfg(total_steps=25)
@@ -141,6 +151,15 @@ class TestIntegrateKS:
         with pytest.raises(DivergenceError) as err:
             integrate_ks(params, SimConfig(dt=0.025, total_steps=600, seed=3))
         assert err.value.step >= 1
+
+    # See TestIntegrateLorenz.test_divergence_step_pinned.
+    @pytest.mark.parametrize("spinup", [10, 3])
+    def test_divergence_step_pinned(self, spinup):
+        params = KSParams(domain_length=2.0 * np.pi, grid_points=64, viscosity=0.01)
+        cfg = SimConfig(dt=0.05, total_steps=50, spinup_steps=spinup, seed=3)
+        with pytest.raises(DivergenceError) as err:
+            integrate_ks(params, cfg)
+        assert err.value.step == 7
 
     def test_explicit_ic_length_checked(self):
         with pytest.raises(ValueError, match="initial condition"):

@@ -160,6 +160,21 @@ class TestEvaluate:
         loaded = read_scorecard(path)
         assert loaded.to_dict() == card.to_dict()
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: "{not json", "not a readable JSON document"),
+            (lambda d: json.dumps({**d, "format": "ctfbench-scorecard/0"}), "version mismatch"),
+            (lambda d: json.dumps({k: v for k, v in d.items() if k != "method"}), "method"),
+        ],
+    )
+    def test_bad_scorecard_rejected(self, lorenz_pack, tmp_path, edit, message):
+        path = tmp_path / "card.json"
+        write_scorecard(evaluate(oracle_submission(lorenz_pack), lorenz_pack), path)
+        path.write_text(edit(json.loads(path.read_text())))
+        with pytest.raises(cb.CTFBenchError, match=message):
+            read_scorecard(path)
+
     def test_corrupted_pack_aborts(self, lorenz_pack):
         import copy
 
@@ -304,6 +319,21 @@ class TestLeaderboard:
         store = tmp_path / "board.json"
         store.write_text(json.dumps({"format": "something-else/9", "datasets": {}}))
         with pytest.raises(cb.CTFBenchError, match="version mismatch"):
+            load_leaderboard(store)
+
+    def test_store_not_json_rejected(self, tmp_path):
+        store = tmp_path / "board.json"
+        store.write_text("{truncated")
+        with pytest.raises(cb.CTFBenchError, match="not a readable JSON document"):
+            load_leaderboard(store)
+
+    def test_entry_missing_rank_rejected(self, tmp_path):
+        store = tmp_path / "board.json"
+        update_leaderboard(store, make_card("A", {}, 42.0))
+        doc = json.loads(store.read_text())
+        del doc["datasets"]["ODE_Lorenz"][0]["rank"]
+        store.write_text(json.dumps(doc))
+        with pytest.raises(cb.CTFBenchError, match="rank"):
             load_leaderboard(store)
 
     def test_persisted_round_trip(self, tmp_path):
