@@ -7,7 +7,6 @@ generated packs and CTF_STORE the default leaderboard store path.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from pathlib import Path
@@ -16,31 +15,47 @@ import click
 
 from . import baselines, datagen, referee, report
 from .exceptions import CTFBenchError
-from .matio import atomic_write_bytes, dump_json
+from .matio import atomic_write_bytes, dump_json, read_json
 from .metrics import SCORE_IDS, MetricWindows
 
 
-def _load_config(ctx: click.Context, _param: click.Parameter, value: str | None):
-    if value:
+class _Main(click.Group):
+    """The one place where a CTFBenchError from any command, or from the
+    config file, becomes `Error: <message>` and exit status 1."""
+
+    def invoke(self, ctx: click.Context):
         try:
-            ctx.default_map = json.loads(Path(value).read_text())
-        except (OSError, ValueError) as exc:
-            raise click.ClickException(f"cannot read config file {value}: {exc}")
-    return value
+            return super().invoke(ctx)
+        except CTFBenchError as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-@click.group(context_settings={"auto_envvar_prefix": "CTF", "help_option_names": ["-h", "--help"]})
+def _check_sections(group: click.Group, section: dict, path: str) -> None:
+    """Require the config section of every (sub)command, if given, to be an object."""
+    for name, cmd in group.commands.items():
+        value = section.get(name, {})
+        if not isinstance(value, dict):
+            raise click.ClickException(f"{path}: config section {name!r} must be a JSON object")
+        if isinstance(cmd, click.Group):
+            _check_sections(cmd, value, path)
+
+
+@click.group(cls=_Main,
+             context_settings={"auto_envvar_prefix": "CTF", "help_option_names": ["-h", "--help"]})
 @click.option(
     "--config",
     type=click.Path(exists=True, dir_okay=False),
-    callback=_load_config,
-    expose_value=False,
-    is_eager=True,
     help="JSON config file with per-command option defaults.",
 )
-def main():
+@click.pass_context
+def main(ctx: click.Context, config: str | None):
     """Benchmark engine: dataset generation, twelve-metric scoring,
     leaderboard and reports for the Lorenz and Kuramoto-Sivashinsky packs."""
+    # Runs before the subcommand's context is made, which is where the
+    # subcommand takes its section of `default_map`.
+    if config:
+        ctx.default_map = read_json(config)
+        _check_sections(ctx.command, ctx.default_map, config)
 
 
 def _echo_json(payload: dict) -> None:
@@ -97,11 +112,11 @@ def generate(system, seed, out_dir, data_root, dt, spinup, noise_medium, noise_h
             raise click.ClickException(f"cannot parse --train-params {train_params!r}")
     try:
         pack = datagen.build_pack(system, seed, overrides)
-        datagen.write_pack(pack, out_dir)
-        if with_csv:
-            datagen.export_pack_csv(pack, out_dir)
-    except (CTFBenchError, ValueError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc))
+    datagen.write_pack(pack, out_dir)
+    if with_csv:
+        datagen.export_pack_csv(pack, out_dir)
     m = pack.manifest
     if as_json:
         _echo_json({"dataset": pack.dataset_id, "directory": str(out_dir),
@@ -127,12 +142,9 @@ def generate(system, seed, out_dir, data_root, dt, spinup, noise_medium, noise_h
 @click.option("--json", "as_json", is_flag=True)
 def baseline(kind, pack_dir, out_dir, run_id, as_json):
     """Write a baseline submission for a pack."""
-    try:
-        pack = datagen.read_pack(pack_dir)
-        sub = baselines.make_submission(kind, pack, run_id=run_id)
-        run_dir = referee.write_submission(sub, out_dir)
-    except CTFBenchError as exc:
-        raise click.ClickException(str(exc))
+    pack = datagen.read_pack(pack_dir)
+    sub = baselines.make_submission(kind, pack, run_id=run_id)
+    run_dir = referee.write_submission(sub, out_dir)
     if as_json:
         _echo_json({"method": sub.method_name, "run_id": run_id, "directory": str(run_dir),
                     "predictions": sorted(sub.predictions)})
@@ -177,31 +189,28 @@ def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kma
         windows = MetricWindows(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise click.UsageError(str(exc), ctx)
-    try:
-        pack = datagen.read_pack(pack_dir)
-        if runs_glob:
-            run_dirs = referee.find_run_dirs(submission_dir, runs_glob)
-            if not run_dirs:
-                raise click.ClickException(
-                    f"no run directories match {runs_glob!r} under {submission_dir}")
-        else:
-            run_dirs = [Path(submission_dir)]
-        any_violations = False
-        cards = []
-        for run_dir in run_dirs:
-            sub = referee.load_submission(run_dir, method_name=method)
-            for violation in referee.validate_submission(sub, pack, windows):
-                any_violations = True
-                click.echo(f"warning [{sub.run_id}]: {violation}; affected scores get -100",
-                           err=True)
-            cards.append(referee.evaluate(sub, pack, windows))
-        card = referee.aggregate_runs(cards)
-        out_path = card_out or Path(submission_dir) / "scorecard.json"
-        referee.write_scorecard(card, out_path)
-        if store is not None:
-            referee.update_leaderboard(store, card)
-    except CTFBenchError as exc:
-        raise click.ClickException(str(exc))
+    pack = datagen.read_pack(pack_dir)
+    if runs_glob:
+        run_dirs = referee.find_run_dirs(submission_dir, runs_glob)
+        if not run_dirs:
+            raise click.ClickException(
+                f"no run directories match {runs_glob!r} under {submission_dir}")
+    else:
+        run_dirs = [Path(submission_dir)]
+    any_violations = False
+    cards = []
+    for run_dir in run_dirs:
+        sub = referee.load_submission(run_dir, method_name=method)
+        for violation in referee.validate_submission(sub, pack, windows):
+            any_violations = True
+            click.echo(f"warning [{sub.run_id}]: {violation}; affected scores get -100",
+                       err=True)
+        cards.append(referee.evaluate(sub, pack, windows))
+    card = referee.aggregate_runs(cards)
+    out_path = card_out or Path(submission_dir) / "scorecard.json"
+    referee.write_scorecard(card, out_path)
+    if store is not None:
+        referee.update_leaderboard(store, card)
     if as_json:
         _echo_json(card.to_dict())
     else:
@@ -224,17 +233,14 @@ def leaderboard():
 def leaderboard_add(store, card_paths, as_json):
     """Upsert scorecard document(s) into the store."""
     added = []
-    try:
-        for path in card_paths:
-            card = referee.read_scorecard(path)
-            board = referee.update_leaderboard(store, card)
-            rank = next(
-                e.rank for e in board.entries(card.dataset_id)
-                if e.method_name == card.method_name
-            )
-            added.append({"dataset": card.dataset_id, "method": card.method_name, "rank": rank})
-    except CTFBenchError as exc:
-        raise click.ClickException(str(exc))
+    for path in card_paths:
+        card = referee.read_scorecard(path)
+        board = referee.update_leaderboard(store, card)
+        rank = next(
+            e.rank for e in board.entries(card.dataset_id)
+            if e.method_name == card.method_name
+        )
+        added.append({"dataset": card.dataset_id, "method": card.method_name, "rank": rank})
     if as_json:
         _echo_json({"added": added})
     else:
@@ -248,10 +254,7 @@ def leaderboard_add(store, card_paths, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def leaderboard_show(store, dataset, as_json):
     """Print the rank-ordered leaderboard."""
-    try:
-        board = referee.load_leaderboard(store)
-    except CTFBenchError as exc:
-        raise click.ClickException(str(exc))
+    board = referee.load_leaderboard(store)
     if as_json:
         _echo_json(board.to_dict())
         return
@@ -280,10 +283,7 @@ def leaderboard_show(store, dataset, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def report_cmd(kind, store, dataset, out_dir, baseline_method, as_json):
     """Render leaderboard entries as charts or tables."""
-    try:
-        board = referee.load_leaderboard(store)
-    except CTFBenchError as exc:
-        raise click.ClickException(str(exc))
+    board = referee.load_leaderboard(store)
     datasets = [dataset] if dataset else sorted(board.datasets)
     datasets = [ds for ds in datasets if board.entries(ds)]
     if not datasets:

@@ -1,24 +1,24 @@
 """Dataset pack assembly: training/test matrix families plus manifest.
 
 A pack holds ten training matrices (X1train..X10train) and nine test
-matrices (X1test..X9test) cut from simulated trajectories:
+matrices (X1test..X9test) cut from six simulated trajectories:
 
-* one nominal-parameter trajectory of 11000 recorded steps supplies the
-  forecasting pair (X1train rows 0-10000, X1test rows 10000-11000), the
-  noisy variants (X2train/X3train = X1train + medium/high noise, with
-  X2test/X4test the clean signal and X3test/X5test its continuation), and
-  the limited-data family (X4train = rows 0-100, X5train noisy, with
-  X6test/X7test = rows 100-1100),
+* one nominal-parameter trajectory supplies the forecasting pair, the
+  noisy variants with their clean and continued truths, and the
+  limited-data family,
 * three trajectories at the training parameter values supply
-  X6train/X7train/X8train (rows 0-10000 each),
+  X6train/X7train/X8train,
 * two trajectories at the interpolation/extrapolation parameter values
-  supply the burn-ins X9train/X10train (rows 9900-10000) and the truth
-  continuations X8test/X9test (rows 10000-11000).
+  supply the burn-ins X9train/X10train and the truth continuations
+  X8test/X9test.
 
-Matrix shapes and index windows are pinned by `MATRIX_LAYOUT` and are
-validated on every build and read. Pack construction is a pure function of
-(system, master_seed, overrides); seeds for each stochastic ingredient are
-derived from the master seed and recorded in the manifest.
+`_SOURCES` is the one definition of that layout: for each matrix, the
+trajectory it is cut from, its row window and its noise. `MATRIX_LAYOUT`
+(the published shape table), the simulated step counts and the
+identical-window checks are all derived from it, and shapes and windows
+are validated on every build and read. Pack construction is a pure
+function of (system, master_seed, overrides); seeds for each stochastic
+ingredient are derived from the master seed and recorded in the manifest.
 """
 
 from __future__ import annotations
@@ -41,42 +41,42 @@ DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
 SYSTEMS = {"lorenz": "ODE_Lorenz", "ks": "PDE_KS"}
 DATASET_DIMS = {"ODE_Lorenz": 3, "PDE_KS": 1024}
 
-#: name -> (rows, start index, end index); identical for both systems,
-#: which differ only in column count.
+#: name -> (trajectory, start, end, noise): the matrix is rows [start, end)
+#: of the trajectory simulated under seed name `trajectory`, plus noise at
+#: `(level label, seed name)` when noise is not None. Identical for both
+#: systems, which differ only in column count.
+_SOURCES: dict[str, tuple[str, int, int, tuple[str, str] | None]] = {
+    "X1train": ("trajectory", 0, 10000, None),
+    "X2train": ("trajectory", 0, 10000, ("medium", "noise_medium")),
+    "X3train": ("trajectory", 0, 10000, ("high", "noise_high")),
+    "X4train": ("trajectory", 0, 100, None),
+    "X5train": ("trajectory", 0, 100, ("medium", "limited_noise")),
+    "X6train": ("param_a", 0, 10000, None),
+    "X7train": ("param_b", 0, 10000, None),
+    "X8train": ("param_c", 0, 10000, None),
+    "X9train": ("interpolation", 9900, 10000, None),
+    "X10train": ("extrapolation", 9900, 10000, None),
+    "X1test": ("trajectory", 10000, 11000, None),
+    "X2test": ("trajectory", 0, 10000, None),
+    "X3test": ("trajectory", 10000, 11000, None),
+    "X4test": ("trajectory", 0, 10000, None),
+    "X5test": ("trajectory", 10000, 11000, None),
+    "X6test": ("trajectory", 100, 1100, None),
+    "X7test": ("trajectory", 100, 1100, None),
+    "X8test": ("interpolation", 10000, 11000, None),
+    "X9test": ("extrapolation", 10000, 11000, None),
+}
+
+#: name -> (rows, start index, end index).
 MATRIX_LAYOUT: dict[str, tuple[int, int, int]] = {
-    "X1train": (10000, 0, 10000),
-    "X2train": (10000, 0, 10000),
-    "X3train": (10000, 0, 10000),
-    "X4train": (100, 0, 100),
-    "X5train": (100, 0, 100),
-    "X6train": (10000, 0, 10000),
-    "X7train": (10000, 0, 10000),
-    "X8train": (10000, 0, 10000),
-    "X9train": (100, 9900, 10000),
-    "X10train": (100, 9900, 10000),
-    "X1test": (1000, 10000, 11000),
-    "X2test": (10000, 0, 10000),
-    "X3test": (1000, 10000, 11000),
-    "X4test": (10000, 0, 10000),
-    "X5test": (1000, 10000, 11000),
-    "X6test": (1000, 100, 1100),
-    "X7test": (1000, 100, 1100),
-    "X8test": (1000, 10000, 11000),
-    "X9test": (1000, 10000, 11000),
+    name: (end - start, start, end) for name, (_, start, end, _) in _SOURCES.items()
 }
 
 TRAIN_NAMES = tuple(n for n in MATRIX_LAYOUT if n.endswith("train"))
 TEST_NAMES = tuple(n for n in MATRIX_LAYOUT if n.endswith("test"))
 
-#: Test matrices that must be identical, cut from the same trajectory rows.
-EQUAL_WINDOWS = (
-    ("X2test", "X1train"),
-    ("X4test", "X1train"),
-    ("X3test", "X1test"),
-    ("X5test", "X1test"),
-    ("X7test", "X6test"),
-)
-
+#: Every trajectory and noise seed name of `_SOURCES`. Kept explicit because
+#: its order fixes the seed derived for each name.
 _SEED_NAMES = (
     "trajectory",
     "noise_medium",
@@ -205,12 +205,10 @@ class Manifest:
         _check_param_ordering(tuple(self.train_params), self.interp_param, self.extrap_param)
         for label, frac in self.noise_levels.items():
             NoiseLevel(label, frac)
-        cols = DATASET_DIMS[self.dataset_id]
-        for name, (rows, start, end) in MATRIX_LAYOUT.items():
+        for name, expected in _matrix_entries(DATASET_DIMS[self.dataset_id]).items():
             entry = self.matrices.get(name)
             if entry is None:
                 raise PackValidationError(f"manifest missing matrix entry {name}")
-            expected = {"rows": rows, "cols": cols, "start": start, "end": end}
             if entry != expected:
                 raise PackValidationError(
                     f"manifest entry {name} is {entry}, expected {expected}"
@@ -225,6 +223,14 @@ class Manifest:
             return cls(**{k: d[k] for k in cls.__dataclass_fields__})
         except KeyError as exc:
             raise PackValidationError(f"manifest missing field {exc}") from exc
+
+
+def _matrix_entries(cols: int) -> dict[str, dict[str, int]]:
+    """The manifest's `matrices` entries for a dataset with `cols` columns."""
+    return {
+        name: {"rows": rows, "cols": cols, "start": start, "end": end}
+        for name, (rows, start, end) in MATRIX_LAYOUT.items()
+    }
 
 
 @dataclass
@@ -279,47 +285,31 @@ def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> 
     """Generate a complete dataset pack. Deterministic in all arguments."""
     cfg = resolve_config(system, overrides)
     seeds = derive_seeds(master_seed)
-    medium = NoiseLevel("medium", cfg.noise_medium)
-    high = NoiseLevel("high", cfg.noise_high)
-
-    nominal = _simulate(cfg, cfg.nominal_param, 11000, seeds["trajectory"])
-    x1train = nominal[0:10000]
-    x1test = nominal[10000:11000]
-
-    train = {
-        "X1train": x1train,
-        "X2train": add_noise(x1train, medium, seeds["noise_medium"]),
-        "X3train": add_noise(x1train, high, seeds["noise_high"]),
-        "X4train": nominal[0:100],
-        "X5train": add_noise(nominal[0:100], medium, seeds["limited_noise"]),
+    noise_levels = {"medium": cfg.noise_medium, "high": cfg.noise_high}
+    levels = {label: NoiseLevel(label, frac) for label, frac in noise_levels.items()}
+    values = {
+        "trajectory": cfg.nominal_param,
+        "param_a": cfg.train_params[0],
+        "param_b": cfg.train_params[1],
+        "param_c": cfg.train_params[2],
+        "interpolation": cfg.interp_param,
+        "extrapolation": cfg.extrap_param,
     }
-    test = {
-        "X1test": x1test,
-        "X2test": x1train,
-        "X3test": x1test,
-        "X4test": x1train,
-        "X5test": x1test,
-        "X6test": nominal[100:1100],
-        "X7test": nominal[100:1100],
+    runs = {
+        traj: _simulate(
+            cfg, value, max(end for t, _, end, _ in _SOURCES.values() if t == traj), seeds[traj]
+        )
+        for traj, value in values.items()
     }
-
-    for name, seed_name, value in (
-        ("X6train", "param_a", cfg.train_params[0]),
-        ("X7train", "param_b", cfg.train_params[1]),
-        ("X8train", "param_c", cfg.train_params[2]),
-    ):
-        train[name] = _simulate(cfg, value, 10000, seeds[seed_name])
-
-    interp = _simulate(cfg, cfg.interp_param, 11000, seeds["interpolation"])
-    train["X9train"] = interp[9900:10000]
-    test["X8test"] = interp[10000:11000]
-
-    extrap = _simulate(cfg, cfg.extrap_param, 11000, seeds["extrapolation"])
-    train["X10train"] = extrap[9900:10000]
-    test["X9test"] = extrap[10000:11000]
+    mats = {}
+    for name, (traj, start, end, noise) in _SOURCES.items():
+        x = runs[traj][start:end]
+        if noise is not None:
+            label, seed_name = noise
+            x = add_noise(x, levels[label], seeds[seed_name])
+        mats[name] = x
 
     dataset_id = SYSTEMS[system]
-    cols = DATASET_DIMS[dataset_id]
     manifest = Manifest(
         dataset_id=dataset_id,
         system=system,
@@ -333,36 +323,47 @@ def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> 
         train_params=list(cfg.train_params),
         interp_param=cfg.interp_param,
         extrap_param=cfg.extrap_param,
-        noise_levels={"medium": cfg.noise_medium, "high": cfg.noise_high},
+        noise_levels=noise_levels,
         seeds=seeds,
-        matrices={
-            name: {"rows": rows, "cols": cols, "start": start, "end": end}
-            for name, (rows, start, end) in MATRIX_LAYOUT.items()
-        },
+        matrices=_matrix_entries(DATASET_DIMS[dataset_id]),
     )
-    pack = DatasetPack(dataset_id=dataset_id, train=train, test=test, manifest=manifest)
+    return _assemble(mats, manifest)
+
+
+def _assemble(mats: dict[str, np.ndarray], manifest: Manifest) -> DatasetPack:
+    """Split `mats` into the train and test families and validate the pack."""
+    pack = DatasetPack(
+        dataset_id=manifest.dataset_id,
+        train={name: mats[name] for name in TRAIN_NAMES},
+        test={name: mats[name] for name in TEST_NAMES},
+        manifest=manifest,
+    )
     validate_pack(pack)
     return pack
 
 
 def validate_pack(pack: DatasetPack) -> None:
-    """Check layout shapes, finiteness and the identical-window invariants."""
+    """Check layout shapes, finiteness and the identical-window invariants:
+    each noise-free matrix equals the first earlier one with the same source."""
     pack.manifest.validate()
     if pack.dataset_id != pack.manifest.dataset_id:
         raise PackValidationError("pack/manifest dataset_id mismatch")
     cols = DATASET_DIMS[pack.dataset_id]
+    mats = {**pack.train, **pack.test}
     for name, (rows, _, _) in MATRIX_LAYOUT.items():
-        group = pack.train if name.endswith("train") else pack.test
-        x = group.get(name)
+        x = mats.get(name)
         if x is None:
             raise PackValidationError(f"pack missing matrix {name}")
         why = matio.problem(x, (rows, cols))
         if why is not None:
             raise PackValidationError(f"{name}: {why}")
-    union = {**pack.train, **pack.test}
-    for a, b in EQUAL_WINDOWS:
-        if not np.array_equal(union[a], union[b]):
-            raise PackValidationError(f"{a} must equal {b} (same trajectory window)")
+    first: dict[tuple, str] = {}
+    for name, source in _SOURCES.items():
+        if source[3] is not None:
+            continue
+        other = first.setdefault(source, name)
+        if other != name and not np.array_equal(mats[name], mats[other]):
+            raise PackValidationError(f"{name} must equal {other} (same trajectory window)")
 
 
 def write_pack(pack: DatasetPack, directory: str | Path) -> None:
@@ -371,18 +372,18 @@ def write_pack(pack: DatasetPack, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     validate_pack(pack)
     matio.write_json(directory / "manifest.json", pack.manifest.to_dict())
+    mats = {**pack.train, **pack.test}
     for name in MATRIX_LAYOUT:
-        group = pack.train if name.endswith("train") else pack.test
-        matio.write_matrix(directory / f"{name}.mat", group[name])
+        matio.write_matrix(directory / f"{name}.mat", mats[name])
 
 
 def export_pack_csv(pack: DatasetPack, directory: str | Path) -> None:
     """Write every pack matrix as CSV alongside the binary files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    mats = {**pack.train, **pack.test}
     for name in MATRIX_LAYOUT:
-        group = pack.train if name.endswith("train") else pack.test
-        matio.write_csv(directory / f"{name}.csv", group[name])
+        matio.write_csv(directory / f"{name}.csv", mats[name])
 
 
 def read_pack(directory: str | Path) -> DatasetPack:
@@ -396,15 +397,10 @@ def read_pack(directory: str | Path) -> DatasetPack:
         manifest.validate()
     except (TypeError, ValueError, AttributeError) as exc:
         raise PackValidationError(f"{manifest_path}: malformed manifest: {exc}") from exc
-    train: dict[str, np.ndarray] = {}
-    test: dict[str, np.ndarray] = {}
+    mats = {}
     for name in MATRIX_LAYOUT:
         path = directory / f"{name}.mat"
         if not path.is_file():
             raise PackValidationError(f"missing matrix file: {path}")
-        (train if name.endswith("train") else test)[name] = matio.read_matrix(path)
-    pack = DatasetPack(
-        dataset_id=manifest.dataset_id, train=train, test=test, manifest=manifest
-    )
-    validate_pack(pack)
-    return pack
+        mats[name] = matio.read_matrix(path)
+    return _assemble(mats, manifest)

@@ -133,7 +133,10 @@ def load_submission(run_dir: str | Path, method_name: str | None = None) -> Subm
     if not run_dir.is_dir():
         raise CTFBenchError(f"submission directory not found: {run_dir}")
     meta_path = run_dir / "meta"
-    metadata = _parse_meta(meta_path.read_text()) if meta_path.is_file() else {}
+    try:
+        metadata = _parse_meta(meta_path.read_text("utf-8")) if meta_path.is_file() else {}
+    except UnicodeDecodeError as exc:
+        raise CTFBenchError(f"{meta_path}: meta file is not UTF-8 text: {exc}") from exc
     predictions = {}
     for name in PREDICTION_NAMES:
         for suffix in (".mat", ".csv"):
@@ -163,15 +166,11 @@ def validate_submission(
     sub: Submission, pack: DatasetPack, windows: MetricWindows | None = None
 ) -> list[str]:
     """Report violations per prediction; an empty list means fully scoreable."""
+    shapes = {t.prediction_name: t.truth_shape for t in task_registry(pack.dataset_id, windows)}
     violations = []
-    seen = set()
-    for task in task_registry(pack.dataset_id, windows):
-        name = task.prediction_name
-        if name in seen:
-            continue
-        seen.add(name)
+    for name, shape in shapes.items():
         pred = sub.predictions.get(name)
-        why = "missing prediction" if pred is None else matio.problem(pred, task.truth_shape)
+        why = "missing prediction" if pred is None else matio.problem(pred, shape)
         if why is not None:
             violations.append(f"{name}: {why}")
     return violations
@@ -188,6 +187,15 @@ class RunScores:
     run_id: str
     scores: dict[str, float | None]
     composite: float
+
+
+def _score_aggregates(d: dict) -> dict[str, ScoreAggregate]:
+    """Parse the aggregate `scores` of a scorecard or store entry, which must
+    hold exactly the ids E1..E12."""
+    if set(d) != set(SCORE_IDS):
+        raise ValueError(f"aggregate scores must hold exactly {', '.join(SCORE_IDS)}, "
+                         f"got {', '.join(d)}")
+    return {sid: ScoreAggregate(**v) for sid, v in d.items()}
 
 
 @dataclass
@@ -218,9 +226,7 @@ class ScoreCard:
             method_name=d["method"],
             dataset_id=d["dataset"],
             runs=[RunScores(**r) for r in d["runs"]],
-            aggregate_scores={
-                sid: ScoreAggregate(**v) for sid, v in d["aggregate"]["scores"].items()
-            },
+            aggregate_scores=_score_aggregates(d["aggregate"]["scores"]),
             aggregate_composite=ScoreAggregate(**d["aggregate"]["composite"]),
             windows=dict(d.get("windows", {})),
         )
@@ -285,8 +291,21 @@ def _aggregate(values: list[float]) -> ScoreAggregate:
     )
 
 
-def _filled(scores: dict[str, float | None]) -> dict[str, float]:
-    return {sid: (-100.0 if scores[sid] is None else scores[sid]) for sid in SCORE_IDS}
+def _card(method: str, dataset: str, runs: list[RunScores], windows: dict) -> ScoreCard:
+    """A ScoreCard whose aggregates are the mean/std of `runs`, a missing
+    score counting as -100; a single run aggregates to its own scores with
+    std 0."""
+    return ScoreCard(
+        method_name=method,
+        dataset_id=dataset,
+        runs=runs,
+        aggregate_scores={
+            sid: _aggregate([-100.0 if r.scores[sid] is None else r.scores[sid] for r in runs])
+            for sid in SCORE_IDS
+        },
+        aggregate_composite=_aggregate([r.composite for r in runs]),
+        windows=windows,
+    )
 
 
 def evaluate(
@@ -300,15 +319,7 @@ def evaluate(
         scores[task.score_id] = evaluate_task(task, sub, pack)
     comp = metrics.composite([scores[sid] for sid in SCORE_IDS])
     run = RunScores(run_id=sub.run_id, scores=scores, composite=comp)
-    filled = _filled(scores)
-    return ScoreCard(
-        method_name=sub.method_name,
-        dataset_id=pack.dataset_id,
-        runs=[run],
-        aggregate_scores={sid: ScoreAggregate(filled[sid], 0.0) for sid in SCORE_IDS},
-        aggregate_composite=ScoreAggregate(comp, 0.0),
-        windows=asdict(base),
-    )
+    return _card(sub.method_name, pack.dataset_id, [run], asdict(base))
 
 
 def aggregate_runs(cards: list[ScoreCard]) -> ScoreCard:
@@ -326,17 +337,7 @@ def aggregate_runs(cards: list[ScoreCard]) -> ScoreCard:
     if len(datasets) > 1:
         raise ValueError(f"cannot aggregate mixed datasets: {sorted(datasets)}")
     runs = [r for c in cards for r in c.runs]
-    per_score = {
-        sid: _aggregate([_filled(r.scores)[sid] for r in runs]) for sid in SCORE_IDS
-    }
-    return ScoreCard(
-        method_name=cards[0].method_name,
-        dataset_id=cards[0].dataset_id,
-        runs=runs,
-        aggregate_scores=per_score,
-        aggregate_composite=_aggregate([r.composite for r in runs]),
-        windows=dict(cards[0].windows),
-    )
+    return _card(cards[0].method_name, cards[0].dataset_id, runs, dict(cards[0].windows))
 
 
 @dataclass
@@ -398,7 +399,7 @@ class Leaderboard:
                     method_name=e["method"],
                     composite_mean=e["composite"]["mean"],
                     composite_std=e["composite"]["std"],
-                    scores={sid: ScoreAggregate(**v) for sid, v in e["scores"].items()},
+                    scores=_score_aggregates(e["scores"]),
                     runs=e["runs"],
                 )
                 for e in entries

@@ -243,6 +243,16 @@ class TestScore:
         assert result.exit_code == 1
         assert "Error:" in result.output and "manifest.json" in result.output
 
+    def test_meta_not_utf8_is_error(self, runner, cli_pack_dir, tmp_path):
+        pack = cb.read_pack(cli_pack_dir)
+        run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
+        (run_dir / "meta").write_bytes(b"\xff\xfe\x00")
+        result = runner.invoke(
+            main, ["score", "--pack", str(cli_pack_dir), "--submission", str(run_dir)]
+        )
+        assert result.exit_code == 1, result.output
+        assert "Error:" in result.output and "meta file is not UTF-8" in result.output
+
     def test_store_updated_when_given(self, runner, cli_pack_dir, zeros_run_dir, tmp_path):
         store = tmp_path / "board.json"
         result = runner.invoke(
@@ -392,7 +402,10 @@ class TestBrokenStore:
         "{not json",
         '{"format": "ctfbench-leaderboard/0"}',
         '{"format": "ctfbench-leaderboard/1", "datasets": {"ODE_Lorenz": [{"method": "m"}]}}',
-    ], ids=["not-json", "wrong-format", "no-rank"])
+        '{"format": "ctfbench-leaderboard/1", "datasets": {"ODE_Lorenz": [{"rank": 1, '
+        '"method": "m", "composite": {"mean": 0.0, "std": 0.0}, "runs": 1, '
+        '"scores": {"E1": {"mean": 0.0, "std": 0.0}}}]}}',
+    ], ids=["not-json", "wrong-format", "no-rank", "missing-scores"])
     def store(self, tmp_path, request):
         path = tmp_path / "board.json"
         path.write_text(request.param)
@@ -401,13 +414,26 @@ class TestBrokenStore:
     @pytest.mark.parametrize("command", [
         lambda card, out: ["leaderboard", "show"],
         lambda card, out: ["report", "--kind", "table", "--out", str(out)],
+        lambda card, out: ["report", "--kind", "radar", "--out", str(out)],
         lambda card, out: ["leaderboard", "add", "--card", str(card)],
-    ], ids=["show", "report", "add"])
+    ], ids=["show", "report", "report-radar", "add"])
     def test_is_error(self, runner, store, card_path, command):
         argv = command(card_path, store.parent / "charts")
         result = runner.invoke(main, [*argv, "--store", str(store)])
         assert result.exit_code == 1, result.output
         assert "Error:" in result.output and "board.json" in result.output
+
+    def test_card_missing_scores_is_error(self, runner, card_path, tmp_path):
+        doc = json.loads(card_path.read_text())
+        del doc["aggregate"]["scores"]["E12"]
+        card_path.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main,
+            ["leaderboard", "add", "--store", str(tmp_path / "fresh.json"),
+             "--card", str(card_path)],
+        )
+        assert result.exit_code == 1, result.output
+        assert "Error:" in result.output and "card.json" in result.output
 
 
 class TestConfigFile:
@@ -435,3 +461,16 @@ class TestConfigFile:
         assert result.exit_code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seeds"]["master"] == 9
+
+    @pytest.mark.parametrize("config,command", [
+        ({"generate": 5}, lambda tmp: ["generate", "--system", "lorenz", "--out", str(tmp / "p")]),
+        ({"leaderboard": {"show": 5}}, lambda tmp: ["leaderboard", "show", "--store",
+                                                    str(tmp / "board.json")]),
+        ([1, 2], lambda tmp: ["leaderboard", "show", "--store", str(tmp / "board.json")]),
+    ], ids=["command", "subcommand", "not-an-object"])
+    def test_non_object_section_is_error(self, runner, tmp_path, config, command):
+        cfg = tmp_path / "ctf.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["--config", str(cfg), *command(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert "Error:" in result.output and "ctf.json" in result.output

@@ -60,6 +60,43 @@ def test_identical_window_invariants(lorenz_pack):
     assert np.array_equal(train["X4train"], train["X1train"][:100])
 
 
+def test_source_table_seed_names_are_the_derived_seeds():
+    used = set()
+    for trajectory, _, _, noise in datagen._SOURCES.values():
+        used.add(trajectory)
+        if noise is not None:
+            used.add(noise[1])
+    assert used == set(datagen._SEED_NAMES)
+    assert len(set(datagen._SEED_NAMES)) == len(datagen._SEED_NAMES)
+
+
+def _nudged(x):
+    x = x.copy()
+    x[0, 0] += 1.0
+    return x
+
+
+@pytest.mark.parametrize("name,equal_to", [("X2test", "X1train"), ("X7test", "X6test")])
+def test_unequal_window_rejected_in_memory(lorenz_pack, name, equal_to):
+    import copy
+
+    broken = copy.copy(lorenz_pack)
+    broken.test = {**lorenz_pack.test, name: _nudged(lorenz_pack.test[name])}
+    with pytest.raises(PackValidationError, match=f"{name} must equal {equal_to}"):
+        datagen.validate_pack(broken)
+
+
+@pytest.mark.parametrize("name,equal_to", [("X2test", "X1train"), ("X7test", "X6test")])
+def test_unequal_window_rejected_on_read(lorenz_pack, tmp_path, name, equal_to):
+    from ctfbench import matio
+
+    directory = tmp_path / "pack"
+    cb.write_pack(lorenz_pack, directory)
+    matio.write_matrix(directory / f"{name}.mat", _nudged(lorenz_pack.test[name]))
+    with pytest.raises(PackValidationError, match=f"{name} must equal {equal_to}"):
+        cb.read_pack(directory)
+
+
 def test_parametric_trajectories_are_distinct(lorenz_pack):
     train, test = lorenz_pack.train, lorenz_pack.test
     assert not np.array_equal(train["X6train"], train["X7train"])

@@ -166,6 +166,9 @@ class TestEvaluate:
             (lambda d: "{not json", "not a readable JSON document"),
             (lambda d: json.dumps({**d, "format": "ctfbench-scorecard/0"}), "version mismatch"),
             (lambda d: json.dumps({k: v for k, v in d.items() if k != "method"}), "method"),
+            (lambda d: json.dumps({**d, "aggregate": {**d["aggregate"], "scores": {
+                k: v for k, v in d["aggregate"]["scores"].items() if k != "E12"}}}),
+             "must hold exactly E1"),
         ],
     )
     def test_bad_scorecard_rejected(self, lorenz_pack, tmp_path, edit, message):
@@ -336,6 +339,15 @@ class TestLeaderboard:
         with pytest.raises(cb.CTFBenchError, match="rank"):
             load_leaderboard(store)
 
+    def test_entry_missing_score_rejected(self, tmp_path):
+        store = tmp_path / "board.json"
+        update_leaderboard(store, make_card("A", {}, 42.0))
+        doc = json.loads(store.read_text())
+        del doc["datasets"]["ODE_Lorenz"][0]["scores"]["E7"]
+        store.write_text(json.dumps(doc))
+        with pytest.raises(cb.CTFBenchError, match="must hold exactly E1"):
+            load_leaderboard(store)
+
     def test_persisted_round_trip(self, tmp_path):
         store = tmp_path / "board.json"
         update_leaderboard(store, make_card("A", {"E1": 12.5}, 42.0))
@@ -377,6 +389,13 @@ class TestSubmissionIO:
         sub = load_submission(run_dir)
         assert sub.method_name == "my_model"
         assert sub.metadata["seed"] == "3"
+
+    def test_meta_not_utf8_rejected(self, tmp_path):
+        run_dir = tmp_path / "m" / "run0"
+        run_dir.mkdir(parents=True)
+        (run_dir / "meta").write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(cb.CTFBenchError, match="meta file is not UTF-8"):
+            load_submission(run_dir)
 
     def test_unknown_prediction_name_rejected(self):
         with pytest.raises(cb.CTFBenchError, match="unknown prediction"):
