@@ -30,14 +30,22 @@ class _Main(click.Group):
             raise click.ClickException(str(exc)) from exc
 
 
-def _check_sections(group: click.Group, section: dict, path: str) -> None:
-    """Require the config section of every (sub)command, if given, to be an object."""
-    for name, cmd in group.commands.items():
-        value = section.get(name, {})
+def _check_sections(cmd: click.Command, section: dict, path: str, prefix: str = "") -> None:
+    """Require every key of a group's config section to name one of its
+    subcommands, with an object as its value, and every key of a command's
+    section to name one of its parameters (e.g. `out_dir`, `seed`)."""
+    if not isinstance(cmd, click.Group):
+        params = {p.name for p in cmd.params}
+        for key in section:
+            if key not in params:
+                raise click.ClickException(f"{path}: unknown config key {prefix + key!r}")
+        return
+    for key, value in section.items():
+        if key not in cmd.commands:
+            raise click.ClickException(f"{path}: unknown config key {prefix + key!r}")
         if not isinstance(value, dict):
-            raise click.ClickException(f"{path}: config section {name!r} must be a JSON object")
-        if isinstance(cmd, click.Group):
-            _check_sections(cmd, value, path)
+            raise click.ClickException(f"{path}: config section {key!r} must be a JSON object")
+        _check_sections(cmd.commands[key], value, path, f"{prefix}{key}.")
 
 
 @click.group(cls=_Main,

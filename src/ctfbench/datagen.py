@@ -29,7 +29,17 @@ from pathlib import Path
 import numpy as np
 
 from . import matio
-from .dynamics import KSParams, LorenzParams, SimConfig, integrate_ks, integrate_lorenz
+# integrate_ks and integrate_lorenz are not called here but stay importable
+# from this module, where the perfbench tracer looks them up.
+from .dynamics import (  # noqa: F401
+    KSParams,
+    LorenzParams,
+    SimConfig,
+    _ks_batch,
+    _lorenz_batch,
+    integrate_ks,
+    integrate_lorenz,
+)
 from .exceptions import PackValidationError
 
 FORMAT_VERSION = "1"
@@ -257,12 +267,23 @@ def add_noise(x: np.ndarray, level: NoiseLevel, seed: int) -> np.ndarray:
     return x + rng.standard_normal(x.shape) * sigma
 
 
-def _simulate(cfg: PackConfig, param_value: float, steps: int, seed: int) -> np.ndarray:
-    sim = SimConfig(dt=cfg.dt, total_steps=steps, spinup_steps=cfg.spinup_steps, seed=seed)
-    params = {**_BASE_PARAMS[cfg.system], _VARIED_PARAM[cfg.system]: param_value}
-    if cfg.system == "lorenz":
-        return integrate_lorenz(LorenzParams(**params), sim)
-    return integrate_ks(KSParams(**params), sim)
+def _simulate(cfg: PackConfig, values: dict[str, float], seeds: dict[str, int]) -> dict:
+    """Integrate the trajectory of each seed name in `values` at its varied
+    parameter value, all in one batch, each for the largest `end` cut from it."""
+    base, varied = _BASE_PARAMS[cfg.system], _VARIED_PARAM[cfg.system]
+    make, integrate = {"lorenz": (LorenzParams, _lorenz_batch),
+                       "ks": (KSParams, _ks_batch)}[cfg.system]
+    params = [make(**base, **{varied: value}) for value in values.values()]
+    sims = [
+        SimConfig(
+            dt=cfg.dt,
+            total_steps=max(end for t, _, end, _ in _SOURCES.values() if t == traj),
+            spinup_steps=cfg.spinup_steps,
+            seed=seeds[traj],
+        )
+        for traj in values
+    ]
+    return dict(zip(values, integrate(params, sims, list(values))))
 
 
 def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
@@ -295,12 +316,7 @@ def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> 
         "interpolation": cfg.interp_param,
         "extrapolation": cfg.extrap_param,
     }
-    runs = {
-        traj: _simulate(
-            cfg, value, max(end for t, _, end, _ in _SOURCES.values() if t == traj), seeds[traj]
-        )
-        for traj, value in values.items()
-    }
+    runs = _simulate(cfg, values, seeds)
     mats = {}
     for name, (traj, start, end, noise) in _SOURCES.items():
         x = runs[traj][start:end]

@@ -15,6 +15,7 @@ import json
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +43,15 @@ def problem(x: np.ndarray, shape: tuple[int, int]) -> str | None:
     return None
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
-    """Write bytes to `path` via a temp file in the same directory + rename."""
+@contextmanager
+def _atomic_file(path: str | Path):
+    """Yield a binary file that replaces `path` only once the block completes:
+    a temp file in the same directory, renamed over `path` at the end."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -56,12 +59,18 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+    """Write bytes to `path` via a temp file in the same directory + rename."""
+    with _atomic_file(path) as fh:
+        fh.write(payload)
+
+
 def write_matrix(path: str | Path, x: np.ndarray) -> None:
     """Write a 2-D float64 matrix in the binary format."""
-    a = _as_matrix(x)
-    rows, cols = a.shape
-    payload = MAGIC + _HEADER.pack(rows, cols) + np.ascontiguousarray(a).astype("<f8").tobytes()
-    atomic_write_bytes(path, payload)
+    a = np.ascontiguousarray(_as_matrix(x), dtype="<f8")
+    with _atomic_file(path) as fh:
+        fh.write(MAGIC + _HEADER.pack(*a.shape))
+        fh.write(a.data.cast("B"))
 
 
 def read_matrix(path: str | Path) -> np.ndarray:

@@ -10,7 +10,10 @@ score depending on it, while the remaining scores are still computed.
 
 from __future__ import annotations
 
+import fcntl
 import fnmatch
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -419,31 +422,47 @@ def save_leaderboard(board: Leaderboard, path: str | Path) -> None:
     matio.write_json(path, board.to_dict())
 
 
+@contextmanager
+def _store_lock(store: str | Path):
+    """Hold `flock(LOCK_EX)` on the directory of `store`; locking the
+    directory leaves no lock file beside the store."""
+    fd = os.open(Path(store).parent, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
+
+
 def update_leaderboard(store: str | Path, card: ScoreCard) -> Leaderboard:
     """Upsert a method's aggregated card and persist the re-ranked board.
 
     Ordering is by composite mean descending, ties broken lexicographically
-    by method name; ranks are re-assigned contiguously from 1.
+    by method name; ranks are re-assigned contiguously from 1. The
+    read-modify-write holds an exclusive lock on the store's directory, so
+    concurrent updates from several processes are never lost.
     """
-    board = load_leaderboard(store)
-    entries = [
-        e for e in board.datasets.get(card.dataset_id, []) if e.method_name != card.method_name
-    ]
-    entries.append(
-        LeaderboardEntry(
-            rank=0,
-            method_name=card.method_name,
-            composite_mean=card.aggregate_composite.mean,
-            composite_std=card.aggregate_composite.std,
-            scores=dict(card.aggregate_scores),
-            runs=len(card.runs),
+    with _store_lock(store):
+        board = load_leaderboard(store)
+        entries = [
+            e for e in board.datasets.get(card.dataset_id, [])
+            if e.method_name != card.method_name
+        ]
+        entries.append(
+            LeaderboardEntry(
+                rank=0,
+                method_name=card.method_name,
+                composite_mean=card.aggregate_composite.mean,
+                composite_std=card.aggregate_composite.std,
+                scores=dict(card.aggregate_scores),
+                runs=len(card.runs),
+            )
         )
-    )
-    entries.sort(key=lambda e: (-e.composite_mean, e.method_name))
-    for i, e in enumerate(entries):
-        e.rank = i + 1
-    board.datasets[card.dataset_id] = entries
-    save_leaderboard(board, store)
+        entries.sort(key=lambda e: (-e.composite_mean, e.method_name))
+        for i, e in enumerate(entries):
+            e.rank = i + 1
+        board.datasets[card.dataset_id] = entries
+        save_leaderboard(board, store)
     return board
 
 

@@ -69,6 +69,14 @@ class TestGenerate:
         assert result.exit_code != 0
         assert "unsupported dataset" in result.output
 
+    def test_divergence_names_step_and_trajectory(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["generate", "--system", "lorenz", "--dt", "0.15", "--out", str(tmp_path / "p")]
+        )
+        assert result.exit_code == 1, result.output
+        assert "Error:" in result.output and "step 7" in result.output
+        assert "of trajectory 'trajectory'" in result.output
+
     def test_out_or_data_root_required(self, runner):
         result = runner.invoke(main, ["generate", "--system", "lorenz"])
         assert result.exit_code != 0
@@ -474,3 +482,33 @@ class TestConfigFile:
         result = runner.invoke(main, ["--config", str(cfg), *command(tmp_path)])
         assert result.exit_code == 1, result.output
         assert "Error:" in result.output and "ctf.json" in result.output
+
+    @pytest.mark.parametrize("config,command,key", [
+        ({"generat": {"seed": 5}},
+         lambda tmp: ["generate", "--system", "lorenz", "--out", str(tmp / "p")], "generat"),
+        ({"generate": {"sede": 5}},
+         lambda tmp: ["generate", "--system", "lorenz", "--out", str(tmp / "p")],
+         "generate.sede"),
+        ({"leaderboard": {"shwo": {}}},
+         lambda tmp: ["leaderboard", "show", "--store", str(tmp / "board.json")],
+         "leaderboard.shwo"),
+        ({"leaderboard": {"show": {"stor": "x.json"}}},
+         lambda tmp: ["leaderboard", "show", "--store", str(tmp / "board.json")],
+         "leaderboard.show.stor"),
+    ], ids=["command", "option", "subcommand", "subcommand-option"])
+    def test_unknown_key_is_error(self, runner, tmp_path, config, command, key):
+        cfg = tmp_path / "ctf.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["--config", str(cfg), *command(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert "Error:" in result.output and "ctf.json" in result.output
+        assert f"unknown config key {key!r}" in result.output
+        assert not (tmp_path / "p").exists()
+
+    def test_parameter_names_are_keys(self, runner, tmp_path):
+        cfg = tmp_path / "ctf.json"
+        out = tmp_path / "pack"
+        cfg.write_text(json.dumps({"generate": {"seed": 5, "out_dir": str(out)}}))
+        result = runner.invoke(main, ["--config", str(cfg), "generate", "--system", "lorenz"])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "manifest.json").read_text())["seeds"]["master"] == 5

@@ -5,6 +5,7 @@ import pytest
 
 import ctfbench as cb
 from ctfbench import datagen
+from ctfbench.dynamics import LorenzParams, SimConfig, integrate_lorenz
 from ctfbench.exceptions import MatrixFormatError, PackValidationError
 
 # Independent copy of the published matrix layout: name -> (rows, start, end).
@@ -102,6 +103,19 @@ def test_parametric_trajectories_are_distinct(lorenz_pack):
     assert not np.array_equal(train["X6train"], train["X7train"])
     assert not np.array_equal(test["X8test"], test["X9test"])
     assert not np.array_equal(train["X9train"], train["X10train"])
+
+
+def test_trajectories_equal_single_runs(lorenz_pack):
+    # The batched integration reproduces each trajectory integrated alone.
+    m = lorenz_pack.manifest
+    mats = {**lorenz_pack.train, **lorenz_pack.test}
+    for name, rho in (("X1test", m.nominal_param), ("X6train", m.train_params[0]),
+                      ("X9test", m.extrap_param)):
+        traj, start, end, _ = datagen._SOURCES[name]
+        cfg = SimConfig(dt=m.dt, total_steps=end, spinup_steps=m.spinup_steps,
+                        seed=m.seeds[traj])
+        alone = integrate_lorenz(LorenzParams(rho=rho), cfg)[start:end]
+        assert np.array_equal(mats[name], alone), name
 
 
 def test_noise_std_within_five_percent(lorenz_pack):

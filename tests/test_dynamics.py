@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ctfbench import dynamics
 from ctfbench.dynamics import (
     KSParams,
     LorenzParams,
@@ -167,6 +168,69 @@ class TestIntegrateKS:
                 KSParams(grid_points=64),
                 SimConfig(dt=0.025, total_steps=2, initial_condition=np.zeros(32)),
             )
+
+
+# Lengths straddling the recording chunk: a lone first row, a partial
+# chunk, exactly one chunk and a partial second chunk.
+BATCH_LENGTHS = (1, 7, dynamics._CHUNK, dynamics._CHUNK + 5)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("lengths", [BATCH_LENGTHS[:3], BATCH_LENGTHS[1:]])
+    def test_lorenz_rows_equal_single_runs(self, lengths):
+        params = [LorenzParams(rho=rho) for rho in (28.0, 24.0, 35.0)]
+        cfgs = [SimConfig(dt=0.01, total_steps=t, spinup_steps=30, seed=s)
+                for t, s in zip(lengths, (1, 2, 3))]
+        rows = dynamics._lorenz_batch(params, cfgs)
+        for p, c, row in zip(params, cfgs, rows):
+            assert np.array_equal(row, integrate_lorenz(p, c))
+
+    @pytest.mark.parametrize("lengths", [BATCH_LENGTHS[:3], BATCH_LENGTHS[1:]])
+    def test_ks_rows_equal_single_runs(self, lengths):
+        params = [KSParams(domain_length=22.0, grid_points=64, viscosity=mu)
+                  for mu in (1.0, 0.8, 1.2)]
+        cfgs = [SimConfig(dt=0.025, total_steps=t, spinup_steps=20, seed=s)
+                for t, s in zip(lengths, (4, 5, 6))]
+        rows = dynamics._ks_batch(params, cfgs)
+        for p, c, row in zip(params, cfgs, rows):
+            assert np.array_equal(row, integrate_ks(p, c))
+
+    def test_row_judged_only_over_its_own_steps(self):
+        # Alone, this schedule diverges at step 7; its 3 recorded rows end at step 6.
+        cfgs = [lorenz_cfg(dt=0.15, total_steps=3, spinup_steps=4),
+                lorenz_cfg(dt=0.15, total_steps=50, spinup_steps=4)]
+        params = [LorenzParams(), LorenzParams(rho=0.5)]
+        rows = dynamics._lorenz_batch(params, cfgs)
+        assert np.array_equal(rows[0], integrate_lorenz(params[0], cfgs[0]))
+        assert np.all(np.isfinite(rows[1]))
+
+    @pytest.mark.parametrize("spinup", [10, 4])
+    def test_divergence_names_earliest_row(self, spinup):
+        cfg = lorenz_cfg(dt=0.15, total_steps=50, spinup_steps=spinup)
+        params = [LorenzParams(rho=0.5), LorenzParams(), LorenzParams()]
+        with pytest.raises(DivergenceError, match="step 7 of trajectory 'b'") as err:
+            dynamics._lorenz_batch(params, [cfg] * 3, ["a", "b", "c"])
+        assert err.value.step == 7
+
+    @pytest.mark.parametrize("index", [dynamics._CHUNK - 1, dynamics._CHUNK,
+                                       dynamics._CHUNK + 1])
+    def test_recorded_divergence_step_matches_spinup_check(self, index):
+        # Fast, just-unstable RK4 growth; checked every step during the spin-up
+        # it diverges at step 259. Recorded rows are checked per chunk, so
+        # place the divergence around the first chunk edge.
+        params = LorenzParams(sigma=1000.0)
+        with pytest.raises(DivergenceError) as alone:
+            integrate_lorenz(params, lorenz_cfg(dt=0.0028, total_steps=1, spinup_steps=10**4))
+        step = alone.value.step
+        cfg = lorenz_cfg(dt=0.0028, total_steps=2 * dynamics._CHUNK, spinup_steps=step - index)
+        with pytest.raises(DivergenceError) as err:
+            integrate_lorenz(params, cfg)
+        assert err.value.step == step == 259
+
+    def test_rows_must_share_schedule(self):
+        cfgs = [lorenz_cfg(spinup_steps=1), lorenz_cfg(spinup_steps=2)]
+        with pytest.raises(ValueError, match="share dt and spinup_steps"):
+            dynamics._lorenz_batch([LorenzParams()] * 2, cfgs)
 
 
 class TestMakeInitialCondition:

@@ -50,6 +50,14 @@ def test_truncated_payload_is_shape_mismatch(mat):
         matio.read_matrix(path)
 
 
+def test_oversized_header_rejected_before_allocating(tmp_path):
+    # The payload this header claims (2**66 bytes) could never be allocated.
+    path = tmp_path / "huge.mat"
+    path.write_bytes(b"CTFMAT01" + (2**31).to_bytes(8, "little") * 2 + b"\x00" * 64)
+    with pytest.raises(MatrixFormatError, match="shape mismatch"):
+        matio.read_matrix(path)
+
+
 def test_too_short_file_rejected(tmp_path):
     path = tmp_path / "short.mat"
     path.write_bytes(b"CTFMAT01")

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -313,6 +314,18 @@ class TestLeaderboard:
         board = update_leaderboard(store, make_card("A", {}, 20.0, dataset="PDE_KS"))
         assert board.entries("ODE_Lorenz")[0].composite_mean == 10.0
         assert board.entries("PDE_KS")[0].composite_mean == 20.0
+
+    def test_concurrent_upserts_are_all_kept(self, tmp_path):
+        store, n = tmp_path / "board.json", 40
+        cards = [make_card(f"m{i:02d}", {}, float(i)) for i in range(2 * n)]
+        # Two processes, each upserting its own n methods back to back.
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            pool.starmap_async(
+                update_leaderboard, [(store, c) for c in cards], chunksize=n
+            ).get(timeout=300)
+        names = [e.method_name for e in load_leaderboard(store).entries("ODE_Lorenz")]
+        assert sorted(names) == [c.method_name for c in cards]
+        assert not [p.name for p in tmp_path.iterdir() if p != store]
 
     def test_missing_store_is_empty(self, tmp_path):
         board = load_leaderboard(tmp_path / "absent.json")
