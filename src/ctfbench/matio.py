@@ -99,7 +99,8 @@ def write_csv(path: str | Path, x: np.ndarray) -> None:
     Values use 17 significant digits, enough to round-trip float64 exactly.
     """
     a = _as_matrix(x)
-    lines = [",".join(format(v, ".17g") for v in row) for row in a]
+    row_format = ",".join(["%.17g"] * a.shape[1])
+    lines = [row_format % tuple(row) for row in a.tolist()]
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 

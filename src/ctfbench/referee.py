@@ -426,7 +426,14 @@ def save_leaderboard(board: Leaderboard, path: str | Path) -> None:
 def _store_lock(store: str | Path):
     """Hold `flock(LOCK_EX)` on the directory of `store`; locking the
     directory leaves no lock file beside the store."""
-    fd = os.open(Path(store).parent, os.O_RDONLY)
+    directory = Path(store).parent
+    try:
+        fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    except OSError as exc:
+        raise CTFBenchError(
+            f"{store}: cannot open the leaderboard store's directory {str(directory)!r}: "
+            f"{exc.strerror}"
+        ) from exc
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
         yield

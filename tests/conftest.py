@@ -1,3 +1,4 @@
+import os
 import time
 
 import pytest
@@ -5,6 +6,18 @@ import pytest
 import ctfbench as cb
 
 _CRITERIA: dict[str, tuple[str, str]] = {}
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_child():
+    """Fail a test that leaves a finished child process unreaped (a zombie),
+    such as an integration worker whose parent did not wait for it."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child processes at all
+        return
+    assert pid == 0, f"the test left child process {pid} unreaped"
 
 
 @pytest.fixture(scope="session")

@@ -261,6 +261,39 @@ class TestScore:
         assert result.exit_code == 1, result.output
         assert "Error:" in result.output and "meta file is not UTF-8" in result.output
 
+    def test_store_in_missing_directory_is_error(self, runner, cli_pack_dir, zeros_run_dir,
+                                                 tmp_path):
+        store = tmp_path / "nodir" / "board.json"
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(zeros_run_dir),
+             "--store", str(store), "--out", str(tmp_path / "card.json")],
+        )
+        assert result.exit_code == 1, result.output
+        assert "Error:" in result.output and str(tmp_path / "nodir") in result.output
+        assert not isinstance(result.exception, FileNotFoundError)
+
+    def test_ragged_csv_prediction_is_error(self, runner, cli_pack_dir, tmp_path):
+        pack = cb.read_pack(cli_pack_dir)
+        run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
+        (run_dir / "X1pred.mat").unlink()
+        (run_dir / "X1pred.csv").write_text("1,2,3\n4,5\n")
+        result = runner.invoke(
+            main, ["score", "--pack", str(cli_pack_dir), "--submission", str(run_dir)]
+        )
+        assert result.exit_code == 1, result.output
+        assert "Error:" in result.output and "malformed CSV matrix" in result.output
+
+    def test_short_k_beyond_forecast_window_is_error(self, runner, cli_pack_dir,
+                                                     zeros_run_dir):
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(zeros_run_dir),
+             "--short-k", "1001"],
+        )
+        assert result.exit_code == 1, result.output
+        assert "Error:" in result.output and "short_k=1001 outside [1, 1000]" in result.output
+
     def test_store_updated_when_given(self, runner, cli_pack_dir, zeros_run_dir, tmp_path):
         store = tmp_path / "board.json"
         result = runner.invoke(
@@ -317,6 +350,18 @@ class TestLeaderboardCli:
         )
         assert result.exit_code == 0
         assert "renamed -> rank" in result.output
+
+    def test_add_to_store_in_missing_directory_is_error(self, runner, tmp_path,
+                                                        store_with_cards, zeros_run_dir):
+        store = tmp_path / "nodir" / "board.json"
+        result = runner.invoke(
+            main,
+            ["leaderboard", "add", "--store", str(store),
+             "--card", str(zeros_run_dir / "card.json")],
+        )
+        assert result.exit_code == 1, result.output
+        assert "Error:" in result.output and str(tmp_path / "nodir") in result.output
+        assert not isinstance(result.exception, FileNotFoundError)
 
     def test_show_empty_store(self, runner, tmp_path):
         result = runner.invoke(

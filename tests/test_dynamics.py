@@ -1,3 +1,9 @@
+import os
+import signal
+import threading
+import time
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -11,7 +17,7 @@ from ctfbench.dynamics import (
     lorenz_rhs,
     make_initial_condition,
 )
-from ctfbench.exceptions import DivergenceError
+from ctfbench.exceptions import CTFBenchError, DivergenceError
 
 
 def lorenz_cfg(**kw):
@@ -231,6 +237,185 @@ class TestBatch:
         cfgs = [lorenz_cfg(spinup_steps=1), lorenz_cfg(spinup_steps=2)]
         with pytest.raises(ValueError, match="share dt and spinup_steps"):
             dynamics._lorenz_batch([LorenzParams()] * 2, cfgs)
+
+
+def force_workers(monkeypatch, count):
+    monkeypatch.setattr(dynamics, "_workers", lambda rows, cols: min(count, rows))
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail instead of hanging when the block outlasts `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def in_workers_only(monkeypatch, action):
+    """Make `_drive` call `action()` in forked workers instead of integrating."""
+    parent, drive = os.getpid(), dynamics._drive
+
+    def patched(*args):
+        if os.getpid() != parent:
+            action()
+        return drive(*args)
+
+    monkeypatch.setattr(dynamics, "_drive", patched)
+
+
+def simulated_memory_error():
+    raise MemoryError("simulated")
+
+
+def ks_rows(lengths, spinup=20):
+    params = [KSParams(domain_length=22.0, grid_points=64, viscosity=mu)
+              for mu in (1.0, 0.8, 1.2, 0.9)[: len(lengths)]]
+    cfgs = [SimConfig(dt=0.025, total_steps=t, spinup_steps=spinup, seed=s)
+            for s, t in enumerate(lengths, 4)]
+    return params, cfgs
+
+
+def lorenz_rows(lengths, spinup=30):
+    params = [LorenzParams(rho=rho) for rho in (28.0, 24.0, 35.0, 30.0)[: len(lengths)]]
+    cfgs = [SimConfig(dt=0.01, total_steps=t, spinup_steps=spinup, seed=s)
+            for s, t in enumerate(lengths, 1)]
+    return params, cfgs
+
+
+# Rows straddling the divergence-check chunk, some of equal length.
+SPLIT_LENGTHS = (dynamics._CHUNK + 5, 7, dynamics._CHUNK + 5, dynamics._CHUNK - 1)
+
+
+class TestWorkerSplit:
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("batch, rows", [(dynamics._lorenz_batch, lorenz_rows),
+                                             (dynamics._ks_batch, ks_rows)])
+    def test_rows_equal_in_process_batch(self, monkeypatch, batch, rows, count):
+        params, cfgs = rows(SPLIT_LENGTHS)
+        alone = batch(params, cfgs)
+        force_workers(monkeypatch, count)
+        split = batch(params, cfgs)
+        assert [r.shape for r in split] == [(t, r.shape[1]) for t, r in zip(SPLIT_LENGTHS, alone)]
+        for a, b in zip(alone, split):
+            assert np.array_equal(a, b)
+
+    def test_groups_keep_equal_lengths_together(self):
+        assert dynamics._groups([10, 11, 10, 11, 11, 10], 2) == [[1, 3, 4], [0, 2, 5]]
+        assert dynamics._groups([5, 7, 6], 3) == [[1], [2], [0]]
+        assert dynamics._groups([5, 7, 6], 1) == [[0, 1, 2]]
+
+    # Rows 0 and 1 stay finite and go to the parent; row 2 diverges in the
+    # worker, during the spin-up (10) or while recording (4).
+    @pytest.mark.parametrize("spinup", [10, 4])
+    def test_worker_divergence_same_as_in_process(self, monkeypatch, spinup):
+        cfg = lorenz_cfg(dt=0.15, total_steps=50, spinup_steps=spinup)
+        params = [LorenzParams(rho=0.5), LorenzParams(rho=0.5), LorenzParams()]
+        names = ["a", "b", "c"]
+        with pytest.raises(DivergenceError) as alone:
+            dynamics._lorenz_batch(params, [cfg] * 3, names)
+        force_workers(monkeypatch, 2)
+        with pytest.raises(DivergenceError) as split:
+            dynamics._lorenz_batch(params, [cfg] * 3, names)
+        assert split.value.step == alone.value.step == 7
+        assert str(split.value) == str(alone.value)
+        assert "trajectory 'c'" in str(split.value)
+
+    # At dt 0.15 from (1, 1, 1), sigma 10/11/12/20 diverge at steps 7/6/6/5.
+    # The longer row goes to the parent; a tie goes to the lower row.
+    @pytest.mark.parametrize("sigmas, lengths, expected", [
+        ((10.0, 20.0), (300, 300), "step 5 of trajectory 'b'"),
+        ((12.0, 11.0), (300, 400), "step 6 of trajectory 'a'"),
+    ], ids=["worker-earlier", "tie-in-worker"])
+    def test_earliest_divergence_over_groups(self, monkeypatch, sigmas, lengths, expected):
+        params = [LorenzParams(sigma=sigma) for sigma in sigmas]
+        cfgs = [lorenz_cfg(dt=0.15, total_steps=t, spinup_steps=4) for t in lengths]
+        with pytest.raises(DivergenceError, match=expected) as alone:
+            dynamics._lorenz_batch(params, cfgs, ["a", "b"])
+        force_workers(monkeypatch, 2)
+        with pytest.raises(DivergenceError, match=expected) as split:
+            dynamics._lorenz_batch(params, cfgs, ["a", "b"])
+        assert split.value.step == alone.value.step
+
+    @pytest.mark.parametrize("action, status", [
+        (simulated_memory_error, "exit status 1"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"exit status {-signal.SIGKILL}"),
+    ], ids=["raises", "killed"])
+    def test_failed_worker_is_named_error(self, monkeypatch, action, status):
+        params, cfgs = ks_rows(SPLIT_LENGTHS)
+        force_workers(monkeypatch, 2)
+        in_workers_only(monkeypatch, action)
+        with deadline(60), pytest.raises(CTFBenchError, match=status) as err:
+            dynamics._ks_batch(params, cfgs, ["w", "x", "y", "z"])
+        assert not isinstance(err.value, DivergenceError)
+        assert "integration worker for trajectories 'x', 'z'" in str(err.value)
+
+    def test_parent_failure_kills_and_reaps_workers(self, monkeypatch):
+        parent, drive = os.getpid(), dynamics._drive
+
+        def patched(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return drive(*args)
+
+        forked, fork = [], os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(dynamics, "_drive", patched)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        force_workers(monkeypatch, 3)
+        params, cfgs = ks_rows(SPLIT_LENGTHS)
+        with deadline(30), pytest.raises(KeyboardInterrupt):
+            dynamics._ks_batch(params, cfgs)
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ChildProcessError):  # already reaped
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_one_cpu_forks_nothing(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+        def no_fork():
+            raise AssertionError("forked with one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        params = [KSParams(grid_points=256, viscosity=mu) for mu in (1.0, 0.8)]
+        cfgs = [SimConfig(dt=0.025, total_steps=t, seed=s) for s, t in ((1, 3), (2, 2))]
+        rows = dynamics._ks_batch(params, cfgs)
+        for p, c, row in zip(params, cfgs, rows):
+            assert np.array_equal(row, integrate_ks(p, c))
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert dynamics._workers(6, 1024) == 3
+        assert dynamics._workers(2, 1024) == 2
+        assert dynamics._workers(6, 3) == 1
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert dynamics._workers(6, 1024) == 1
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert dynamics._workers(6, 1024) == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert dynamics._workers(6, 1024) == 1
 
 
 class TestMakeInitialCondition:

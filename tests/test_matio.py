@@ -99,3 +99,17 @@ def test_malformed_csv_rejected(tmp_path):
     path.write_text("1.0,2.0\nnot,numbers\n")
     with pytest.raises(MatrixFormatError, match="malformed"):
         matio.read_csv(path)
+
+
+def test_csv_bytes_equal_per_value_format(tmp_path):
+    # The reference is the per-value formatting `write_csv` used before it
+    # formatted whole rows: signed zero, the smallest subnormal, the largest
+    # float, the smallest normal, non-finite values and ordinary ones.
+    info = np.finfo(np.float64)
+    x = np.array([[-0.0, 5e-324, info.max, info.tiny],
+                  [-info.max, np.inf, -np.inf, np.nan],
+                  [0.1, -1.0 / 3.0, 1e22, 123456789.0]])
+    path = tmp_path / "x.csv"
+    matio.write_csv(path, x)
+    expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in x)
+    assert path.read_bytes() == expected.encode("ascii")

@@ -327,6 +327,14 @@ class TestLeaderboard:
         assert sorted(names) == [c.method_name for c in cards]
         assert not [p.name for p in tmp_path.iterdir() if p != store]
 
+    @pytest.mark.parametrize("parent", ["nodir", "afile"])
+    def test_store_directory_not_openable_is_error(self, tmp_path, parent):
+        (tmp_path / "afile").write_text("")
+        store = tmp_path / parent / "board.json"
+        with pytest.raises(cb.CTFBenchError, match="store's directory") as err:
+            update_leaderboard(store, make_card("A", {}, 42.0))
+        assert repr(str(tmp_path / parent)) in str(err.value)
+
     def test_missing_store_is_empty(self, tmp_path):
         board = load_leaderboard(tmp_path / "absent.json")
         assert board.datasets == {}
