@@ -1,22 +1,23 @@
 """Naive reference predictors: all zeros, and the column-wise training mean.
 
 Both emit complete submissions covering every prediction file of a pack.
-The average baseline consumes, per task, the training matrix named by the
-registry (the burn-in matrix for the parametric tasks, the single training
-input otherwise):
+The zeros baseline reads no pack matrix. The average baseline consumes,
+per task, the training matrix named by the registry (the burn-in matrix
+for the parametric tasks, the single training input otherwise):
 
     E1/E2 -> X1train   E3/E4 -> X2train   E5/E6 -> X3train
     E7/E8 -> X4train   E9/E10 -> X5train  E11 -> X9train  E12 -> X10train
+
+`INPUT_NAMES` lists the matrices each kind reads, so a caller can read
+only those (`read_pack(directory, names=INPUT_NAMES[kind])`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .datagen import DatasetPack
+from .datagen import DATASET_DIMS, DatasetPack
 from .referee import Submission, TaskSpec, task_registry
-
-BASELINE_KINDS = ("zeros", "average")
 
 
 def predict_zeros(task: TaskSpec) -> np.ndarray:
@@ -37,6 +38,16 @@ def average_input_name(task: TaskSpec) -> str:
     return task.burn_in if task.burn_in is not None else task.train_inputs[0]
 
 
+#: Baseline kind -> the pack matrices it reads, for either dataset.
+INPUT_NAMES: dict[str, tuple[str, ...]] = {
+    "zeros": (),
+    "average": tuple(dict.fromkeys(
+        average_input_name(task) for dataset in DATASET_DIMS for task in task_registry(dataset)
+    )),
+}
+BASELINE_KINDS = tuple(INPUT_NAMES)
+
+
 def make_submission(kind: str, pack: DatasetPack, run_id: str = "run0") -> Submission:
     """Build a complete baseline submission for a pack."""
     if kind not in BASELINE_KINDS:
@@ -48,7 +59,7 @@ def make_submission(kind: str, pack: DatasetPack, run_id: str = "run0") -> Submi
         if kind == "zeros":
             predictions[task.prediction_name] = predict_zeros(task)
         else:
-            train = pack.train[average_input_name(task)]
+            train = pack.matrix(average_input_name(task))
             predictions[task.prediction_name] = predict_average(task, train)
     return Submission(
         method_name=f"baseline_{kind}",

@@ -150,7 +150,7 @@ def generate(system, seed, out_dir, data_root, dt, spinup, noise_medium, noise_h
 @click.option("--json", "as_json", is_flag=True)
 def baseline(kind, pack_dir, out_dir, run_id, as_json):
     """Write a baseline submission for a pack."""
-    pack = datagen.read_pack(pack_dir)
+    pack = datagen.read_pack(pack_dir, names=baselines.INPUT_NAMES[kind])
     sub = baselines.make_submission(kind, pack, run_id=run_id)
     run_dir = referee.write_submission(sub, out_dir)
     if as_json:

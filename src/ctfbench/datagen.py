@@ -16,13 +16,14 @@ matrices (X1test..X9test) cut from six simulated trajectories:
 trajectory it is cut from, its row window and its noise. `MATRIX_LAYOUT`
 (the published shape table), the simulated step counts and the
 identical-window checks are all derived from it, and shapes and windows
-are validated on every build and read. Pack construction is a pure
+are validated on every write and read. Pack construction is a pure
 function of (system, master_seed, overrides); seeds for each stochastic
 ingredient are derived from the master seed and recorded in the manifest.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -250,6 +251,14 @@ class DatasetPack:
     test: dict[str, np.ndarray]
     manifest: Manifest
 
+    def matrix(self, name: str) -> np.ndarray:
+        """The pack's matrix `name`. A pack read with `read_pack(names=...)`
+        holds only those; any other raises PackValidationError."""
+        family = self.train if name in TRAIN_NAMES else self.test
+        if name not in family:
+            raise PackValidationError(f"pack missing matrix {name}")
+        return family[name]
+
 
 def derive_seeds(master_seed: int) -> dict[str, int]:
     """Derive the named component seeds from the master seed."""
@@ -263,8 +272,10 @@ def add_noise(x: np.ndarray, level: NoiseLevel, seed: int) -> np.ndarray:
     """Add zero-mean Gaussian noise, per-column std = sigma_fraction * std(col)."""
     x = np.asarray(x, dtype=np.float64)
     sigma = level.sigma_fraction * x.std(axis=0)
-    rng = np.random.default_rng(seed)
-    return x + rng.standard_normal(x.shape) * sigma
+    noisy = np.random.default_rng(seed).standard_normal(x.shape)
+    noisy *= sigma
+    noisy += x
+    return noisy
 
 
 def _simulate(cfg: PackConfig, values: dict[str, float], seeds: dict[str, int]) -> dict:
@@ -343,19 +354,19 @@ def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> 
         seeds=seeds,
         matrices=_matrix_entries(DATASET_DIMS[dataset_id]),
     )
+    # Valid as built: `_SOURCES` fixes the shapes and windows, and the
+    # integrators raise on a non-finite row. `write_pack` validates anyway.
     return _assemble(mats, manifest)
 
 
 def _assemble(mats: dict[str, np.ndarray], manifest: Manifest) -> DatasetPack:
-    """Split `mats` into the train and test families and validate the pack."""
-    pack = DatasetPack(
+    """Split `mats` into the train and test families."""
+    return DatasetPack(
         dataset_id=manifest.dataset_id,
-        train={name: mats[name] for name in TRAIN_NAMES},
-        test={name: mats[name] for name in TEST_NAMES},
+        train={name: mats[name] for name in TRAIN_NAMES if name in mats},
+        test={name: mats[name] for name in TEST_NAMES if name in mats},
         manifest=manifest,
     )
-    validate_pack(pack)
-    return pack
 
 
 def validate_pack(pack: DatasetPack) -> None:
@@ -364,18 +375,21 @@ def validate_pack(pack: DatasetPack) -> None:
     pack.manifest.validate()
     if pack.dataset_id != pack.manifest.dataset_id:
         raise PackValidationError("pack/manifest dataset_id mismatch")
-    cols = DATASET_DIMS[pack.dataset_id]
-    mats = {**pack.train, **pack.test}
-    for name, (rows, _, _) in MATRIX_LAYOUT.items():
-        x = mats.get(name)
-        if x is None:
-            raise PackValidationError(f"pack missing matrix {name}")
-        why = matio.problem(x, (rows, cols))
+    _check_matrices({name: pack.matrix(name) for name in MATRIX_LAYOUT},
+                    DATASET_DIMS[pack.dataset_id])
+
+
+def _check_matrices(mats: dict[str, np.ndarray], cols: int) -> None:
+    """`validate_pack`'s checks of the matrices in `mats`, which may be any
+    of the pack's: each one's shape and finiteness, and each identical-window
+    pair whose two members are both in `mats`."""
+    for name, x in mats.items():
+        why = matio.problem(x, (MATRIX_LAYOUT[name][0], cols))
         if why is not None:
             raise PackValidationError(f"{name}: {why}")
     first: dict[tuple, str] = {}
     for name, source in _SOURCES.items():
-        if source[3] is not None:
+        if source[3] is not None or name not in mats:
             continue
         other = first.setdefault(source, name)
         if other != name and not np.array_equal(mats[name], mats[other]):
@@ -402,8 +416,14 @@ def export_pack_csv(pack: DatasetPack, directory: str | Path) -> None:
         matio.write_csv(directory / f"{name}.csv", mats[name])
 
 
-def read_pack(directory: str | Path) -> DatasetPack:
-    """Read and validate a pack written by `write_pack`."""
+def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> DatasetPack:
+    """Read and validate a pack written by `write_pack`.
+
+    With `names`, read only those matrices: the manifest is validated in
+    full, each named matrix's shape and finiteness are checked, and so is
+    each identical-window pair of which both members are named. The pack
+    returned holds only the named matrices.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
@@ -413,10 +433,17 @@ def read_pack(directory: str | Path) -> DatasetPack:
         manifest.validate()
     except (TypeError, ValueError, AttributeError) as exc:
         raise PackValidationError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    wanted = set(MATRIX_LAYOUT if names is None else names)
+    unknown = sorted(wanted - set(MATRIX_LAYOUT))
+    if unknown:
+        raise PackValidationError(f"unknown pack matrices: {', '.join(unknown)}")
     mats = {}
     for name in MATRIX_LAYOUT:
+        if name not in wanted:
+            continue
         path = directory / f"{name}.mat"
         if not path.is_file():
             raise PackValidationError(f"missing matrix file: {path}")
         mats[name] = matio.read_matrix(path)
+    _check_matrices(mats, DATASET_DIMS[manifest.dataset_id])
     return _assemble(mats, manifest)

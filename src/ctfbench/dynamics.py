@@ -3,14 +3,19 @@ Kuramoto-Sivashinsky PDE.
 
 Both integrators are deterministic: identical parameters and configuration
 produce bit-identical trajectories. Trajectories are returned as dense
-float64 matrices with one time step per row. Trajectories that share a
-time step and spin-up (and, for KS, a grid) are integrated as one batch,
-one state row each; every row equals the trajectory integrated alone. A
-batch of wide (KS) rows is split across one process per available CPU.
+float64 matrices with one time step per row, and every trajectory of a
+batch equals the same trajectory integrated alone.
+
+KS trajectories that share a grid, time step and spin-up are integrated as
+one batch of numpy rows, one state row each, and a batch of wide rows is
+split across one process per available CPU. A Lorenz state is only three
+values, so each Lorenz trajectory is stepped on its own, as Python floats,
+and stops at its own length.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import signal
@@ -122,14 +127,12 @@ def make_initial_condition(kind: str, n: int, seed: int) -> np.ndarray:
 
 def lorenz_rhs(state: np.ndarray, params: LorenzParams) -> np.ndarray:
     """Time derivative of the Lorenz system at `state` = (x, y, z)."""
-    return _lorenz_rhs(state, params.sigma, params.rho, params.beta)
+    return np.array(_lorenz_rhs(*state, params.sigma, params.rho, params.beta))
 
 
-def _lorenz_rhs(state: np.ndarray, sigma, rho, beta) -> np.ndarray:
-    """`lorenz_rhs` of a (3,) state or of a (B, 3) batch with one parameter
-    value per row."""
-    x, y, z = state.T
-    return np.array([sigma * (y - x), rho * x - x * z - y, x * y - beta * z]).T
+def _lorenz_rhs(x, y, z, sigma, rho, beta) -> tuple:
+    """The three components of `lorenz_rhs`, for floats or arrays alike."""
+    return sigma * (y - x), rho * x - x * z - y, x * y - beta * z
 
 
 def _resolve_ic(cfg: SimConfig, n: int) -> np.ndarray:
@@ -179,7 +182,7 @@ def _drive(step, state, spinup: int, outs: Sequence[np.ndarray], finite, view
         for i in range(1, spinup + 1):
             state = step(state)
             ok = finite(state)
-            if not ok.all():
+            if not all(ok):
                 return i, int(np.argmin(ok))
 
         total = max(len(out) for out in outs)
@@ -259,24 +262,30 @@ def _integrate(run, lengths: Sequence[int], cols: int,
 
     `run(rows, outs)` integrates the batch rows listed in `rows` into `outs`
     and returns `_drive`'s (step, index into `rows`) or None. The rows are
-    split into `_workers` groups (`_groups`); the parent integrates the
-    first and a forked worker each other one, straight into one shared
-    anonymous mapping. Every worker is reaped, and killed first when the
-    parent's own group raises or is interrupted. Raises the DivergenceError
+    split into `_workers` groups (`_groups`). The parent integrates the
+    first into its own memory, and a forked worker each other one, straight
+    into one shared anonymous mapping. Every worker is reaped, and killed
+    first when the parent's own group raises or is interrupted. Raises the DivergenceError
     of the earliest step over all rows (a tie goes to the lowest row), the
     same as one batch would, and CTFBenchError when a worker fails.
     """
     groups = _groups(lengths, _workers(len(lengths), cols))
-    size = sum(lengths) * cols
-    if len(groups) == 1:
-        flat = np.empty(size)
-    else:
+    outs: dict[int, np.ndarray] = {}
+
+    def place(flat: np.ndarray, rows: list[int]) -> None:
+        end = 0
+        for r in rows:
+            outs[r] = flat[end * cols : (end + lengths[r]) * cols].reshape(lengths[r], cols)
+            end += lengths[r]
+
+    place(np.empty(sum(lengths[r] for r in groups[0]) * cols), groups[0])
+    if len(groups) > 1:
+        shared_rows = [r for rows in groups[1:] for r in rows]
+        size = sum(lengths[r] for r in shared_rows) * cols
         shared = mmap.mmap(-1, 8 * (size + 2 * len(groups)))
-        flat = np.frombuffer(shared, np.float64, size)
+        place(np.frombuffer(shared, np.float64, size), shared_rows)
         # Per group: its (step, row) result; row -1 when nothing diverged.
         status = np.frombuffer(shared, np.int64, offset=8 * size).reshape(-1, 2)
-    ends = np.cumsum(lengths).tolist()
-    outs = [flat[(end - n) * cols : end * cols].reshape(n, cols) for n, end in zip(lengths, ends)]
 
     def work(g: int) -> tuple[int, int] | None:
         rows = groups[g]
@@ -319,36 +328,54 @@ def _integrate(run, lengths: Sequence[int], cols: int,
     found = [f for f in found if f]
     if found:
         raise _diverged(*min(found), names)
-    return outs
+    return [outs[r] for r in range(len(lengths))]
 
 
-def _finite_rows(state: np.ndarray) -> np.ndarray:
-    return np.isfinite(state).all(axis=-1)
+def _lorenz_step(params: LorenzParams, dt: float):
+    """The classical RK4 step of a Lorenz state (x, y, z) of floats. Its
+    float operations, in their order, are those of the same step on a (3,)
+    numpy array, so the trajectory has the same bits either way."""
+    sigma, rho, beta = params.sigma, params.rho, params.beta
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def step(s: tuple[float, float, float]) -> tuple[float, float, float]:
+        x, y, z = s
+        a1, b1, c1 = _lorenz_rhs(x, y, z, sigma, rho, beta)
+        a2, b2, c2 = _lorenz_rhs(x + half * a1, y + half * b1, z + half * c1, sigma, rho, beta)
+        a3, b3, c3 = _lorenz_rhs(x + half * a2, y + half * b2, z + half * c2, sigma, rho, beta)
+        a4, b4, c4 = _lorenz_rhs(x + dt * a3, y + dt * b3, z + dt * c3, sigma, rho, beta)
+        return (x + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                y + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+                z + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
+
+    return step
+
+
+def _finite_state(s: tuple[float, ...]) -> tuple[bool]:
+    return (all(map(math.isfinite, s)),)
 
 
 def _lorenz_batch(params: Sequence[LorenzParams], cfgs: Sequence[SimConfig],
                   names: Sequence[str] | None = None) -> list[np.ndarray]:
-    """Integrate one Lorenz trajectory per (params, cfg) pair as one batch.
+    """Integrate one Lorenz trajectory per (params, cfg) pair.
 
     The rows may differ in parameters, initial condition and length; dt
-    and the spin-up are shared. Each row is bit-identical to the same
-    trajectory integrated alone.
+    and the spin-up are shared. A row of three values is cheaper to step as
+    Python floats than as numpy arrays, so each row is integrated on its
+    own, for its own length, and is bit-identical to the same trajectory
+    integrated alone.
     """
     dt, spinup = _shared_schedule(cfgs)
-    coefficients = np.array([[p.sigma, p.rho, p.beta] for p in params])
-    ics = np.array([_resolve_ic(c, 3) for c in cfgs])
+    ics = [tuple(_resolve_ic(c, 3).tolist()) for c in cfgs]
 
     def run(rows: list[int], outs: list[np.ndarray]):
-        sigma, rho, beta = coefficients[rows].T
-
-        def step(s: np.ndarray) -> np.ndarray:
-            k1 = _lorenz_rhs(s, sigma, rho, beta)
-            k2 = _lorenz_rhs(s + 0.5 * dt * k1, sigma, rho, beta)
-            k3 = _lorenz_rhs(s + 0.5 * dt * k2, sigma, rho, beta)
-            k4 = _lorenz_rhs(s + dt * k3, sigma, rho, beta)
-            return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        return _drive(step, ics[rows], spinup, outs, _finite_rows, lambda s: s)
+        found = []
+        for i, (r, out) in enumerate(zip(rows, outs)):
+            bad = _drive(_lorenz_step(params[r], dt), ics[r], spinup, [out],
+                         _finite_state, lambda s: (s,))
+            if bad:
+                found.append((bad[0], i))
+        return min(found, default=None)
 
     return _integrate(run, [c.total_steps for c in cfgs], 3, names)
 
@@ -450,7 +477,7 @@ def _ks_batch(params: Sequence[KSParams], cfgs: Sequence[SimConfig],
         stepper = _ETDRK4([params[r] for r in rows], dt)
         state = stepper.state(np.fft.rfft(ics[rows]))
         return _drive(stepper.step, state, spinup, outs,
-                      lambda s: _finite_rows(s[0]), lambda s: s[1])
+                      lambda s: np.isfinite(s[0]).all(axis=1), lambda s: s[1])
 
     return _integrate(run, [c.total_steps for c in cfgs], n, names)
 

@@ -261,7 +261,7 @@ def read_scorecard(path: str | Path) -> ScoreCard:
 
 
 def _check_truth(pack: DatasetPack, task: TaskSpec) -> np.ndarray:
-    truth = pack.test[task.truth_name]
+    truth = pack.matrix(task.truth_name)
     why = matio.problem(truth, task.truth_shape)
     if why is not None:
         raise PackValidationError(f"corrupted pack: {task.truth_name}: {why}")

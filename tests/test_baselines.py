@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import ctfbench as cb
-from ctfbench.baselines import average_input_name, make_submission, predict_average, predict_zeros
+from ctfbench.baselines import (
+    INPUT_NAMES,
+    average_input_name,
+    make_submission,
+    predict_average,
+    predict_zeros,
+)
 from ctfbench.metrics import MetricKind, MetricWindows
 from ctfbench.referee import TaskSpec, task_registry, validate_submission
 
@@ -103,3 +109,20 @@ class TestSubmissions:
     def test_unknown_kind_rejected(self, lorenz_pack):
         with pytest.raises(ValueError, match="unknown baseline kind"):
             make_submission("persistence", lorenz_pack)
+
+    def test_reads_only_its_input_names(self, lorenz_pack, lorenz_pack_dir):
+        assert INPUT_NAMES["zeros"] == ()
+        assert INPUT_NAMES["average"] == ("X1train", "X2train", "X3train", "X4train",
+                                          "X5train", "X9train", "X10train")
+        for kind, names in INPUT_NAMES.items():
+            partial = cb.read_pack(lorenz_pack_dir, names=names)
+            sub = make_submission(kind, partial)
+            full = make_submission(kind, lorenz_pack)
+            assert sub.predictions.keys() == full.predictions.keys()
+            for name, pred in full.predictions.items():
+                assert np.array_equal(sub.predictions[name], pred), (kind, name)
+
+    def test_average_on_pack_lacking_input_is_named_error(self, lorenz_pack_dir):
+        partial = cb.read_pack(lorenz_pack_dir, names=("X1train", "X2train"))
+        with pytest.raises(cb.PackValidationError, match="pack missing matrix X3train"):
+            make_submission("average", partial)

@@ -1,5 +1,7 @@
 import json
+import shutil
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -155,6 +157,35 @@ class TestBaseline:
         pack = cb.read_pack(cli_pack_dir)
         sub = referee.load_submission(tmp_path / "baseline_average" / "run0")
         assert referee.validate_submission(sub, pack) == []
+
+    @pytest.fixture
+    def pack_copy(self, cli_pack_dir, tmp_path):
+        return shutil.copytree(cli_pack_dir, tmp_path / "pack")
+
+    def baseline(self, runner, kind, pack_dir, out):
+        return runner.invoke(main, ["baseline", "--kind", kind, "--pack", str(pack_dir),
+                                    "--out", str(out)])
+
+    def test_zeros_reads_no_matrix(self, runner, pack_copy, zeros_run_dir, tmp_path):
+        (pack_copy / "X7test.mat").unlink()
+        result = self.baseline(runner, "zeros", pack_copy, tmp_path / "subs")
+        assert result.exit_code == 0, result.output
+        run_dir = tmp_path / "subs" / "baseline_zeros" / "run0"
+        for path in zeros_run_dir.iterdir():
+            assert (run_dir / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_average_skips_matrices_it_does_not_use(self, runner, pack_copy, tmp_path):
+        (pack_copy / "X7test.mat").write_bytes(b"corrupted")
+        result = self.baseline(runner, "average", pack_copy, tmp_path / "subs")
+        assert result.exit_code == 0, result.output
+
+    def test_average_checks_its_inputs(self, runner, pack_copy, tmp_path):
+        bad = matio.read_matrix(pack_copy / "X1train.mat")
+        bad[5, 2] = np.nan
+        matio.write_matrix(pack_copy / "X1train.mat", bad)
+        result = self.baseline(runner, "average", pack_copy, tmp_path / "subs")
+        assert result.exit_code == 1
+        assert "Error: X1train: contains non-finite values" in result.output
 
     def test_unknown_kind_is_usage_error(self, runner, cli_pack_dir, tmp_path):
         result = runner.invoke(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -96,6 +97,8 @@ def test_unequal_window_rejected_on_read(lorenz_pack, tmp_path, name, equal_to):
     matio.write_matrix(directory / f"{name}.mat", _nudged(lorenz_pack.test[name]))
     with pytest.raises(PackValidationError, match=f"{name} must equal {equal_to}"):
         cb.read_pack(directory)
+    with pytest.raises(PackValidationError, match=f"{name} must equal {equal_to}"):
+        cb.read_pack(directory, names=(equal_to, name))
 
 
 def test_parametric_trajectories_are_distinct(lorenz_pack):
@@ -196,6 +199,58 @@ def test_rewrite_is_byte_identical(lorenz_pack, lorenz_pack_dir, tmp_path):
     cb.write_pack(lorenz_pack, other)
     for path in sorted(lorenz_pack_dir.iterdir()):
         assert (other / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_full_read_by_default(lorenz_pack, lorenz_pack_dir):
+    loaded = cb.read_pack(lorenz_pack_dir, names=None)
+    assert set(loaded.train) == set(datagen.TRAIN_NAMES)
+    assert set(loaded.test) == set(datagen.TEST_NAMES)
+    for name in datagen.MATRIX_LAYOUT:
+        assert np.array_equal(loaded.matrix(name), lorenz_pack.matrix(name)), name
+
+
+def test_partial_read_holds_only_the_named(lorenz_pack, tmp_path):
+    directory = tmp_path / "pack"
+    cb.write_pack(lorenz_pack, directory)
+    (directory / "X7test.mat").unlink()
+    (directory / "X1train.mat").write_bytes(b"not a matrix")
+    loaded = cb.read_pack(directory, names=["X9train", "X2test"])
+    assert list(loaded.train) == ["X9train"] and list(loaded.test) == ["X2test"]
+    assert np.array_equal(loaded.matrix("X2test"), lorenz_pack.test["X2test"])
+    assert loaded.manifest.to_dict() == lorenz_pack.manifest.to_dict()
+    with pytest.raises(PackValidationError, match="pack missing matrix X7test"):
+        loaded.matrix("X7test")
+    assert cb.read_pack(directory, names=()).train == {}
+
+
+def test_partial_read_checks_shape_and_finiteness(lorenz_pack, tmp_path):
+    from ctfbench import matio
+
+    directory = tmp_path / "pack"
+    cb.write_pack(lorenz_pack, directory)
+    bad = lorenz_pack.train["X4train"].copy()
+    bad[3, 1] = np.nan
+    matio.write_matrix(directory / "X4train.mat", bad)
+    with pytest.raises(PackValidationError, match="X4train: contains non-finite"):
+        cb.read_pack(directory, names=["X4train"])
+    matio.write_matrix(directory / "X4train.mat", lorenz_pack.train["X5train"][:50])
+    with pytest.raises(PackValidationError, match=r"X4train: shape \(50, 3\)"):
+        cb.read_pack(directory, names=["X4train"])
+
+
+def test_partial_read_of_unknown_matrix_rejected(lorenz_pack_dir):
+    with pytest.raises(PackValidationError, match="unknown pack matrices: X11train, X1pred"):
+        cb.read_pack(lorenz_pack_dir, names=["X1train", "X11train", "X1pred"])
+
+
+def test_partial_read_validates_the_manifest(lorenz_pack, tmp_path):
+    directory = tmp_path / "pack"
+    cb.write_pack(lorenz_pack, directory)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["interp_param"] = 99.0
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(PackValidationError, match="interpolation"):
+        cb.read_pack(directory, names=())
 
 
 def test_truncated_matrix_fails_read(lorenz_pack, tmp_path):
@@ -333,3 +388,61 @@ class TestConfig:
     def test_seed_derivation_stable(self):
         assert datagen.derive_seeds(5) == datagen.derive_seeds(5)
         assert datagen.derive_seeds(5) != datagen.derive_seeds(6)
+
+
+# sha256 of each matrix's float64 bytes (C order) in the session packs:
+# `build_pack("lorenz", 11)` and `build_pack("ks", 7)`. A change to the
+# integrators, the noise or the layout that moves one bit fails here.
+MATRIX_SHA256 = {
+    "lorenz": {
+        "X1train": "c66d2d0314240e21c2f8f100198f9c67205f682e484638a0ecdc527e881606df",
+        "X2train": "549bd9f8e420749d3811b808a0a128f9e8e360251e0367385f98cef51c9aa92b",
+        "X3train": "c3fcd891823b05f1536170a266a732fce1e26d6f068ebd124d30eaa0fc2ce11c",
+        "X4train": "2e9becbb081ec02f5c94d7690d2ddc8c35835196110127db892587f8791d9775",
+        "X5train": "6a1430658e41bc8b50e8618f56855bd27530e28575f563d4ecd2d08148a7f5a5",
+        "X6train": "c2daae49178291910b8a1edbe7f15560260001e1b6519a3ca16de18471480fdd",
+        "X7train": "9d9e3df2b0d5534259a8ac116c56030f84cad7e93457d581b05058a0b18bd53e",
+        "X8train": "a14556d90f1aab5d7ec142073112c0a46519e82180da323a98afb3cdb6cee74f",
+        "X9train": "4af6157951abff1287ca3a00ac52311c56b4cd772a30b840e57a95550c97c8d3",
+        "X10train": "79aa990ffdf2eb40d8be7ff2839194deb270ba308cab9121b22f3772d0b1fd8a",
+        "X1test": "29aac99bbed3e17c0d1722678f30d747cf11e25a9d53b56d5d17fd1efa8b0c8f",
+        "X2test": "c66d2d0314240e21c2f8f100198f9c67205f682e484638a0ecdc527e881606df",
+        "X3test": "29aac99bbed3e17c0d1722678f30d747cf11e25a9d53b56d5d17fd1efa8b0c8f",
+        "X4test": "c66d2d0314240e21c2f8f100198f9c67205f682e484638a0ecdc527e881606df",
+        "X5test": "29aac99bbed3e17c0d1722678f30d747cf11e25a9d53b56d5d17fd1efa8b0c8f",
+        "X6test": "441968571a275a2fa93856fd579fdf316b89c5b89a14f14fdc97739d936514f7",
+        "X7test": "441968571a275a2fa93856fd579fdf316b89c5b89a14f14fdc97739d936514f7",
+        "X8test": "27d92edffbba0f0dcb7862d37cf31b2546637008ebdaf65f8e8d31f9b33604e6",
+        "X9test": "d9711a569a621bd5ca16c41715781eda839f5cba9d90ca1b0909027d7d197f19",
+    },
+    "ks": {
+        "X1train": "bae74a103807201105d8e840ba9475f2929c6a48151bea28eb5eb5865c385eab",
+        "X2train": "5cd5b113c667dbf298ebb4fe71832a3f340937c29b8bd8a4872c95942974b88a",
+        "X3train": "2660b0e17c6aaa51658501601fcf42d835c6dc32b1f985e791b6f4adf8be129e",
+        "X4train": "58743c3091bc6650ff13fa9a1cf7f28740b907e77f4b1f10f74990f2b5d3e994",
+        "X5train": "31cf06b26affb124f08ef9ae3475f1228fad25255dd646c7e4f3eafacf68ba79",
+        "X6train": "eed535f57ad36b6d469f037f9b00bb91f145ec0cdae9456d8a1de1c83b53b8fa",
+        "X7train": "eaf86c28033801dafb3072a645411a6407d96cbd83915000c449ea6d153ed133",
+        "X8train": "28b10a13ae9494287ad7a8a0e69580d53509d1392c61d5f59c3c4662db5f7bbc",
+        "X9train": "2e3853f8f3b3cee4f1e86e2433ab036cb1758ec19bc9273f655220f17182e96f",
+        "X10train": "1ab3b34de3683c66712ceeba0df0c228157baa19b95620731634e0cd6cc8478e",
+        "X1test": "1e38fc634f09f8ab193e07d25d490dec28cdf6ff14e2a10b545ebb5114d5410b",
+        "X2test": "bae74a103807201105d8e840ba9475f2929c6a48151bea28eb5eb5865c385eab",
+        "X3test": "1e38fc634f09f8ab193e07d25d490dec28cdf6ff14e2a10b545ebb5114d5410b",
+        "X4test": "bae74a103807201105d8e840ba9475f2929c6a48151bea28eb5eb5865c385eab",
+        "X5test": "1e38fc634f09f8ab193e07d25d490dec28cdf6ff14e2a10b545ebb5114d5410b",
+        "X6test": "b7b420cb57a7c743532d184305de409831cc298b30f3c2e6b989380f3a2c0832",
+        "X7test": "b7b420cb57a7c743532d184305de409831cc298b30f3c2e6b989380f3a2c0832",
+        "X8test": "ea30e67c303236a29be1d77f95932234d0733619f711470475906f9a24d3e621",
+        "X9test": "bc6230b1187c0d346c87427334d6747a46775f36020f1ffe4ee24384b5be86e9",
+    },
+}
+
+
+@pytest.mark.parametrize("system", ["lorenz", "ks"])
+def test_pack_bytes_pinned(request, system):
+    pack = request.getfixturevalue(f"{system}_pack")
+    mats = {**pack.train, **pack.test}
+    digests = {name: hashlib.sha256(mats[name].tobytes()).hexdigest()
+               for name in datagen.MATRIX_LAYOUT}
+    assert digests == MATRIX_SHA256[system]

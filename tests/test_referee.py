@@ -191,6 +191,15 @@ class TestEvaluate:
             evaluate(oracle_submission(lorenz_pack), broken)
 
 
+    def test_pack_lacking_the_truth_is_named_error(self, lorenz_pack, lorenz_pack_dir):
+        partial = cb.read_pack(lorenz_pack_dir, names=("X1test",))
+        sub = oracle_submission(lorenz_pack)
+        tasks = {t.score_id: t for t in task_registry(lorenz_pack.dataset_id)}
+        assert evaluate_task(tasks["E1"], sub, partial) == 100.0
+        with pytest.raises(cb.PackValidationError, match="pack missing matrix X2test"):
+            evaluate_task(tasks["E3"], sub, partial)
+
+
 class _AuditDict(dict):
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
