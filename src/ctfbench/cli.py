@@ -15,7 +15,7 @@ import click
 
 from . import baselines, datagen, referee, report
 from .exceptions import CTFBenchError
-from .matio import atomic_write_bytes, dump_json, read_json
+from .matio import atomic_write_bytes, dump_json, make_dir, read_json
 from .metrics import SCORE_IDS, MetricWindows
 
 
@@ -197,7 +197,7 @@ def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kma
         windows = MetricWindows(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise click.UsageError(str(exc), ctx)
-    pack = datagen.read_pack(pack_dir)
+    pack = datagen.read_pack(pack_dir, names=datagen.TEST_NAMES)
     if runs_glob:
         run_dirs = referee.find_run_dirs(submission_dir, runs_glob)
         if not run_dirs:
@@ -298,7 +298,7 @@ def report_cmd(kind, store, dataset, out_dir, baseline_method, as_json):
         click.echo("leaderboard store is empty; nothing to report")
         return
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     written = []
 
     def emit(name: str, text: str) -> None:

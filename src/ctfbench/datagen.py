@@ -399,7 +399,7 @@ def _check_matrices(mats: dict[str, np.ndarray], cols: int) -> None:
 def write_pack(pack: DatasetPack, directory: str | Path) -> None:
     """Write manifest.json plus one binary matrix file per pack entry."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    matio.make_dir(directory)
     validate_pack(pack)
     matio.write_json(directory / "manifest.json", pack.manifest.to_dict())
     mats = {**pack.train, **pack.test}
@@ -410,7 +410,7 @@ def write_pack(pack: DatasetPack, directory: str | Path) -> None:
 def export_pack_csv(pack: DatasetPack, directory: str | Path) -> None:
     """Write every pack matrix as CSV alongside the binary files."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    matio.make_dir(directory)
     mats = {**pack.train, **pack.test}
     for name in MATRIX_LAYOUT:
         matio.write_csv(directory / f"{name}.csv", mats[name])

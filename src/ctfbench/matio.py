@@ -43,16 +43,33 @@ def problem(x: np.ndarray, shape: tuple[int, int]) -> str | None:
     return None
 
 
+def make_dir(path: Path) -> None:
+    """Create directory `path` and its parents; a file in the way or a
+    missing permission raises CTFBenchError naming `path`."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CTFBenchError(f"{path}: cannot create directory: {exc.strerror}") from exc
+
+
 @contextmanager
 def _atomic_file(path: str | Path):
     """Yield a binary file that replaces `path` only once the block completes:
-    a temp file in the same directory, renamed over `path` at the end."""
+    a temp file in the same directory, renamed over `path` at the end. When
+    the temp file cannot be made or renamed, CTFBenchError names `path`."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    except OSError as exc:
+        raise CTFBenchError(
+            f"{path}: cannot write into {str(path.parent)!r}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise CTFBenchError(f"{path}: cannot replace: {exc.strerror}") from exc
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

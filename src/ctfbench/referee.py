@@ -3,7 +3,9 @@ run aggregation and the persistent leaderboard.
 
 The registry maps each of the twelve scores E1..E12 to its training
 input(s), optional burn-in, prediction file and ground-truth file. Scoring
-a task touches exactly one test matrix (the task's truth); a submission
+a task touches exactly one test matrix (the task's truth), so a pack read
+with `read_pack(directory, names=TEST_NAMES)`, as `ctfbench score` reads
+it, is enough to validate and evaluate any submission; a submission
 missing or failing validation for a prediction receives -100 for every
 score depending on it, while the remaining scores are still computed.
 """
@@ -156,7 +158,7 @@ def load_submission(run_dir: str | Path, method_name: str | None = None) -> Subm
 def write_submission(sub: Submission, root: str | Path) -> Path:
     """Write `root/<method>/<run_id>/X*pred.mat` plus a meta file."""
     run_dir = Path(root) / sub.method_name / sub.run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
+    matio.make_dir(run_dir)
     for name, x in sorted(sub.predictions.items()):
         matio.write_matrix(run_dir / f"{name}.mat", x)
     meta = {"method": sub.method_name, "run_id": sub.run_id, **sub.metadata}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -6,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import ctfbench as cb
-from ctfbench import matio, referee
+from ctfbench import datagen, matio, referee
 from ctfbench.cli import main
 from conftest import oracle_submission
 
@@ -35,6 +36,11 @@ def zeros_run_dir(tmp_path_factory, runner, cli_pack_dir):
     )
     assert result.exit_code == 0, result.output
     return subs / "baseline_zeros" / "run0"
+
+
+@pytest.fixture
+def pack_copy(cli_pack_dir, tmp_path):
+    return shutil.copytree(cli_pack_dir, tmp_path / "pack")
 
 
 class TestGenerate:
@@ -78,6 +84,16 @@ class TestGenerate:
         assert result.exit_code == 1, result.output
         assert "Error:" in result.output and "step 7" in result.output
         assert "of trajectory 'trajectory'" in result.output
+
+    def test_out_is_a_file_is_error(self, runner, tmp_path):
+        out = tmp_path / "afile"
+        out.write_text("not a directory")
+        result = runner.invoke(
+            main, ["generate", "--system", "lorenz", "--seed", "1", "--out", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        assert f"Error: {out}: cannot create directory" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_out_or_data_root_required(self, runner):
         result = runner.invoke(main, ["generate", "--system", "lorenz"])
@@ -158,10 +174,6 @@ class TestBaseline:
         sub = referee.load_submission(tmp_path / "baseline_average" / "run0")
         assert referee.validate_submission(sub, pack) == []
 
-    @pytest.fixture
-    def pack_copy(self, cli_pack_dir, tmp_path):
-        return shutil.copytree(cli_pack_dir, tmp_path / "pack")
-
     def baseline(self, runner, kind, pack_dir, out):
         return runner.invoke(main, ["baseline", "--kind", kind, "--pack", str(pack_dir),
                                     "--out", str(out)])
@@ -186,6 +198,14 @@ class TestBaseline:
         result = self.baseline(runner, "average", pack_copy, tmp_path / "subs")
         assert result.exit_code == 1
         assert "Error: X1train: contains non-finite values" in result.output
+
+    def test_out_below_a_file_is_error(self, runner, cli_pack_dir, tmp_path):
+        (tmp_path / "afile").write_text("not a directory")
+        out = tmp_path / "afile" / "x"
+        result = self.baseline(runner, "zeros", cli_pack_dir, out)
+        assert result.exit_code == 1, result.output
+        assert f"Error: {out}" in result.output and "cannot create directory" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_unknown_kind_is_usage_error(self, runner, cli_pack_dir, tmp_path):
         result = runner.invoke(
@@ -324,6 +344,106 @@ class TestScore:
         )
         assert result.exit_code == 1, result.output
         assert "Error:" in result.output and "short_k=1001 outside [1, 1000]" in result.output
+
+    def test_out_in_missing_directory_is_error(self, runner, cli_pack_dir, zeros_run_dir,
+                                               tmp_path):
+        nodir = tmp_path / "nodir"
+        card_path = nodir / "card.json"
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(zeros_run_dir),
+             "--out", str(card_path)],
+        )
+        assert result.exit_code == 1, result.output
+        assert f"Error: {card_path}: cannot write into {str(nodir)!r}" in result.output
+        assert ".tmp" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_reads_no_training_matrix(self, runner, cli_pack_dir, pack_copy, zeros_run_dir,
+                                      tmp_path):
+        for path in pack_copy.glob("X*train.mat"):
+            path.unlink()
+        written = []
+        for pack_dir in (cli_pack_dir, pack_copy):
+            out = tmp_path / f"from_{pack_dir.name}"
+            out.mkdir()
+            result = runner.invoke(
+                main,
+                ["score", "--pack", str(pack_dir), "--submission", str(zeros_run_dir),
+                 "--out", str(out / "card.json"), "--store", str(out / "board.json")],
+            )
+            assert result.exit_code == 0, result.output
+            written.append([(out / name).read_bytes() for name in ("card.json", "board.json")])
+        assert written[0] == written[1]
+
+    def test_checks_the_truth_it_reads(self, runner, pack_copy, zeros_run_dir):
+        bad = matio.read_matrix(pack_copy / "X1test.mat")
+        bad[5, 2] = np.nan
+        matio.write_matrix(pack_copy / "X1test.mat", bad)
+        result = runner.invoke(
+            main, ["score", "--pack", str(pack_copy), "--submission", str(zeros_run_dir)]
+        )
+        assert result.exit_code == 1, result.output
+        assert "Error: X1test: contains non-finite values" in result.output
+
+    def test_checks_identical_test_windows(self, runner, pack_copy, zeros_run_dir):
+        nudged = matio.read_matrix(pack_copy / "X4test.mat")
+        nudged[0, 0] += 1e-9
+        matio.write_matrix(pack_copy / "X4test.mat", nudged)
+        result = runner.invoke(
+            main, ["score", "--pack", str(pack_copy), "--submission", str(zeros_run_dir)]
+        )
+        assert result.exit_code == 1, result.output
+        assert "Error: X4test must equal X2test (same trajectory window)" in result.output
+
+    def test_runs_glob_reads_pack_once(self, runner, cli_pack_dir, tmp_path, monkeypatch):
+        pack = cb.read_pack(cli_pack_dir)
+        for run_id in ("run0", "run1"):
+            referee.write_submission(oracle_submission(pack, run_id=run_id), tmp_path)
+        calls = []
+        read_pack = datagen.read_pack
+
+        def counting_read_pack(*args, **kwargs):
+            calls.append(args)
+            return read_pack(*args, **kwargs)
+
+        monkeypatch.setattr(datagen, "read_pack", counting_read_pack)
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(tmp_path / "oracle"),
+             "--runs-glob", "run*"],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
+    # sha256 of the scorecard JSON that `score` writes on `cli_pack_dir`
+    # (Lorenz seed 3) for each submission. A change to scoring, aggregation
+    # or the scorecard form that moves one byte fails here.
+    SCORECARD_SHA256 = {
+        "average": "db80ce4deb29a23de4ba563324c0a378bdbe847d5e0883cb6b9a8207bd7ff3b9",
+        "oracle": "36958961eb921675a5cb115e4bac5c8083a5d1e90b414586bbdbee97f798d027",
+        "zeros": "ba27ed24fba49d829bf645bd7fa580983bb564e29cb8469d82c63177987ac962",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SCORECARD_SHA256))
+    def test_scorecard_bytes_pinned(self, runner, cli_pack_dir, tmp_path, kind):
+        if kind == "oracle":
+            run_dir = referee.write_submission(
+                oracle_submission(cb.read_pack(cli_pack_dir)), tmp_path)
+        else:
+            result = runner.invoke(main, ["baseline", "--kind", kind, "--pack",
+                                          str(cli_pack_dir), "--out", str(tmp_path)])
+            assert result.exit_code == 0, result.output
+            run_dir = tmp_path / f"baseline_{kind}" / "run0"
+        card_path = tmp_path / "card.json"
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(run_dir),
+             "--out", str(card_path)],
+        )
+        assert result.exit_code == 0, result.output
+        digest = hashlib.sha256(card_path.read_bytes()).hexdigest()
+        assert digest == self.SCORECARD_SHA256[kind]
 
     def test_store_updated_when_given(self, runner, cli_pack_dir, zeros_run_dir, tmp_path):
         store = tmp_path / "board.json"

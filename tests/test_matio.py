@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ctfbench import matio
-from ctfbench.exceptions import MatrixFormatError
+from ctfbench.exceptions import CTFBenchError, MatrixFormatError
 
 
 @pytest.fixture
@@ -68,6 +68,25 @@ def test_too_short_file_rejected(tmp_path):
 def test_non_2d_rejected(tmp_path):
     with pytest.raises(MatrixFormatError):
         matio.write_matrix(tmp_path / "v.mat", np.zeros(5))
+
+
+def test_write_into_missing_directory_names_the_path(tmp_path):
+    path = tmp_path / "nodir" / "x.json"
+    with pytest.raises(CTFBenchError, match="x.json: cannot write into .*nodir"):
+        matio.write_json(path, {})
+
+
+def test_write_over_a_directory_leaves_no_temp_file(tmp_path):
+    (tmp_path / "x.json").mkdir()
+    with pytest.raises(CTFBenchError, match="x.json: cannot replace"):
+        matio.write_json(tmp_path / "x.json", {})
+    assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+
+def test_make_dir_below_a_file_is_named_error(tmp_path):
+    (tmp_path / "afile").write_text("")
+    with pytest.raises(CTFBenchError, match="afile/x: cannot create directory"):
+        matio.make_dir(tmp_path / "afile" / "x")
 
 
 def test_csv_round_trip_exact(tmp_path):
