@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 import sys
+import traceback
 from pathlib import Path
 
 import click
@@ -21,13 +22,23 @@ from .metrics import SCORE_IDS, MetricWindows
 
 class _Main(click.Group):
     """The one place where a CTFBenchError from any command, or from the
-    config file, becomes `Error: <message>` and exit status 1."""
+    config file, becomes `Error: <message>` and exit status 1.
+
+    A command that ends early (an error, or `ctx.exit(1)` after violations)
+    leaves with its frames cleared: click's `main` holds the exception in a
+    reference cycle, so otherwise the command's locals (a KS pack and
+    submission, hundreds of MB) outlive an in-process call until the
+    garbage collector runs.
+    """
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except CTFBenchError as exc:
-            raise click.ClickException(str(exc)) from exc
+        except BaseException as exc:
+            traceback.clear_frames(exc.__traceback__)
+            if isinstance(exc, CTFBenchError):
+                raise click.ClickException(str(exc)) from exc
+            raise
 
 
 def _check_sections(cmd: click.Command, section: dict, path: str, prefix: str = "") -> None:

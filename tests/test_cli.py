@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -415,6 +417,37 @@ class TestScore:
         )
         assert result.exit_code == 0, result.output
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("damage", ["missing_prediction", "ragged_csv"])
+    def test_exit_1_frees_the_pack(self, runner, cli_pack_dir, tmp_path, monkeypatch,
+                                   damage):
+        # A score that ends with exit 1 (violations, or an error after the
+        # pack is read) must not keep the pack alive in a reference cycle
+        # until the garbage collector runs.
+        pack = cb.read_pack(cli_pack_dir)
+        run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
+        del pack
+        (run_dir / "X1pred.mat").unlink()
+        if damage == "ragged_csv":
+            (run_dir / "X1pred.csv").write_text("1,2,3\n4,5\n")
+        refs = []
+        read_pack = datagen.read_pack
+
+        def recording_read_pack(*args, **kwargs):
+            read = read_pack(*args, **kwargs)
+            refs.append(weakref.ref(read))
+            return read
+
+        monkeypatch.setattr(datagen, "read_pack", recording_read_pack)
+        gc.disable()
+        try:
+            result = runner.invoke(
+                main, ["score", "--pack", str(cli_pack_dir), "--submission", str(run_dir)]
+            )
+            assert result.exit_code == 1, result.output
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            gc.enable()
 
     # sha256 of the scorecard JSON that `score` writes on `cli_pack_dir`
     # (Lorenz seed 3) for each submission. A change to scoring, aggregation
