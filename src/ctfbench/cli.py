@@ -16,7 +16,7 @@ import click
 
 from . import baselines, datagen, referee, report
 from .exceptions import CTFBenchError
-from .matio import atomic_write_bytes, dump_json, make_dir, read_json
+from .matio import atomic_write_bytes, check_writable, dump_json, make_dir, read_json
 from .metrics import SCORE_IDS, MetricWindows
 
 
@@ -129,6 +129,7 @@ def generate(system, seed, out_dir, data_root, dt, spinup, noise_medium, noise_h
             overrides["train_params"] = tuple(float(v) for v in train_params.split(","))
         except ValueError:
             raise click.ClickException(f"cannot parse --train-params {train_params!r}")
+    make_dir(out_dir)
     try:
         pack = datagen.build_pack(system, seed, overrides)
     except ValueError as exc:
@@ -208,6 +209,8 @@ def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kma
         windows = MetricWindows(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise click.UsageError(str(exc), ctx)
+    out_path = card_out or Path(submission_dir) / "scorecard.json"
+    check_writable(out_path)
     pack = datagen.read_pack(pack_dir, names=datagen.TEST_NAMES)
     if runs_glob:
         run_dirs = referee.find_run_dirs(submission_dir, runs_glob)
@@ -226,7 +229,6 @@ def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kma
                        err=True)
         cards.append(referee.evaluate(sub, pack, windows))
     card = referee.aggregate_runs(cards)
-    out_path = card_out or Path(submission_dir) / "scorecard.json"
     referee.write_scorecard(card, out_path)
     if store is not None:
         referee.update_leaderboard(store, card)

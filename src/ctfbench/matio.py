@@ -3,10 +3,12 @@
 Layout of a `.mat` file: the 8-byte magic ``CTFMAT01``, a little-endian
 u64 row count, a little-endian u64 column count, then rows*cols
 little-endian float64 values in row-major order. Writes are atomic
-(temp file + rename). CSV files hold one time step per row with
-full-precision decimal values. JSON documents (manifests, scorecards,
-leaderboards) are written with sorted keys, a 2-space indent and a
-trailing newline.
+(temp file + rename). A read checks the header against the file size
+before it allocates, then reads the payload straight into the array it
+returns: one copy of the bytes. CSV files hold one time step per row
+with full-precision decimal values. JSON documents (manifests,
+scorecards, leaderboards) are written with sorted keys, a 2-space indent
+and a trailing newline.
 """
 
 from __future__ import annotations
@@ -52,17 +54,31 @@ def make_dir(path: Path) -> None:
         raise CTFBenchError(f"{path}: cannot create directory: {exc.strerror}") from exc
 
 
+def _temp_beside(path: Path) -> tuple[int, str]:
+    """Open a new temp file in `path`'s directory; when that directory takes
+    no new file, CTFBenchError names `path`."""
+    try:
+        return tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    except OSError as exc:
+        raise CTFBenchError(
+            f"{path}: cannot write into {str(path.parent)!r}: {exc.strerror}") from exc
+
+
+def check_writable(path: str | Path) -> None:
+    """Raise the CTFBenchError that writing `path` would raise when its
+    directory takes no new file, leaving nothing behind."""
+    fd, tmp = _temp_beside(Path(path))
+    os.close(fd)
+    os.unlink(tmp)
+
+
 @contextmanager
 def _atomic_file(path: str | Path):
     """Yield a binary file that replaces `path` only once the block completes:
     a temp file in the same directory, renamed over `path` at the end. When
     the temp file cannot be made or renamed, CTFBenchError names `path`."""
     path = Path(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    except OSError as exc:
-        raise CTFBenchError(
-            f"{path}: cannot write into {str(path.parent)!r}: {exc.strerror}") from exc
+    fd, tmp = _temp_beside(path)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
@@ -91,23 +107,32 @@ def write_matrix(path: str | Path, x: np.ndarray) -> None:
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
-    """Read a matrix written by `write_matrix`, validating header and size."""
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + _HEADER.size:
-        raise MatrixFormatError(f"{path}: file too short for a matrix header")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise MatrixFormatError(f"{path}: bad magic {raw[:8]!r}, expected {MAGIC!r}")
-    rows, cols = _HEADER.unpack_from(raw, len(MAGIC))
-    if rows < 1 or cols < 1:
-        raise MatrixFormatError(f"{path}: invalid header dimensions [{rows}, {cols}]")
-    body = raw[len(MAGIC) + _HEADER.size :]
-    expected = rows * cols * 8
-    if len(body) != expected:
-        raise MatrixFormatError(
-            f"{path}: shape mismatch, header says [{rows}, {cols}] "
-            f"({expected} payload bytes) but file holds {len(body)}"
-        )
-    return np.frombuffer(body, dtype="<f8").reshape(rows, cols).astype(np.float64)
+    """Read a matrix written by `write_matrix`, validating header and size
+    before allocating; a file that cannot be read raises MatrixFormatError."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(MAGIC) + _HEADER.size)
+            if len(head) < len(MAGIC) + _HEADER.size:
+                raise MatrixFormatError(f"{path}: file too short for a matrix header")
+            if head[: len(MAGIC)] != MAGIC:
+                raise MatrixFormatError(f"{path}: bad magic {head[:8]!r}, expected {MAGIC!r}")
+            rows, cols = _HEADER.unpack_from(head, len(MAGIC))
+            if rows < 1 or cols < 1:
+                raise MatrixFormatError(f"{path}: invalid header dimensions [{rows}, {cols}]")
+            expected = rows * cols * 8
+            held = os.fstat(fh.fileno()).st_size - len(head)
+            if held != expected:
+                raise MatrixFormatError(
+                    f"{path}: shape mismatch, header says [{rows}, {cols}] "
+                    f"({expected} payload bytes) but file holds {held}"
+                )
+            a = np.empty((rows, cols), dtype="<f8")
+            got = fh.readinto(a)
+    except OSError as exc:
+        raise MatrixFormatError(f"{path}: cannot read: {exc.strerror}") from exc
+    if got != expected:
+        raise MatrixFormatError(f"{path}: payload ends after {got} of {expected} bytes")
+    return a.astype(np.float64, copy=False)
 
 
 def write_csv(path: str | Path, x: np.ndarray) -> None:

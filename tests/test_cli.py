@@ -1,6 +1,8 @@
+import errno
 import gc
 import hashlib
 import json
+import os
 import shutil
 import weakref
 
@@ -96,6 +98,17 @@ class TestGenerate:
         assert result.exit_code == 1, result.output
         assert f"Error: {out}: cannot create directory" in result.output
         assert isinstance(result.exception, SystemExit)
+
+    def test_out_is_a_file_fails_before_integrating(self, runner, tmp_path, monkeypatch):
+        def build_pack(*args):
+            pytest.fail("integrated a pack it cannot write")
+
+        monkeypatch.setattr(datagen, "build_pack", build_pack)
+        out = tmp_path / "afile"
+        out.write_text("not a directory")
+        result = runner.invoke(main, ["generate", "--system", "ks", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert f"Error: {out}: cannot create directory" in result.output
 
     def test_out_or_data_root_required(self, runner):
         result = runner.invoke(main, ["generate", "--system", "lorenz"])
@@ -359,6 +372,37 @@ class TestScore:
         assert result.exit_code == 1, result.output
         assert f"Error: {card_path}: cannot write into {str(nodir)!r}" in result.output
         assert ".tmp" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_out_in_missing_directory_fails_before_scoring(self, runner, cli_pack_dir,
+                                                          zeros_run_dir, tmp_path, monkeypatch):
+        def evaluate(*args):
+            pytest.fail("scored a run whose card it cannot write")
+
+        monkeypatch.setattr(referee, "evaluate", evaluate)
+        card_path = tmp_path / "nodir" / "card.json"
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(zeros_run_dir),
+             "--out", str(card_path)],
+        )
+        assert result.exit_code == 1, result.output
+        assert f"Error: {card_path}: cannot write into" in result.output
+
+    def test_unreadable_matrix_is_error(self, runner, cli_pack_dir, zeros_run_dir, tmp_path,
+                                        monkeypatch):
+        def denied(file, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+
+        monkeypatch.setattr(matio, "open", denied, raising=False)
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(zeros_run_dir),
+             "--out", str(tmp_path / "card.json")],
+        )
+        assert result.exit_code == 1, result.output
+        assert f"Error: {cli_pack_dir / 'X1test.mat'}: cannot read: Permission denied" \
+            in result.output
         assert isinstance(result.exception, SystemExit)
 
     def test_reads_no_training_matrix(self, runner, cli_pack_dir, pack_copy, zeros_run_dir,

@@ -1,3 +1,9 @@
+import errno
+import os
+import re
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -58,6 +64,68 @@ def test_oversized_header_rejected_before_allocating(tmp_path):
         matio.read_matrix(path)
 
 
+@pytest.mark.parametrize("cut, held", [(-1, 17 * 5 * 8 - 1), (1, 17 * 5 * 8 + 1)],
+                         ids=["missing_byte", "trailing_byte"])
+def test_payload_off_by_one_byte_is_shape_mismatch(mat, cut, held):
+    path, _ = mat
+    raw = path.read_bytes()
+    path.write_bytes(raw[:cut] if cut < 0 else raw + b"\x00" * cut)
+    with pytest.raises(MatrixFormatError, match=f"shape mismatch.* but file holds {held}$"):
+        matio.read_matrix(path)
+
+
+def test_read_allocates_the_payload_once(tmp_path):
+    x = np.random.default_rng(2).normal(size=(1000, 1024))
+    path = tmp_path / "big.mat"
+    matio.write_matrix(path, x)
+    tracemalloc.start()
+    try:
+        a = matio.read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(a, x)
+    assert peak <= 1.1 * x.nbytes
+
+
+def test_read_is_a_bit_exact_native_writable_array(tmp_path):
+    info = np.finfo(np.float64)
+    x = np.array([[-0.0, np.inf, -np.inf, np.nan],
+                  [5e-324, info.max, -info.max, info.tiny]])
+    path = tmp_path / "x.mat"
+    matio.write_matrix(path, x)
+    a = matio.read_matrix(path)
+    assert a.dtype == np.float64 and a.dtype.isnative
+    assert a.flags.c_contiguous and a.flags.writeable and a.flags.owndata
+    assert a.tobytes() == x.tobytes()
+    a[0, 0] = 1.0
+    assert matio.read_matrix(path)[0, 0] == 0.0
+
+
+def test_file_shorter_than_fstat_says_is_error(mat, monkeypatch):
+    # The file loses its last value after the size check: the read comes up
+    # short, and no partly filled array is returned.
+    path, _ = mat
+    path.write_bytes(path.read_bytes()[:-8])
+    real_fstat = os.fstat
+    monkeypatch.setattr(matio.os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
+    with pytest.raises(MatrixFormatError, match="payload ends after 672 of 680 bytes"):
+        matio.read_matrix(path)
+
+
+def test_unreadable_file_is_named_error(mat, monkeypatch):
+    path, _ = mat
+
+    def denied(file, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+
+    monkeypatch.setattr(matio, "open", denied, raising=False)
+    message = f"^{re.escape(str(path))}: cannot read: Permission denied$"
+    with pytest.raises(MatrixFormatError, match=message):
+        matio.read_matrix(path)
+
+
 def test_too_short_file_rejected(tmp_path):
     path = tmp_path / "short.mat"
     path.write_bytes(b"CTFMAT01")
@@ -81,6 +149,16 @@ def test_write_over_a_directory_leaves_no_temp_file(tmp_path):
     with pytest.raises(CTFBenchError, match="x.json: cannot replace"):
         matio.write_json(tmp_path / "x.json", {})
     assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+
+@pytest.mark.parametrize("parent", ["nodir", "afile"])
+def test_check_writable_names_the_path_and_leaves_nothing(tmp_path, parent):
+    (tmp_path / "afile").write_text("")
+    path = tmp_path / parent / "x.json"
+    with pytest.raises(CTFBenchError, match=f"x.json: cannot write into .*{parent}"):
+        matio.check_writable(path)
+    matio.check_writable(tmp_path / "y.json")
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def test_make_dir_below_a_file_is_named_error(tmp_path):
