@@ -219,15 +219,19 @@ def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kma
                 f"no run directories match {runs_glob!r} under {submission_dir}")
     else:
         run_dirs = [Path(submission_dir)]
-    any_violations = False
     cards = []
     for run_dir in run_dirs:
         sub = referee.load_submission(run_dir, method_name=method)
-        for violation in referee.validate_submission(sub, pack, windows):
-            any_violations = True
-            click.echo(f"warning [{sub.run_id}]: {violation}; affected scores get -100",
-                       err=True)
+        if cards and sub.method_name != cards[0].method_name:
+            raise CTFBenchError(
+                f"{run_dir}: method {sub.method_name!r} differs from the first run's "
+                f"{cards[0].method_name!r}; score one method per command, or give all runs "
+                "one name with --method")
         cards.append(referee.evaluate(sub, pack, windows))
+        if None in cards[-1].runs[0].scores.values():
+            for violation in referee.validate_submission(sub, pack, windows):
+                click.echo(f"warning [{sub.run_id}]: {violation}; affected scores get -100",
+                           err=True)
     card = referee.aggregate_runs(cards)
     referee.write_scorecard(card, out_path)
     if store is not None:
@@ -237,7 +241,7 @@ def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kma
     else:
         click.echo(_score_table(card))
         click.echo(f"scorecard written to {out_path}")
-    if any_violations:
+    if any(None in run.scores.values() for run in card.runs):
         ctx.exit(1)
 
 

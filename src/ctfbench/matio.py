@@ -13,6 +13,7 @@ and a trailing newline.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import struct
@@ -147,11 +148,15 @@ def write_csv(path: str | Path, x: np.ndarray) -> None:
 
 
 def read_csv(path: str | Path) -> np.ndarray:
-    """Read a matrix from comma-separated text."""
+    """Read a matrix from comma-separated text; an unreadable file is a MatrixFormatError."""
     try:
         a = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: malformed CSV matrix: {exc}") from exc
+    except OSError as exc:
+        # numpy raises FileNotFoundError for a missing path without an errno.
+        why = exc.strerror or os.strerror(errno.ENOENT)
+        raise MatrixFormatError(f"{path}: cannot read: {why}") from exc
     if a.size == 0:
         raise MatrixFormatError(f"{path}: empty CSV matrix")
     return a

@@ -8,6 +8,14 @@ with `read_pack(directory, names=TEST_NAMES)`, as `ctfbench score` reads
 it, is enough to validate and evaluate any submission; a submission
 missing or failing validation for a prediction receives -100 for every
 score depending on it, while the remaining scores are still computed.
+
+`evaluate_task` returns None exactly for a prediction that
+`validate_submission` names, so a card is the one record of a run's
+verdict: `ctfbench score` takes its exit status from the None scores of
+its card and calls `validate_submission` only to word the warnings of a
+run that has one. `evaluate_task` checks its truth again although
+`read_pack` has checked it, because library callers may build or change a
+pack in memory without `read_pack`.
 """
 
 from __future__ import annotations

@@ -493,6 +493,88 @@ class TestScore:
         finally:
             gc.enable()
 
+    def test_clean_run_is_not_validated_again(self, runner, cli_pack_dir, zeros_run_dir,
+                                              tmp_path, monkeypatch):
+        def validate_submission(*args):
+            pytest.fail("validated a run whose card holds every score")
+
+        monkeypatch.setattr(referee, "validate_submission", validate_submission)
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(zeros_run_dir),
+             "--out", str(tmp_path / "card.json")],
+        )
+        assert result.exit_code == 0, result.output
+
+    # sha256 of the scorecard of oracle runs run0-run2 on `cli_pack_dir`
+    # whose run1 lacks X8pred.
+    PARTIAL_RUN_SHA256 = "ed5afaea918fb2a8bd842bd20236252a6d897755144d2511c3ddcd86899e5696"
+
+    def test_warnings_name_only_the_run_that_lost_scores(self, runner, cli_pack_dir, tmp_path):
+        pack = cb.read_pack(cli_pack_dir)
+        for run_id in ("run0", "run1", "run2"):
+            referee.write_submission(oracle_submission(pack, run_id=run_id), tmp_path)
+        (tmp_path / "oracle" / "run1" / "X8pred.mat").unlink()
+        card_path = tmp_path / "card.json"
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(tmp_path / "oracle"),
+             "--runs-glob", "run*", "--out", str(card_path)],
+        )
+        assert result.exit_code == 1, result.output
+        assert result.stderr.splitlines() == [
+            "warning [run1]: X8pred: missing prediction; affected scores get -100"]
+        digest = hashlib.sha256(card_path.read_bytes()).hexdigest()
+        assert digest == self.PARTIAL_RUN_SHA256
+
+    def test_mixed_methods_are_error(self, runner, cli_pack_dir, tmp_path, monkeypatch):
+        pack = cb.read_pack(cli_pack_dir)
+        subs = tmp_path / "subs"
+        for method in ("alpha", "beta"):
+            referee.write_submission(oracle_submission(pack, method=method), subs)
+        scored = []
+        evaluate = referee.evaluate
+
+        def recording_evaluate(sub, *args):
+            scored.append(sub.method_name)
+            return evaluate(sub, *args)
+
+        monkeypatch.setattr(referee, "evaluate", recording_evaluate)
+        card_path, store = tmp_path / "card.json", tmp_path / "board.json"
+        args = ["score", "--pack", str(cli_pack_dir), "--submission", str(subs),
+                "--runs-glob", "*/run*", "--out", str(card_path), "--store", str(store)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output
+        assert "'beta' differs from the first run's 'alpha'" in result.output and "--method" in result.output
+        assert scored == ["alpha"]
+        assert not card_path.exists() and not store.exists()
+        result = runner.invoke(main, args + ["--method", "alpha_and_beta"])
+        assert result.exit_code == 0, result.output
+        assert len(referee.read_scorecard(card_path).runs) == 2
+
+    def test_unreadable_csv_prediction_is_error(self, runner, cli_pack_dir, tmp_path,
+                                                monkeypatch):
+        pack = cb.read_pack(cli_pack_dir)
+        run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
+        matio.write_csv(run_dir / "X1pred.csv", pack.test["X1test"])
+        (run_dir / "X1pred.mat").unlink()
+
+        def denied(fname, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(fname))
+
+        monkeypatch.setattr(matio.np, "loadtxt", denied)
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(run_dir),
+             "--out", str(tmp_path / "card.json")],
+        )
+        assert result.exit_code == 1, result.output
+        assert f"Error: {run_dir / 'X1pred.csv'}: cannot read: Permission denied" \
+            in result.output
+        assert isinstance(result.exception, SystemExit)
+
     # sha256 of the scorecard JSON that `score` writes on `cli_pack_dir`
     # (Lorenz seed 3) for each submission. A change to scoring, aggregation
     # or the scorecard form that moves one byte fails here.

@@ -198,6 +198,17 @@ def test_malformed_csv_rejected(tmp_path):
         matio.read_csv(path)
 
 
+@pytest.mark.parametrize("make,why", [
+    (lambda p: None, "No such file or directory"),
+    (lambda p: p.mkdir(), "Is a directory"),
+], ids=["missing", "directory"])
+def test_unreadable_csv_is_named_error(tmp_path, make, why):
+    path = tmp_path / "x.csv"
+    make(path)
+    with pytest.raises(MatrixFormatError, match=f"^{re.escape(str(path))}: cannot read: {why}$"):
+        matio.read_csv(path)
+
+
 def test_csv_bytes_equal_per_value_format(tmp_path):
     # The reference is the per-value formatting `write_csv` used before it
     # formatted whole rows: signed zero, the smallest subnormal, the largest

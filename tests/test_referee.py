@@ -8,6 +8,7 @@ import ctfbench as cb
 from conftest import oracle_submission
 from ctfbench.metrics import MetricKind, MetricWindows
 from ctfbench.referee import (
+    PREDICTION_NAMES,
     ScoreAggregate,
     ScoreCard,
     aggregate_runs,
@@ -118,6 +119,39 @@ class TestValidation:
         sub.predictions["X1pred"] = bad
         violations = validate_submission(sub, lorenz_pack)
         assert violations == ["X1pred: contains non-finite values"]
+
+
+def _poke(x, value):
+    x = x.copy()
+    x[x.shape[0] // 2, 0] = value
+    return x
+
+
+DEFECTS = {
+    "absent": None,
+    "row_short": lambda x: x[:-1],
+    "column_short": lambda x: x[:, :-1],
+    "nan": lambda x: _poke(x, np.nan),
+    "inf": lambda x: _poke(x, np.inf),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+@pytest.mark.parametrize("name", PREDICTION_NAMES)
+def test_missing_scores_are_exactly_the_named_violations(lorenz_pack, name, defect):
+    # `ctfbench score` reports violations only for a run whose card holds a
+    # None score, so `evaluate` must leave None exactly the scores of the
+    # predictions that `validate_submission` names.
+    sub = oracle_submission(lorenz_pack)
+    if DEFECTS[defect] is None:
+        del sub.predictions[name]
+    else:
+        sub.predictions[name] = DEFECTS[defect](sub.predictions[name])
+    named = {v.split(":")[0] for v in validate_submission(sub, lorenz_pack)}
+    assert named == {name}
+    scores = evaluate(sub, lorenz_pack).runs[0].scores
+    assert {sid for sid, s in scores.items() if s is None} == {
+        t.score_id for t in task_registry(lorenz_pack.dataset_id) if t.prediction_name in named}
 
 
 class TestEvaluate:
