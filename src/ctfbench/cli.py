@@ -85,6 +85,18 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
+def _datasets(board: referee.Leaderboard, dataset: str | None) -> list[str]:
+    """The datasets with entries on `board`, or only `dataset` when given.
+    A `dataset` without entries on a board that has some is an error."""
+    held = sorted(ds for ds, entries in board.datasets.items() if entries)
+    if dataset is None or not held:
+        return held
+    if dataset not in held:
+        raise CTFBenchError(f"dataset {dataset!r} has no leaderboard entries; "
+                            f"the store holds {', '.join(held)}")
+    return [dataset]
+
+
 @main.command()
 @click.option("--system", required=True, help="Dataset system: lorenz or ks.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Master seed.")
@@ -280,20 +292,19 @@ def leaderboard_add(store, card_paths, as_json):
 def leaderboard_show(store, dataset, as_json):
     """Print the rank-ordered leaderboard."""
     board = referee.load_leaderboard(store)
+    datasets = _datasets(board, dataset)
     if as_json:
+        if dataset:
+            board = referee.Leaderboard({ds: board.datasets[ds] for ds in datasets})
         _echo_json(board.to_dict())
         return
-    datasets = [dataset] if dataset else sorted(board.datasets)
-    if not datasets or all(not board.entries(ds) for ds in datasets):
+    if not datasets:
         click.echo("leaderboard is empty")
         return
     for ds in datasets:
-        entries = board.entries(ds)
-        if not entries:
-            continue
         click.echo(f"{ds}:")
         click.echo(f"  {'rank':>4}  {'composite':>18}  {'runs':>4}  method")
-        for e in entries:
+        for e in board.entries(ds):
             comp = f"{e.composite_mean:.2f} (± {e.composite_std:.2f})"
             click.echo(f"  {e.rank:>4}  {comp:>18}  {e.runs:>4}  {e.method_name}")
 
@@ -307,21 +318,19 @@ def leaderboard_show(store, dataset, as_json):
               help="Method drawn as the reference layer (radar, top3).")
 @click.option("--json", "as_json", is_flag=True)
 def report_cmd(kind, store, dataset, out_dir, baseline_method, as_json):
-    """Render leaderboard entries as charts or tables."""
+    """Render leaderboard entries as charts or tables. Every file is rendered
+    before the first is written, so a command that fails writes none."""
     board = referee.load_leaderboard(store)
-    datasets = [dataset] if dataset else sorted(board.datasets)
-    datasets = [ds for ds in datasets if board.entries(ds)]
+    datasets = _datasets(board, dataset)
     if not datasets:
         click.echo("leaderboard store is empty; nothing to report")
         return
-    out_dir = Path(out_dir)
-    make_dir(out_dir)
-    written = []
+    files: dict[str, tuple[str, str]] = {}  # file name -> (what it shows, text)
 
-    def emit(name: str, text: str) -> None:
-        path = out_dir / name
-        atomic_write_bytes(path, text.encode())
-        written.append(str(path))
+    def plan(name: str, shows: str, text: str) -> None:
+        if name in files:
+            raise CTFBenchError(f"{files[name][0]} and {shows} would both be written to {name}")
+        files[name] = shows, text
 
     for ds in datasets:
         cards = board.as_scorecards(ds)
@@ -329,18 +338,23 @@ def report_cmd(kind, store, dataset, out_dir, baseline_method, as_json):
         base_card = by_name.get(baseline_method) if baseline_method else None
         if baseline_method and base_card is None:
             raise click.ClickException(f"baseline method {baseline_method!r} not on {ds} board")
+        safe, shows = _safe_name(ds), f"dataset {ds!r}"
         if kind == "radar":
             for card in cards:
                 overlay = base_card if base_card and base_card is not card else None
-                emit(f"radar_{_safe_name(ds)}_{_safe_name(card.method_name)}.svg",
-                     report.render_radar([card], overlay))
+                plan(f"radar_{safe}_{_safe_name(card.method_name)}.svg",
+                     f"method {card.method_name!r} on {ds}", report.render_radar([card], overlay))
         elif kind == "bar":
-            emit(f"ranked_bar_{_safe_name(ds)}.svg", report.render_ranked_bar(board.entries(ds)))
+            plan(f"ranked_bar_{safe}.svg", shows, report.render_ranked_bar(board.entries(ds)))
         elif kind == "top3":
-            emit(f"top3_{_safe_name(ds)}.svg", report.render_top3(cards, base_card))
+            plan(f"top3_{safe}.svg", shows, report.render_top3(cards, base_card))
         else:
-            emit(f"scores_{_safe_name(ds)}.csv", report.export_table(cards))
-            emit(f"scores_{_safe_name(ds)}.md", report.export_table_markdown(cards))
+            plan(f"scores_{safe}.csv", shows, report.export_table(cards))
+            plan(f"scores_{safe}.md", shows, report.export_table_markdown(cards))
+    make_dir(out_dir)
+    for name, (_, text) in files.items():
+        atomic_write_bytes(out_dir / name, text.encode())
+    written = [str(out_dir / name) for name in files]
     if as_json:
         _echo_json({"written": written})
     else:

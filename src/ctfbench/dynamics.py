@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 import mmap
+import multiprocessing
 import os
 import signal
 import threading
-import traceback
 from collections.abc import Sequence
-from contextlib import suppress
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -218,10 +216,12 @@ _SPLIT_MIN_COLS = 256
 def _workers(rows: int, cols: int) -> int:
     """Processes that integrate a batch of `rows` rows of `cols` values:
     one per CPU this process may run on, never more than one per row. One
-    for rows narrower than `_SPLIT_MIN_COLS`, and while other threads run:
-    a fork copies only the calling thread, so a lock another thread holds
-    would stay locked in the worker."""
-    if cols < _SPLIT_MIN_COLS or threading.active_count() > 1:
+    for rows narrower than `_SPLIT_MIN_COLS`; while other threads run, as a
+    fork copies only the calling thread, so a lock another thread holds
+    would stay locked in the worker; and in a daemonic process, such as a
+    `multiprocessing.Pool` worker, which may not start processes of its own."""
+    if (cols < _SPLIT_MIN_COLS or threading.active_count() > 1
+            or multiprocessing.current_process().daemon):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -240,21 +240,6 @@ def _groups(lengths: Sequence[int], count: int) -> list[list[int]]:
     return [sorted(order[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
-def _exit_after(work, *args) -> NoReturn:
-    """End a forked worker process once `work(*args)` is done: exit code 0, or
-    1 after printing the traceback of any exception. Leaving only through
-    `os._exit` keeps the worker out of the caller's frames and exit
-    handlers, which belong to the parent."""
-    code = 1
-    try:
-        work(*args)
-        code = 0
-    except BaseException:  # reported by the exit code; must not unwind
-        traceback.print_exc()
-    finally:
-        os._exit(code)
-
-
 def _integrate(run, lengths: Sequence[int], cols: int,
                names: Sequence[str] | None) -> list[np.ndarray]:
     """Integrate a batch whose row b records `lengths[b]` steps of `cols`
@@ -263,11 +248,13 @@ def _integrate(run, lengths: Sequence[int], cols: int,
     `run(rows, outs)` integrates the batch rows listed in `rows` into `outs`
     and returns `_drive`'s (step, index into `rows`) or None. The rows are
     split into `_workers` groups (`_groups`). The parent integrates the
-    first into its own memory, and a forked worker each other one, straight
-    into one shared anonymous mapping. Every worker is reaped, and killed
-    first when the parent's own group raises or is interrupted. Raises the DivergenceError
-    of the earliest step over all rows (a tie goes to the lowest row), the
-    same as one batch would, and CTFBenchError when a worker fails.
+    first into its own memory, and a fork-start `multiprocessing` process
+    each other one, straight into one shared anonymous mapping (a fork
+    shares the inputs and the mapping, unpickled). Every worker is joined,
+    and killed first when the parent's own group raises or is interrupted.
+    Raises the DivergenceError of the earliest step over all rows (a tie
+    goes to the lowest row), the same as one batch would, and CTFBenchError
+    when a worker fails.
     """
     groups = _groups(lengths, _workers(len(lengths), cols))
     outs: dict[int, np.ndarray] = {}
@@ -295,36 +282,33 @@ def _integrate(run, lengths: Sequence[int], cols: int,
     def report(g: int) -> None:
         status[g] = work(g) or (0, -1)
 
-    pids = {}
+    workers = []
     try:
         # SIGINT stays blocked in the workers: an interrupt is the parent's
         # to handle, and it kills them. Blocked until the parent holds each
-        # pid, so an interrupt cannot leave a worker unreaped.
+        # worker, so an interrupt cannot leave one unjoined.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
         try:
             for g in range(1, len(groups)):
-                pid = os.fork()
-                if pid == 0:
-                    _exit_after(report, g)
-                pids[g] = pid
+                worker = multiprocessing.get_context("fork").Process(target=report, args=(g,))
+                worker.start()
+                workers.append((g, worker))
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         found = [work(0)]
-        for g in list(pids):
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[g], 0)[1])
-            del pids[g]
-            if code:
+        for g, worker in workers:
+            worker.join()
+            if worker.exitcode:
                 who = ", ".join(repr(names[r]) for r in groups[g]) if names else groups[g]
-                raise CTFBenchError(
-                    f"integration worker for trajectories {who} failed (exit status {code})"
-                )
+                raise CTFBenchError(f"integration worker for trajectories {who} failed "
+                                    f"(exit status {worker.exitcode})")
             if status[g, 1] >= 0:
                 found.append(tuple(status[g].tolist()))
     finally:
-        for pid in pids.values():
-            with suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for _, worker in workers:
+            if worker.exitcode is None:
+                worker.kill()
+                worker.join()
     found = [f for f in found if f]
     if found:
         raise _diverged(*min(found), names)

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import time
 
@@ -11,13 +12,21 @@ _CRITERIA: dict[str, tuple[str, str]] = {}
 @pytest.fixture(autouse=True)
 def no_unreaped_child():
     """Fail a test that leaves a finished child process unreaped (a zombie),
-    such as an integration worker whose parent did not wait for it."""
+    such as an integration worker whose parent did not wait for it, or a
+    `multiprocessing` child still running, which is killed and joined
+    first."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:  # no child processes at all
         return
     assert pid == 0, f"the test left child process {pid} unreaped"
+    # Only after the zombie check: active_children() reaps finished children.
+    running = multiprocessing.active_children()
+    for child in running:
+        child.kill()
+        child.join()
+    assert not running, f"the test left child processes {[c.pid for c in running]} running"
 
 
 @pytest.fixture(scope="session")

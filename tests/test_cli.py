@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -680,12 +681,43 @@ class TestLeaderboardCli:
         assert result.exit_code == 0
         assert "empty" in result.output
 
+    def test_show_unknown_dataset_is_error(self, runner, mixed_store):
+        result = runner.invoke(main, ["leaderboard", "show", "--store", str(mixed_store),
+                                      "--dataset", "PDE_KSX"])
+        assert result.exit_code == 1, result.output
+        assert "Error: dataset 'PDE_KSX'" in result.output
+        assert "ODE_Lorenz, PDE_KS" in result.output
+
+    def test_show_json_one_dataset(self, runner, mixed_store):
+        result = runner.invoke(main, ["leaderboard", "show", "--store", str(mixed_store),
+                                      "--json", "--dataset", "PDE_KS"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["format"] == "ctfbench-leaderboard/1"
+        assert list(payload["datasets"]) == ["PDE_KS"]
+        assert [e["method"] for e in payload["datasets"]["PDE_KS"]] == ["other"]
+
     def test_show_json(self, runner, store_with_cards):
         result = runner.invoke(
             main, ["leaderboard", "show", "--store", str(store_with_cards), "--json"]
         )
         payload = json.loads(result.output)
         assert payload["format"] == "ctfbench-leaderboard/1"
+
+
+@pytest.fixture()
+def mixed_store(tmp_path, zeros_run_dir, cli_pack_dir, runner):
+    """A store with methods 'my model', 'my_model' and 'base' on ODE_Lorenz
+    and 'other' on PDE_KS; the first two map to one radar file name."""
+    result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",
+                                  str(zeros_run_dir), "--out", str(tmp_path / "card.json")])
+    assert result.exit_code == 0, result.output
+    card = referee.read_scorecard(tmp_path / "card.json")
+    store = tmp_path / "board.json"
+    for method, dataset in (("my model", "ODE_Lorenz"), ("my_model", "ODE_Lorenz"),
+                            ("base", "ODE_Lorenz"), ("other", "PDE_KS")):
+        referee.update_leaderboard(store, replace(card, method_name=method, dataset_id=dataset))
+    return store
 
 
 class TestReportCli:
@@ -742,6 +774,91 @@ class TestReportCli:
         )
         assert result.exit_code == 0
         assert "empty" in result.output
+
+    # sha256 of every file that `report --baseline baseline_zeros` writes
+    # for a store of the zeros, average and oracle runs on `cli_pack_dir`,
+    # in the order of the `wrote` lines. A change to rendering, ranking or
+    # file naming that moves one byte fails here.
+    REPORT_SHA256 = {
+        "radar": {
+            "radar_ODE_Lorenz_oracle.svg":
+                "0d7bbf9011c052768f4aed34e61d91f5128879b290ec04eeb9fdcea634d4234a",
+            "radar_ODE_Lorenz_baseline_average.svg":
+                "3bd45f1edef184e1d7130bcb4b080d44cb4b545d215e1b2f006ff5f57eee2e01",
+            "radar_ODE_Lorenz_baseline_zeros.svg":
+                "82864c7bd96bb54ded369fc9328b36ae625d4336d17da54ae1ad08ec8ef4d69a",
+        },
+        "bar": {
+            "ranked_bar_ODE_Lorenz.svg":
+                "54351dc1b385c7ec77906c3b90544bd62d6bca849a2f18ab06f9b61d6fff53cb",
+        },
+        "top3": {
+            "top3_ODE_Lorenz.svg":
+                "4634d8846b0bf252d9ab7fa367f6b014bd7657a228e3b1cc09f5cf03347061ad",
+        },
+        "table": {
+            "scores_ODE_Lorenz.csv":
+                "979c9544875dc035cebd162d97c8794988528a06977174438a4c0fc4f4d0e60a",
+            "scores_ODE_Lorenz.md":
+                "0ad5014805970d3eb981bc9fe538b716f0731915e77f68e8a446a473a7da3ab8",
+        },
+    }
+
+    @pytest.fixture(scope="class")
+    def full_store(self, tmp_path_factory, cli_pack_dir, zeros_run_dir, runner):
+        work = tmp_path_factory.mktemp("report")
+        store = work / "board.json"
+        result = runner.invoke(main, ["baseline", "--kind", "average", "--pack",
+                                      str(cli_pack_dir), "--out", str(work)])
+        assert result.exit_code == 0, result.output
+        oracle_dir = referee.write_submission(
+            oracle_submission(cb.read_pack(cli_pack_dir)), work / "subs")
+        for sub_dir in (zeros_run_dir, work / "baseline_average" / "run0", oracle_dir):
+            result = runner.invoke(
+                main,
+                ["score", "--pack", str(cli_pack_dir), "--submission", str(sub_dir),
+                 "--store", str(store), "--out", str(work / "card.json")],
+            )
+            assert result.exit_code == 0, result.output
+        return store
+
+    @pytest.mark.parametrize("kind", list(REPORT_SHA256))
+    def test_report_bytes_pinned(self, runner, full_store, tmp_path, kind):
+        out = tmp_path / "reports"
+        result = runner.invoke(main, ["report", "--kind", kind, "--store", str(full_store),
+                                      "--out", str(out), "--baseline", "baseline_zeros"])
+        assert result.exit_code == 0, result.output
+        written = [line.removeprefix("wrote ") for line in result.output.splitlines()]
+        assert written == [str(out / name) for name in self.REPORT_SHA256[kind]]
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == self.REPORT_SHA256[kind]
+
+    def test_file_name_collision_is_error(self, runner, mixed_store, tmp_path):
+        out = tmp_path / "charts"
+        result = runner.invoke(main, ["report", "--kind", "radar", "--store", str(mixed_store),
+                                      "--dataset", "ODE_Lorenz", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("Error:")
+        assert "'my model'" in result.output and "'my_model'" in result.output
+        assert "radar_ODE_Lorenz_my_model.svg" in result.output
+        assert not out.exists()
+
+    def test_failed_report_writes_no_file(self, runner, mixed_store, tmp_path):
+        out = tmp_path / "charts"
+        result = runner.invoke(main, ["report", "--kind", "top3", "--store", str(mixed_store),
+                                      "--baseline", "base", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "Error: baseline method 'base' not on PDE_KS board" in result.output
+        assert not out.exists()
+
+    def test_unknown_dataset_is_error(self, runner, mixed_store, tmp_path):
+        out = tmp_path / "tables"
+        result = runner.invoke(main, ["report", "--kind", "table", "--store", str(mixed_store),
+                                      "--dataset", "PDE_KSX", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "Error: dataset 'PDE_KSX'" in result.output
+        assert "ODE_Lorenz, PDE_KS" in result.output
+        assert not out.exists()
 
     def test_unknown_baseline_rejected(self, runner, store, tmp_path):
         result = runner.invoke(

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import signal
 import threading
@@ -293,6 +294,14 @@ def lorenz_rows(lengths, spinup=30):
 SPLIT_LENGTHS = (dynamics._CHUNK + 5, 7, dynamics._CHUNK + 5, dynamics._CHUNK - 1)
 
 
+def wide_ks_pair():
+    """Two 256-point KS rows: wide enough that the batch splits."""
+    params = [KSParams(grid_points=256, viscosity=mu) for mu in (1.0, 0.8)]
+    cfgs = [SimConfig(dt=0.025, total_steps=t, spinup_steps=5, seed=s)
+            for s, t in ((1, 40), (2, 30))]
+    return dynamics._ks_batch(params, cfgs)
+
+
 class TestWorkerSplit:
     @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("batch, rows", [(dynamics._lorenz_batch, lorenz_rows),
@@ -397,6 +406,18 @@ class TestWorkerSplit:
         for p, c, row in zip(params, cfgs, rows):
             assert np.array_equal(row, integrate_ks(p, c))
 
+    def test_batch_in_pool_worker_equals_in_process(self, monkeypatch):
+        # A Pool worker is daemonic and may not start processes of its own,
+        # so there the batch integrates in that one process.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert dynamics._workers(2, 256) == 2
+        alone = wide_ks_pair()
+        with deadline(120), multiprocessing.get_context("fork").Pool(1) as pool:
+            pooled = pool.apply_async(wide_ks_pair).get(timeout=100)
+        assert [r.shape for r in pooled] == [(40, 256), (30, 256)]
+        for a, b in zip(alone, pooled):
+            assert np.array_equal(a, b)
+
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert dynamics._workers(6, 1024) == 3
@@ -411,6 +432,10 @@ class TestWorkerSplit:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
+        with monkeypatch.context() as daemonic:
+            daemonic.setattr(multiprocessing.current_process(), "daemon", True)
+            assert dynamics._workers(6, 1024) == 1
+        assert dynamics._workers(6, 1024) == 3
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assert dynamics._workers(6, 1024) == 4
