@@ -18,14 +18,17 @@ trajectory it is cut from, its row window and its noise. `MATRIX_LAYOUT`
 identical-window checks are all derived from it, and shapes and windows
 are validated on every write and read. Pack construction is a pure
 function of (system, master_seed, overrides); seeds for each stochastic
-ingredient are derived from the master seed and recorded in the manifest.
+ingredient are derived from the master seed and recorded in the manifest,
+which `read_pack` reads through `matio.read_document`: each field's type
+is checked, then `Manifest.validate`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -192,27 +195,27 @@ class Manifest:
 
     dataset_id: str
     system: str
-    format_version: str
+    format_version: Literal[FORMAT_VERSION]
     created: str
     dt: float
     spinup_steps: int
-    base_params: dict
+    base_params: dict[str, float]
     varied_param: str
     nominal_param: float
-    train_params: list
+    train_params: list[float]
     interp_param: float
     extrap_param: float
-    noise_levels: dict
-    seeds: dict
-    matrices: dict
+    noise_levels: dict[str, float]
+    seeds: dict[str, int]
+    matrices: dict[str, dict[str, int]]
+
+    to_dict = matio.encode
 
     def validate(self) -> None:
-        if self.format_version != FORMAT_VERSION:
-            raise PackValidationError(
-                f"manifest version mismatch: {self.format_version!r} != {FORMAT_VERSION!r}"
-            )
         if self.dataset_id not in DATASET_DIMS:
             raise PackValidationError(f"unknown dataset_id {self.dataset_id!r}")
+        if len(self.train_params) != 3:
+            raise PackValidationError(f"train_params: {self.train_params} is not three values")
         _check_param_ordering(tuple(self.train_params), self.interp_param, self.extrap_param)
         for label, frac in self.noise_levels.items():
             NoiseLevel(label, frac)
@@ -224,16 +227,6 @@ class Manifest:
                 raise PackValidationError(
                     f"manifest entry {name} is {entry}, expected {expected}"
                 )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Manifest":
-        try:
-            return cls(**{k: d[k] for k in cls.__dataclass_fields__})
-        except KeyError as exc:
-            raise PackValidationError(f"manifest missing field {exc}") from exc
 
 
 def _matrix_entries(cols: int) -> dict[str, dict[str, int]]:
@@ -428,11 +421,7 @@ def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> Data
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise PackValidationError(f"missing manifest: {manifest_path}")
-    manifest = Manifest.from_dict(matio.read_json(manifest_path, PackValidationError))
-    try:
-        manifest.validate()
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise PackValidationError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    manifest = matio.read_document(manifest_path, Manifest, PackValidationError)
     wanted = set(MATRIX_LAYOUT if names is None else names)
     unknown = sorted(wanted - set(MATRIX_LAYOUT))
     if unknown:

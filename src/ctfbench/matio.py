@@ -8,18 +8,23 @@ before it allocates, then reads the payload straight into the array it
 returns: one copy of the bytes. CSV files hold one time step per row
 with full-precision decimal values. JSON documents (manifests,
 scorecards, leaderboards) are written with sorted keys, a 2-space indent
-and a trailing newline.
+and a trailing newline, and never hold NaN or Infinity; `encode` and
+`decode` are the one mapping between each document and its dataclass.
 """
 
 from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import struct
 import tempfile
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import Any, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -171,8 +176,9 @@ def read_any(path: str | Path) -> np.ndarray:
 
 
 def dump_json(doc: dict) -> str:
-    """The JSON document form: sorted keys, 2-space indent, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The JSON document form: sorted keys, 2-space indent, trailing newline.
+    A NaN or infinite float raises ValueError."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path: str | Path, doc: dict) -> None:
@@ -180,13 +186,92 @@ def write_json(path: str | Path, doc: dict) -> None:
     atomic_write_bytes(path, dump_json(doc).encode())
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def read_json(path: str | Path, error: type[CTFBenchError] = CTFBenchError) -> dict:
-    """Read a JSON object; an unreadable file, invalid JSON or a top-level
-    value that is not an object raises `error`."""
+    """Read a JSON object; an unreadable file, invalid JSON (NaN and Infinity
+    included) or a top-level value that is not an object raises `error`."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_constant=_no_constant)
     except (OSError, ValueError) as exc:
         raise error(f"{path}: not a readable JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
+
+
+def encode(value: Any) -> Any:
+    """The JSON value of `value`: a dataclass becomes an object holding each field
+    under its dotted key path, `field(metadata={"key": ...})` or its name."""
+    if is_dataclass(value):
+        doc: dict = {}
+        for f in fields(value):
+            *parents, leaf = f.metadata.get("key", f.name).split(".")
+            node = doc
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[leaf] = encode(getattr(value, f.name))
+        return doc
+    if isinstance(value, dict):
+        return {k: encode(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [encode(v) for v in value]
+    return value
+
+
+def _join(at: str, key: str) -> str:
+    return f"{at}.{key}" if at else key
+
+
+def _check(value: Any, tp: type, at: str) -> None:
+    if type(value) not in ((int, float) if tp is float else (tp,)) or (
+            type(value) is float and not math.isfinite(value)):
+        raise ValueError(f"{at}: expected {tp.__name__}, got {json.dumps(value):.40}")
+
+
+def decode(tp: Any, value: Any, at: str = "") -> Any:
+    """`value`, read from JSON, as annotation `tp`: `str`, `int`, `float` (finite;
+    an integer stays one), `X | None`, `list[X]`, `dict[str, X]`, a `Literal`
+    version, or a dataclass laid out as `encode` writes it (other keys are
+    ignored) whose `validate()` then runs. A misfit is a ValueError at `at`."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Literal:
+        if value not in args:
+            raise ValueError(f"{at}: version mismatch: {value!r:.40} != {args[0]!r}")
+        return value
+    if origin is UnionType:  # X | None
+        return None if value is None else decode(args[0], value, at)
+    if not is_dataclass(tp):
+        _check(value, origin or tp, at)
+        if origin is list:
+            return [decode(args[0], v, f"{at}[{i}]") for i, v in enumerate(value)]
+        if origin is dict:
+            return {k: decode(args[1], v, _join(at, k)) for k, v in value.items()}
+        return value
+    hints, kwargs = get_type_hints(tp), {}
+    # Version fields first, so that a document of another version is named as such.
+    for f in sorted(fields(tp), key=lambda f: get_origin(hints[f.name]) is not Literal):
+        node, path = value, at
+        for part in f.metadata.get("key", f.name).split("."):
+            _check(node, dict, path)
+            if part not in node:
+                raise ValueError(f"{_join(path, part)}: missing")
+            node, path = node[part], _join(path, part)
+        kwargs[f.name] = decode(hints[f.name], node, path)
+    obj = tp(**kwargs)
+    try:
+        getattr(obj, "validate", lambda: None)()
+    except (ValueError, CTFBenchError) as exc:
+        raise ValueError(_join(at, str(exc))) from exc
+    return obj
+
+
+def read_document(path: str | Path, cls: type, error: type[CTFBenchError] = CTFBenchError):
+    """Read the JSON document at `path` as dataclass `cls`; an unreadable
+    document or a value that does not fit raises `error` naming `path`."""
+    try:
+        return decode(cls, read_json(path, error))
+    except ValueError as exc:
+        raise error(f"{path}: malformed {cls.__name__.lower()} document: {exc}") from exc

@@ -16,6 +16,11 @@ its card and calls `validate_submission` only to word the warnings of a
 run that has one. `evaluate_task` checks its truth again although
 `read_pack` has checked it, because library callers may build or change a
 pack in memory without `read_pack`.
+
+Scorecards and the store are read and written by `matio`'s codec. The rules
+that only a document read from disk must meet (score ranges, known
+datasets, exactly E1..E12) are `validate()` hooks, which only the decoder
+calls, so a card built in memory may be partial.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -189,10 +195,26 @@ def validate_submission(
     return violations
 
 
+def _check_aggregate(mean: float, std: float, key: str = "") -> None:
+    if not -100.0 <= mean <= 100.0:
+        raise ValueError(f"{key}mean: {mean} lies outside [-100, 100]")
+    if not 0.0 <= std <= 100.0:
+        raise ValueError(f"{key}std: {std} lies outside [0, 100]")
+
+
+def _check_ids(scores: dict, key: str) -> None:
+    if set(scores) != set(SCORE_IDS):
+        raise ValueError(f"{key}: must hold exactly {', '.join(SCORE_IDS)}, "
+                         f"got {', '.join(scores)}")
+
+
 @dataclass
 class ScoreAggregate:
     mean: float
     std: float
+
+    def validate(self) -> None:
+        _check_aggregate(self.mean, self.std)
 
 
 @dataclass
@@ -202,64 +224,22 @@ class RunScores:
     composite: float
 
 
-def _score_aggregates(d: dict) -> dict[str, ScoreAggregate]:
-    """Parse the aggregate `scores` of a scorecard or store entry, which must
-    hold exactly the ids E1..E12."""
-    if set(d) != set(SCORE_IDS):
-        raise ValueError(f"aggregate scores must hold exactly {', '.join(SCORE_IDS)}, "
-                         f"got {', '.join(d)}")
-    return {sid: ScoreAggregate(**v) for sid, v in d.items()}
-
-
 @dataclass
 class ScoreCard:
-    method_name: str
-    dataset_id: str
+    method_name: str = field(metadata={"key": "method"})
+    dataset_id: str = field(metadata={"key": "dataset"})
     runs: list[RunScores]
-    aggregate_scores: dict[str, ScoreAggregate]
-    aggregate_composite: ScoreAggregate
-    windows: dict
+    aggregate_scores: dict[str, ScoreAggregate] = field(metadata={"key": "aggregate.scores"})
+    aggregate_composite: ScoreAggregate = field(metadata={"key": "aggregate.composite"})
+    windows: dict[str, int]
+    format: Literal[SCORECARD_FORMAT] = SCORECARD_FORMAT
 
-    def to_dict(self) -> dict:
-        return {
-            "format": SCORECARD_FORMAT,
-            "method": self.method_name,
-            "dataset": self.dataset_id,
-            "runs": [asdict(r) for r in self.runs],
-            "aggregate": {
-                "scores": {sid: asdict(a) for sid, a in self.aggregate_scores.items()},
-                "composite": asdict(self.aggregate_composite),
-            },
-            "windows": self.windows,
-        }
+    to_dict = matio.encode
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScoreCard":
-        return cls(
-            method_name=d["method"],
-            dataset_id=d["dataset"],
-            runs=[RunScores(**r) for r in d["runs"]],
-            aggregate_scores=_score_aggregates(d["aggregate"]["scores"]),
-            aggregate_composite=ScoreAggregate(**d["aggregate"]["composite"]),
-            windows=dict(d.get("windows", {})),
-        )
-
-
-def _load_versioned(path: str | Path, fmt: str, from_dict):
-    """Read a JSON document of version `fmt` and build it with `from_dict`.
-
-    Unreadable JSON, another format string or a missing or mistyped field
-    raises CTFBenchError.
-    """
-    doc = matio.read_json(path)
-    if doc.get("format") != fmt:
-        raise CTFBenchError(f"{path}: version mismatch: {doc.get('format')!r} != {fmt!r}")
-    try:
-        return from_dict(doc)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CTFBenchError(
-            f"{path}: malformed {fmt} document ({type(exc).__name__}: {exc})"
-        ) from exc
+    def validate(self) -> None:
+        if self.dataset_id not in DATASET_DIMS:
+            raise ValueError(f"dataset: {self.dataset_id!r} is not {' or '.join(DATASET_DIMS)}")
+        _check_ids(self.aggregate_scores, "aggregate.scores")
 
 
 def write_scorecard(card: ScoreCard, path: str | Path) -> None:
@@ -267,7 +247,7 @@ def write_scorecard(card: ScoreCard, path: str | Path) -> None:
 
 
 def read_scorecard(path: str | Path) -> ScoreCard:
-    return _load_versioned(path, SCORECARD_FORMAT, ScoreCard.from_dict)
+    return matio.read_document(path, ScoreCard)
 
 
 def _check_truth(pack: DatasetPack, task: TaskSpec) -> np.ndarray:
@@ -356,16 +336,28 @@ def aggregate_runs(cards: list[ScoreCard]) -> ScoreCard:
 @dataclass
 class LeaderboardEntry:
     rank: int
-    method_name: str
-    composite_mean: float
-    composite_std: float
+    method_name: str = field(metadata={"key": "method"})
+    composite_mean: float = field(metadata={"key": "composite.mean"})
+    composite_std: float = field(metadata={"key": "composite.std"})
     scores: dict[str, ScoreAggregate]
     runs: int
+
+    def validate(self) -> None:
+        _check_aggregate(self.composite_mean, self.composite_std, "composite.")
+        _check_ids(self.scores, "scores")
 
 
 @dataclass
 class Leaderboard:
     datasets: dict[str, list[LeaderboardEntry]] = field(default_factory=dict)
+    format: Literal[LEADERBOARD_FORMAT] = LEADERBOARD_FORMAT
+
+    to_dict = matio.encode
+
+    def validate(self) -> None:
+        for dataset_id in self.datasets:
+            if dataset_id not in DATASET_DIMS:
+                raise ValueError(f"datasets: {dataset_id!r} is not {' or '.join(DATASET_DIMS)}")
 
     def entries(self, dataset_id: str) -> list[LeaderboardEntry]:
         return list(self.datasets.get(dataset_id, []))
@@ -384,48 +376,16 @@ class Leaderboard:
             for e in self.datasets.get(dataset_id, [])
         ]
 
-    def to_dict(self) -> dict:
-        return {
-            "format": LEADERBOARD_FORMAT,
-            "datasets": {
-                ds: [
-                    {
-                        "rank": e.rank,
-                        "method": e.method_name,
-                        "composite": {"mean": e.composite_mean, "std": e.composite_std},
-                        "scores": {sid: asdict(a) for sid, a in e.scores.items()},
-                        "runs": e.runs,
-                    }
-                    for e in entries
-                ]
-                for ds, entries in self.datasets.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Leaderboard":
-        board = cls()
-        for ds, entries in d.get("datasets", {}).items():
-            board.datasets[ds] = [
-                LeaderboardEntry(
-                    rank=e["rank"],
-                    method_name=e["method"],
-                    composite_mean=e["composite"]["mean"],
-                    composite_std=e["composite"]["std"],
-                    scores=_score_aggregates(e["scores"]),
-                    runs=e["runs"],
-                )
-                for e in entries
-            ]
-        return board
-
 
 def load_leaderboard(path: str | Path) -> Leaderboard:
-    """Load the leaderboard store; a missing file yields an empty board."""
+    """Load the leaderboard store; a path that does not exist yields an
+    empty board, and any other path that is not a regular file is an error."""
     path = Path(path)
-    if not path.is_file():
+    if not path.exists():
         return Leaderboard()
-    return _load_versioned(path, LEADERBOARD_FORMAT, Leaderboard.from_dict)
+    if not path.is_file():
+        raise CTFBenchError(f"{path}: the leaderboard store is not a regular file")
+    return matio.read_document(path, Leaderboard)
 
 
 def save_leaderboard(board: Leaderboard, path: str | Path) -> None:

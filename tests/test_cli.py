@@ -605,6 +605,19 @@ class TestScore:
         digest = hashlib.sha256(card_path.read_bytes()).hexdigest()
         assert digest == self.SCORECARD_SHA256[kind]
 
+    @pytest.mark.parametrize("kind", sorted(SCORECARD_SHA256))
+    def test_scorecard_round_trips_bytes(self, runner, cli_pack_dir, tmp_path, kind):
+        pack = cb.read_pack(cli_pack_dir)
+        sub = oracle_submission(pack) if kind == "oracle" else cb.make_submission(kind, pack)
+        run_dir = referee.write_submission(sub, tmp_path)
+        card_path = tmp_path / "card.json"
+        result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",
+                                      str(run_dir), "--out", str(card_path)])
+        assert result.exit_code == 0, result.output
+        data = card_path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.SCORECARD_SHA256[kind]
+        assert matio.dump_json(referee.read_scorecard(card_path).to_dict()).encode() == data
+
     def test_store_updated_when_given(self, runner, cli_pack_dir, zeros_run_dir, tmp_path):
         store = tmp_path / "board.json"
         result = runner.invoke(
@@ -718,6 +731,12 @@ def mixed_store(tmp_path, zeros_run_dir, cli_pack_dir, runner):
                             ("base", "ODE_Lorenz"), ("other", "PDE_KS")):
         referee.update_leaderboard(store, replace(card, method_name=method, dataset_id=dataset))
     return store
+
+
+def test_store_round_trips_bytes(mixed_store):
+    board = referee.load_leaderboard(mixed_store)
+    assert sorted(board.datasets) == ["ODE_Lorenz", "PDE_KS"]
+    assert matio.dump_json(board.to_dict()).encode() == mixed_store.read_bytes()
 
 
 class TestReportCli:
@@ -902,6 +921,17 @@ class TestBrokenStore:
         result = runner.invoke(main, [*argv, "--store", str(store)])
         assert result.exit_code == 1, result.output
         assert "Error:" in result.output and "board.json" in result.output
+
+    @pytest.mark.parametrize("command", [
+        lambda out: ["leaderboard", "show"],
+        lambda out: ["report", "--kind", "table", "--out", str(out)],
+    ], ids=["show", "report"])
+    def test_directory_store_is_error(self, runner, tmp_path, command):
+        store = tmp_path / "board.json"
+        store.mkdir()
+        result = runner.invoke(main, [*command(tmp_path / "charts"), "--store", str(store)])
+        assert result.exit_code == 1, result.output
+        assert f"Error: {store}: the leaderboard store is not a regular file" in result.output
 
     def test_card_missing_scores_is_error(self, runner, card_path, tmp_path):
         doc = json.loads(card_path.read_text())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ctfbench as cb
-from ctfbench import datagen
+from ctfbench import datagen, matio
 from ctfbench.dynamics import LorenzParams, SimConfig, integrate_lorenz
 from ctfbench.exceptions import MatrixFormatError, PackValidationError
 
@@ -437,6 +437,20 @@ MATRIX_SHA256 = {
         "X9test": "bc6230b1187c0d346c87427334d6747a46775f36020f1ffe4ee24384b5be86e9",
     },
 }
+
+
+@pytest.mark.parametrize("system", ["lorenz", "ks"])
+def test_manifest_round_trips_bytes(request, tmp_path, system):
+    pack = request.getfixturevalue(f"{system}_pack")
+    path = tmp_path / "manifest.json"
+    matio.write_json(path, pack.manifest.to_dict())
+    manifest = matio.read_document(path, datagen.Manifest)
+    assert matio.dump_json(manifest.to_dict()).encode() == path.read_bytes()
+    # Seeds above 2**53 would not survive a trip through float.
+    assert manifest.seeds == pack.manifest.seeds and max(manifest.seeds.values()) > 2**53
+    if system == "ks":
+        assert type(manifest.base_params["grid_points"]) is int
+        assert '"grid_points": 1024\n' in path.read_text()
 
 
 @pytest.mark.parametrize("system", ["lorenz", "ks"])

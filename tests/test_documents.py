@@ -1,0 +1,183 @@
+"""Malformed manifests, scorecards and leaderboard stores: every command that
+reads one exits 0, or exits 1 with `Error:`, and never ends in a traceback."""
+
+import copy
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ctfbench as cb
+from ctfbench import referee
+from ctfbench.cli import main
+
+
+@pytest.fixture(scope="module")
+def runner():
+    return CliRunner()
+
+
+@pytest.fixture(scope="module")
+def docs(tmp_path_factory, lorenz_pack, lorenz_pack_dir):
+    """A Lorenz pack, a zeros submission, its scorecard and a store holding it."""
+    work = tmp_path_factory.mktemp("documents")
+    sub = cb.make_submission("zeros", lorenz_pack)
+    run_dir = referee.write_submission(sub, work / "subs")
+    card = work / "card.json"
+    referee.write_scorecard(referee.evaluate(sub, lorenz_pack), card)
+    store = work / "board.json"
+    referee.update_leaderboard(store, referee.read_scorecard(card))
+    return {"pack": lorenz_pack_dir, "run": run_dir, "card": card, "store": store}
+
+
+def _invoke(runner, argv):
+    result = runner.invoke(main, [str(a) for a in argv])
+    assert isinstance(result.exception, (SystemExit, type(None))), result.exception
+    assert result.exit_code == 0 or (result.exit_code == 1 and "Error:" in result.output), \
+        result.output
+    return result
+
+
+def _pack_with(docs, manifest: dict, directory: Path) -> Path:
+    """`directory` as a pack: `manifest` beside links to the pack's matrices."""
+    directory.mkdir()
+    for mat in docs["pack"].glob("*.mat"):
+        os.symlink(mat, directory / mat.name)
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    return directory
+
+
+def _manifest_commands(docs, pack, work):
+    return [["score", "--pack", pack, "--submission", docs["run"], "--out", work / "card.json"],
+            ["baseline", "--kind", "zeros", "--pack", pack, "--out", work / "subs"]]
+
+
+def _store_commands(store, card, work):
+    reports = [["report", "--kind", kind, "--store", store, "--out", work / kind]
+               for kind in ("bar", "radar", "table")]
+    return [["leaderboard", "show", "--store", store],
+            ["leaderboard", "show", "--json", "--store", store], *reports,
+            ["leaderboard", "add", "--store", store, "--card", card]]
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _paths(node, prefix=()):
+    """The key path of every value below the top of a JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["ODE_Lorenz", "PDE_KS", "ctfbench-scorecard/1", 100, -100.0, 1e9]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _document(docs, name):
+    path = docs["pack"] / "manifest.json" if name == "manifest" else docs[name]
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("name", ["manifest", "card", "store"])
+def test_any_field_replaced_never_tracebacks(runner, docs, name):
+    doc = _document(docs, name)
+
+    @given(path=st.sampled_from(list(_paths(doc))), value=JSON_VALUES)
+    @settings(max_examples=100, deadline=None)
+    def check(path, value):
+        edited = _replaced(doc, path, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            if name == "manifest":
+                commands = _manifest_commands(docs, _pack_with(docs, edited, work / "pack"), work)
+            elif name == "card":
+                card = work / "card.json"
+                card.write_text(json.dumps(edited))
+                commands = _store_commands(work / "board.json", card, work)
+                commands.insert(0, commands.pop())  # add the card first
+            else:
+                store = work / "board.json"
+                store.write_text(json.dumps(edited))
+                commands = _store_commands(store, docs["card"], work)
+            for argv in commands:
+                _invoke(runner, argv)
+
+    check()
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+    return lambda doc: _replaced(doc, path, value)
+
+
+@pytest.mark.parametrize("edit", [
+    _set("aggregate", "composite", "mean", "abc"),
+    _set("aggregate", "composite", "mean", None),
+    _set("aggregate", "scores", "E1", "mean", None),
+    _set("method", 5),
+    _set("aggregate", "scores", "E1", "mean", float("nan")),
+    _set("aggregate", "scores", "E1", "mean", 1e9),
+    _set("aggregate", "scores", "E1", "std", -5),
+    _set("dataset", "FOO"),
+], ids=["composite-abc", "composite-null", "E1-null", "method-5", "E1-nan", "E1-1e9",
+        "std-negative", "dataset-FOO"])
+def test_malformed_card_is_not_stored(runner, docs, tmp_path, edit):
+    card, store = tmp_path / "card.json", tmp_path / "board.json"
+    card.write_text(json.dumps(edit(_document(docs, "card"))))
+    result = _invoke(runner, ["leaderboard", "add", "--store", store, "--card", card])
+    assert result.exit_code == 1 and str(card) in result.output
+    assert not store.exists()
+
+
+def test_overflowed_float_is_not_stored(runner, docs, tmp_path):
+    card, store = tmp_path / "card.json", tmp_path / "board.json"
+    text = json.dumps(_set("aggregate", "scores", "E1", "mean", 12.345)(_document(docs, "card")))
+    card.write_text(text.replace("12.345", "1e999"))
+    result = _invoke(runner, ["leaderboard", "add", "--store", store, "--card", card])
+    assert result.exit_code == 1
+    assert "aggregate.scores.E1.mean: expected float, got Infinity" in result.output
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    _set("datasets", "ODE_Lorenz", 0, "runs", None),
+    _set("datasets", "ODE_Lorenz", 0, "method", [1]),
+    _set("datasets", "ODE_Lorenz", 0, "composite", "mean", float("nan")),
+], ids=["runs-null", "method-list", "composite-nan"])
+def test_malformed_store_is_error(runner, docs, tmp_path, edit):
+    store = tmp_path / "board.json"
+    store.write_text(json.dumps(edit(_document(docs, "store"))))
+    for argv in _store_commands(store, docs["card"], tmp_path):
+        result = _invoke(runner, argv)
+        assert result.exit_code == 1 and str(store) in result.output, argv
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dt", "fast"), ("seeds", None), ("spinup_steps", "x"), ("base_params", 3), ("created", 5),
+    ("train_params", []),
+])
+def test_mistyped_manifest_is_error(runner, docs, tmp_path, key, value):
+    pack = _pack_with(docs, {**_document(docs, "manifest"), key: value}, tmp_path / "pack")
+    for argv in _manifest_commands(docs, pack, tmp_path):
+        result = _invoke(runner, argv)
+        assert result.exit_code == 1, argv
+        assert f"{pack / 'manifest.json'}: malformed manifest document: {key}: " in result.output

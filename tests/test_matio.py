@@ -221,3 +221,16 @@ def test_csv_bytes_equal_per_value_format(tmp_path):
     matio.write_csv(path, x)
     expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in x)
     assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_dump_json_refuses_nan():
+    with pytest.raises(ValueError):
+        matio.dump_json({"x": float("nan")})
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_refuses_non_finite_constants(tmp_path, constant):
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"x": {constant}}}')
+    with pytest.raises(CTFBenchError, match="not a readable JSON document"):
+        matio.read_json(path)
