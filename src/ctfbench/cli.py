@@ -99,7 +99,8 @@ def _datasets(board: referee.Leaderboard, dataset: str | None) -> list[str]:
 
 @main.command()
 @click.option("--system", required=True, help="Dataset system: lorenz or ks.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Master seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Master seed.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None)
 @click.option("--data-root", envvar="CTF_DATA_ROOT", type=click.Path(path_type=Path), default=None)
 @click.option("--dt", type=float, default=None, help="Integrator time step override.")
@@ -115,15 +116,6 @@ def _datasets(board: referee.Leaderboard, dataset: str | None) -> list[str]:
 def generate(system, seed, out_dir, data_root, dt, spinup, noise_medium, noise_high,
              train_params, interp, extrap, timestamp, with_csv, as_json):
     """Generate a dataset pack and write it to disk."""
-    if system not in datagen.SYSTEMS:
-        raise click.ClickException(
-            f"unsupported dataset {system!r}: supported systems are "
-            + ", ".join(sorted(datagen.SYSTEMS))
-        )
-    if out_dir is None:
-        if data_root is None:
-            raise click.ClickException("either --out or CTF_DATA_ROOT/--data-root is required")
-        out_dir = data_root / datagen.SYSTEMS[system]
     overrides = {}
     for key, value in (
         ("dt", dt),
@@ -141,11 +133,16 @@ def generate(system, seed, out_dir, data_root, dt, spinup, noise_medium, noise_h
             overrides["train_params"] = tuple(float(v) for v in train_params.split(","))
         except ValueError:
             raise click.ClickException(f"cannot parse --train-params {train_params!r}")
-    make_dir(out_dir)
     try:
-        pack = datagen.build_pack(system, seed, overrides)
+        datagen.resolve_config(system, overrides)
     except ValueError as exc:
         raise click.ClickException(str(exc))
+    if out_dir is None:
+        if data_root is None:
+            raise click.ClickException("either --out or CTF_DATA_ROOT/--data-root is required")
+        out_dir = data_root / datagen.SYSTEMS[system]
+    make_dir(out_dir)
+    pack = datagen.build_pack(system, seed, overrides)
     datagen.write_pack(pack, out_dir)
     if with_csv:
         datagen.export_pack_csv(pack, out_dir)

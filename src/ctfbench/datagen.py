@@ -20,7 +20,9 @@ are validated on every write and read. Pack construction is a pure
 function of (system, master_seed, overrides); seeds for each stochastic
 ingredient are derived from the master seed and recorded in the manifest,
 which `read_pack` reads through `matio.read_document`: each field's type
-is checked, then `Manifest.validate`.
+is checked, then `Manifest.validate` passes it exactly when it is the
+manifest `build_pack` writes for the settings and master seed it records.
+`PackConfig` holds the one set of rules for those settings.
 """
 
 from __future__ import annotations
@@ -118,9 +120,24 @@ class NoiseLevel:
             raise ValueError("sigma_fraction must lie in (0, 1)")
 
 
+#: Per-system base parameters; the remaining parameter (Lorenz rho / KS
+#: viscosity) is the one varied across the parametric trajectories.
+_BASE_PARAMS = {
+    "lorenz": {"sigma": 10.0, "beta": 8.0 / 3.0},
+    "ks": {"domain_length": 32.0 * np.pi, "grid_points": 1024},
+}
+_VARIED_PARAM = {"lorenz": "rho", "ks": "viscosity"}
+
+
+def _params(system: str, value: float) -> LorenzParams | KSParams:
+    """The system's parameters with its varied parameter at `value`."""
+    make = {"lorenz": LorenzParams, "ks": KSParams}[system]
+    return make(**_BASE_PARAMS[system], **{_VARIED_PARAM[system]: value})
+
+
 @dataclass(frozen=True)
 class PackConfig:
-    """Resolved generation settings for one pack."""
+    """Resolved generation settings for one pack; the one place their rules live."""
 
     system: str
     dt: float
@@ -135,28 +152,33 @@ class PackConfig:
 
     def __post_init__(self):
         if self.system not in SYSTEMS:
-            raise ValueError(f"unsupported dataset system {self.system!r}")
+            raise ValueError(f"system: unsupported dataset system {self.system!r}")
         if not self.dt > 0:
-            raise ValueError("dt must be positive")
+            raise ValueError("dt: must be positive")
         if self.spinup_steps < 0:
-            raise ValueError("spinup_steps must be >= 0")
+            raise ValueError("spinup_steps: must be >= 0")
         if len(self.train_params) != 3:
             raise ValueError(
-                f"train_params must hold exactly three values, got {len(self.train_params)}"
+                f"train_params: must hold exactly three values, got {len(self.train_params)}"
             )
-        _check_param_ordering(self.train_params, self.interp_param, self.extrap_param)
-
-
-def _check_param_ordering(train: tuple[float, ...], interp: float, extrap: float) -> None:
-    lo, hi = min(train), max(train)
-    if not lo < interp < hi:
-        raise PackValidationError(
-            f"interpolation parameter {interp} must lie strictly inside ({lo}, {hi})"
-        )
-    if lo <= extrap <= hi:
-        raise PackValidationError(
-            f"extrapolation parameter {extrap} must lie strictly outside [{lo}, {hi}]"
-        )
+        lo, hi = min(self.train_params), max(self.train_params)
+        if not lo < self.interp_param < hi:
+            raise PackValidationError(f"interp_param: interpolation parameter "
+                                      f"{self.interp_param} must lie inside ({lo}, {hi})")
+        if lo <= self.extrap_param <= hi:
+            raise PackValidationError(f"extrap_param: extrapolation parameter "
+                                      f"{self.extrap_param} must lie outside [{lo}, {hi}]")
+        for label in ("medium", "high"):
+            try:
+                NoiseLevel(label, getattr(self, f"noise_{label}"))
+            except ValueError as exc:
+                raise ValueError(f"noise_{label}: {exc}") from exc
+        for name in ("nominal_param", "train_params", "interp_param", "extrap_param"):
+            for value in np.ravel(getattr(self, name)):
+                try:
+                    _params(self.system, value)
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from exc
 
 
 _DEFAULTS = {
@@ -179,14 +201,6 @@ _DEFAULTS = {
         extrap_param=1.30,
     ),
 }
-
-#: Per-system base parameters; the remaining parameter (Lorenz rho / KS
-#: viscosity) is the one varied across the parametric trajectories.
-_BASE_PARAMS = {
-    "lorenz": {"sigma": 10.0, "beta": 8.0 / 3.0},
-    "ks": {"domain_length": 32.0 * np.pi, "grid_points": 1024},
-}
-_VARIED_PARAM = {"lorenz": "rho", "ks": "viscosity"}
 
 
 @dataclass
@@ -212,29 +226,22 @@ class Manifest:
     to_dict = matio.encode
 
     def validate(self) -> None:
-        if self.dataset_id not in DATASET_DIMS:
-            raise PackValidationError(f"unknown dataset_id {self.dataset_id!r}")
-        if len(self.train_params) != 3:
-            raise PackValidationError(f"train_params: {self.train_params} is not three values")
-        _check_param_ordering(tuple(self.train_params), self.interp_param, self.extrap_param)
-        for label, frac in self.noise_levels.items():
-            NoiseLevel(label, frac)
-        for name, expected in _matrix_entries(DATASET_DIMS[self.dataset_id]).items():
-            entry = self.matrices.get(name)
-            if entry is None:
-                raise PackValidationError(f"manifest missing matrix entry {name}")
-            if entry != expected:
-                raise PackValidationError(
-                    f"manifest entry {name} is {entry}, expected {expected}"
-                )
-
-
-def _matrix_entries(cols: int) -> dict[str, dict[str, int]]:
-    """The manifest's `matrices` entries for a dataset with `cols` columns."""
-    return {
-        name: {"rows": rows, "cols": cols, "start": start, "end": end}
-        for name, (rows, start, end) in MATRIX_LAYOUT.items()
-    }
+        """Pass exactly when `build_pack` writes this for its settings and master seed."""
+        for name, key in ("seeds", "master"), ("noise_levels", "medium"), ("noise_levels", "high"):
+            if key not in getattr(self, name):
+                raise PackValidationError(f"{name}: missing {key!r}")
+        try:
+            cfg = PackConfig(self.system, self.dt, self.spinup_steps, self.nominal_param,
+                             tuple(self.train_params), self.interp_param, self.extrap_param,
+                             self.noise_levels["medium"], self.noise_levels["high"], self.created)
+            expected = _manifest(cfg, self.seeds["master"])
+        except ValueError as exc:
+            raise PackValidationError(str(exc)) from exc
+        for f in fields(self):
+            got, want = getattr(self, f.name), getattr(expected, f.name)
+            if got != want:
+                raise PackValidationError(f"{f.name}: {str(got):.60} is not {str(want):.60}, "
+                                          f"which these settings and master seed give")
 
 
 @dataclass
@@ -255,6 +262,8 @@ class DatasetPack:
 
 def derive_seeds(master_seed: int) -> dict[str, int]:
     """Derive the named component seeds from the master seed."""
+    if master_seed < 0:
+        raise ValueError(f"seeds.master: must be >= 0, got {master_seed}")
     state = np.random.SeedSequence(master_seed).generate_state(len(_SEED_NAMES), np.uint64)
     seeds = {name: int(s) for name, s in zip(_SEED_NAMES, state)}
     seeds["master"] = int(master_seed)
@@ -274,10 +283,8 @@ def add_noise(x: np.ndarray, level: NoiseLevel, seed: int) -> np.ndarray:
 def _simulate(cfg: PackConfig, values: dict[str, float], seeds: dict[str, int]) -> dict:
     """Integrate the trajectory of each seed name in `values` at its varied
     parameter value, all in one batch, each for the largest `end` cut from it."""
-    base, varied = _BASE_PARAMS[cfg.system], _VARIED_PARAM[cfg.system]
-    make, integrate = {"lorenz": (LorenzParams, _lorenz_batch),
-                       "ks": (KSParams, _ks_batch)}[cfg.system]
-    params = [make(**base, **{varied: value}) for value in values.values()]
+    integrate = {"lorenz": _lorenz_batch, "ks": _ks_batch}[cfg.system]
+    params = [_params(cfg.system, value) for value in values.values()]
     sims = [
         SimConfig(
             dt=cfg.dt,
@@ -293,7 +300,7 @@ def _simulate(cfg: PackConfig, values: dict[str, float], seeds: dict[str, int]) 
 def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
     """Apply overrides to the per-system default configuration."""
     if system not in _DEFAULTS:
-        raise ValueError(f"unsupported dataset system {system!r} (expected 'lorenz' or 'ks')")
+        raise ValueError(f"system: unsupported dataset system {system!r}; use lorenz or ks")
     cfg = _DEFAULTS[system]
     if not overrides:
         return cfg
@@ -309,9 +316,8 @@ def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
 def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> DatasetPack:
     """Generate a complete dataset pack. Deterministic in all arguments."""
     cfg = resolve_config(system, overrides)
-    seeds = derive_seeds(master_seed)
-    noise_levels = {"medium": cfg.noise_medium, "high": cfg.noise_high}
-    levels = {label: NoiseLevel(label, frac) for label, frac in noise_levels.items()}
+    manifest = _manifest(cfg, master_seed)
+    levels = {label: NoiseLevel(label, frac) for label, frac in manifest.noise_levels.items()}
     values = {
         "trajectory": cfg.nominal_param,
         "param_a": cfg.train_params[0],
@@ -320,36 +326,42 @@ def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> 
         "interpolation": cfg.interp_param,
         "extrapolation": cfg.extrap_param,
     }
-    runs = _simulate(cfg, values, seeds)
+    runs = _simulate(cfg, values, manifest.seeds)
     mats = {}
     for name, (traj, start, end, noise) in _SOURCES.items():
         x = runs[traj][start:end]
         if noise is not None:
             label, seed_name = noise
-            x = add_noise(x, levels[label], seeds[seed_name])
+            x = add_noise(x, levels[label], manifest.seeds[seed_name])
         mats[name] = x
+    # Valid as built: `_SOURCES` fixes the shapes and windows, and the
+    # integrators raise on a non-finite row. `write_pack` validates anyway.
+    return _assemble(mats, manifest)
 
-    dataset_id = SYSTEMS[system]
-    manifest = Manifest(
+
+def _manifest(cfg: PackConfig, master_seed: int) -> Manifest:
+    """The manifest of the pack that `cfg` and `master_seed` generate."""
+    dataset_id = SYSTEMS[cfg.system]
+    return Manifest(
         dataset_id=dataset_id,
-        system=system,
+        system=cfg.system,
         format_version=FORMAT_VERSION,
         created=cfg.created,
         dt=cfg.dt,
         spinup_steps=cfg.spinup_steps,
-        base_params=dict(_BASE_PARAMS[system]),
-        varied_param=_VARIED_PARAM[system],
+        base_params=dict(_BASE_PARAMS[cfg.system]),
+        varied_param=_VARIED_PARAM[cfg.system],
         nominal_param=cfg.nominal_param,
         train_params=list(cfg.train_params),
         interp_param=cfg.interp_param,
         extrap_param=cfg.extrap_param,
-        noise_levels=noise_levels,
-        seeds=seeds,
-        matrices=_matrix_entries(DATASET_DIMS[dataset_id]),
+        noise_levels={"medium": cfg.noise_medium, "high": cfg.noise_high},
+        seeds=derive_seeds(master_seed),
+        matrices={
+            name: {"rows": rows, "cols": DATASET_DIMS[dataset_id], "start": start, "end": end}
+            for name, (rows, start, end) in MATRIX_LAYOUT.items()
+        },
     )
-    # Valid as built: `_SOURCES` fixes the shapes and windows, and the
-    # integrators raise on a non-finite row. `write_pack` validates anyway.
-    return _assemble(mats, manifest)
 
 
 def _assemble(mats: dict[str, np.ndarray], manifest: Manifest) -> DatasetPack:

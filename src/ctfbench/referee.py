@@ -345,6 +345,13 @@ class LeaderboardEntry:
     def validate(self) -> None:
         _check_aggregate(self.composite_mean, self.composite_std, "composite.")
         _check_ids(self.scores, "scores")
+        if self.runs < 0:
+            raise ValueError(f"runs: {self.runs} is negative")
+
+
+def _ranked(entries: list[LeaderboardEntry]) -> list[LeaderboardEntry]:
+    """`entries` in board order: composite mean descending, ties broken by method name."""
+    return sorted(entries, key=lambda e: (-e.composite_mean, e.method_name))
 
 
 @dataclass
@@ -355,9 +362,18 @@ class Leaderboard:
     to_dict = matio.encode
 
     def validate(self) -> None:
-        for dataset_id in self.datasets:
+        for dataset_id, entries in self.datasets.items():
             if dataset_id not in DATASET_DIMS:
                 raise ValueError(f"datasets: {dataset_id!r} is not {' or '.join(DATASET_DIMS)}")
+            methods = [e.method_name for e in entries]
+            for method in methods:
+                if methods.count(method) > 1:
+                    raise ValueError(f"datasets.{dataset_id}: method {method!r} is listed twice")
+            if methods != [e.method_name for e in _ranked(entries)]:
+                raise ValueError(f"datasets.{dataset_id}: entries are not in board order "
+                                 f"(composite mean descending, then method name)")
+            if [e.rank for e in entries] != list(range(1, len(entries) + 1)):
+                raise ValueError(f"datasets.{dataset_id}: ranks are not 1..{len(entries)}")
 
     def entries(self, dataset_id: str) -> list[LeaderboardEntry]:
         return list(self.datasets.get(dataset_id, []))
@@ -435,7 +451,7 @@ def update_leaderboard(store: str | Path, card: ScoreCard) -> Leaderboard:
                 runs=len(card.runs),
             )
         )
-        entries.sort(key=lambda e: (-e.composite_mean, e.method_name))
+        entries = _ranked(entries)
         for i, e in enumerate(entries):
             e.rank = i + 1
         board.datasets[card.dataset_id] = entries

@@ -111,6 +111,40 @@ class TestGenerate:
         assert result.exit_code == 1, result.output
         assert f"Error: {out}: cannot create directory" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["--system", "lorenz", "--dt", "-1"],
+        ["--system", "lorenz", "--noise-high", "1.5"],
+        ["--system", "ks", "--extrap", "-0.5"],
+        ["--system", "lorenz", "--seed", "-1"],
+    ], ids=["dt", "noise-high", "ks-viscosity", "seed"])
+    def test_invalid_setting_creates_nothing(self, runner, tmp_path, args):
+        out = tmp_path / "p"
+        result = runner.invoke(main, ["generate", *args, "--out", str(out)])
+        assert result.exit_code in (1, 2) and "Error:" in result.output, result.output
+        assert not out.exists()
+
+    def test_manifest_settings_rebuild_the_pack(self, runner, tmp_path):
+        out = tmp_path / "p"
+        result = runner.invoke(main, [
+            "generate", "--system", "lorenz", "--seed", "12", "--out", str(out),
+            "--dt", "0.005", "--spinup", "500", "--noise-high", "0.3",
+            "--train-params", "25,28,31", "--timestamp", "2026-10-18T00:00:00Z"])
+        assert result.exit_code == 0, result.output
+        m = cb.read_pack(out, names=()).manifest
+        settings = {name: getattr(m, name) for name in (
+            "dt", "spinup_steps", "nominal_param", "train_params", "interp_param",
+            "extrap_param", "created")}
+        rebuilt = datagen.build_pack(m.system, m.seeds["master"], {
+            **settings, "noise_medium": m.noise_levels["medium"],
+            "noise_high": m.noise_levels["high"]})
+        assert matio.dump_json(rebuilt.manifest.to_dict()) == (out / "manifest.json").read_text()
+        mats = {**rebuilt.train, **rebuilt.test}
+        assert len(mats) == 19
+        for name, x in mats.items():
+            written = matio.read_matrix(out / f"{name}.mat")
+            assert hashlib.sha256(x.tobytes()).digest() == \
+                hashlib.sha256(written.tobytes()).digest(), name
+
     def test_out_or_data_root_required(self, runner):
         result = runner.invoke(main, ["generate", "--system", "lorenz"])
         assert result.exit_code != 0

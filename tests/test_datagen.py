@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,6 +273,14 @@ def test_tampered_manifest_fails_validation(lorenz_pack, tmp_path):
         cb.read_pack(directory)
 
 
+def test_invalid_manifest_in_memory_is_pack_validation_error(lorenz_pack):
+    bad = replace(lorenz_pack.manifest, noise_levels={"medium": 1.5, "high": 0.25})
+    with pytest.raises(PackValidationError, match="noise_medium: "):
+        bad.validate()
+    with pytest.raises(PackValidationError, match="noise_medium: "):
+        datagen.validate_pack(replace(lorenz_pack, manifest=bad))
+
+
 def test_version_mismatch_fails_read(lorenz_pack, tmp_path):
     directory = tmp_path / "pack"
     cb.write_pack(lorenz_pack, directory)
@@ -372,6 +381,15 @@ class TestConfig:
     def test_train_params_need_exactly_three(self, values):
         with pytest.raises(ValueError, match="exactly three"):
             cb.build_pack("lorenz", 0, {"train_params": values})
+
+    @pytest.mark.parametrize("system,overrides,why", [
+        ("lorenz", {"dt": -1.0}, "dt: must be positive"),
+        ("lorenz", {"noise_high": 1.5}, "noise_high: "),
+        ("ks", {"extrap_param": -0.5}, "extrap_param: viscosity must be positive"),
+    ], ids=["dt", "noise-high", "ks-viscosity"])
+    def test_setting_fault_names_its_field(self, system, overrides, why):
+        with pytest.raises(ValueError, match=why):
+            datagen.resolve_config(system, overrides)
 
     def test_ks_defaults(self):
         cfg = datagen.resolve_config("ks")

@@ -158,26 +158,52 @@ def test_overflowed_float_is_not_stored(runner, docs, tmp_path):
     assert not store.exists()
 
 
-@pytest.mark.parametrize("edit", [
-    _set("datasets", "ODE_Lorenz", 0, "runs", None),
-    _set("datasets", "ODE_Lorenz", 0, "method", [1]),
-    _set("datasets", "ODE_Lorenz", 0, "composite", "mean", float("nan")),
-], ids=["runs-null", "method-list", "composite-nan"])
-def test_malformed_store_is_error(runner, docs, tmp_path, edit):
+def _second_entry(**changes):
+    """An edit appending a copy of the store's entry, changed by `changes`."""
+    def edit(doc):
+        doc = copy.deepcopy(doc)
+        entries = doc["datasets"]["ODE_Lorenz"]
+        entries.append({**entries[0], **changes})
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit,why", [
+    (_set("datasets", "ODE_Lorenz", 0, "runs", None), "runs: expected int"),
+    (_set("datasets", "ODE_Lorenz", 0, "method", [1]), "method: expected str"),
+    (_set("datasets", "ODE_Lorenz", 0, "composite", "mean", float("nan")),
+     "not a readable JSON document"),
+    (_set("datasets", "ODE_Lorenz", 0, "runs", -3), "runs: -3 is negative"),
+    (_set("datasets", "ODE_Lorenz", 0, "rank", 7), "ODE_Lorenz: ranks are not 1..1"),
+    (_second_entry(method="baseline_average", rank=2, composite={"mean": 50.0, "std": 0.0}),
+     "ODE_Lorenz: entries are not in board order"),
+    (_second_entry(rank=2), "ODE_Lorenz: method 'baseline_zeros' is listed twice"),
+], ids=["runs-null", "method-list", "composite-nan", "runs-negative", "rank-7",
+        "out-of-order", "method-twice"])
+def test_malformed_store_is_error(runner, docs, tmp_path, edit, why):
     store = tmp_path / "board.json"
     store.write_text(json.dumps(edit(_document(docs, "store"))))
     for argv in _store_commands(store, docs["card"], tmp_path):
         result = _invoke(runner, argv)
         assert result.exit_code == 1 and str(store) in result.output, argv
+        assert why in result.output, argv
 
 
 @pytest.mark.parametrize("key,value", [
     ("dt", "fast"), ("seeds", None), ("spinup_steps", "x"), ("base_params", 3), ("created", 5),
     ("train_params", []),
+    # Well-typed values that no longer describe how to regenerate the pack.
+    ("dt", -3.0), ("spinup_steps", -5), ("seeds", {}), ("seeds", {"master": 1}),
+    ("system", "ks"), ("base_params", {"sigma": 11.0, "beta": 8.0 / 3.0}),
+    ("varied_param", "viscosity"), ("noise_levels", {"medium": 0.05}),
 ])
 def test_mistyped_manifest_is_error(runner, docs, tmp_path, key, value):
     pack = _pack_with(docs, {**_document(docs, "manifest"), key: value}, tmp_path / "pack")
+    # A Lorenz manifest that says "ks" is valid KS settings, which rebuild a
+    # manifest with another dataset_id: that is the first field to differ.
+    named = {"system": "dataset_id"}.get(key, key)
     for argv in _manifest_commands(docs, pack, tmp_path):
         result = _invoke(runner, argv)
         assert result.exit_code == 1, argv
-        assert f"{pack / 'manifest.json'}: malformed manifest document: {key}: " in result.output
+        assert f"{pack / 'manifest.json'}: malformed manifest document: {named}: " \
+            in result.output
