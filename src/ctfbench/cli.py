@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 import sys
 import traceback
+from contextlib import suppress
 from pathlib import Path
 
 import click
@@ -141,9 +142,18 @@ def generate(system, seed, out_dir, data_root, dt, spinup, noise_medium, noise_h
         if data_root is None:
             raise click.ClickException("either --out or CTF_DATA_ROOT/--data-root is required")
         out_dir = data_root / datagen.SYSTEMS[system]
-    make_dir(out_dir)
-    pack = datagen.build_pack(system, seed, overrides)
-    datagen.write_pack(pack, out_dir)
+    # --out is made before the integration, so that an unwritable path fails
+    # fast, and on failure the directories made here that are still empty go.
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+    try:
+        make_dir(out_dir)
+        pack = datagen.build_pack(system, seed, overrides)
+        datagen.write_pack(pack, out_dir)
+    except BaseException:
+        for directory in made:  # deepest first
+            with suppress(OSError):
+                directory.rmdir()
+        raise
     if with_csv:
         datagen.export_pack_csv(pack, out_dir)
     m = pack.manifest

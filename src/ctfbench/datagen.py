@@ -20,15 +20,19 @@ are validated on every write and read. Pack construction is a pure
 function of (system, master_seed, overrides); seeds for each stochastic
 ingredient are derived from the master seed and recorded in the manifest,
 which `read_pack` reads through `matio.read_document`: each field's type
-is checked, then `Manifest.validate` passes it exactly when it is the
-manifest `build_pack` writes for the settings and master seed it records.
-`PackConfig` holds the one set of rules for those settings.
+is checked, then `Manifest.validate` passes it exactly when it is, type for
+type, the manifest `build_pack` writes for the settings and master seed it
+records. `PackConfig` holds the one set of rules for those settings, and
+`matio`'s codec is the one mapping between them and the manifest: `encode`
+of a `PackConfig` is the settings part of the manifest and `decode` reads
+it back. The base parameters are the defaults of the system's parameter
+class.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Literal
 
@@ -120,19 +124,15 @@ class NoiseLevel:
             raise ValueError("sigma_fraction must lie in (0, 1)")
 
 
-#: Per-system base parameters; the remaining parameter (Lorenz rho / KS
-#: viscosity) is the one varied across the parametric trajectories.
-_BASE_PARAMS = {
-    "lorenz": {"sigma": 10.0, "beta": 8.0 / 3.0},
-    "ks": {"domain_length": 32.0 * np.pi, "grid_points": 1024},
-}
-_VARIED_PARAM = {"lorenz": "rho", "ks": "viscosity"}
+#: Per system: its parameter class and the parameter varied across the
+#: parametric trajectories. The class's defaults are the base parameters.
+_PARAMS = {"lorenz": (LorenzParams, "rho"), "ks": (KSParams, "viscosity")}
 
 
 def _params(system: str, value: float) -> LorenzParams | KSParams:
     """The system's parameters with its varied parameter at `value`."""
-    make = {"lorenz": LorenzParams, "ks": KSParams}[system]
-    return make(**_BASE_PARAMS[system], **{_VARIED_PARAM[system]: value})
+    make, varied = _PARAMS[system]
+    return make(**{varied: value})
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,8 @@ class PackConfig:
     train_params: tuple[float, float, float]
     interp_param: float
     extrap_param: float
-    noise_medium: float = 0.05
-    noise_high: float = 0.25
+    noise_medium: float = field(default=0.05, metadata={"key": "noise_levels.medium"})
+    noise_high: float = field(default=0.25, metadata={"key": "noise_levels.high"})
     created: str = DEFAULT_TIMESTAMP
 
     def __post_init__(self):
@@ -226,30 +226,31 @@ class Manifest:
     to_dict = matio.encode
 
     def validate(self) -> None:
-        """Pass exactly when `build_pack` writes this for its settings and master seed."""
+        """Pass exactly when `build_pack` writes this, type for type, for the
+        settings and master seed it records. The settings are read through the
+        codec and stand as recorded (`"nominal_param": 1` is an integer setting),
+        so a difference lies in a field that they and the seed determine."""
         for name, key in ("seeds", "master"), ("noise_levels", "medium"), ("noise_levels", "high"):
             if key not in getattr(self, name):
                 raise PackValidationError(f"{name}: missing {key!r}")
         try:
-            cfg = PackConfig(self.system, self.dt, self.spinup_steps, self.nominal_param,
-                             tuple(self.train_params), self.interp_param, self.extrap_param,
-                             self.noise_levels["medium"], self.noise_levels["high"], self.created)
-            expected = _manifest(cfg, self.seeds["master"])
+            expected = _manifest(matio.decode(PackConfig, self.to_dict()), self.seeds["master"])
         except ValueError as exc:
             raise PackValidationError(str(exc)) from exc
-        for f in fields(self):
-            got, want = getattr(self, f.name), getattr(expected, f.name)
-            if got != want:
-                raise PackValidationError(f"{f.name}: {str(got):.60} is not {str(want):.60}, "
-                                          f"which these settings and master seed give")
+        why = matio.difference(self.to_dict(), expected.to_dict())
+        if why is not None:
+            raise PackValidationError(f"{why}, which these settings and master seed give")
 
 
 @dataclass
 class DatasetPack:
-    dataset_id: str
     train: dict[str, np.ndarray]
     test: dict[str, np.ndarray]
     manifest: Manifest
+
+    @property
+    def dataset_id(self) -> str:
+        return self.manifest.dataset_id
 
     def matrix(self, name: str) -> np.ndarray:
         """The pack's matrix `name`. A pack read with `read_pack(names=...)`
@@ -341,21 +342,14 @@ def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> 
 
 def _manifest(cfg: PackConfig, master_seed: int) -> Manifest:
     """The manifest of the pack that `cfg` and `master_seed` generate."""
-    dataset_id = SYSTEMS[cfg.system]
+    dataset_id, varied = SYSTEMS[cfg.system], _PARAMS[cfg.system][1]
     return Manifest(
+        **matio.encode(cfg),
         dataset_id=dataset_id,
-        system=cfg.system,
         format_version=FORMAT_VERSION,
-        created=cfg.created,
-        dt=cfg.dt,
-        spinup_steps=cfg.spinup_steps,
-        base_params=dict(_BASE_PARAMS[cfg.system]),
-        varied_param=_VARIED_PARAM[cfg.system],
-        nominal_param=cfg.nominal_param,
-        train_params=list(cfg.train_params),
-        interp_param=cfg.interp_param,
-        extrap_param=cfg.extrap_param,
-        noise_levels={"medium": cfg.noise_medium, "high": cfg.noise_high},
+        base_params={k: v for k, v in asdict(_params(cfg.system, cfg.nominal_param)).items()
+                     if k != varied},
+        varied_param=varied,
         seeds=derive_seeds(master_seed),
         matrices={
             name: {"rows": rows, "cols": DATASET_DIMS[dataset_id], "start": start, "end": end}
@@ -367,7 +361,6 @@ def _manifest(cfg: PackConfig, master_seed: int) -> Manifest:
 def _assemble(mats: dict[str, np.ndarray], manifest: Manifest) -> DatasetPack:
     """Split `mats` into the train and test families."""
     return DatasetPack(
-        dataset_id=manifest.dataset_id,
         train={name: mats[name] for name in TRAIN_NAMES if name in mats},
         test={name: mats[name] for name in TEST_NAMES if name in mats},
         manifest=manifest,
@@ -378,8 +371,6 @@ def validate_pack(pack: DatasetPack) -> None:
     """Check layout shapes, finiteness and the identical-window invariants:
     each noise-free matrix equals the first earlier one with the same source."""
     pack.manifest.validate()
-    if pack.dataset_id != pack.manifest.dataset_id:
-        raise PackValidationError("pack/manifest dataset_id mismatch")
     _check_matrices({name: pack.matrix(name) for name in MATRIX_LAYOUT},
                     DATASET_DIMS[pack.dataset_id])
 

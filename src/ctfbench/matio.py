@@ -204,7 +204,8 @@ def read_json(path: str | Path, error: type[CTFBenchError] = CTFBenchError) -> d
 
 def encode(value: Any) -> Any:
     """The JSON value of `value`: a dataclass becomes an object holding each field
-    under its dotted key path, `field(metadata={"key": ...})` or its name."""
+    under its dotted key path, `field(metadata={"key": ...})` or its name, and a
+    tuple an array."""
     if is_dataclass(value):
         doc: dict = {}
         for f in fields(value):
@@ -216,13 +217,33 @@ def encode(value: Any) -> Any:
         return doc
     if isinstance(value, dict):
         return {k: encode(v) for k, v in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [encode(v) for v in value]
     return value
 
 
 def _join(at: str, key: str) -> str:
     return f"{at}.{key}" if at else key
+
+
+_ABSENT = object()
+
+
+def difference(got: Any, want: Any, at: str = "") -> str | None:
+    """Where JSON values `got` and `want` first differ, compared type for type
+    (1024.0 is not 1024): `<key>: <entry> <got> is not <want>`, naming the
+    top-level key and the key path below it; None when they are the same."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in dict.fromkeys([*want, *got]):
+            why = difference(got.get(key, _ABSENT), want.get(key, _ABSENT), _join(at, key))
+            if why is not None:
+                return why
+        return None
+    got, want = ("absent" if v is _ABSENT else f"{json.dumps(v):.40}" for v in (got, want))
+    if got == want:
+        return None
+    key, _, entry = at.partition(".")
+    return f"{key}: " + " ".join(filter(None, (entry, got, "is not", want)))
 
 
 def _check(value: Any, tp: type, at: str) -> None:
@@ -233,9 +254,10 @@ def _check(value: Any, tp: type, at: str) -> None:
 
 def decode(tp: Any, value: Any, at: str = "") -> Any:
     """`value`, read from JSON, as annotation `tp`: `str`, `int`, `float` (finite;
-    an integer stays one), `X | None`, `list[X]`, `dict[str, X]`, a `Literal`
-    version, or a dataclass laid out as `encode` writes it (other keys are
-    ignored) whose `validate()` then runs. A misfit is a ValueError at `at`."""
+    an integer stays one), `X | None`, `list[X]`, a tuple of X (from a JSON
+    array), `dict[str, X]`, a `Literal` version, or a dataclass laid out as
+    `encode` writes it (other keys are ignored) whose `validate()` then runs.
+    A misfit is a ValueError at `at`."""
     origin, args = get_origin(tp), get_args(tp)
     if origin is Literal:
         if value not in args:
@@ -244,9 +266,9 @@ def decode(tp: Any, value: Any, at: str = "") -> Any:
     if origin is UnionType:  # X | None
         return None if value is None else decode(args[0], value, at)
     if not is_dataclass(tp):
-        _check(value, origin or tp, at)
-        if origin is list:
-            return [decode(args[0], v, f"{at}[{i}]") for i, v in enumerate(value)]
+        _check(value, list if origin is tuple else origin or tp, at)
+        if origin in (list, tuple):
+            return origin(decode(args[0], v, f"{at}[{i}]") for i, v in enumerate(value))
         if origin is dict:
             return {k: decode(args[1], v, _join(at, k)) for k, v in value.items()}
         return value

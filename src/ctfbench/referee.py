@@ -19,8 +19,9 @@ pack in memory without `read_pack`.
 
 Scorecards and the store are read and written by `matio`'s codec. The rules
 that only a document read from disk must meet (score ranges, known
-datasets, exactly E1..E12) are `validate()` hooks, which only the decoder
-calls, so a card built in memory may be partial.
+datasets, exactly E1..E12, a card's composites and aggregates being the
+ones its runs give) are `validate()` hooks, which only the decoder calls,
+so a card built in memory may be partial.
 """
 
 from __future__ import annotations
@@ -223,6 +224,16 @@ class RunScores:
     scores: dict[str, float | None]
     composite: float
 
+    def validate(self) -> None:
+        _check_ids(self.scores, "scores")
+        for sid, score in self.scores.items():
+            if score is not None and not -100.0 <= score <= 100.0:
+                raise ValueError(f"scores.{sid}: {score} lies outside [-100, 100]")
+        want = metrics.composite([self.scores[sid] for sid in SCORE_IDS])
+        why = matio.difference({"composite": self.composite}, {"composite": want})
+        if why is not None:
+            raise ValueError(f"{why}, which its scores give")
+
 
 @dataclass
 class ScoreCard:
@@ -240,6 +251,12 @@ class ScoreCard:
         if self.dataset_id not in DATASET_DIMS:
             raise ValueError(f"dataset: {self.dataset_id!r} is not {' or '.join(DATASET_DIMS)}")
         _check_ids(self.aggregate_scores, "aggregate.scores")
+        if not self.runs:
+            raise ValueError("runs: a scorecard holds at least one run")
+        rebuilt = _card(self.method_name, self.dataset_id, self.runs, self.windows)
+        why = matio.difference(self.to_dict(), rebuilt.to_dict())
+        if why is not None:
+            raise ValueError(f"{why}, which its runs give")
 
 
 def write_scorecard(card: ScoreCard, path: str | Path) -> None:
@@ -329,6 +346,10 @@ def aggregate_runs(cards: list[ScoreCard]) -> ScoreCard:
         raise ValueError(f"cannot aggregate mixed methods: {sorted(methods)}")
     if len(datasets) > 1:
         raise ValueError(f"cannot aggregate mixed datasets: {sorted(datasets)}")
+    for card in cards:
+        if card.windows != cards[0].windows:
+            raise ValueError(f"cannot aggregate mixed windows: {cards[0].windows} "
+                             f"and {card.windows}")
     runs = [r for c in cards for r in c.runs]
     return _card(cards[0].method_name, cards[0].dataset_id, runs, dict(cards[0].windows))
 

@@ -90,6 +90,16 @@ class TestGenerate:
         assert "Error:" in result.output and "step 7" in result.output
         assert "of trajectory 'trajectory'" in result.output
 
+    def test_failed_generate_leaves_no_directory_it_made(self, runner, tmp_path):
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        for out in (tmp_path / "a" / "b", existing, existing / "new" / "deeper"):
+            result = runner.invoke(
+                main, ["generate", "--system", "lorenz", "--dt", "0.15", "--out", str(out)])
+            assert result.exit_code == 1 and "diverged" in result.output, result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+        assert list(existing.iterdir()) == []
+
     def test_out_is_a_file_is_error(self, runner, tmp_path):
         out = tmp_path / "afile"
         out.write_text("not a directory")

@@ -471,6 +471,35 @@ def test_manifest_round_trips_bytes(request, tmp_path, system):
         assert '"grid_points": 1024\n' in path.read_text()
 
 
+# sha256 of the manifest.json that `generate --seed 1` writes with default settings.
+MANIFEST_SHA256 = {
+    "lorenz": "7eb499532c858cf7a1382fb527b28a14b54c9ef414549ee534f67dfbaa19a499",
+    "ks": "d38af244379f4741ac4f2469aea0a07de291bf7a4b3a72def4adc7df7dd70eee",
+}
+
+
+@pytest.mark.parametrize("system", ["lorenz", "ks"])
+def test_manifest_bytes_pinned(system):
+    # `_manifest` is what `build_pack` records; it needs no integration.
+    manifest = datagen._manifest(datagen.resolve_config(system), 1)
+    text = matio.dump_json(manifest.to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST_SHA256[system]
+
+
+def test_manifest_is_compared_type_for_type():
+    manifest = datagen._manifest(datagen.resolve_config("ks"), 1)
+    manifest.base_params["grid_points"] = 1024.0
+    with pytest.raises(PackValidationError, match="base_params: grid_points 1024.0 is not 1024, "):
+        manifest.validate()
+
+
+def test_recorded_setting_stands_as_recorded():
+    # An integer setting is written, and read back, as the integer it is.
+    manifest = datagen._manifest(datagen.resolve_config("lorenz", {"nominal_param": 28}), 1)
+    assert '"nominal_param": 28,' in matio.dump_json(manifest.to_dict())
+    manifest.validate()
+
+
 @pytest.mark.parametrize("system", ["lorenz", "ks"])
 def test_pack_bytes_pinned(request, system):
     pack = request.getfixturevalue(f"{system}_pack")

@@ -138,8 +138,15 @@ def _set(*path_and_value):
     _set("aggregate", "scores", "E1", "mean", 1e9),
     _set("aggregate", "scores", "E1", "std", -5),
     _set("dataset", "FOO"),
+    # Well-typed values that its runs do not give.
+    _set("aggregate", "composite", "mean", 99.0),
+    _set("runs", 0, "scores", "E1", 1e9),
+    lambda doc: _replaced(doc, ("runs", 0, "scores"),
+                          {k: v for k, v in doc["runs"][0]["scores"].items() if k != "E5"}),
+    _set("runs", 0, "composite", -55),
 ], ids=["composite-abc", "composite-null", "E1-null", "method-5", "E1-nan", "E1-1e9",
-        "std-negative", "dataset-FOO"])
+        "std-negative", "dataset-FOO", "composite-99", "run-E1-1e9", "run-no-E5",
+        "run-composite-55"])
 def test_malformed_card_is_not_stored(runner, docs, tmp_path, edit):
     card, store = tmp_path / "card.json", tmp_path / "board.json"
     card.write_text(json.dumps(edit(_document(docs, "card"))))
@@ -195,6 +202,7 @@ def test_malformed_store_is_error(runner, docs, tmp_path, edit, why):
     # Well-typed values that no longer describe how to regenerate the pack.
     ("dt", -3.0), ("spinup_steps", -5), ("seeds", {}), ("seeds", {"master": 1}),
     ("system", "ks"), ("base_params", {"sigma": 11.0, "beta": 8.0 / 3.0}),
+    ("base_params", {"sigma": 10, "beta": 8.0 / 3.0}),
     ("varied_param", "viscosity"), ("noise_levels", {"medium": 0.05}),
 ])
 def test_mistyped_manifest_is_error(runner, docs, tmp_path, key, value):

@@ -2,6 +2,7 @@ import errno
 import os
 import re
 import tracemalloc
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -221,6 +222,32 @@ def test_csv_bytes_equal_per_value_format(tmp_path):
     matio.write_csv(path, x)
     expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in x)
     assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_codec_tuple_round_trip():
+    @dataclass
+    class Doc:
+        values: tuple[float, float, float]
+
+    doc = matio.encode(Doc((1.5, 2, 3.0)))
+    assert doc == {"values": [1.5, 2, 3.0]}
+    decoded = matio.decode(Doc, doc)
+    assert decoded == Doc((1.5, 2, 3.0)) and type(decoded.values) is tuple
+    assert type(decoded.values[1]) is int
+    with pytest.raises(ValueError, match="values: expected list"):
+        matio.decode(Doc, {"values": 1.5})
+    with pytest.raises(ValueError, match=r"values\[1\]: expected float"):
+        matio.decode(Doc, {"values": [1.5, "x", 3.0]})
+
+
+def test_difference_names_the_first_differing_entry():
+    want = {"a": 1, "b": {"c": 1024, "d": [1.0]}}
+    assert matio.difference(want, want) is None
+    assert matio.difference({**want, "a": 1.0}, want) == "a: 1.0 is not 1"
+    assert matio.difference({**want, "b": {"c": 1024.0, "d": [1.0]}}, want) == \
+        "b: c 1024.0 is not 1024"
+    assert matio.difference({**want, "b": {"d": [1.0]}}, want) == "b: c absent is not 1024"
+    assert matio.difference({**want, "e": "x"}, want) == 'e: "x" is not absent'
 
 
 def test_dump_json_refuses_nan():

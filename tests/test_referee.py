@@ -315,6 +315,13 @@ class TestAggregateRuns:
         with pytest.raises(ValueError, match="mixed methods"):
             aggregate_runs([a, b])
 
+    def test_mixed_windows_rejected(self, lorenz_pack):
+        sub = oracle_submission(lorenz_pack)
+        a = evaluate(sub, lorenz_pack, MetricWindows(short_k=10))
+        b = evaluate(sub, lorenz_pack, MetricWindows(short_k=100, bins=5))
+        with pytest.raises(ValueError, match="mixed windows"):
+            aggregate_runs([a, b])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_runs([])
