@@ -202,8 +202,8 @@ def test_malformed_store_is_error(runner, docs, tmp_path, edit, why):
     # Well-typed values that no longer describe how to regenerate the pack.
     ("dt", -3.0), ("spinup_steps", -5), ("seeds", {}), ("seeds", {"master": 1}),
     ("system", "ks"), ("base_params", {"sigma": 11.0, "beta": 8.0 / 3.0}),
-    ("base_params", {"sigma": 10, "beta": 8.0 / 3.0}),
     ("varied_param", "viscosity"), ("noise_levels", {"medium": 0.05}),
+    ("base_params", {"sigma": 10, "beta": 8.0 / 3.0}),
 ])
 def test_mistyped_manifest_is_error(runner, docs, tmp_path, key, value):
     pack = _pack_with(docs, {**_document(docs, "manifest"), key: value}, tmp_path / "pack")
