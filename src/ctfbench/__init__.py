@@ -53,6 +53,7 @@ from .referee import (
     evaluate_task,
     load_submission,
     task_registry,
+    truth_table,
     update_leaderboard,
     validate_submission,
     write_submission,
@@ -106,6 +107,7 @@ __all__ = [
     "score_short_time",
     "task_registry",
     "to_score",
+    "truth_table",
     "update_leaderboard",
     "validate_submission",
     "write_pack",

@@ -239,18 +239,19 @@ def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kma
     else:
         run_dirs = [Path(submission_dir)]
     cards = []
-    for run_dir in run_dirs:
-        sub = referee.load_submission(run_dir, method_name=method)
-        if cards and sub.method_name != cards[0].method_name:
-            raise CTFBenchError(
-                f"{run_dir}: method {sub.method_name!r} differs from the first run's "
-                f"{cards[0].method_name!r}; score one method per command, or give all runs "
-                "one name with --method")
-        cards.append(referee.evaluate(sub, pack, windows))
-        if None in cards[-1].runs[0].scores.values():
-            for violation in referee.validate_submission(sub, pack, windows):
-                click.echo(f"warning [{sub.run_id}]: {violation}; affected scores get -100",
-                           err=True)
+    with referee.truth_table():
+        for run_dir in run_dirs:
+            sub = referee.load_submission(run_dir, method_name=method)
+            if cards and sub.method_name != cards[0].method_name:
+                raise CTFBenchError(
+                    f"{run_dir}: method {sub.method_name!r} differs from the first run's "
+                    f"{cards[0].method_name!r}; score one method per command, or give all runs "
+                    "one name with --method")
+            cards.append(referee.evaluate(sub, pack, windows))
+            if None in cards[-1].runs[0].scores.values():
+                for violation in referee.validate_submission(sub, pack, windows):
+                    click.echo(f"warning [{sub.run_id}]: {violation}; affected scores get -100",
+                               err=True)
     card = referee.aggregate_runs(cards)
     referee.write_scorecard(card, out_path)
     if store is not None:

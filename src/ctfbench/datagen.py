@@ -16,7 +16,8 @@ matrices (X1test..X9test) cut from six simulated trajectories:
 trajectory it is cut from, its row window and its noise. `MATRIX_LAYOUT`
 (the published shape table), the simulated step counts and the
 identical-window checks are all derived from it, and shapes and windows
-are validated on every write and read. Pack construction is a pure
+are validated on every write and read. A built or read pack holds each
+group of identical windows as one array. Pack construction is a pure
 function of (system, master_seed, overrides); seeds for each stochastic
 ingredient are derived from the master seed and recorded in the manifest,
 which `read_pack` reads through `matio.read_document`: each field's type
@@ -328,9 +329,10 @@ def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> 
         "extrapolation": cfg.extrap_param,
     }
     runs = _simulate(cfg, values, manifest.seeds)
-    mats = {}
+    mats, cuts = {}, {}
     for name, (traj, start, end, noise) in _SOURCES.items():
-        x = runs[traj][start:end]
+        # One array per window: identical noise-free windows are one object.
+        x = cuts.setdefault((traj, start, end), runs[traj][start:end])
         if noise is not None:
             label, seed_name = noise
             x = add_noise(x, levels[label], manifest.seeds[seed_name])
@@ -371,25 +373,30 @@ def validate_pack(pack: DatasetPack) -> None:
     """Check layout shapes, finiteness and the identical-window invariants:
     each noise-free matrix equals the first earlier one with the same source."""
     pack.manifest.validate()
-    _check_matrices({name: pack.matrix(name) for name in MATRIX_LAYOUT},
-                    DATASET_DIMS[pack.dataset_id])
+    _checked({name: pack.matrix(name) for name in MATRIX_LAYOUT}, DATASET_DIMS[pack.dataset_id])
 
 
-def _check_matrices(mats: dict[str, np.ndarray], cols: int) -> None:
+def _checked(mats: dict[str, np.ndarray], cols: int) -> dict[str, np.ndarray]:
     """`validate_pack`'s checks of the matrices in `mats`, which may be any
     of the pack's: each one's shape and finiteness, and each identical-window
-    pair whose two members are both in `mats`."""
+    pair whose two members are both in `mats`. Returns `mats` with each
+    member of an identical-window group replaced by the group's first array."""
     for name, x in mats.items():
         why = matio.problem(x, (MATRIX_LAYOUT[name][0], cols))
         if why is not None:
             raise PackValidationError(f"{name}: {why}")
+    out = dict(mats)
     first: dict[tuple, str] = {}
     for name, source in _SOURCES.items():
         if source[3] is not None or name not in mats:
             continue
         other = first.setdefault(source, name)
-        if other != name and not np.array_equal(mats[name], mats[other]):
+        if other == name:
+            continue
+        if out[name] is not out[other] and not np.array_equal(out[name], out[other]):
             raise PackValidationError(f"{name} must equal {other} (same trajectory window)")
+        out[name] = out[other]
+    return out
 
 
 def write_pack(pack: DatasetPack, directory: str | Path) -> None:
@@ -418,7 +425,8 @@ def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> Data
     With `names`, read only those matrices: the manifest is validated in
     full, each named matrix's shape and finiteness are checked, and so is
     each identical-window pair of which both members are named. The pack
-    returned holds only the named matrices.
+    returned holds only the named matrices, and each group of identical
+    windows among them as one array.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -437,5 +445,4 @@ def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> Data
         if not path.is_file():
             raise PackValidationError(f"missing matrix file: {path}")
         mats[name] = matio.read_matrix(path)
-    _check_matrices(mats, DATASET_DIMS[manifest.dataset_id])
-    return _assemble(mats, manifest)
+    return _assemble(_checked(mats, DATASET_DIMS[manifest.dataset_id]), manifest)

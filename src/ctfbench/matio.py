@@ -15,6 +15,7 @@ and a trailing newline, and never hold NaN or Infinity; `encode` and
 from __future__ import annotations
 
 import errno
+import functools
 import json
 import math
 import os
@@ -252,6 +253,18 @@ def _check(value: Any, tp: type, at: str) -> None:
         raise ValueError(f"{at}: expected {tp.__name__}, got {json.dumps(value):.40}")
 
 
+@functools.cache
+def _layout(tp: type) -> tuple[tuple[str, tuple[str, ...], Any], ...]:
+    """Each field of dataclass `tp` as (name, key path, annotation), version
+    fields first, so that a document of another version is named as such.
+    Cached: evaluating the string annotations costs more than a decode."""
+    hints = get_type_hints(tp)
+    return tuple(
+        (f.name, tuple(f.metadata.get("key", f.name).split(".")), hints[f.name])
+        for f in sorted(fields(tp), key=lambda f: get_origin(hints[f.name]) is not Literal)
+    )
+
+
 def decode(tp: Any, value: Any, at: str = "") -> Any:
     """`value`, read from JSON, as annotation `tp`: `str`, `int`, `float` (finite;
     an integer stays one), `X | None`, `list[X]`, a tuple of X (from a JSON
@@ -272,16 +285,15 @@ def decode(tp: Any, value: Any, at: str = "") -> Any:
         if origin is dict:
             return {k: decode(args[1], v, _join(at, k)) for k, v in value.items()}
         return value
-    hints, kwargs = get_type_hints(tp), {}
-    # Version fields first, so that a document of another version is named as such.
-    for f in sorted(fields(tp), key=lambda f: get_origin(hints[f.name]) is not Literal):
+    kwargs = {}
+    for name, parts, hint in _layout(tp):
         node, path = value, at
-        for part in f.metadata.get("key", f.name).split("."):
+        for part in parts:
             _check(node, dict, path)
             if part not in node:
                 raise ValueError(f"{_join(path, part)}: missing")
             node, path = node[part], _join(path, part)
-        kwargs[f.name] = decode(hints[f.name], node, path)
+        kwargs[name] = decode(hint, node, path)
     obj = tp(**kwargs)
     try:
         getattr(obj, "validate", lambda: None)()

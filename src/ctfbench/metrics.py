@@ -74,18 +74,26 @@ def _check_same_shape(pred: np.ndarray, truth: np.ndarray) -> None:
         raise MetricError(f"shape mismatch: prediction {pred.shape} vs truth {truth.shape}")
 
 
-def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int) -> float:
+def short_time_reference(truth: np.ndarray, short_k: int) -> float:
+    """||truth[:short_k]||_F, the denominator of the short-time error."""
+    truth = np.asarray(truth, dtype=np.float64)
+    if not 1 <= short_k <= truth.shape[0]:
+        raise MetricError(f"short_k={short_k} outside [1, {truth.shape[0]}]")
+    return np.linalg.norm(truth[:short_k])
+
+
+def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int,
+                     reference: float | None = None) -> float:
     """Relative Frobenius error over the first `short_k` rows.
 
     S = ||pred[:k] - truth[:k]||_F / ||truth[:k]||_F. Raises MetricError if
     the truth window has zero norm (the score would be undefined).
+    `reference`, when given, is `short_time_reference(truth, short_k)`.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     _check_same_shape(pred, truth)
-    if not 1 <= short_k <= truth.shape[0]:
-        raise MetricError(f"short_k={short_k} outside [1, {truth.shape[0]}]")
-    ref = np.linalg.norm(truth[:short_k])
+    ref = short_time_reference(truth, short_k) if reference is None else reference
     if ref == 0.0:
         raise MetricError("zero-norm truth window: short-time score undefined")
     return float(np.linalg.norm(pred[:short_k] - truth[:short_k]) / ref)
@@ -116,22 +124,43 @@ def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
     return out
 
 
+def spectral_reference(truth: np.ndarray, windows: MetricWindows) -> tuple[np.ndarray, float]:
+    """The truth's log spectrum (`power_spectrum_rows`) and its Frobenius norm."""
+    p_truth = power_spectrum_rows(truth, windows.long_k, windows.kmax)
+    return p_truth, np.linalg.norm(p_truth)
+
+
 def score_long_time_spectral(
-    pred: np.ndarray, truth: np.ndarray, windows: MetricWindows
+    pred: np.ndarray, truth: np.ndarray, windows: MetricWindows, reference: tuple | None = None
 ) -> float:
-    """Relative Frobenius error between truth and prediction log spectra."""
+    """Relative Frobenius error between truth and prediction log spectra.
+    `reference`, when given, is `spectral_reference(truth, windows)`."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     _check_same_shape(pred, truth)
-    p_truth = power_spectrum_rows(truth, windows.long_k, windows.kmax)
+    p_truth, ref = spectral_reference(truth, windows) if reference is None else reference
     p_pred = power_spectrum_rows(pred, windows.long_k, windows.kmax)
-    ref = np.linalg.norm(p_truth)
     if ref == 0.0:
         raise MetricError("zero-norm truth spectrum: spectral score undefined")
     return float(np.linalg.norm(p_pred - p_truth) / ref)
 
 
-def histogram_l1(truth_series: np.ndarray, pred_series: np.ndarray, bins: int) -> float:
+def _series_reference(truth_series: np.ndarray, bins: int) -> tuple:
+    """The truth side of `histogram_l1`: the series' range, then its bin edges
+    and counts, which are None for a degenerate range."""
+    t = np.asarray(truth_series, dtype=np.float64).ravel()
+    if t.size < 1:
+        raise MetricError("empty series")
+    lo, hi = float(t.min()), float(t.max())
+    if lo == hi:
+        return lo, hi, None, None
+    edges = np.linspace(lo, hi, bins + 1)
+    h_t, _ = np.histogram(t, bins=edges)
+    return lo, hi, edges, h_t
+
+
+def histogram_l1(truth_series: np.ndarray, pred_series: np.ndarray, bins: int,
+                 reference: tuple | None = None) -> float:
     """Normalized L1 distance between value histograms of two equal-length
     series.
 
@@ -140,42 +169,50 @@ def histogram_l1(truth_series: np.ndarray, pred_series: np.ndarray, bins: int) -
     values outside the range clamping into the nearest end bin. Counts are
     compared: s = sum_b |h_truth[b] - h_pred[b]| / len, which lies in [0, 2].
     A degenerate truth range (max == min) collapses to a single bin.
+    `reference`, when given, is the truth side that `histogram_reference`
+    computes for this series.
     """
     t = np.asarray(truth_series, dtype=np.float64).ravel()
     p = np.asarray(pred_series, dtype=np.float64).ravel()
     if t.size != p.size:
         raise MetricError(f"series lengths differ: {t.size} vs {p.size}")
-    if t.size < 1:
-        raise MetricError("empty series")
-    lo, hi = float(t.min()), float(t.max())
+    lo, hi, edges, h_t = _series_reference(t, bins) if reference is None else reference
     if lo == hi:
         # Single bin; every clamped value lands in it.
         return 0.0
-    edges = np.linspace(lo, hi, bins + 1)
-    h_t, _ = np.histogram(t, bins=edges)
     h_p, _ = np.histogram(np.clip(p, lo, hi), bins=edges)
     return float(np.abs(h_t - h_p).sum() / t.size)
 
 
-def score_long_time_histogram(
-    pred: np.ndarray, truth: np.ndarray, windows: MetricWindows
-) -> float:
-    """Mean per-coordinate histogram distance over the trailing `long_k` rows.
-
-    Defined for 3-column state trajectories; the three coordinate distances
-    are averaged, so S lies in [0, 2].
-    """
-    pred = np.asarray(pred, dtype=np.float64)
+def histogram_reference(truth: np.ndarray, windows: MetricWindows) -> list:
+    """The truth side of `histogram_l1` for each coordinate of the trailing
+    `long_k` rows of a 3-column truth."""
     truth = np.asarray(truth, dtype=np.float64)
-    _check_same_shape(pred, truth)
     if truth.shape[1] != 3:
         raise MetricError(f"histogram metric requires 3 columns, got {truth.shape[1]}")
     rows = truth.shape[0]
     if not 1 <= windows.long_k <= rows:
         raise MetricError(f"long_k={windows.long_k} outside [1, {rows}]")
     t = truth[rows - windows.long_k :]
-    p = pred[rows - windows.long_k :]
-    parts = [histogram_l1(t[:, c], p[:, c], windows.bins) for c in range(3)]
+    return [_series_reference(t[:, c], windows.bins) for c in range(3)]
+
+
+def score_long_time_histogram(
+    pred: np.ndarray, truth: np.ndarray, windows: MetricWindows, reference: list | None = None
+) -> float:
+    """Mean per-coordinate histogram distance over the trailing `long_k` rows.
+
+    Defined for 3-column state trajectories; the three coordinate distances
+    are averaged, so S lies in [0, 2]. `reference`, when given, is
+    `histogram_reference(truth, windows)`.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    _check_same_shape(pred, truth)
+    refs = histogram_reference(truth, windows) if reference is None else reference
+    start = truth.shape[0] - windows.long_k
+    t, p = truth[start:], pred[start:]
+    parts = [histogram_l1(t[:, c], p[:, c], windows.bins, refs[c]) for c in range(3)]
     return float(np.mean(parts))
 
 

@@ -13,9 +13,11 @@ score depending on it, while the remaining scores are still computed.
 `validate_submission` names, so a card is the one record of a run's
 verdict: `ctfbench score` takes its exit status from the None scores of
 its card and calls `validate_submission` only to word the warnings of a
-run that has one. `evaluate_task` checks its truth again although
-`read_pack` has checked it, because library callers may build or change a
-pack in memory without `read_pack`.
+run that has one. `evaluate_task` checks its truth although `read_pack`
+has checked it, because library callers may build or change a pack in
+memory without `read_pack`. Within a `truth_table()` block, as in
+`ctfbench score`, that check and the truth side of each metric are done
+once per distinct truth array and shared by every run scored in the block.
 
 Scorecards and the store are read and written by `matio`'s codec. The rules
 that only a document read from disk must meet (score ranges, known
@@ -30,7 +32,8 @@ import fcntl
 import fnmatch
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from contextvars import ContextVar
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Literal
 
@@ -203,9 +206,9 @@ def _check_aggregate(mean: float, std: float, key: str = "") -> None:
         raise ValueError(f"{key}std: {std} lies outside [0, 100]")
 
 
-def _check_ids(scores: dict, key: str) -> None:
-    if set(scores) != set(SCORE_IDS):
-        raise ValueError(f"{key}: must hold exactly {', '.join(SCORE_IDS)}, "
+def _check_ids(scores: dict, key: str, ids: tuple[str, ...] = SCORE_IDS) -> None:
+    if set(scores) != set(ids):
+        raise ValueError(f"{key}: must hold exactly {', '.join(ids)}, "
                          f"got {', '.join(scores)}")
 
 
@@ -251,6 +254,11 @@ class ScoreCard:
         if self.dataset_id not in DATASET_DIMS:
             raise ValueError(f"dataset: {self.dataset_id!r} is not {' or '.join(DATASET_DIMS)}")
         _check_ids(self.aggregate_scores, "aggregate.scores")
+        _check_ids(self.windows, "windows", tuple(f.name for f in fields(MetricWindows)))
+        try:
+            MetricWindows(**self.windows)
+        except ValueError as exc:
+            raise ValueError(f"windows: {exc}") from exc
         if not self.runs:
             raise ValueError("runs: a scorecard holds at least one run")
         rebuilt = _card(self.method_name, self.dataset_id, self.runs, self.windows)
@@ -267,9 +275,42 @@ def read_scorecard(path: str | Path) -> ScoreCard:
     return matio.read_document(path, ScoreCard)
 
 
+#: The table of the outermost open `truth_table()` block; None outside one.
+_TRUTHS: ContextVar[dict | None] = ContextVar("ctfbench_truths", default=None)
+
+
+@contextmanager
+def truth_table():
+    """Check and transform each distinct truth once for all the runs scored in
+    this block: `evaluate_task` keeps a truth's check and the truth side of
+    each metric on it in one table, keyed by the array's identity. A pack
+    matrix replaced by another array is a new entry; one changed in place
+    keeps its first results until the block ends. Nested blocks share one table.
+    """
+    token = _TRUTHS.set({}) if _TRUTHS.get() is None else None
+    try:
+        yield
+    finally:
+        if token is not None:
+            _TRUTHS.reset(token)
+
+
+def _once(truth: np.ndarray, key, work):
+    """`work()` for `truth` and `key`, once per truth table or, outside one,
+    every time. Work that raises is not stored: it raises again next time."""
+    truths = _TRUTHS.get()
+    if truths is None:
+        return work()
+    hit = truths.get((id(truth), key))
+    if hit is None:
+        # The entry holds `truth`, so its id is not reused while the table lives.
+        hit = truths[id(truth), key] = (truth, work())
+    return hit[1]
+
+
 def _check_truth(pack: DatasetPack, task: TaskSpec) -> np.ndarray:
     truth = pack.matrix(task.truth_name)
-    why = matio.problem(truth, task.truth_shape)
+    why = _once(truth, task.truth_shape, lambda: matio.problem(truth, task.truth_shape))
     if why is not None:
         raise PackValidationError(f"corrupted pack: {task.truth_name}: {why}")
     return truth
@@ -284,12 +325,16 @@ def evaluate_task(task: TaskSpec, sub: Submission, pack: DatasetPack) -> float |
     pred = sub.predictions.get(task.prediction_name)
     if pred is None or matio.problem(pred, truth.shape) is not None:
         return None
+    w, key = task.windows, (task.metric, task.windows)
     if task.metric is MetricKind.SHORT_TIME:
-        s = metrics.score_short_time(pred, truth, task.windows.short_k)
+        ref = _once(truth, key, lambda: metrics.short_time_reference(truth, w.short_k))
+        s = metrics.score_short_time(pred, truth, w.short_k, ref)
     elif task.metric is MetricKind.LONG_TIME_SPECTRAL:
-        s = metrics.score_long_time_spectral(pred, truth, task.windows)
+        ref = _once(truth, key, lambda: metrics.spectral_reference(truth, w))
+        s = metrics.score_long_time_spectral(pred, truth, w, ref)
     else:
-        s = metrics.score_long_time_histogram(pred, truth, task.windows)
+        ref = _once(truth, key, lambda: metrics.histogram_reference(truth, w))
+        s = metrics.score_long_time_histogram(pred, truth, w, ref)
     return metrics.to_score(s)
 
 
@@ -324,9 +369,8 @@ def evaluate(
     """Score a single run against a pack, producing a one-run ScoreCard."""
     base = windows or MetricWindows()
     tasks = task_registry(pack.dataset_id, base)
-    scores: dict[str, float | None] = {}
-    for task in tasks:
-        scores[task.score_id] = evaluate_task(task, sub, pack)
+    with truth_table():
+        scores = {task.score_id: evaluate_task(task, sub, pack) for task in tasks}
     comp = metrics.composite([scores[sid] for sid in SCORE_IDS])
     run = RunScores(run_id=sub.run_id, scores=scores, composite=comp)
     return _card(sub.method_name, pack.dataset_id, [run], asdict(base))

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import ctfbench as cb
 from ctfbench import datagen, matio, referee
 from ctfbench.cli import main
+from ctfbench.metrics import MetricKind
 from conftest import oracle_submission
 
 
@@ -506,6 +507,34 @@ class TestScore:
         )
         assert result.exit_code == 0, result.output
         assert len(calls) == 1
+
+    def test_runs_glob_transforms_each_truth_once(self, runner, ks_pack, tmp_path, monkeypatch):
+        # The spectral tasks E2, E4, E6, E8 and E10 score against X1test,
+        # X3test, X5test, X6test and X7test: two distinct windows.
+        pack_dir, subs = tmp_path / "pack", tmp_path / "subs"
+        pack_dir.mkdir()
+        matio.write_json(pack_dir / "manifest.json", ks_pack.manifest.to_dict())
+        for name in datagen.TEST_NAMES:
+            matio.write_matrix(pack_dir / f"{name}.mat", ks_pack.test[name])
+        spectral = [t for t in cb.task_registry("PDE_KS")
+                    if t.metric is MetricKind.LONG_TIME_SPECTRAL]
+        for run_id in ("run0", "run1", "run2"):
+            preds = {t.prediction_name: ks_pack.test[t.truth_name] for t in spectral}
+            referee.write_submission(cb.Submission("spectra", run_id, preds), subs)
+        calls = []
+        power_spectrum_rows = cb.metrics.power_spectrum_rows
+
+        def counting(x, *args):
+            calls.append(x.shape)
+            return power_spectrum_rows(x, *args)
+
+        monkeypatch.setattr(cb.metrics, "power_spectrum_rows", counting)
+        result = runner.invoke(main, ["score", "--pack", str(pack_dir), "--submission",
+                                      str(subs / "spectra"), "--runs-glob", "run*", "--json"])
+        assert result.exit_code == 1, result.output  # the other predictions are missing
+        scores = json.loads(result.stdout)["aggregate"]["scores"]
+        assert all(scores[t.score_id]["mean"] == 100.0 for t in spectral)
+        assert len(calls) == 3 * len(spectral) + 2
 
     @pytest.mark.parametrize("damage", ["missing_prediction", "ragged_csv"])
     def test_exit_1_frees_the_pack(self, runner, cli_pack_dir, tmp_path, monkeypatch,

@@ -63,6 +63,27 @@ def test_identical_window_invariants(lorenz_pack):
     assert np.array_equal(train["X4train"], train["X1train"][:100])
 
 
+#: The identical-window groups of the published layout; the noisy
+#: X2train and X3train share X1train's window but not its values.
+IDENTICAL_WINDOWS = (("X1train", "X2test", "X4test"), ("X1test", "X3test", "X5test"),
+                     ("X6test", "X7test"))
+
+
+# The distinct arrays: 19 matrices less 5 group members, or the 9 test
+# matrices less 4; a distinct window or noisy matrix is never shared.
+@pytest.mark.parametrize("source,distinct", [("build_pack", 14), ("read_pack", 14),
+                                             ("read_pack(TEST_NAMES)", 5)])
+def test_identical_windows_are_one_array(lorenz_pack, lorenz_pack_dir, source, distinct):
+    names = datagen.TEST_NAMES if source == "read_pack(TEST_NAMES)" else datagen.MATRIX_LAYOUT
+    pack = lorenz_pack if source == "build_pack" else cb.read_pack(
+        lorenz_pack_dir, names=None if source == "read_pack" else names)
+    for group in IDENTICAL_WINDOWS:
+        first, *rest = [name for name in group if name in names]
+        for name in rest:
+            assert pack.matrix(name) is pack.matrix(first), (name, first)
+    assert len({id(pack.matrix(name)) for name in names}) == distinct
+
+
 def test_source_table_seed_names_are_the_derived_seeds():
     used = set()
     for trajectory, _, _, noise in datagen._SOURCES.values():

@@ -144,9 +144,12 @@ def _set(*path_and_value):
     lambda doc: _replaced(doc, ("runs", 0, "scores"),
                           {k: v for k, v in doc["runs"][0]["scores"].items() if k != "E5"}),
     _set("runs", 0, "composite", -55),
+    # Windows that no score command takes.
+    _set("windows", {"short_k": -5, "bogus": 3}),
+    _set("windows", "short_k", -5),
 ], ids=["composite-abc", "composite-null", "E1-null", "method-5", "E1-nan", "E1-1e9",
         "std-negative", "dataset-FOO", "composite-99", "run-E1-1e9", "run-no-E5",
-        "run-composite-55"])
+        "run-composite-55", "windows-bogus", "windows-short_k-negative"])
 def test_malformed_card_is_not_stored(runner, docs, tmp_path, edit):
     card, store = tmp_path / "card.json", tmp_path / "board.json"
     card.write_text(json.dumps(edit(_document(docs, "card"))))

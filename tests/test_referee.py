@@ -19,6 +19,7 @@ from ctfbench.referee import (
     load_submission,
     read_scorecard,
     task_registry,
+    truth_table,
     update_leaderboard,
     validate_submission,
     write_scorecard,
@@ -253,6 +254,43 @@ def test_scoring_touches_only_the_tasks_truth(lorenz_pack):
         audited.test = _AuditDict(lorenz_pack.test)
         evaluate_task(task, sub, audited)
         assert audited.test.accessed == {task.truth_name}, task.score_id
+
+
+def _pack_copy(pack):
+    import copy
+
+    copied = copy.copy(pack)
+    copied.test = dict(pack.test)
+    return copied
+
+
+def test_replaced_truth_changes_only_its_scores(lorenz_pack):
+    # X3test is one array with X1test and X5test; a truth table keyed by
+    # anything but the array itself would keep X3test's old results.
+    pack = _pack_copy(lorenz_pack)
+    sub = cb.make_submission("average", lorenz_pack)
+    with truth_table():
+        before = evaluate(sub, pack).runs[0].scores
+        pack.test["X3test"] = 2.0 * lorenz_pack.test["X3test"]
+        after = evaluate(sub, pack).runs[0].scores
+    assert {sid for sid in before if before[sid] != after[sid]} == {"E4"}
+    assert after == evaluate(sub, pack).runs[0].scores
+
+
+def test_truth_errors_are_raised_on_every_run(lorenz_pack):
+    pack = _pack_copy(lorenz_pack)
+    pack.test["X1test"] = np.zeros_like(lorenz_pack.test["X1test"])
+    sub = oracle_submission(lorenz_pack)
+    short = oracle_submission(lorenz_pack, run_id="short")
+    del short.predictions["X1pred"]
+    with truth_table():
+        for _ in range(2):
+            with pytest.raises(cb.MetricError, match="zero-norm truth window"):
+                evaluate(sub, pack)
+            # Scored against no prediction, the zero-norm window raises nothing.
+            assert evaluate(short, pack).runs[0].scores["E1"] is None
+            with pytest.raises(cb.MetricError, match=r"short_k=2000 outside \[1, 1000\]"):
+                evaluate(sub, lorenz_pack, MetricWindows(short_k=2000))
 
 
 def make_card(method, scores, composite_mean, dataset="ODE_Lorenz"):
