@@ -230,6 +230,8 @@ def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kma
         raise click.UsageError(str(exc), ctx)
     out_path = card_out or Path(submission_dir) / "scorecard.json"
     check_writable(out_path)
+    if store is not None:
+        referee.check_store(store)
     pack = datagen.read_pack(pack_dir, names=datagen.TEST_NAMES)
     if runs_glob:
         run_dirs = referee.find_run_dirs(submission_dir, runs_glob)
@@ -252,6 +254,7 @@ def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kma
                 for violation in referee.validate_submission(sub, pack, windows):
                     click.echo(f"warning [{sub.run_id}]: {violation}; affected scores get -100",
                                err=True)
+            del sub  # free this run's predictions before the next run is read
     card = referee.aggregate_runs(cards)
     referee.write_scorecard(card, out_path)
     if store is not None:

@@ -17,7 +17,9 @@ trajectory it is cut from, its row window and its noise. `MATRIX_LAYOUT`
 (the published shape table), the simulated step counts and the
 identical-window checks are all derived from it, and shapes and windows
 are validated on every write and read. A built or read pack holds each
-group of identical windows as one array. Pack construction is a pure
+group of identical windows as one array; `read_pack` compares each later
+member with the first as its file streams (`matio.file_equals`), and the
+checks scan each distinct array once. Pack construction is a pure
 function of (system, master_seed, overrides); seeds for each stochastic
 ingredient are derived from the master seed and recorded in the manifest,
 which `read_pack` reads through `matio.read_document`: each field's type
@@ -379,10 +381,17 @@ def validate_pack(pack: DatasetPack) -> None:
 def _checked(mats: dict[str, np.ndarray], cols: int) -> dict[str, np.ndarray]:
     """`validate_pack`'s checks of the matrices in `mats`, which may be any
     of the pack's: each one's shape and finiteness, and each identical-window
-    pair whose two members are both in `mats`. Returns `mats` with each
-    member of an identical-window group replaced by the group's first array."""
+    pair whose two members are both in `mats`. An array held under several
+    names of one shape is checked once, under the first. Returns `mats` with
+    each member of an identical-window group replaced by the group's first
+    array."""
+    seen = set()
     for name, x in mats.items():
-        why = matio.problem(x, (MATRIX_LAYOUT[name][0], cols))
+        shape = (MATRIX_LAYOUT[name][0], cols)
+        if (id(x), shape) in seen:
+            continue
+        seen.add((id(x), shape))
+        why = matio.problem(x, shape)
         if why is not None:
             raise PackValidationError(f"{name}: {why}")
     out = dict(mats)
@@ -426,7 +435,10 @@ def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> Data
     full, each named matrix's shape and finiteness are checked, and so is
     each identical-window pair of which both members are named. The pack
     returned holds only the named matrices, and each group of identical
-    windows among them as one array.
+    windows among them as one array. A later member of such a group is not
+    held while it is read: it is compared with the group's first member as
+    its file streams, and read whole, to be checked as before, only when it
+    differs or cannot be read.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -437,12 +449,16 @@ def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> Data
     unknown = sorted(wanted - set(MATRIX_LAYOUT))
     if unknown:
         raise PackValidationError(f"unknown pack matrices: {', '.join(unknown)}")
-    mats = {}
-    for name in MATRIX_LAYOUT:
+    mats, first = {}, {}
+    for name, source in _SOURCES.items():
         if name not in wanted:
             continue
         path = directory / f"{name}.mat"
         if not path.is_file():
             raise PackValidationError(f"missing matrix file: {path}")
-        mats[name] = matio.read_matrix(path)
+        other = first.setdefault(source, name) if source[3] is None else name
+        if other != name and matio.file_equals(path, mats[other]):
+            mats[name] = mats[other]
+        else:
+            mats[name] = matio.read_matrix(path)
     return _assemble(_checked(mats, DATASET_DIMS[manifest.dataset_id]), manifest)

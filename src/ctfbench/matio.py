@@ -5,7 +5,10 @@ u64 row count, a little-endian u64 column count, then rows*cols
 little-endian float64 values in row-major order. Writes are atomic
 (temp file + rename). A read checks the header against the file size
 before it allocates, then reads the payload straight into the array it
-returns: one copy of the bytes. CSV files hold one time step per row
+returns: one copy of the bytes. `file_equals` makes the same checks and
+compares a file with an array through one reused buffer of a few MB.
+`problem` checks finiteness in one pass over a contiguous float64 array,
+writing nothing. CSV files hold one time step per row
 with full-precision decimal values. JSON documents (manifests,
 scorecards, leaderboards) are written with sorted keys, a 2-space indent
 and a trailing newline, and never hold NaN or Infinity; `encode` and
@@ -47,9 +50,25 @@ def problem(x: np.ndarray, shape: tuple[int, int]) -> str | None:
     non-finite value), or None when it is."""
     if x.shape != shape:
         return f"shape {tuple(x.shape)} does not match required {shape}"
-    if not np.all(np.isfinite(x)):
+    if not _all_finite(x):
         return "contains non-finite values"
     return None
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every value of `x` is finite. For a C- or F-contiguous float64
+    array, `x·x` decides in one pass that writes nothing: it is finite
+    exactly when every value is finite and no square overflows. Any other
+    array, and a non-finite `x·x` (a NaN, an infinity, or a value such as
+    1e200 whose square overflows), take the element-wise scan, so the verdict
+    is exact whatever the BLAS kernel or thread count."""
+    if type(x) is np.ndarray and x.dtype == np.float64 and (
+            x.flags.c_contiguous or x.flags.f_contiguous):
+        v = x.ravel(order="K")
+        with np.errstate(over="ignore"):
+            if math.isfinite(np.dot(v, v)):
+                return True
+    return bool(np.all(np.isfinite(x)))
 
 
 def make_dir(path: Path) -> None:
@@ -113,33 +132,65 @@ def write_matrix(path: str | Path, x: np.ndarray) -> None:
         fh.write(a.data.cast("B"))
 
 
+def _header(fh, path: str | Path) -> tuple[int, int]:
+    """The (rows, cols) that the header of the matrix file open as `fh`
+    declares, once the file's size is the payload they need; any other
+    header raises MatrixFormatError. Leaves `fh` at the payload."""
+    head = fh.read(len(MAGIC) + _HEADER.size)
+    if len(head) < len(MAGIC) + _HEADER.size:
+        raise MatrixFormatError(f"{path}: file too short for a matrix header")
+    if head[: len(MAGIC)] != MAGIC:
+        raise MatrixFormatError(f"{path}: bad magic {head[:8]!r}, expected {MAGIC!r}")
+    rows, cols = _HEADER.unpack_from(head, len(MAGIC))
+    if rows < 1 or cols < 1:
+        raise MatrixFormatError(f"{path}: invalid header dimensions [{rows}, {cols}]")
+    expected = rows * cols * 8
+    held = os.fstat(fh.fileno()).st_size - len(head)
+    if held != expected:
+        raise MatrixFormatError(
+            f"{path}: shape mismatch, header says [{rows}, {cols}] "
+            f"({expected} payload bytes) but file holds {held}"
+        )
+    return rows, cols
+
+
 def read_matrix(path: str | Path) -> np.ndarray:
     """Read a matrix written by `write_matrix`, validating header and size
     before allocating; a file that cannot be read raises MatrixFormatError."""
     try:
         with open(path, "rb") as fh:
-            head = fh.read(len(MAGIC) + _HEADER.size)
-            if len(head) < len(MAGIC) + _HEADER.size:
-                raise MatrixFormatError(f"{path}: file too short for a matrix header")
-            if head[: len(MAGIC)] != MAGIC:
-                raise MatrixFormatError(f"{path}: bad magic {head[:8]!r}, expected {MAGIC!r}")
-            rows, cols = _HEADER.unpack_from(head, len(MAGIC))
-            if rows < 1 or cols < 1:
-                raise MatrixFormatError(f"{path}: invalid header dimensions [{rows}, {cols}]")
-            expected = rows * cols * 8
-            held = os.fstat(fh.fileno()).st_size - len(head)
-            if held != expected:
-                raise MatrixFormatError(
-                    f"{path}: shape mismatch, header says [{rows}, {cols}] "
-                    f"({expected} payload bytes) but file holds {held}"
-                )
-            a = np.empty((rows, cols), dtype="<f8")
+            a = np.empty(_header(fh, path), dtype="<f8")
             got = fh.readinto(a)
     except OSError as exc:
         raise MatrixFormatError(f"{path}: cannot read: {exc.strerror}") from exc
-    if got != expected:
-        raise MatrixFormatError(f"{path}: payload ends after {got} of {expected} bytes")
+    if got != a.nbytes:
+        raise MatrixFormatError(f"{path}: payload ends after {got} of {a.nbytes} bytes")
     return a.astype(np.float64, copy=False)
+
+
+#: Bytes of the buffer that `file_equals` reads a file through.
+_CHUNK_BYTES = 4 << 20
+
+
+def file_equals(path: str | Path, x: np.ndarray) -> bool:
+    """Whether the matrix file at `path` holds `x`: its shape, and equal
+    values (`==`, as `np.array_equal`), compared as the file streams through
+    one reused buffer of at most a few MB. False for any file that
+    `read_matrix` would reject, and for one that it cannot read."""
+    try:
+        with open(path, "rb") as fh:
+            if _header(fh, path) != x.shape:
+                return False
+            step = max(1, _CHUNK_BYTES // (8 * x.shape[1]))
+            buf = np.empty((min(step, x.shape[0]), x.shape[1]), dtype="<f8")
+            for start in range(0, x.shape[0], step):
+                part = buf[: x.shape[0] - start]
+                if fh.readinto(part) != part.nbytes or not np.array_equal(
+                        part, x[start:start + len(part)]):
+                    return False
+    except (OSError, MatrixFormatError):
+        return False
+    return True
 
 
 def write_csv(path: str | Path, x: np.ndarray) -> None:

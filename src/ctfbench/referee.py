@@ -462,11 +462,23 @@ def load_leaderboard(path: str | Path) -> Leaderboard:
     """Load the leaderboard store; a path that does not exist yields an
     empty board, and any other path that is not a regular file is an error."""
     path = Path(path)
+    _check_regular(path)
     if not path.exists():
         return Leaderboard()
-    if not path.is_file():
-        raise CTFBenchError(f"{path}: the leaderboard store is not a regular file")
     return matio.read_document(path, Leaderboard)
+
+
+def _check_regular(store: Path) -> None:
+    if store.exists() and not store.is_file():
+        raise CTFBenchError(f"{store}: the leaderboard store is not a regular file")
+
+
+def check_store(store: str | Path) -> None:
+    """Raise the CTFBenchError that `update_leaderboard(store, ...)` would
+    raise for a store path that is not a regular file or whose directory
+    takes no new file, leaving nothing behind."""
+    matio.check_writable(store)
+    _check_regular(Path(store))
 
 
 def save_leaderboard(board: Leaderboard, path: str | Path) -> None:

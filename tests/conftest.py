@@ -1,10 +1,12 @@
 import multiprocessing
 import os
 import time
+import tracemalloc
 
 import pytest
 
 import ctfbench as cb
+from ctfbench import datagen, matio
 
 _CRITERIA: dict[str, tuple[str, str]] = {}
 
@@ -52,6 +54,29 @@ def ks_pack_timed():
 @pytest.fixture(scope="session")
 def ks_pack(ks_pack_timed):
     return ks_pack_timed[0]
+
+
+@pytest.fixture(scope="session")
+def ks_test_pack_dir(tmp_path_factory, ks_pack):
+    """The session KS pack's manifest and test matrices, all that `score` reads."""
+    directory = tmp_path_factory.mktemp("packs") / "PDE_KS"
+    directory.mkdir()
+    matio.write_json(directory / "manifest.json", ks_pack.manifest.to_dict())
+    for name in datagen.TEST_NAMES:
+        matio.write_matrix(directory / f"{name}.mat", ks_pack.test[name])
+    return directory
+
+
+def traced_peak(call, *args, **kwargs):
+    """`call(*args, **kwargs)` and the peak of the memory that tracemalloc
+    saw allocated during it, numpy's array buffers included, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def oracle_submission(pack, method="oracle", run_id="run0"):

@@ -385,6 +385,26 @@ class TestScore:
         assert "Error:" in result.output and str(tmp_path / "nodir") in result.output
         assert not isinstance(result.exception, FileNotFoundError)
 
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_bad_store_fails_before_scoring(self, runner, cli_pack_dir, zeros_run_dir,
+                                            tmp_path, monkeypatch, where):
+        store = tmp_path / "nodir" / "board.json"
+        if where == "directory":
+            store.mkdir(parents=True)
+        evaluated = []
+        monkeypatch.setattr(referee, "evaluate", lambda *args: evaluated.append(args))
+        card = tmp_path / "card.json"
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(zeros_run_dir),
+             "--store", str(store), "--out", str(card)],
+        )
+        assert result.exit_code == 1, result.output
+        assert f"Error: {store}: " in result.output
+        assert evaluated == [] and not card.exists()
+        assert sorted(p.name for p in tmp_path.rglob("*")) == \
+            (["board.json", "nodir"] if where == "directory" else [])
+
     def test_ragged_csv_prediction_is_error(self, runner, cli_pack_dir, tmp_path):
         pack = cb.read_pack(cli_pack_dir)
         run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
@@ -535,6 +555,35 @@ class TestScore:
         scores = json.loads(result.stdout)["aggregate"]["scores"]
         assert all(scores[t.score_id]["mean"] == 100.0 for t in spectral)
         assert len(calls) == 3 * len(spectral) + 2
+
+    def test_runs_glob_holds_one_run_at_a_time(self, runner, cli_pack_dir, tmp_path,
+                                               monkeypatch):
+        pack = cb.read_pack(cli_pack_dir)
+        for run_id in ("run0", "run1", "run2"):
+            referee.write_submission(oracle_submission(pack, run_id=run_id), tmp_path)
+        del pack
+        refs = []
+        load_submission = referee.load_submission
+
+        def recording_load_submission(*args, **kwargs):
+            alive = [ref for ref in refs if ref() is not None]
+            assert not alive, f"{len(alive)} predictions of an earlier run are alive"
+            sub = load_submission(*args, **kwargs)
+            refs.extend(weakref.ref(x) for x in sub.predictions.values())
+            return sub
+
+        monkeypatch.setattr(referee, "load_submission", recording_load_submission)
+        gc.disable()
+        try:
+            result = runner.invoke(
+                main,
+                ["score", "--pack", str(cli_pack_dir), "--submission", str(tmp_path / "oracle"),
+                 "--runs-glob", "run*"],
+            )
+        finally:
+            gc.enable()
+        assert result.exit_code == 0, result.output
+        assert len(refs) == 3 * len(referee.PREDICTION_NAMES)
 
     @pytest.mark.parametrize("damage", ["missing_prediction", "ragged_csv"])
     def test_exit_1_frees_the_pack(self, runner, cli_pack_dir, tmp_path, monkeypatch,

@@ -9,6 +9,7 @@ import ctfbench as cb
 from ctfbench import datagen, matio
 from ctfbench.dynamics import LorenzParams, SimConfig, integrate_lorenz
 from ctfbench.exceptions import MatrixFormatError, PackValidationError
+from conftest import traced_peak
 
 # Independent copy of the published matrix layout: name -> (rows, start, end).
 EXPECTED_LAYOUT = {
@@ -528,3 +529,79 @@ def test_pack_bytes_pinned(request, system):
     digests = {name: hashlib.sha256(mats[name].tobytes()).hexdigest()
                for name in datagen.MATRIX_LAYOUT}
     assert digests == MATRIX_SHA256[system]
+
+
+def test_test_read_holds_the_distinct_windows_only(ks_pack, ks_test_pack_dir):
+    # Each later member of an identical-window group (X4test, X3test, X5test,
+    # X7test) is compared as it streams, never held whole beside its twin.
+    pack, peak = traced_peak(cb.read_pack, ks_test_pack_dir, names=datagen.TEST_NAMES)
+    distinct = {id(x): x.nbytes for x in pack.test.values()}
+    assert sum(distinct.values()) == (10000 + 4 * 1000) * 1024 * 8  # 115 MB of 221
+    assert peak <= sum(distinct.values()) + 8 * 2**20
+    for name in datagen.TEST_NAMES:
+        assert np.array_equal(pack.matrix(name), ks_pack.test[name]), name
+
+
+@pytest.fixture
+def test_windows_dir(lorenz_pack, tmp_path):
+    """The Lorenz session pack's manifest and test matrices, to be damaged."""
+    directory = tmp_path / "pack"
+    directory.mkdir()
+    matio.write_json(directory / "manifest.json", lorenz_pack.manifest.to_dict())
+    for name in datagen.TEST_NAMES:
+        matio.write_matrix(directory / f"{name}.mat", lorenz_pack.test[name])
+    return directory
+
+
+def test_later_member_with_nan_is_named(lorenz_pack, test_windows_dir):
+    bad = lorenz_pack.test["X4test"].copy()
+    bad[5000, 1] = np.nan
+    matio.write_matrix(test_windows_dir / "X4test.mat", bad)
+    with pytest.raises(PackValidationError, match="^X4test: contains non-finite values$"):
+        cb.read_pack(test_windows_dir, names=datagen.TEST_NAMES)
+
+
+def test_truncated_later_member_is_read_matrix_error(test_windows_dir):
+    target = test_windows_dir / "X4test.mat"
+    target.write_bytes(target.read_bytes()[:-16])
+    with pytest.raises(MatrixFormatError) as read_error:
+        matio.read_matrix(target)
+    with pytest.raises(MatrixFormatError) as pack_error:
+        cb.read_pack(test_windows_dir, names=datagen.TEST_NAMES)
+    assert str(pack_error.value) == str(read_error.value)
+
+
+def test_later_member_equal_by_value_is_the_first_array(lorenz_pack, test_windows_dir):
+    # -0.0 == 0.0, as np.array_equal has it: X4test reads as X2test's array.
+    first = lorenz_pack.test["X2test"].copy()
+    first[7, 2] = 0.0
+    later = first.copy()
+    later[7, 2] = -0.0
+    matio.write_matrix(test_windows_dir / "X2test.mat", first)
+    matio.write_matrix(test_windows_dir / "X4test.mat", later)
+    pack = cb.read_pack(test_windows_dir, names=datagen.TEST_NAMES)
+    assert pack.matrix("X4test") is pack.matrix("X2test")
+    assert not np.signbit(pack.matrix("X4test")[7, 2])
+
+
+def test_validate_pack_checks_each_distinct_array_once(lorenz_pack, monkeypatch):
+    calls = []
+    problem = matio.problem
+
+    def counting(x, shape):
+        calls.append(shape)
+        return problem(x, shape)
+
+    monkeypatch.setattr(matio, "problem", counting)
+    datagen.validate_pack(lorenz_pack)
+    assert len(calls) == 14
+
+
+def test_shared_array_is_checked_under_each_shape(lorenz_pack):
+    # One array under two names of different shapes is checked for each.
+    import copy
+
+    broken = copy.copy(lorenz_pack)
+    broken.test = {**lorenz_pack.test, "X8test": lorenz_pack.test["X2test"]}
+    with pytest.raises(PackValidationError, match=r"X8test: shape \(10000, 3\)"):
+        datagen.validate_pack(broken)

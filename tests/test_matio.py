@@ -1,15 +1,18 @@
 import errno
 import os
 import re
-import tracemalloc
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ctfbench import matio
 from ctfbench.exceptions import CTFBenchError, MatrixFormatError
+from conftest import traced_peak
 
 
 @pytest.fixture
@@ -79,12 +82,7 @@ def test_read_allocates_the_payload_once(tmp_path):
     x = np.random.default_rng(2).normal(size=(1000, 1024))
     path = tmp_path / "big.mat"
     matio.write_matrix(path, x)
-    tracemalloc.start()
-    try:
-        a = matio.read_matrix(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    a, peak = traced_peak(matio.read_matrix, path)
     assert np.array_equal(a, x)
     assert peak <= 1.1 * x.nbytes
 
@@ -261,3 +259,107 @@ def test_read_json_refuses_non_finite_constants(tmp_path, constant):
     path.write_text(f'{{"x": {constant}}}')
     with pytest.raises(CTFBenchError, match="not a readable JSON document"):
         matio.read_json(path)
+
+
+@pytest.mark.parametrize("chunk", [1 << 22, 3 * 5 * 8, 5 * 8], ids=["whole", "3_rows", "1_row"])
+def test_file_equals_compares_shape_and_values(mat, monkeypatch, chunk):
+    # A chunk of 3 rows leaves a last read of 2 of the 17 rows.
+    monkeypatch.setattr(matio, "_CHUNK_BYTES", chunk)
+    path, x = mat
+    assert matio.file_equals(path, x)
+    assert matio.file_equals(path, np.asfortranarray(x))
+    for r, c in ((0, 0), (16, 4), (7, 2)):
+        other = x.copy()
+        other[r, c] = np.nextafter(other[r, c], np.inf)
+        assert not matio.file_equals(path, other), (r, c)
+    assert not matio.file_equals(path, x[:16])
+    assert not matio.file_equals(path, x.reshape(5, 17))
+
+
+def test_file_equals_is_value_equality(tmp_path):
+    # As np.array_equal: -0.0 equals 0.0, and a NaN equals nothing.
+    path = tmp_path / "x.mat"
+    matio.write_matrix(path, np.array([[-0.0, 1.0], [np.inf, 2.0]]))
+    assert matio.file_equals(path, np.array([[0.0, 1.0], [np.inf, 2.0]]))
+    matio.write_matrix(path, np.array([[np.nan, 1.0]]))
+    assert not matio.file_equals(path, np.array([[np.nan, 1.0]]))
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "trailing_byte", "bad_magic",
+                                    "directory"])
+def test_file_equals_is_false_for_what_read_matrix_rejects(mat, damage):
+    path, x = mat
+    raw = path.read_bytes()
+    if damage == "missing":
+        path.unlink()
+    elif damage == "truncated":
+        path.write_bytes(raw[:-8])
+    elif damage == "trailing_byte":
+        path.write_bytes(raw + b"\x00")
+    elif damage == "bad_magic":
+        path.write_bytes(b"CTFMAT02" + raw[8:])
+    else:
+        path.unlink()
+        path.mkdir()
+    with pytest.raises(MatrixFormatError):
+        matio.read_matrix(path)
+    assert not matio.file_equals(path, x)
+
+
+def test_file_equals_is_false_when_the_file_shrinks_after_the_size_check(mat, monkeypatch):
+    path, x = mat
+    path.write_bytes(path.read_bytes()[:-8])
+    real_fstat = os.fstat
+    monkeypatch.setattr(matio.os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
+    assert not matio.file_equals(path, x)
+
+
+def test_file_equals_holds_one_small_buffer(tmp_path):
+    x = np.random.default_rng(3).normal(size=(4000, 1024))
+    path = tmp_path / "big.mat"
+    matio.write_matrix(path, x)
+    same, peak = traced_peak(matio.file_equals, path, x)
+    assert same
+    assert peak <= matio._CHUNK_BYTES * 1.25 + 65536 < x.nbytes / 4
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, 1e200, -1e200, -0.0, 0.0, 5e-324, -5e-324,
+            np.finfo(np.float64).max, np.finfo(np.float64).tiny]
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                    elements=st.one_of(st.floats(), st.sampled_from(_SPECIAL))),
+       layout=st.sampled_from(["C", "F", "strided"]))
+def test_finiteness_verdict_is_isfinite(x, layout):
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        x = x[:, ::2]
+    verdict = matio.problem(x, x.shape)
+    assert (verdict is None) == bool(np.isfinite(x).all())
+    assert verdict in (None, "contains non-finite values")
+
+
+@pytest.mark.parametrize("x, finite", [
+    (np.array([[1e30, -1e30]], dtype=np.float32), True),
+    (np.array([[1.0, np.inf]], dtype=np.float32), False),
+    (np.array([[2**62, -(2**62)]], dtype=np.int64), True),
+    (np.asfortranarray([[1e200, 2.0], [3.0, 4.0]]), True),
+    (np.asfortranarray([[1.0, 2.0], [np.nan, 4.0]]), False),
+    (np.array([[1e200, np.nan, 3.0, np.inf]])[:, ::2], True),
+    (np.array([[1.0, np.nan, -np.inf, 0.0]])[:, ::2], False),
+    (np.array([[1e200, 1.0]], dtype=">f8"), True),
+    (np.array([[np.nan, 1.0]], dtype=">f8"), False),
+], ids=["float32_1e30", "float32_inf", "int64", "fortran", "fortran_nan", "strided",
+        "strided_inf", "big_endian", "big_endian_nan"])
+def test_finiteness_verdict_of_other_dtypes_and_layouts(x, finite):
+    assert (matio.problem(x, x.shape) is None) == finite
+
+
+def test_finiteness_check_writes_no_temporary():
+    x = np.random.default_rng(4).normal(size=(2000, 1024))
+    verdict, peak = traced_peak(matio.problem, x, x.shape)
+    assert verdict is None
+    assert peak < 65536
