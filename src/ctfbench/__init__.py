@@ -60,7 +60,7 @@ from .referee import (
 )
 from .report import export_table, render_radar, render_ranked_bar, render_top3
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CTFBenchError",

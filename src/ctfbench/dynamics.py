@@ -374,6 +374,23 @@ def integrate_lorenz(params: LorenzParams, cfg: SimConfig) -> np.ndarray:
     return _lorenz_batch([params], [cfg])[0]
 
 
+def _libm_exp(a: np.ndarray) -> np.ndarray:
+    """exp of each value by libm (`math.exp`): `np.exp` has SIMD kernels
+    whose last bits differ between CPUs."""
+    return np.array([math.exp(v) for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a*b for complex arrays, each real product and sum rounded on its own:
+    numpy's complex multiply fuses them into multiply-adds on some CPUs
+    only. (A factor with an exactly zero part, as in every product of
+    `_ETDRK4.step`, rounds the same either way.)"""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 class _ETDRK4:
     """Precomputed exponential time-differencing (ETDRK4) stepper for a
     batch of KS trajectories in rfft space, one row per viscosity.
@@ -389,24 +406,24 @@ class _ETDRK4:
         n = params[0].grid_points
         dx = params[0].domain_length / n
         k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
+        k2 = k * k
         viscosity = np.array([[p.viscosity] for p in params])
-        lin = k**2 - viscosity * k**4
+        lin = k2 - viscosity * (k2 * k2)
 
-        E = np.exp(dt * lin)
-        E2 = np.exp(0.5 * dt * lin)
+        E = _libm_exp(dt * lin)
+        E2 = _libm_exp(0.5 * dt * lin)
 
         # Contour quadrature: 32 points on a unit circle around each dt*lin.
         m = 32
         r = np.exp(1j * np.pi * (np.arange(1, m + 1) - 0.5) / m)
         lr = dt * lin[..., None] + r
+        lr2 = _cmul(lr, lr)
+        lr3 = _cmul(lr2, lr)
+        elr = np.exp(lr)
         Q = dt * np.real(np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=-1))
-        f1 = dt * np.real(
-            np.mean((-4.0 - lr + np.exp(lr) * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=-1)
-        )
-        f2 = dt * np.real(np.mean((2.0 + lr + np.exp(lr) * (-2.0 + lr)) / lr**3, axis=-1))
-        f3 = dt * np.real(
-            np.mean((-4.0 - 3.0 * lr - lr**2 + np.exp(lr) * (4.0 - lr)) / lr**3, axis=-1)
-        )
+        f1 = dt * np.real(np.mean((-4.0 - lr + _cmul(elr, 4.0 - 3.0 * lr + lr2)) / lr3, axis=-1))
+        f2 = dt * np.real(np.mean((2.0 + lr + _cmul(elr, -2.0 + lr)) / lr3, axis=-1))
+        f3 = dt * np.real(np.mean((-4.0 - 3.0 * lr - lr2 + _cmul(elr, 4.0 - lr)) / lr3, axis=-1))
         # Every product below multiplies them into complex arrays; numpy would
         # cast them to the same complex values on each call.
         self.E, self.E2, self.Q, self.f1, self.f2, self.f3 = (

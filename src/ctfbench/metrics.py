@@ -13,6 +13,15 @@ Each S maps to a score E = clamp(100*(1 - S), -100, 100), so E = 100 is
 a perfect match and an all-zero prediction lands exactly at E = 0 for the
 short-time and spectral errors.
 
+Three choices fix the last bits of every S and are part of the metrics'
+definition. Each Frobenius norm sums its squares in blocks of
+`SUM_BLOCK_ROWS` = 64 rows, each block by `np.add.reduce` and the block
+totals in row order. The power spectrum is re^2 + im^2 of the
+`np.fft.rfft` band at wavenumbers 0..kmax, mirrored to -kmax..-1. Its log
+is `_log`'s series, not libm's. None of these calls BLAS or a CPU-specific
+kernel, so a score is the same on any x86-64 CPU, BLAS and thread count
+under one numpy major version.
+
 Zero-power convention: the spectral error takes ln(|FFT|^2), which is
 undefined on exactly-zero rows. Any power below 1e-300 is assigned
 log-power 0 instead. An all-zero prediction therefore has a zero spectrum
@@ -22,6 +31,7 @@ matrix and scores S = 1 (E = 0) exactly, anchoring the zeros baseline.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,6 +45,10 @@ SCORE_IDS = tuple(f"E{i}" for i in range(1, 13))
 
 #: Powers below this are treated as exact zeros and given log-power 0.
 ZERO_POWER_FLOOR = 1e-300
+
+#: Rows per block of every Frobenius norm (`_sum_sq`). Part of the metrics'
+#: definition: the order of the float sums, so the last bits of S, follow it.
+SUM_BLOCK_ROWS = 64
 
 
 class MetricKind(str, Enum):
@@ -74,12 +88,37 @@ def _check_same_shape(pred: np.ndarray, truth: np.ndarray) -> None:
         raise MetricError(f"shape mismatch: prediction {pred.shape} vs truth {truth.shape}")
 
 
+def _sum_sq(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """sum((a - b)**2), or sum(a**2) without `b`, over whole 2-D arrays.
+
+    Rows are taken `SUM_BLOCK_ROWS` at a time into one reused buffer,
+    subtracted and squared there, summed by `np.add.reduce`, and the block
+    totals are added in row order. Only exactly rounded arithmetic and
+    numpy's own summation run, so the result is the same on every CPU, BLAS
+    and thread count. `0 - t` squares to `t*t`, so a zero `a` gives the same
+    sum as `b` alone: S = 1 exactly.
+    """
+    rows = a.shape[0]
+    buf = np.empty((min(SUM_BLOCK_ROWS, rows),) + a.shape[1:])
+    total = 0.0
+    for i in range(0, rows, SUM_BLOCK_ROWS):
+        span = slice(i, i + SUM_BLOCK_ROWS)
+        block = buf[: min(SUM_BLOCK_ROWS, rows - i)]
+        if b is None:
+            np.multiply(a[span], a[span], out=block)
+        else:
+            np.subtract(a[span], b[span], out=block)
+            np.multiply(block, block, out=block)
+        total += float(np.add.reduce(block, axis=None))
+    return total
+
+
 def short_time_reference(truth: np.ndarray, short_k: int) -> float:
     """||truth[:short_k]||_F, the denominator of the short-time error."""
     truth = np.asarray(truth, dtype=np.float64)
     if not 1 <= short_k <= truth.shape[0]:
         raise MetricError(f"short_k={short_k} outside [1, {truth.shape[0]}]")
-    return np.linalg.norm(truth[:short_k])
+    return math.sqrt(_sum_sq(truth[:short_k]))
 
 
 def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int,
@@ -96,16 +135,60 @@ def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int,
     ref = short_time_reference(truth, short_k) if reference is None else reference
     if ref == 0.0:
         raise MetricError("zero-norm truth window: short-time score undefined")
-    return float(np.linalg.norm(pred[:short_k] - truth[:short_k]) / ref)
+    return math.sqrt(_sum_sq(pred[:short_k], truth[:short_k])) / ref
+
+
+#: ln 2 split so that `e * _LN2_HI` is exact for every binary exponent e.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_SQRT_HALF = math.sqrt(0.5)
+#: 2/3, 2/5, ..., 2/23: the odd series 2*atanh(s) = 2s + 2s^3/3 + ... after
+#: its first term; the first term left out is below 2**-60 of the result.
+_ATANH_SERIES = tuple(2.0 / (2 * j + 1) for j in range(1, 12))
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """Natural log of positive finite float64 values in exactly rounded
+    arithmetic.
+
+    x = m * 2**e with m in [sqrt(1/2), sqrt(2)); with f = m - 1 and
+    s = f/(2 + f), ln m = 2*atanh(s), summed as f - (f*f/2 - s*(f*f/2 + R))
+    with R the series of `_ATANH_SERIES` in s*s, as fdlibm sums it. Within
+    2 ulp of libm's log and exactly 0.0 at 1.0; unlike `np.log`, whose SIMD
+    kernels differ between CPUs, it gives the same bits on every host.
+    """
+    f, e = np.frexp(x)
+    low = f < _SQRT_HALF
+    np.multiply(f, 2.0, out=f, where=low)
+    e -= low
+    f -= 1.0
+    s = f + 2.0
+    np.divide(f, s, out=s)
+    z = s * s
+    r = z * _ATANH_SERIES[-1]
+    for c in _ATANH_SERIES[-2::-1]:
+        r += c
+        r *= z
+    half_f2 = np.multiply(f, f, out=z)
+    half_f2 *= 0.5
+    r += half_f2
+    r *= s
+    k = e.astype(np.float64)
+    r += np.multiply(k, _LN2_LO, out=s)
+    r -= half_f2
+    r += f
+    k *= _LN2_HI
+    k += r
+    return k
 
 
 def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
     """Log power spectrum of the trailing `long_k` rows along the space axis.
 
-    Each row is transformed with a complex DFT, squared in magnitude,
-    center-shifted so wavenumber zero sits at column n/2, and restricted to
-    the 2*kmax+1 bins around it. The natural log is taken with the
-    zero-power convention (module docstring).
+    Each row's power re^2 + im^2 at wavenumbers 0..kmax is taken from its
+    real DFT (`np.fft.rfft`), and mirrored to -kmax..-1, where a real row's
+    power is the same. Columns run from wavenumber -kmax to kmax. The
+    natural log is taken with the zero-power convention (module docstring).
     """
     x = np.asarray(x, dtype=np.float64)
     rows, n = x.shape
@@ -115,19 +198,22 @@ def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
         raise MetricError(f"need at least {2 * kmax + 2} columns for kmax={kmax}, got {n}")
     if not 1 <= long_k <= rows:
         raise MetricError(f"long_k={long_k} outside [1, {rows}]")
-    power = np.abs(np.fft.fft(x[rows - long_k :], axis=1)) ** 2
-    power = np.fft.fftshift(power, axes=1)
-    sel = power[:, n // 2 - kmax : n // 2 + kmax + 1]
-    out = np.zeros_like(sel)
-    live = sel >= ZERO_POWER_FLOOR
-    out[live] = np.log(sel[live])
-    return out
+    spec = np.fft.rfft(x[rows - long_k :], axis=1)[:, : kmax + 1]
+    power = spec.real * spec.real
+    power += spec.imag * spec.imag
+    # log 1 is exactly 0: floored and NaN powers get log-power 0, and an
+    # overflowed power keeps log-power inf.
+    overflow = power == np.inf
+    power[overflow | ~(power >= ZERO_POWER_FLOOR)] = 1.0
+    half = _log(power)
+    half[overflow] = np.inf
+    return np.concatenate([half[:, :0:-1], half], axis=1)
 
 
 def spectral_reference(truth: np.ndarray, windows: MetricWindows) -> tuple[np.ndarray, float]:
     """The truth's log spectrum (`power_spectrum_rows`) and its Frobenius norm."""
     p_truth = power_spectrum_rows(truth, windows.long_k, windows.kmax)
-    return p_truth, np.linalg.norm(p_truth)
+    return p_truth, math.sqrt(_sum_sq(p_truth))
 
 
 def score_long_time_spectral(
@@ -142,7 +228,7 @@ def score_long_time_spectral(
     p_pred = power_spectrum_rows(pred, windows.long_k, windows.kmax)
     if ref == 0.0:
         raise MetricError("zero-norm truth spectrum: spectral score undefined")
-    return float(np.linalg.norm(p_pred - p_truth) / ref)
+    return math.sqrt(_sum_sq(p_pred, p_truth)) / ref
 
 
 def _series_reference(truth_series: np.ndarray, bins: int) -> tuple:

@@ -316,14 +316,24 @@ def _check_truth(pack: DatasetPack, task: TaskSpec) -> np.ndarray:
     return truth
 
 
-def evaluate_task(task: TaskSpec, sub: Submission, pack: DatasetPack) -> float | None:
+def evaluate_task(task: TaskSpec, sub: Submission, pack: DatasetPack,
+                  verdicts: dict | None = None) -> float | None:
     """Score one task; None when the prediction is missing or invalid.
 
-    Reads only the single test matrix named by the task.
+    Reads only the single test matrix named by the task. `verdicts`, when
+    given, maps each prediction name already checked to its `matio.problem`
+    verdict, for the later tasks that score the same prediction of `sub`;
+    `evaluate` passes one dict per run.
     """
     truth = _check_truth(pack, task)
     pred = sub.predictions.get(task.prediction_name)
-    if pred is None or matio.problem(pred, truth.shape) is not None:
+    if pred is None:
+        return None
+    verdicts = {} if verdicts is None else verdicts
+    name = task.prediction_name
+    if name not in verdicts:
+        verdicts[name] = matio.problem(pred, truth.shape)
+    if verdicts[name] is not None:
         return None
     w, key = task.windows, (task.metric, task.windows)
     if task.metric is MetricKind.SHORT_TIME:
@@ -369,8 +379,9 @@ def evaluate(
     """Score a single run against a pack, producing a one-run ScoreCard."""
     base = windows or MetricWindows()
     tasks = task_registry(pack.dataset_id, base)
+    verdicts = {}
     with truth_table():
-        scores = {task.score_id: evaluate_task(task, sub, pack) for task in tasks}
+        scores = {task.score_id: evaluate_task(task, sub, pack, verdicts) for task in tasks}
     comp = metrics.composite([scores[sid] for sid in SCORE_IDS])
     run = RunScores(run_id=sub.run_id, scores=scores, composite=comp)
     return _card(sub.method_name, pack.dataset_id, [run], asdict(base))

@@ -456,25 +456,25 @@ MATRIX_SHA256 = {
         "X9test": "d9711a569a621bd5ca16c41715781eda839f5cba9d90ca1b0909027d7d197f19",
     },
     "ks": {
-        "X1train": "bae74a103807201105d8e840ba9475f2929c6a48151bea28eb5eb5865c385eab",
-        "X2train": "5cd5b113c667dbf298ebb4fe71832a3f340937c29b8bd8a4872c95942974b88a",
-        "X3train": "2660b0e17c6aaa51658501601fcf42d835c6dc32b1f985e791b6f4adf8be129e",
-        "X4train": "58743c3091bc6650ff13fa9a1cf7f28740b907e77f4b1f10f74990f2b5d3e994",
-        "X5train": "31cf06b26affb124f08ef9ae3475f1228fad25255dd646c7e4f3eafacf68ba79",
-        "X6train": "eed535f57ad36b6d469f037f9b00bb91f145ec0cdae9456d8a1de1c83b53b8fa",
-        "X7train": "eaf86c28033801dafb3072a645411a6407d96cbd83915000c449ea6d153ed133",
-        "X8train": "28b10a13ae9494287ad7a8a0e69580d53509d1392c61d5f59c3c4662db5f7bbc",
-        "X9train": "2e3853f8f3b3cee4f1e86e2433ab036cb1758ec19bc9273f655220f17182e96f",
-        "X10train": "1ab3b34de3683c66712ceeba0df0c228157baa19b95620731634e0cd6cc8478e",
-        "X1test": "1e38fc634f09f8ab193e07d25d490dec28cdf6ff14e2a10b545ebb5114d5410b",
-        "X2test": "bae74a103807201105d8e840ba9475f2929c6a48151bea28eb5eb5865c385eab",
-        "X3test": "1e38fc634f09f8ab193e07d25d490dec28cdf6ff14e2a10b545ebb5114d5410b",
-        "X4test": "bae74a103807201105d8e840ba9475f2929c6a48151bea28eb5eb5865c385eab",
-        "X5test": "1e38fc634f09f8ab193e07d25d490dec28cdf6ff14e2a10b545ebb5114d5410b",
-        "X6test": "b7b420cb57a7c743532d184305de409831cc298b30f3c2e6b989380f3a2c0832",
-        "X7test": "b7b420cb57a7c743532d184305de409831cc298b30f3c2e6b989380f3a2c0832",
-        "X8test": "ea30e67c303236a29be1d77f95932234d0733619f711470475906f9a24d3e621",
-        "X9test": "bc6230b1187c0d346c87427334d6747a46775f36020f1ffe4ee24384b5be86e9",
+        "X1train": "3c25ec85409991847b7094cb105f8ad398b2abe1eb9858719ad166effa774456",
+        "X2train": "cf9ce88a4c7d38dab740775e1c75842e059e929f9ddece5e391f21426f0ad59c",
+        "X3train": "6159cef6cf851365e484ac695ae69f047e0fcfc97be2f92044c06f0b5b491ec1",
+        "X4train": "2130c285922b1cf0ae841a2b95bca2f7cb2328afef469f1cef0ff36e20b3ac1d",
+        "X5train": "7341c0f95310dba222f73cfd39c9d7c14276146c6359b4ac1c5d494a899bb794",
+        "X6train": "e51ed2d1e8f7ff8bfd4d36320239f20d371159bece19208cd0b93f14d88a89e5",
+        "X7train": "b651a5cf42c49523d8042eda2a40d08ea8aa653943795440f76ea87746df7ae8",
+        "X8train": "19a2180b53aa01e1bd16e543d3a4bdb64c2ed61d1717d4a58a8a86122ebb19bb",
+        "X9train": "be061cdd242e877449f2842803de8296923ac5f36da6b803bfcb269d3e8a52ee",
+        "X10train": "5b4be8def80b278ae9973349ea5b64125ef23e044824570ac9f8d4331ac757c4",
+        "X1test": "ef970aef7f25050ece4cb3e18186aa43fa33262979de2fda272a4454930d16d6",
+        "X2test": "3c25ec85409991847b7094cb105f8ad398b2abe1eb9858719ad166effa774456",
+        "X3test": "ef970aef7f25050ece4cb3e18186aa43fa33262979de2fda272a4454930d16d6",
+        "X4test": "3c25ec85409991847b7094cb105f8ad398b2abe1eb9858719ad166effa774456",
+        "X5test": "ef970aef7f25050ece4cb3e18186aa43fa33262979de2fda272a4454930d16d6",
+        "X6test": "9c885f6ef88558ea0fc0d1a71a281ff24ad8bbf57e0ee02f00d28640dcecb71e",
+        "X7test": "9c885f6ef88558ea0fc0d1a71a281ff24ad8bbf57e0ee02f00d28640dcecb71e",
+        "X8test": "41ca5b68997cdd9a8c300a7829b62130d57bd27385037e8703a3284ee7a82fce",
+        "X9test": "b08a002a7160d375456aeebf5cc24337c4da1bdd7eed9cef0ed38b7252f07dc6",
     },
 }
 

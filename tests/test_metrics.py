@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctfbench import metrics
 from ctfbench.exceptions import MetricError
 from ctfbench.metrics import (
     MetricWindows,
@@ -315,3 +316,56 @@ class TestMetricWindows:
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             MetricWindows(**kw)
+
+
+def _ulps(got, ref):
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+class TestKernels:
+    """The blocked norm, the rfft band and the series log against the numpy
+    and libm kernels they replace."""
+
+    def test_blocked_norm_is_within_4_ulp_of_linalg(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((2, 10000, 1024))
+        assert _ulps(np.sqrt(metrics._sum_sq(a)), np.linalg.norm(a)) <= 4
+        assert _ulps(np.sqrt(metrics._sum_sq(a, b)), np.linalg.norm(a - b)) <= 4
+
+    def test_rfft_band_is_the_fftshift_band(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((50, 1024))
+        n, kmax = x.shape[1], 100
+        power = np.fft.fftshift(np.abs(np.fft.fft(x, axis=1)) ** 2, axes=1)
+        old = np.log(power[:, n // 2 - kmax : n // 2 + kmax + 1])
+        # A relative power difference d shows as a log difference of about d.
+        assert np.abs(power_spectrum_rows(x, 50, kmax) - old).max() <= 1e-12
+
+    def test_series_log_is_within_2_ulp_of_libm(self):
+        rng = np.random.default_rng(2)
+        x = np.concatenate([
+            np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 200_000)),
+            1.0 + rng.uniform(-1e-3, 1e-3, 20_000),
+            [1e-300, 1e300, 0.5, 2.0, np.sqrt(0.5), np.sqrt(2.0),
+             np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)],
+        ])
+        assert _ulps(metrics._log(x), np.log(x)).max() <= 2
+        one = metrics._log(np.array([1.0]))[0]
+        assert one == 0.0 and not np.signbit(one)
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 130, 1000])
+    def test_anchors_hold_for_any_row_count(self, rows):
+        assert metrics.SUM_BLOCK_ROWS == 64
+        truth = np.random.default_rng(rows).normal(size=(rows, 64))
+        zeros = np.zeros_like(truth)
+        windows = MetricWindows(long_k=rows, kmax=16)
+        assert score_short_time(zeros, truth, rows) == 1.0
+        assert score_short_time(truth.copy(), truth, rows) == 0.0
+        assert score_long_time_spectral(zeros, truth, windows) == 1.0
+        assert score_long_time_spectral(truth.copy(), truth, windows) == 0.0
+
+    def test_overflowed_power_keeps_log_power_inf(self):
+        x = np.zeros((1, 64))
+        x[0, 0] = 1e200
+        with np.errstate(over="ignore"):
+            assert np.all(power_spectrum_rows(x, 1, 16) == np.inf)

@@ -226,6 +226,29 @@ class TestEvaluate:
             evaluate(oracle_submission(lorenz_pack), broken)
 
 
+    @pytest.mark.parametrize("kind", ["average", "bad_X6pred"])
+    def test_each_prediction_is_checked_once_per_run(self, lorenz_pack, monkeypatch, kind):
+        # X1pred, X6pred and X7pred each feed two tasks.
+        sub = cb.make_submission("average", lorenz_pack)
+        sub.predictions = {name: x.copy() for name, x in sub.predictions.items()}
+        if kind == "bad_X6pred":
+            sub.predictions["X6pred"][3, 1] = np.nan
+        checked = []
+        problem = cb.matio.problem
+
+        def counting_problem(x, shape):
+            checked.extend(name for name, pred in sub.predictions.items() if pred is x)
+            return problem(x, shape)
+
+        expected = evaluate(sub, lorenz_pack).runs[0].scores
+        monkeypatch.setattr(cb.matio, "problem", counting_problem)
+        for _ in range(2):
+            checked.clear()
+            assert evaluate(sub, lorenz_pack).runs[0].scores == expected
+            assert sorted(checked) == sorted(PREDICTION_NAMES)
+        missing = {sid for sid, e in expected.items() if e is None}
+        assert missing == ({"E7", "E8"} if kind == "bad_X6pred" else set())
+
     def test_pack_lacking_the_truth_is_named_error(self, lorenz_pack, lorenz_pack_dir):
         partial = cb.read_pack(lorenz_pack_dir, names=("X1test",))
         sub = oracle_submission(lorenz_pack)
