@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import elementary
 from .exceptions import CTFBenchError, DivergenceError
 
 RANDOM_SMOOTH = "seeded-random-smooth"
@@ -374,12 +375,6 @@ def integrate_lorenz(params: LorenzParams, cfg: SimConfig) -> np.ndarray:
     return _lorenz_batch([params], [cfg])[0]
 
 
-def _libm_exp(a: np.ndarray) -> np.ndarray:
-    """exp of each value by libm (`math.exp`): `np.exp` has SIMD kernels
-    whose last bits differ between CPUs."""
-    return np.array([math.exp(v) for v in a.ravel().tolist()]).reshape(a.shape)
-
-
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a*b for complex arrays, each real product and sum rounded on its own:
     numpy's complex multiply fuses them into multiply-adds on some CPUs
@@ -410,17 +405,17 @@ class _ETDRK4:
         viscosity = np.array([[p.viscosity] for p in params])
         lin = k2 - viscosity * (k2 * k2)
 
-        E = _libm_exp(dt * lin)
-        E2 = _libm_exp(0.5 * dt * lin)
+        E = elementary.exp(dt * lin)
+        E2 = elementary.exp(0.5 * dt * lin)
 
         # Contour quadrature: 32 points on a unit circle around each dt*lin.
         m = 32
-        r = np.exp(1j * np.pi * (np.arange(1, m + 1) - 0.5) / m)
+        r = elementary.cexp(1j * np.pi * (np.arange(1, m + 1) - 0.5) / m)
         lr = dt * lin[..., None] + r
         lr2 = _cmul(lr, lr)
         lr3 = _cmul(lr2, lr)
-        elr = np.exp(lr)
-        Q = dt * np.real(np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=-1))
+        elr = elementary.cexp(lr)
+        Q = dt * np.real(np.mean((elementary.cexp(lr / 2.0) - 1.0) / lr, axis=-1))
         f1 = dt * np.real(np.mean((-4.0 - lr + _cmul(elr, 4.0 - 3.0 * lr + lr2)) / lr3, axis=-1))
         f2 = dt * np.real(np.mean((2.0 + lr + _cmul(elr, -2.0 + lr)) / lr3, axis=-1))
         f3 = dt * np.real(np.mean((-4.0 - 3.0 * lr - lr2 + _cmul(elr, 4.0 - lr)) / lr3, axis=-1))

@@ -18,9 +18,9 @@ definition. Each Frobenius norm sums its squares in blocks of
 `SUM_BLOCK_ROWS` = 64 rows, each block by `np.add.reduce` and the block
 totals in row order. The power spectrum is re^2 + im^2 of the
 `np.fft.rfft` band at wavenumbers 0..kmax, mirrored to -kmax..-1. Its log
-is `_log`'s series, not libm's. None of these calls BLAS or a CPU-specific
-kernel, so a score is the same on any x86-64 CPU, BLAS and thread count
-under one numpy major version.
+is `elementary.log`'s series, not libm's. None of these calls BLAS, libm
+or a CPU-specific kernel, so a score is the same on any x86-64 CPU, BLAS
+and thread count under one numpy major version.
 
 Zero-power convention: the spectral error takes ln(|FFT|^2), which is
 undefined on exactly-zero rows. Any power below 1e-300 is assigned
@@ -37,6 +37,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import elementary
 from .exceptions import MetricError
 
 logger = logging.getLogger(__name__)
@@ -138,50 +139,6 @@ def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int,
     return math.sqrt(_sum_sq(pred[:short_k], truth[:short_k])) / ref
 
 
-#: ln 2 split so that `e * _LN2_HI` is exact for every binary exponent e.
-_LN2_HI = 6.93147180369123816490e-01
-_LN2_LO = 1.90821492927058770002e-10
-_SQRT_HALF = math.sqrt(0.5)
-#: 2/3, 2/5, ..., 2/23: the odd series 2*atanh(s) = 2s + 2s^3/3 + ... after
-#: its first term; the first term left out is below 2**-60 of the result.
-_ATANH_SERIES = tuple(2.0 / (2 * j + 1) for j in range(1, 12))
-
-
-def _log(x: np.ndarray) -> np.ndarray:
-    """Natural log of positive finite float64 values in exactly rounded
-    arithmetic.
-
-    x = m * 2**e with m in [sqrt(1/2), sqrt(2)); with f = m - 1 and
-    s = f/(2 + f), ln m = 2*atanh(s), summed as f - (f*f/2 - s*(f*f/2 + R))
-    with R the series of `_ATANH_SERIES` in s*s, as fdlibm sums it. Within
-    2 ulp of libm's log and exactly 0.0 at 1.0; unlike `np.log`, whose SIMD
-    kernels differ between CPUs, it gives the same bits on every host.
-    """
-    f, e = np.frexp(x)
-    low = f < _SQRT_HALF
-    np.multiply(f, 2.0, out=f, where=low)
-    e -= low
-    f -= 1.0
-    s = f + 2.0
-    np.divide(f, s, out=s)
-    z = s * s
-    r = z * _ATANH_SERIES[-1]
-    for c in _ATANH_SERIES[-2::-1]:
-        r += c
-        r *= z
-    half_f2 = np.multiply(f, f, out=z)
-    half_f2 *= 0.5
-    r += half_f2
-    r *= s
-    k = e.astype(np.float64)
-    r += np.multiply(k, _LN2_LO, out=s)
-    r -= half_f2
-    r += f
-    k *= _LN2_HI
-    k += r
-    return k
-
-
 def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
     """Log power spectrum of the trailing `long_k` rows along the space axis.
 
@@ -205,7 +162,7 @@ def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
     # overflowed power keeps log-power inf.
     overflow = power == np.inf
     power[overflow | ~(power >= ZERO_POWER_FLOOR)] = 1.0
-    half = _log(power)
+    half = elementary.log(power)
     half[overflow] = np.inf
     return np.concatenate([half[:, :0:-1], half], axis=1)
 

@@ -456,25 +456,25 @@ MATRIX_SHA256 = {
         "X9test": "d9711a569a621bd5ca16c41715781eda839f5cba9d90ca1b0909027d7d197f19",
     },
     "ks": {
-        "X1train": "3c25ec85409991847b7094cb105f8ad398b2abe1eb9858719ad166effa774456",
-        "X2train": "cf9ce88a4c7d38dab740775e1c75842e059e929f9ddece5e391f21426f0ad59c",
-        "X3train": "6159cef6cf851365e484ac695ae69f047e0fcfc97be2f92044c06f0b5b491ec1",
-        "X4train": "2130c285922b1cf0ae841a2b95bca2f7cb2328afef469f1cef0ff36e20b3ac1d",
-        "X5train": "7341c0f95310dba222f73cfd39c9d7c14276146c6359b4ac1c5d494a899bb794",
-        "X6train": "e51ed2d1e8f7ff8bfd4d36320239f20d371159bece19208cd0b93f14d88a89e5",
-        "X7train": "b651a5cf42c49523d8042eda2a40d08ea8aa653943795440f76ea87746df7ae8",
-        "X8train": "19a2180b53aa01e1bd16e543d3a4bdb64c2ed61d1717d4a58a8a86122ebb19bb",
-        "X9train": "be061cdd242e877449f2842803de8296923ac5f36da6b803bfcb269d3e8a52ee",
-        "X10train": "5b4be8def80b278ae9973349ea5b64125ef23e044824570ac9f8d4331ac757c4",
-        "X1test": "ef970aef7f25050ece4cb3e18186aa43fa33262979de2fda272a4454930d16d6",
-        "X2test": "3c25ec85409991847b7094cb105f8ad398b2abe1eb9858719ad166effa774456",
-        "X3test": "ef970aef7f25050ece4cb3e18186aa43fa33262979de2fda272a4454930d16d6",
-        "X4test": "3c25ec85409991847b7094cb105f8ad398b2abe1eb9858719ad166effa774456",
-        "X5test": "ef970aef7f25050ece4cb3e18186aa43fa33262979de2fda272a4454930d16d6",
-        "X6test": "9c885f6ef88558ea0fc0d1a71a281ff24ad8bbf57e0ee02f00d28640dcecb71e",
-        "X7test": "9c885f6ef88558ea0fc0d1a71a281ff24ad8bbf57e0ee02f00d28640dcecb71e",
-        "X8test": "41ca5b68997cdd9a8c300a7829b62130d57bd27385037e8703a3284ee7a82fce",
-        "X9test": "b08a002a7160d375456aeebf5cc24337c4da1bdd7eed9cef0ed38b7252f07dc6",
+        "X1train": "809e68a7b21c15e97ad26fea9c06f07471385fccc64bf9f82210a96f0af1c804",
+        "X2train": "a213f948d13d175a345edadeaed42becfc59e882940b8d7d7bdf34e6cbec7aed",
+        "X3train": "89764ef8afbc42c2db5f31675de179269ccc2448f31c76630ed944b922370eac",
+        "X4train": "8e0df37597d7f10f147fecb521effd140a144fd2699aca19c3f524ca2f62d80e",
+        "X5train": "6fdc9c62051f2032cfaf94ea7e95b23e6fd8c775df7d5bfe0a4e60d2b9cf4a35",
+        "X6train": "2060cf11d9ef749d263cb5327bfdb1a11de964ed99809cd607f01e04299cb14d",
+        "X7train": "fe50b2245be148130adc5c8b128f9a2d76b27f9c3186cac87a05dd037d95d0d2",
+        "X8train": "c5474edbb2ea36bb7bf51ff36cfa56b04858a87c167f909dd0f961d9b65c3c3f",
+        "X9train": "deedae35b1f7572c22a2e836f86b98780c3a76420e754bbfd28da2e5178df61a",
+        "X10train": "fa26f98fea8217bcf8b8c761de815987ce91b35bf328e9b772a289c882184529",
+        "X1test": "c76fb89dc2e7427a5ef11edf7d10428743d91b811d0c1ad82b2567ad664b53d6",
+        "X2test": "809e68a7b21c15e97ad26fea9c06f07471385fccc64bf9f82210a96f0af1c804",
+        "X3test": "c76fb89dc2e7427a5ef11edf7d10428743d91b811d0c1ad82b2567ad664b53d6",
+        "X4test": "809e68a7b21c15e97ad26fea9c06f07471385fccc64bf9f82210a96f0af1c804",
+        "X5test": "c76fb89dc2e7427a5ef11edf7d10428743d91b811d0c1ad82b2567ad664b53d6",
+        "X6test": "094cf015a09563f5ab31dadddd35cff632ac58eab1c2aa49c63120b785b0c36d",
+        "X7test": "094cf015a09563f5ab31dadddd35cff632ac58eab1c2aa49c63120b785b0c36d",
+        "X8test": "d541d5000cee04d8f44814b45e851cdf652265cf515ebb61eb233efad049a6a1",
+        "X9test": "551205593e8858d4eb0432e8f0ad988301f8661b13f36db6b5d933557f2dd8f6",
     },
 }
 
