@@ -1,4 +1,4 @@
-"""The same scores and KS coefficients under other CPU-feature and BLAS settings.
+"""The same scores and KS coefficients under other CPU-feature, BLAS and libm settings.
 
 Each setting is given to a child process through its environment only, and
 the child prints digests of what it computed: the scorecards of the three
