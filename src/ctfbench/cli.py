@@ -192,6 +192,11 @@ def baseline(kind, pack_dir, out_dir, run_id, as_json):
                    f"to {run_dir}")
 
 
+def _reader(run_dir: Path):
+    """`referee.evaluate`'s loader: each call reads one prediction of the run."""
+    return lambda name: referee.load_submission(run_dir, names=(name,)).predictions.get(name)
+
+
 def _score_table(card: referee.ScoreCard) -> str:
     lines = [f"method: {card.method_name}    dataset: {card.dataset_id}    "
              f"runs: {len(card.runs)}"]
@@ -232,29 +237,29 @@ def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kma
     check_writable(out_path)
     if store is not None:
         referee.check_store(store)
-    pack = datagen.read_pack(pack_dir, names=datagen.TEST_NAMES)
-    if runs_glob:
-        run_dirs = referee.find_run_dirs(submission_dir, runs_glob)
-        if not run_dirs:
-            raise click.ClickException(
-                f"no run directories match {runs_glob!r} under {submission_dir}")
-    else:
-        run_dirs = [Path(submission_dir)]
     cards = []
     with referee.truth_table():
+        pack = datagen.read_pack(pack_dir, names=datagen.TEST_NAMES)
+        if runs_glob:
+            run_dirs = referee.find_run_dirs(submission_dir, runs_glob)
+            if not run_dirs:
+                raise click.ClickException(
+                    f"no run directories match {runs_glob!r} under {submission_dir}")
+        else:
+            run_dirs = [Path(submission_dir)]
         for run_dir in run_dirs:
-            sub = referee.load_submission(run_dir, method_name=method)
+            sub = referee.load_submission(run_dir, method_name=method, names=())
             if cards and sub.method_name != cards[0].method_name:
                 raise CTFBenchError(
                     f"{run_dir}: method {sub.method_name!r} differs from the first run's "
                     f"{cards[0].method_name!r}; score one method per command, or give all runs "
                     "one name with --method")
-            cards.append(referee.evaluate(sub, pack, windows))
-            if None in cards[-1].runs[0].scores.values():
-                for violation in referee.validate_submission(sub, pack, windows):
-                    click.echo(f"warning [{sub.run_id}]: {violation}; affected scores get -100",
+            verdicts = {}
+            cards.append(referee.evaluate(sub, pack, windows, _reader(run_dir), verdicts))
+            for name, why in verdicts.items():
+                if why is not None:
+                    click.echo(f"warning [{sub.run_id}]: {name}: {why}; affected scores get -100",
                                err=True)
-            del sub  # free this run's predictions before the next run is read
     card = referee.aggregate_runs(cards)
     referee.write_scorecard(card, out_path)
     if store is not None:

@@ -19,9 +19,10 @@ identical-window checks are all derived from it, and shapes and windows
 are validated on every write and read. A built or read pack holds each
 group of identical windows as one array; `read_pack` compares each later
 member with the first as its file streams (`matio.file_equals`), and the
-checks scan each distinct array once. Pack construction is a pure
-function of (system, master_seed, overrides); seeds for each stochastic
-ingredient are derived from the master seed and recorded in the manifest,
+checks scan each distinct array once, and once for a whole `truth_table()`
+block. Pack construction is a pure function of (system, master_seed,
+overrides); seeds for each stochastic ingredient are derived from the
+master seed and recorded in the manifest,
 which `read_pack` reads through `matio.read_document`: each field's type
 is checked, then `Manifest.validate` passes it exactly when it is, type for
 type, the manifest `build_pack` writes for the settings and master seed it
@@ -35,6 +36,8 @@ class.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Literal
@@ -236,11 +239,12 @@ class Manifest:
         for name, key in ("seeds", "master"), ("noise_levels", "medium"), ("noise_levels", "high"):
             if key not in getattr(self, name):
                 raise PackValidationError(f"{name}: missing {key!r}")
+        doc = self.to_dict()
         try:
-            expected = _manifest(matio.decode(PackConfig, self.to_dict()), self.seeds["master"])
+            expected = _manifest(matio.decode(PackConfig, doc), self.seeds["master"])
         except ValueError as exc:
             raise PackValidationError(str(exc)) from exc
-        why = matio.difference(self.to_dict(), expected.to_dict())
+        why = matio.difference(doc, expected.to_dict())
         if why is not None:
             raise PackValidationError(f"{why}, which these settings and master seed give")
 
@@ -378,22 +382,53 @@ def validate_pack(pack: DatasetPack) -> None:
     _checked({name: pack.matrix(name) for name in MATRIX_LAYOUT}, DATASET_DIMS[pack.dataset_id])
 
 
+#: The table of the outermost open `truth_table()` block; None outside one.
+_TRUTHS: ContextVar[dict | None] = ContextVar("ctfbench_truths", default=None)
+
+
+@contextmanager
+def truth_table():
+    """Check and transform each distinct array once in this block: `_once`
+    keeps the result of each piece of work on an array in one table, keyed by
+    the array's identity, for `read_pack`'s and `validate_pack`'s checks and
+    for the referee's truth checks and metric references. An array replaced
+    by another is a new entry; one changed in place keeps its first results
+    until the block ends. Nested blocks share one table.
+    """
+    token = _TRUTHS.set({}) if _TRUTHS.get() is None else None
+    try:
+        yield
+    finally:
+        if token is not None:
+            _TRUTHS.reset(token)
+
+
+def _once(x: np.ndarray, key, work):
+    """`work()` for `x` and `key`, once per truth table or, outside one,
+    every time. Work that raises is not stored: it raises again next time."""
+    truths = _TRUTHS.get()
+    if truths is None:
+        return work()
+    hit = truths.get((id(x), key))
+    if hit is None:
+        # The entry holds `x`, so its id is not reused while the table lives.
+        hit = truths[id(x), key] = (x, work())
+    return hit[1]
+
+
 def _checked(mats: dict[str, np.ndarray], cols: int) -> dict[str, np.ndarray]:
     """`validate_pack`'s checks of the matrices in `mats`, which may be any
     of the pack's: each one's shape and finiteness, and each identical-window
     pair whose two members are both in `mats`. An array held under several
-    names of one shape is checked once, under the first. Returns `mats` with
-    each member of an identical-window group replaced by the group's first
-    array."""
-    seen = set()
-    for name, x in mats.items():
-        shape = (MATRIX_LAYOUT[name][0], cols)
-        if (id(x), shape) in seen:
-            continue
-        seen.add((id(x), shape))
-        why = matio.problem(x, shape)
-        if why is not None:
-            raise PackValidationError(f"{name}: {why}")
+    names of one shape is checked once, under the first, and once in a whole
+    `truth_table()` block. Returns `mats` with each member of an
+    identical-window group replaced by the group's first array."""
+    with truth_table():
+        for name, x in mats.items():
+            shape = (MATRIX_LAYOUT[name][0], cols)
+            why = _once(x, shape, lambda: matio.problem(x, shape))
+            if why is not None:
+                raise PackValidationError(f"{name}: {why}")
     out = dict(mats)
     first: dict[tuple, str] = {}
     for name, source in _SOURCES.items():

@@ -9,15 +9,17 @@ it, is enough to validate and evaluate any submission; a submission
 missing or failing validation for a prediction receives -100 for every
 score depending on it, while the remaining scores are still computed.
 
-`evaluate_task` returns None exactly for a prediction that
-`validate_submission` names, so a card is the one record of a run's
-verdict: `ctfbench score` takes its exit status from the None scores of
-its card and calls `validate_submission` only to word the warnings of a
-run that has one. `evaluate_task` checks its truth although `read_pack`
-has checked it, because library callers may build or change a pack in
-memory without `read_pack`. Within a `truth_table()` block, as in
-`ctfbench score`, that check and the truth side of each metric are done
-once per distinct truth array and shared by every run scored in the block.
+`evaluate` scores a run one prediction at a time, through a loader that
+`ctfbench score` points at the run's files, so a command holds one
+prediction at a time. `evaluate_task` returns None exactly for a
+prediction that `validate_submission` names, and `evaluate` records that
+verdict for each prediction, so `ctfbench score` takes its exit status from
+the None scores of its card and words its warnings from the verdicts.
+`evaluate_task` checks its truth although `read_pack` has checked it,
+because library callers may build or change a pack in memory without
+`read_pack`. Within a `truth_table()` block, as in `ctfbench score`, that
+check, `read_pack`'s and the truth side of each metric are done once per
+distinct truth array and shared by every run scored in the block.
 
 Scorecards and the store are read and written by `matio`'s codec. The rules
 that only a document read from disk must meet (score ranges, known
@@ -31,16 +33,17 @@ from __future__ import annotations
 import fcntl
 import fnmatch
 import os
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Literal
 
 import numpy as np
 
 from . import matio, metrics
-from .datagen import DATASET_DIMS, MATRIX_LAYOUT, DatasetPack
+from .datagen import DATASET_DIMS, MATRIX_LAYOUT, DatasetPack, _once, truth_table
 from .exceptions import CTFBenchError, PackValidationError
 from .metrics import MetricKind, MetricWindows, SCORE_IDS
 
@@ -145,13 +148,19 @@ def _parse_meta(text: str) -> dict[str, str]:
     return meta
 
 
-def load_submission(run_dir: str | Path, method_name: str | None = None) -> Submission:
+def load_submission(run_dir: str | Path, method_name: str | None = None, *,
+                    names: Iterable[str] | None = None) -> Submission:
     """Load a run directory of X*pred matrices plus an optional `meta` file.
 
     Binary `.mat` files are preferred; `.csv` is accepted. The method name
     comes from the argument, the meta file, or the parent directory name,
-    in that order.
+    in that order. With `names`, read only those predictions (`names=()`
+    reads none); a name outside `PREDICTION_NAMES` is a CTFBenchError.
     """
+    wanted = set(PREDICTION_NAMES if names is None else names)
+    unknown = wanted - set(PREDICTION_NAMES)
+    if unknown:
+        raise CTFBenchError(f"unknown prediction names: {sorted(unknown)}")
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise CTFBenchError(f"submission directory not found: {run_dir}")
@@ -161,7 +170,7 @@ def load_submission(run_dir: str | Path, method_name: str | None = None) -> Subm
     except UnicodeDecodeError as exc:
         raise CTFBenchError(f"{meta_path}: meta file is not UTF-8 text: {exc}") from exc
     predictions = {}
-    for name in PREDICTION_NAMES:
+    for name in [n for n in PREDICTION_NAMES if n in wanted]:
         for suffix in (".mat", ".csv"):
             path = run_dir / f"{name}{suffix}"
             if path.is_file():
@@ -190,13 +199,13 @@ def validate_submission(
 ) -> list[str]:
     """Report violations per prediction; an empty list means fully scoreable."""
     shapes = {t.prediction_name: t.truth_shape for t in task_registry(pack.dataset_id, windows)}
-    violations = []
-    for name, shape in shapes.items():
-        pred = sub.predictions.get(name)
-        why = "missing prediction" if pred is None else matio.problem(pred, shape)
-        if why is not None:
-            violations.append(f"{name}: {why}")
-    return violations
+    verdicts = {name: _verdict(sub.predictions.get(name), shape) for name, shape in shapes.items()}
+    return [f"{name}: {why}" for name, why in verdicts.items() if why is not None]
+
+
+def _verdict(pred: np.ndarray | None, shape: tuple[int, int]) -> str | None:
+    """Why `pred` cannot be scored against a truth of `shape`, or None."""
+    return "missing prediction" if pred is None else matio.problem(pred, shape)
 
 
 def _check_aggregate(mean: float, std: float, key: str = "") -> None:
@@ -275,39 +284,6 @@ def read_scorecard(path: str | Path) -> ScoreCard:
     return matio.read_document(path, ScoreCard)
 
 
-#: The table of the outermost open `truth_table()` block; None outside one.
-_TRUTHS: ContextVar[dict | None] = ContextVar("ctfbench_truths", default=None)
-
-
-@contextmanager
-def truth_table():
-    """Check and transform each distinct truth once for all the runs scored in
-    this block: `evaluate_task` keeps a truth's check and the truth side of
-    each metric on it in one table, keyed by the array's identity. A pack
-    matrix replaced by another array is a new entry; one changed in place
-    keeps its first results until the block ends. Nested blocks share one table.
-    """
-    token = _TRUTHS.set({}) if _TRUTHS.get() is None else None
-    try:
-        yield
-    finally:
-        if token is not None:
-            _TRUTHS.reset(token)
-
-
-def _once(truth: np.ndarray, key, work):
-    """`work()` for `truth` and `key`, once per truth table or, outside one,
-    every time. Work that raises is not stored: it raises again next time."""
-    truths = _TRUTHS.get()
-    if truths is None:
-        return work()
-    hit = truths.get((id(truth), key))
-    if hit is None:
-        # The entry holds `truth`, so its id is not reused while the table lives.
-        hit = truths[id(truth), key] = (truth, work())
-    return hit[1]
-
-
 def _check_truth(pack: DatasetPack, task: TaskSpec) -> np.ndarray:
     truth = pack.matrix(task.truth_name)
     why = _once(truth, task.truth_shape, lambda: matio.problem(truth, task.truth_shape))
@@ -321,20 +297,19 @@ def evaluate_task(task: TaskSpec, sub: Submission, pack: DatasetPack,
     """Score one task; None when the prediction is missing or invalid.
 
     Reads only the single test matrix named by the task. `verdicts`, when
-    given, maps each prediction name already checked to its `matio.problem`
-    verdict, for the later tasks that score the same prediction of `sub`;
-    `evaluate` passes one dict per run.
+    given, maps each prediction name already checked to why it cannot be
+    scored ("missing prediction" or `matio.problem`'s text) or None, for the
+    later tasks that score the same prediction of `sub`; `evaluate` passes
+    one dict per run.
     """
     truth = _check_truth(pack, task)
-    pred = sub.predictions.get(task.prediction_name)
-    if pred is None:
-        return None
-    verdicts = {} if verdicts is None else verdicts
     name = task.prediction_name
+    verdicts = {} if verdicts is None else verdicts
     if name not in verdicts:
-        verdicts[name] = matio.problem(pred, truth.shape)
+        verdicts[name] = _verdict(sub.predictions.get(name), truth.shape)
     if verdicts[name] is not None:
         return None
+    pred = sub.predictions[name]
     w, key = task.windows, (task.metric, task.windows)
     if task.metric is MetricKind.SHORT_TIME:
         ref = _once(truth, key, lambda: metrics.short_time_reference(truth, w.short_k))
@@ -373,15 +348,32 @@ def _card(method: str, dataset: str, runs: list[RunScores], windows: dict) -> Sc
     )
 
 
-def evaluate(
-    sub: Submission, pack: DatasetPack, windows: MetricWindows | None = None
-) -> ScoreCard:
-    """Score a single run against a pack, producing a one-run ScoreCard."""
+def evaluate(sub: Submission, pack: DatasetPack, windows: MetricWindows | None = None,
+             load: Callable[[str], np.ndarray | None] | None = None,
+             verdicts: dict[str, str | None] | None = None) -> ScoreCard:
+    """Score a single run against a pack, producing a one-run ScoreCard.
+
+    The run is scored one prediction at a time: `load(name)`, by default
+    `sub.predictions.get`, gives the prediction `name` or None when the run
+    has none. It is called when the prediction's first task comes, and its
+    array is dropped after the prediction's last task, before the next one
+    is loaded. `verdicts`, when given, is filled in `PREDICTION_NAMES` order
+    with why each prediction cannot be scored, or None when it can.
+    """
     base = windows or MetricWindows()
-    tasks = task_registry(pack.dataset_id, base)
-    verdicts = {}
+    load = sub.predictions.get if load is None else load
+    verdicts = {} if verdicts is None else verdicts
+    scores = {}
     with truth_table():
-        scores = {task.score_id: evaluate_task(task, sub, pack, verdicts) for task in tasks}
+        # The registry lists the tasks of each prediction together.
+        for name, tasks in groupby(task_registry(pack.dataset_id, base),
+                                   lambda task: task.prediction_name):
+            pred = load(name)
+            one = replace(sub, predictions={} if pred is None else {name: pred})
+            del pred
+            for task in tasks:
+                scores[task.score_id] = evaluate_task(task, one, pack, verdicts)
+            del one  # before the next prediction is loaded
     comp = metrics.composite([scores[sid] for sid in SCORE_IDS])
     run = RunScores(run_id=sub.run_id, scores=scores, composite=comp)
     return _card(sub.method_name, pack.dataset_id, [run], asdict(base))

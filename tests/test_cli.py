@@ -15,7 +15,7 @@ import ctfbench as cb
 from ctfbench import datagen, matio, referee
 from ctfbench.cli import main
 from ctfbench.metrics import MetricKind
-from conftest import oracle_submission
+from conftest import oracle_submission, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -597,15 +597,22 @@ class TestScore:
         (run_dir / "X1pred.mat").unlink()
         if damage == "ragged_csv":
             (run_dir / "X1pred.csv").write_text("1,2,3\n4,5\n")
-        refs = []
+        refs, preds = [], []
         read_pack = datagen.read_pack
+        load_submission = referee.load_submission
 
         def recording_read_pack(*args, **kwargs):
             read = read_pack(*args, **kwargs)
             refs.append(weakref.ref(read))
             return read
 
+        def recording_load_submission(*args, **kwargs):
+            sub = load_submission(*args, **kwargs)
+            preds.extend(weakref.ref(x) for x in sub.predictions.values())
+            return sub
+
         monkeypatch.setattr(datagen, "read_pack", recording_read_pack)
+        monkeypatch.setattr(referee, "load_submission", recording_load_submission)
         gc.disable()
         try:
             result = runner.invoke(
@@ -613,8 +620,89 @@ class TestScore:
             )
             assert result.exit_code == 1, result.output
             assert len(refs) == 1 and refs[0]() is None
+            # The ragged X1pred.csv is the first prediction read, and fails.
+            assert len(preds) == (8 if damage == "missing_prediction" else 0)
+            assert not [ref for ref in preds if ref() is not None]
         finally:
             gc.enable()
+
+    def test_holds_one_prediction_at_a_time(self, runner, ks_pack, tmp_path, monkeypatch):
+        # A KS run holds 221 MB of predictions, X2pred and X4pred 82 MB each.
+        # Against a pack already read, `score` holds no more than the largest.
+        sub = oracle_submission(ks_pack)
+        run_dir = referee.write_submission(sub, tmp_path / "subs")
+        largest = max(x.nbytes for x in sub.predictions.values())
+        del sub
+        monkeypatch.setattr(datagen, "read_pack", lambda *args, **kwargs: ks_pack)
+        result, peak = traced_peak(
+            runner.invoke, main,
+            ["score", "--pack", str(tmp_path), "--submission", str(run_dir),
+             "--out", str(tmp_path / "card.json")],
+        )
+        assert result.exit_code == 0, result.output
+        assert "composite  100.00" in result.output
+        assert peak <= largest + (16 << 20), f"peak {peak / 1e6:.1f} MB"
+
+    def test_checks_each_distinct_truth_once(self, runner, cli_pack_dir, tmp_path,
+                                             monkeypatch):
+        # X1test = X3test = X5test, X2test = X4test and X6test = X7test: five
+        # distinct truths, checked by `read_pack` and not again by the referee.
+        pack = cb.read_pack(cli_pack_dir)
+        run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
+        del pack
+        checked = []
+        problem = matio.problem
+
+        def counting_problem(x, shape):
+            checked.append(shape)
+            return problem(x, shape)
+
+        monkeypatch.setattr(matio, "problem", counting_problem)
+        result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",
+                                      str(run_dir), "--out", str(tmp_path / "card.json")])
+        assert result.exit_code == 0, result.output
+        assert len(checked) == 5 + len(referee.PREDICTION_NAMES)
+
+    # sha256 of the scorecard of an oracle run on `cli_pack_dir` whose X1pred
+    # lacks its last row, whose X6pred holds a NaN and which has no X9pred.
+    DEFECTS_SHA256 = "8dba9b6bcb644a6e5c88a2cb0ebcd1186e76537df0f7329c316a54c1937df29c"
+
+    def test_defects_warn_in_prediction_order(self, runner, cli_pack_dir, tmp_path):
+        pack = cb.read_pack(cli_pack_dir)
+        sub = oracle_submission(pack)
+        sub.predictions["X1pred"] = sub.predictions["X1pred"][:-1]
+        sub.predictions["X6pred"] = sub.predictions["X6pred"].copy()
+        sub.predictions["X6pred"][3, 1] = np.nan
+        del sub.predictions["X9pred"]
+        run_dir = referee.write_submission(sub, tmp_path / "subs")
+        card_path = tmp_path / "card.json"
+        result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",
+                                      str(run_dir), "--out", str(card_path)])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.splitlines() == [
+            "warning [run0]: X1pred: shape (999, 3) does not match required (1000, 3); "
+            "affected scores get -100",
+            "warning [run0]: X6pred: contains non-finite values; affected scores get -100",
+            "warning [run0]: X9pred: missing prediction; affected scores get -100",
+        ]
+        assert hashlib.sha256(card_path.read_bytes()).hexdigest() == self.DEFECTS_SHA256
+
+    def test_truncated_last_prediction_is_error(self, runner, cli_pack_dir, tmp_path):
+        # X1pred-X8pred are valid and scored before X9pred is read.
+        pack = cb.read_pack(cli_pack_dir)
+        run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
+        path = run_dir / "X9pred.mat"
+        path.write_bytes(path.read_bytes()[:-8])
+        card_path, store = tmp_path / "card.json", tmp_path / "board.json"
+        result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",
+                                      str(run_dir), "--out", str(card_path),
+                                      "--store", str(store)])
+        assert result.exit_code == 1, result.output
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"Error: {path}: shape mismatch, header says [1000, 3] (24000 payload bytes) "
+            "but file holds 23992\n")
+        assert not card_path.exists() and not store.exists()
 
     def test_clean_run_is_not_validated_again(self, runner, cli_pack_dir, zeros_run_dir,
                                               tmp_path, monkeypatch):

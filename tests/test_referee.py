@@ -514,6 +514,31 @@ class TestSubmissionIO:
         card = evaluate(loaded, lorenz_pack)
         assert card.runs[0].composite == 100.0
 
+    def test_names_reads_only_those(self, lorenz_pack, tmp_path):
+        run_dir = write_submission(oracle_submission(lorenz_pack), tmp_path)
+        loaded = load_submission(run_dir, names=("X9pred", "X2pred"))
+        assert list(loaded.predictions) == ["X2pred", "X9pred"]
+        assert load_submission(run_dir, names=()).predictions == {}
+        (run_dir / "X9pred.mat").unlink()
+        assert list(load_submission(run_dir, names=("X9pred",)).predictions) == []
+        with pytest.raises(cb.CTFBenchError, match=r"unknown prediction names: \['X1test'\]"):
+            load_submission(run_dir, names=("X1pred", "X1test"))
+
+    def test_evaluate_loads_each_prediction_once(self, lorenz_pack):
+        sub = oracle_submission(lorenz_pack)
+        del sub.predictions["X8pred"]
+        loaded, verdicts = [], {}
+
+        def load(name):
+            loaded.append(name)
+            return sub.predictions.get(name)
+
+        card = evaluate(cb.Submission("oracle", "run0", {}), lorenz_pack, None, load, verdicts)
+        assert loaded == list(PREDICTION_NAMES)
+        assert verdicts == {name: "missing prediction" if name == "X8pred" else None
+                            for name in PREDICTION_NAMES}
+        assert card.to_dict() == evaluate(sub, lorenz_pack).to_dict()
+
     def test_method_name_from_meta(self, tmp_path):
         run_dir = tmp_path / "whatever" / "run0"
         run_dir.mkdir(parents=True)
