@@ -416,31 +416,30 @@ def _once(x: np.ndarray, key, work):
     return hit[1]
 
 
-def _checked(mats: dict[str, np.ndarray], cols: int) -> dict[str, np.ndarray]:
+def _firsts(names: Iterable[str]) -> dict[str, str]:
+    """Each of `names`, in `_SOURCES` order, mapped to the first of them cut
+    from the same noise-free window: itself for a noisy matrix and for the
+    first member of an identical-window group."""
+    first: dict[tuple, str] = {}
+    return {name: first.setdefault(source, name) if source[3] is None else name
+            for name, source in _SOURCES.items() if name in names}
+
+
+def _checked(mats: dict[str, np.ndarray], cols: int) -> None:
     """`validate_pack`'s checks of the matrices in `mats`, which may be any
     of the pack's: each one's shape and finiteness, and each identical-window
     pair whose two members are both in `mats`. An array held under several
     names of one shape is checked once, under the first, and once in a whole
-    `truth_table()` block. Returns `mats` with each member of an
-    identical-window group replaced by the group's first array."""
+    `truth_table()` block."""
     with truth_table():
         for name, x in mats.items():
             shape = (MATRIX_LAYOUT[name][0], cols)
             why = _once(x, shape, lambda: matio.problem(x, shape))
             if why is not None:
                 raise PackValidationError(f"{name}: {why}")
-    out = dict(mats)
-    first: dict[tuple, str] = {}
-    for name, source in _SOURCES.items():
-        if source[3] is not None or name not in mats:
-            continue
-        other = first.setdefault(source, name)
-        if other == name:
-            continue
-        if out[name] is not out[other] and not np.array_equal(out[name], out[other]):
+    for name, other in _firsts(mats).items():
+        if mats[name] is not mats[other] and not np.array_equal(mats[name], mats[other]):
             raise PackValidationError(f"{name} must equal {other} (same trajectory window)")
-        out[name] = out[other]
-    return out
 
 
 def write_pack(pack: DatasetPack, directory: str | Path) -> None:
@@ -484,16 +483,14 @@ def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> Data
     unknown = sorted(wanted - set(MATRIX_LAYOUT))
     if unknown:
         raise PackValidationError(f"unknown pack matrices: {', '.join(unknown)}")
-    mats, first = {}, {}
-    for name, source in _SOURCES.items():
-        if name not in wanted:
-            continue
+    mats = {}
+    for name, other in _firsts(wanted).items():
         path = directory / f"{name}.mat"
         if not path.is_file():
             raise PackValidationError(f"missing matrix file: {path}")
-        other = first.setdefault(source, name) if source[3] is None else name
         if other != name and matio.file_equals(path, mats[other]):
             mats[name] = mats[other]
         else:
             mats[name] = matio.read_matrix(path)
-    return _assemble(_checked(mats, DATASET_DIMS[manifest.dataset_id]), manifest)
+    _checked(mats, DATASET_DIMS[manifest.dataset_id])
+    return _assemble(mats, manifest)

@@ -140,6 +140,8 @@ def _resolve_ic(cfg: SimConfig, n: int) -> np.ndarray:
     ic = np.asarray(cfg.initial_condition, dtype=np.float64)
     if ic.shape != (n,):
         raise ValueError(f"explicit initial condition must have shape ({n},), got {ic.shape}")
+    if not np.isfinite(ic).all():
+        raise ValueError("explicit initial condition must be finite")
     return ic.copy()
 
 
@@ -153,15 +155,6 @@ def _shared_schedule(cfgs: Sequence[SimConfig]) -> tuple[float, int]:
     if len(schedules) != 1:
         raise ValueError("batched trajectories must share dt and spinup_steps")
     return schedules.pop()
-
-
-def _diverged(step: int, row: int, names: Sequence[str] | None) -> DivergenceError:
-    if names is None:
-        return DivergenceError(step)
-    return DivergenceError(
-        step, f"solution diverged (non-finite state) at step {step} "
-        f"of trajectory {names[row]!r}"
-    )
 
 
 def _drive(step, state, spinup: int, outs: Sequence[np.ndarray], finite, view
@@ -248,40 +241,29 @@ def _integrate(run, lengths: Sequence[int], cols: int,
 
     `run(rows, outs)` integrates the batch rows listed in `rows` into `outs`
     and returns `_drive`'s (step, index into `rows`) or None. The rows are
-    split into `_workers` groups (`_groups`). The parent integrates the
-    first into its own memory, and a fork-start `multiprocessing` process
-    each other one, straight into one shared anonymous mapping (a fork
-    shares the inputs and the mapping, unpickled). Every worker is joined,
-    and killed first when the parent's own group raises or is interrupted.
+    split into `_workers` groups (`_groups`). Every group writes its rows and
+    its result into one shared anonymous mapping: the first in this process,
+    each other one in a fork-start `multiprocessing` process (a fork shares
+    the inputs and the mapping, unpickled). Every worker is joined, and
+    killed first when the parent's own group raises or is interrupted.
     Raises the DivergenceError of the earliest step over all rows (a tie
     goes to the lowest row), the same as one batch would, and CTFBenchError
     when a worker fails.
     """
     groups = _groups(lengths, _workers(len(lengths), cols))
-    outs: dict[int, np.ndarray] = {}
-
-    def place(flat: np.ndarray, rows: list[int]) -> None:
-        end = 0
-        for r in rows:
-            outs[r] = flat[end * cols : (end + lengths[r]) * cols].reshape(lengths[r], cols)
-            end += lengths[r]
-
-    place(np.empty(sum(lengths[r] for r in groups[0]) * cols), groups[0])
-    if len(groups) > 1:
-        shared_rows = [r for rows in groups[1:] for r in rows]
-        size = sum(lengths[r] for r in shared_rows) * cols
-        shared = mmap.mmap(-1, 8 * (size + 2 * len(groups)))
-        place(np.frombuffer(shared, np.float64, size), shared_rows)
-        # Per group: its (step, row) result; row -1 when nothing diverged.
-        status = np.frombuffer(shared, np.int64, offset=8 * size).reshape(-1, 2)
-
-    def work(g: int) -> tuple[int, int] | None:
-        rows = groups[g]
-        found = run(rows, [outs[r] for r in rows])
-        return found and (found[0], rows[found[1]])
+    size = sum(lengths) * cols
+    shared = mmap.mmap(-1, 8 * (size + 2 * len(groups)))
+    outs = np.split(np.frombuffer(shared, np.float64, size).reshape(-1, cols),
+                    np.cumsum(lengths[:-1]))
+    # Per group: its (step, row) result; row -1 when nothing diverged.
+    status = np.frombuffer(shared, np.int64, offset=8 * size).reshape(-1, 2)
+    status[:] = 0, -1
 
     def report(g: int) -> None:
-        status[g] = work(g) or (0, -1)
+        rows = groups[g]
+        found = run(rows, [outs[r] for r in rows])
+        if found:
+            status[g] = found[0], rows[found[1]]
 
     workers = []
     try:
@@ -296,24 +278,25 @@ def _integrate(run, lengths: Sequence[int], cols: int,
                 workers.append((g, worker))
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        found = [work(0)]
+        report(0)
         for g, worker in workers:
             worker.join()
             if worker.exitcode:
                 who = ", ".join(repr(names[r]) for r in groups[g]) if names else groups[g]
                 raise CTFBenchError(f"integration worker for trajectories {who} failed "
                                     f"(exit status {worker.exitcode})")
-            if status[g, 1] >= 0:
-                found.append(tuple(status[g].tolist()))
     finally:
         for _, worker in workers:
             if worker.exitcode is None:
                 worker.kill()
                 worker.join()
-    found = [f for f in found if f]
-    if found:
-        raise _diverged(*min(found), names)
-    return [outs[r] for r in range(len(lengths))]
+    diverged = status[status[:, 1] >= 0].tolist()
+    if diverged:
+        step, row = min(diverged)
+        raise DivergenceError(step, None if names is None else
+                              f"solution diverged (non-finite state) at step {step} "
+                              f"of trajectory {names[row]!r}")
+    return outs
 
 
 def _lorenz_step(params: LorenzParams, dt: float):

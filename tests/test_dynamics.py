@@ -177,6 +177,21 @@ class TestIntegrateKS:
             )
 
 
+# A non-finite explicit state is refused before the first step, also when
+# no step follows it.
+@pytest.mark.parametrize("bad, total_steps", [(np.nan, 1), (np.inf, 50)])
+@pytest.mark.parametrize("integrate, params, n", [
+    (integrate_lorenz, LorenzParams(), 3),
+    (integrate_ks, KSParams(grid_points=64), 64),
+], ids=["lorenz", "ks"])
+def test_non_finite_explicit_ic_is_error(integrate, params, n, bad, total_steps):
+    ic = np.ones(n)
+    ic[0] = bad
+    cfg = SimConfig(dt=0.01, total_steps=total_steps, initial_condition=ic)
+    with pytest.raises(ValueError, match="^explicit initial condition must be finite$"):
+        integrate(params, cfg)
+
+
 # Lengths straddling the recording chunk: a lone first row, a partial
 # chunk, exactly one chunk and a partial second chunk.
 BATCH_LENGTHS = (1, 7, dynamics._CHUNK, dynamics._CHUNK + 5)
@@ -314,6 +329,7 @@ class TestWorkerSplit:
         assert [r.shape for r in split] == [(t, r.shape[1]) for t, r in zip(SPLIT_LENGTHS, alone)]
         for a, b in zip(alone, split):
             assert np.array_equal(a, b)
+        assert multiprocessing.active_children() == []
 
     def test_groups_keep_equal_lengths_together(self):
         assert dynamics._groups([10, 11, 10, 11, 11, 10], 2) == [[1, 3, 4], [0, 2, 5]]
@@ -341,7 +357,8 @@ class TestWorkerSplit:
     @pytest.mark.parametrize("sigmas, lengths, expected", [
         ((10.0, 20.0), (300, 300), "step 5 of trajectory 'b'"),
         ((12.0, 11.0), (300, 400), "step 6 of trajectory 'a'"),
-    ], ids=["worker-earlier", "tie-in-worker"])
+        ((20.0, 10.0), (400, 300), "step 5 of trajectory 'a'"),
+    ], ids=["worker-earlier", "tie-in-worker", "parent-earlier"])
     def test_earliest_divergence_over_groups(self, monkeypatch, sigmas, lengths, expected):
         params = [LorenzParams(sigma=sigma) for sigma in sigmas]
         cfgs = [lorenz_cfg(dt=0.15, total_steps=t, spinup_steps=4) for t in lengths]
