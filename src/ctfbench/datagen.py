@@ -159,10 +159,7 @@ class PackConfig:
     def __post_init__(self):
         if self.system not in SYSTEMS:
             raise ValueError(f"system: unsupported dataset system {self.system!r}")
-        if not self.dt > 0:
-            raise ValueError("dt: must be positive")
-        if self.spinup_steps < 0:
-            raise ValueError("spinup_steps: must be >= 0")
+        SimConfig(self.dt, 1, self.spinup_steps)  # the rules for dt and spinup_steps
         if len(self.train_params) != 3:
             raise ValueError(
                 f"train_params: must hold exactly three values, got {len(self.train_params)}"

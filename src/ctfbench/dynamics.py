@@ -15,7 +15,6 @@ and stops at its own length.
 
 from __future__ import annotations
 
-import math
 import mmap
 import multiprocessing
 import os
@@ -35,6 +34,13 @@ RANDOM_SMOOTH = "seeded-random-smooth"
 _IC_MODES = 8
 
 
+def _positive(label: str, value: float) -> None:
+    """Refuse a `value` that is not positive and finite, NaN included;
+    the message starts with `label`."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{label} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class LorenzParams:
     """Lorenz system parameters: sigma, rho (bifurcation parameter), beta."""
@@ -44,13 +50,10 @@ class LorenzParams:
     beta: float = 8.0 / 3.0
 
     def __post_init__(self):
-        for name in ("sigma", "rho", "beta"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"LorenzParams.{name} must be finite")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        _positive("sigma", self.sigma)
+        if not np.isfinite(self.rho):
+            raise ValueError("rho must be finite")
+        _positive("beta", self.beta)
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,8 @@ class KSParams:
         n = self.grid_points
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError("grid_points must be a power of two >= 8")
-        if not self.domain_length > 0:
-            raise ValueError("domain_length must be positive")
-        if not self.viscosity > 0:
-            raise ValueError("viscosity must be positive")
+        _positive("domain_length", self.domain_length)
+        _positive("viscosity", self.viscosity)
 
 
 @dataclass
@@ -93,12 +94,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if self.spinup_steps < 0:
-            raise ValueError("spinup_steps must be >= 0")
+        _positive("dt:", self.dt)
+        for name, least in (("total_steps", 1), ("spinup_steps", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name}: must be an integer >= {least}")
 
 
 def make_initial_condition(kind: str, n: int, seed: int) -> np.ndarray:
@@ -157,24 +157,26 @@ def _shared_schedule(cfgs: Sequence[SimConfig]) -> tuple[float, int]:
     return schedules.pop()
 
 
-def _drive(step, state, spinup: int, outs: Sequence[np.ndarray], finite, view
+def _drive(step, state, spinup: int, outs: Sequence[np.ndarray], view
            ) -> tuple[int, int] | None:
     """Advance the batch `state` through the spin-up, then write row b of
     `view(state)` into `outs[b]` for its `len(outs[b])` steps, starting with
     the state after the spin-up.
 
-    `finite(state)` (one flag per row) is checked after every spin-up step,
-    the recorded rows after a trajectory's first once per `_CHUNK` steps; a
-    row is judged only over its own steps. Stops at the first failed check
-    and returns its (absolute step, spin-up included; row), the earliest
-    step first and then the lowest row, or None when every row is finite.
+    A row diverges at the first step whose `view(state)` row is not all
+    finite: checked after every spin-up step, and on the recorded rows
+    (the first is the last spin-up step or the finite initial condition)
+    once per `_CHUNK` steps, each row only over its own steps. Stops at the
+    first failed check and returns its (absolute step, spin-up included;
+    row), the earliest step first and then the lowest row, or None when
+    every row is finite.
     """
     # Overflow is the divergence signal, detected explicitly below.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, spinup + 1):
             state = step(state)
-            ok = finite(state)
-            if not all(ok):
+            ok = np.isfinite(view(state)).all(axis=1)
+            if not ok.all():
                 return i, int(np.argmin(ok))
 
         total = max(len(out) for out in outs)
@@ -189,8 +191,6 @@ def _drive(step, state, spinup: int, outs: Sequence[np.ndarray], finite, view
             bad = []
             for b, out in enumerate(outs):
                 ok = np.isfinite(out[start:stop]).all(axis=1)
-                if start == 0:
-                    ok[0] = True
                 if not ok.all():
                     bad.append((spinup + start + int(np.argmin(ok)), b))
             if bad:
@@ -319,10 +319,6 @@ def _lorenz_step(params: LorenzParams, dt: float):
     return step
 
 
-def _finite_state(s: tuple[float, ...]) -> tuple[bool]:
-    return (all(map(math.isfinite, s)),)
-
-
 def _lorenz_batch(params: Sequence[LorenzParams], cfgs: Sequence[SimConfig],
                   names: Sequence[str] | None = None) -> list[np.ndarray]:
     """Integrate one Lorenz trajectory per (params, cfg) pair.
@@ -339,8 +335,7 @@ def _lorenz_batch(params: Sequence[LorenzParams], cfgs: Sequence[SimConfig],
     def run(rows: list[int], outs: list[np.ndarray]):
         found = []
         for i, (r, out) in enumerate(zip(rows, outs)):
-            bad = _drive(_lorenz_step(params[r], dt), ics[r], spinup, [out],
-                         _finite_state, lambda s: (s,))
+            bad = _drive(_lorenz_step(params[r], dt), ics[r], spinup, [out], lambda s: (s,))
             if bad:
                 found.append((bad[0], i))
         return min(found, default=None)
@@ -455,8 +450,7 @@ def _ks_batch(params: Sequence[KSParams], cfgs: Sequence[SimConfig],
     def run(rows: list[int], outs: list[np.ndarray]):
         stepper = _ETDRK4([params[r] for r in rows], dt)
         state = stepper.state(np.fft.rfft(ics[rows]))
-        return _drive(stepper.step, state, spinup, outs,
-                      lambda s: np.isfinite(s[0]).all(axis=1), lambda s: s[1])
+        return _drive(stepper.step, state, spinup, outs, lambda s: s[1])
 
     return _integrate(run, [c.total_steps for c in cfgs], n, names)
 

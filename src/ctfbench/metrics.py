@@ -74,14 +74,12 @@ class MetricWindows:
     bins: int = 41
 
     def __post_init__(self):
-        if self.short_k < 1:
-            raise ValueError("short_k must be >= 1")
-        if self.long_k < 1:
-            raise ValueError("long_k must be >= 1")
-        if self.kmax < 1:
-            raise ValueError("kmax must be >= 1")
-        if self.bins < 2:
-            raise ValueError("bins must be >= 2")
+        for name, least in (("short_k", 1), ("long_k", 1), ("kmax", 1), ("bins", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 def _check_same_shape(pred: np.ndarray, truth: np.ndarray) -> None:

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import ctfbench as cb
-from ctfbench import datagen, matio, referee
+from ctfbench import datagen, dynamics, matio, referee
 from ctfbench.cli import main
 from ctfbench.metrics import MetricKind
 from conftest import oracle_submission, traced_peak
@@ -133,6 +133,23 @@ class TestGenerate:
         result = runner.invoke(main, ["generate", *args, "--out", str(out)])
         assert result.exit_code in (1, 2) and "Error:" in result.output, result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, why", [
+        (["--system", "lorenz", "--dt", "inf"], "dt: must be positive and finite"),
+        (["--system", "ks", "--extrap", "inf"],
+         "extrap_param: viscosity must be positive and finite"),
+    ], ids=["dt-inf", "ks-viscosity-inf"])
+    def test_non_finite_setting_refused_before_integrating(self, runner, tmp_path,
+                                                           monkeypatch, args, why):
+        def drive(*args):
+            pytest.fail("integrated with a setting it must refuse")
+
+        monkeypatch.setattr(dynamics, "_drive", drive)
+        out = tmp_path / "p"
+        result = runner.invoke(main, ["generate", *args, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: {why}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_manifest_settings_rebuild_the_pack(self, runner, tmp_path):
         out = tmp_path / "p"

@@ -408,7 +408,10 @@ class TestConfig:
         ("lorenz", {"dt": -1.0}, "dt: must be positive"),
         ("lorenz", {"noise_high": 1.5}, "noise_high: "),
         ("ks", {"extrap_param": -0.5}, "extrap_param: viscosity must be positive"),
-    ], ids=["dt", "noise-high", "ks-viscosity"])
+        ("lorenz", {"dt": np.inf}, "dt: "),
+        ("lorenz", {"spinup_steps": 1.5}, "spinup_steps: "),
+        ("ks", {"extrap_param": np.inf}, "extrap_param: viscosity"),
+    ], ids=["dt", "noise-high", "ks-viscosity", "dt-inf", "spinup-float", "ks-viscosity-inf"])
     def test_setting_fault_names_its_field(self, system, overrides, why):
         with pytest.raises(ValueError, match=why):
             datagen.resolve_config(system, overrides)

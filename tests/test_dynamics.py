@@ -84,7 +84,10 @@ class TestIntegrateLorenz:
 
     # Absolute step numbers recorded with the original per-system loops; a
     # spin-up of 10 diverges inside the spin-up, one of 4 while recording.
-    @pytest.mark.parametrize("spinup", [10, 4])
+    # A spin-up of 7 diverges on its last step, the state row 0 would
+    # record; one of 6 on the step after row 0; one of 0 records from the
+    # initial condition.
+    @pytest.mark.parametrize("spinup", [10, 4, 0, 6, 7])
     def test_divergence_step_pinned(self, spinup):
         with pytest.raises(DivergenceError) as err:
             integrate_lorenz(
@@ -161,7 +164,7 @@ class TestIntegrateKS:
         assert err.value.step >= 1
 
     # See TestIntegrateLorenz.test_divergence_step_pinned.
-    @pytest.mark.parametrize("spinup", [10, 3])
+    @pytest.mark.parametrize("spinup", [10, 3, 0, 6, 7])
     def test_divergence_step_pinned(self, spinup):
         params = KSParams(domain_length=2.0 * np.pi, grid_points=64, viscosity=0.01)
         cfg = SimConfig(dt=0.05, total_steps=50, spinup_steps=spinup, seed=3)
@@ -513,3 +516,23 @@ class TestParameterValidation:
             SimConfig(dt=0.1, total_steps=0)
         with pytest.raises(ValueError):
             SimConfig(dt=0.1, total_steps=1, spinup_steps=-1)
+
+    # Each refused when the configuration is made, the field named first.
+    @pytest.mark.parametrize("kw, why", [
+        ({"dt": np.inf}, "dt: must be positive and finite"),
+        ({"dt": np.nan}, "dt: must be positive and finite"),
+        ({"total_steps": 2.0}, "total_steps: must be an integer >= 1"),
+        ({"spinup_steps": 1.5}, "spinup_steps: must be an integer >= 0"),
+    ], ids=["dt-inf", "dt-nan", "total-steps-float", "spinup-float"])
+    def test_sim_config_fault_names_its_field(self, kw, why):
+        with pytest.raises(ValueError, match=f"^{why}$"):
+            SimConfig(**{"dt": 0.01, "total_steps": 10, **kw})
+
+    def test_sim_config_takes_numpy_integers(self):
+        cfg = SimConfig(dt=0.01, total_steps=np.int64(3), spinup_steps=np.int32(2))
+        assert integrate_lorenz(LorenzParams(), cfg).shape == (3, 3)
+
+    @pytest.mark.parametrize("field", ["viscosity", "domain_length"])
+    def test_ks_params_must_be_finite(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite$"):
+            KSParams(**{field: np.inf})

@@ -317,6 +317,16 @@ class TestMetricWindows:
         with pytest.raises(ValueError):
             MetricWindows(**kw)
 
+    @pytest.mark.parametrize("kw", [{"short_k": 1.5}, {"long_k": 10.5}, {"kmax": 3.0},
+                                    {"bins": 2.5}])
+    def test_fractional_window_names_its_field(self, kw):
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            MetricWindows(**kw)
+
+    def test_numpy_integer_windows_accepted(self):
+        assert MetricWindows(short_k=np.int64(5)).short_k == 5
+
 
 def _ulps(got, ref):
     return np.abs(got - ref) / np.spacing(np.abs(ref))
