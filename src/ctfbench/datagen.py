@@ -19,12 +19,12 @@ identical-window checks are all derived from it, and shapes and windows
 are validated on every write and read. A built or read pack holds each
 group of identical windows as one array; `read_pack` compares each later
 member with the first as its file streams (`matio.file_equals`), and the
-checks scan each distinct array once, and once for a whole `truth_table()`
-block. Pack construction is a pure function of (system, master_seed,
-overrides); seeds for each stochastic ingredient are derived from the
-master seed and recorded in the manifest,
-which `read_pack` reads through `matio.read_document`: each field's type
-is checked, then `Manifest.validate` passes it exactly when it is, type for
+checks scan each distinct array once, and once for a whole
+`matio.truth_table()` block. Pack construction is a pure function of
+(system, master_seed, overrides); seeds for each stochastic ingredient are
+derived from the master seed and recorded in the manifest, which
+`read_pack` reads through `matio.read_document`: each field's type is
+checked, then `Manifest.validate` passes it exactly when it is, type for
 type, the manifest `build_pack` writes for the settings and master seed it
 records. `PackConfig` holds the one set of rules for those settings, and
 `matio`'s codec is the one mapping between them and the manifest: `encode`
@@ -36,8 +36,6 @@ class.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Literal
@@ -45,6 +43,7 @@ from typing import Literal
 import numpy as np
 
 from . import matio
+from .matio import _once, truth_table
 # integrate_ks and integrate_lorenz are not called here but stay importable
 # from this module, where the perfbench tracer looks them up.
 from .dynamics import (  # noqa: F401
@@ -377,40 +376,6 @@ def validate_pack(pack: DatasetPack) -> None:
     each noise-free matrix equals the first earlier one with the same source."""
     pack.manifest.validate()
     _checked({name: pack.matrix(name) for name in MATRIX_LAYOUT}, DATASET_DIMS[pack.dataset_id])
-
-
-#: The table of the outermost open `truth_table()` block; None outside one.
-_TRUTHS: ContextVar[dict | None] = ContextVar("ctfbench_truths", default=None)
-
-
-@contextmanager
-def truth_table():
-    """Check and transform each distinct array once in this block: `_once`
-    keeps the result of each piece of work on an array in one table, keyed by
-    the array's identity, for `read_pack`'s and `validate_pack`'s checks and
-    for the referee's truth checks and metric references. An array replaced
-    by another is a new entry; one changed in place keeps its first results
-    until the block ends. Nested blocks share one table.
-    """
-    token = _TRUTHS.set({}) if _TRUTHS.get() is None else None
-    try:
-        yield
-    finally:
-        if token is not None:
-            _TRUTHS.reset(token)
-
-
-def _once(x: np.ndarray, key, work):
-    """`work()` for `x` and `key`, once per truth table or, outside one,
-    every time. Work that raises is not stored: it raises again next time."""
-    truths = _TRUTHS.get()
-    if truths is None:
-        return work()
-    hit = truths.get((id(x), key))
-    if hit is None:
-        # The entry holds `x`, so its id is not reused while the table lives.
-        hit = truths[id(x), key] = (x, work())
-    return hit[1]
 
 
 def _firsts(names: Iterable[str]) -> dict[str, str]:

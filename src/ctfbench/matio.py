@@ -8,7 +8,8 @@ before it allocates, then reads the payload straight into the array it
 returns: one copy of the bytes. `file_equals` makes the same checks and
 compares a file with an array through one reused buffer of a few MB.
 `problem` checks finiteness in one pass over a contiguous float64 array,
-writing nothing. CSV files hold one time step per row
+writing nothing; `_once` keeps such a verdict, or other work on an array,
+once per `truth_table()` block. CSV files hold one time step per row
 with full-precision decimal values. JSON documents (manifests,
 scorecards, leaderboards) are written with sorted keys, a 2-space indent
 and a trailing newline, and never hold NaN or Infinity; `encode` and
@@ -25,6 +26,7 @@ import os
 import struct
 import tempfile
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -69,6 +71,40 @@ def _all_finite(x: np.ndarray) -> bool:
             if math.isfinite(np.dot(v, v)):
                 return True
     return bool(np.all(np.isfinite(x)))
+
+
+#: The table of the outermost open `truth_table()` block; None outside one.
+_TRUTHS: ContextVar[dict | None] = ContextVar("ctfbench_truths", default=None)
+
+
+@contextmanager
+def truth_table():
+    """Check and transform each distinct array once in this block: `_once`
+    keeps the result of each piece of work on an array in one table, keyed by
+    the array's identity, for `read_pack`'s and `validate_pack`'s checks, the
+    referee's truth checks and the truth side of each metric. An array
+    replaced by another is a new entry; one changed in place keeps its first
+    results until the block ends. Nested blocks share one table.
+    """
+    token = _TRUTHS.set({}) if _TRUTHS.get() is None else None
+    try:
+        yield
+    finally:
+        if token is not None:
+            _TRUTHS.reset(token)
+
+
+def _once(x: np.ndarray, key, work):
+    """`work()` for `x` and `key`, once per truth table or, outside one,
+    every time. Work that raises is not stored: it raises again next time."""
+    truths = _TRUTHS.get()
+    if truths is None:
+        return work()
+    hit = truths.get((id(x), key))
+    if hit is None:
+        # The entry holds `x`, so its id is not reused while the table lives.
+        hit = truths[id(x), key] = (x, work())
+    return hit[1]
 
 
 def make_dir(path: Path) -> None:

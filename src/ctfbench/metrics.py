@@ -26,6 +26,10 @@ Zero-power convention: the spectral error takes ln(|FFT|^2), which is
 undefined on exactly-zero rows. Any power below 1e-300 is assigned
 log-power 0 instead. An all-zero prediction therefore has a zero spectrum
 matrix and scores S = 1 (E = 0) exactly, anchoring the zeros baseline.
+
+Each score takes its truth side (norm, log spectrum or histogram edges)
+through `matio._once`, keyed by the windows it depends on: once per truth
+array in a `truth_table()` block, on every call outside one.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 
 from . import elementary
 from .exceptions import MetricError
+from .matio import _once
 
 logger = logging.getLogger(__name__)
 
@@ -82,9 +87,13 @@ class MetricWindows:
                 raise ValueError(f"{name} must be >= {least}")
 
 
-def _check_same_shape(pred: np.ndarray, truth: np.ndarray) -> None:
+def _pair(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`pred` and `truth` as float64 arrays of one shape, else a MetricError."""
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise MetricError(f"shape mismatch: prediction {pred.shape} vs truth {truth.shape}")
+    return pred, truth
 
 
 def _sum_sq(a: np.ndarray, b: np.ndarray | None = None) -> float:
@@ -120,18 +129,15 @@ def short_time_reference(truth: np.ndarray, short_k: int) -> float:
     return math.sqrt(_sum_sq(truth[:short_k]))
 
 
-def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int,
-                     reference: float | None = None) -> float:
+def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int) -> float:
     """Relative Frobenius error over the first `short_k` rows.
 
     S = ||pred[:k] - truth[:k]||_F / ||truth[:k]||_F. Raises MetricError if
     the truth window has zero norm (the score would be undefined).
-    `reference`, when given, is `short_time_reference(truth, short_k)`.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    _check_same_shape(pred, truth)
-    ref = short_time_reference(truth, short_k) if reference is None else reference
+    pred, truth = _pair(pred, truth)
+    ref = _once(truth, (MetricKind.SHORT_TIME, short_k),
+                lambda: short_time_reference(truth, short_k))
     if ref == 0.0:
         raise MetricError("zero-norm truth window: short-time score undefined")
     return math.sqrt(_sum_sq(pred[:short_k], truth[:short_k])) / ref
@@ -171,15 +177,11 @@ def spectral_reference(truth: np.ndarray, windows: MetricWindows) -> tuple[np.nd
     return p_truth, math.sqrt(_sum_sq(p_truth))
 
 
-def score_long_time_spectral(
-    pred: np.ndarray, truth: np.ndarray, windows: MetricWindows, reference: tuple | None = None
-) -> float:
-    """Relative Frobenius error between truth and prediction log spectra.
-    `reference`, when given, is `spectral_reference(truth, windows)`."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    _check_same_shape(pred, truth)
-    p_truth, ref = spectral_reference(truth, windows) if reference is None else reference
+def score_long_time_spectral(pred: np.ndarray, truth: np.ndarray, windows: MetricWindows) -> float:
+    """Relative Frobenius error between truth and prediction log spectra."""
+    pred, truth = _pair(pred, truth)
+    p_truth, ref = _once(truth, (MetricKind.LONG_TIME_SPECTRAL, windows.long_k, windows.kmax),
+                         lambda: spectral_reference(truth, windows))
     p_pred = power_spectrum_rows(pred, windows.long_k, windows.kmax)
     if ref == 0.0:
         raise MetricError("zero-norm truth spectrum: spectral score undefined")
@@ -200,8 +202,17 @@ def _series_reference(truth_series: np.ndarray, bins: int) -> tuple:
     return lo, hi, edges, h_t
 
 
-def histogram_l1(truth_series: np.ndarray, pred_series: np.ndarray, bins: int,
-                 reference: tuple | None = None) -> float:
+def _series_l1(reference: tuple, pred_series: np.ndarray) -> float:
+    """`histogram_l1` of `pred_series` against `_series_reference` of its truth."""
+    lo, hi, edges, h_t = reference
+    if lo == hi:
+        # Single bin; every clamped value lands in it.
+        return 0.0
+    h_p, _ = np.histogram(np.clip(pred_series, lo, hi), bins=edges)
+    return float(np.abs(h_t - h_p).sum() / pred_series.size)
+
+
+def histogram_l1(truth_series: np.ndarray, pred_series: np.ndarray, bins: int) -> float:
     """Normalized L1 distance between value histograms of two equal-length
     series.
 
@@ -210,19 +221,12 @@ def histogram_l1(truth_series: np.ndarray, pred_series: np.ndarray, bins: int,
     values outside the range clamping into the nearest end bin. Counts are
     compared: s = sum_b |h_truth[b] - h_pred[b]| / len, which lies in [0, 2].
     A degenerate truth range (max == min) collapses to a single bin.
-    `reference`, when given, is the truth side that `histogram_reference`
-    computes for this series.
     """
     t = np.asarray(truth_series, dtype=np.float64).ravel()
     p = np.asarray(pred_series, dtype=np.float64).ravel()
     if t.size != p.size:
         raise MetricError(f"series lengths differ: {t.size} vs {p.size}")
-    lo, hi, edges, h_t = _series_reference(t, bins) if reference is None else reference
-    if lo == hi:
-        # Single bin; every clamped value lands in it.
-        return 0.0
-    h_p, _ = np.histogram(np.clip(p, lo, hi), bins=edges)
-    return float(np.abs(h_t - h_p).sum() / t.size)
+    return _series_l1(_series_reference(t, bins), p)
 
 
 def histogram_reference(truth: np.ndarray, windows: MetricWindows) -> list:
@@ -238,23 +242,18 @@ def histogram_reference(truth: np.ndarray, windows: MetricWindows) -> list:
     return [_series_reference(t[:, c], windows.bins) for c in range(3)]
 
 
-def score_long_time_histogram(
-    pred: np.ndarray, truth: np.ndarray, windows: MetricWindows, reference: list | None = None
-) -> float:
+def score_long_time_histogram(pred: np.ndarray, truth: np.ndarray,
+                              windows: MetricWindows) -> float:
     """Mean per-coordinate histogram distance over the trailing `long_k` rows.
 
     Defined for 3-column state trajectories; the three coordinate distances
-    are averaged, so S lies in [0, 2]. `reference`, when given, is
-    `histogram_reference(truth, windows)`.
+    are averaged, so S lies in [0, 2].
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    _check_same_shape(pred, truth)
-    refs = histogram_reference(truth, windows) if reference is None else reference
-    start = truth.shape[0] - windows.long_k
-    t, p = truth[start:], pred[start:]
-    parts = [histogram_l1(t[:, c], p[:, c], windows.bins, refs[c]) for c in range(3)]
-    return float(np.mean(parts))
+    pred, truth = _pair(pred, truth)
+    refs = _once(truth, (MetricKind.LONG_TIME_HISTOGRAM, windows.long_k, windows.bins),
+                 lambda: histogram_reference(truth, windows))
+    p = pred[truth.shape[0] - windows.long_k :]
+    return float(np.mean([_series_l1(refs[c], p[:, c]) for c in range(3)]))
 
 
 def to_score(s: float) -> float:

@@ -17,9 +17,10 @@ verdict for each prediction, so `ctfbench score` takes its exit status from
 the None scores of its card and words its warnings from the verdicts.
 `evaluate_task` checks its truth although `read_pack` has checked it,
 because library callers may build or change a pack in memory without
-`read_pack`. Within a `truth_table()` block, as in `ctfbench score`, that
-check, `read_pack`'s and the truth side of each metric are done once per
-distinct truth array and shared by every run scored in the block.
+`read_pack`; each metric function takes its own truth side. Within a
+`truth_table()` block, as in `ctfbench score`, that check, `read_pack`'s
+and the truth sides are done once per distinct truth array and shared by
+every run scored in the block.
 
 Scorecards and the store are read and written by `matio`'s codec. The rules
 that only a document read from disk must meet (score ranges, known
@@ -43,8 +44,9 @@ from typing import Literal
 import numpy as np
 
 from . import matio, metrics
-from .datagen import DATASET_DIMS, MATRIX_LAYOUT, DatasetPack, _once, truth_table
+from .datagen import DATASET_DIMS, MATRIX_LAYOUT, DatasetPack
 from .exceptions import CTFBenchError, PackValidationError
+from .matio import _once, truth_table
 from .metrics import MetricKind, MetricWindows, SCORE_IDS
 
 SCORECARD_FORMAT = "ctfbench-scorecard/1"
@@ -309,17 +311,13 @@ def evaluate_task(task: TaskSpec, sub: Submission, pack: DatasetPack,
         verdicts[name] = _verdict(sub.predictions.get(name), truth.shape)
     if verdicts[name] is not None:
         return None
-    pred = sub.predictions[name]
-    w, key = task.windows, (task.metric, task.windows)
+    pred, w = sub.predictions[name], task.windows
     if task.metric is MetricKind.SHORT_TIME:
-        ref = _once(truth, key, lambda: metrics.short_time_reference(truth, w.short_k))
-        s = metrics.score_short_time(pred, truth, w.short_k, ref)
+        s = metrics.score_short_time(pred, truth, w.short_k)
     elif task.metric is MetricKind.LONG_TIME_SPECTRAL:
-        ref = _once(truth, key, lambda: metrics.spectral_reference(truth, w))
-        s = metrics.score_long_time_spectral(pred, truth, w, ref)
+        s = metrics.score_long_time_spectral(pred, truth, w)
     else:
-        ref = _once(truth, key, lambda: metrics.histogram_reference(truth, w))
-        s = metrics.score_long_time_histogram(pred, truth, w, ref)
+        s = metrics.score_long_time_histogram(pred, truth, w)
     return metrics.to_score(s)
 
 

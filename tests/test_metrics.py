@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctfbench as cb
 from ctfbench import metrics
 from ctfbench.exceptions import MetricError
 from ctfbench.metrics import (
@@ -367,3 +368,54 @@ class TestKernels:
         x[0, 0] = 1e200
         with np.errstate(over="ignore"):
             assert np.all(power_spectrum_rows(x, 1, 16) == np.inf)
+
+
+# Each kind: its score on a 40-row truth, the function that computes its
+# truth side, and how often that function runs for two scores in one
+# `truth_table()` block and outside one. A spectral score also computes the
+# prediction's spectrum, so `power_spectrum_rows` runs once more per score.
+_SCORES = {
+    "short_time": (lambda p, t: cb.score_short_time(p, t, 5), 3,
+                   "short_time_reference", 1, 2),
+    "spectral": (lambda p, t: cb.score_long_time_spectral(p, t, MetricWindows(long_k=8, kmax=4)),
+                 16, "power_spectrum_rows", 3, 4),
+    "histogram": (lambda p, t: cb.score_long_time_histogram(p, t, MetricWindows(long_k=30, bins=7)),
+                  3, "histogram_reference", 1, 2),
+}
+
+
+class TestTruthTable:
+    """Direct metric calls take their truth side through the one truth table."""
+
+    @pytest.mark.parametrize("kind", _SCORES)
+    @pytest.mark.parametrize("in_block", [True, False], ids=["block", "no_block"])
+    def test_truth_side_computed_once_per_block(self, monkeypatch, kind, in_block):
+        score, cols, counted, once, twice = _SCORES[kind]
+        rng = np.random.default_rng(22)
+        truth, pred = rng.normal(size=(2, 40, cols))
+        calls = []
+        work = getattr(metrics, counted)
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return work(*args)
+
+        monkeypatch.setattr(metrics, counted, counting)
+        if in_block:
+            with cb.truth_table():
+                first, second = score(pred, truth), score(pred.copy(), truth)
+        else:
+            first, second = score(pred, truth), score(pred.copy(), truth)
+        assert first == second
+        assert len(calls) == (once if in_block else twice)
+
+    @pytest.mark.parametrize("kind", _SCORES)
+    def test_same_bits_in_and_out_of_a_block(self, kind):
+        score, cols, *_ = _SCORES[kind]
+        rng = np.random.default_rng(23)
+        truth, pred = rng.normal(size=(2, 40, cols))
+        outside = score(pred, truth)
+        with cb.truth_table():
+            inside = [score(pred, truth), score(pred, truth)]
+        assert 0.0 < outside
+        assert [np.float64(s).tobytes() for s in inside] == [np.float64(outside).tobytes()] * 2

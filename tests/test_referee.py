@@ -316,6 +316,17 @@ def test_truth_errors_are_raised_on_every_run(lorenz_pack):
                 evaluate(sub, lorenz_pack, MetricWindows(short_k=2000))
 
 
+def test_metric_entries_stay_apart_from_shape_checks(lorenz_pack):
+    # X1test is (1000, 3): these windows give the histogram entry the same
+    # numbers as the shape check that `validate_pack` keeps in the block.
+    windows = MetricWindows(long_k=1000, bins=3)
+    sub = cb.make_submission("average", lorenz_pack)
+    with truth_table():
+        cb.datagen.validate_pack(lorenz_pack)
+        inside = evaluate(sub, lorenz_pack, windows).runs[0].scores
+    assert inside == evaluate(sub, lorenz_pack, windows).runs[0].scores
+
+
 def make_card(method, scores, composite_mean, dataset="ODE_Lorenz"):
     return ScoreCard(
         method_name=method,
