@@ -71,7 +71,7 @@ class KSParams:
 
     def __post_init__(self):
         n = self.grid_points
-        if n < 8 or (n & (n - 1)) != 0:
+        if not isinstance(n, (int, np.integer)) or n < 8 or (n & (n - 1)) != 0:
             raise ValueError("grid_points must be a power of two >= 8")
         _positive("domain_length", self.domain_length)
         _positive("viscosity", self.viscosity)
@@ -95,7 +95,7 @@ class SimConfig:
 
     def __post_init__(self):
         _positive("dt:", self.dt)
-        for name, least in (("total_steps", 1), ("spinup_steps", 0)):
+        for name, least in (("total_steps", 1), ("spinup_steps", 0), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name}: must be an integer >= {least}")

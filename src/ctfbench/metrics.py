@@ -29,7 +29,9 @@ matrix and scores S = 1 (E = 0) exactly, anchoring the zeros baseline.
 
 Each score takes its truth side (norm, log spectrum or histogram edges)
 through `matio._once`, keyed by the windows it depends on: once per truth
-array in a `truth_table()` block, on every call outside one.
+array in a `truth_table()` block, on every call outside one. Every window
+a metric function takes is judged by `MetricWindows`' rule, and one that
+breaks it is a MetricError naming the window.
 """
 
 from __future__ import annotations
@@ -63,6 +65,23 @@ class MetricKind(str, Enum):
     LONG_TIME_HISTOGRAM = "long_time_histogram"
 
 
+#: The least value of each window. `MetricWindows` and every metric function
+#: judge a window by this one table.
+_LEAST = {"short_k": 1, "long_k": 1, "kmax": 1, "bins": 2}
+
+
+def _window(name: str, value, rows: int | None = None) -> None:
+    """Raise a MetricError naming window `name` unless `value` is an integer
+    of at least its `_LEAST` and, when `rows` is given, at most `rows`."""
+    least = _LEAST[name]
+    if not isinstance(value, (int, np.integer)):
+        raise MetricError(f"{name} must be an integer, got {value!r}")
+    if rows is not None and not least <= value <= rows:
+        raise MetricError(f"{name}={value} outside [{least}, {rows}]")
+    if value < least:
+        raise MetricError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class MetricWindows:
     """Window parameters for the scoring metrics.
@@ -79,20 +98,21 @@ class MetricWindows:
     bins: int = 41
 
     def __post_init__(self):
-        for name, least in (("short_k", 1), ("long_k", 1), ("kmax", 1), ("bins", 2)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
+        for name in _LEAST:
+            try:
+                _window(name, getattr(self, name))
+            except MetricError as exc:
+                raise ValueError(str(exc)) from None
 
 
 def _pair(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`pred` and `truth` as float64 arrays of one shape, else a MetricError."""
+    """`pred` and `truth` as float64 arrays of one 2-D shape, else a MetricError."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise MetricError(f"shape mismatch: prediction {pred.shape} vs truth {truth.shape}")
+    if truth.ndim != 2:
+        raise MetricError(f"expected 2-D matrices, got shape {truth.shape}")
     return pred, truth
 
 
@@ -124,8 +144,7 @@ def _sum_sq(a: np.ndarray, b: np.ndarray | None = None) -> float:
 def short_time_reference(truth: np.ndarray, short_k: int) -> float:
     """||truth[:short_k]||_F, the denominator of the short-time error."""
     truth = np.asarray(truth, dtype=np.float64)
-    if not 1 <= short_k <= truth.shape[0]:
-        raise MetricError(f"short_k={short_k} outside [1, {truth.shape[0]}]")
+    _window("short_k", short_k, truth.shape[0])
     return math.sqrt(_sum_sq(truth[:short_k]))
 
 
@@ -155,10 +174,10 @@ def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
     rows, n = x.shape
     if n % 2 != 0:
         raise MetricError(f"spectral metric requires an even column count, got {n}")
+    _window("kmax", kmax)
     if n < 2 * kmax + 2:
         raise MetricError(f"need at least {2 * kmax + 2} columns for kmax={kmax}, got {n}")
-    if not 1 <= long_k <= rows:
-        raise MetricError(f"long_k={long_k} outside [1, {rows}]")
+    _window("long_k", long_k, rows)
     spec = np.fft.rfft(x[rows - long_k :], axis=1)[:, : kmax + 1]
     power = spec.real * spec.real
     power += spec.imag * spec.imag
@@ -191,6 +210,7 @@ def score_long_time_spectral(pred: np.ndarray, truth: np.ndarray, windows: Metri
 def _series_reference(truth_series: np.ndarray, bins: int) -> tuple:
     """The truth side of `histogram_l1`: the series' range, then its bin edges
     and counts, which are None for a degenerate range."""
+    _window("bins", bins)
     t = np.asarray(truth_series, dtype=np.float64).ravel()
     if t.size < 1:
         raise MetricError("empty series")
@@ -236,8 +256,7 @@ def histogram_reference(truth: np.ndarray, windows: MetricWindows) -> list:
     if truth.shape[1] != 3:
         raise MetricError(f"histogram metric requires 3 columns, got {truth.shape[1]}")
     rows = truth.shape[0]
-    if not 1 <= windows.long_k <= rows:
-        raise MetricError(f"long_k={windows.long_k} outside [1, {rows}]")
+    _window("long_k", windows.long_k, rows)
     t = truth[rows - windows.long_k :]
     return [_series_reference(t[:, c], windows.bins) for c in range(3)]
 

@@ -493,6 +493,12 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="power of two"):
             KSParams(grid_points=100)
 
+    @pytest.mark.parametrize("n", [64.0, np.float64(64), "64"],
+                             ids=["float", "numpy-float", "str"])
+    def test_ks_grid_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="^grid_points must be a power of two >= 8$"):
+            KSParams(grid_points=n)
+
     def test_ks_grid_minimum(self):
         with pytest.raises(ValueError, match="power of two"):
             KSParams(grid_points=4)
@@ -523,7 +529,10 @@ class TestParameterValidation:
         ({"dt": np.nan}, "dt: must be positive and finite"),
         ({"total_steps": 2.0}, "total_steps: must be an integer >= 1"),
         ({"spinup_steps": 1.5}, "spinup_steps: must be an integer >= 0"),
-    ], ids=["dt-inf", "dt-nan", "total-steps-float", "spinup-float"])
+        ({"seed": 1.5}, "seed: must be an integer >= 0"),
+        ({"seed": -1}, "seed: must be an integer >= 0"),
+    ], ids=["dt-inf", "dt-nan", "total-steps-float", "spinup-float", "seed-float",
+            "seed-negative"])
     def test_sim_config_fault_names_its_field(self, kw, why):
         with pytest.raises(ValueError, match=f"^{why}$"):
             SimConfig(**{"dt": 0.01, "total_steps": 10, **kw})

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,9 +78,9 @@ class TestShortTime:
             score_short_time(np.ones((3, 2)), np.ones((4, 2)), 2)
 
     def test_short_k_bounds(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match=r"^short_k=4 outside \[1, 3\]$"):
             score_short_time(np.ones((3, 2)), np.ones((3, 2)), 4)
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match=r"^short_k=0 outside \[1, 3\]$"):
             score_short_time(np.ones((3, 2)), np.ones((3, 2)), 0)
 
     @given(
@@ -368,6 +370,39 @@ class TestKernels:
         x[0, 0] = 1e200
         with np.errstate(over="ignore"):
             assert np.all(power_spectrum_rows(x, 1, 16) == np.inf)
+
+
+_T = np.random.default_rng(20).normal(size=(8, 16))
+_P = np.random.default_rng(21).normal(size=(8, 16))
+
+
+class TestRawWindows:
+    """A window handed to a metric function is judged by `MetricWindows`'
+    rule, and the refusal is a MetricError that names it."""
+
+    @pytest.mark.parametrize("call, why", [
+        (lambda: histogram_l1(_T, _T, 0), "bins must be >= 2"),
+        (lambda: histogram_l1(_T, _P, -3), "bins must be >= 2"),
+        (lambda: histogram_l1(_T, _P, 2.5), "bins must be an integer, got 2.5"),
+        (lambda: power_spectrum_rows(_T, 2, -1), "kmax must be >= 1"),
+        (lambda: power_spectrum_rows(_T, 2, 2.0), "kmax must be an integer, got 2.0"),
+        (lambda: power_spectrum_rows(_T, 2.0, 4), "long_k must be an integer, got 2.0"),
+        (lambda: score_short_time(_P, _T, 1.5), "short_k must be an integer, got 1.5"),
+        (lambda: metrics.short_time_reference(_T, 2.0), "short_k must be an integer, got 2.0"),
+    ], ids=["bins-0", "bins-negative", "bins-float", "kmax-negative", "kmax-float",
+            "long_k-float", "short_k-float", "reference-short_k-float"])
+    def test_refused_by_name(self, call, why):
+        with pytest.raises(MetricError, match=f"^{re.escape(why)}$"):
+            call()
+
+    @pytest.mark.parametrize("score", [
+        lambda p, t: score_short_time(p, t, 2),
+        lambda p, t: score_long_time_spectral(p, t, MetricWindows(long_k=2, kmax=2)),
+        lambda p, t: score_long_time_histogram(p, t, MetricWindows(long_k=2)),
+    ], ids=["short_time", "spectral", "histogram"])
+    def test_one_dimensional_input_refused(self, score):
+        with pytest.raises(MetricError, match=r"^expected 2-D matrices, got shape \(16,\)$"):
+            score(_P[0], _T[0])
 
 
 # Each kind: its score on a 40-row truth, the function that computes its
