@@ -164,11 +164,11 @@ def generate(system, seed, out_dir, data_root, dt, spinup, noise_medium, noise_h
         click.echo(f"wrote {pack.dataset_id} pack to {out_dir}")
         click.echo(
             f"  dt={m.dt} spinup={m.spinup_steps} {m.varied_param}: "
-            f"nominal={m.nominal_param} train={m.train_params} "
+            f"nominal={m.nominal_param} train={list(m.train_params)} "
             f"interp={m.interp_param} extrap={m.extrap_param}"
         )
         click.echo(
-            f"  noise={m.noise_levels} master_seed={m.seeds['master']} "
+            f"  noise={m.to_dict()['noise_levels']} master_seed={m.seeds['master']} "
             f"matrices={len(datagen.MATRIX_LAYOUT)}"
         )
 

@@ -22,15 +22,14 @@ member with the first as its file streams (`matio.file_equals`), and the
 checks scan each distinct array once, and once for a whole
 `matio.truth_table()` block. Pack construction is a pure function of
 (system, master_seed, overrides); seeds for each stochastic ingredient are
-derived from the master seed and recorded in the manifest, which
-`read_pack` reads through `matio.read_document`: each field's type is
-checked, then `Manifest.validate` passes it exactly when it is, type for
-type, the manifest `build_pack` writes for the settings and master seed it
-records. `PackConfig` holds the one set of rules for those settings, and
-`matio`'s codec is the one mapping between them and the manifest: `encode`
-of a `PackConfig` is the settings part of the manifest and `decode` reads
-it back. The base parameters are the defaults of the system's parameter
-class.
+derived from the master seed and recorded in the manifest. A `Manifest` is
+its `PackConfig`, the one set of rules for the settings, plus the fields
+that the settings and master seed give, so those rules run whenever a
+manifest is made. `read_pack` reads it through `matio.read_document`: each
+field's type is checked, the rules run, then `Manifest.validate` passes it
+exactly when it is, type for type, the manifest `build_pack` writes for the
+settings and master seed it records. The base parameters are the defaults
+of the system's parameter class.
 """
 
 from __future__ import annotations
@@ -205,23 +204,15 @@ _DEFAULTS = {
 }
 
 
-@dataclass
-class Manifest:
-    """Everything needed to regenerate and validate a pack."""
+@dataclass(frozen=True, kw_only=True)
+class Manifest(PackConfig):
+    """Everything needed to regenerate and validate a pack: its settings, and
+    the fields that they and the master seed give."""
 
     dataset_id: str
-    system: str
     format_version: Literal[FORMAT_VERSION]
-    created: str
-    dt: float
-    spinup_steps: int
     base_params: dict[str, float]
     varied_param: str
-    nominal_param: float
-    train_params: list[float]
-    interp_param: float
-    extrap_param: float
-    noise_levels: dict[str, float]
     seeds: dict[str, int]
     matrices: dict[str, dict[str, int]]
 
@@ -229,18 +220,13 @@ class Manifest:
 
     def validate(self) -> None:
         """Pass exactly when `build_pack` writes this, type for type, for the
-        settings and master seed it records. The settings are read through the
-        codec and stand as recorded (`"nominal_param": 1` is an integer setting),
-        so a difference lies in a field that they and the seed determine."""
-        for name, key in ("seeds", "master"), ("noise_levels", "medium"), ("noise_levels", "high"):
-            if key not in getattr(self, name):
-                raise PackValidationError(f"{name}: missing {key!r}")
-        doc = self.to_dict()
-        try:
-            expected = _manifest(matio.decode(PackConfig, doc), self.seeds["master"])
-        except ValueError as exc:
-            raise PackValidationError(str(exc)) from exc
-        why = matio.difference(doc, expected.to_dict())
+        settings and master seed it records. The settings passed their rules
+        when this was made and stand as recorded (`"nominal_param": 1` is an
+        integer setting), so a difference lies in a field that they and the
+        seed determine."""
+        if "master" not in self.seeds:
+            raise PackValidationError("seeds: missing 'master'")
+        why = matio.difference(self.to_dict(), _manifest(self, self.seeds["master"]).to_dict())
         if why is not None:
             raise PackValidationError(f"{why}, which these settings and master seed give")
 
@@ -321,7 +307,6 @@ def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> 
     """Generate a complete dataset pack. Deterministic in all arguments."""
     cfg = resolve_config(system, overrides)
     manifest = _manifest(cfg, master_seed)
-    levels = {label: NoiseLevel(label, frac) for label, frac in manifest.noise_levels.items()}
     values = {
         "trajectory": cfg.nominal_param,
         "param_a": cfg.train_params[0],
@@ -337,7 +322,8 @@ def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> 
         x = cuts.setdefault((traj, start, end), runs[traj][start:end])
         if noise is not None:
             label, seed_name = noise
-            x = add_noise(x, levels[label], manifest.seeds[seed_name])
+            level = NoiseLevel(label, getattr(cfg, f"noise_{label}"))
+            x = add_noise(x, level, manifest.seeds[seed_name])
         mats[name] = x
     # Valid as built: `_SOURCES` fixes the shapes and windows, and the
     # integrators raise on a non-finite row. `write_pack` validates anyway.
@@ -348,7 +334,7 @@ def _manifest(cfg: PackConfig, master_seed: int) -> Manifest:
     """The manifest of the pack that `cfg` and `master_seed` generate."""
     dataset_id, varied = SYSTEMS[cfg.system], _PARAMS[cfg.system][1]
     return Manifest(
-        **matio.encode(cfg),
+        **{f.name: getattr(cfg, f.name) for f in fields(PackConfig)},
         dataset_id=dataset_id,
         format_version=FORMAT_VERSION,
         base_params={k: v for k, v in asdict(_params(cfg.system, cfg.nominal_param)).items()

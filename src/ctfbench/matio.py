@@ -234,10 +234,8 @@ def write_csv(path: str | Path, x: np.ndarray) -> None:
 
     Values use 17 significant digits, enough to round-trip float64 exactly.
     """
-    a = _as_matrix(x)
-    row_format = ",".join(["%.17g"] * a.shape[1])
-    lines = [row_format % tuple(row) for row in a.tolist()]
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    with _atomic_file(path) as fh:
+        np.savetxt(fh, _as_matrix(x), fmt="%.17g", delimiter=",")
 
 
 def read_csv(path: str | Path) -> np.ndarray:
@@ -357,7 +355,8 @@ def decode(tp: Any, value: Any, at: str = "") -> Any:
     an integer stays one), `X | None`, `list[X]`, a tuple of X (from a JSON
     array), `dict[str, X]`, a `Literal` version, or a dataclass laid out as
     `encode` writes it (other keys are ignored) whose `validate()` then runs.
-    A misfit is a ValueError at `at`."""
+    A misfit, or a rule that the dataclass's constructor or `validate()`
+    raises, is a ValueError at `at`."""
     origin, args = get_origin(tp), get_args(tp)
     if origin is Literal:
         if value not in args:
@@ -381,8 +380,8 @@ def decode(tp: Any, value: Any, at: str = "") -> Any:
                 raise ValueError(f"{_join(path, part)}: missing")
             node, path = node[part], _join(path, part)
         kwargs[name] = decode(hint, node, path)
-    obj = tp(**kwargs)
     try:
+        obj = tp(**kwargs)
         getattr(obj, "validate", lambda: None)()
     except (ValueError, CTFBenchError) as exc:
         raise ValueError(_join(at, str(exc))) from exc

@@ -28,10 +28,12 @@ log-power 0 instead. An all-zero prediction therefore has a zero spectrum
 matrix and scores S = 1 (E = 0) exactly, anchoring the zeros baseline.
 
 Each score takes its truth side (norm, log spectrum or histogram edges)
-through `matio._once`, keyed by the windows it depends on: once per truth
-array in a `truth_table()` block, on every call outside one. Every window
-a metric function takes is judged by `MetricWindows`' rule, and one that
-breaks it is a MetricError naming the window.
+through `matio._once`, keyed by the truth object the caller passes (a list
+or a float32 array too) and the windows it depends on: once per truth in a
+`truth_table()` block, on every call outside one. Every window a metric
+function takes is judged by `MetricWindows`' rule, and one that breaks it
+is a MetricError naming the window; input that is not 2-D is a MetricError
+too.
 """
 
 from __future__ import annotations
@@ -105,15 +107,21 @@ class MetricWindows:
                 raise ValueError(str(exc)) from None
 
 
+def _matrix(x: np.ndarray) -> np.ndarray:
+    """`x` as a 2-D float64 array; any other shape is a MetricError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise MetricError(f"expected 2-D matrices, got shape {x.shape}")
+    return x
+
+
 def _pair(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`pred` and `truth` as float64 arrays of one 2-D shape, else a MetricError."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise MetricError(f"shape mismatch: prediction {pred.shape} vs truth {truth.shape}")
-    if truth.ndim != 2:
-        raise MetricError(f"expected 2-D matrices, got shape {truth.shape}")
-    return pred, truth
+    return pred, _matrix(truth)
 
 
 def _sum_sq(a: np.ndarray, b: np.ndarray | None = None) -> float:
@@ -154,12 +162,11 @@ def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int) -> float
     S = ||pred[:k] - truth[:k]||_F / ||truth[:k]||_F. Raises MetricError if
     the truth window has zero norm (the score would be undefined).
     """
-    pred, truth = _pair(pred, truth)
-    ref = _once(truth, (MetricKind.SHORT_TIME, short_k),
-                lambda: short_time_reference(truth, short_k))
+    pred, t = _pair(pred, truth)
+    ref = _once(truth, (MetricKind.SHORT_TIME, short_k), lambda: short_time_reference(t, short_k))
     if ref == 0.0:
         raise MetricError("zero-norm truth window: short-time score undefined")
-    return math.sqrt(_sum_sq(pred[:short_k], truth[:short_k])) / ref
+    return math.sqrt(_sum_sq(pred[:short_k], t[:short_k])) / ref
 
 
 def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
@@ -170,7 +177,7 @@ def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
     power is the same. Columns run from wavenumber -kmax to kmax. The
     natural log is taken with the zero-power convention (module docstring).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _matrix(x)
     rows, n = x.shape
     if n % 2 != 0:
         raise MetricError(f"spectral metric requires an even column count, got {n}")
@@ -198,9 +205,9 @@ def spectral_reference(truth: np.ndarray, windows: MetricWindows) -> tuple[np.nd
 
 def score_long_time_spectral(pred: np.ndarray, truth: np.ndarray, windows: MetricWindows) -> float:
     """Relative Frobenius error between truth and prediction log spectra."""
-    pred, truth = _pair(pred, truth)
+    pred, t = _pair(pred, truth)
     p_truth, ref = _once(truth, (MetricKind.LONG_TIME_SPECTRAL, windows.long_k, windows.kmax),
-                         lambda: spectral_reference(truth, windows))
+                         lambda: spectral_reference(t, windows))
     p_pred = power_spectrum_rows(pred, windows.long_k, windows.kmax)
     if ref == 0.0:
         raise MetricError("zero-norm truth spectrum: spectral score undefined")
@@ -252,7 +259,7 @@ def histogram_l1(truth_series: np.ndarray, pred_series: np.ndarray, bins: int) -
 def histogram_reference(truth: np.ndarray, windows: MetricWindows) -> list:
     """The truth side of `histogram_l1` for each coordinate of the trailing
     `long_k` rows of a 3-column truth."""
-    truth = np.asarray(truth, dtype=np.float64)
+    truth = _matrix(truth)
     if truth.shape[1] != 3:
         raise MetricError(f"histogram metric requires 3 columns, got {truth.shape[1]}")
     rows = truth.shape[0]
@@ -268,10 +275,10 @@ def score_long_time_histogram(pred: np.ndarray, truth: np.ndarray,
     Defined for 3-column state trajectories; the three coordinate distances
     are averaged, so S lies in [0, 2].
     """
-    pred, truth = _pair(pred, truth)
+    pred, t = _pair(pred, truth)
     refs = _once(truth, (MetricKind.LONG_TIME_HISTOGRAM, windows.long_k, windows.bins),
-                 lambda: histogram_reference(truth, windows))
-    p = pred[truth.shape[0] - windows.long_k :]
+                 lambda: histogram_reference(t, windows))
+    p = pred[t.shape[0] - windows.long_k :]
     return float(np.mean([_series_l1(refs[c], p[:, c]) for c in range(3)]))
 
 

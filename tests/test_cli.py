@@ -163,8 +163,7 @@ class TestGenerate:
             "dt", "spinup_steps", "nominal_param", "train_params", "interp_param",
             "extrap_param", "created")}
         rebuilt = datagen.build_pack(m.system, m.seeds["master"], {
-            **settings, "noise_medium": m.noise_levels["medium"],
-            "noise_high": m.noise_levels["high"]})
+            **settings, "noise_medium": m.noise_medium, "noise_high": m.noise_high})
         assert matio.dump_json(rebuilt.manifest.to_dict()) == (out / "manifest.json").read_text()
         mats = {**rebuilt.train, **rebuilt.test}
         assert len(mats) == 19

@@ -187,10 +187,10 @@ def test_manifest_records_generation_settings(lorenz_pack):
     assert m.dt == 0.01
     assert m.spinup_steps == 1000
     assert m.varied_param == "rho"
-    assert m.train_params == [26.0, 28.0, 30.0]
+    assert m.train_params == (26.0, 28.0, 30.0)
     assert m.interp_param == 27.0
     assert m.extrap_param == 33.0
-    assert m.noise_levels == {"medium": 0.05, "high": 0.25}
+    assert (m.noise_medium, m.noise_high) == (0.05, 0.25)
     assert m.seeds["master"] == 11
     for key in (
         "trajectory",
@@ -296,10 +296,15 @@ def test_tampered_manifest_fails_validation(lorenz_pack, tmp_path):
 
 
 def test_invalid_manifest_in_memory_is_pack_validation_error(lorenz_pack):
-    bad = replace(lorenz_pack.manifest, noise_levels={"medium": 1.5, "high": 0.25})
-    with pytest.raises(PackValidationError, match="noise_medium: "):
+    # Settings keep their rules in memory; a derived field that they and the
+    # master seed do not give is refused by `validate`.
+    with pytest.raises(ValueError, match="noise_medium: "):
+        replace(lorenz_pack.manifest, noise_medium=1.5)
+    bad = replace(lorenz_pack.manifest,
+                  seeds={**lorenz_pack.manifest.seeds, "trajectory": 7})
+    with pytest.raises(PackValidationError, match="^seeds: trajectory 7 is not "):
         bad.validate()
-    with pytest.raises(PackValidationError, match="noise_medium: "):
+    with pytest.raises(PackValidationError, match="^seeds: trajectory 7 is not "):
         datagen.validate_pack(replace(lorenz_pack, manifest=bad))
 
 

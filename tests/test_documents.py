@@ -212,7 +212,7 @@ def test_mistyped_manifest_is_error(runner, docs, tmp_path, key, value):
     pack = _pack_with(docs, {**_document(docs, "manifest"), key: value}, tmp_path / "pack")
     # A Lorenz manifest that says "ks" is valid KS settings, which rebuild a
     # manifest with another dataset_id: that is the first field to differ.
-    named = {"system": "dataset_id"}.get(key, key)
+    named = {"system": "dataset_id", "noise_levels": "noise_levels.high"}.get(key, key)
     for argv in _manifest_commands(docs, pack, tmp_path):
         result = _invoke(runner, argv)
         assert result.exit_code == 1, argv

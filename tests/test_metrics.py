@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctfbench as cb
-from ctfbench import metrics
+from ctfbench import matio, metrics
 from ctfbench.exceptions import MetricError
 from ctfbench.metrics import (
     MetricWindows,
@@ -389,8 +389,12 @@ class TestRawWindows:
         (lambda: power_spectrum_rows(_T, 2.0, 4), "long_k must be an integer, got 2.0"),
         (lambda: score_short_time(_P, _T, 1.5), "short_k must be an integer, got 1.5"),
         (lambda: metrics.short_time_reference(_T, 2.0), "short_k must be an integer, got 2.0"),
+        (lambda: power_spectrum_rows(np.ones(16), 2, 2), "expected 2-D matrices, got shape (16,)"),
+        (lambda: metrics.histogram_reference(np.ones(16), MetricWindows(long_k=2)),
+         "expected 2-D matrices, got shape (16,)"),
     ], ids=["bins-0", "bins-negative", "bins-float", "kmax-negative", "kmax-float",
-            "long_k-float", "short_k-float", "reference-short_k-float"])
+            "long_k-float", "short_k-float", "reference-short_k-float", "spectrum-1d",
+            "histogram-reference-1d"])
     def test_refused_by_name(self, call, why):
         with pytest.raises(MetricError, match=f"^{re.escape(why)}$"):
             call()
@@ -443,6 +447,24 @@ class TestTruthTable:
             first, second = score(pred, truth), score(pred.copy(), truth)
         assert first == second
         assert len(calls) == (once if in_block else twice)
+
+    @pytest.mark.parametrize("kind", _SCORES)
+    def test_converted_truth_computed_once_per_block(self, monkeypatch, kind):
+        # A float32 truth is converted on every call; its truth side is still
+        # kept once, under the object the caller passed.
+        score, cols, counted, once, _ = _SCORES[kind]
+        rng = np.random.default_rng(24)
+        truth, pred = rng.normal(size=(2, 40, cols))
+        truth = truth.astype(np.float32)
+        calls = []
+        work = getattr(metrics, counted)
+        monkeypatch.setattr(metrics, counted, lambda *args: calls.append(1) or work(*args))
+        with cb.truth_table():
+            first, second = score(pred, truth), score(pred.copy(), truth)
+            entries = len(matio._TRUTHS.get())
+        assert first == second
+        assert len(calls) == once
+        assert entries == 1
 
     @pytest.mark.parametrize("kind", _SCORES)
     def test_same_bits_in_and_out_of_a_block(self, kind):
