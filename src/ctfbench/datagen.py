@@ -14,9 +14,11 @@ matrices (X1test..X9test) cut from six simulated trajectories:
 
 `_SOURCES` is the one definition of that layout: for each matrix, the
 trajectory it is cut from, its row window and its noise. `MATRIX_LAYOUT`
-(the published shape table), the simulated step counts and the
-identical-window checks are all derived from it, and shapes and windows
-are validated on every write and read. A built or read pack holds each
+(the published shape table), the simulated steps and the identical-window
+checks are all derived from it. Each trajectory records only the rows
+from its first cut one to its last (`_SPANS`), so the integration mapping
+holds only rows a pack uses. Shapes and windows are validated on every
+write and read. A built or read pack holds each
 group of identical windows as one array; `read_pack` compares each later
 member with the first as its file streams (`matio.file_equals`), and the
 checks scan each distinct array once, and once for a whole
@@ -89,6 +91,15 @@ _SOURCES: dict[str, tuple[str, int, int, tuple[str, str] | None]] = {
     "X7test": ("trajectory", 100, 1100, None),
     "X8test": ("interpolation", 10000, 11000, None),
     "X9test": ("extrapolation", 10000, 11000, None),
+}
+
+#: trajectory -> (first, end): the rows [first, end) of it that `_SOURCES`
+#: cuts. Only these are recorded; the steps before `first` are integrated
+#: and judged, not kept.
+_SPANS: dict[str, tuple[int, int]] = {
+    traj: (min(s for t, s, _, _ in _SOURCES.values() if t == traj),
+           max(e for t, _, e, _ in _SOURCES.values() if t == traj))
+    for traj, _, _, _ in _SOURCES.values()
 }
 
 #: name -> (rows, start index, end index).
@@ -272,19 +283,21 @@ def add_noise(x: np.ndarray, level: NoiseLevel, seed: int) -> np.ndarray:
 
 def _simulate(cfg: PackConfig, values: dict[str, float], seeds: dict[str, int]) -> dict:
     """Integrate the trajectory of each seed name in `values` at its varied
-    parameter value, all in one batch, each for the largest `end` cut from it."""
+    parameter value, all in one batch, each recording its `_SPANS` rows:
+    row i of a trajectory is its step `first + i`."""
     integrate = {"lorenz": _lorenz_batch, "ks": _ks_batch}[cfg.system]
     params = [_params(cfg.system, value) for value in values.values()]
     sims = [
         SimConfig(
             dt=cfg.dt,
-            total_steps=max(end for t, _, end, _ in _SOURCES.values() if t == traj),
+            total_steps=_SPANS[traj][1],
             spinup_steps=cfg.spinup_steps,
             seed=seeds[traj],
         )
         for traj in values
     ]
-    return dict(zip(values, integrate(params, sims, list(values))))
+    return dict(zip(values, integrate(params, sims, list(values),
+                                      [_SPANS[traj][0] for traj in values])))
 
 
 def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
@@ -319,7 +332,8 @@ def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> 
     mats, cuts = {}, {}
     for name, (traj, start, end, noise) in _SOURCES.items():
         # One array per window: identical noise-free windows are one object.
-        x = cuts.setdefault((traj, start, end), runs[traj][start:end])
+        first = _SPANS[traj][0]
+        x = cuts.setdefault((traj, start, end), runs[traj][start - first:end - first])
         if noise is not None:
             label, seed_name = noise
             level = NoiseLevel(label, getattr(cfg, f"noise_{label}"))

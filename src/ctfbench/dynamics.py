@@ -8,13 +8,21 @@ batch equals the same trajectory integrated alone.
 
 KS trajectories that share a grid, time step and spin-up are integrated as
 one batch of numpy rows, one state row each, and a batch of wide rows is
-split across one process per available CPU. A Lorenz state is only three
-values, so each Lorenz trajectory is stepped on its own, as Python floats,
-and stops at its own length.
+split across one process per available CPU; a process stops stepping once
+another has found a divergence at or before its own step. A Lorenz state
+is only three values, so each Lorenz trajectory is stepped on its own, as
+Python floats, and stops at its own length.
+
+A batch row may start recording late: a dataset pack reads only the rows
+from each trajectory's first used step on, so the shared mapping the rows
+are written into holds only those. The steps before are judged as the
+spin-up is, so a row diverges at the same step, with the same message,
+whether or not they are recorded.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 import multiprocessing
 import os
@@ -51,7 +59,7 @@ class LorenzParams:
 
     def __post_init__(self):
         _positive("sigma", self.sigma)
-        if not np.isfinite(self.rho):
+        if not -np.inf < self.rho < np.inf:  # also an int beyond int64, NaN included
             raise ValueError("rho must be finite")
         _positive("beta", self.beta)
 
@@ -157,44 +165,82 @@ def _shared_schedule(cfgs: Sequence[SimConfig]) -> tuple[float, int]:
     return schedules.pop()
 
 
-def _drive(step, state, spinup: int, outs: Sequence[np.ndarray], view
-           ) -> tuple[int, int] | None:
+def _diverged(values, among: Sequence[int]) -> int | None:
+    """The lowest row b of `among` whose values `values[b]` are not all
+    finite, or None. KS rows are one numpy array. A Lorenz row is a tuple of
+    three floats, whose verdict `math.isfinite` gives at a tenth of numpy's
+    cost."""
+    if isinstance(values, np.ndarray):
+        ok = np.isfinite(values[among]).all(axis=1)
+        return None if ok.all() else among[int(np.argmin(ok))]
+    for b in among:
+        if not all(map(math.isfinite, values[b])):
+            return b
+    return None
+
+
+def _drive(step, state, spinup: int, firsts: Sequence[int], outs: Sequence[np.ndarray],
+           view, halted) -> tuple[int, int] | None:
     """Advance the batch `state` through the spin-up, then write row b of
-    `view(state)` into `outs[b]` for its `len(outs[b])` steps, starting with
-    the state after the spin-up.
+    `view(state)` at recorded step t (t = 0 is the state after the spin-up)
+    into `outs[b][t - firsts[b]]`, for its `len(outs[b])` steps from
+    `firsts[b]` on.
 
     A row diverges at the first step whose `view(state)` row is not all
-    finite: checked after every spin-up step, and on the recorded rows
-    (the first is the last spin-up step or the finite initial condition)
-    once per `_CHUNK` steps, each row only over its own steps. Stops at the
-    first failed check and returns its (absolute step, spin-up included;
-    row), the earliest step first and then the lowest row, or None when
-    every row is finite.
+    finite (`_diverged`). Each row is judged after every spin-up step and
+    every step before its first recorded one, and on its recorded rows once
+    per `_CHUNK` steps, only over its own steps. Stops at the first failed
+    check and returns its (absolute step, spin-up included; row), the
+    earliest step first and then the lowest row, or None when every row is
+    finite. A failure before a row's first recorded step is set against the
+    current chunk's recorded rows up to that step, which keeps that order.
+
+    Also stops at a chunk edge, returning None with rows left unwritten,
+    once `halted(step)` says that another batch has diverged at or before
+    the current absolute step: no later step of this one can come first.
     """
+    everyone = list(range(len(outs)))
+    ends = [first + len(out) for first, out in zip(firsts, outs)]
+    total = max(ends)
+    waiting = [b for b in everyone if firsts[b] > 0]  # the rows not recorded yet
+
+    def recorded(lo: int, hi: int) -> tuple[int, int] | None:
+        """The earliest failure among the rows recorded at steps [lo, hi)."""
+        bad = []
+        for b, (first, out) in enumerate(zip(firsts, outs)):
+            a, z = max(lo, first) - first, min(hi - first, len(out))
+            if a < z:
+                ok = np.isfinite(out[a:z]).all(axis=1)
+                if not ok.all():
+                    bad.append((spinup + first + a + int(np.argmin(ok)), b))
+        return min(bad, default=None)
+
     # Overflow is the divergence signal, detected explicitly below.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, spinup + 1):
             state = step(state)
-            ok = np.isfinite(view(state)).all(axis=1)
-            if not ok.all():
-                return i, int(np.argmin(ok))
+            b = _diverged(view(state), everyone)
+            if b is not None:
+                return i, b
 
-        total = max(len(out) for out in outs)
         for start in range(0, total, _CHUNK):
             stop = min(start + _CHUNK, total)
             for t in range(start, stop):
                 if t:
                     state = step(state)
-                for out, row in zip(outs, view(state)):
-                    if t < len(out):
-                        out[t] = row
-            bad = []
-            for b, out in enumerate(outs):
-                ok = np.isfinite(out[start:stop]).all(axis=1)
-                if not ok.all():
-                    bad.append((spinup + start + int(np.argmin(ok)), b))
-            if bad:
-                return min(bad)
+                values = view(state)
+                for out, first, end, row in zip(outs, firsts, ends, values):
+                    if first <= t < end:
+                        out[t - first] = row
+                if t in firsts:
+                    waiting = [b for b in waiting if t < firsts[b]]
+                if waiting:
+                    b = _diverged(values, waiting)
+                    if b is not None:
+                        return min(filter(None, ((spinup + t, b), recorded(start, t + 1))))
+            found = recorded(start, stop)
+            if found or halted(spinup + stop - 1):
+                return found
     return None
 
 
@@ -234,36 +280,46 @@ def _groups(lengths: Sequence[int], count: int) -> list[list[int]]:
     return [sorted(order[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
-def _integrate(run, lengths: Sequence[int], cols: int,
+def _integrate(run, totals: Sequence[int], firsts: Sequence[int] | None, cols: int,
                names: Sequence[str] | None) -> list[np.ndarray]:
-    """Integrate a batch whose row b records `lengths[b]` steps of `cols`
-    values, and return the rows.
+    """Integrate a batch whose row b records steps `firsts[b]` (0 when
+    `firsts` is None) up to `totals[b]`, of `cols` values each, and return
+    the recorded rows.
 
-    `run(rows, outs)` integrates the batch rows listed in `rows` into `outs`
-    and returns `_drive`'s (step, index into `rows`) or None. The rows are
-    split into `_workers` groups (`_groups`). Every group writes its rows and
-    its result into one shared anonymous mapping: the first in this process,
+    `run(rows, firsts, outs, halted)` integrates the batch rows listed in
+    `rows`, which record from `firsts` on, into `outs` and returns
+    `_drive`'s (step, index into `rows`) or None. The rows are split into
+    `_workers` groups (`_groups`). Every group writes its rows and its
+    result into one shared anonymous mapping: the first in this process,
     each other one in a fork-start `multiprocessing` process (a fork shares
-    the inputs and the mapping, unpickled). Every worker is joined, and
-    killed first when the parent's own group raises or is interrupted.
-    Raises the DivergenceError of the earliest step over all rows (a tie
-    goes to the lowest row), the same as one batch would, and CTFBenchError
-    when a worker fails.
+    the inputs and the mapping, unpickled). A group stops early once
+    `halted` says that another one has a divergence at or before its step.
+    Every worker is joined, and killed first when the parent's own group
+    raises or is interrupted. Raises the DivergenceError of the earliest
+    step over all rows (a tie goes to the lowest row), the same as one batch
+    would, and CTFBenchError when a worker fails.
     """
-    groups = _groups(lengths, _workers(len(lengths), cols))
+    groups = _groups(totals, _workers(len(totals), cols))
+    firsts = firsts or [0] * len(totals)
+    lengths = [total - first for first, total in zip(firsts, totals)]
     size = sum(lengths) * cols
     shared = mmap.mmap(-1, 8 * (size + 2 * len(groups)))
     outs = np.split(np.frombuffer(shared, np.float64, size).reshape(-1, cols),
                     np.cumsum(lengths[:-1]))
-    # Per group: its (step, row) result; row -1 when nothing diverged.
+    # Per group: its (step, row) result; row -1 until it diverges. The step
+    # is written first, so a row >= 0 always comes with its step.
     status = np.frombuffer(shared, np.int64, offset=8 * size).reshape(-1, 2)
     status[:] = 0, -1
 
+    def halted(step: int) -> bool:
+        return bool((status[status[:, 1] >= 0, 0] <= step).any())
+
     def report(g: int) -> None:
         rows = groups[g]
-        found = run(rows, [outs[r] for r in rows])
+        found = run(rows, [firsts[r] for r in rows], [outs[r] for r in rows], halted)
         if found:
-            status[g] = found[0], rows[found[1]]
+            status[g, 0] = found[0]
+            status[g, 1] = rows[found[1]]
 
     workers = []
     try:
@@ -320,8 +376,11 @@ def _lorenz_step(params: LorenzParams, dt: float):
 
 
 def _lorenz_batch(params: Sequence[LorenzParams], cfgs: Sequence[SimConfig],
-                  names: Sequence[str] | None = None) -> list[np.ndarray]:
-    """Integrate one Lorenz trajectory per (params, cfg) pair.
+                  names: Sequence[str] | None = None,
+                  firsts: Sequence[int] | None = None) -> list[np.ndarray]:
+    """Integrate one Lorenz trajectory per (params, cfg) pair; row b of the
+    result for trajectory i is its recorded step `firsts[i] + b` (all 0 by
+    default).
 
     The rows may differ in parameters, initial condition and length; dt
     and the spin-up are shared. A row of three values is cheaper to step as
@@ -332,15 +391,16 @@ def _lorenz_batch(params: Sequence[LorenzParams], cfgs: Sequence[SimConfig],
     dt, spinup = _shared_schedule(cfgs)
     ics = [tuple(_resolve_ic(c, 3).tolist()) for c in cfgs]
 
-    def run(rows: list[int], outs: list[np.ndarray]):
+    def run(rows: list[int], firsts: list[int], outs: list[np.ndarray], halted):
         found = []
-        for i, (r, out) in enumerate(zip(rows, outs)):
-            bad = _drive(_lorenz_step(params[r], dt), ics[r], spinup, [out], lambda s: (s,))
+        for i, (r, first, out) in enumerate(zip(rows, firsts, outs)):
+            bad = _drive(_lorenz_step(params[r], dt), ics[r], spinup, [first], [out],
+                         lambda s: (s,), halted)
             if bad:
                 found.append((bad[0], i))
         return min(found, default=None)
 
-    return _integrate(run, [c.total_steps for c in cfgs], 3, names)
+    return _integrate(run, [c.total_steps for c in cfgs], firsts, 3, names)
 
 
 def integrate_lorenz(params: LorenzParams, cfg: SimConfig) -> np.ndarray:
@@ -432,8 +492,11 @@ class _ETDRK4:
 
 
 def _ks_batch(params: Sequence[KSParams], cfgs: Sequence[SimConfig],
-              names: Sequence[str] | None = None) -> list[np.ndarray]:
-    """Integrate one KS trajectory per (params, cfg) pair as one batch.
+              names: Sequence[str] | None = None,
+              firsts: Sequence[int] | None = None) -> list[np.ndarray]:
+    """Integrate one KS trajectory per (params, cfg) pair as one batch; row
+    b of the result for trajectory i is its recorded step `firsts[i] + b`
+    (all 0 by default).
 
     The rows may differ in viscosity, initial condition and length; the
     grid, dt and the spin-up are shared. The stepped state carries the grid
@@ -447,12 +510,12 @@ def _ks_batch(params: Sequence[KSParams], cfgs: Sequence[SimConfig],
     n = params[0].grid_points
     ics = np.array([_resolve_ic(c, n) for c in cfgs])
 
-    def run(rows: list[int], outs: list[np.ndarray]):
+    def run(rows: list[int], firsts: list[int], outs: list[np.ndarray], halted):
         stepper = _ETDRK4([params[r] for r in rows], dt)
         state = stepper.state(np.fft.rfft(ics[rows]))
-        return _drive(stepper.step, state, spinup, outs, lambda s: s[1])
+        return _drive(stepper.step, state, spinup, firsts, outs, lambda s: s[1], halted)
 
-    return _integrate(run, [c.total_steps for c in cfgs], n, names)
+    return _integrate(run, [c.total_steps for c in cfgs], firsts, n, names)
 
 
 def integrate_ks(params: KSParams, cfg: SimConfig) -> np.ndarray:

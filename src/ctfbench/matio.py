@@ -24,6 +24,7 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -333,8 +334,10 @@ def difference(got: Any, want: Any, at: str = "") -> str | None:
 
 
 def _check(value: Any, tp: type, at: str) -> None:
+    """Refuse a `value` of another type than `tp`. A float is finite, and may
+    be an integer that converts to a finite float."""
     if type(value) not in ((int, float) if tp is float else (tp,)) or (
-            type(value) is float and not math.isfinite(value)):
+            tp is float and not abs(value) <= sys.float_info.max):
         raise ValueError(f"{at}: expected {tp.__name__}, got {json.dumps(value):.40}")
 
 
@@ -350,11 +353,32 @@ def _layout(tp: type) -> tuple[tuple[str, tuple[str, ...], Any], ...]:
     )
 
 
+@functools.cache
+def _key_tree(tp: type) -> dict:
+    """The keys that `encode` writes for dataclass `tp`: each maps to the
+    keys below it, none below a field's own key."""
+    tree: dict = {}
+    for _, parts, _ in _layout(tp):
+        node = tree
+        for part in parts:
+            node = node.setdefault(part, {})
+    return tree
+
+
+def _only_keys(node: dict, tree: dict, at: str) -> None:
+    """Refuse a key of `node` that `tree` does not hold, at any depth of `tree`."""
+    for key in node:
+        if key not in tree:
+            raise ValueError(f"{_join(at, key)}: unexpected key")
+        if tree[key]:
+            _only_keys(node[key], tree[key], _join(at, key))
+
+
 def decode(tp: Any, value: Any, at: str = "") -> Any:
     """`value`, read from JSON, as annotation `tp`: `str`, `int`, `float` (finite;
     an integer stays one), `X | None`, `list[X]`, a tuple of X (from a JSON
     array), `dict[str, X]`, a `Literal` version, or a dataclass laid out as
-    `encode` writes it (other keys are ignored) whose `validate()` then runs.
+    `encode` writes it, with no other key, whose `validate()` then runs.
     A misfit, or a rule that the dataclass's constructor or `validate()`
     raises, is a ValueError at `at`."""
     origin, args = get_origin(tp), get_args(tp)
@@ -380,6 +404,7 @@ def decode(tp: Any, value: Any, at: str = "") -> Any:
                 raise ValueError(f"{_join(path, part)}: missing")
             node, path = node[part], _join(path, part)
         kwargs[name] = decode(hint, node, path)
+    _only_keys(value, _key_tree(tp), at)
     try:
         obj = tp(**kwargs)
         getattr(obj, "validate", lambda: None)()

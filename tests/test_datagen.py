@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ctfbench as cb
-from ctfbench import datagen, matio
+from ctfbench import datagen, dynamics, matio
 from ctfbench.dynamics import LorenzParams, SimConfig, integrate_lorenz
 from ctfbench.exceptions import MatrixFormatError, PackValidationError
 from conftest import traced_peak
@@ -537,6 +537,22 @@ def test_pack_bytes_pinned(request, system):
     digests = {name: hashlib.sha256(mats[name].tobytes()).hexdigest()
                for name in datagen.MATRIX_LAYOUT}
     assert digests == MATRIX_SHA256[system]
+
+
+def test_lorenz_pack_maps_only_the_rows_it_uses(monkeypatch):
+    sizes, real = [], dynamics.mmap.mmap
+
+    def recording(fileno, length, *args, **kwargs):
+        sizes.append(length)
+        return real(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.mmap, "mmap", recording)
+    datagen.build_pack("lorenz", 7)
+    # One group of six rows of three values, 11000 + 3 * 10000 + 2 * 1100 =
+    # 43200 rows: `trajectory` records rows 0-11000, `param_a`-`param_c`
+    # 0-10000, `interpolation` and `extrapolation` 9900-11000, not 0-11000
+    # (63000 rows in all). Then the group's (step, row) status pair.
+    assert sizes == [8 * (43200 * 3 + 2)]
 
 
 def test_test_read_holds_the_distinct_windows_only(ks_pack, ks_test_pack_dir):

@@ -147,9 +147,14 @@ def _set(*path_and_value):
     # Windows that no score command takes.
     _set("windows", {"short_k": -5, "bogus": 3}),
     _set("windows", "short_k", -5),
+    # Keys that no card holds.
+    _set("colour", "red"),
+    _set("aggregate", "colour", "red"),
+    _set("runs", 0, "colour", "red"),
 ], ids=["composite-abc", "composite-null", "E1-null", "method-5", "E1-nan", "E1-1e9",
         "std-negative", "dataset-FOO", "composite-99", "run-E1-1e9", "run-no-E5",
-        "run-composite-55", "windows-bogus", "windows-short_k-negative"])
+        "run-composite-55", "windows-bogus", "windows-short_k-negative", "key-colour",
+        "aggregate-key-colour", "run-key-colour"])
 def test_malformed_card_is_not_stored(runner, docs, tmp_path, edit):
     card, store = tmp_path / "card.json", tmp_path / "board.json"
     card.write_text(json.dumps(edit(_document(docs, "card"))))
@@ -188,8 +193,11 @@ def _second_entry(**changes):
     (_second_entry(method="baseline_average", rank=2, composite={"mean": 50.0, "std": 0.0}),
      "ODE_Lorenz: entries are not in board order"),
     (_second_entry(rank=2), "ODE_Lorenz: method 'baseline_zeros' is listed twice"),
+    (_set("colour", "red"), "colour: unexpected key"),
+    (_set("datasets", "ODE_Lorenz", 0, "composite", "median", 0.0),
+     "datasets.ODE_Lorenz[0].composite.median: unexpected key"),
 ], ids=["runs-null", "method-list", "composite-nan", "runs-negative", "rank-7",
-        "out-of-order", "method-twice"])
+        "out-of-order", "method-twice", "key-colour", "entry-key-median"])
 def test_malformed_store_is_error(runner, docs, tmp_path, edit, why):
     store = tmp_path / "board.json"
     store.write_text(json.dumps(edit(_document(docs, "store"))))
@@ -218,3 +226,34 @@ def test_mistyped_manifest_is_error(runner, docs, tmp_path, key, value):
         assert result.exit_code == 1, argv
         assert f"{pack / 'manifest.json'}: malformed manifest document: {named}: " \
             in result.output
+
+
+# `build_pack` writes no other key, so a manifest that holds one describes
+# no pack `generate` makes.
+@pytest.mark.parametrize("edit, named", [
+    (_set("colour", "red"), "colour"),
+    (_set("noise_levels", "low", 0.01), "noise_levels.low"),
+], ids=["top-level", "noise-levels"])
+def test_manifest_key_build_pack_never_writes_is_error(runner, docs, tmp_path, edit, named):
+    pack = _pack_with(docs, edit(_document(docs, "manifest")), tmp_path / "pack")
+    why = f"{pack / 'manifest.json'}: malformed manifest document: {named}: unexpected key"
+    with pytest.raises(cb.PackValidationError) as err:
+        cb.read_pack(pack, names=())
+    assert str(err.value) == why
+    for argv in _manifest_commands(docs, pack, tmp_path):
+        result = _invoke(runner, argv)
+        assert result.exit_code == 1 and f"Error: {why}" in result.output, argv
+
+
+# JSON integers are exact: one beyond int64 is a float setting when a float
+# holds it, and a named error when none does.
+@pytest.mark.parametrize("value, why", [
+    (-2**63 - 1, None),
+    (10**400, "nominal_param: expected float, got 1000000000000000000000000000000000000000"),
+], ids=["beyond-int64", "beyond-float"])
+def test_huge_integer_setting_never_tracebacks(runner, docs, tmp_path, value, why):
+    pack = _pack_with(docs, {**_document(docs, "manifest"), "nominal_param": value},
+                      tmp_path / "pack")
+    for argv in _manifest_commands(docs, pack, tmp_path):
+        result = _invoke(runner, argv)
+        assert (result.exit_code == 0) if why is None else (why in result.output), argv

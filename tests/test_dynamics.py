@@ -252,6 +252,63 @@ class TestBatch:
             integrate_lorenz(params, cfg)
         assert err.value.step == step == 259
 
+    @pytest.mark.parametrize("batch, rows", [(dynamics._lorenz_batch, lambda t: lorenz_rows(t)),
+                                             (dynamics._ks_batch, lambda t: ks_rows(t))],
+                             ids=["lorenz", "ks"])
+    def test_late_rows_are_tails_of_single_runs(self, batch, rows):
+        # First recorded rows before, at and after the first chunk edge.
+        lengths = (dynamics._CHUNK + 5, 7, dynamics._CHUNK + 5, 2 * dynamics._CHUNK)
+        firsts = (0, 6, dynamics._CHUNK, dynamics._CHUNK + 1)
+        params, cfgs = rows(lengths)
+        alone = batch(params, cfgs)
+        late = batch(params, cfgs, None, firsts)
+        assert [r.shape[0] for r in late] == [t - f for t, f in zip(lengths, firsts)]
+        for a, b, first in zip(alone, late, firsts):
+            assert np.array_equal(a[first:], b)
+
+    # A late row diverges at step 7 (dt 0.15 from (1, 1, 1)) during the
+    # spin-up (10) or after it (4), before its first recorded row (20).
+    @pytest.mark.parametrize("spinup", [10, 4])
+    def test_late_lorenz_row_diverges_before_its_first_row(self, spinup):
+        cfg = lorenz_cfg(dt=0.15, total_steps=50, spinup_steps=spinup)
+        params = [LorenzParams(rho=0.5), LorenzParams(), LorenzParams()]
+        for firsts in (None, (0, 20, 40)):
+            with pytest.raises(DivergenceError, match="^solution diverged "
+                               r"\(non-finite state\) at step 7 of trajectory 'b'$") as err:
+                dynamics._lorenz_batch(params, [cfg] * 3, ["a", "b", "c"], firsts)
+            assert err.value.step == 7
+
+    @pytest.mark.parametrize("spinup", [10, 3, 0])
+    def test_late_ks_row_diverges_before_its_first_row(self, spinup):
+        # The pinned schedule of TestIntegrateKS, beside a finite row.
+        params = [KSParams(domain_length=2.0 * np.pi, grid_points=64, viscosity=mu)
+                  for mu in (1.0, 0.01)]
+        cfgs = [SimConfig(dt=0.05, total_steps=50, spinup_steps=spinup, seed=3)] * 2
+        for firsts in (None, (0, 30)):
+            with pytest.raises(DivergenceError, match="^solution diverged "
+                               r"\(non-finite state\) at step 7 of trajectory 'b'$") as err:
+                dynamics._ks_batch(params, cfgs, ["a", "b"], firsts)
+            assert err.value.step == 7
+
+    # Alone, (viscosity, seed) (0.01, 3) and (0.01, 6) diverge at step 7 and
+    # (0.015, 3) at step 29, all inside the first chunk. A late row (first
+    # recorded row 100) is judged every step, a recorded one at the chunk
+    # edge; the earliest step, then the lowest row, is still named.
+    @pytest.mark.parametrize("rows, expected", [
+        (((0.015, 3, 100), (0.01, 3, 0)), "step 7 of trajectory 'b'"),
+        (((0.01, 3, 0), (0.01, 6, 100)), "step 7 of trajectory 'a'"),
+        (((0.01, 6, 100), (0.01, 3, 0)), "step 7 of trajectory 'a'"),
+        (((0.015, 3, 0), (0.01, 3, 100)), "step 7 of trajectory 'b'"),
+    ], ids=["recorded-earlier", "recorded-tie-lower", "late-tie-lower", "late-earlier"])
+    def test_recorded_and_late_rows_name_the_earliest(self, rows, expected):
+        params = [KSParams(domain_length=2.0 * np.pi, grid_points=64, viscosity=mu)
+                  for mu, _, _ in rows]
+        cfgs = [SimConfig(dt=0.05, total_steps=200, seed=seed) for _, seed, _ in rows]
+        for firsts in (None, [first for _, _, first in rows]):
+            with pytest.raises(DivergenceError, match=expected) as err:
+                dynamics._ks_batch(params, cfgs, ["a", "b"], firsts)
+            assert err.value.step == 7
+
     def test_rows_must_share_schedule(self):
         cfgs = [lorenz_cfg(spinup_steps=1), lorenz_cfg(spinup_steps=2)]
         with pytest.raises(ValueError, match="share dt and spinup_steps"):
@@ -333,6 +390,45 @@ class TestWorkerSplit:
         for a, b in zip(alone, split):
             assert np.array_equal(a, b)
         assert multiprocessing.active_children() == []
+
+    def test_late_rows_equal_in_process_batch(self, monkeypatch):
+        params, cfgs = ks_rows(SPLIT_LENGTHS)
+        firsts = (dynamics._CHUNK, 0, 3, dynamics._CHUNK - 2)
+        alone = dynamics._ks_batch(params, cfgs, None, firsts)
+        force_workers(monkeypatch, 2)
+        split = dynamics._ks_batch(params, cfgs, None, firsts)
+        for a, b in zip(alone, split):
+            assert np.array_equal(a, b)
+        assert multiprocessing.active_children() == []
+
+    def test_parent_group_stops_after_an_earlier_worker_divergence(self, monkeypatch):
+        # Row 'b' diverges at step 7 in the worker. Row 'a', the parent's,
+        # stays finite for 100 chunks, pausing at each so that the worker
+        # reports first; it stops at a chunk edge after the report.
+        total = 100 * dynamics._CHUNK
+        params = [LorenzParams(rho=0.5), LorenzParams()]
+        cfgs = [lorenz_cfg(dt=0.15, total_steps=t, spinup_steps=4) for t in (total, 50)]
+        parent, drive, steps = os.getpid(), dynamics._drive, [0]
+
+        def patched(step, *args):
+            def counted(state):
+                steps[0] += 1
+                if steps[0] % dynamics._CHUNK == 0:
+                    time.sleep(0.01)
+                return step(state)
+
+            return drive(counted if os.getpid() == parent else step, *args)
+
+        with pytest.raises(DivergenceError) as alone:
+            dynamics._lorenz_batch(params, cfgs, ["a", "b"])
+        monkeypatch.setattr(dynamics, "_drive", patched)
+        force_workers(monkeypatch, 2)
+        with deadline(60), pytest.raises(DivergenceError) as split:
+            dynamics._lorenz_batch(params, cfgs, ["a", "b"])
+        assert str(split.value) == str(alone.value)
+        assert split.value.step == 7 and "trajectory 'b'" in str(split.value)
+        assert multiprocessing.active_children() == []
+        assert 0 < steps[0] < total // 2
 
     def test_groups_keep_equal_lengths_together(self):
         assert dynamics._groups([10, 11, 10, 11, 11, 10], 2) == [[1, 3, 4], [0, 2, 5]]
@@ -514,6 +610,7 @@ class TestParameterValidation:
             LorenzParams(beta=0.0)
         with pytest.raises(ValueError):
             LorenzParams(rho=float("nan"))
+        assert LorenzParams(rho=-2**63 - 1).rho == -2**63 - 1  # beyond int64, not NaN
 
     def test_sim_config_validated(self):
         with pytest.raises(ValueError):

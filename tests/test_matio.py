@@ -1,7 +1,8 @@
+import copy
 import errno
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -236,6 +237,31 @@ def test_codec_tuple_round_trip():
         matio.decode(Doc, {"values": 1.5})
     with pytest.raises(ValueError, match=r"values\[1\]: expected float"):
         matio.decode(Doc, {"values": [1.5, "x", 3.0]})
+
+
+def test_codec_refuses_keys_it_does_not_write():
+    @dataclass
+    class Inner:
+        lo: float = field(metadata={"key": "range.lo"})
+        hi: float = field(metadata={"key": "range.hi"})
+        table: dict[str, int]
+
+    @dataclass
+    class Doc:
+        inner: list[Inner]
+
+    doc = matio.encode(Doc([Inner(0.0, 1.0, {"any": 1})]))
+    assert matio.decode(Doc, doc) == Doc([Inner(0.0, 1.0, {"any": 1})])
+    for path, why in [(("extra",), "^extra: unexpected key$"),
+                      (("inner", 0, "extra"), r"^inner\[0\]\.extra: unexpected key$"),
+                      (("inner", 0, "range", "mid"), r"^inner\[0\]\.range\.mid: unexpected key$")]:
+        edited = copy.deepcopy(doc)
+        node = edited
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 0.5
+        with pytest.raises(ValueError, match=why):
+            matio.decode(Doc, edited)
 
 
 def test_difference_names_the_first_differing_entry():
