@@ -16,15 +16,15 @@ matrices (X1test..X9test) cut from six simulated trajectories:
 trajectory it is cut from, its row window and its noise. `MATRIX_LAYOUT`
 (the published shape table), the simulated steps and the identical-window
 checks are all derived from it. Each trajectory records only the rows
-from its first cut one to its last (`_SPANS`), so the integration mapping
-holds only rows a pack uses. Shapes and windows are validated on every
-write and read. A built or read pack holds each
-group of identical windows as one array; `read_pack` compares each later
-member with the first as its file streams (`matio.file_equals`), and the
-checks scan each distinct array once, and once for a whole
-`matio.truth_table()` block. Pack construction is a pure function of
-(system, master_seed, overrides); seeds for each stochastic ingredient are
-derived from the master seed and recorded in the manifest. A `Manifest` is
+from the first one cut from it to the last (`_SPANS`), so the integration
+mapping holds only rows a pack uses. Shapes and windows are validated on
+every write and read. A built or read pack holds each group of identical
+windows as one array; `read_pack` compares each later member with the
+first as its file streams (`matio.file_equals`), and the checks scan each
+distinct array once, and once for a whole `matio.truth_table()` block.
+Pack construction is a pure function of (system, master_seed, overrides);
+seeds for each stochastic ingredient are derived from the master seed and
+recorded in the manifest. A `Manifest` is
 its `PackConfig`, the one set of rules for the settings, plus the fields
 that the settings and master seed give, so those rules run whenever a
 manifest is made. `read_pack` reads it through `matio.read_document`: each
