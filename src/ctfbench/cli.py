@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from . import baselines, datagen, referee, report
+from . import baselines, datagen, matio, referee, report
 from .exceptions import CTFBenchError
 from .matio import atomic_write_bytes, check_writable, dump_json, make_dir, read_json
 from .metrics import SCORE_IDS, MetricWindows
@@ -193,8 +193,15 @@ def baseline(kind, pack_dir, out_dir, run_id, as_json):
 
 
 def _reader(run_dir: Path):
-    """`referee.evaluate`'s loader: each call reads one prediction of the run."""
-    return lambda name: referee.load_submission(run_dir, names=(name,)).predictions.get(name)
+    """`referee.evaluate`'s loader: each call opens one `.mat` prediction of
+    the run to stream it, or reads one `.csv` prediction whole."""
+    def load(name: str):
+        path = run_dir / f"{name}.mat"
+        if path.is_file():
+            return matio.MatrixReader(path)
+        return referee.load_submission(run_dir, names=(name,)).predictions.get(name)
+
+    return load
 
 
 def _score_table(card: referee.ScoreCard) -> str:

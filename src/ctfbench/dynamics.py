@@ -27,6 +27,7 @@ import mmap
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -43,9 +44,9 @@ _IC_MODES = 8
 
 
 def _positive(label: str, value: float) -> None:
-    """Refuse a `value` that is not positive and finite, NaN included;
-    the message starts with `label`."""
-    if not 0 < value < np.inf:
+    """Refuse a `value` that is not positive and finite, NaN included, and an
+    integer beyond the largest float; the message starts with `label`."""
+    if not 0 < value <= sys.float_info.max:
         raise ValueError(f"{label} must be positive and finite")
 
 
@@ -59,7 +60,8 @@ class LorenzParams:
 
     def __post_init__(self):
         _positive("sigma", self.sigma)
-        if not -np.inf < self.rho < np.inf:  # also an int beyond int64, NaN included
+        # An int beyond int64 is finite; NaN and one beyond the largest float are not.
+        if not abs(self.rho) <= sys.float_info.max:
             raise ValueError("rho must be finite")
         _positive("beta", self.beta)
 

@@ -3,13 +3,16 @@
 Layout of a `.mat` file: the 8-byte magic ``CTFMAT01``, a little-endian
 u64 row count, a little-endian u64 column count, then rows*cols
 little-endian float64 values in row-major order. Writes are atomic
-(temp file + rename). A read checks the header against the file size
-before it allocates, then reads the payload straight into the array it
-returns: one copy of the bytes. `file_equals` makes the same checks and
-compares a file with an array through one reused buffer of a few MB.
-`problem` checks finiteness in one pass over a contiguous float64 array,
-writing nothing; `_once` keeps such a verdict, or other work on an array,
-once per `truth_table()` block. CSV files hold one time step per row
+(temp file + rename). Every read goes through one `MatrixReader`: it
+checks the header against the file size before it allocates, then either
+streams the payload in blocks of rows through one reused buffer of a few
+MB, each a multiple of `SUM_BLOCK_ROWS` rows, or reads it straight into
+one array (`read_matrix`: one copy of the bytes). `file_equals` compares a
+file with an array as it streams, and `ctfbench score` streams each
+prediction through its metrics, so the header, size and truncation
+messages are the same on every read. `problem` checks finiteness in one
+pass over a contiguous float64 array, writing nothing; `_once` keeps such
+a verdict, or other work on an array, once per `truth_table()` block. CSV files hold one time step per row
 with full-precision decimal values. JSON documents (manifests,
 scorecards, leaderboards) are written with sorted keys, a 2-space indent
 and a trailing newline, and never hold NaN or Infinity; `encode` and
@@ -48,14 +51,19 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
     return a
 
 
+#: `problem`'s verdict on a matrix that holds a NaN or an infinity.
+NON_FINITE = "contains non-finite values"
+
+
+def misfit(got: tuple[int, ...], shape: tuple[int, int]) -> str | None:
+    """Why a matrix of shape `got` is not one of `shape`, or None."""
+    return None if got == shape else f"shape {tuple(got)} does not match required {shape}"
+
+
 def problem(x: np.ndarray, shape: tuple[int, int]) -> str | None:
     """Why `x` is not an acceptable matrix of `shape` (wrong shape or a
     non-finite value), or None when it is."""
-    if x.shape != shape:
-        return f"shape {tuple(x.shape)} does not match required {shape}"
-    if not _all_finite(x):
-        return "contains non-finite values"
-    return None
+    return misfit(x.shape, shape) or (None if _all_finite(x) else NON_FINITE)
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -191,22 +199,84 @@ def _header(fh, path: str | Path) -> tuple[int, int]:
     return rows, cols
 
 
+#: Bytes of the one buffer that a `MatrixReader` streams a payload through.
+_CHUNK_BYTES = 4 << 20
+
+#: Rows per block of every Frobenius norm (`metrics._sum_sq`). Part of the
+#: metrics' definition: the order of the float sums, so the last bits of S,
+#: follow it. A `MatrixReader` block holds a multiple of it, so no norm block
+#: spans two reads.
+SUM_BLOCK_ROWS = 64
+
+
+class MatrixReader:
+    """A matrix file open for reading, whose header has passed the checks
+    of `_header`: `shape` is the (rows, cols) it declares. `blocks()` yields
+    the payload as (first row, rows) pairs, each a view of one reused buffer
+    of about `_CHUNK_BYTES` that the next block overwrites, and each but the
+    last a multiple of `SUM_BLOCK_ROWS` rows; `read()` reads it whole into a
+    new array. A file that cannot be opened or read, or whose payload ends
+    early, raises MatrixFormatError naming it. Close it after use (`close()`,
+    or a `with` block)."""
+
+    def __init__(self, path: str | Path):
+        self.path, self._got = path, 0
+        self._fh = self._io(open, path, "rb", buffering=0)
+        try:
+            self.shape = self._io(_header, self._fh, path)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _io(self, call, *args, **kwargs):
+        """`call(*args, **kwargs)`, an OSError raised as a MatrixFormatError."""
+        try:
+            return call(*args, **kwargs)
+        except OSError as exc:
+            raise MatrixFormatError(f"{self.path}: cannot read: {exc.strerror}") from exc
+
+    def _fill(self, part: np.ndarray) -> None:
+        """Read the next `part.nbytes` bytes of the payload into `part`, with
+        as many reads as the file needs, or to its end."""
+        view, got = memoryview(part).cast("B"), 0
+        while got < part.nbytes and (n := self._io(self._fh.readinto, view[got:])):
+            got += n
+        self._got += got
+        if got != part.nbytes:
+            raise MatrixFormatError(f"{self.path}: payload ends after {self._got} of "
+                                    f"{self.shape[0] * self.shape[1] * 8} bytes")
+
+    def blocks(self):
+        """The payload as (first row, rows) pairs, through one reused buffer."""
+        rows, cols = self.shape
+        step = max(1, _CHUNK_BYTES // (8 * cols * SUM_BLOCK_ROWS)) * SUM_BLOCK_ROWS
+        buf = np.empty((min(step, rows), cols), dtype="<f8")
+        for start in range(0, rows, step):
+            part = buf[: rows - start]
+            self._fill(part)
+            yield start, part
+
+    def read(self) -> np.ndarray:
+        """The whole payload, read straight into a new array."""
+        a = np.empty(self.shape, dtype="<f8")
+        self._fill(a)
+        return a.astype(np.float64, copy=False)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> MatrixReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def read_matrix(path: str | Path) -> np.ndarray:
     """Read a matrix written by `write_matrix`, validating header and size
     before allocating; a file that cannot be read raises MatrixFormatError."""
-    try:
-        with open(path, "rb") as fh:
-            a = np.empty(_header(fh, path), dtype="<f8")
-            got = fh.readinto(a)
-    except OSError as exc:
-        raise MatrixFormatError(f"{path}: cannot read: {exc.strerror}") from exc
-    if got != a.nbytes:
-        raise MatrixFormatError(f"{path}: payload ends after {got} of {a.nbytes} bytes")
-    return a.astype(np.float64, copy=False)
-
-
-#: Bytes of the buffer that `file_equals` reads a file through.
-_CHUNK_BYTES = 4 << 20
+    with MatrixReader(path) as m:
+        return m.read()
 
 
 def file_equals(path: str | Path, x: np.ndarray) -> bool:
@@ -215,19 +285,11 @@ def file_equals(path: str | Path, x: np.ndarray) -> bool:
     one reused buffer of at most a few MB. False for any file that
     `read_matrix` would reject, and for one that it cannot read."""
     try:
-        with open(path, "rb") as fh:
-            if _header(fh, path) != x.shape:
-                return False
-            step = max(1, _CHUNK_BYTES // (8 * x.shape[1]))
-            buf = np.empty((min(step, x.shape[0]), x.shape[1]), dtype="<f8")
-            for start in range(0, x.shape[0], step):
-                part = buf[: x.shape[0] - start]
-                if fh.readinto(part) != part.nbytes or not np.array_equal(
-                        part, x[start:start + len(part)]):
-                    return False
-    except (OSError, MatrixFormatError):
+        with MatrixReader(path) as m:
+            return m.shape == x.shape and all(
+                np.array_equal(part, x[start:start + len(part)]) for start, part in m.blocks())
+    except MatrixFormatError:
         return False
-    return True
 
 
 def write_csv(path: str | Path, x: np.ndarray) -> None:

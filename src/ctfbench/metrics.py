@@ -27,6 +27,14 @@ undefined on exactly-zero rows. Any power below 1e-300 is assigned
 log-power 0 instead. An all-zero prediction therefore has a zero spectrum
 matrix and scores S = 1 (E = 0) exactly, anchoring the zeros baseline.
 
+Each S is taken as the prediction's rows pass in order, in blocks that
+each hold a multiple of `SUM_BLOCK_ROWS` rows but the last (`scorer`), so
+a prediction streamed from its file (`matio.MatrixReader`) need never be
+held whole: the short-time error adds each block's 64-row totals up to
+`short_k`, and the long-time errors keep a copy of the trailing `long_k`
+rows, which they transform after the last block. An in-memory prediction
+is one such block, so every S has one path and the same bits either way.
+
 Each score takes its truth side (norm, log spectrum or histogram edges)
 through `matio._once`, keyed by the truth object the caller passes (a list
 or a float32 array too) and the windows it depends on: once per truth in a
@@ -47,7 +55,7 @@ import numpy as np
 
 from . import elementary
 from .exceptions import MetricError
-from .matio import _once
+from .matio import SUM_BLOCK_ROWS, _once
 
 logger = logging.getLogger(__name__)
 
@@ -55,10 +63,6 @@ SCORE_IDS = tuple(f"E{i}" for i in range(1, 13))
 
 #: Powers below this are treated as exact zeros and given log-power 0.
 ZERO_POWER_FLOOR = 1e-300
-
-#: Rows per block of every Frobenius norm (`_sum_sq`). Part of the metrics'
-#: definition: the order of the float sums, so the last bits of S, follow it.
-SUM_BLOCK_ROWS = 64
 
 
 class MetricKind(str, Enum):
@@ -124,19 +128,21 @@ def _pair(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pred, _matrix(truth)
 
 
-def _sum_sq(a: np.ndarray, b: np.ndarray | None = None) -> float:
-    """sum((a - b)**2), or sum(a**2) without `b`, over whole 2-D arrays.
+def _sum_sq(a: np.ndarray, b: np.ndarray | None = None, total: float = 0.0) -> float:
+    """`total` plus sum((a - b)**2), or plus sum(a**2) without `b`, over
+    whole 2-D arrays.
 
     Rows are taken `SUM_BLOCK_ROWS` at a time into one reused buffer,
     subtracted and squared there, summed by `np.add.reduce`, and the block
-    totals are added in row order. Only exactly rounded arithmetic and
-    numpy's own summation run, so the result is the same on every CPU, BLAS
-    and thread count. `0 - t` squares to `t*t`, so a zero `a` gives the same
-    sum as `b` alone: S = 1 exactly.
+    totals are added to `total` in row order. Only exactly rounded arithmetic
+    and numpy's own summation run, so the result is the same on every CPU,
+    BLAS and thread count. `0 - t` squares to `t*t`, so a zero `a` gives the
+    same sum as `b` alone: S = 1 exactly. Rows summed in parts that start at
+    multiples of `SUM_BLOCK_ROWS`, each part given the sum so far as `total`,
+    give the bits of one call over all of them.
     """
     rows = a.shape[0]
     buf = np.empty((min(SUM_BLOCK_ROWS, rows),) + a.shape[1:])
-    total = 0.0
     for i in range(0, rows, SUM_BLOCK_ROWS):
         span = slice(i, i + SUM_BLOCK_ROWS)
         block = buf[: min(SUM_BLOCK_ROWS, rows - i)]
@@ -163,10 +169,7 @@ def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int) -> float
     the truth window has zero norm (the score would be undefined).
     """
     pred, t = _pair(pred, truth)
-    ref = _once(truth, (MetricKind.SHORT_TIME, short_k), lambda: short_time_reference(t, short_k))
-    if ref == 0.0:
-        raise MetricError("zero-norm truth window: short-time score undefined")
-    return math.sqrt(_sum_sq(pred[:short_k], t[:short_k])) / ref
+    return _ShortTime(truth, t, short_k).over(pred)
 
 
 def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
@@ -206,12 +209,7 @@ def spectral_reference(truth: np.ndarray, windows: MetricWindows) -> tuple[np.nd
 def score_long_time_spectral(pred: np.ndarray, truth: np.ndarray, windows: MetricWindows) -> float:
     """Relative Frobenius error between truth and prediction log spectra."""
     pred, t = _pair(pred, truth)
-    p_truth, ref = _once(truth, (MetricKind.LONG_TIME_SPECTRAL, windows.long_k, windows.kmax),
-                         lambda: spectral_reference(t, windows))
-    p_pred = power_spectrum_rows(pred, windows.long_k, windows.kmax)
-    if ref == 0.0:
-        raise MetricError("zero-norm truth spectrum: spectral score undefined")
-    return math.sqrt(_sum_sq(p_pred, p_truth)) / ref
+    return _Spectral(truth, t, windows).over(pred)
 
 
 def _series_reference(truth_series: np.ndarray, bins: int) -> tuple:
@@ -276,10 +274,95 @@ def score_long_time_histogram(pred: np.ndarray, truth: np.ndarray,
     are averaged, so S lies in [0, 2].
     """
     pred, t = _pair(pred, truth)
-    refs = _once(truth, (MetricKind.LONG_TIME_HISTOGRAM, windows.long_k, windows.bins),
-                 lambda: histogram_reference(t, windows))
-    p = pred[t.shape[0] - windows.long_k :]
-    return float(np.mean([_series_l1(refs[c], p[:, c]) for c in range(3)]))
+    return _Histogram(truth, t, windows).over(pred)
+
+
+class _Score:
+    """One S of a prediction that comes in row blocks, in row order: `add`
+    takes each block, and `value`, after the last, gives S. Only `value`
+    takes the truth side (through `_once`) and judges the windows against the
+    truth, so a prediction that is never valued raises nothing."""
+
+    def __init__(self, truth, t: np.ndarray):
+        self.truth, self.t = truth, t  # the caller's object keys the truth side
+
+    def over(self, pred: np.ndarray) -> float:
+        """S of a whole in-memory `pred`, taken as one block."""
+        self.add(0, pred)
+        return self.value()
+
+
+class _ShortTime(_Score):
+    """The short-time S: `_sum_sq` of each block's rows before `short_k`."""
+
+    def __init__(self, truth, t: np.ndarray, short_k: int):
+        super().__init__(truth, t)
+        if not isinstance(short_k, (int, np.integer)):
+            _window("short_k", short_k)  # raises; `value` judges an integer's range
+        self.short_k, self.total = short_k, 0.0
+
+    def add(self, start: int, block: np.ndarray) -> None:
+        stop = min(start + len(block), self.short_k)
+        if start < stop:
+            self.total = _sum_sq(block[: stop - start], self.t[start:stop], self.total)
+
+    def value(self) -> float:
+        t, k = self.t, self.short_k
+        ref = _once(self.truth, (MetricKind.SHORT_TIME, k), lambda: short_time_reference(t, k))
+        if ref == 0.0:
+            raise MetricError("zero-norm truth window: short-time score undefined")
+        return math.sqrt(self.total) / ref
+
+
+class _Tail(_Score):
+    """A long-time S: keeps a copy of the trailing `long_k` rows as they pass."""
+
+    def __init__(self, truth, t: np.ndarray, windows: MetricWindows):
+        super().__init__(truth, t)
+        self.windows = windows
+        rows = t.shape[0]
+        self.first = rows - min(windows.long_k, rows)
+        self.tail = np.empty((rows - self.first, t.shape[1]))
+
+    def add(self, start: int, block: np.ndarray) -> None:
+        lo = max(start, self.first)
+        if lo < start + len(block):
+            self.tail[lo - self.first : start + len(block) - self.first] = block[lo - start :]
+
+
+class _Spectral(_Tail):
+    """The spectral S: `power_spectrum_rows` of the kept rows against the truth's."""
+
+    def value(self) -> float:
+        t, w = self.t, self.windows
+        p_truth, ref = _once(self.truth, (MetricKind.LONG_TIME_SPECTRAL, w.long_k, w.kmax),
+                             lambda: spectral_reference(t, w))
+        p_pred = power_spectrum_rows(self.tail, w.long_k, w.kmax)
+        if ref == 0.0:
+            raise MetricError("zero-norm truth spectrum: spectral score undefined")
+        return math.sqrt(_sum_sq(p_pred, p_truth)) / ref
+
+
+class _Histogram(_Tail):
+    """The histogram S: the mean `_series_l1` of the kept rows' three columns."""
+
+    def value(self) -> float:
+        t, w = self.t, self.windows
+        refs = _once(self.truth, (MetricKind.LONG_TIME_HISTOGRAM, w.long_k, w.bins),
+                     lambda: histogram_reference(t, w))
+        return float(np.mean([_series_l1(refs[c], self.tail[:, c]) for c in range(3)]))
+
+
+def scorer(kind: MetricKind, truth: np.ndarray, windows: MetricWindows) -> _Score:
+    """The S of metric `kind` against 2-D `truth` with `windows`, for a
+    prediction of the truth's shape that comes in row blocks: `add(start,
+    block)` for each block in row order, each but the last a multiple of
+    `SUM_BLOCK_ROWS` rows (as `matio.MatrixReader.blocks` gives them), then
+    `value()`. Fed the same values, it gives the bits of `score_*`."""
+    t = _matrix(truth)
+    if kind is MetricKind.SHORT_TIME:
+        return _ShortTime(truth, t, windows.short_k)
+    return (_Spectral if kind is MetricKind.LONG_TIME_SPECTRAL else _Histogram)(truth, t, windows)
 
 
 def to_score(s: float) -> float:

@@ -10,11 +10,13 @@ missing or failing validation for a prediction receives -100 for every
 score depending on it, while the remaining scores are still computed.
 
 `evaluate` scores a run one prediction at a time, through a loader that
-`ctfbench score` points at the run's files, so a command holds one
-prediction at a time. `evaluate_task` returns None exactly for a
-prediction that `validate_submission` names, and `evaluate` records that
-verdict for each prediction, so `ctfbench score` takes its exit status from
-the None scores of its card and words its warnings from the verdicts.
+`ctfbench score` points at the run's files. A `.mat` prediction streams
+from its file through one buffer of a few MB, each block checked for
+finiteness and given to every task that scores it, so a command never
+holds a prediction whole. A score is None exactly for a prediction that
+`validate_submission` names, and `evaluate` records that verdict for each
+prediction, so `ctfbench score` takes its exit status from the None scores
+of its card and words its warnings from the verdicts.
 `evaluate_task` checks its truth although `read_pack` has checked it,
 because library callers may build or change a pack in memory without
 `read_pack`; each metric function takes its own truth side. Within a
@@ -72,6 +74,8 @@ _REGISTRY_TABLE = (
 )
 
 PREDICTION_NAMES = tuple(dict.fromkeys(row[3] for row in _REGISTRY_TABLE))
+
+_MISSING = "missing prediction"
 
 
 @dataclass(frozen=True)
@@ -207,7 +211,7 @@ def validate_submission(
 
 def _verdict(pred: np.ndarray | None, shape: tuple[int, int]) -> str | None:
     """Why `pred` cannot be scored against a truth of `shape`, or None."""
-    return "missing prediction" if pred is None else matio.problem(pred, shape)
+    return _MISSING if pred is None else matio.problem(pred, shape)
 
 
 def _check_aggregate(mean: float, std: float, key: str = "") -> None:
@@ -294,31 +298,51 @@ def _check_truth(pack: DatasetPack, task: TaskSpec) -> np.ndarray:
     return truth
 
 
-def evaluate_task(task: TaskSpec, sub: Submission, pack: DatasetPack,
-                  verdicts: dict | None = None) -> float | None:
+def _feed(blocks, scorers: list) -> bool:
+    """Give each (start, block) of `blocks` to every scorer, unless it holds a
+    value that is not finite: then stop there and return False. A function of
+    its own, so that no name holds the last block, and with it a reader's
+    buffer, while the scores are taken."""
+    for start, block in blocks:
+        if not matio._all_finite(block):
+            return False
+        for scorer in scorers:
+            scorer.add(start, block)
+    return True
+
+
+def _score(tasks: list[TaskSpec], pred, pack: DatasetPack) -> tuple[str | None, dict]:
+    """Why prediction `pred` cannot be scored, or None, and the score of each
+    of `tasks`, which all score it against one truth (None for every task
+    when it cannot be scored). `pred` is None for a missing prediction, an
+    array, or a `matio.MatrixReader`, which is closed here. The truth is
+    checked first, then the prediction's shape; then each block of rows is
+    checked for finiteness and given to every task, and the scores are taken
+    after the last block, only when every block was finite."""
+    try:
+        truths = [_check_truth(pack, task) for task in tasks]
+        why = _MISSING if pred is None else matio.misfit(pred.shape, truths[0].shape)
+        if why is None:
+            scorers = [metrics.scorer(t.metric, truth, t.windows)
+                       for t, truth in zip(tasks, truths)]
+            blocks = (pred.blocks() if isinstance(pred, matio.MatrixReader)
+                      else [(0, np.asarray(pred, dtype=np.float64))])
+            if _feed(blocks, scorers):
+                return None, {t.score_id: metrics.to_score(scorer.value())
+                              for t, scorer in zip(tasks, scorers)}
+            why = matio.NON_FINITE
+        return why, dict.fromkeys(t.score_id for t in tasks)
+    finally:
+        if isinstance(pred, matio.MatrixReader):
+            pred.close()
+
+
+def evaluate_task(task: TaskSpec, sub: Submission, pack: DatasetPack) -> float | None:
     """Score one task; None when the prediction is missing or invalid.
 
-    Reads only the single test matrix named by the task. `verdicts`, when
-    given, maps each prediction name already checked to why it cannot be
-    scored ("missing prediction" or `matio.problem`'s text) or None, for the
-    later tasks that score the same prediction of `sub`; `evaluate` passes
-    one dict per run.
+    Reads only the single test matrix named by the task.
     """
-    truth = _check_truth(pack, task)
-    name = task.prediction_name
-    verdicts = {} if verdicts is None else verdicts
-    if name not in verdicts:
-        verdicts[name] = _verdict(sub.predictions.get(name), truth.shape)
-    if verdicts[name] is not None:
-        return None
-    pred, w = sub.predictions[name], task.windows
-    if task.metric is MetricKind.SHORT_TIME:
-        s = metrics.score_short_time(pred, truth, w.short_k)
-    elif task.metric is MetricKind.LONG_TIME_SPECTRAL:
-        s = metrics.score_long_time_spectral(pred, truth, w)
-    else:
-        s = metrics.score_long_time_histogram(pred, truth, w)
-    return metrics.to_score(s)
+    return _score([task], sub.predictions.get(task.prediction_name), pack)[1][task.score_id]
 
 
 def _aggregate(values: list[float]) -> ScoreAggregate:
@@ -352,11 +376,13 @@ def evaluate(sub: Submission, pack: DatasetPack, windows: MetricWindows | None =
     """Score a single run against a pack, producing a one-run ScoreCard.
 
     The run is scored one prediction at a time: `load(name)`, by default
-    `sub.predictions.get`, gives the prediction `name` or None when the run
-    has none. It is called when the prediction's first task comes, and its
-    array is dropped after the prediction's last task, before the next one
-    is loaded. `verdicts`, when given, is filled in `PREDICTION_NAMES` order
-    with why each prediction cannot be scored, or None when it can.
+    `sub.predictions.get`, gives the prediction `name`: None when the run
+    has none, an array, or a `matio.MatrixReader` open on its file, which is
+    streamed through every task of the prediction at once and closed. It is
+    called when the prediction's first task comes, and the prediction is
+    dropped after its last task, before the next one is loaded. `verdicts`,
+    when given, is filled in `PREDICTION_NAMES` order with why each
+    prediction cannot be scored, or None when it can.
     """
     base = windows or MetricWindows()
     load = sub.predictions.get if load is None else load
@@ -366,12 +392,8 @@ def evaluate(sub: Submission, pack: DatasetPack, windows: MetricWindows | None =
         # The registry lists the tasks of each prediction together.
         for name, tasks in groupby(task_registry(pack.dataset_id, base),
                                    lambda task: task.prediction_name):
-            pred = load(name)
-            one = replace(sub, predictions={} if pred is None else {name: pred})
-            del pred
-            for task in tasks:
-                scores[task.score_id] = evaluate_task(task, one, pack, verdicts)
-            del one  # before the next prediction is loaded
+            verdicts[name], got = _score(list(tasks), load(name), pack)
+            scores.update(got)
     comp = metrics.composite([scores[sid] for sid in SCORE_IDS])
     run = RunScores(run_id=sub.run_id, scores=scores, composite=comp)
     return _card(sub.method_name, pack.dataset_id, [run], asdict(base))

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import ctfbench as cb
-from ctfbench import datagen, dynamics, matio, referee
+from ctfbench import cli, datagen, dynamics, matio, referee
 from ctfbench.cli import main
 from ctfbench.metrics import MetricKind
 from conftest import oracle_submission, traced_peak
@@ -21,6 +21,31 @@ from conftest import oracle_submission, traced_peak
 @pytest.fixture(scope="module")
 def runner():
     return CliRunner()
+
+
+def evaluate_card(sub, pack):
+    """The scorecard document of `sub` scored in memory."""
+    return json.loads(matio.dump_json(cb.evaluate(sub, pack).to_dict()))
+
+
+def record_loads(monkeypatch, refs, new_run=lambda: None):
+    """Append a weak reference to each prediction that `score` loads, an
+    open file or an array, to `refs`; call `new_run()` before each run."""
+    reader = cli._reader
+
+    def recording_reader(run_dir):
+        new_run()
+        load = reader(run_dir)
+
+        def recording_load(name):
+            pred = load(name)
+            if pred is not None:
+                refs.append(weakref.ref(pred))
+            return pred
+
+        return recording_load
+
+    monkeypatch.setattr(cli, "_reader", recording_reader)
 
 
 @pytest.fixture(scope="module")
@@ -579,16 +604,12 @@ class TestScore:
             referee.write_submission(oracle_submission(pack, run_id=run_id), tmp_path)
         del pack
         refs = []
-        load_submission = referee.load_submission
 
-        def recording_load_submission(*args, **kwargs):
+        def new_run():
             alive = [ref for ref in refs if ref() is not None]
             assert not alive, f"{len(alive)} predictions of an earlier run are alive"
-            sub = load_submission(*args, **kwargs)
-            refs.extend(weakref.ref(x) for x in sub.predictions.values())
-            return sub
 
-        monkeypatch.setattr(referee, "load_submission", recording_load_submission)
+        record_loads(monkeypatch, refs, new_run)
         gc.disable()
         try:
             result = runner.invoke(
@@ -615,20 +636,14 @@ class TestScore:
             (run_dir / "X1pred.csv").write_text("1,2,3\n4,5\n")
         refs, preds = [], []
         read_pack = datagen.read_pack
-        load_submission = referee.load_submission
 
         def recording_read_pack(*args, **kwargs):
             read = read_pack(*args, **kwargs)
             refs.append(weakref.ref(read))
             return read
 
-        def recording_load_submission(*args, **kwargs):
-            sub = load_submission(*args, **kwargs)
-            preds.extend(weakref.ref(x) for x in sub.predictions.values())
-            return sub
-
         monkeypatch.setattr(datagen, "read_pack", recording_read_pack)
-        monkeypatch.setattr(referee, "load_submission", recording_load_submission)
+        record_loads(monkeypatch, preds)
         gc.disable()
         try:
             result = runner.invoke(
@@ -659,10 +674,59 @@ class TestScore:
         assert "composite  100.00" in result.output
         assert peak <= largest + (16 << 20), f"peak {peak / 1e6:.1f} MB"
 
+    def test_streams_each_prediction(self, runner, ks_pack, tmp_path, monkeypatch):
+        # Against a pack already read, `score` of a KS run holds no prediction
+        # whole: each streams through one buffer of a few MB, and X2pred and
+        # X4pred are 82 MB each.
+        run_dir = referee.write_submission(oracle_submission(ks_pack), tmp_path / "subs")
+        monkeypatch.setattr(datagen, "read_pack", lambda *args, **kwargs: ks_pack)
+        result, peak = traced_peak(
+            runner.invoke, main,
+            ["score", "--pack", str(tmp_path), "--submission", str(run_dir),
+             "--out", str(tmp_path / "card.json")],
+        )
+        assert result.exit_code == 0, result.output
+        assert "composite  100.00" in result.output
+        assert peak <= 16 << 20, f"peak {peak / 1e6:.1f} MB"
+
+    # X2pred (10000 x 3) streams in 16 blocks of 640 rows: a NaN in its last
+    # row is found in the last block, and 1e200, whose square overflows, is a
+    # finite value whose error S is infinite.
+    @pytest.mark.parametrize("row, value", [(-1, np.nan), (5000, 1e200)],
+                             ids=["nan_in_last_row", "1e200_in_middle_block"])
+    def test_streamed_prediction_is_judged_whole(self, runner, cli_pack_dir, tmp_path,
+                                                 monkeypatch, caplog, row, value):
+        pack = cb.read_pack(cli_pack_dir)
+        sub = oracle_submission(pack)
+        sub.predictions["X2pred"] = sub.predictions["X2pred"].copy()
+        sub.predictions["X2pred"][row, 1] = value
+        del sub.predictions["X9pred"]
+        run_dir = referee.write_submission(sub, tmp_path / "subs")
+        monkeypatch.setattr(matio, "_CHUNK_BYTES", 640 * 3 * 8)
+        with np.errstate(over="ignore"):
+            result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",
+                                          str(run_dir), "--out", str(tmp_path / "card.json"),
+                                          "--json"])
+        assert result.exit_code == 1, result.output
+        nan = bool(np.isnan(value))
+        assert ("non-finite relative error inf scored as -100" in caplog.text) == (not nan)
+        assert result.stderr.splitlines() == [
+            "warning [run0]: X2pred: contains non-finite values; affected scores get -100",
+        ] * nan + [
+            "warning [run0]: X9pred: missing prediction; affected scores get -100",
+        ]
+        card = json.loads(result.stdout)
+        assert card["runs"][0]["scores"]["E3"] == (None if nan else -100.0)
+        assert card["aggregate"]["scores"]["E3"]["mean"] == -100.0
+        with np.errstate(over="ignore"):
+            assert card == evaluate_card(sub, pack)
+
     def test_checks_each_distinct_truth_once(self, runner, cli_pack_dir, tmp_path,
                                              monkeypatch):
         # X1test = X3test = X5test, X2test = X4test and X6test = X7test: five
         # distinct truths, checked by `read_pack` and not again by the referee.
+        # The predictions stream past `problem`: their shape is judged from the
+        # file header, their finiteness block by block.
         pack = cb.read_pack(cli_pack_dir)
         run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
         del pack
@@ -677,7 +741,7 @@ class TestScore:
         result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",
                                       str(run_dir), "--out", str(tmp_path / "card.json")])
         assert result.exit_code == 0, result.output
-        assert len(checked) == 5 + len(referee.PREDICTION_NAMES)
+        assert len(checked) == 5
 
     # sha256 of the scorecard of an oracle run on `cli_pack_dir` whose X1pred
     # lacks its last row, whose X6pred holds a NaN and which has no X9pred.

@@ -642,3 +642,18 @@ class TestParameterValidation:
     def test_ks_params_must_be_finite(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be positive and finite$"):
             KSParams(**{field: np.inf})
+
+    # An integer beyond the largest float is refused by name when the
+    # parameters are made, not by an OverflowError in the integrator.
+    @pytest.mark.parametrize("make, why", [
+        (lambda v: LorenzParams(sigma=v), "sigma must be positive and finite"),
+        (lambda v: LorenzParams(rho=v), "rho must be finite"),
+        (lambda v: LorenzParams(rho=-v), "rho must be finite"),
+        (lambda v: LorenzParams(beta=v), "beta must be positive and finite"),
+        (lambda v: KSParams(domain_length=v), "domain_length must be positive and finite"),
+        (lambda v: KSParams(viscosity=v), "viscosity must be positive and finite"),
+        (lambda v: SimConfig(dt=v, total_steps=10), "dt: must be positive and finite"),
+    ], ids=["sigma", "rho", "rho-negative", "beta", "domain_length", "viscosity", "dt"])
+    def test_integer_beyond_the_largest_float_refused(self, make, why):
+        with pytest.raises(ValueError, match=f"^{why}$"):
+            make(10**400)

@@ -114,6 +114,26 @@ def test_file_shorter_than_fstat_says_is_error(mat, monkeypatch):
         matio.read_matrix(path)
 
 
+@pytest.mark.parametrize("rows_left, got", [(100, 4000), (0, 0)], ids=["mid_block", "all"])
+def test_file_truncated_while_streaming_is_named_error(tmp_path, monkeypatch, rows_left, got):
+    # Blocks of 64 rows: the file loses its payload from row `rows_left` on
+    # after the reader has checked its size, so a later block comes up short.
+    x = np.random.default_rng(5).normal(size=(200, 5))
+    path = tmp_path / "x.mat"
+    matio.write_matrix(path, x)
+    monkeypatch.setattr(matio, "_CHUNK_BYTES", 64 * 5 * 8)
+    message = f"^{re.escape(str(path))}: payload ends after {got} of 8000 bytes$"
+    with matio.MatrixReader(path) as reader:
+        assert reader.shape == (200, 5)
+        os.truncate(path, 24 + rows_left * 5 * 8)
+        read = []
+        with pytest.raises(MatrixFormatError, match=message):
+            for start, block in reader.blocks():
+                read.append(start)
+                assert np.array_equal(block, x[start:start + 64])
+    assert read == list(range(0, rows_left - 63, 64))
+
+
 def test_unreadable_file_is_named_error(mat, monkeypatch):
     path, _ = mat
 
@@ -289,7 +309,8 @@ def test_read_json_refuses_non_finite_constants(tmp_path, constant):
 
 @pytest.mark.parametrize("chunk", [1 << 22, 3 * 5 * 8, 5 * 8], ids=["whole", "3_rows", "1_row"])
 def test_file_equals_compares_shape_and_values(mat, monkeypatch, chunk):
-    # A chunk of 3 rows leaves a last read of 2 of the 17 rows.
+    # A chunk holds at least 64 rows, so each of these reads the 17 rows at
+    # once; test_file_equals_streams_in_blocks reads in several.
     monkeypatch.setattr(matio, "_CHUNK_BYTES", chunk)
     path, x = mat
     assert matio.file_equals(path, x)
@@ -300,6 +321,24 @@ def test_file_equals_compares_shape_and_values(mat, monkeypatch, chunk):
         assert not matio.file_equals(path, other), (r, c)
     assert not matio.file_equals(path, x[:16])
     assert not matio.file_equals(path, x.reshape(5, 17))
+
+
+@pytest.mark.parametrize("chunk", [1, 64 * 5 * 8, 3 * 64 * 5 * 8 - 1])
+def test_file_equals_streams_in_blocks(tmp_path, monkeypatch, chunk):
+    # Blocks of 64 rows, or of 128 (a chunk of just under 192 rows rounds
+    # down to a multiple of 64), over 150 rows: the last block is short.
+    x = np.random.default_rng(6).normal(size=(150, 5))
+    path = tmp_path / "x.mat"
+    matio.write_matrix(path, x)
+    monkeypatch.setattr(matio, "_CHUNK_BYTES", chunk)
+    with matio.MatrixReader(path) as reader:
+        starts = [start for start, _ in reader.blocks()]
+    assert starts == ([0, 128] if chunk > 2 * 64 * 5 * 8 else [0, 64, 128])
+    assert matio.file_equals(path, x)
+    for r in (0, 63, 64, 149):
+        other = x.copy()
+        other[r, 2] = np.nextafter(other[r, 2], np.inf)
+        assert not matio.file_equals(path, other), r
 
 
 def test_file_equals_is_value_equality(tmp_path):

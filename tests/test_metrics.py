@@ -1,4 +1,5 @@
 import re
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -476,3 +477,102 @@ class TestTruthTable:
             inside = [score(pred, truth), score(pred, truth)]
         assert 0.0 < outside
         assert [np.float64(s).tobytes() for s in inside] == [np.float64(outside).tobytes()] * 2
+
+
+# The metrics' definition (module docstring), written out again here: each
+# Frobenius norm sums squares in blocks of 64 rows, each block by
+# `np.add.reduce` and the block totals in row order; the spectrum is the
+# re^2 + im^2 of the `rfft` band 0..kmax, mirrored, with `elementary.log`.
+def reference_sum_sq(d):
+    total = 0.0
+    for i in range(0, d.shape[0], 64):
+        total += float(np.add.reduce(d[i:i + 64] ** 2, axis=None))
+    return total
+
+
+def reference_log_spectrum(x, long_k, kmax):
+    spec = np.fft.rfft(x[x.shape[0] - long_k:], axis=1)[:, :kmax + 1]
+    power = spec.real ** 2 + spec.imag ** 2
+    power[~(power >= metrics.ZERO_POWER_FLOOR)] = 1.0
+    half = cb.elementary.log(power)
+    return np.concatenate([half[:, :0:-1], half], axis=1)
+
+
+def reference_s(kind, pred, truth, w):
+    if kind == "short_time":
+        k = w.short_k
+        return (np.sqrt(reference_sum_sq(pred[:k] - truth[:k]))
+                / np.sqrt(reference_sum_sq(truth[:k])))
+    if kind == "spectral":
+        p, t = (reference_log_spectrum(x, w.long_k, w.kmax) for x in (pred, truth))
+        return np.sqrt(reference_sum_sq(p - t)) / np.sqrt(reference_sum_sq(t))
+    p, t = pred[-w.long_k:], truth[-w.long_k:]
+    return np.mean([hist_l1_oracle(t[:, c], p[:, c], w.bins) for c in range(3)])
+
+
+_DIRECT = {
+    "short_time": lambda p, t, w: score_short_time(p, t, w.short_k),
+    "spectral": score_long_time_spectral,
+    "histogram": score_long_time_histogram,
+}
+_KINDS = {"short_time": metrics.MetricKind.SHORT_TIME,
+          "spectral": metrics.MetricKind.LONG_TIME_SPECTRAL,
+          "histogram": metrics.MetricKind.LONG_TIME_HISTOGRAM}
+
+
+class TestStreamed:
+    """A prediction streamed from its file in blocks of any multiple of 64
+    rows keeps the bits of the definition, and of the in-memory score."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(_KINDS)),
+           rows=st.integers(1, 400), blocks=st.integers(1, 4), slack=st.integers(0, 511))
+    def test_same_bits_as_the_definition(self, tmp_path_factory, data, kind, rows, blocks,
+                                         slack):
+        cols = 3 if kind == "histogram" else data.draw(st.sampled_from([4, 8, 16]))
+        windows = MetricWindows(short_k=data.draw(st.integers(1, rows)),
+                                long_k=data.draw(st.integers(1, rows)),
+                                kmax=max(1, cols // 2 - 1), bins=data.draw(st.integers(2, 9)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        truth, pred = rng.standard_normal((2, rows, cols))
+        path = tmp_path_factory.mktemp("streamed") / "pred.mat"
+        matio.write_matrix(path, pred)
+        # Chunks of 64 * `blocks` rows: the last holds what is left, and with
+        # fewer rows than one chunk the only one holds them all.
+        chunk = 8 * cols * 64 * blocks + slack % (8 * cols * 64)
+        with unittest.mock.patch.object(matio, "_CHUNK_BYTES", chunk), \
+                matio.MatrixReader(path) as reader:
+            scorer = metrics.scorer(_KINDS[kind], truth, windows)
+            starts = []
+            for start, block in reader.blocks():
+                assert len(block) == min(64 * blocks, rows - start)
+                starts.append(start)
+                scorer.add(start, block)
+            streamed = scorer.value()
+        assert starts == list(range(0, rows, 64 * blocks))
+        if kind == "short_time":
+            # The square root can hide the last bit of the sum of squares.
+            k = windows.short_k
+            assert scorer.total == reference_sum_sq(pred[:k] - truth[:k])
+        want = np.float64(reference_s(kind, pred, truth, windows)).tobytes()
+        assert np.float64(streamed).tobytes() == want
+        assert np.float64(_DIRECT[kind](pred, truth, windows)).tobytes() == want
+
+    def test_block_totals_are_added_in_row_order_across_reads(self, tmp_path, monkeypatch):
+        # The error's squares are 2**54 in block 0, then 1 in each of blocks
+        # 8-15, the second read of 512 rows. Added one by one in row order,
+        # each 1 rounds away; summed per read first, they add 8 and move S.
+        truth = np.zeros((1024, 2))
+        truth[:, 1] = 1.0  # a norm of 32
+        pred = truth.copy()
+        pred[0, 0] += 2.0 ** 27
+        pred[8 * 64::64, 1] += 1.0
+        path = tmp_path / "pred.mat"
+        matio.write_matrix(path, pred)
+        monkeypatch.setattr(matio, "_CHUNK_BYTES", 512 * 2 * 8)
+        scorer = metrics.scorer(metrics.MetricKind.SHORT_TIME, truth, MetricWindows(short_k=1024))
+        with matio.MatrixReader(path) as reader:
+            for start, block in reader.blocks():
+                scorer.add(start, block)
+        assert scorer.value() == score_short_time(pred, truth, 1024) == 2.0 ** 27 / 32.0
+        assert np.sqrt(2.0 ** 54 + 8.0) / 32.0 != 2.0 ** 27 / 32.0

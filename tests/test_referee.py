@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -233,15 +234,16 @@ class TestEvaluate:
         sub.predictions = {name: x.copy() for name, x in sub.predictions.items()}
         if kind == "bad_X6pred":
             sub.predictions["X6pred"][3, 1] = np.nan
+        # An in-memory prediction is checked for finiteness as one block.
         checked = []
-        problem = cb.matio.problem
+        all_finite = cb.matio._all_finite
 
-        def counting_problem(x, shape):
+        def counting_all_finite(x):
             checked.extend(name for name, pred in sub.predictions.items() if pred is x)
-            return problem(x, shape)
+            return all_finite(x)
 
         expected = evaluate(sub, lorenz_pack).runs[0].scores
-        monkeypatch.setattr(cb.matio, "problem", counting_problem)
+        monkeypatch.setattr(cb.matio, "_all_finite", counting_all_finite)
         for _ in range(2):
             checked.clear()
             assert evaluate(sub, lorenz_pack).runs[0].scores == expected
@@ -549,6 +551,49 @@ class TestSubmissionIO:
         assert verdicts == {name: "missing prediction" if name == "X8pred" else None
                             for name in PREDICTION_NAMES}
         assert card.to_dict() == evaluate(sub, lorenz_pack).to_dict()
+
+    def test_evaluate_streams_and_closes_each_file(self, lorenz_pack, tmp_path, monkeypatch):
+        # Files streamed in blocks of 64 rows score as the arrays they hold,
+        # defects included, and each is closed after its last task.
+        sub = oracle_submission(lorenz_pack)
+        sub.predictions["X1pred"] = sub.predictions["X1pred"][:-1]
+        sub.predictions["X6pred"] = sub.predictions["X6pred"].copy()
+        sub.predictions["X6pred"][700, 2] = np.inf
+        run_dir = cb.write_submission(sub, tmp_path)
+        monkeypatch.setattr(cb.matio, "_CHUNK_BYTES", 1)
+        readers, verdicts = [], {}
+
+        def load(name):
+            readers.append(cb.matio.MatrixReader(run_dir / f"{name}.mat"))
+            return readers[-1]
+
+        card = evaluate(sub, lorenz_pack, None, load, verdicts)
+        assert card.to_dict() == evaluate(sub, lorenz_pack).to_dict()
+        assert {name for name, why in verdicts.items() if why} == {"X1pred", "X6pred"}
+        assert len(readers) == len(PREDICTION_NAMES)
+        assert all(reader._fh.closed for reader in readers)
+
+    def test_file_truncated_while_scored_is_named_error(self, lorenz_pack, tmp_path,
+                                                        monkeypatch):
+        # X2pred loses its last rows after its header was checked: the read
+        # that comes up short raises, and no score is taken from the rows read.
+        sub = oracle_submission(lorenz_pack)
+        run_dir = cb.write_submission(sub, tmp_path)
+        path = run_dir / "X2pred.mat"
+        monkeypatch.setattr(cb.matio, "_CHUNK_BYTES", 64 * 3 * 8)
+        opened = []
+
+        def load(name):
+            if name != "X2pred":
+                return sub.predictions[name]
+            opened.append(cb.matio.MatrixReader(path))
+            os.truncate(path, 24 + 5000 * 3 * 8)
+            return opened[0]
+
+        with pytest.raises(cb.MatrixFormatError,
+                           match="X2pred.mat: payload ends after 120000 of 240000 bytes$"):
+            evaluate(sub, lorenz_pack, None, load)
+        assert opened[0]._fh.closed
 
     def test_method_name_from_meta(self, tmp_path):
         run_dir = tmp_path / "whatever" / "run0"
