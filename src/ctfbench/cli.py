@@ -194,12 +194,13 @@ def baseline(kind, pack_dir, out_dir, run_id, as_json):
 
 def _reader(run_dir: Path):
     """`referee.evaluate`'s loader: each call opens one `.mat` prediction of
-    the run to stream it, or reads one `.csv` prediction whole."""
+    the run to stream it, or reads one `.csv` prediction whole, whichever
+    `referee.prediction_file` picks."""
     def load(name: str):
-        path = run_dir / f"{name}.mat"
-        if path.is_file():
-            return matio.MatrixReader(path)
-        return referee.load_submission(run_dir, names=(name,)).predictions.get(name)
+        path = referee.prediction_file(run_dir, name)
+        if path is None:
+            return None
+        return matio.MatrixReader(path) if path.suffix == ".mat" else matio.read_csv(path)
 
     return load
 

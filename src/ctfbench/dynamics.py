@@ -8,16 +8,17 @@ batch equals the same trajectory integrated alone.
 
 KS trajectories that share a grid, time step and spin-up are integrated as
 one batch of numpy rows, one state row each, and a batch of wide rows is
-split across one process per available CPU; a process stops stepping once
-another has found a divergence at or before its own step. A Lorenz state
-is only three values, so each Lorenz trajectory is stepped on its own, as
-Python floats, and stops at its own length.
+split across one process per available CPU. Every `_CHUNK` steps, spin-up
+included, a process looks whether another has found a divergence at or
+before its own step, and stops if one has. A Lorenz state is only three
+values, so each Lorenz trajectory is stepped on its own, as Python floats,
+and stops at its own length.
 
 A batch row may start recording late: a dataset pack reads only the rows
 from each trajectory's first used step on, so the shared mapping the rows
-are written into holds only those. The steps before are judged as the
-spin-up is, so a row diverges at the same step, with the same message,
-whether or not they are recorded.
+are written into holds only those. Every row is judged after every step
+up to its last recorded one, spin-up included, so a row diverges at the
+same step, with the same message, whether or not its steps are recorded.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def _resolve_ic(cfg: SimConfig, n: int) -> np.ndarray:
     return ic.copy()
 
 
-#: Recorded steps between two divergence checks of the recorded rows.
+#: Steps between two reads of whether another batch has diverged.
 _CHUNK = 256
 
 
@@ -169,12 +170,12 @@ def _shared_schedule(cfgs: Sequence[SimConfig]) -> tuple[float, int]:
 
 def _diverged(values, among: Sequence[int]) -> int | None:
     """The lowest row b of `among` whose values `values[b]` are not all
-    finite, or None. KS rows are one numpy array. A Lorenz row is a tuple of
-    three floats, whose verdict `math.isfinite` gives at a tenth of numpy's
-    cost."""
+    finite, or None. KS rows are one numpy array, judged whole at once. A
+    Lorenz row is a tuple of three floats, whose verdict `math.isfinite`
+    gives at a tenth of numpy's cost."""
     if isinstance(values, np.ndarray):
-        ok = np.isfinite(values[among]).all(axis=1)
-        return None if ok.all() else among[int(np.argmin(ok))]
+        ok = np.isfinite(values).all(axis=1)
+        return None if ok.all() else next((b for b in among if not ok[b]), None)
     for b in among:
         if not all(map(math.isfinite, values[b])):
             return b
@@ -183,66 +184,41 @@ def _diverged(values, among: Sequence[int]) -> int | None:
 
 def _drive(step, state, spinup: int, firsts: Sequence[int], outs: Sequence[np.ndarray],
            view, halted) -> tuple[int, int] | None:
-    """Advance the batch `state` through the spin-up, then write row b of
+    """Advance the batch `state` one step at a time and write row b of
     `view(state)` at recorded step t (t = 0 is the state after the spin-up)
     into `outs[b][t - firsts[b]]`, for its `len(outs[b])` steps from
     `firsts[b]` on.
 
     A row diverges at the first step whose `view(state)` row is not all
-    finite (`_diverged`). Each row is judged after every spin-up step and
-    every step before its first recorded one, and on its recorded rows once
-    per `_CHUNK` steps, only over its own steps. Stops at the first failed
-    check and returns its (absolute step, spin-up included; row), the
-    earliest step first and then the lowest row, or None when every row is
-    finite. A failure before a row's first recorded step is set against the
-    current chunk's recorded rows up to that step, which keeps that order.
+    finite (`_diverged`). After every step, spin-up included, every row is
+    judged that has not passed its last recorded step. Stops at the first
+    failure and returns its (absolute step, spin-up included; row), the
+    lowest row of that step, or None when every row stays finite.
 
-    Also stops at a chunk edge, returning None with rows left unwritten,
-    once `halted(step)` says that another batch has diverged at or before
-    the current absolute step: no later step of this one can come first.
+    Also stops, returning None with rows left unwritten, once `halted(step)`,
+    read every `_CHUNK` absolute steps, says that another batch has diverged
+    at or before the current absolute step: no later step of this one can
+    come first.
     """
-    everyone = list(range(len(outs)))
-    ends = [first + len(out) for first, out in zip(firsts, outs)]
-    total = max(ends)
-    waiting = [b for b in everyone if firsts[b] > 0]  # the rows not recorded yet
-
-    def recorded(lo: int, hi: int) -> tuple[int, int] | None:
-        """The earliest failure among the rows recorded at steps [lo, hi)."""
-        bad = []
-        for b, (first, out) in enumerate(zip(firsts, outs)):
-            a, z = max(lo, first) - first, min(hi - first, len(out))
-            if a < z:
-                ok = np.isfinite(out[a:z]).all(axis=1)
-                if not ok.all():
-                    bad.append((spinup + first + a + int(np.argmin(ok)), b))
-        return min(bad, default=None)
-
+    starts = [spinup + first for first in firsts]
+    ends = [start + len(out) for start, out in zip(starts, outs)]
+    live = list(range(len(outs)))
     # Overflow is the divergence signal, detected explicitly below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, spinup + 1):
-            state = step(state)
-            b = _diverged(view(state), everyone)
+        for i in range(max(ends)):
+            if i:
+                state = step(state)
+            values = view(state)
+            if i in ends:
+                live = [b for b in live if i < ends[b]]
+            b = _diverged(values, live)
             if b is not None:
                 return i, b
-
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            for t in range(start, stop):
-                if t:
-                    state = step(state)
-                values = view(state)
-                for out, first, end, row in zip(outs, firsts, ends, values):
-                    if first <= t < end:
-                        out[t - first] = row
-                if t in firsts:
-                    waiting = [b for b in waiting if t < firsts[b]]
-                if waiting:
-                    b = _diverged(values, waiting)
-                    if b is not None:
-                        return min(filter(None, ((spinup + t, b), recorded(start, t + 1))))
-            found = recorded(start, stop)
-            if found or halted(spinup + stop - 1):
-                return found
+            for out, start, end, row in zip(outs, starts, ends, values):
+                if start <= i < end:
+                    out[i - start] = row
+            if i % _CHUNK == 0 and halted(i):
+                break
     return None
 
 

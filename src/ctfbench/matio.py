@@ -12,11 +12,12 @@ file with an array as it streams, and `ctfbench score` streams each
 prediction through its metrics, so the header, size and truncation
 messages are the same on every read. `problem` checks finiteness in one
 pass over a contiguous float64 array, writing nothing; `_once` keeps such
-a verdict, or other work on an array, once per `truth_table()` block. CSV files hold one time step per row
-with full-precision decimal values. JSON documents (manifests,
-scorecards, leaderboards) are written with sorted keys, a 2-space indent
-and a trailing newline, and never hold NaN or Infinity; `encode` and
-`decode` are the one mapping between each document and its dataclass.
+a verdict, or other work on an array, once per `truth_table()` block. CSV
+files hold one time step per row with full-precision decimal values. JSON
+documents (manifests, scorecards, leaderboards) are written with sorted
+keys, a 2-space indent and a trailing newline, and never hold NaN or
+Infinity; `encode` and `decode` are the one mapping between each document
+and its dataclass.
 """
 
 from __future__ import annotations

@@ -128,6 +128,8 @@ def _pair(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pred, _matrix(truth)
 
 
+# An S whose squares overflow is infinite, not an error: `to_score` gives it -100.
+@np.errstate(over="ignore")
 def _sum_sq(a: np.ndarray, b: np.ndarray | None = None, total: float = 0.0) -> float:
     """`total` plus sum((a - b)**2), or plus sum(a**2) without `b`, over
     whole 2-D arrays.
@@ -172,6 +174,7 @@ def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int) -> float
     return _ShortTime(truth, t, short_k).over(pred)
 
 
+@np.errstate(over="ignore")
 def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
     """Log power spectrum of the trailing `long_k` rows along the space axis.
 
@@ -365,13 +368,15 @@ def scorer(kind: MetricKind, truth: np.ndarray, windows: MetricWindows) -> _Scor
     return (_Spectral if kind is MetricKind.LONG_TIME_SPECTRAL else _Histogram)(truth, t, windows)
 
 
-def to_score(s: float) -> float:
+def to_score(s: float, label: str = "") -> float:
     """Map a raw relative error S to the clipped score E = 100*(1 - S).
 
-    Non-finite S is recorded as a warning and scored -100.
+    Non-finite S is recorded as a warning, which starts with `label` when
+    one is given, and scored -100.
     """
     if not np.isfinite(s):
-        logger.warning("non-finite relative error %r scored as -100", s)
+        logger.warning("%snon-finite relative error %r scored as -100",
+                       f"{label}: " if label else "", s)
         return -100.0
     return float(np.clip(100.0 * (1.0 - s), -100.0, 100.0))
 

@@ -154,14 +154,25 @@ def _parse_meta(text: str) -> dict[str, str]:
     return meta
 
 
+def prediction_file(run_dir: Path, name: str) -> Path | None:
+    """The file of prediction `name` in `run_dir`: `<name>.mat`, else
+    `<name>.csv`, else None."""
+    for suffix in (".mat", ".csv"):
+        path = run_dir / f"{name}{suffix}"
+        if path.is_file():
+            return path
+    return None
+
+
 def load_submission(run_dir: str | Path, method_name: str | None = None, *,
                     names: Iterable[str] | None = None) -> Submission:
     """Load a run directory of X*pred matrices plus an optional `meta` file.
 
-    Binary `.mat` files are preferred; `.csv` is accepted. The method name
-    comes from the argument, the meta file, or the parent directory name,
-    in that order. With `names`, read only those predictions (`names=()`
-    reads none); a name outside `PREDICTION_NAMES` is a CTFBenchError.
+    Binary `.mat` files are preferred; `.csv` is accepted (`prediction_file`).
+    The method name comes from the argument, the meta file, or the parent
+    directory name, in that order. With `names`, read only those predictions
+    (`names=()` reads none); a name outside `PREDICTION_NAMES` is a
+    CTFBenchError.
     """
     wanted = set(PREDICTION_NAMES if names is None else names)
     unknown = wanted - set(PREDICTION_NAMES)
@@ -177,11 +188,9 @@ def load_submission(run_dir: str | Path, method_name: str | None = None, *,
         raise CTFBenchError(f"{meta_path}: meta file is not UTF-8 text: {exc}") from exc
     predictions = {}
     for name in [n for n in PREDICTION_NAMES if n in wanted]:
-        for suffix in (".mat", ".csv"):
-            path = run_dir / f"{name}{suffix}"
-            if path.is_file():
-                predictions[name] = matio.read_any(path)
-                break
+        path = prediction_file(run_dir, name)
+        if path is not None:
+            predictions[name] = matio.read_any(path)
     method = method_name or metadata.get("method") or run_dir.parent.name or run_dir.name
     return Submission(
         method_name=method, run_id=run_dir.name, predictions=predictions, metadata=metadata
@@ -311,14 +320,16 @@ def _feed(blocks, scorers: list) -> bool:
     return True
 
 
-def _score(tasks: list[TaskSpec], pred, pack: DatasetPack) -> tuple[str | None, dict]:
-    """Why prediction `pred` cannot be scored, or None, and the score of each
-    of `tasks`, which all score it against one truth (None for every task
-    when it cannot be scored). `pred` is None for a missing prediction, an
-    array, or a `matio.MatrixReader`, which is closed here. The truth is
-    checked first, then the prediction's shape; then each block of rows is
-    checked for finiteness and given to every task, and the scores are taken
-    after the last block, only when every block was finite."""
+def _score(tasks: list[TaskSpec], pred, pack: DatasetPack,
+           run_id: str) -> tuple[str | None, dict]:
+    """Why prediction `pred` of run `run_id` cannot be scored, or None, and
+    the score of each of `tasks`, which all score it against one truth (None
+    for every task when it cannot be scored). `pred` is None for a missing
+    prediction, an array, or a `matio.MatrixReader`, which is closed here.
+    The truth is checked first, then the prediction's shape; then each block
+    of rows is checked for finiteness and given to every task, and the
+    scores are taken after the last block, only when every block was
+    finite. A non-finite S is logged under the run and score id."""
     try:
         truths = [_check_truth(pack, task) for task in tasks]
         why = _MISSING if pred is None else matio.misfit(pred.shape, truths[0].shape)
@@ -328,7 +339,8 @@ def _score(tasks: list[TaskSpec], pred, pack: DatasetPack) -> tuple[str | None, 
             blocks = (pred.blocks() if isinstance(pred, matio.MatrixReader)
                       else [(0, np.asarray(pred, dtype=np.float64))])
             if _feed(blocks, scorers):
-                return None, {t.score_id: metrics.to_score(scorer.value())
+                return None, {t.score_id: metrics.to_score(scorer.value(),
+                                                           f"[{run_id}] {t.score_id}")
                               for t, scorer in zip(tasks, scorers)}
             why = matio.NON_FINITE
         return why, dict.fromkeys(t.score_id for t in tasks)
@@ -342,7 +354,8 @@ def evaluate_task(task: TaskSpec, sub: Submission, pack: DatasetPack) -> float |
 
     Reads only the single test matrix named by the task.
     """
-    return _score([task], sub.predictions.get(task.prediction_name), pack)[1][task.score_id]
+    pred = sub.predictions.get(task.prediction_name)
+    return _score([task], pred, pack, sub.run_id)[1][task.score_id]
 
 
 def _aggregate(values: list[float]) -> ScoreAggregate:
@@ -392,7 +405,7 @@ def evaluate(sub: Submission, pack: DatasetPack, windows: MetricWindows | None =
         # The registry lists the tasks of each prediction together.
         for name, tasks in groupby(task_registry(pack.dataset_id, base),
                                    lambda task: task.prediction_name):
-            verdicts[name], got = _score(list(tasks), load(name), pack)
+            verdicts[name], got = _score(list(tasks), load(name), pack, sub.run_id)
             scores.update(got)
     comp = metrics.composite([scores[sid] for sid in SCORE_IDS])
     run = RunScores(run_id=sub.run_id, scores=scores, composite=comp)

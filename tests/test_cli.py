@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shutil
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -720,6 +721,54 @@ class TestScore:
         assert card["aggregate"]["scores"]["E3"]["mean"] == -100.0
         with np.errstate(over="ignore"):
             assert card == evaluate_card(sub, pack)
+
+    # 1e200 in X2pred is finite, so E3 is scored, but its error overflows:
+    # one log line names the run and the score, and no numpy warning leaks.
+    def test_overflowing_error_is_one_named_line(self, runner, cli_pack_dir, tmp_path,
+                                                 caplog):
+        pack = cb.read_pack(cli_pack_dir)
+        sub = oracle_submission(pack)
+        sub.predictions["X2pred"] = sub.predictions["X2pred"].copy()
+        sub.predictions["X2pred"][5000, 1] = 1e200
+        run_dir = referee.write_submission(sub, tmp_path / "subs")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",
+                                          str(run_dir), "--out", str(tmp_path / "card.json"),
+                                          "--json"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        assert caplog.messages == ["[run0] E3: non-finite relative error inf scored as -100"]
+        card = json.loads(result.stdout)
+        assert card["runs"][0]["scores"]["E3"] == -100.0
+        assert card == evaluate_card(sub, pack)
+
+    def test_mat_prediction_wins_over_csv(self, runner, cli_pack_dir, tmp_path):
+        pack = cb.read_pack(cli_pack_dir)
+        run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
+        matio.write_csv(run_dir / "X2pred.csv", np.zeros_like(pack.test["X2test"]))
+        result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",
+                                      str(run_dir), "--out", str(tmp_path / "card.json"),
+                                      "--json"])
+        assert result.exit_code == 0, result.output
+        card = json.loads(result.stdout)
+        assert card["runs"][0]["scores"]["E3"] == 100.0
+        assert card == evaluate_card(cb.load_submission(run_dir), pack)
+
+    def test_reads_meta_once_for_csv_predictions(self, runner, cli_pack_dir, tmp_path,
+                                                 monkeypatch):
+        pack = cb.read_pack(cli_pack_dir)
+        run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
+        for name in referee.PREDICTION_NAMES:
+            matio.write_csv(run_dir / f"{name}.csv", matio.read_matrix(run_dir / f"{name}.mat"))
+            (run_dir / f"{name}.mat").unlink()
+        parsed, parse = [], referee._parse_meta
+        monkeypatch.setattr(referee, "_parse_meta", lambda text: parsed.append(text) or parse(text))
+        result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",
+                                      str(run_dir), "--out", str(tmp_path / "card.json")])
+        assert result.exit_code == 0, result.output
+        assert "composite  100.00" in result.output
+        assert len(parsed) == 1
 
     def test_checks_each_distinct_truth_once(self, runner, cli_pack_dir, tmp_path,
                                              monkeypatch):

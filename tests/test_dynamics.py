@@ -7,6 +7,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctfbench import dynamics
 from ctfbench.dynamics import (
@@ -195,8 +197,8 @@ def test_non_finite_explicit_ic_is_error(integrate, params, n, bad, total_steps)
         integrate(params, cfg)
 
 
-# Lengths straddling the recording chunk: a lone first row, a partial
-# chunk, exactly one chunk and a partial second chunk.
+# Lengths around `_CHUNK`, the steps between two reads of `halted`: a lone
+# first row, less than one chunk, exactly one chunk and a little more.
 BATCH_LENGTHS = (1, 7, dynamics._CHUNK, dynamics._CHUNK + 5)
 
 
@@ -229,6 +231,16 @@ class TestBatch:
         assert np.array_equal(rows[0], integrate_lorenz(params[0], cfgs[0]))
         assert np.all(np.isfinite(rows[1]))
 
+    def test_ks_row_judged_only_over_its_own_steps(self):
+        # Alone, viscosity 0.015 (seed 3) diverges at step 29; in one batch
+        # with a longer finite row, its 5 recorded rows end at step 4.
+        params = [KSParams(domain_length=2.0 * np.pi, grid_points=64, viscosity=mu)
+                  for mu in (0.015, 1.0)]
+        cfgs = [SimConfig(dt=0.05, total_steps=t, seed=3) for t in (5, 50)]
+        rows = dynamics._ks_batch(params, cfgs)
+        for p, c, row in zip(params, cfgs, rows):
+            assert np.array_equal(row, integrate_ks(p, c))
+
     @pytest.mark.parametrize("spinup", [10, 4])
     def test_divergence_names_earliest_row(self, spinup):
         cfg = lorenz_cfg(dt=0.15, total_steps=50, spinup_steps=spinup)
@@ -240,9 +252,9 @@ class TestBatch:
     @pytest.mark.parametrize("index", [dynamics._CHUNK - 1, dynamics._CHUNK,
                                        dynamics._CHUNK + 1])
     def test_recorded_divergence_step_matches_spinup_check(self, index):
-        # Fast, just-unstable RK4 growth; checked every step during the spin-up
-        # it diverges at step 259. Recorded rows are checked per chunk, so
-        # place the divergence around the first chunk edge.
+        # Fast, just-unstable RK4 growth; within the spin-up it diverges at
+        # step 259. Recorded steps are judged as every step is; place the
+        # divergence around the first chunk edge, where `halted` is read.
         params = LorenzParams(sigma=1000.0)
         with pytest.raises(DivergenceError) as alone:
             integrate_lorenz(params, lorenz_cfg(dt=0.0028, total_steps=1, spinup_steps=10**4))
@@ -292,8 +304,8 @@ class TestBatch:
 
     # Alone, (viscosity, seed) (0.01, 3) and (0.01, 6) diverge at step 7 and
     # (0.015, 3) at step 29, all inside the first chunk. A late row (first
-    # recorded row 100) is judged every step, a recorded one at the chunk
-    # edge; the earliest step, then the lowest row, is still named.
+    # recorded row 100) is judged every step, as a recorded one is; the
+    # earliest step, then the lowest row, is named.
     @pytest.mark.parametrize("rows, expected", [
         (((0.015, 3, 100), (0.01, 3, 0)), "step 7 of trajectory 'b'"),
         (((0.01, 3, 0), (0.01, 6, 100)), "step 7 of trajectory 'a'"),
@@ -365,7 +377,7 @@ def lorenz_rows(lengths, spinup=30):
     return params, cfgs
 
 
-# Rows straddling the divergence-check chunk, some of equal length.
+# Rows around `_CHUNK`, some of equal length.
 SPLIT_LENGTHS = (dynamics._CHUNK + 5, 7, dynamics._CHUNK + 5, dynamics._CHUNK - 1)
 
 
@@ -429,6 +441,34 @@ class TestWorkerSplit:
         assert split.value.step == 7 and "trajectory 'b'" in str(split.value)
         assert multiprocessing.active_children() == []
         assert 0 < steps[0] < total // 2
+
+    def test_parent_group_stops_during_the_spinup(self, monkeypatch):
+        # As above, but both rows are still in a spin-up of 100 chunks when
+        # row 'b' diverges at step 7 in the worker.
+        spinup = 100 * dynamics._CHUNK
+        params = [LorenzParams(rho=0.5), LorenzParams()]
+        cfgs = [lorenz_cfg(dt=0.15, total_steps=50, spinup_steps=spinup)] * 2
+        parent, drive, steps = os.getpid(), dynamics._drive, [0]
+
+        def patched(step, *args):
+            def counted(state):
+                steps[0] += 1
+                if steps[0] % dynamics._CHUNK == 0:
+                    time.sleep(0.01)
+                return step(state)
+
+            return drive(counted if os.getpid() == parent else step, *args)
+
+        with pytest.raises(DivergenceError) as alone:
+            dynamics._lorenz_batch(params, cfgs, ["a", "b"])
+        monkeypatch.setattr(dynamics, "_drive", patched)
+        force_workers(monkeypatch, 2)
+        with deadline(60), pytest.raises(DivergenceError) as split:
+            dynamics._lorenz_batch(params, cfgs, ["a", "b"])
+        assert str(split.value) == str(alone.value)
+        assert split.value.step == 7 and "trajectory 'b'" in str(split.value)
+        assert multiprocessing.active_children() == []
+        assert 0 < steps[0] < spinup // 2
 
     def test_groups_keep_equal_lengths_together(self):
         assert dynamics._groups([10, 11, 10, 11, 11, 10], 2) == [[1, 3, 4], [0, 2, 5]]
@@ -657,3 +697,89 @@ class TestParameterValidation:
     def test_integer_beyond_the_largest_float_refused(self, make, why):
         with pytest.raises(ValueError, match=f"^{why}$"):
             make(10**400)
+
+
+def lorenz_start(p, c):
+    return dynamics._lorenz_step(p, c.dt), tuple(c.initial_condition.tolist()), lambda s: s
+
+
+def ks_start(p, c):
+    stepper = dynamics._ETDRK4([p], c.dt)
+    ic = make_initial_condition(dynamics.RANDOM_SMOOTH, p.grid_points, c.seed)
+    return stepper.step, stepper.state(np.fft.rfft(ic[None])), lambda s: s[1][0]
+
+
+def rows_alone(start, params, cfgs, firsts):
+    """Each row stepped alone from `start(params, cfg)`, a (step, state,
+    view) triple, and judged after every step: the rows from `firsts[b]` on,
+    or the (step, row) of the earliest divergence, the lowest row first."""
+    rows, bad = [], []
+    for b, (p, c, first) in enumerate(zip(params, cfgs, firsts)):
+        step, state, view = start(p, c)
+        kept = []
+        with np.errstate(all="ignore"):
+            for i in range(c.spinup_steps + c.total_steps):
+                if i:
+                    state = step(state)
+                if not np.isfinite(view(state)).all():
+                    bad.append((i, b))
+                    break
+                if i >= c.spinup_steps + first:
+                    kept.append(view(state))
+        rows.append(np.array(kept))
+    return min(bad) if bad else rows
+
+
+@st.composite
+def batches(draw, system):
+    """A random batch of one to three `system` rows, its firsts and 1 or 2
+    workers. Lorenz sigma 1000 diverges within a few steps at dt 0.01 and
+    after about 260 at dt 0.0028; sigma 10 diverges at dt 0.15 unless rho is
+    0.5. KS viscosity 0.015 diverges within 30 steps, 0.02 at step 300 for
+    seed 4 and 1.0 never."""
+    count = draw(st.integers(1, 3))
+    dt = draw(st.sampled_from([0.0028, 0.01, 0.15])) if system == "lorenz" else 0.05
+    spinup = draw(st.integers(0, 10) | st.integers(0, dynamics._CHUNK + 10))
+    params, cfgs, firsts = [], [], []
+    for _ in range(count):
+        total = draw(st.integers(1, 10) | st.integers(1, 2 * dynamics._CHUNK + 10))
+        if system == "lorenz":
+            params.append(LorenzParams(sigma=draw(st.sampled_from([10.0, 1000.0])),
+                                       rho=draw(st.sampled_from([0.5, 28.0]))))
+            ic = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)))
+            cfgs.append(lorenz_cfg(dt=dt, total_steps=total, spinup_steps=spinup,
+                                   initial_condition=ic))
+        else:
+            params.append(KSParams(domain_length=2.0 * np.pi, grid_points=64,
+                                   viscosity=draw(st.sampled_from([1.0, 0.02, 0.015]))))
+            cfgs.append(SimConfig(dt=dt, total_steps=total, spinup_steps=spinup,
+                                  seed=draw(st.integers(0, 4))))
+        firsts.append(draw(st.integers(0, total - 1)))
+    return params, cfgs, firsts, draw(st.sampled_from([1, 2]))
+
+
+@pytest.mark.parametrize("system, batch, start", [
+    ("lorenz", dynamics._lorenz_batch, lorenz_start),
+    ("ks", dynamics._ks_batch, ks_start),
+], ids=["lorenz", "ks"])
+def test_batch_equals_rows_stepped_alone(system, batch, start):
+    @given(batches(system))
+    @settings(max_examples=60, deadline=None)
+    def check(drawn):
+        params, cfgs, firsts, workers = drawn
+        names = [f"r{b}" for b in range(len(params))]
+        want = rows_alone(start, params, cfgs, firsts)
+        with pytest.MonkeyPatch.context() as mp:
+            force_workers(mp, workers)
+            if isinstance(want, tuple):
+                step, row = want
+                with pytest.raises(DivergenceError,
+                                   match=f"at step {step} of trajectory 'r{row}'$"):
+                    batch(params, cfgs, names, firsts)
+            else:
+                got = batch(params, cfgs, names, firsts)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+
+    check()

@@ -1,5 +1,6 @@
 import re
 import unittest.mock
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,21 @@ class TestHistogramScore:
     def test_requires_three_columns(self):
         with pytest.raises(MetricError, match="3 columns"):
             score_long_time_histogram(np.ones((600, 4)), np.ones((600, 4)), MetricWindows())
+
+
+# A finite prediction whose squares or powers overflow has an infinite S,
+# given without a numpy warning.
+@pytest.mark.parametrize("score", [
+    lambda p, t: score_short_time(p, t, 40),
+    lambda p, t: score_long_time_spectral(p, t, MetricWindows(long_k=30, kmax=4)),
+], ids=["short_time", "spectral"])
+def test_overflowing_error_is_infinite_without_warning(score):
+    truth = np.random.default_rng(5).standard_normal((40, 16))
+    pred = truth.copy()
+    pred[20, 3] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert score(pred, truth) == np.inf
 
 
 class TestToScore:
