@@ -16,12 +16,13 @@ matrices (X1test..X9test) cut from six simulated trajectories:
 trajectory it is cut from, its row window and its noise. `MATRIX_LAYOUT`
 (the published shape table), the simulated steps and the identical-window
 checks are all derived from it. Each trajectory records only the rows
-from the first one cut from it to the last (`_SPANS`), so the integration
-mapping holds only rows a pack uses. Shapes and windows are validated on
-every write and read. A built or read pack holds each group of identical
-windows as one array; `read_pack` compares each later member with the
-first as its file streams (`matio.file_equals`), and the checks scan each
-distinct array once, and once for a whole `matio.truth_table()` block.
+from the first one cut from it to the last (`_SPANS`); the steps before
+the first are spin-up, so the integration mapping holds only rows a pack
+uses. Shapes and windows are validated on every write and read. A built
+or read pack holds each group of identical windows as one array;
+`read_pack` compares each later member with the first as its file streams
+(`matio.file_equals`), and the checks scan each distinct array once, and
+once for a whole `matio.truth_table()` block.
 Pack construction is a pure function of (system, master_seed, overrides);
 seeds for each stochastic ingredient are derived from the master seed and
 recorded in the manifest. A `Manifest` is
@@ -94,8 +95,8 @@ _SOURCES: dict[str, tuple[str, int, int, tuple[str, str] | None]] = {
 }
 
 #: trajectory -> (first, end): the rows [first, end) of it that `_SOURCES`
-#: cuts. Only these are recorded; the steps before `first` are integrated
-#: and judged, not kept.
+#: cuts. Only these are recorded; the steps before `first` are spin-up,
+#: integrated and judged, not kept.
 _SPANS: dict[str, tuple[int, int]] = {
     traj: (min(s for t, s, _, _ in _SOURCES.values() if t == traj),
            max(e for t, _, e, _ in _SOURCES.values() if t == traj))
@@ -284,20 +285,16 @@ def add_noise(x: np.ndarray, level: NoiseLevel, seed: int) -> np.ndarray:
 def _simulate(cfg: PackConfig, values: dict[str, float], seeds: dict[str, int]) -> dict:
     """Integrate the trajectory of each seed name in `values` at its varied
     parameter value, all in one batch, each recording its `_SPANS` rows:
-    row i of a trajectory is its step `first + i`."""
+    row i of a trajectory is its step `first + i`, and the steps before
+    `first` are spin-up."""
     integrate = {"lorenz": _lorenz_batch, "ks": _ks_batch}[cfg.system]
     params = [_params(cfg.system, value) for value in values.values()]
-    sims = [
-        SimConfig(
-            dt=cfg.dt,
-            total_steps=_SPANS[traj][1],
-            spinup_steps=cfg.spinup_steps,
-            seed=seeds[traj],
-        )
-        for traj in values
-    ]
-    return dict(zip(values, integrate(params, sims, list(values),
-                                      [_SPANS[traj][0] for traj in values])))
+    sims = []
+    for traj in values:
+        first, end = _SPANS[traj]
+        sims.append(SimConfig(dt=cfg.dt, total_steps=end - first,
+                              spinup_steps=cfg.spinup_steps + first, seed=seeds[traj]))
+    return dict(zip(values, integrate(params, sims, list(values))))
 
 
 def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:

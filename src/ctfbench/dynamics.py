@@ -6,19 +6,16 @@ produce bit-identical trajectories. Trajectories are returned as dense
 float64 matrices with one time step per row, and every trajectory of a
 batch equals the same trajectory integrated alone.
 
-KS trajectories that share a grid, time step and spin-up are integrated as
-one batch of numpy rows, one state row each, and a batch of wide rows is
-split across one process per available CPU. Every `_CHUNK` steps, spin-up
-included, a process looks whether another has found a divergence at or
-before its own step, and stops if one has. A Lorenz state is only three
-values, so each Lorenz trajectory is stepped on its own, as Python floats,
-and stops at its own length.
-
-A batch row may start recording late: a dataset pack reads only the rows
-from each trajectory's first used step on, so the shared mapping the rows
-are written into holds only those. Every row is judged after every step
-up to its last recorded one, spin-up included, so a row diverges at the
-same step, with the same message, whether or not its steps are recorded.
+The trajectories of a batch share their time step and may differ in
+spin-up and length. A batch is split across one process per available CPU
+when its rows are wide, rows that end at the same step together, and each
+group of rows is stepped together: KS rows as one numpy array, one state
+row each, and Lorenz rows, each only three values, as tuples of Python
+floats. Every row is judged after every step, spin-up included, up to its
+own last step, and recorded only over its own steps, so a row diverges at
+the same step, with the same message, in any batch. Every `_CHUNK` steps a
+process looks whether another has found a divergence at or before its own
+step, and stops if one has.
 """
 
 from __future__ import annotations
@@ -160,12 +157,12 @@ def _resolve_ic(cfg: SimConfig, n: int) -> np.ndarray:
 _CHUNK = 256
 
 
-def _shared_schedule(cfgs: Sequence[SimConfig]) -> tuple[float, int]:
-    """The (dt, spinup_steps) that every row of a batch must share."""
-    schedules = {(c.dt, c.spinup_steps) for c in cfgs}
-    if len(schedules) != 1:
-        raise ValueError("batched trajectories must share dt and spinup_steps")
-    return schedules.pop()
+def _shared_dt(cfgs: Sequence[SimConfig]) -> float:
+    """The dt that every row of a batch must share."""
+    dts = {c.dt for c in cfgs}
+    if len(dts) != 1:
+        raise ValueError("batched trajectories must share dt")
+    return dts.pop()
 
 
 def _diverged(values, among: Sequence[int]) -> int | None:
@@ -182,25 +179,23 @@ def _diverged(values, among: Sequence[int]) -> int | None:
     return None
 
 
-def _drive(step, state, spinup: int, firsts: Sequence[int], outs: Sequence[np.ndarray],
-           view, halted) -> tuple[int, int] | None:
+def _drive(step, state, view, starts: Sequence[int], outs: Sequence[np.ndarray],
+           halted) -> tuple[int, int] | None:
     """Advance the batch `state` one step at a time and write row b of
-    `view(state)` at recorded step t (t = 0 is the state after the spin-up)
-    into `outs[b][t - firsts[b]]`, for its `len(outs[b])` steps from
-    `firsts[b]` on.
+    `view(state)` at step i (i = 0 is the initial state) into
+    `outs[b][i - starts[b]]`, for its `len(outs[b])` steps from `starts[b]`
+    on; the steps before are its spin-up.
 
     A row diverges at the first step whose `view(state)` row is not all
     finite (`_diverged`). After every step, spin-up included, every row is
     judged that has not passed its last recorded step. Stops at the first
-    failure and returns its (absolute step, spin-up included; row), the
-    lowest row of that step, or None when every row stays finite.
+    failure and returns its (step; row), the lowest row of that step, or
+    None when every row stays finite.
 
     Also stops, returning None with rows left unwritten, once `halted(step)`,
-    read every `_CHUNK` absolute steps, says that another batch has diverged
-    at or before the current absolute step: no later step of this one can
-    come first.
+    read every `_CHUNK` steps, says that another batch has diverged at or
+    before the current step: no later step of this one can come first.
     """
-    starts = [spinup + first for first in firsts]
     ends = [start + len(out) for start, out in zip(starts, outs)]
     live = list(range(len(outs)))
     # Overflow is the divergence signal, detected explicitly below.
@@ -248,38 +243,38 @@ def _workers(rows: int, cols: int) -> int:
     return max(1, min(cpus, rows))
 
 
-def _groups(lengths: Sequence[int], count: int) -> list[list[int]]:
-    """Split the rows into `count` groups of near-equal size, rows of equal
-    length together (so a group stops stepping at its own longest row);
-    each group lists its rows in batch order."""
-    order = sorted(range(len(lengths)), key=lambda r: -lengths[r])
+def _groups(ends: Sequence[int], count: int) -> list[list[int]]:
+    """Split the rows, which end at steps `ends`, into `count` groups of
+    near-equal size, rows of equal end together (so a group stops stepping
+    at its own latest end); each group lists its rows in batch order."""
+    order = sorted(range(len(ends)), key=lambda r: -ends[r])
     size, extra = divmod(len(order), count)
     cuts = [g * size + min(g, extra) for g in range(count + 1)]
     return [sorted(order[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
-def _integrate(run, totals: Sequence[int], firsts: Sequence[int] | None, cols: int,
+def _integrate(start, cfgs: Sequence[SimConfig], cols: int,
                names: Sequence[str] | None) -> list[np.ndarray]:
-    """Integrate a batch whose row b records steps `firsts[b]` (0 when
-    `firsts` is None) up to `totals[b]`, of `cols` values each, and return
-    the recorded rows.
+    """Integrate a batch whose row b, of `cols` values, records
+    `cfgs[b].total_steps` steps after a spin-up of `cfgs[b].spinup_steps`,
+    and return the recorded rows.
 
-    `run(rows, firsts, outs, halted)` integrates the batch rows listed in
-    `rows`, which record from `firsts` on, into `outs` and returns
-    `_drive`'s (step, index into `rows`) or None. The rows are split into
-    `_workers` groups (`_groups`). Every group writes its rows and its
-    result into one shared anonymous mapping: the first in this process,
-    each other one in a fork-start `multiprocessing` process (a fork shares
-    the inputs and the mapping, unpickled). A group stops early once
-    `halted` says that another one has a divergence at or before its step.
-    Every worker is joined, and killed first when the parent's own group
-    raises or is interrupted. Raises the DivergenceError of the earliest
-    step over all rows (a tie goes to the lowest row), the same as one batch
-    would, and CTFBenchError when a worker fails.
+    `start(rows)` gives the (step, state, view) that `_drive` steps for the
+    batch rows listed in `rows`. The rows are split into `_workers` groups
+    (`_groups`) by the step they end at, and each group is driven once.
+    Every group writes its rows and its result into one shared anonymous
+    mapping: the first in this process, each other one in a fork-start
+    `multiprocessing` process (a fork shares the inputs and the mapping,
+    unpickled). A group stops early once `halted` says that another one has
+    a divergence at or before its step. Every worker is joined, and killed
+    first when the parent's own group raises or is interrupted. Raises the
+    DivergenceError of the earliest step over all rows (a tie goes to the
+    lowest row), the same as one batch would, and CTFBenchError when a
+    worker fails.
     """
-    groups = _groups(totals, _workers(len(totals), cols))
-    firsts = firsts or [0] * len(totals)
-    lengths = [total - first for first, total in zip(firsts, totals)]
+    starts = [c.spinup_steps for c in cfgs]
+    lengths = [c.total_steps for c in cfgs]
+    groups = _groups([s + n for s, n in zip(starts, lengths)], _workers(len(cfgs), cols))
     size = sum(lengths) * cols
     shared = mmap.mmap(-1, 8 * (size + 2 * len(groups)))
     outs = np.split(np.frombuffer(shared, np.float64, size).reshape(-1, cols),
@@ -294,7 +289,7 @@ def _integrate(run, totals: Sequence[int], firsts: Sequence[int] | None, cols: i
 
     def report(g: int) -> None:
         rows = groups[g]
-        found = run(rows, [firsts[r] for r in rows], [outs[r] for r in rows], halted)
+        found = _drive(*start(rows), [starts[r] for r in rows], [outs[r] for r in rows], halted)
         if found:
             status[g, 0] = found[0]
             status[g, 1] = rows[found[1]]
@@ -354,31 +349,27 @@ def _lorenz_step(params: LorenzParams, dt: float):
 
 
 def _lorenz_batch(params: Sequence[LorenzParams], cfgs: Sequence[SimConfig],
-                  names: Sequence[str] | None = None,
-                  firsts: Sequence[int] | None = None) -> list[np.ndarray]:
-    """Integrate one Lorenz trajectory per (params, cfg) pair; row b of the
-    result for trajectory i is its recorded step `firsts[i] + b` (all 0 by
-    default).
+                  names: Sequence[str] | None = None) -> list[np.ndarray]:
+    """Integrate one Lorenz trajectory per (params, cfg) pair.
 
-    The rows may differ in parameters, initial condition and length; dt
-    and the spin-up are shared. A row of three values is cheaper to step as
-    Python floats than as numpy arrays, so each row is integrated on its
-    own, for its own length, and is bit-identical to the same trajectory
-    integrated alone.
+    The rows may differ in parameters, initial condition, spin-up and
+    length; dt is shared. A row of three values is cheaper to step as
+    Python floats than as numpy arrays, so a group's state is a tuple of
+    row tuples, each stepped by its own `_lorenz_step`, and each row is
+    bit-identical to the same trajectory integrated alone.
     """
-    dt, spinup = _shared_schedule(cfgs)
+    dt = _shared_dt(cfgs)
     ics = [tuple(_resolve_ic(c, 3).tolist()) for c in cfgs]
 
-    def run(rows: list[int], firsts: list[int], outs: list[np.ndarray], halted):
-        found = []
-        for i, (r, first, out) in enumerate(zip(rows, firsts, outs)):
-            bad = _drive(_lorenz_step(params[r], dt), ics[r], spinup, [first], [out],
-                         lambda s: (s,), halted)
-            if bad:
-                found.append((bad[0], i))
-        return min(found, default=None)
+    def start(rows: list[int]):
+        stepping = [_lorenz_step(params[r], dt) for r in rows]
 
-    return _integrate(run, [c.total_steps for c in cfgs], firsts, 3, names)
+        def step(state: tuple) -> tuple:
+            return tuple([f(s) for f, s in zip(stepping, state)])
+
+        return step, tuple(ics[r] for r in rows), lambda s: s
+
+    return _integrate(start, cfgs, 3, names)
 
 
 def integrate_lorenz(params: LorenzParams, cfg: SimConfig) -> np.ndarray:
@@ -470,30 +461,26 @@ class _ETDRK4:
 
 
 def _ks_batch(params: Sequence[KSParams], cfgs: Sequence[SimConfig],
-              names: Sequence[str] | None = None,
-              firsts: Sequence[int] | None = None) -> list[np.ndarray]:
-    """Integrate one KS trajectory per (params, cfg) pair as one batch; row
-    b of the result for trajectory i is its recorded step `firsts[i] + b`
-    (all 0 by default).
+              names: Sequence[str] | None = None) -> list[np.ndarray]:
+    """Integrate one KS trajectory per (params, cfg) pair as one batch.
 
-    The rows may differ in viscosity, initial condition and length; the
-    grid, dt and the spin-up are shared. The stepped state carries the grid
+    The rows may differ in viscosity, initial condition, spin-up and
+    length; the grid and dt are shared. The stepped state carries the grid
     values of its spectral rows: the next step's first nonlinear term needs
     them, and they are the recorded rows. Each row is bit-identical to the
     same trajectory integrated alone.
     """
-    dt, spinup = _shared_schedule(cfgs)
+    dt = _shared_dt(cfgs)
     if len({(p.domain_length, p.grid_points) for p in params}) != 1:
         raise ValueError("batched KS trajectories must share domain_length and grid_points")
     n = params[0].grid_points
     ics = np.array([_resolve_ic(c, n) for c in cfgs])
 
-    def run(rows: list[int], firsts: list[int], outs: list[np.ndarray], halted):
+    def start(rows: list[int]):
         stepper = _ETDRK4([params[r] for r in rows], dt)
-        state = stepper.state(np.fft.rfft(ics[rows]))
-        return _drive(stepper.step, state, spinup, firsts, outs, lambda s: s[1], halted)
+        return stepper.step, stepper.state(np.fft.rfft(ics[rows])), lambda s: s[1]
 
-    return _integrate(run, [c.total_steps for c in cfgs], firsts, n, names)
+    return _integrate(start, cfgs, n, names)
 
 
 def integrate_ks(params: KSParams, cfg: SimConfig) -> np.ndarray:

@@ -174,7 +174,7 @@ def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int) -> float
     return _ShortTime(truth, t, short_k).over(pred)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
     """Log power spectrum of the trailing `long_k` rows along the space axis.
 
@@ -194,10 +194,11 @@ def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
     spec = np.fft.rfft(x[rows - long_k :], axis=1)[:, : kmax + 1]
     power = spec.real * spec.real
     power += spec.imag * spec.imag
-    # log 1 is exactly 0: floored and NaN powers get log-power 0, and an
-    # overflowed power keeps log-power inf.
-    overflow = power == np.inf
-    power[overflow | ~(power >= ZERO_POWER_FLOOR)] = 1.0
+    # log 1 is exactly 0: floored powers get log-power 0. A power that
+    # overflowed, to inf or through the FFT's inf - inf to NaN, gets
+    # log-power inf.
+    overflow = ~np.isfinite(power)
+    power[overflow | (power < ZERO_POWER_FLOOR)] = 1.0
     half = elementary.log(power)
     half[overflow] = np.inf
     return np.concatenate([half[:, :0:-1], half], axis=1)

@@ -518,7 +518,16 @@ def check_store(store: str | Path) -> None:
 
 
 def save_leaderboard(board: Leaderboard, path: str | Path) -> None:
-    matio.write_json(path, board.to_dict())
+    """Write `board` to the store at `path`. A board that would not read
+    back (`load_leaderboard`) is a CTFBenchError naming the store, which is
+    left as it was."""
+    doc = board.to_dict()
+    try:
+        matio.decode(Leaderboard, doc)
+    except ValueError as exc:
+        raise CTFBenchError(f"{path}: leaderboard not saved, it would not read back: "
+                            f"{exc}") from exc
+    matio.write_json(path, doc)
 
 
 @contextmanager

@@ -4,6 +4,7 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,13 @@ def lorenz_cfg(**kw):
     defaults = dict(dt=0.01, total_steps=100, initial_condition=np.array([1.0, 1.0, 1.0]))
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def late(cfgs, firsts):
+    """Each of `cfgs` recording from its step `first` on: its spin-up
+    `first` steps longer and its recorded rows `first` fewer."""
+    return [replace(c, spinup_steps=c.spinup_steps + first, total_steps=c.total_steps - first)
+            for c, first in zip(cfgs, firsts)]
 
 
 class TestLorenzRhs:
@@ -233,13 +241,20 @@ class TestBatch:
 
     def test_ks_row_judged_only_over_its_own_steps(self):
         # Alone, viscosity 0.015 (seed 3) diverges at step 29; in one batch
-        # with a longer finite row, its 5 recorded rows end at step 4.
-        params = [KSParams(domain_length=2.0 * np.pi, grid_points=64, viscosity=mu)
-                  for mu in (0.015, 1.0)]
-        cfgs = [SimConfig(dt=0.05, total_steps=t, seed=3) for t in (5, 50)]
-        rows = dynamics._ks_batch(params, cfgs)
-        for p, c, row in zip(params, cfgs, rows):
-            assert np.array_equal(row, integrate_ks(p, c))
+        # with a longer finite row, its 5 recorded rows end at step 4. The
+        # same holds for a Lorenz row, which its group steps on past its end:
+        # alone, this schedule diverges at step 7; its 5 rows end at step 6.
+        ks = ([KSParams(domain_length=2.0 * np.pi, grid_points=64, viscosity=mu)
+               for mu in (0.015, 1.0)],
+              [SimConfig(dt=0.05, total_steps=t, seed=3) for t in (5, 50)])
+        lorenz = ([LorenzParams(), LorenzParams(rho=0.5)],
+                  [lorenz_cfg(dt=0.15, total_steps=5, spinup_steps=2),
+                   lorenz_cfg(dt=0.15, total_steps=50, spinup_steps=10)])
+        for batch, alone, (params, cfgs) in ((dynamics._ks_batch, integrate_ks, ks),
+                                             (dynamics._lorenz_batch, integrate_lorenz, lorenz)):
+            rows = batch(params, cfgs)
+            for p, c, row in zip(params, cfgs, rows):
+                assert np.array_equal(row, alone(p, c))
 
     @pytest.mark.parametrize("spinup", [10, 4])
     def test_divergence_names_earliest_row(self, spinup):
@@ -273,9 +288,9 @@ class TestBatch:
         firsts = (0, 6, dynamics._CHUNK, dynamics._CHUNK + 1)
         params, cfgs = rows(lengths)
         alone = batch(params, cfgs)
-        late = batch(params, cfgs, None, firsts)
-        assert [r.shape[0] for r in late] == [t - f for t, f in zip(lengths, firsts)]
-        for a, b, first in zip(alone, late, firsts):
+        tails = batch(params, late(cfgs, firsts))
+        assert [r.shape[0] for r in tails] == [t - f for t, f in zip(lengths, firsts)]
+        for a, b, first in zip(alone, tails, firsts):
             assert np.array_equal(a[first:], b)
 
     # A late row diverges at step 7 (dt 0.15 from (1, 1, 1)) during the
@@ -284,10 +299,10 @@ class TestBatch:
     def test_late_lorenz_row_diverges_before_its_first_row(self, spinup):
         cfg = lorenz_cfg(dt=0.15, total_steps=50, spinup_steps=spinup)
         params = [LorenzParams(rho=0.5), LorenzParams(), LorenzParams()]
-        for firsts in (None, (0, 20, 40)):
+        for firsts in ((0, 0, 0), (0, 20, 40)):
             with pytest.raises(DivergenceError, match="^solution diverged "
                                r"\(non-finite state\) at step 7 of trajectory 'b'$") as err:
-                dynamics._lorenz_batch(params, [cfg] * 3, ["a", "b", "c"], firsts)
+                dynamics._lorenz_batch(params, late([cfg] * 3, firsts), ["a", "b", "c"])
             assert err.value.step == 7
 
     @pytest.mark.parametrize("spinup", [10, 3, 0])
@@ -296,10 +311,10 @@ class TestBatch:
         params = [KSParams(domain_length=2.0 * np.pi, grid_points=64, viscosity=mu)
                   for mu in (1.0, 0.01)]
         cfgs = [SimConfig(dt=0.05, total_steps=50, spinup_steps=spinup, seed=3)] * 2
-        for firsts in (None, (0, 30)):
+        for firsts in ((0, 0), (0, 30)):
             with pytest.raises(DivergenceError, match="^solution diverged "
                                r"\(non-finite state\) at step 7 of trajectory 'b'$") as err:
-                dynamics._ks_batch(params, cfgs, ["a", "b"], firsts)
+                dynamics._ks_batch(params, late(cfgs, firsts), ["a", "b"])
             assert err.value.step == 7
 
     # Alone, (viscosity, seed) (0.01, 3) and (0.01, 6) diverge at step 7 and
@@ -316,15 +331,29 @@ class TestBatch:
         params = [KSParams(domain_length=2.0 * np.pi, grid_points=64, viscosity=mu)
                   for mu, _, _ in rows]
         cfgs = [SimConfig(dt=0.05, total_steps=200, seed=seed) for _, seed, _ in rows]
-        for firsts in (None, [first for _, _, first in rows]):
+        for firsts in ((0, 0), [first for _, _, first in rows]):
             with pytest.raises(DivergenceError, match=expected) as err:
-                dynamics._ks_batch(params, cfgs, ["a", "b"], firsts)
+                dynamics._ks_batch(params, late(cfgs, firsts), ["a", "b"])
             assert err.value.step == 7
 
     def test_rows_must_share_schedule(self):
-        cfgs = [lorenz_cfg(spinup_steps=1), lorenz_cfg(spinup_steps=2)]
-        with pytest.raises(ValueError, match="share dt and spinup_steps"):
-            dynamics._lorenz_batch([LorenzParams()] * 2, cfgs)
+        cfgs = [SimConfig(dt=dt, total_steps=10) for dt in (0.01, 0.02)]
+        for batch, params in ((dynamics._lorenz_batch, LorenzParams()),
+                              (dynamics._ks_batch, KSParams(grid_points=64))):
+            with pytest.raises(ValueError, match="^batched trajectories must share dt$"):
+                batch([params] * 2, cfgs)
+
+    @pytest.mark.parametrize("batch, rows, single", [
+        (dynamics._lorenz_batch, lambda t: lorenz_rows(t), integrate_lorenz),
+        (dynamics._ks_batch, lambda t: ks_rows(t), integrate_ks),
+    ], ids=["lorenz", "ks"])
+    def test_rows_of_different_spinups_equal_single_runs(self, batch, rows, single):
+        # Spin-ups ending before, at and after the first chunk edge.
+        params, cfgs = rows((7, dynamics._CHUNK + 5, 3, 40))
+        spinups = (0, dynamics._CHUNK, dynamics._CHUNK - 2, dynamics._CHUNK + 3)
+        cfgs = [replace(c, spinup_steps=s) for c, s in zip(cfgs, spinups)]
+        for p, c, row in zip(params, cfgs, batch(params, cfgs)):
+            assert np.array_equal(row, single(p, c))
 
 
 def force_workers(monkeypatch, count):
@@ -405,10 +434,10 @@ class TestWorkerSplit:
 
     def test_late_rows_equal_in_process_batch(self, monkeypatch):
         params, cfgs = ks_rows(SPLIT_LENGTHS)
-        firsts = (dynamics._CHUNK, 0, 3, dynamics._CHUNK - 2)
-        alone = dynamics._ks_batch(params, cfgs, None, firsts)
+        cfgs = late(cfgs, (dynamics._CHUNK, 0, 3, dynamics._CHUNK - 2))
+        alone = dynamics._ks_batch(params, cfgs)
         force_workers(monkeypatch, 2)
-        split = dynamics._ks_batch(params, cfgs, None, firsts)
+        split = dynamics._ks_batch(params, cfgs)
         for a, b in zip(alone, split):
             assert np.array_equal(a, b)
         assert multiprocessing.active_children() == []
@@ -709,12 +738,12 @@ def ks_start(p, c):
     return stepper.step, stepper.state(np.fft.rfft(ic[None])), lambda s: s[1][0]
 
 
-def rows_alone(start, params, cfgs, firsts):
+def rows_alone(start, params, cfgs):
     """Each row stepped alone from `start(params, cfg)`, a (step, state,
-    view) triple, and judged after every step: the rows from `firsts[b]` on,
+    view) triple, and judged after every step: the rows after each spin-up,
     or the (step, row) of the earliest divergence, the lowest row first."""
     rows, bad = [], []
-    for b, (p, c, first) in enumerate(zip(params, cfgs, firsts)):
+    for b, (p, c) in enumerate(zip(params, cfgs)):
         step, state, view = start(p, c)
         kept = []
         with np.errstate(all="ignore"):
@@ -724,7 +753,7 @@ def rows_alone(start, params, cfgs, firsts):
                 if not np.isfinite(view(state)).all():
                     bad.append((i, b))
                     break
-                if i >= c.spinup_steps + first:
+                if i >= c.spinup_steps:
                     kept.append(view(state))
         rows.append(np.array(kept))
     return min(bad) if bad else rows
@@ -732,16 +761,16 @@ def rows_alone(start, params, cfgs, firsts):
 
 @st.composite
 def batches(draw, system):
-    """A random batch of one to three `system` rows, its firsts and 1 or 2
-    workers. Lorenz sigma 1000 diverges within a few steps at dt 0.01 and
+    """A random batch of one to three `system` rows, each with its own
+    spin-up, and 1 or 2 workers. Lorenz sigma 1000 diverges within a few steps at dt 0.01 and
     after about 260 at dt 0.0028; sigma 10 diverges at dt 0.15 unless rho is
     0.5. KS viscosity 0.015 diverges within 30 steps, 0.02 at step 300 for
     seed 4 and 1.0 never."""
     count = draw(st.integers(1, 3))
     dt = draw(st.sampled_from([0.0028, 0.01, 0.15])) if system == "lorenz" else 0.05
-    spinup = draw(st.integers(0, 10) | st.integers(0, dynamics._CHUNK + 10))
-    params, cfgs, firsts = [], [], []
+    params, cfgs = [], []
     for _ in range(count):
+        spinup = draw(st.integers(0, 10) | st.integers(0, 2 * dynamics._CHUNK + 10))
         total = draw(st.integers(1, 10) | st.integers(1, 2 * dynamics._CHUNK + 10))
         if system == "lorenz":
             params.append(LorenzParams(sigma=draw(st.sampled_from([10.0, 1000.0])),
@@ -754,8 +783,7 @@ def batches(draw, system):
                                    viscosity=draw(st.sampled_from([1.0, 0.02, 0.015]))))
             cfgs.append(SimConfig(dt=dt, total_steps=total, spinup_steps=spinup,
                                   seed=draw(st.integers(0, 4))))
-        firsts.append(draw(st.integers(0, total - 1)))
-    return params, cfgs, firsts, draw(st.sampled_from([1, 2]))
+    return params, cfgs, draw(st.sampled_from([1, 2]))
 
 
 @pytest.mark.parametrize("system, batch, start", [
@@ -766,18 +794,18 @@ def test_batch_equals_rows_stepped_alone(system, batch, start):
     @given(batches(system))
     @settings(max_examples=60, deadline=None)
     def check(drawn):
-        params, cfgs, firsts, workers = drawn
+        params, cfgs, workers = drawn
         names = [f"r{b}" for b in range(len(params))]
-        want = rows_alone(start, params, cfgs, firsts)
+        want = rows_alone(start, params, cfgs)
         with pytest.MonkeyPatch.context() as mp:
             force_workers(mp, workers)
             if isinstance(want, tuple):
                 step, row = want
                 with pytest.raises(DivergenceError,
                                    match=f"at step {step} of trajectory 'r{row}'$"):
-                    batch(params, cfgs, names, firsts)
+                    batch(params, cfgs, names)
             else:
-                got = batch(params, cfgs, names, firsts)
+                got = batch(params, cfgs, names)
                 assert len(got) == len(want)
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b)

@@ -388,6 +388,17 @@ class TestKernels:
         with np.errstate(over="ignore"):
             assert np.all(power_spectrum_rows(x, 1, 16) == np.inf)
 
+    def test_fft_overflow_is_not_a_zero_spectrum(self):
+        # Columns of alternating sign: the FFT's inf - inf makes the power of
+        # every even wavenumber NaN, and that of every odd one is exactly 0.
+        x = np.full((200, 64), 1.7e308)
+        x[:, 1::2] *= -1
+        p = power_spectrum_rows(x, 100, 10)
+        assert np.all(p[:, ::2] == np.inf) and np.all(p[:, 1::2] == 0.0)
+        truth = np.random.default_rng(3).standard_normal((200, 64))
+        s = score_long_time_spectral(x, truth, MetricWindows(long_k=100, kmax=10))
+        assert s == np.inf and to_score(s) == -100.0
+
 
 _T = np.random.default_rng(20).normal(size=(8, 16))
 _P = np.random.default_rng(21).normal(size=(8, 16))

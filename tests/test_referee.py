@@ -459,6 +459,18 @@ class TestLeaderboard:
             update_leaderboard(store, make_card("A", {}, 42.0))
         assert repr(str(tmp_path / parent)) in str(err.value)
 
+    def test_unreadable_board_is_not_stored(self, tmp_path):
+        store = tmp_path / "board.json"
+        update_leaderboard(store, make_card("A", {}, 42.0))
+        before = store.read_bytes()
+        with pytest.raises(cb.CTFBenchError,
+                           match=r"composite\.mean: 150\.0 lies outside \[-100, 100\]") as err:
+            update_leaderboard(store, make_card("B", {}, 150.0))
+        assert str(store) in str(err.value)
+        assert store.read_bytes() == before
+        assert [e.method_name for e in load_leaderboard(store).entries("ODE_Lorenz")] == ["A"]
+        assert not [p.name for p in tmp_path.iterdir() if p != store]
+
     def test_missing_store_is_empty(self, tmp_path):
         board = load_leaderboard(tmp_path / "absent.json")
         assert board.datasets == {}
