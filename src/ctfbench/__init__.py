@@ -12,6 +12,7 @@ from .datagen import (
     NoiseLevel,
     add_noise,
     build_pack,
+    generate_pack,
     read_pack,
     write_pack,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "evaluate",
     "evaluate_task",
     "export_table",
+    "generate_pack",
     "histogram_l1",
     "integrate_ks",
     "integrate_lorenz",

@@ -26,11 +26,12 @@ def predict_zeros(task: TaskSpec) -> np.ndarray:
 
 
 def predict_average(task: TaskSpec, train: np.ndarray) -> np.ndarray:
-    """Every output row is the column-wise mean of the training matrix."""
+    """Every output row is the column-wise mean of the training matrix: a
+    read-only view of that one row, repeated without a copy."""
     if train.size == 0:
         raise ValueError("empty training matrix")
     mean = np.asarray(train, dtype=np.float64).mean(axis=0)
-    return np.tile(mean, (task.truth_shape[0], 1))
+    return np.broadcast_to(mean, (task.truth_shape[0], mean.size))
 
 
 def average_input_name(task: TaskSpec) -> str:

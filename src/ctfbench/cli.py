@@ -147,21 +147,20 @@ def generate(system, seed, out_dir, data_root, dt, spinup, noise_medium, noise_h
     made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     try:
         make_dir(out_dir)
-        pack = datagen.build_pack(system, seed, overrides)
-        datagen.write_pack(pack, out_dir)
+        m = datagen.generate_pack(system, seed, overrides, out_dir)
     except BaseException:
         for directory in made:  # deepest first
             with suppress(OSError):
                 directory.rmdir()
         raise
     if with_csv:
-        datagen.export_pack_csv(pack, out_dir)
-    m = pack.manifest
+        for name in datagen.MATRIX_LAYOUT:
+            matio.csv_from_matrix_file(out_dir / f"{name}.mat", out_dir / f"{name}.csv")
     if as_json:
-        _echo_json({"dataset": pack.dataset_id, "directory": str(out_dir),
+        _echo_json({"dataset": m.dataset_id, "directory": str(out_dir),
                     "matrices": len(datagen.MATRIX_LAYOUT), "manifest": m.to_dict()})
     else:
-        click.echo(f"wrote {pack.dataset_id} pack to {out_dir}")
+        click.echo(f"wrote {m.dataset_id} pack to {out_dir}")
         click.echo(
             f"  dt={m.dt} spinup={m.spinup_steps} {m.varied_param}: "
             f"nominal={m.nominal_param} train={list(m.train_params)} "

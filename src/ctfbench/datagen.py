@@ -18,7 +18,12 @@ trajectory it is cut from, its row window and its noise. `MATRIX_LAYOUT`
 checks are all derived from it. Each trajectory records only the rows
 from the first one cut from it to the last (`_SPANS`); the steps before
 the first are spin-up, so the integration mapping holds only rows a pack
-uses. Shapes and windows are validated on every write and read. A built
+uses. Shapes and windows are validated on every write and read.
+`generate_pack` writes a pack without building it: each matrix goes to
+its file by blocks of rows, and a noisy one is drawn block by block, with
+the bits `build_pack` gathers from the same blocks. Both writers remove
+manifest.json first and write it last, so a write that stops half way
+leaves no manifest to vouch for the matrices. A built
 or read pack holds each group of identical windows as one array;
 `read_pack` compares each later member with the first as its file streams
 (`matio.file_equals`), and the checks scan each distinct array once, and
@@ -38,6 +43,7 @@ of the system's parameter class.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Literal
@@ -275,19 +281,45 @@ def derive_seeds(master_seed: int) -> dict[str, int]:
 def add_noise(x: np.ndarray, level: NoiseLevel, seed: int) -> np.ndarray:
     """Add zero-mean Gaussian noise, per-column std = sigma_fraction * std(col)."""
     x = np.asarray(x, dtype=np.float64)
-    sigma = level.sigma_fraction * x.std(axis=0)
-    noisy = np.random.default_rng(seed).standard_normal(x.shape)
-    noisy *= sigma
-    noisy += x
-    return noisy
+    return _gather(_noisy(x, level.sigma_fraction, seed), x.shape)
 
 
-def _simulate(cfg: PackConfig, values: dict[str, float], seeds: dict[str, int]) -> dict:
-    """Integrate the trajectory of each seed name in `values` at its varied
-    parameter value, all in one batch, each recording its `_SPANS` rows:
-    row i of a trajectory is its step `first + i`, and the steps before
-    `first` are spin-up."""
+def _gather(blocks, shape: tuple[int, ...]) -> np.ndarray:
+    """One new array of `shape` holding the rows of `blocks` in turn."""
+    out, row = np.empty(shape), 0
+    for block in blocks:
+        out[row:row + len(block)] = block
+        row += len(block)
+    return out
+
+
+def _noisy(x: np.ndarray, fraction: float, seed: int):
+    """The rows of `x` plus Gaussian noise, by `matio.row_blocks`: the noise
+    of each column has `fraction` times that column's std over all of `x`,
+    and the blocks are drawn in turn from one generator, so they hold the
+    bits of one draw of `x`'s whole shape."""
+    sigma = fraction * x.std(axis=0)
+    rng = np.random.default_rng(seed)
+    for rows in matio.row_blocks(x):
+        block = rng.standard_normal(rows.shape)
+        block *= sigma
+        block += rows
+        yield block
+
+
+def _simulate(cfg: PackConfig, seeds: dict[str, int]) -> dict[str, np.ndarray]:
+    """Integrate the six trajectories at their varied parameter values, all
+    in one batch, each recording its `_SPANS` rows: row i of a trajectory is
+    its step `first + i`, and the steps before `first` are spin-up."""
     integrate = {"lorenz": _lorenz_batch, "ks": _ks_batch}[cfg.system]
+    values = {
+        "trajectory": cfg.nominal_param,
+        "param_a": cfg.train_params[0],
+        "param_b": cfg.train_params[1],
+        "param_c": cfg.train_params[2],
+        "interpolation": cfg.interp_param,
+        "extrapolation": cfg.extrap_param,
+    }
     params = [_params(cfg.system, value) for value in values.values()]
     sims = []
     for traj in values:
@@ -313,29 +345,30 @@ def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
     return replace(cfg, **overrides)
 
 
-def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> DatasetPack:
-    """Generate a complete dataset pack. Deterministic in all arguments."""
+def _windows(system: str, master_seed: int, overrides: dict | None) -> tuple[Manifest, list]:
+    """The manifest of a pack, and each of its matrices in `_SOURCES` order
+    as (name, window, noise): `window` is its noise-free rows, a view of its
+    trajectory's recorded rows (one view per distinct window), and `noise`
+    None or the (sigma fraction, seed) of the noise added to them."""
     cfg = resolve_config(system, overrides)
     manifest = _manifest(cfg, master_seed)
-    values = {
-        "trajectory": cfg.nominal_param,
-        "param_a": cfg.train_params[0],
-        "param_b": cfg.train_params[1],
-        "param_c": cfg.train_params[2],
-        "interpolation": cfg.interp_param,
-        "extrapolation": cfg.extrap_param,
-    }
-    runs = _simulate(cfg, values, manifest.seeds)
-    mats, cuts = {}, {}
+    runs, cuts, windows = _simulate(cfg, manifest.seeds), {}, []
     for name, (traj, start, end, noise) in _SOURCES.items():
-        # One array per window: identical noise-free windows are one object.
         first = _SPANS[traj][0]
-        x = cuts.setdefault((traj, start, end), runs[traj][start - first:end - first])
+        window = cuts.setdefault((traj, start, end), runs[traj][start - first:end - first])
         if noise is not None:
             label, seed_name = noise
-            level = NoiseLevel(label, getattr(cfg, f"noise_{label}"))
-            x = add_noise(x, level, manifest.seeds[seed_name])
-        mats[name] = x
+            noise = getattr(cfg, f"noise_{label}"), manifest.seeds[seed_name]
+        windows.append((name, window, noise))
+    return manifest, windows
+
+
+def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> DatasetPack:
+    """Generate a complete dataset pack. Deterministic in all arguments."""
+    manifest, windows = _windows(system, master_seed, overrides)
+    # A noisy matrix gathers the blocks that `generate_pack` writes.
+    mats = {name: window if noise is None else _gather(_noisy(window, *noise), window.shape)
+            for name, window, noise in windows}
     # Valid as built: `_SOURCES` fixes the shapes and windows, and the
     # integrators raise on a non-finite row. `write_pack` validates anyway.
     return _assemble(mats, manifest)
@@ -401,15 +434,48 @@ def _checked(mats: dict[str, np.ndarray], cols: int) -> None:
             raise PackValidationError(f"{name} must equal {other} (same trajectory window)")
 
 
+@contextmanager
+def _manifest_last(directory: Path, manifest: Manifest):
+    """Remove `directory`'s manifest.json, let the block write the pack's
+    matrices, then write `manifest`: a write that fails or is interrupted
+    leaves a directory that `read_pack` refuses (`missing manifest`), never
+    a manifest beside matrices of another pack."""
+    path = directory / "manifest.json"
+    matio.remove_file(path)
+    yield
+    matio.write_json(path, manifest.to_dict())
+
+
 def write_pack(pack: DatasetPack, directory: str | Path) -> None:
-    """Write manifest.json plus one binary matrix file per pack entry."""
+    """Write one binary matrix file per pack entry, then manifest.json."""
     directory = Path(directory)
     matio.make_dir(directory)
     validate_pack(pack)
-    matio.write_json(directory / "manifest.json", pack.manifest.to_dict())
     mats = {**pack.train, **pack.test}
-    for name in MATRIX_LAYOUT:
-        matio.write_matrix(directory / f"{name}.mat", mats[name])
+    with _manifest_last(directory, pack.manifest):
+        for name in MATRIX_LAYOUT:
+            matio.write_matrix(directory / f"{name}.mat", mats[name])
+
+
+def generate_pack(system: str, master_seed: int, overrides: dict | None,
+                  directory: str | Path) -> Manifest:
+    """Write the pack that `build_pack` returns as `write_pack` writes it,
+    with the same bytes, and return its manifest. No matrix is held whole:
+    each goes to its file by `matio.row_blocks`, a noise-free one as views
+    of the trajectory's recorded rows and a noisy one drawn block by block,
+    and each block is checked for finiteness before it is written."""
+    directory = Path(directory)
+    matio.make_dir(directory)
+    manifest, windows = _windows(system, master_seed, overrides)
+    with _manifest_last(directory, manifest):
+        for name, window, noise in windows:
+            blocks = matio.row_blocks(window) if noise is None else _noisy(window, *noise)
+            with matio.MatrixWriter(directory / f"{name}.mat", window.shape) as out:
+                for block in blocks:
+                    if not matio._all_finite(block):
+                        raise PackValidationError(f"{name}: {matio.NON_FINITE}")
+                    out.write(block)
+    return manifest
 
 
 def export_pack_csv(pack: DatasetPack, directory: str | Path) -> None:

@@ -354,20 +354,23 @@ def _lorenz_batch(params: Sequence[LorenzParams], cfgs: Sequence[SimConfig],
 
     The rows may differ in parameters, initial condition, spin-up and
     length; dt is shared. A row of three values is cheaper to step as
-    Python floats than as numpy arrays, so a group's state is a tuple of
-    row tuples, each stepped by its own `_lorenz_step`, and each row is
+    Python floats than as numpy arrays, so a group's state is its step and
+    a tuple of row tuples, each stepped by its own `_lorenz_step` up to its
+    last recorded step and left as it is after, and each row is
     bit-identical to the same trajectory integrated alone.
     """
     dt = _shared_dt(cfgs)
     ics = [tuple(_resolve_ic(c, 3).tolist()) for c in cfgs]
 
     def start(rows: list[int]):
-        stepping = [_lorenz_step(params[r], dt) for r in rows]
+        stepping = [(_lorenz_step(params[r], dt), cfgs[r].spinup_steps + cfgs[r].total_steps)
+                    for r in rows]
 
         def step(state: tuple) -> tuple:
-            return tuple([f(s) for f, s in zip(stepping, state)])
+            i, values = state[0] + 1, state[1]
+            return i, tuple([f(s) if i < end else s for (f, end), s in zip(stepping, values)])
 
-        return step, tuple(ics[r] for r in rows), lambda s: s
+        return step, (0, tuple(ics[r] for r in rows)), lambda s: s[1]
 
     return _integrate(start, cfgs, 3, names)
 

@@ -3,7 +3,10 @@
 Layout of a `.mat` file: the 8-byte magic ``CTFMAT01``, a little-endian
 u64 row count, a little-endian u64 column count, then rows*cols
 little-endian float64 values in row-major order. Writes are atomic
-(temp file + rename). Every read goes through one `MatrixReader`: it
+(temp file + rename), and a write that fails is a CTFBenchError naming its
+file. Every `.mat` write goes through one `MatrixWriter`, block by block of
+rows, so a matrix need not be held whole, nor contiguous, to be written.
+Every read goes through one `MatrixReader`: it
 checks the header against the file size before it allocates, then either
 streams the payload in blocks of rows through one reused buffer of a few
 MB, each a multiple of `SUM_BLOCK_ROWS` rows, or reads it straight into
@@ -30,7 +33,7 @@ import os
 import struct
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -126,6 +129,15 @@ def make_dir(path: Path) -> None:
         raise CTFBenchError(f"{path}: cannot create directory: {exc.strerror}") from exc
 
 
+def remove_file(path: Path) -> None:
+    """Remove the file `path` if there is one; one that cannot be removed
+    raises CTFBenchError naming `path`."""
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise CTFBenchError(f"{path}: cannot remove: {exc.strerror}") from exc
+
+
 def _temp_beside(path: Path) -> tuple[int, str]:
     """Open a new temp file in `path`'s directory; when that directory takes
     no new file, CTFBenchError names `path`."""
@@ -144,38 +156,113 @@ def check_writable(path: str | Path) -> None:
     os.unlink(tmp)
 
 
-@contextmanager
-def _atomic_file(path: str | Path):
-    """Yield a binary file that replaces `path` only once the block completes:
-    a temp file in the same directory, renamed over `path` at the end. When
-    the temp file cannot be made or renamed, CTFBenchError names `path`."""
-    path = Path(path)
-    fd, tmp = _temp_beside(path)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            yield fh
+class _AtomicFile:
+    """A new temp file beside `path`, open for binary writes, that replaces
+    `path` on `close()` and is removed on `abandon()`. A `with` block closes
+    it when the block completes and abandons it when the block raises. An
+    OSError from a write, or from the flush and close at the end, abandons
+    the file and raises CTFBenchError `<path>: cannot write: <why>`; one
+    from the rename, `<path>: cannot replace: <why>`."""
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        fd, self._tmp = _temp_beside(self.path)
+        self._fh = os.fdopen(fd, "wb")
+
+    def _named(self, what: str, call, *args) -> None:
         try:
-            os.replace(tmp, path)
+            call(*args)
         except OSError as exc:
-            raise CTFBenchError(f"{path}: cannot replace: {exc.strerror}") from exc
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+            self.abandon()
+            raise CTFBenchError(f"{self.path}: {what}: {exc.strerror or exc}") from exc
+
+    def write(self, data) -> None:
+        self._named("cannot write", self._fh.write, data)
+
+    def close(self) -> None:
+        self._named("cannot write", self._fh.close)
+        self._named("cannot replace", os.replace, self._tmp, self.path)
+
+    def abandon(self) -> None:
+        with suppress(OSError):  # the flush that failed may fail again
+            self._fh.close()
+        with suppress(FileNotFoundError):
+            os.unlink(self._tmp)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *_) -> None:
+        if kind is None:
+            self.close()
+        else:
+            self.abandon()
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
     """Write bytes to `path` via a temp file in the same directory + rename."""
-    with _atomic_file(path) as fh:
+    with _AtomicFile(path) as fh:
         fh.write(payload)
 
 
+#: Bytes of a block of rows: of the one buffer that a `MatrixReader` streams
+#: a payload through, and of each block that `write_matrix` writes.
+_CHUNK_BYTES = 4 << 20
+
+#: Rows per block of every Frobenius norm (`metrics._sum_sq`). Part of the
+#: metrics' definition: the order of the float sums, so the last bits of S,
+#: follow it. A `MatrixReader` block holds a multiple of it, so no norm block
+#: spans two reads.
+SUM_BLOCK_ROWS = 64
+
+
+def _block_rows(cols: int) -> int:
+    """Rows per block of `cols` float64 values: a multiple of `SUM_BLOCK_ROWS`
+    of about `_CHUNK_BYTES` in all."""
+    return max(1, _CHUNK_BYTES // (8 * max(1, cols) * SUM_BLOCK_ROWS)) * SUM_BLOCK_ROWS
+
+
+def row_blocks(x: np.ndarray):
+    """The rows of `x` as views of `_block_rows` rows each, the last shorter."""
+    step = _block_rows(math.prod(x.shape[1:]))
+    return (x[start:start + step] for start in range(0, len(x), step))
+
+
+class MatrixWriter(_AtomicFile):
+    """A matrix file of `shape` open for writing, the mirror of
+    `MatrixReader`: the header, then the rows that `write` appends in order,
+    go into a temp file beside `path`, which replaces `path` on `close()`
+    once it holds the whole payload; closed short of that, or past it, the
+    file is abandoned with a MatrixFormatError. The rest is `_AtomicFile`'s:
+    a failed write is a CTFBenchError naming `path`, and an error leaves
+    `path` as it was."""
+
+    def __init__(self, path: str | Path, shape: tuple[int, int]):
+        super().__init__(path)
+        self.shape, self._left = shape, 8 * shape[0] * shape[1]
+        super().write(MAGIC + _HEADER.pack(*shape))
+
+    def write(self, block: np.ndarray) -> None:
+        """Append the rows of `block`, made contiguous here if they are not."""
+        a = np.ascontiguousarray(block, dtype="<f8")
+        super().write(a.data.cast("B"))
+        self._left -= a.nbytes
+
+    def close(self) -> None:
+        if self._left:
+            self.abandon()
+            need = 8 * self.shape[0] * self.shape[1]
+            raise MatrixFormatError(f"{self.path}: {need - self._left} payload bytes written "
+                                    f"where shape {self.shape} needs {need}")
+        super().close()
+
+
 def write_matrix(path: str | Path, x: np.ndarray) -> None:
-    """Write a 2-D float64 matrix in the binary format."""
-    a = np.ascontiguousarray(_as_matrix(x), dtype="<f8")
-    with _atomic_file(path) as fh:
-        fh.write(MAGIC + _HEADER.pack(*a.shape))
-        fh.write(a.data.cast("B"))
+    """Write a 2-D float64 matrix in the binary format, by `row_blocks`."""
+    a = _as_matrix(x)
+    with MatrixWriter(path, a.shape) as out:
+        for block in row_blocks(a):
+            out.write(block)
 
 
 def _header(fh, path: str | Path) -> tuple[int, int]:
@@ -198,16 +285,6 @@ def _header(fh, path: str | Path) -> tuple[int, int]:
             f"({expected} payload bytes) but file holds {held}"
         )
     return rows, cols
-
-
-#: Bytes of the one buffer that a `MatrixReader` streams a payload through.
-_CHUNK_BYTES = 4 << 20
-
-#: Rows per block of every Frobenius norm (`metrics._sum_sq`). Part of the
-#: metrics' definition: the order of the float sums, so the last bits of S,
-#: follow it. A `MatrixReader` block holds a multiple of it, so no norm block
-#: spans two reads.
-SUM_BLOCK_ROWS = 64
 
 
 class MatrixReader:
@@ -250,7 +327,7 @@ class MatrixReader:
     def blocks(self):
         """The payload as (first row, rows) pairs, through one reused buffer."""
         rows, cols = self.shape
-        step = max(1, _CHUNK_BYTES // (8 * cols * SUM_BLOCK_ROWS)) * SUM_BLOCK_ROWS
+        step = _block_rows(cols)
         buf = np.empty((min(step, rows), cols), dtype="<f8")
         for start in range(0, rows, step):
             part = buf[: rows - start]
@@ -298,8 +375,21 @@ def write_csv(path: str | Path, x: np.ndarray) -> None:
 
     Values use 17 significant digits, enough to round-trip float64 exactly.
     """
-    with _atomic_file(path) as fh:
-        np.savetxt(fh, _as_matrix(x), fmt="%.17g", delimiter=",")
+    _write_csv(path, [_as_matrix(x)])
+
+
+def csv_from_matrix_file(mat_path: str | Path, path: str | Path) -> None:
+    """Write the matrix file at `mat_path` to `path` as `write_csv` writes
+    the matrix it holds, by `MatrixReader.blocks`: never held whole."""
+    with MatrixReader(mat_path) as m:
+        _write_csv(path, (part for _, part in m.blocks()))
+
+
+def _write_csv(path: str | Path, blocks) -> None:
+    """Write the rows of `blocks`, in order, as one CSV matrix."""
+    with _AtomicFile(path) as fh:
+        for block in blocks:
+            np.savetxt(fh, block, fmt="%.17g", delimiter=",")
 
 
 def read_csv(path: str | Path) -> np.ndarray:

@@ -67,6 +67,24 @@ def ks_test_pack_dir(tmp_path_factory, ks_pack):
     return directory
 
 
+def fail_writes_to(monkeypatch, name):
+    """Make every write to a file called `name` fail with ENOSPC ("No space
+    left on device"): its temp file is made as usual, but the descriptor
+    handed back writes to /dev/full. Only this process is affected."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    real = matio._temp_beside
+
+    def temp_beside(path):
+        fd, tmp = real(path)
+        if path.name == name:
+            os.close(fd)
+            fd = os.open("/dev/full", os.O_WRONLY)
+        return fd, tmp
+
+    monkeypatch.setattr(matio, "_temp_beside", temp_beside)
+
+
 def traced_peak(call, *args, **kwargs):
     """`call(*args, **kwargs)` and the peak of the memory that tracemalloc
     saw allocated during it, numpy's array buffers included, in bytes."""

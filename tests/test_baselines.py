@@ -84,6 +84,16 @@ class TestAverage:
         for task in task_registry("ODE_Lorenz"):
             assert average_input_name(task) == expected[task.score_id]
 
+    def test_prediction_is_a_view_written_as_the_tile(self, tmp_path, monkeypatch):
+        train = np.random.default_rng(5).normal(size=(50, 3))
+        pred = predict_average(synthetic_task(rows=1000, cols=3), train)
+        assert pred.strides[0] == 0 and not pred.flags.writeable
+        # Written in blocks of 64 rows, each made contiguous on its own.
+        monkeypatch.setattr(cb.matio, "_CHUNK_BYTES", 1)
+        cb.matio.write_matrix(tmp_path / "view.mat", pred)
+        cb.matio.write_matrix(tmp_path / "tile.mat", np.tile(train.mean(axis=0), (1000, 1)))
+        assert (tmp_path / "view.mat").read_bytes() == (tmp_path / "tile.mat").read_bytes()
+
     def test_parametric_predictions_use_burn_in(self, lorenz_pack):
         sub = make_submission("average", lorenz_pack)
         burn_mean = lorenz_pack.train["X9train"].mean(axis=0)

@@ -16,7 +16,7 @@ import ctfbench as cb
 from ctfbench import cli, datagen, dynamics, matio, referee
 from ctfbench.cli import main
 from ctfbench.metrics import MetricKind
-from conftest import oracle_submission, traced_peak
+from conftest import fail_writes_to, oracle_submission, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +253,56 @@ class TestGenerate:
         assert result.exit_code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["created"] == "2026-08-11T00:00:00Z"
+
+    def test_failed_matrix_write_is_named_error(self, runner, tmp_path, monkeypatch):
+        fail_writes_to(monkeypatch, "X6train.mat")
+        out = tmp_path / "p"
+        result = runner.invoke(
+            main, ["generate", "--system", "lorenz", "--seed", "3", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output == (
+            f"Error: {out / 'X6train.mat'}: cannot write: No space left on device\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"X{i}train.mat" for i in range(1, 6)]
+
+    # The seed-3 pack is overwritten with seed 4, and the write fails at
+    # X8test: the directory holds seed-4 files up to X7test and seed-3 ones
+    # after, and no manifest to vouch for either.
+    @pytest.mark.parametrize("writer", ["generate", "write_pack"])
+    def test_failed_overwrite_leaves_no_manifest(self, runner, pack_copy, monkeypatch, writer):
+        fail_writes_to(monkeypatch, "X8test.mat")
+        why = f"{pack_copy / 'X8test.mat'}: cannot write: No space left on device"
+        if writer == "generate":
+            result = runner.invoke(
+                main, ["generate", "--system", "lorenz", "--seed", "4", "--out", str(pack_copy)])
+            assert result.exit_code == 1 and result.output == f"Error: {why}\n", result.output
+        else:
+            with pytest.raises(cb.CTFBenchError, match=why):
+                cb.write_pack(cb.build_pack("lorenz", 4), pack_copy)
+        with pytest.raises(cb.PackValidationError, match="missing manifest"):
+            cb.read_pack(pack_copy)
+        assert len(list(pack_copy.iterdir())) == 19
+
+    def test_csv_export_streams_the_written_files(self, runner, tmp_path, monkeypatch):
+        out, reference = tmp_path / "p", tmp_path / "reference"
+        datagen.export_pack_csv(datagen.build_pack("lorenz", 1), reference)
+        # Blocks of 128 rows, and no matrix read whole.
+        monkeypatch.setattr(matio, "_CHUNK_BYTES", 128 * 3 * 8)
+        monkeypatch.setattr(matio.MatrixReader, "read", None)
+        rows, savetxt = [], np.savetxt
+
+        def recording(fh, x, **kwargs):
+            rows.append(len(x))
+            savetxt(fh, x, **kwargs)
+
+        monkeypatch.setattr(np, "savetxt", recording)
+        result = runner.invoke(
+            main, ["generate", "--system", "lorenz", "--seed", "1", "--out", str(out), "--csv"])
+        assert result.exit_code == 0, result.output
+        assert max(rows) == 128
+        for path in sorted(reference.iterdir()):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        assert len(list(out.glob("*.csv"))) == 19
 
 
 class TestBaseline:
@@ -967,6 +1017,20 @@ class TestScore:
         assert result.exit_code == 0
         board = referee.load_leaderboard(store)
         assert board.entries("ODE_Lorenz")[0].method_name == "baseline_zeros"
+
+    def test_failed_card_write_is_named_error(self, runner, cli_pack_dir, zeros_run_dir,
+                                              tmp_path, monkeypatch):
+        store, card = tmp_path / "board.json", tmp_path / "card.json"
+        args = ["score", "--pack", str(cli_pack_dir), "--submission", str(zeros_run_dir),
+                "--store", str(store), "--out"]
+        assert runner.invoke(main, [*args, str(tmp_path / "first.json")]).exit_code == 0
+        before = store.read_bytes()
+        fail_writes_to(monkeypatch, "card.json")
+        result = runner.invoke(main, [*args, str(card)])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: {card}: cannot write: No space left on device\n"
+        assert store.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["board.json", "first.json"]
 
 
 class TestLeaderboardCli:

@@ -555,6 +555,62 @@ def test_lorenz_pack_maps_only_the_rows_it_uses(monkeypatch):
     assert sizes == [8 * (43200 * 3 + 2)]
 
 
+def test_lorenz_row_stops_at_its_last_recorded_step(monkeypatch):
+    calls, real = [], dynamics._lorenz_step
+
+    def counting(params, dt):
+        step, row = real(params, dt), len(calls)
+        calls.append(0)
+
+        def counted(state):
+            calls[row] += 1
+            return step(state)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_lorenz_step", counting)
+    pack = datagen.build_pack("lorenz", 11)
+    # After 1000 spin-up steps, `trajectory`, `interpolation` and
+    # `extrapolation` record up to step 11999, and `param_a`-`param_c` up to
+    # step 10999: each row is stepped that often, and no further.
+    assert calls == [11999, 10999, 10999, 10999, 11999, 11999]
+    assert hashlib.sha256(pack.train["X8train"].tobytes()).hexdigest() == \
+        MATRIX_SHA256["lorenz"]["X8train"]
+
+
+def test_generate_holds_one_block_at_a_time(tmp_path, monkeypatch):
+    # Blocks of 128 rows of 3 values: no noise draw and no block written is
+    # larger, and the files hold the pinned pack's bytes.
+    monkeypatch.setattr(matio, "_CHUNK_BYTES", 128 * 3 * 8)
+    draws, blocks = [], []
+    real_rng, real_write = np.random.default_rng, matio.MatrixWriter.write
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, shape):
+            draws.append(shape)
+            return self.rng.standard_normal(shape)
+
+    def write(self, block):
+        blocks.append(block.shape)
+        real_write(self, block)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    monkeypatch.setattr(matio.MatrixWriter, "write", write)
+    manifest = datagen.generate_pack("lorenz", 11, None, tmp_path)
+    assert max(rows for rows, _ in draws) == max(rows for rows, _ in blocks) == 128
+    assert len(draws) == 2 * 79 + 1  # X2train and X3train, 10000 rows; X5train, 100
+    for name, digest in MATRIX_SHA256["lorenz"].items():
+        payload = (tmp_path / f"{name}.mat").read_bytes()[24:]
+        assert hashlib.sha256(payload).hexdigest() == digest, name
+    assert (tmp_path / "manifest.json").read_text() == matio.dump_json(manifest.to_dict())
+
+
 def test_test_read_holds_the_distinct_windows_only(ks_pack, ks_test_pack_dir):
     # Each later member of an identical-window group (X4test, X3test, X5test,
     # X7test) is compared as it streams, never held whole beside its twin.

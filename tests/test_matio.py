@@ -171,6 +171,20 @@ def test_write_over_a_directory_leaves_no_temp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
 
+@pytest.mark.parametrize("blocks, written", [(1, 48), (3, 144)], ids=["short", "long"])
+def test_writer_closed_off_its_shape_publishes_nothing(tmp_path, blocks, written):
+    path = tmp_path / "x.mat"
+    matio.write_matrix(path, np.ones((4, 3)))
+    before = path.read_bytes()
+    with pytest.raises(MatrixFormatError,
+                       match=rf"x.mat: {written} payload bytes written where shape \(4, 3\) needs 96"):
+        with matio.MatrixWriter(path, (4, 3)) as out:
+            for _ in range(blocks):
+                out.write(np.zeros((2, 3)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.mat"]
+
+
 @pytest.mark.parametrize("parent", ["nodir", "afile"])
 def test_check_writable_names_the_path_and_leaves_nothing(tmp_path, parent):
     (tmp_path / "afile").write_text("")
