@@ -245,8 +245,7 @@ def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kma
     if store is not None:
         referee.check_store(store)
     cards = []
-    with referee.truth_table():
-        pack = datagen.read_pack(pack_dir, names=datagen.TEST_NAMES)
+    with referee.truth_table(), datagen.open_pack(pack_dir, names=datagen.TEST_NAMES) as pack:
         if runs_glob:
             run_dirs = referee.find_run_dirs(submission_dir, runs_glob)
             if not run_dirs:

@@ -27,7 +27,13 @@ leaves no manifest to vouch for the matrices. A built
 or read pack holds each group of identical windows as one array;
 `read_pack` compares each later member with the first as its file streams
 (`matio.file_equals`), and the checks scan each distinct array once, and
-once for a whole `matio.truth_table()` block.
+once for a whole `matio.truth_table()` block. `open_pack` makes the same
+checks as the named files stream past, and holds no matrix: it
+keeps each distinct window as one open `matio.MatrixReader`, which the
+caller streams again as often as it needs (`ctfbench score` streams each
+truth beside each prediction that it scores, run after run), and any
+problem it finds is reported by running `read_pack`, so the errors are
+the same.
 Pack construction is a pure function of (system, master_seed, overrides);
 seeds for each stochastic ingredient are derived from the master seed and
 recorded in the manifest. A `Manifest` is
@@ -43,7 +49,7 @@ of the system's parameter class.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Literal
@@ -63,7 +69,7 @@ from .dynamics import (  # noqa: F401
     integrate_ks,
     integrate_lorenz,
 )
-from .exceptions import PackValidationError
+from .exceptions import MatrixFormatError, PackValidationError
 
 FORMAT_VERSION = "1"
 
@@ -251,6 +257,9 @@ class Manifest(PackConfig):
 
 @dataclass
 class DatasetPack:
+    """A pack's matrices by name, and its manifest. Each matrix is an array,
+    or, in the pack that `open_pack` yields, an open `matio.MatrixReader`."""
+
     train: dict[str, np.ndarray]
     test: dict[str, np.ndarray]
     manifest: Manifest
@@ -285,11 +294,10 @@ def add_noise(x: np.ndarray, level: NoiseLevel, seed: int) -> np.ndarray:
 
 
 def _gather(blocks, shape: tuple[int, ...]) -> np.ndarray:
-    """One new array of `shape` holding the rows of `blocks` in turn."""
-    out, row = np.empty(shape), 0
-    for block in blocks:
-        out[row:row + len(block)] = block
-        row += len(block)
+    """One new array of `shape` holding the (first row, rows) `blocks`."""
+    out = np.empty(shape)
+    for start, block in blocks:
+        out[start:start + len(block)] = block
     return out
 
 
@@ -300,11 +308,11 @@ def _noisy(x: np.ndarray, fraction: float, seed: int):
     bits of one draw of `x`'s whole shape."""
     sigma = fraction * x.std(axis=0)
     rng = np.random.default_rng(seed)
-    for rows in matio.row_blocks(x):
+    for start, rows in matio.row_blocks(x):
         block = rng.standard_normal(rows.shape)
         block *= sigma
         block += rows
-        yield block
+        yield start, block
 
 
 def _simulate(cfg: PackConfig, seeds: dict[str, int]) -> dict[str, np.ndarray]:
@@ -471,7 +479,7 @@ def generate_pack(system: str, master_seed: int, overrides: dict | None,
         for name, window, noise in windows:
             blocks = matio.row_blocks(window) if noise is None else _noisy(window, *noise)
             with matio.MatrixWriter(directory / f"{name}.mat", window.shape) as out:
-                for block in blocks:
+                for _, block in blocks:
                     if not matio._all_finite(block):
                         raise PackValidationError(f"{name}: {matio.NON_FINITE}")
                     out.write(block)
@@ -487,6 +495,20 @@ def export_pack_csv(pack: DatasetPack, directory: str | Path) -> None:
         matio.write_csv(directory / f"{name}.csv", mats[name])
 
 
+def _manifest_of(directory: Path, names: Iterable[str] | None) -> tuple[Manifest, set]:
+    """The validated manifest of the pack in `directory`, and the matrices
+    that `names` asks for (all by default), each of them known."""
+    manifest_path = directory / "manifest.json"
+    if not manifest_path.is_file():
+        raise PackValidationError(f"missing manifest: {manifest_path}")
+    manifest = matio.read_document(manifest_path, Manifest, PackValidationError)
+    wanted = set(MATRIX_LAYOUT if names is None else names)
+    unknown = sorted(wanted - set(MATRIX_LAYOUT))
+    if unknown:
+        raise PackValidationError(f"unknown pack matrices: {', '.join(unknown)}")
+    return manifest, wanted
+
+
 def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> DatasetPack:
     """Read and validate a pack written by `write_pack`.
 
@@ -497,17 +519,11 @@ def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> Data
     windows among them as one array. A later member of such a group is not
     held while it is read: it is compared with the group's first member as
     its file streams, and read whole, to be checked as before, only when it
-    differs or cannot be read.
+    differs or cannot be read. `open_pack` makes the same checks without
+    holding any matrix; `ctfbench score` reads the test half through it.
     """
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.is_file():
-        raise PackValidationError(f"missing manifest: {manifest_path}")
-    manifest = matio.read_document(manifest_path, Manifest, PackValidationError)
-    wanted = set(MATRIX_LAYOUT if names is None else names)
-    unknown = sorted(wanted - set(MATRIX_LAYOUT))
-    if unknown:
-        raise PackValidationError(f"unknown pack matrices: {', '.join(unknown)}")
+    manifest, wanted = _manifest_of(directory, names)
     mats = {}
     for name, other in _firsts(wanted).items():
         path = directory / f"{name}.mat"
@@ -519,3 +535,49 @@ def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> Data
             mats[name] = matio.read_matrix(path)
     _checked(mats, DATASET_DIMS[manifest.dataset_id])
     return _assemble(mats, manifest)
+
+
+@contextmanager
+def open_pack(directory: str | Path, names: Iterable[str] | None = None):
+    """The pack that `read_pack(directory, names)` returns, checked as it
+    checks it, but with each of its distinct windows held as one open
+    `matio.MatrixReader` in place of an array, for the block.
+
+    The check pass streams the named files: a group's first member is
+    checked for shape and finiteness block by block (`matio.problem`, kept
+    by `_once` in the caller's `truth_table()`), and each later member is
+    compared with it in lockstep (`matio.equal`), which streams the first
+    once more, and closed. When any check
+    fails, `read_pack` runs, so the error is the one it raises. Each held
+    reader streams its file again wherever the block asks; as it stays open,
+    what it reads is the file that was checked, even after a rename
+    replaced it. The readers are closed when the block ends.
+    """
+    directory = Path(directory)
+    manifest, wanted = _manifest_of(directory, names)
+    with ExitStack() as held:
+        mats = _held(directory, wanted, DATASET_DIMS[manifest.dataset_id], held)
+        yield read_pack(directory, names) if mats is None else _assemble(mats, manifest)
+
+
+def _held(directory: Path, wanted: set, cols: int, held: ExitStack) -> dict | None:
+    """`open_pack`'s check pass: each of `wanted` as its group's first
+    member's reader, which `held` closes; None at the first problem."""
+    mats = {}
+    try:
+        for name, other in _firsts(wanted).items():
+            m = matio.MatrixReader(directory / f"{name}.mat")
+            if other != name:
+                with m:
+                    same = matio.equal(m, mats[other])
+                if not same:
+                    return None
+                mats[name] = mats[other]
+                continue
+            mats[name] = held.enter_context(m)
+            shape = (MATRIX_LAYOUT[name][0], cols)
+            if _once(m, shape, lambda: matio.problem(m, shape)) is not None:
+                return None
+    except MatrixFormatError:
+        return None
+    return mats

@@ -8,14 +8,17 @@ file. Every `.mat` write goes through one `MatrixWriter`, block by block of
 rows, so a matrix need not be held whole, nor contiguous, to be written.
 Every read goes through one `MatrixReader`: it
 checks the header against the file size before it allocates, then either
-streams the payload in blocks of rows through one reused buffer of a few
-MB, each a multiple of `SUM_BLOCK_ROWS` rows, or reads it straight into
-one array (`read_matrix`: one copy of the bytes). `file_equals` compares a
-file with an array as it streams, and `ctfbench score` streams each
-prediction through its metrics, so the header, size and truncation
-messages are the same on every read. `problem` checks finiteness in one
-pass over a contiguous float64 array, writing nothing; `_once` keeps such
-a verdict, or other work on an array, once per `truth_table()` block. CSV
+streams the payload, from its first row, in blocks of rows through one
+reused buffer of a few MB, each a multiple of `SUM_BLOCK_ROWS` rows, or
+reads its rows from a given one on straight into one array (`read_matrix`:
+one copy of the bytes). An open reader can stream its file again and
+again. `row_blocks` gives an in-memory matrix in the same blocks, so the
+one block path serves both: `equal` compares two matrices in lockstep
+(`file_equals` a file with an array), `problem` checks finiteness block by
+block, and `ctfbench score` streams each prediction and its truth through
+their metrics side by side, so the header, size and truncation messages
+are the same on every read. `_once` keeps a verdict, or other work on a
+matrix, once per `truth_table()` block. CSV
 files hold one time step per row with full-precision decimal values. JSON
 documents (manifests, scorecards, leaderboards) are written with sorted
 keys, a 2-space indent and a trailing newline, and never hold NaN or
@@ -46,6 +49,8 @@ from .exceptions import CTFBenchError, MatrixFormatError
 
 MAGIC = b"CTFMAT01"
 _HEADER = struct.Struct("<QQ")
+#: Byte offset of a matrix file's first value.
+_PAYLOAD = len(MAGIC) + _HEADER.size
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:
@@ -64,10 +69,12 @@ def misfit(got: tuple[int, ...], shape: tuple[int, int]) -> str | None:
     return None if got == shape else f"shape {tuple(got)} does not match required {shape}"
 
 
-def problem(x: np.ndarray, shape: tuple[int, int]) -> str | None:
-    """Why `x` is not an acceptable matrix of `shape` (wrong shape or a
-    non-finite value), or None when it is."""
-    return misfit(x.shape, shape) or (None if _all_finite(x) else NON_FINITE)
+def problem(x, shape: tuple[int, int]) -> str | None:
+    """Why `x`, an array or a `MatrixReader`, is not an acceptable matrix of
+    `shape` (wrong shape or a non-finite value), or None when it is. The
+    values are checked by `row_blocks`."""
+    return misfit(x.shape, shape) or (
+        None if all(_all_finite(block) for _, block in row_blocks(x)) else NON_FINITE)
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -92,12 +99,13 @@ _TRUTHS: ContextVar[dict | None] = ContextVar("ctfbench_truths", default=None)
 
 @contextmanager
 def truth_table():
-    """Check and transform each distinct array once in this block: `_once`
-    keeps the result of each piece of work on an array in one table, keyed by
-    the array's identity, for `read_pack`'s and `validate_pack`'s checks, the
-    referee's truth checks and the truth side of each metric. An array
-    replaced by another is a new entry; one changed in place keeps its first
-    results until the block ends. Nested blocks share one table.
+    """Check and transform each distinct matrix once in this block: `_once`
+    keeps the result of each piece of work on a matrix in one table, keyed by
+    the identity of the array or `MatrixReader` that holds it, for the pack
+    checks (`read_pack`, `open_pack`, `validate_pack`), the referee's truth
+    checks and the truth side of each metric. A matrix replaced by another
+    is a new entry; one changed in place keeps its first results until the
+    block ends. Nested blocks share one table.
     """
     token = _TRUTHS.set({}) if _TRUTHS.get() is None else None
     try:
@@ -222,10 +230,15 @@ def _block_rows(cols: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * max(1, cols) * SUM_BLOCK_ROWS)) * SUM_BLOCK_ROWS
 
 
-def row_blocks(x: np.ndarray):
-    """The rows of `x` as views of `_block_rows` rows each, the last shorter."""
+def row_blocks(x, stop: int | None = None):
+    """The rows of `x` before row `stop` (all of them by default) as (first
+    row, rows) pairs of `_block_rows` rows each, the last shorter: views of
+    an array, or, for a `MatrixReader`, its `blocks(stop)`."""
+    if isinstance(x, MatrixReader):
+        return x.blocks(stop)
     step = _block_rows(math.prod(x.shape[1:]))
-    return (x[start:start + step] for start in range(0, len(x), step))
+    stop = len(x) if stop is None else min(stop, len(x))
+    return ((start, x[start:min(start + step, stop)]) for start in range(0, stop, step))
 
 
 class MatrixWriter(_AtomicFile):
@@ -261,7 +274,7 @@ def write_matrix(path: str | Path, x: np.ndarray) -> None:
     """Write a 2-D float64 matrix in the binary format, by `row_blocks`."""
     a = _as_matrix(x)
     with MatrixWriter(path, a.shape) as out:
-        for block in row_blocks(a):
+        for _, block in row_blocks(a):
             out.write(block)
 
 
@@ -269,8 +282,8 @@ def _header(fh, path: str | Path) -> tuple[int, int]:
     """The (rows, cols) that the header of the matrix file open as `fh`
     declares, once the file's size is the payload they need; any other
     header raises MatrixFormatError. Leaves `fh` at the payload."""
-    head = fh.read(len(MAGIC) + _HEADER.size)
-    if len(head) < len(MAGIC) + _HEADER.size:
+    head = fh.read(_PAYLOAD)
+    if len(head) < _PAYLOAD:
         raise MatrixFormatError(f"{path}: file too short for a matrix header")
     if head[: len(MAGIC)] != MAGIC:
         raise MatrixFormatError(f"{path}: bad magic {head[:8]!r}, expected {MAGIC!r}")
@@ -290,12 +303,14 @@ def _header(fh, path: str | Path) -> tuple[int, int]:
 class MatrixReader:
     """A matrix file open for reading, whose header has passed the checks
     of `_header`: `shape` is the (rows, cols) it declares. `blocks()` yields
-    the payload as (first row, rows) pairs, each a view of one reused buffer
-    of about `_CHUNK_BYTES` that the next block overwrites, and each but the
-    last a multiple of `SUM_BLOCK_ROWS` rows; `read()` reads it whole into a
-    new array. A file that cannot be opened or read, or whose payload ends
-    early, raises MatrixFormatError naming it. Close it after use (`close()`,
-    or a `with` block)."""
+    the payload from its first row as (first row, rows) pairs, each a view
+    of one reused buffer of about `_CHUNK_BYTES` that the next block
+    overwrites, and each but the last a multiple of `SUM_BLOCK_ROWS` rows;
+    `read()` reads it into a new array. Each call reads the one open file
+    again from where it asks, so a file replaced by rename after it was
+    opened is never read; one stream at a time. A file that cannot be
+    opened or read, or whose payload ends early, raises MatrixFormatError
+    naming it. Close it after use (`close()`, or a `with` block)."""
 
     def __init__(self, path: str | Path):
         self.path, self._got = path, 0
@@ -313,6 +328,11 @@ class MatrixReader:
         except OSError as exc:
             raise MatrixFormatError(f"{self.path}: cannot read: {exc.strerror}") from exc
 
+    def _seek(self, row: int) -> None:
+        """Go to the first value of row `row`."""
+        self._got = 8 * row * self.shape[1]
+        self._io(self._fh.seek, _PAYLOAD + self._got)
+
     def _fill(self, part: np.ndarray) -> None:
         """Read the next `part.nbytes` bytes of the payload into `part`, with
         as many reads as the file needs, or to its end."""
@@ -324,19 +344,22 @@ class MatrixReader:
             raise MatrixFormatError(f"{self.path}: payload ends after {self._got} of "
                                     f"{self.shape[0] * self.shape[1] * 8} bytes")
 
-    def blocks(self):
-        """The payload as (first row, rows) pairs, through one reused buffer."""
+    def blocks(self, stop: int | None = None):
+        """The rows before row `stop` (all of them by default) as (first row,
+        rows) pairs, through one reused buffer."""
         rows, cols = self.shape
-        step = _block_rows(cols)
+        rows, step = rows if stop is None else min(stop, rows), _block_rows(cols)
         buf = np.empty((min(step, rows), cols), dtype="<f8")
+        self._seek(0)
         for start in range(0, rows, step):
             part = buf[: rows - start]
             self._fill(part)
             yield start, part
 
-    def read(self) -> np.ndarray:
-        """The whole payload, read straight into a new array."""
-        a = np.empty(self.shape, dtype="<f8")
+    def read(self, first: int = 0) -> np.ndarray:
+        """The rows from row `first` on, read straight into a new array."""
+        a = np.empty((self.shape[0] - first, self.shape[1]), dtype="<f8")
+        self._seek(first)
         self._fill(a)
         return a.astype(np.float64, copy=False)
 
@@ -357,15 +380,28 @@ def read_matrix(path: str | Path) -> np.ndarray:
         return m.read()
 
 
+def tail(x, rows: int) -> np.ndarray:
+    """The last `rows` rows of `x` (all of them when it has fewer): a view of
+    an array, or read from a `MatrixReader`'s file."""
+    first = max(0, x.shape[0] - rows)
+    return x.read(first) if isinstance(x, MatrixReader) else x[first:]
+
+
+def equal(a, b) -> bool:
+    """Whether `a` and `b`, each an array or a `MatrixReader`, hold one
+    shape and equal values (`==`, as `np.array_equal`), compared by
+    `row_blocks` in lockstep, so neither is held whole."""
+    return a.shape == b.shape and all(
+        np.array_equal(p, q) for (_, p), (_, q) in zip(row_blocks(a), row_blocks(b)))
+
+
 def file_equals(path: str | Path, x: np.ndarray) -> bool:
-    """Whether the matrix file at `path` holds `x`: its shape, and equal
-    values (`==`, as `np.array_equal`), compared as the file streams through
-    one reused buffer of at most a few MB. False for any file that
-    `read_matrix` would reject, and for one that it cannot read."""
+    """Whether the matrix file at `path` holds `x` (`equal`), the file
+    streaming through one reused buffer of at most a few MB. False for any
+    file that `read_matrix` would reject, and for one that it cannot read."""
     try:
         with MatrixReader(path) as m:
-            return m.shape == x.shape and all(
-                np.array_equal(part, x[start:start + len(part)]) for start, part in m.blocks())
+            return equal(m, x)
     except MatrixFormatError:
         return False
 

@@ -29,19 +29,22 @@ matrix and scores S = 1 (E = 0) exactly, anchoring the zeros baseline.
 
 Each S is taken as the prediction's rows pass in order, in blocks that
 each hold a multiple of `SUM_BLOCK_ROWS` rows but the last (`scorer`), so
-a prediction streamed from its file (`matio.MatrixReader`) need never be
-held whole: the short-time error adds each block's 64-row totals up to
-`short_k`, and the long-time errors keep a copy of the trailing `long_k`
-rows, which they transform after the last block. An in-memory prediction
-is one such block, so every S has one path and the same bits either way.
+neither a prediction nor its truth streamed from its file
+(`matio.MatrixReader`) need ever be held whole: the short-time error adds
+each block's 64-row totals of prediction minus truth up to `short_k`, so
+it reads only the truth's first `short_k` rows, and the long-time errors
+keep a copy of the prediction's trailing `long_k` rows, which they
+transform after the last block. An in-memory prediction or truth gives the
+same blocks (`matio.row_blocks`), or is one block, with the same bits.
 
 Each score takes its truth side (norm, log spectrum or histogram edges)
 through `matio._once`, keyed by the truth object the caller passes (a list
 or a float32 array too) and the windows it depends on: once per truth in a
-`truth_table()` block, on every call outside one. Every window a metric
-function takes is judged by `MetricWindows`' rule, and one that breaks it
-is a MetricError naming the window; input that is not 2-D is a MetricError
-too.
+`truth_table()` block, on every call outside one. The truth side reads
+only the rows it needs: the first `short_k` or the trailing `long_k`.
+Every window a metric function takes is judged by `MetricWindows`' rule,
+and one that breaks it is a MetricError naming the window; input that is
+not 2-D is a MetricError too.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import numpy as np
 
 from . import elementary
 from .exceptions import MetricError
-from .matio import SUM_BLOCK_ROWS, _once
+from .matio import SUM_BLOCK_ROWS, MatrixReader, _once, row_blocks, tail
 
 logger = logging.getLogger(__name__)
 
@@ -119,6 +122,12 @@ def _matrix(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _truth(x):
+    """A truth as a metric reads it: an open `MatrixReader` as it is, else
+    `_matrix(x)`."""
+    return x if isinstance(x, MatrixReader) else _matrix(x)
+
+
 def _pair(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`pred` and `truth` as float64 arrays of one 2-D shape, else a MetricError."""
     pred = np.asarray(pred, dtype=np.float64)
@@ -158,10 +167,15 @@ def _sum_sq(a: np.ndarray, b: np.ndarray | None = None, total: float = 0.0) -> f
 
 
 def short_time_reference(truth: np.ndarray, short_k: int) -> float:
-    """||truth[:short_k]||_F, the denominator of the short-time error."""
-    truth = np.asarray(truth, dtype=np.float64)
+    """||truth[:short_k]||_F, the denominator of the short-time error; a
+    truth may be a `MatrixReader`, whose first `short_k` rows stream."""
+    if not isinstance(truth, MatrixReader):
+        truth = np.asarray(truth, dtype=np.float64)
     _window("short_k", short_k, truth.shape[0])
-    return math.sqrt(_sum_sq(truth[:short_k]))
+    total = 0.0
+    for _, block in row_blocks(truth, short_k):
+        total = _sum_sq(block, None, total)
+    return math.sqrt(total)
 
 
 def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int) -> float:
@@ -205,8 +219,10 @@ def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
 
 
 def spectral_reference(truth: np.ndarray, windows: MetricWindows) -> tuple[np.ndarray, float]:
-    """The truth's log spectrum (`power_spectrum_rows`) and its Frobenius norm."""
-    p_truth = power_spectrum_rows(truth, windows.long_k, windows.kmax)
+    """The truth's log spectrum (`power_spectrum_rows`) and its Frobenius
+    norm; of a `MatrixReader`, only the trailing `long_k` rows are read."""
+    t = tail(_truth(truth), windows.long_k)
+    p_truth = power_spectrum_rows(t, windows.long_k, windows.kmax)
     return p_truth, math.sqrt(_sum_sq(p_truth))
 
 
@@ -260,13 +276,13 @@ def histogram_l1(truth_series: np.ndarray, pred_series: np.ndarray, bins: int) -
 
 def histogram_reference(truth: np.ndarray, windows: MetricWindows) -> list:
     """The truth side of `histogram_l1` for each coordinate of the trailing
-    `long_k` rows of a 3-column truth."""
-    truth = _matrix(truth)
+    `long_k` rows of a 3-column truth (of a `MatrixReader`, only those rows
+    are read)."""
+    truth = _truth(truth)
     if truth.shape[1] != 3:
         raise MetricError(f"histogram metric requires 3 columns, got {truth.shape[1]}")
-    rows = truth.shape[0]
-    _window("long_k", windows.long_k, rows)
-    t = truth[rows - windows.long_k :]
+    _window("long_k", windows.long_k, truth.shape[0])
+    t = tail(truth, windows.long_k)
     return [_series_reference(t[:, c], windows.bins) for c in range(3)]
 
 
@@ -283,11 +299,15 @@ def score_long_time_histogram(pred: np.ndarray, truth: np.ndarray,
 
 class _Score:
     """One S of a prediction that comes in row blocks, in row order: `add`
-    takes each block, and `value`, after the last, gives S. Only `value`
-    takes the truth side (through `_once`) and judges the windows against the
-    truth, so a prediction that is never valued raises nothing."""
+    takes each block, with the same rows of the truth before row `need`,
+    and `value`, after the last, gives S. Only `value` takes the truth side
+    (through `_once`) and judges the windows against the truth, so a
+    prediction that is never valued raises nothing."""
 
-    def __init__(self, truth, t: np.ndarray):
+    #: The truth's rows, from the first, that `add` takes beside the prediction's.
+    need = 0
+
+    def __init__(self, truth, t):
         self.truth, self.t = truth, t  # the caller's object keys the truth side
 
     def over(self, pred: np.ndarray) -> float:
@@ -303,12 +323,17 @@ class _ShortTime(_Score):
         super().__init__(truth, t)
         if not isinstance(short_k, (int, np.integer)):
             _window("short_k", short_k)  # raises; `value` judges an integer's range
-        self.short_k, self.total = short_k, 0.0
+        self.short_k = self.need = short_k
+        self.total = 0.0
 
-    def add(self, start: int, block: np.ndarray) -> None:
+    def add(self, start: int, block: np.ndarray, truth: np.ndarray | None = None) -> None:
+        """Take `block`, the prediction's rows from row `start` on, and
+        `truth`, the truth's (any rows from `need` on may be left out);
+        without `truth`, an in-memory truth gives them."""
         stop = min(start + len(block), self.short_k)
         if start < stop:
-            self.total = _sum_sq(block[: stop - start], self.t[start:stop], self.total)
+            t = self.t[start:stop] if truth is None else truth[: stop - start]
+            self.total = _sum_sq(block[: stop - start], t, self.total)
 
     def value(self) -> float:
         t, k = self.t, self.short_k
@@ -328,7 +353,7 @@ class _Tail(_Score):
         self.first = rows - min(windows.long_k, rows)
         self.tail = np.empty((rows - self.first, t.shape[1]))
 
-    def add(self, start: int, block: np.ndarray) -> None:
+    def add(self, start: int, block: np.ndarray, truth: np.ndarray | None = None) -> None:
         lo = max(start, self.first)
         if lo < start + len(block):
             self.tail[lo - self.first : start + len(block) - self.first] = block[lo - start :]
@@ -358,12 +383,15 @@ class _Histogram(_Tail):
 
 
 def scorer(kind: MetricKind, truth: np.ndarray, windows: MetricWindows) -> _Score:
-    """The S of metric `kind` against 2-D `truth` with `windows`, for a
-    prediction of the truth's shape that comes in row blocks: `add(start,
-    block)` for each block in row order, each but the last a multiple of
-    `SUM_BLOCK_ROWS` rows (as `matio.MatrixReader.blocks` gives them), then
-    `value()`. Fed the same values, it gives the bits of `score_*`."""
-    t = _matrix(truth)
+    """The S of metric `kind` against 2-D `truth` (an array, or an open
+    `matio.MatrixReader`) with `windows`, for a prediction of the truth's
+    shape that comes in row blocks: `add(start, block, truth_block)` for
+    each block in row order, each but the last a multiple of
+    `SUM_BLOCK_ROWS` rows (as `matio.row_blocks` gives them), with the
+    truth's same rows before row `need` (`truth_block` may be left out for
+    an in-memory truth), then `value()`. Fed the same values, it gives the
+    bits of `score_*`."""
+    t = _truth(truth)
     if kind is MetricKind.SHORT_TIME:
         return _ShortTime(truth, t, windows.short_k)
     return (_Spectral if kind is MetricKind.LONG_TIME_SPECTRAL else _Histogram)(truth, t, windows)

@@ -3,26 +3,31 @@ run aggregation and the persistent leaderboard.
 
 The registry maps each of the twelve scores E1..E12 to its training
 input(s), optional burn-in, prediction file and ground-truth file. Scoring
-a task touches exactly one test matrix (the task's truth), so a pack read
-with `read_pack(directory, names=TEST_NAMES)`, as `ctfbench score` reads
-it, is enough to validate and evaluate any submission; a submission
-missing or failing validation for a prediction receives -100 for every
-score depending on it, while the remaining scores are still computed.
+a task touches exactly one test matrix (the task's truth), so the test
+half of a pack is enough to validate and evaluate any submission: held in
+memory (`read_pack(directory, names=TEST_NAMES)`), or held open, one
+`matio.MatrixReader` per distinct window, as `ctfbench score` holds it
+(`datagen.open_pack`). A submission missing or failing validation for a
+prediction receives -100 for every score depending on it, while the
+remaining scores are still computed.
 
 `evaluate` scores a run one prediction at a time, through a loader that
 `ctfbench score` points at the run's files. A `.mat` prediction streams
 from its file through one buffer of a few MB, each block checked for
-finiteness and given to every task that scores it, so a command never
-holds a prediction whole. A score is None exactly for a prediction that
-`validate_submission` names, and `evaluate` records that verdict for each
-prediction, so `ctfbench score` takes its exit status from the None scores
-of its card and words its warnings from the verdicts.
-`evaluate_task` checks its truth although `read_pack` has checked it,
-because library callers may build or change a pack in memory without
-`read_pack`; each metric function takes its own truth side. Within a
-`truth_table()` block, as in `ctfbench score`, that check, `read_pack`'s
-and the truth sides are done once per distinct truth array and shared by
-every run scored in the block.
+finiteness and given, beside the same rows of its truth, to every task
+that scores it; a truth held open streams beside it in the same way, as
+far as the tasks need its rows (the first `short_k` of a forecast, the
+whole window of a reconstruction, none for a long-time score), so a
+command holds neither whole. A score is None exactly for a prediction
+that `validate_submission` names, and `evaluate` records that verdict for
+each prediction, so `ctfbench score` takes its exit status from the None
+scores of its card and words its warnings from the verdicts.
+`evaluate_task` checks its truth although the pack was checked when it
+was read, because library callers may build or change a pack in memory
+without `read_pack`; each metric function takes its own truth side.
+Within a `truth_table()` block, as in `ctfbench score`, that check, the
+pack's own and the truth sides are done once per distinct truth (array or
+reader) and shared by every run scored in the block.
 
 Scorecards and the store are read and written by `matio`'s codec. The rules
 that only a document read from disk must meet (score ranges, known
@@ -307,16 +312,19 @@ def _check_truth(pack: DatasetPack, task: TaskSpec) -> np.ndarray:
     return truth
 
 
-def _feed(blocks, scorers: list) -> bool:
-    """Give each (start, block) of `blocks` to every scorer, unless it holds a
-    value that is not finite: then stop there and return False. A function of
-    its own, so that no name holds the last block, and with it a reader's
-    buffer, while the scores are taken."""
-    for start, block in blocks:
+def _feed(pred, truth, scorers: list) -> bool:
+    """Give each block of `pred`'s rows (`matio.row_blocks`), with the same
+    rows of `truth` as far as any scorer needs them, to every scorer, unless
+    it holds a value that is not finite: then stop there and return False.
+    A function of its own, so that no name holds the last blocks, and with
+    them the readers' buffers, while the scores are taken."""
+    truths = matio.row_blocks(truth, max(scorer.need for scorer in scorers))
+    for start, block in matio.row_blocks(pred):
         if not matio._all_finite(block):
             return False
+        rows = next(truths, (start, None))[1]
         for scorer in scorers:
-            scorer.add(start, block)
+            scorer.add(start, block, rows)
     return True
 
 
@@ -325,20 +333,20 @@ def _score(tasks: list[TaskSpec], pred, pack: DatasetPack,
     """Why prediction `pred` of run `run_id` cannot be scored, or None, and
     the score of each of `tasks`, which all score it against one truth (None
     for every task when it cannot be scored). `pred` is None for a missing
-    prediction, an array, or a `matio.MatrixReader`, which is closed here.
-    The truth is checked first, then the prediction's shape; then each block
-    of rows is checked for finiteness and given to every task, and the
-    scores are taken after the last block, only when every block was
-    finite. A non-finite S is logged under the run and score id."""
+    prediction, an array, or a `matio.MatrixReader`, which is closed here;
+    so may the truth be an array or a reader. The truth is checked first,
+    then the prediction's shape; then each block of rows is checked for
+    finiteness and given to every task beside the same rows of the truth,
+    and the scores are taken after the last block, only when every block
+    was finite. A non-finite S is logged under the run and score id."""
     try:
-        truths = [_check_truth(pack, task) for task in tasks]
-        why = _MISSING if pred is None else matio.misfit(pred.shape, truths[0].shape)
+        truth = _check_truth(pack, tasks[0])
+        why = _MISSING if pred is None else matio.misfit(pred.shape, truth.shape)
         if why is None:
-            scorers = [metrics.scorer(t.metric, truth, t.windows)
-                       for t, truth in zip(tasks, truths)]
-            blocks = (pred.blocks() if isinstance(pred, matio.MatrixReader)
-                      else [(0, np.asarray(pred, dtype=np.float64))])
-            if _feed(blocks, scorers):
+            scorers = [metrics.scorer(t.metric, truth, t.windows) for t in tasks]
+            if not isinstance(pred, matio.MatrixReader):
+                pred = np.asarray(pred, dtype=np.float64)
+            if _feed(pred, truth, scorers):
                 return None, {t.score_id: metrics.to_score(scorer.value(),
                                                            f"[{run_id}] {t.score_id}")
                               for t, scorer in zip(tasks, scorers)}

@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import errno
 import gc
 import hashlib
@@ -7,6 +9,7 @@ import shutil
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +50,17 @@ def record_loads(monkeypatch, refs, new_run=lambda: None):
         return recording_load
 
     monkeypatch.setattr(cli, "_reader", recording_reader)
+
+
+def hold(monkeypatch, pack):
+    """Make `score` take `pack`, already held in memory, as the pack it
+    opens."""
+    monkeypatch.setattr(datagen, "open_pack", lambda *args, **kwargs: contextlib.nullcontext(pack))
+
+
+def files_of(directory):
+    """Each file directly in `directory`, by name, with its bytes."""
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +383,23 @@ class TestBaseline:
         assert result.exit_code == 2
         assert "Invalid value" in result.output
 
+    def test_failed_matrix_write_is_named_error(self, runner, cli_pack_dir, tmp_path,
+                                                monkeypatch):
+        # The run holds an older X3pred.mat; the write that would replace it
+        # fails, and the file keeps its bytes.
+        out = tmp_path / "subs"
+        args = ["baseline", "--kind", "zeros", "--pack", str(cli_pack_dir), "--out", str(out)]
+        assert runner.invoke(main, args).exit_code == 0
+        run_dir = out / "baseline_zeros" / "run0"
+        matio.write_matrix(run_dir / "X3pred.mat", np.ones((1000, 3)))
+        before = files_of(run_dir)
+        fail_writes_to(monkeypatch, "X3pred.mat")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.output == (
+            f"Error: {run_dir / 'X3pred.mat'}: cannot write: No space left on device\n")
+        assert files_of(run_dir) == before
+
 
 class TestScore:
     def test_zeros_scorecard(self, runner, cli_pack_dir, zeros_run_dir):
@@ -600,18 +631,81 @@ class TestScore:
         assert result.exit_code == 1, result.output
         assert "Error: X4test must equal X2test (same trajectory window)" in result.output
 
+    # Each damage done to a copy of the seed-3 Lorenz pack, and the one line
+    # that `score` prints for it. Where a pack has several faults, the first
+    # in `read_pack`'s order is named: a missing or unreadable file before
+    # any value, then each matrix's shape and finiteness in name order, then
+    # the identical windows.
+    DAMAGED_PACKS = {
+        "missing_manifest": ("missing manifest: {manifest.json}",
+                             [("unlink", "manifest.json")]),
+        "missing_X6test": ("missing matrix file: {X6test.mat}", [("unlink", "X6test.mat")]),
+        "bad_header_X9test": ("{X9test.mat}: bad magic b'CTFMAT02', expected b'CTFMAT01'",
+                              [("magic", "X9test.mat")]),
+        "truncated_X8test": ("{X8test.mat}: shape mismatch, header says [1000, 3] "
+                             "(24000 payload bytes) but file holds 23992",
+                             [("truncate", "X8test.mat")]),
+        "truncated_X3test": ("{X3test.mat}: shape mismatch, header says [1000, 3] "
+                             "(24000 payload bytes) but file holds 23992",
+                             [("truncate", "X3test.mat")]),
+        "short_X7test": ("X7test: shape (999, 3) does not match required (1000, 3)",
+                         [("short", "X7test.mat")]),
+        "nan_X1test": ("X1test: contains non-finite values", [("nan", "X1test.mat")]),
+        "changed_X4test": ("X4test must equal X2test (same trajectory window)",
+                           [("nudge", "X4test.mat")]),
+        "nan_only_X4test": ("X4test: contains non-finite values", [("nan", "X4test.mat")]),
+        "nan_X1test_missing_X9test": ("missing matrix file: {X9test.mat}",
+                                      [("nan", "X1test.mat"), ("unlink", "X9test.mat")]),
+        "nan_X6test_changed_X3test": ("X6test: contains non-finite values",
+                                      [("nudge", "X3test.mat"), ("nan", "X6test.mat")]),
+    }
+
+    @staticmethod
+    def damage(path, how):
+        if how == "unlink":
+            path.unlink()
+        elif how == "magic":
+            path.write_bytes(b"CTFMAT02" + path.read_bytes()[8:])
+        elif how == "truncate":
+            path.write_bytes(path.read_bytes()[:-8])
+        else:
+            x = matio.read_matrix(path)
+            if how == "short":
+                x = x[:-1]
+            elif how == "nan":
+                x[-1, 2] = np.nan
+            else:
+                x[500, 1] += 1e-9
+            matio.write_matrix(path, x)
+
+    @pytest.mark.parametrize("case", DAMAGED_PACKS)
+    def test_damaged_pack_error_pinned(self, runner, pack_copy, zeros_run_dir, tmp_path, case):
+        why, damages = self.DAMAGED_PACKS[case]
+        for how, name in damages:
+            self.damage(pack_copy / name, how)
+        card, store = tmp_path / "card.json", tmp_path / "board.json"
+        result = runner.invoke(main, ["score", "--pack", str(pack_copy), "--submission",
+                                      str(zeros_run_dir), "--out", str(card),
+                                      "--store", str(store)])
+        assert result.exit_code == 1, result.output
+        for name in ("manifest.json", *(f"X{i}test.mat" for i in range(1, 10))):
+            why = why.replace(f"{{{name}}}", str(pack_copy / name))
+        assert result.stdout == ""
+        assert result.stderr == f"Error: {why}\n"
+        assert not card.exists() and not store.exists()
+
     def test_runs_glob_reads_pack_once(self, runner, cli_pack_dir, tmp_path, monkeypatch):
         pack = cb.read_pack(cli_pack_dir)
         for run_id in ("run0", "run1"):
             referee.write_submission(oracle_submission(pack, run_id=run_id), tmp_path)
         calls = []
-        read_pack = datagen.read_pack
+        open_pack = datagen.open_pack
 
-        def counting_read_pack(*args, **kwargs):
+        def counting_open_pack(*args, **kwargs):
             calls.append(args)
-            return read_pack(*args, **kwargs)
+            return open_pack(*args, **kwargs)
 
-        monkeypatch.setattr(datagen, "read_pack", counting_read_pack)
+        monkeypatch.setattr(datagen, "open_pack", counting_open_pack)
         result = runner.invoke(
             main,
             ["score", "--pack", str(cli_pack_dir), "--submission", str(tmp_path / "oracle"),
@@ -686,14 +780,15 @@ class TestScore:
         if damage == "ragged_csv":
             (run_dir / "X1pred.csv").write_text("1,2,3\n4,5\n")
         refs, preds = [], []
-        read_pack = datagen.read_pack
+        open_pack = datagen.open_pack
 
-        def recording_read_pack(*args, **kwargs):
-            read = read_pack(*args, **kwargs)
-            refs.append(weakref.ref(read))
-            return read
+        @contextlib.contextmanager
+        def recording_open_pack(*args, **kwargs):
+            with open_pack(*args, **kwargs) as opened:
+                refs.append(weakref.ref(opened))
+                yield opened
 
-        monkeypatch.setattr(datagen, "read_pack", recording_read_pack)
+        monkeypatch.setattr(datagen, "open_pack", recording_open_pack)
         record_loads(monkeypatch, preds)
         gc.disable()
         try:
@@ -715,7 +810,7 @@ class TestScore:
         run_dir = referee.write_submission(sub, tmp_path / "subs")
         largest = max(x.nbytes for x in sub.predictions.values())
         del sub
-        monkeypatch.setattr(datagen, "read_pack", lambda *args, **kwargs: ks_pack)
+        hold(monkeypatch, ks_pack)
         result, peak = traced_peak(
             runner.invoke, main,
             ["score", "--pack", str(tmp_path), "--submission", str(run_dir),
@@ -730,7 +825,7 @@ class TestScore:
         # whole: each streams through one buffer of a few MB, and X2pred and
         # X4pred are 82 MB each.
         run_dir = referee.write_submission(oracle_submission(ks_pack), tmp_path / "subs")
-        monkeypatch.setattr(datagen, "read_pack", lambda *args, **kwargs: ks_pack)
+        hold(monkeypatch, ks_pack)
         result, peak = traced_peak(
             runner.invoke, main,
             ["score", "--pack", str(tmp_path), "--submission", str(run_dir),
@@ -739,6 +834,83 @@ class TestScore:
         assert result.exit_code == 0, result.output
         assert "composite  100.00" in result.output
         assert peak <= 16 << 20, f"peak {peak / 1e6:.1f} MB"
+
+    def test_holds_no_truth_whole(self, runner, ks_pack, ks_test_pack_dir, tmp_path):
+        # The test half of a KS pack holds 115 MB of distinct truth, X2test
+        # (= X4test) 82 MB of it: `score` streams it beside each prediction,
+        # as it streams the predictions.
+        run_dir = referee.write_submission(oracle_submission(ks_pack), tmp_path / "subs")
+        result, peak = traced_peak(
+            runner.invoke, main,
+            ["score", "--pack", str(ks_test_pack_dir), "--submission", str(run_dir),
+             "--out", str(tmp_path / "card.json")],
+        )
+        assert result.exit_code == 0, result.output
+        assert "composite  100.00" in result.output
+        assert peak <= 16 << 20, f"peak {peak / 1e6:.1f} MB"
+
+    def test_runs_glob_takes_each_truth_side_once(self, runner, ks_pack, ks_test_pack_dir,
+                                                  tmp_path, monkeypatch):
+        # Five distinct truths: X1test (= X3test = X5test) gives E1's norm and
+        # the spectrum of E2, E4 and E6; X2test (= X4test) the full-window norm
+        # of E3 and E5; X6test (= X7test) the norms of E7 and E9 and the
+        # spectrum of E8 and E10; X8test and X9test the norms of E11 and E12.
+        # Three runs take each once. The runs share their files.
+        run0 = referee.write_submission(oracle_submission(ks_pack), tmp_path / "subs")
+        for run_id in ("run1", "run2"):
+            (run0.parent / run_id).mkdir()
+            for path in run0.iterdir():
+                os.link(path, run0.parent / run_id / path.name)
+        calls = []
+        for name in ("short_time_reference", "spectral_reference"):
+            def counting(truth, window, name=name, real=getattr(cb.metrics, name)):
+                calls.append((name, id(truth), window))
+                return real(truth, window)
+
+            monkeypatch.setattr(cb.metrics, name, counting)
+        result = runner.invoke(main, ["score", "--pack", str(ks_test_pack_dir), "--submission",
+                                      str(run0.parent), "--runs-glob", "run*",
+                                      "--out", str(tmp_path / "card.json"), "--json"])
+        assert result.exit_code == 0, result.output
+        card = json.loads(result.stdout)
+        assert [run["composite"] for run in card["runs"]] == [100.0] * 3
+        assert collections.Counter(name for name, _, _ in calls) == {
+            "short_time_reference": 5, "spectral_reference": 2}
+        assert len(set(calls)) == len(calls)
+
+    def test_scores_the_checked_files(self, runner, cli_pack_dir, pack_copy, tmp_path,
+                                      monkeypatch):
+        # Before each run is scored, every test file of the pack is replaced
+        # by rename with one that holds other values. Each run still scores
+        # against the bytes that were checked, and each file is opened once.
+        pack = cb.read_pack(cli_pack_dir)
+        for run_id in ("run0", "run1", "run2"):
+            referee.write_submission(oracle_submission(pack, run_id=run_id), tmp_path / "subs")
+        opened, reader = [], matio.MatrixReader
+        evaluate = referee.evaluate
+
+        class Recording(reader):
+            def __init__(self, path):
+                opened.append(Path(path))
+                super().__init__(path)
+
+        def replacing(*args, **kwargs):
+            for name in datagen.TEST_NAMES:
+                other = tmp_path / f"{name}.mat"
+                matio.write_matrix(other, pack.test[name] + 1.0)
+                os.replace(other, pack_copy / f"{name}.mat")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(matio, "MatrixReader", Recording)
+        monkeypatch.setattr(referee, "evaluate", replacing)
+        result = runner.invoke(main, ["score", "--pack", str(pack_copy), "--submission",
+                                      str(tmp_path / "subs" / "oracle"), "--runs-glob", "run*",
+                                      "--out", str(tmp_path / "card.json"), "--json"])
+        assert result.exit_code == 0, result.output
+        card = json.loads(result.stdout)
+        assert [run["composite"] for run in card["runs"]] == [100.0] * 3
+        in_pack = sorted(path.name for path in opened if path.parent == pack_copy)
+        assert in_pack == sorted(f"{name}.mat" for name in datagen.TEST_NAMES)
 
     # X2pred (10000 x 3) streams in 16 blocks of 640 rows: a NaN in its last
     # row is found in the last block, and 1e200, whose square overflows, is a
@@ -1032,6 +1204,25 @@ class TestScore:
         assert store.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["board.json", "first.json"]
 
+    def test_failed_store_write_is_named_error(self, runner, cli_pack_dir, zeros_run_dir,
+                                               tmp_path, monkeypatch):
+        store = tmp_path / "board.json"
+        args = ["score", "--pack", str(cli_pack_dir), "--store", str(store), "--submission"]
+        result = runner.invoke(main, [*args, str(zeros_run_dir), "--out",
+                                      str(tmp_path / "zeros.json")])
+        assert result.exit_code == 0, result.output
+        before = store.read_bytes()
+        oracle_dir = referee.write_submission(
+            oracle_submission(cb.read_pack(cli_pack_dir)), tmp_path / "subs")
+        fail_writes_to(monkeypatch, "board.json")
+        result = runner.invoke(main, [*args, str(oracle_dir), "--out",
+                                      str(tmp_path / "card.json")])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: {store}: cannot write: No space left on device\n"
+        assert store.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "board.json", "card.json", "subs", "zeros.json"]
+
 
 class TestLeaderboardCli:
     @pytest.fixture()
@@ -1077,6 +1268,21 @@ class TestLeaderboardCli:
         )
         assert result.exit_code == 0
         assert "renamed -> rank" in result.output
+
+    def test_failed_store_write_is_named_error(self, runner, tmp_path, store_with_cards,
+                                               zeros_run_dir, monkeypatch):
+        card = referee.read_scorecard(zeros_run_dir / "card.json")
+        card.method_name = "renamed"
+        path = tmp_path / "renamed.json"
+        referee.write_scorecard(card, path)
+        before = files_of(tmp_path)
+        fail_writes_to(monkeypatch, "board.json")
+        result = runner.invoke(
+            main, ["leaderboard", "add", "--store", str(store_with_cards), "--card", str(path)])
+        assert result.exit_code == 1, result.output
+        assert result.output == (
+            f"Error: {store_with_cards}: cannot write: No space left on device\n")
+        assert files_of(tmp_path) == before
 
     def test_add_to_store_in_missing_directory_is_error(self, runner, tmp_path,
                                                         store_with_cards, zeros_run_dir):
@@ -1264,6 +1470,21 @@ class TestReportCli:
         assert "'my model'" in result.output and "'my_model'" in result.output
         assert "radar_ODE_Lorenz_my_model.svg" in result.output
         assert not out.exists()
+
+    def test_failed_report_write_is_named_error(self, runner, store, tmp_path, monkeypatch):
+        # The older Markdown table keeps its bytes when the write that would
+        # replace it fails.
+        out = tmp_path / "tables"
+        args = ["report", "--kind", "table", "--store", str(store), "--out", str(out)]
+        assert runner.invoke(main, args).exit_code == 0
+        (out / "scores_ODE_Lorenz.md").write_text("an older table\n")
+        before = files_of(out)
+        fail_writes_to(monkeypatch, "scores_ODE_Lorenz.md")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.output == (
+            f"Error: {out / 'scores_ODE_Lorenz.md'}: cannot write: No space left on device\n")
+        assert files_of(out) == before
 
     def test_failed_report_writes_no_file(self, runner, mixed_store, tmp_path):
         out = tmp_path / "charts"
