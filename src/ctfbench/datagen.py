@@ -23,17 +23,17 @@ uses. Shapes and windows are validated on every write and read.
 its file by blocks of rows, and a noisy one is drawn block by block, with
 the bits `build_pack` gathers from the same blocks. Both writers remove
 manifest.json first and write it last, so a write that stops half way
-leaves no manifest to vouch for the matrices. A built
-or read pack holds each group of identical windows as one array;
-`read_pack` compares each later member with the first as its file streams
-(`matio.file_equals`), and the checks scan each distinct array once, and
-once for a whole `matio.truth_table()` block. `open_pack` makes the same
-checks as the named files stream past, and holds no matrix: it
-keeps each distinct window as one open `matio.MatrixReader`, which the
-caller streams again as often as it needs (`ctfbench score` streams each
-truth beside each prediction that it scores, run after run), and any
-problem it finds is reported by running `read_pack`, so the errors are
-the same.
+leaves no manifest to vouch for the matrices. A built or read pack holds
+each group of identical windows as one object. `read_pack` and `open_pack`
+take one path (`_opened`): each named file is opened in `_SOURCES` order,
+each later member of a group is compared with the group's first as the two
+stream in lockstep (`matio.equal`), and the checks scan each distinct
+window once, and once for a whole `matio.truth_table()` block, so both
+raise the same errors in the same order. They differ only in what a
+distinct window becomes: `read_pack` reads it into an array, and
+`open_pack` keeps it as its open `matio.MatrixReader`, which the caller
+streams again as often as it needs (`ctfbench score` streams each truth
+beside each prediction that it scores, run after run).
 Pack construction is a pure function of (system, master_seed, overrides);
 seeds for each stochastic ingredient are derived from the master seed and
 recorded in the manifest. A `Manifest` is
@@ -69,7 +69,7 @@ from .dynamics import (  # noqa: F401
     integrate_ks,
     integrate_lorenz,
 )
-from .exceptions import MatrixFormatError, PackValidationError
+from .exceptions import PackValidationError
 
 FORMAT_VERSION = "1"
 
@@ -258,7 +258,8 @@ class Manifest(PackConfig):
 @dataclass
 class DatasetPack:
     """A pack's matrices by name, and its manifest. Each matrix is an array,
-    or, in the pack that `open_pack` yields, an open `matio.MatrixReader`."""
+    or, in the pack that `open_pack` yields, an open `matio.MatrixReader`;
+    each group of identical windows is one of them under every name."""
 
     train: dict[str, np.ndarray]
     test: dict[str, np.ndarray]
@@ -425,11 +426,12 @@ def _firsts(names: Iterable[str]) -> dict[str, str]:
             for name, source in _SOURCES.items() if name in names}
 
 
-def _checked(mats: dict[str, np.ndarray], cols: int) -> None:
+def _checked(mats: dict, cols: int) -> None:
     """`validate_pack`'s checks of the matrices in `mats`, which may be any
-    of the pack's: each one's shape and finiteness, and each identical-window
-    pair whose two members are both in `mats`. An array held under several
-    names of one shape is checked once, under the first, and once in a whole
+    of the pack's, each an array or an open `matio.MatrixReader`: each one's
+    shape and finiteness, and each identical-window pair whose two members
+    are both in `mats` (`matio.equal`). A matrix held under several names of
+    one shape is checked once, under the first, and once in a whole
     `truth_table()` block."""
     with truth_table():
         for name, x in mats.items():
@@ -438,7 +440,7 @@ def _checked(mats: dict[str, np.ndarray], cols: int) -> None:
             if why is not None:
                 raise PackValidationError(f"{name}: {why}")
     for name, other in _firsts(mats).items():
-        if mats[name] is not mats[other] and not np.array_equal(mats[name], mats[other]):
+        if mats[name] is not mats[other] and not matio.equal(mats[name], mats[other]):
             raise PackValidationError(f"{name} must equal {other} (same trajectory window)")
 
 
@@ -495,9 +497,52 @@ def export_pack_csv(pack: DatasetPack, directory: str | Path) -> None:
         matio.write_csv(directory / f"{name}.csv", mats[name])
 
 
-def _manifest_of(directory: Path, names: Iterable[str] | None) -> tuple[Manifest, set]:
-    """The validated manifest of the pack in `directory`, and the matrices
-    that `names` asks for (all by default), each of them known."""
+def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> DatasetPack:
+    """Read and validate a pack written by `write_pack`.
+
+    With `names`, read only those matrices: the manifest is validated in
+    full, each named matrix's shape and finiteness are checked, and so is
+    each identical-window pair of which both members are named. The pack
+    returned holds only the named matrices, and each group of identical
+    windows among them as one array, read once. A later member of such a
+    group is not held while it is read: it is compared with the group's
+    first array as its file streams, and is read whole, as a distinct
+    array, only when it differs. `open_pack` makes the same checks, in the
+    same pass, without holding any matrix; `ctfbench score` reads the test
+    half through it.
+    """
+    with _opened(directory, names, matio.MatrixReader.read) as pack:
+        return pack
+
+
+def open_pack(directory: str | Path, names: Iterable[str] | None = None):
+    """The pack that `read_pack(directory, names)` returns, checked as it
+    checks it and with the same errors, but with each of its distinct
+    windows held as one open `matio.MatrixReader` in place of an array,
+    for the `with` block that this opens.
+
+    The checks stream the files: each later member of a group is compared
+    in lockstep with the group's first (`matio.equal`), and each distinct
+    window is checked for shape and finiteness block by block
+    (`matio.problem`, kept by `_once` in the caller's `truth_table()`).
+    Each held reader streams its file again wherever the block asks; as it
+    stays open, what it reads is the file that was checked, even after a
+    rename replaced it. The readers are closed when the block ends.
+    """
+    return _opened(directory, names, lambda m: m)
+
+
+@contextmanager
+def _opened(directory: str | Path, names: Iterable[str] | None, window):
+    """The checked pack of `read_pack` and `open_pack`. The manifest is
+    validated, then each named file (all by default) is opened as a
+    `matio.MatrixReader` in `_SOURCES` order, so a missing file or a header
+    that does not fit its size raises as it is met. A later member of an
+    identical-window group that equals its group's first (`matio.equal`, in
+    lockstep) is held as the first's object; any other matrix is
+    `window(reader)`. Then `_checked` runs, and the pack is yielded; every
+    reader is closed when the block ends."""
+    directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise PackValidationError(f"missing manifest: {manifest_path}")
@@ -506,78 +551,14 @@ def _manifest_of(directory: Path, names: Iterable[str] | None) -> tuple[Manifest
     unknown = sorted(wanted - set(MATRIX_LAYOUT))
     if unknown:
         raise PackValidationError(f"unknown pack matrices: {', '.join(unknown)}")
-    return manifest, wanted
-
-
-def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> DatasetPack:
-    """Read and validate a pack written by `write_pack`.
-
-    With `names`, read only those matrices: the manifest is validated in
-    full, each named matrix's shape and finiteness are checked, and so is
-    each identical-window pair of which both members are named. The pack
-    returned holds only the named matrices, and each group of identical
-    windows among them as one array. A later member of such a group is not
-    held while it is read: it is compared with the group's first member as
-    its file streams, and read whole, to be checked as before, only when it
-    differs or cannot be read. `open_pack` makes the same checks without
-    holding any matrix; `ctfbench score` reads the test half through it.
-    """
-    directory = Path(directory)
-    manifest, wanted = _manifest_of(directory, names)
     mats = {}
-    for name, other in _firsts(wanted).items():
-        path = directory / f"{name}.mat"
-        if not path.is_file():
-            raise PackValidationError(f"missing matrix file: {path}")
-        if other != name and matio.file_equals(path, mats[other]):
-            mats[name] = mats[other]
-        else:
-            mats[name] = matio.read_matrix(path)
-    _checked(mats, DATASET_DIMS[manifest.dataset_id])
-    return _assemble(mats, manifest)
-
-
-@contextmanager
-def open_pack(directory: str | Path, names: Iterable[str] | None = None):
-    """The pack that `read_pack(directory, names)` returns, checked as it
-    checks it, but with each of its distinct windows held as one open
-    `matio.MatrixReader` in place of an array, for the block.
-
-    The check pass streams the named files: a group's first member is
-    checked for shape and finiteness block by block (`matio.problem`, kept
-    by `_once` in the caller's `truth_table()`), and each later member is
-    compared with it in lockstep (`matio.equal`), which streams the first
-    once more, and closed. When any check
-    fails, `read_pack` runs, so the error is the one it raises. Each held
-    reader streams its file again wherever the block asks; as it stays open,
-    what it reads is the file that was checked, even after a rename
-    replaced it. The readers are closed when the block ends.
-    """
-    directory = Path(directory)
-    manifest, wanted = _manifest_of(directory, names)
     with ExitStack() as held:
-        mats = _held(directory, wanted, DATASET_DIMS[manifest.dataset_id], held)
-        yield read_pack(directory, names) if mats is None else _assemble(mats, manifest)
-
-
-def _held(directory: Path, wanted: set, cols: int, held: ExitStack) -> dict | None:
-    """`open_pack`'s check pass: each of `wanted` as its group's first
-    member's reader, which `held` closes; None at the first problem."""
-    mats = {}
-    try:
         for name, other in _firsts(wanted).items():
-            m = matio.MatrixReader(directory / f"{name}.mat")
-            if other != name:
-                with m:
-                    same = matio.equal(m, mats[other])
-                if not same:
-                    return None
-                mats[name] = mats[other]
-                continue
-            mats[name] = held.enter_context(m)
-            shape = (MATRIX_LAYOUT[name][0], cols)
-            if _once(m, shape, lambda: matio.problem(m, shape)) is not None:
-                return None
-    except MatrixFormatError:
-        return None
-    return mats
+            path = directory / f"{name}.mat"
+            if not path.is_file():
+                raise PackValidationError(f"missing matrix file: {path}")
+            m = held.enter_context(matio.MatrixReader(path))
+            same = other != name and matio.equal(m, mats[other])
+            mats[name] = mats[other] if same else window(m)
+        _checked(mats, DATASET_DIMS[manifest.dataset_id])
+        yield _assemble(mats, manifest)

@@ -13,17 +13,17 @@ reused buffer of a few MB, each a multiple of `SUM_BLOCK_ROWS` rows, or
 reads its rows from a given one on straight into one array (`read_matrix`:
 one copy of the bytes). An open reader can stream its file again and
 again. `row_blocks` gives an in-memory matrix in the same blocks, so the
-one block path serves both: `equal` compares two matrices in lockstep
-(`file_equals` a file with an array), `problem` checks finiteness block by
-block, and `ctfbench score` streams each prediction and its truth through
-their metrics side by side, so the header, size and truncation messages
-are the same on every read. `_once` keeps a verdict, or other work on a
-matrix, once per `truth_table()` block. CSV
-files hold one time step per row with full-precision decimal values. JSON
-documents (manifests, scorecards, leaderboards) are written with sorted
-keys, a 2-space indent and a trailing newline, and never hold NaN or
-Infinity; `encode` and `decode` are the one mapping between each document
-and its dataclass.
+one block path serves both: `equal` compares two matrices, each a file or
+an array, in lockstep, `problem` checks finiteness block by block, and
+`ctfbench score` streams each prediction and its truth through their
+metrics side by side, so a bad header or size, a truncation, or a read
+from a reader already closed gives the same message on every read. `_once`
+keeps a verdict, or other work on a matrix, once per `truth_table()`
+block. CSV files hold one time step per row with full-precision decimal
+values. JSON documents (manifests, scorecards, leaderboards) are written
+with sorted keys, a 2-space indent and a trailing newline, and never hold
+NaN or Infinity; `encode` and `decode` are the one mapping between each
+document and its dataclass.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ def truth_table():
     """Check and transform each distinct matrix once in this block: `_once`
     keeps the result of each piece of work on a matrix in one table, keyed by
     the identity of the array or `MatrixReader` that holds it, for the pack
-    checks (`read_pack`, `open_pack`, `validate_pack`), the referee's truth
-    checks and the truth side of each metric. A matrix replaced by another
-    is a new entry; one changed in place keeps its first results until the
-    block ends. Nested blocks share one table.
+    checks that `read_pack`, `open_pack` and `validate_pack` share, the
+    referee's truth checks and the truth side of each metric. A matrix
+    replaced by another is a new entry; one changed in place keeps its first
+    results until the block ends. Nested blocks share one table.
     """
     token = _TRUTHS.set({}) if _TRUTHS.get() is None else None
     try:
@@ -310,7 +310,8 @@ class MatrixReader:
     again from where it asks, so a file replaced by rename after it was
     opened is never read; one stream at a time. A file that cannot be
     opened or read, or whose payload ends early, raises MatrixFormatError
-    naming it. Close it after use (`close()`, or a `with` block)."""
+    naming it, as does a read once it is closed. Close it after use
+    (`close()`, or a `with` block)."""
 
     def __init__(self, path: str | Path):
         self.path, self._got = path, 0
@@ -322,11 +323,14 @@ class MatrixReader:
             raise
 
     def _io(self, call, *args, **kwargs):
-        """`call(*args, **kwargs)`, an OSError raised as a MatrixFormatError."""
+        """`call(*args, **kwargs)`, an OSError or a ValueError (a read from a
+        reader already closed) raised as a MatrixFormatError."""
         try:
             return call(*args, **kwargs)
         except OSError as exc:
             raise MatrixFormatError(f"{self.path}: cannot read: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise MatrixFormatError(f"{self.path}: cannot read: {exc}") from exc
 
     def _seek(self, row: int) -> None:
         """Go to the first value of row `row`."""
@@ -393,17 +397,6 @@ def equal(a, b) -> bool:
     `row_blocks` in lockstep, so neither is held whole."""
     return a.shape == b.shape and all(
         np.array_equal(p, q) for (_, p), (_, q) in zip(row_blocks(a), row_blocks(b)))
-
-
-def file_equals(path: str | Path, x: np.ndarray) -> bool:
-    """Whether the matrix file at `path` holds `x` (`equal`), the file
-    streaming through one reused buffer of at most a few MB. False for any
-    file that `read_matrix` would reject, and for one that it cannot read."""
-    try:
-        with MatrixReader(path) as m:
-            return equal(m, x)
-    except MatrixFormatError:
-        return False
 
 
 def write_csv(path: str | Path, x: np.ndarray) -> None:

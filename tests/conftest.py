@@ -3,6 +3,7 @@ import os
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import ctfbench as cb
@@ -65,6 +66,56 @@ def ks_test_pack_dir(tmp_path_factory, ks_pack):
     for name in datagen.TEST_NAMES:
         matio.write_matrix(directory / f"{name}.mat", ks_pack.test[name])
     return directory
+
+
+# Each damage done to a copy of a Lorenz pack, and the error that reading
+# its test half gives, from `read_pack`, `open_pack` and so `score`. Where
+# a pack has several faults, the first in `read_pack`'s order is named: a
+# missing or unreadable file before any value, then each matrix's shape and
+# finiteness in name order, then the identical windows. `{<file>}` stands for
+# the file's path.
+DAMAGED_PACKS = {
+    "missing_manifest": ("missing manifest: {manifest.json}",
+                         [("unlink", "manifest.json")]),
+    "missing_X6test": ("missing matrix file: {X6test.mat}", [("unlink", "X6test.mat")]),
+    "bad_header_X9test": ("{X9test.mat}: bad magic b'CTFMAT02', expected b'CTFMAT01'",
+                          [("magic", "X9test.mat")]),
+    "truncated_X8test": ("{X8test.mat}: shape mismatch, header says [1000, 3] "
+                         "(24000 payload bytes) but file holds 23992",
+                         [("truncate", "X8test.mat")]),
+    "truncated_X3test": ("{X3test.mat}: shape mismatch, header says [1000, 3] "
+                         "(24000 payload bytes) but file holds 23992",
+                         [("truncate", "X3test.mat")]),
+    "short_X7test": ("X7test: shape (999, 3) does not match required (1000, 3)",
+                     [("short", "X7test.mat")]),
+    "nan_X1test": ("X1test: contains non-finite values", [("nan", "X1test.mat")]),
+    "changed_X4test": ("X4test must equal X2test (same trajectory window)",
+                       [("nudge", "X4test.mat")]),
+    "nan_only_X4test": ("X4test: contains non-finite values", [("nan", "X4test.mat")]),
+    "nan_X1test_missing_X9test": ("missing matrix file: {X9test.mat}",
+                                  [("nan", "X1test.mat"), ("unlink", "X9test.mat")]),
+    "nan_X6test_changed_X3test": ("X6test: contains non-finite values",
+                                  [("nudge", "X3test.mat"), ("nan", "X6test.mat")]),
+}
+
+
+def damage(path, how):
+    """Do one `DAMAGED_PACKS` damage `how` to the pack file at `path`."""
+    if how == "unlink":
+        path.unlink()
+    elif how == "magic":
+        path.write_bytes(b"CTFMAT02" + path.read_bytes()[8:])
+    elif how == "truncate":
+        path.write_bytes(path.read_bytes()[:-8])
+    else:
+        x = matio.read_matrix(path)
+        if how == "short":
+            x = x[:-1]
+        elif how == "nan":
+            x[-1, 2] = np.nan
+        else:
+            x[500, 1] += 1e-9
+        matio.write_matrix(path, x)
 
 
 def fail_writes_to(monkeypatch, name):

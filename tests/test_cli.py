@@ -19,7 +19,7 @@ import ctfbench as cb
 from ctfbench import cli, datagen, dynamics, matio, referee
 from ctfbench.cli import main
 from ctfbench.metrics import MetricKind
-from conftest import fail_writes_to, oracle_submission, traced_peak
+from conftest import DAMAGED_PACKS, damage, fail_writes_to, oracle_submission, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -631,52 +631,10 @@ class TestScore:
         assert result.exit_code == 1, result.output
         assert "Error: X4test must equal X2test (same trajectory window)" in result.output
 
-    # Each damage done to a copy of the seed-3 Lorenz pack, and the one line
-    # that `score` prints for it. Where a pack has several faults, the first
-    # in `read_pack`'s order is named: a missing or unreadable file before
-    # any value, then each matrix's shape and finiteness in name order, then
-    # the identical windows.
-    DAMAGED_PACKS = {
-        "missing_manifest": ("missing manifest: {manifest.json}",
-                             [("unlink", "manifest.json")]),
-        "missing_X6test": ("missing matrix file: {X6test.mat}", [("unlink", "X6test.mat")]),
-        "bad_header_X9test": ("{X9test.mat}: bad magic b'CTFMAT02', expected b'CTFMAT01'",
-                              [("magic", "X9test.mat")]),
-        "truncated_X8test": ("{X8test.mat}: shape mismatch, header says [1000, 3] "
-                             "(24000 payload bytes) but file holds 23992",
-                             [("truncate", "X8test.mat")]),
-        "truncated_X3test": ("{X3test.mat}: shape mismatch, header says [1000, 3] "
-                             "(24000 payload bytes) but file holds 23992",
-                             [("truncate", "X3test.mat")]),
-        "short_X7test": ("X7test: shape (999, 3) does not match required (1000, 3)",
-                         [("short", "X7test.mat")]),
-        "nan_X1test": ("X1test: contains non-finite values", [("nan", "X1test.mat")]),
-        "changed_X4test": ("X4test must equal X2test (same trajectory window)",
-                           [("nudge", "X4test.mat")]),
-        "nan_only_X4test": ("X4test: contains non-finite values", [("nan", "X4test.mat")]),
-        "nan_X1test_missing_X9test": ("missing matrix file: {X9test.mat}",
-                                      [("nan", "X1test.mat"), ("unlink", "X9test.mat")]),
-        "nan_X6test_changed_X3test": ("X6test: contains non-finite values",
-                                      [("nudge", "X3test.mat"), ("nan", "X6test.mat")]),
-    }
-
-    @staticmethod
-    def damage(path, how):
-        if how == "unlink":
-            path.unlink()
-        elif how == "magic":
-            path.write_bytes(b"CTFMAT02" + path.read_bytes()[8:])
-        elif how == "truncate":
-            path.write_bytes(path.read_bytes()[:-8])
-        else:
-            x = matio.read_matrix(path)
-            if how == "short":
-                x = x[:-1]
-            elif how == "nan":
-                x[-1, 2] = np.nan
-            else:
-                x[500, 1] += 1e-9
-            matio.write_matrix(path, x)
+    # The damaged packs shared with the library-level tests, and the one
+    # line that `score` prints for each.
+    DAMAGED_PACKS = DAMAGED_PACKS
+    damage = staticmethod(damage)
 
     @pytest.mark.parametrize("case", DAMAGED_PACKS)
     def test_damaged_pack_error_pinned(self, runner, pack_copy, zeros_run_dir, tmp_path, case):

@@ -1,6 +1,12 @@
+import collections
 import hashlib
 import json
+import os
+import re
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +14,8 @@ import pytest
 import ctfbench as cb
 from ctfbench import datagen, dynamics, matio
 from ctfbench.dynamics import LorenzParams, SimConfig, integrate_lorenz
-from ctfbench.exceptions import MatrixFormatError, PackValidationError
-from conftest import traced_peak
+from ctfbench.exceptions import CTFBenchError, MatrixFormatError, PackValidationError
+from conftest import DAMAGED_PACKS, damage, oracle_submission, traced_peak
 
 # Independent copy of the published matrix layout: name -> (rows, start, end).
 EXPECTED_LAYOUT = {
@@ -641,6 +647,27 @@ def test_later_member_with_nan_is_named(lorenz_pack, test_windows_dir):
         cb.read_pack(test_windows_dir, names=datagen.TEST_NAMES)
 
 
+def opened_test_half(directory):
+    """Read the test half of the pack in `directory` with `open_pack`."""
+    with datagen.open_pack(directory, names=datagen.TEST_NAMES):
+        pass
+
+
+# Each fault of a later member that `read_matrix` rejects, and the error
+# that it gives; `{}` stands for the file's path.
+LATER_MEMBER_FAULTS = {
+    "missing": (PackValidationError, "missing matrix file: {}"),
+    "truncated": (MatrixFormatError, "{}: shape mismatch, header says [10000, 3] "
+                                     "(240000 payload bytes) but file holds 239992"),
+    "trailing_byte": (MatrixFormatError, "{}: shape mismatch, header says [10000, 3] "
+                                         "(240000 payload bytes) but file holds 240001"),
+    "bad_magic": (MatrixFormatError, "{}: bad magic b'CTFMAT02', expected b'CTFMAT01'"),
+    "directory": (PackValidationError, "missing matrix file: {}"),
+    "shrinks_after_size_check": (MatrixFormatError,
+                                 "{}: payload ends after 239992 of 240000 bytes"),
+}
+
+
 def test_truncated_later_member_is_read_matrix_error(test_windows_dir):
     target = test_windows_dir / "X4test.mat"
     target.write_bytes(target.read_bytes()[:-16])
@@ -649,6 +676,85 @@ def test_truncated_later_member_is_read_matrix_error(test_windows_dir):
     with pytest.raises(MatrixFormatError) as pack_error:
         cb.read_pack(test_windows_dir, names=datagen.TEST_NAMES)
     assert str(pack_error.value) == str(read_error.value)
+
+
+@pytest.mark.parametrize("fault", LATER_MEMBER_FAULTS)
+def test_later_member_fault_is_read_matrix_error(test_windows_dir, monkeypatch, fault):
+    # X4test is X2test's later member: what `read_matrix` rejects in it is an
+    # error while it streams beside X2test, never a mere difference.
+    error, why = LATER_MEMBER_FAULTS[fault]
+    target = test_windows_dir / "X4test.mat"
+    raw = target.read_bytes()
+    if fault == "missing":
+        target.unlink()
+    elif fault == "trailing_byte":
+        target.write_bytes(raw + b"\x00")
+    elif fault == "bad_magic":
+        target.write_bytes(b"CTFMAT02" + raw[8:])
+    elif fault == "directory":
+        target.unlink()
+        target.mkdir()
+    else:
+        target.write_bytes(raw[:-8])
+    if fault == "shrinks_after_size_check":
+        real_fstat, shrunk = os.fstat, target.stat().st_ino
+
+        def fstat(fd):
+            st = real_fstat(fd)
+            return SimpleNamespace(st_size=st.st_size + 8) if st.st_ino == shrunk else st
+
+        monkeypatch.setattr(matio.os, "fstat", fstat)
+    for read in (partial(cb.read_pack, names=datagen.TEST_NAMES), opened_test_half):
+        with pytest.raises(error) as raised:
+            read(test_windows_dir)
+        assert type(raised.value) is error
+        assert str(raised.value) == why.format(target)
+
+
+@pytest.mark.parametrize("case", DAMAGED_PACKS)
+def test_read_and_open_raise_the_same_error(test_windows_dir, case):
+    why, damages = DAMAGED_PACKS[case]
+    for how, name in damages:
+        damage(test_windows_dir / name, how)
+    for name in ("manifest.json", *(f"{name}.mat" for name in datagen.TEST_NAMES)):
+        why = why.replace(f"{{{name}}}", str(test_windows_dir / name))
+    with pytest.raises(CTFBenchError) as read_error:
+        cb.read_pack(test_windows_dir, names=datagen.TEST_NAMES)
+    with pytest.raises(CTFBenchError) as open_error:
+        opened_test_half(test_windows_dir)
+    assert type(open_error.value) is type(read_error.value)
+    assert str(open_error.value) == str(read_error.value) == why
+
+
+def test_open_pack_matrix_read_after_the_block_is_named_error(lorenz_pack, test_windows_dir):
+    with datagen.open_pack(test_windows_dir, names=datagen.TEST_NAMES) as pack:
+        pass
+    with pytest.raises(MatrixFormatError,
+                       match=f"^{re.escape(str(test_windows_dir / 'X1test.mat'))}: cannot read: "):
+        cb.evaluate(oracle_submission(lorenz_pack), pack)
+
+
+def test_each_read_of_the_test_half_is_pinned(test_windows_dir, monkeypatch):
+    # Payload bytes read, by file. `read_pack` reads each file once. The
+    # check pass of `open_pack` reads each later member once beside its
+    # group's first, and each distinct window once more for its finiteness:
+    # X1test (= X3test = X5test) three times, X2test (= X4test) and X6test
+    # (= X7test) twice.
+    sizes = {f"{name}.mat": (test_windows_dir / f"{name}.mat").stat().st_size - 24
+             for name in datagen.TEST_NAMES}
+    read, fill = collections.Counter(), matio.MatrixReader._fill
+
+    def counting(self, part):
+        read[Path(self.path).name] += part.nbytes
+        fill(self, part)
+
+    monkeypatch.setattr(matio.MatrixReader, "_fill", counting)
+    cb.read_pack(test_windows_dir, names=datagen.TEST_NAMES)
+    assert read == sizes
+    read.clear()
+    opened_test_half(test_windows_dir)
+    times = {"X1test.mat": 3, "X2test.mat": 2, "X6test.mat": 2}
+    assert read == {name: size * times.get(name, 1) for name, size in sizes.items()}
 
 
 def test_later_member_equal_by_value_is_the_first_array(lorenz_pack, test_windows_dir):

@@ -322,85 +322,80 @@ def test_read_json_refuses_non_finite_constants(tmp_path, constant):
 
 
 @pytest.mark.parametrize("chunk", [1 << 22, 3 * 5 * 8, 5 * 8], ids=["whole", "3_rows", "1_row"])
-def test_file_equals_compares_shape_and_values(mat, monkeypatch, chunk):
+def test_equal_compares_shape_and_values(mat, monkeypatch, chunk):
     # A chunk holds at least 64 rows, so each of these reads the 17 rows at
-    # once; test_file_equals_streams_in_blocks reads in several.
+    # once; test_equal_streams_in_blocks reads in several. A reader of the
+    # file and an array of it compare alike, with each other and with arrays.
     monkeypatch.setattr(matio, "_CHUNK_BYTES", chunk)
     path, x = mat
-    assert matio.file_equals(path, x)
-    assert matio.file_equals(path, np.asfortranarray(x))
-    for r, c in ((0, 0), (16, 4), (7, 2)):
-        other = x.copy()
-        other[r, c] = np.nextafter(other[r, c], np.inf)
-        assert not matio.file_equals(path, other), (r, c)
-    assert not matio.file_equals(path, x[:16])
-    assert not matio.file_equals(path, x.reshape(5, 17))
+    with matio.MatrixReader(path) as m, matio.MatrixReader(path) as twin:
+        assert matio.equal(m, twin)
+        for a in (m, x.copy()):
+            assert matio.equal(a, x) and matio.equal(x, a)
+            assert matio.equal(a, np.asfortranarray(x))
+            for r, c in ((0, 0), (16, 4), (7, 2)):
+                other = x.copy()
+                other[r, c] = np.nextafter(other[r, c], np.inf)
+                assert not matio.equal(a, other), (r, c)
+            assert not matio.equal(a, x[:16])
+            assert not matio.equal(a, x.reshape(5, 17))
 
 
 @pytest.mark.parametrize("chunk", [1, 64 * 5 * 8, 3 * 64 * 5 * 8 - 1])
-def test_file_equals_streams_in_blocks(tmp_path, monkeypatch, chunk):
+def test_equal_streams_in_blocks(tmp_path, monkeypatch, chunk):
     # Blocks of 64 rows, or of 128 (a chunk of just under 192 rows rounds
-    # down to a multiple of 64), over 150 rows: the last block is short.
+    # down to a multiple of 64), over 150 rows: the last block is short. A
+    # reader is compared with an array, and two readers in lockstep.
     x = np.random.default_rng(6).normal(size=(150, 5))
-    path = tmp_path / "x.mat"
+    path, other_path = tmp_path / "x.mat", tmp_path / "other.mat"
     matio.write_matrix(path, x)
     monkeypatch.setattr(matio, "_CHUNK_BYTES", chunk)
     with matio.MatrixReader(path) as reader:
         starts = [start for start, _ in reader.blocks()]
-    assert starts == ([0, 128] if chunk > 2 * 64 * 5 * 8 else [0, 64, 128])
-    assert matio.file_equals(path, x)
-    for r in (0, 63, 64, 149):
-        other = x.copy()
-        other[r, 2] = np.nextafter(other[r, 2], np.inf)
-        assert not matio.file_equals(path, other), r
+        assert starts == ([0, 128] if chunk > 2 * 64 * 5 * 8 else [0, 64, 128])
+        assert matio.equal(reader, x)
+        for r in (0, 63, 64, 149):
+            other = x.copy()
+            other[r, 2] = np.nextafter(other[r, 2], np.inf)
+            assert not matio.equal(reader, other), r
+            matio.write_matrix(other_path, other)
+            with matio.MatrixReader(other_path) as other_reader:
+                assert not matio.equal(reader, other_reader), r
 
 
-def test_file_equals_is_value_equality(tmp_path):
+def test_equal_is_value_equality(tmp_path):
     # As np.array_equal: -0.0 equals 0.0, and a NaN equals nothing.
     path = tmp_path / "x.mat"
+    zero = np.array([[0.0, 1.0], [np.inf, 2.0]])
     matio.write_matrix(path, np.array([[-0.0, 1.0], [np.inf, 2.0]]))
-    assert matio.file_equals(path, np.array([[0.0, 1.0], [np.inf, 2.0]]))
-    matio.write_matrix(path, np.array([[np.nan, 1.0]]))
-    assert not matio.file_equals(path, np.array([[np.nan, 1.0]]))
+    with matio.MatrixReader(path) as m:
+        assert matio.equal(m, zero)
+        assert matio.equal(m.read(), zero)
+    nan = np.array([[np.nan, 1.0]])
+    matio.write_matrix(path, nan)
+    with matio.MatrixReader(path) as m, matio.MatrixReader(path) as twin:
+        assert not matio.equal(m, nan)
+        assert not matio.equal(m, twin)
+        assert not matio.equal(nan, nan)
 
 
-@pytest.mark.parametrize("damage", ["missing", "truncated", "trailing_byte", "bad_magic",
-                                    "directory"])
-def test_file_equals_is_false_for_what_read_matrix_rejects(mat, damage):
-    path, x = mat
-    raw = path.read_bytes()
-    if damage == "missing":
-        path.unlink()
-    elif damage == "truncated":
-        path.write_bytes(raw[:-8])
-    elif damage == "trailing_byte":
-        path.write_bytes(raw + b"\x00")
-    elif damage == "bad_magic":
-        path.write_bytes(b"CTFMAT02" + raw[8:])
-    else:
-        path.unlink()
-        path.mkdir()
-    with pytest.raises(MatrixFormatError):
-        matio.read_matrix(path)
-    assert not matio.file_equals(path, x)
-
-
-def test_file_equals_is_false_when_the_file_shrinks_after_the_size_check(mat, monkeypatch):
-    path, x = mat
-    path.write_bytes(path.read_bytes()[:-8])
-    real_fstat = os.fstat
-    monkeypatch.setattr(matio.os, "fstat",
-                        lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
-    assert not matio.file_equals(path, x)
-
-
-def test_file_equals_holds_one_small_buffer(tmp_path):
+def test_equal_holds_one_small_buffer(tmp_path):
     x = np.random.default_rng(3).normal(size=(4000, 1024))
     path = tmp_path / "big.mat"
     matio.write_matrix(path, x)
-    same, peak = traced_peak(matio.file_equals, path, x)
+    with matio.MatrixReader(path) as m:
+        same, peak = traced_peak(matio.equal, m, x)
     assert same
     assert peak <= matio._CHUNK_BYTES * 1.25 + 65536 < x.nbytes / 4
+
+
+def test_closed_reader_is_named_error(mat):
+    path, _ = mat
+    m = matio.MatrixReader(path)
+    m.close()
+    for read in (m.read, lambda: list(m.blocks())):
+        with pytest.raises(MatrixFormatError, match=f"^{re.escape(str(path))}: cannot read: "):
+            read()
 
 
 _SPECIAL = [np.nan, np.inf, -np.inf, 1e200, -1e200, -0.0, 0.0, 5e-324, -5e-324,
