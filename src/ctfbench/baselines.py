@@ -9,13 +9,18 @@ for the parametric tasks, the single training input otherwise):
     E7/E8 -> X4train   E9/E10 -> X5train  E11 -> X9train  E12 -> X10train
 
 `INPUT_NAMES` lists the matrices each kind reads, so a caller can read
-only those (`read_pack(directory, names=INPUT_NAMES[kind])`).
+only those (`read_pack(directory, names=INPUT_NAMES[kind])`), or open
+them (`open_pack`), which `ctfbench baseline` does: the average baseline
+streams each input once to take its column means.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from . import matio
 from .datagen import DATASET_DIMS, DatasetPack
 from .referee import Submission, TaskSpec, task_registry
 
@@ -25,13 +30,30 @@ def predict_zeros(task: TaskSpec) -> np.ndarray:
     return np.zeros(task.truth_shape)
 
 
-def predict_average(task: TaskSpec, train: np.ndarray) -> np.ndarray:
-    """Every output row is the column-wise mean of the training matrix: a
-    read-only view of that one row, repeated without a copy."""
-    if train.size == 0:
+def predict_average(task: TaskSpec, train) -> np.ndarray:
+    """Every output row is the column-wise mean of the training matrix, an
+    array or an open `matio.MatrixReader`: a read-only view of that one
+    row, repeated without a copy. Inside a `matio.truth_table()` block, as
+    in `make_submission`, the mean of each matrix is taken once."""
+    if math.prod(train.shape) == 0:
         raise ValueError("empty training matrix")
-    mean = np.asarray(train, dtype=np.float64).mean(axis=0)
+    mean = matio._once(train, "column_mean", lambda: _column_mean(train))
     return np.broadcast_to(mean, (task.truth_shape[0], mean.size))
+
+
+def _column_mean(train) -> np.ndarray:
+    """`train.mean(axis=0)`, bit for bit, with `train` streamed by
+    `matio.row_blocks`, never held whole. numpy sums axis 0 row by row, so
+    carrying the running sum in as the first row of each block's sum gives
+    the bits of the whole sum; adding the blocks' own sums would not."""
+    if not isinstance(train, matio.MatrixReader):
+        train = np.asarray(train, dtype=np.float64)
+    total = None
+    for _, block in matio.row_blocks(train):
+        if total is not None:
+            block = np.concatenate((total[None], block))
+        total = np.add.reduce(block, axis=0)
+    return total / train.shape[0]
 
 
 def average_input_name(task: TaskSpec) -> str:
@@ -54,14 +76,15 @@ def make_submission(kind: str, pack: DatasetPack, run_id: str = "run0") -> Submi
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r} (expected one of {BASELINE_KINDS})")
     predictions = {}
-    for task in task_registry(pack.dataset_id):
-        if task.prediction_name in predictions:
-            continue
-        if kind == "zeros":
-            predictions[task.prediction_name] = predict_zeros(task)
-        else:
-            train = pack.matrix(average_input_name(task))
-            predictions[task.prediction_name] = predict_average(task, train)
+    with matio.truth_table():
+        for task in task_registry(pack.dataset_id):
+            if task.prediction_name in predictions:
+                continue
+            if kind == "zeros":
+                predictions[task.prediction_name] = predict_zeros(task)
+            else:
+                train = pack.matrix(average_input_name(task))
+                predictions[task.prediction_name] = predict_average(task, train)
     return Submission(
         method_name=f"baseline_{kind}",
         run_id=run_id,

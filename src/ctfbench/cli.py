@@ -180,8 +180,8 @@ def generate(system, seed, out_dir, data_root, dt, spinup, noise_medium, noise_h
 @click.option("--json", "as_json", is_flag=True)
 def baseline(kind, pack_dir, out_dir, run_id, as_json):
     """Write a baseline submission for a pack."""
-    pack = datagen.read_pack(pack_dir, names=baselines.INPUT_NAMES[kind])
-    sub = baselines.make_submission(kind, pack, run_id=run_id)
+    with datagen.open_pack(pack_dir, names=baselines.INPUT_NAMES[kind]) as pack:
+        sub = baselines.make_submission(kind, pack, run_id=run_id)
     run_dir = referee.write_submission(sub, out_dir)
     if as_json:
         _echo_json({"method": sub.method_name, "run_id": run_id, "directory": str(run_dir),

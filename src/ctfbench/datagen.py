@@ -17,11 +17,12 @@ trajectory it is cut from, its row window and its noise. `MATRIX_LAYOUT`
 (the published shape table), the simulated steps and the identical-window
 checks are all derived from it. Each trajectory records only the rows
 from the first one cut from it to the last (`_SPANS`); the steps before
-the first are spin-up, so the integration mapping holds only rows a pack
-uses. Shapes and windows are validated on every write and read.
-`generate_pack` writes a pack without building it: each matrix goes to
-its file by blocks of rows, and a noisy one is drawn block by block, with
-the bits `build_pack` gathers from the same blocks. Both writers remove
+the first are spin-up, so each trajectory's integration mapping holds
+only rows a pack uses. Shapes and windows are validated on every write and
+read. `generate_pack` writes a pack without building it: each matrix goes
+to its file by blocks of rows, and a noisy one is drawn block by block,
+with the bits `build_pack` gathers from the same blocks; a trajectory's
+mapping is freed once its last window is written. Both writers remove
 manifest.json first and write it last, so a write that stops half way
 leaves no manifest to vouch for the matrices. A built or read pack holds
 each group of identical windows as one object. `read_pack` and `open_pack`
@@ -473,12 +474,16 @@ def generate_pack(system: str, master_seed: int, overrides: dict | None,
     with the same bytes, and return its manifest. No matrix is held whole:
     each goes to its file by `matio.row_blocks`, a noise-free one as views
     of the trajectory's recorded rows and a noisy one drawn block by block,
-    and each block is checked for finiteness before it is written."""
+    and each block is checked for finiteness before it is written. Each
+    window is let go once its file is written, so a trajectory's recorded
+    rows, its own integration mapping, are freed after its last window in
+    `_SOURCES` order, not when the pack is done."""
     directory = Path(directory)
     matio.make_dir(directory)
     manifest, windows = _windows(system, master_seed, overrides)
     with _manifest_last(directory, manifest):
-        for name, window, noise in windows:
+        while windows:
+            name, window, noise = windows.pop(0)
             blocks = matio.row_blocks(window) if noise is None else _noisy(window, *noise)
             with matio.MatrixWriter(directory / f"{name}.mat", window.shape) as out:
                 for _, block in blocks:

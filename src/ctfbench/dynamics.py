@@ -262,26 +262,26 @@ def _integrate(start, cfgs: Sequence[SimConfig], cols: int,
     `start(rows)` gives the (step, state, view) that `_drive` steps for the
     batch rows listed in `rows`. The rows are split into `_workers` groups
     (`_groups`) by the step they end at, and each group is driven once.
-    Every group writes its rows and its result into one shared anonymous
-    mapping: the first in this process, each other one in a fork-start
-    `multiprocessing` process (a fork shares the inputs and the mapping,
-    unpickled). A group stops early once `halted` says that another one has
-    a divergence at or before its step. Every worker is joined, and killed
-    first when the parent's own group raises or is interrupted. Raises the
-    DivergenceError of the earliest step over all rows (a tie goes to the
-    lowest row), the same as one batch would, and CTFBenchError when a
-    worker fails.
+    Every group writes each of its rows into that row's own shared
+    anonymous mapping, and its result into one more: the first group in
+    this process, each other one in a fork-start `multiprocessing` process
+    (a fork shares the inputs and the mappings, unpickled). A returned row
+    holds its mapping, which is unmapped, and its pages freed, when the
+    last view of the row goes. A group stops early once `halted` says that
+    another one has a divergence at or before its step. Every worker is
+    joined, and killed first when the parent's own group raises or is
+    interrupted. Raises the DivergenceError of the earliest step over all
+    rows (a tie goes to the lowest row), the same as one batch would, and
+    CTFBenchError when a worker fails.
     """
     starts = [c.spinup_steps for c in cfgs]
     lengths = [c.total_steps for c in cfgs]
     groups = _groups([s + n for s, n in zip(starts, lengths)], _workers(len(cfgs), cols))
-    size = sum(lengths) * cols
-    shared = mmap.mmap(-1, 8 * (size + 2 * len(groups)))
-    outs = np.split(np.frombuffer(shared, np.float64, size).reshape(-1, cols),
-                    np.cumsum(lengths[:-1]))
+    outs = [np.frombuffer(mmap.mmap(-1, 8 * n * cols), np.float64).reshape(n, cols)
+            for n in lengths]
     # Per group: its (step, row) result; row -1 until it diverges. The step
     # is written first, so a row >= 0 always comes with its step.
-    status = np.frombuffer(shared, np.int64, offset=8 * size).reshape(-1, 2)
+    status = np.frombuffer(mmap.mmap(-1, 16 * len(groups)), np.int64).reshape(-1, 2)
     status[:] = 0, -1
 
     def halted(step: int) -> bool:

@@ -63,8 +63,22 @@ class TestAverage:
         assert cb.to_score(s) == 0.0
 
     def test_empty_training_rejected(self):
-        with pytest.raises(ValueError):
-            predict_average(synthetic_task(), np.empty((0, 2)))
+        for shape in ((0, 2), (2, 0)):
+            with pytest.raises(ValueError, match="^empty training matrix$"):
+                predict_average(synthetic_task(), np.empty(shape))
+
+    @pytest.mark.parametrize("system", ["lorenz", "ks"])
+    def test_stream_gives_the_bits_of_the_mean(self, lorenz_pack, ks_pack, tmp_path, system):
+        # A 10000-row window, of 3 columns or 1024, streamed from its file
+        # by row blocks or taken from memory.
+        train = (lorenz_pack if system == "lorenz" else ks_pack).train["X1train"]
+        mean = np.asarray(train).mean(axis=0)
+        cb.matio.write_matrix(tmp_path / "X1train.mat", train)
+        with cb.matio.MatrixReader(tmp_path / "X1train.mat") as reader:
+            for source in (reader, train):
+                pred = predict_average(synthetic_task(rows=7, cols=train.shape[1]), source)
+                assert pred.shape == (7, train.shape[1])
+                assert pred[0].tobytes() == mean.tobytes() and pred[6].tobytes() == mean.tobytes()
 
     def test_input_selection_per_task(self):
         expected = {

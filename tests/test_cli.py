@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import ctfbench as cb
-from ctfbench import cli, datagen, dynamics, matio, referee
+from ctfbench import baselines, cli, datagen, dynamics, matio, referee
 from ctfbench.cli import main
 from ctfbench.metrics import MetricKind
 from conftest import DAMAGED_PACKS, damage, fail_writes_to, oracle_submission, traced_peak
@@ -358,13 +358,61 @@ class TestBaseline:
         result = self.baseline(runner, "average", pack_copy, tmp_path / "subs")
         assert result.exit_code == 0, result.output
 
-    def test_average_checks_its_inputs(self, runner, pack_copy, tmp_path):
-        bad = matio.read_matrix(pack_copy / "X1train.mat")
-        bad[5, 2] = np.nan
-        matio.write_matrix(pack_copy / "X1train.mat", bad)
+    # Each damage done to one input of the average baseline, and its error
+    # line; `{path}` stands for the damaged file's path.
+    @pytest.mark.parametrize("how, name, error", [
+        ("unlink", "X1train", "missing matrix file: {path}"),
+        ("truncate", "X2train", "{path}: shape mismatch, header says [10000, 3] "
+                                "(240000 payload bytes) but file holds 239992"),
+        ("nan", "X3train", "X3train: contains non-finite values"),
+        ("magic", "X9train", "{path}: bad magic b'CTFMAT02', expected b'CTFMAT01'"),
+        ("short", "X10train", "X10train: shape (99, 3) does not match required (100, 3)"),
+    ], ids=["missing_X1train", "truncated_X2train", "nan_X3train", "magic_X9train",
+            "short_X10train"])
+    def test_average_checks_its_inputs(self, runner, pack_copy, tmp_path, how, name, error):
+        path = pack_copy / f"{name}.mat"
+        damage(path, how)
         result = self.baseline(runner, "average", pack_copy, tmp_path / "subs")
-        assert result.exit_code == 1
-        assert "Error: X1train: contains non-finite values" in result.output
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: {error.format(path=path)}\n"
+        assert not (tmp_path / "subs" / "baseline_average" / "run0").exists()
+
+    def test_average_holds_no_input_whole(self, runner, ks_pack, tmp_path):
+        # The average baseline's KS inputs hold 246 MB, X1train-X3train 82 MB
+        # each: each streams through one buffer of a few MB to its mean.
+        pack_dir = tmp_path / "pack"
+        pack_dir.mkdir()
+        matio.write_json(pack_dir / "manifest.json", ks_pack.manifest.to_dict())
+        for name in baselines.INPUT_NAMES["average"]:
+            matio.write_matrix(pack_dir / f"{name}.mat", ks_pack.train[name])
+        out = tmp_path / "subs"
+        result, peak = traced_peak(self.baseline, runner, "average", pack_dir, out)
+        assert result.exit_code == 0, result.output
+        assert peak <= 16 << 20, f"peak {peak / 1e6:.1f} MB"
+        expected = baselines.make_submission("average", ks_pack)
+        for pred_name, pred in expected.predictions.items():
+            assert np.array_equal(matio.read_matrix(out / "baseline_average" / "run0" /
+                                                    f"{pred_name}.mat"), pred), pred_name
+
+    def test_average_reads_each_input_twice(self, runner, cli_pack_dir, tmp_path, monkeypatch):
+        # Once in the check pass and once to its mean, though X2train and
+        # X3train each give two predictions.
+        reads, fill = collections.Counter(), matio.MatrixReader._fill
+
+        def counting(reader, part):
+            fill(reader, part)
+            reads[Path(reader.path).stem] += part.nbytes
+
+        monkeypatch.setattr(matio.MatrixReader, "_fill", counting)
+        out = tmp_path / "subs"
+        result = self.baseline(runner, "average", cli_pack_dir, out)
+        assert result.exit_code == 0, result.output
+        assert reads == {name: 2 * 8 * 3 * datagen.MATRIX_LAYOUT[name][0]
+                         for name in baselines.INPUT_NAMES["average"]}
+        expected = baselines.make_submission("average", cb.read_pack(cli_pack_dir))
+        for pred_name, pred in expected.predictions.items():
+            assert np.array_equal(matio.read_matrix(out / "baseline_average" / "run0" /
+                                                    f"{pred_name}.mat"), pred), pred_name
 
     def test_out_below_a_file_is_error(self, runner, cli_pack_dir, tmp_path):
         (tmp_path / "afile").write_text("not a directory")

@@ -1,8 +1,10 @@
 import collections
+import gc
 import hashlib
 import json
 import os
 import re
+import weakref
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -10,12 +12,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import ctfbench as cb
 from ctfbench import datagen, dynamics, matio
+from ctfbench.cli import main
 from ctfbench.dynamics import LorenzParams, SimConfig, integrate_lorenz
 from ctfbench.exceptions import CTFBenchError, MatrixFormatError, PackValidationError
-from conftest import DAMAGED_PACKS, damage, oracle_submission, traced_peak
+from conftest import DAMAGED_PACKS, damage, fail_writes_to, oracle_submission, traced_peak
 
 # Independent copy of the published matrix layout: name -> (rows, start, end).
 EXPECTED_LAYOUT = {
@@ -554,11 +558,84 @@ def test_lorenz_pack_maps_only_the_rows_it_uses(monkeypatch):
 
     monkeypatch.setattr(dynamics.mmap, "mmap", recording)
     datagen.build_pack("lorenz", 7)
-    # One group of six rows of three values, 11000 + 3 * 10000 + 2 * 1100 =
-    # 43200 rows: `trajectory` records rows 0-11000, `param_a`-`param_c`
-    # 0-10000, `interpolation` and `extrapolation` 9900-11000, not 0-11000
-    # (63000 rows in all). Then the group's (step, row) status pair.
-    assert sizes == [8 * (43200 * 3 + 2)]
+    # One group of six rows of three values, each row in a mapping of its
+    # own, in `_SOURCES` order: `trajectory` records rows 0-11000,
+    # `param_a`-`param_c` 0-10000, `interpolation` and `extrapolation`
+    # 9900-11000, not 0-11000; 43200 rows in all, not 63000. Then one
+    # mapping for the group's (step, row) status pair.
+    rows = [11000, 10000, 10000, 10000, 1100, 1100]
+    assert sum(rows) == 43200
+    assert sizes == [8 * 3 * n for n in rows] + [16 * 1]
+
+
+#: The six trajectories in the order `_simulate` integrates them, which is
+#: the order `dynamics` maps them in.
+TRAJECTORIES = ("trajectory", "param_a", "param_b", "param_c", "interpolation", "extrapolation")
+
+
+def record_mappings(monkeypatch) -> list:
+    """A list that gets a weak reference to each mapping `dynamics` makes."""
+    refs, real = [], dynamics.mmap.mmap
+
+    def recording(*args, **kwargs):
+        shared = real(*args, **kwargs)
+        refs.append(weakref.ref(shared))
+        return shared
+
+    monkeypatch.setattr(dynamics.mmap, "mmap", recording)
+    return refs
+
+
+def test_generate_frees_each_trajectory_after_its_last_window(tmp_path, monkeypatch):
+    refs, alive, close = record_mappings(monkeypatch), {}, matio.MatrixWriter.close
+
+    def closing(self):
+        close(self)
+        alive[Path(self.path).stem] = [ref() is not None for ref in refs]
+
+    monkeypatch.setattr(matio.MatrixWriter, "close", closing)
+    gc.disable()
+    try:
+        datagen.generate_pack("lorenz", 11, None, tmp_path)
+        assert len(refs) == 7
+        assert not [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    # As each file closes, the trajectories of it and of the files after it
+    # are mapped, and no other, nor the status table.
+    mapped = {name: {t for t, live in zip(TRAJECTORIES, lives) if live}
+              for name, lives in alive.items()}
+    order = list(datagen._SOURCES)
+    for k, name in enumerate(order):
+        assert mapped[name] == {datagen._SOURCES[later][0] for later in order[k:]}, name
+        assert not alive[name][6], name
+    assert "param_a" in mapped["X6train"] and "param_a" not in mapped["X7train"]
+    assert "param_b" not in mapped["X8train"] and "param_c" not in mapped["X9train"]
+    assert mapped["X7test"] == {"trajectory", "interpolation", "extrapolation"}
+    assert mapped["X8test"] == {"interpolation", "extrapolation"}
+    assert mapped["X9test"] == {"extrapolation"}
+    for name, digest in MATRIX_SHA256["lorenz"].items():
+        payload = (tmp_path / f"{name}.mat").read_bytes()[24:]
+        assert hashlib.sha256(payload).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("fails", ["X2train.mat", "X1test.mat", "X8test.mat"])
+def test_failed_generate_frees_every_trajectory(tmp_path, monkeypatch, fails):
+    # A write fails mid-pack, inside a noisy matrix's draws or between two
+    # windows of one trajectory: the command ends with no mapping left.
+    refs = record_mappings(monkeypatch)
+    fail_writes_to(monkeypatch, fails)
+    gc.disable()
+    try:
+        result = CliRunner().invoke(
+            main, ["generate", "--system", "lorenz", "--seed", "3", "--out", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert result.output == (
+            f"Error: {tmp_path / fails}: cannot write: No space left on device\n")
+        assert len(refs) == 7
+        assert not [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
 
 
 def test_lorenz_row_stops_at_its_last_recorded_step(monkeypatch):
