@@ -51,7 +51,6 @@ from .referee import (
     TaskSpec,
     aggregate_runs,
     evaluate,
-    evaluate_task,
     load_submission,
     task_registry,
     truth_table,
@@ -87,7 +86,6 @@ __all__ = [
     "build_pack",
     "composite",
     "evaluate",
-    "evaluate_task",
     "export_table",
     "generate_pack",
     "histogram_l1",

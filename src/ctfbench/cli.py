@@ -7,6 +7,7 @@ generated packs and CTF_STORE the default leaderboard store path.
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 import traceback
@@ -191,19 +192,6 @@ def baseline(kind, pack_dir, out_dir, run_id, as_json):
                    f"to {run_dir}")
 
 
-def _reader(run_dir: Path):
-    """`referee.evaluate`'s loader: each call opens one `.mat` prediction of
-    the run to stream it, or reads one `.csv` prediction whole, whichever
-    `referee.prediction_file` picks."""
-    def load(name: str):
-        path = referee.prediction_file(run_dir, name)
-        if path is None:
-            return None
-        return matio.MatrixReader(path) if path.suffix == ".mat" else matio.read_csv(path)
-
-    return load
-
-
 def _score_table(card: referee.ScoreCard) -> str:
     lines = [f"method: {card.method_name}    dataset: {card.dataset_id}    "
              f"runs: {len(card.runs)}"]
@@ -261,7 +249,8 @@ def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kma
                     f"{cards[0].method_name!r}; score one method per command, or give all runs "
                     "one name with --method")
             verdicts = {}
-            cards.append(referee.evaluate(sub, pack, windows, _reader(run_dir), verdicts))
+            load = functools.partial(referee.open_prediction, run_dir)
+            cards.append(referee.evaluate(sub, pack, windows, load, verdicts))
             for name, why in verdicts.items():
                 if why is not None:
                     click.echo(f"warning [{sub.run_id}]: {name}: {why}; affected scores get -100",

@@ -205,6 +205,7 @@ class PackConfig:
                     _params(self.system, value)
                 except ValueError as exc:
                     raise ValueError(f"{name}: {exc}") from exc
+        matio._check_fields(self)
 
 
 _DEFAULTS = {

@@ -436,14 +436,6 @@ def read_csv(path: str | Path) -> np.ndarray:
     return a
 
 
-def read_any(path: str | Path) -> np.ndarray:
-    """Read a matrix by extension: `.mat` binary or `.csv` text."""
-    path = Path(path)
-    if path.suffix == ".csv":
-        return read_csv(path)
-    return read_matrix(path)
-
-
 def dump_json(doc: dict) -> str:
     """The JSON document form: sorted keys, 2-space indent, trailing newline.
     A NaN or infinite float raises ValueError."""
@@ -461,10 +453,11 @@ def _no_constant(name: str):
 
 def read_json(path: str | Path, error: type[CTFBenchError] = CTFBenchError) -> dict:
     """Read a JSON object; an unreadable file, invalid JSON (NaN and Infinity
-    included) or a top-level value that is not an object raises `error`."""
+    included), one nested too deep to decode, or a top-level value that is
+    not an object raises `error`."""
     try:
         doc = json.loads(Path(path).read_text(), parse_constant=_no_constant)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise error(f"{path}: not a readable JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -520,7 +513,21 @@ def _check(value: Any, tp: type, at: str) -> None:
     be an integer that converts to a finite float."""
     if type(value) not in ((int, float) if tp is float else (tp,)) or (
             tp is float and not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{at}: expected {tp.__name__}, got {json.dumps(value):.40}")
+        raise ValueError(f"{at}: expected {tp.__name__}, got {json.dumps(value, default=repr):.40}")
+
+
+def _check_fields(obj) -> None:
+    """Hold each `str`, `int` and `float` field of dataclass `obj`, as it
+    is made, to what `decode` reads back: a numpy scalar becomes the equal
+    Python value, and a value of another type (a bool, a `created` of 5) is
+    a ValueError naming the field."""
+    for name, _, hint in _layout(type(obj)):
+        if hint in (str, int, float):
+            value = getattr(obj, name)
+            if isinstance(value, np.generic):
+                value = value.item()
+                object.__setattr__(obj, name, value)
+            _check(value, hint, name)
 
 
 @functools.cache

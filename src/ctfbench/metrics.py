@@ -58,7 +58,7 @@ import numpy as np
 
 from . import elementary
 from .exceptions import MetricError
-from .matio import SUM_BLOCK_ROWS, MatrixReader, _once, row_blocks, tail
+from .matio import SUM_BLOCK_ROWS, MatrixReader, _check_fields, _once, row_blocks, tail
 
 logger = logging.getLogger(__name__)
 
@@ -112,6 +112,7 @@ class MetricWindows:
                 _window(name, getattr(self, name))
             except MetricError as exc:
                 raise ValueError(str(exc)) from None
+        _check_fields(self)
 
 
 def _matrix(x: np.ndarray) -> np.ndarray:

@@ -12,18 +12,18 @@ prediction receives -100 for every score depending on it, while the
 remaining scores are still computed.
 
 `evaluate` scores a run one prediction at a time, through a loader that
-`ctfbench score` points at the run's files. A `.mat` prediction streams
-from its file through one buffer of a few MB, each block checked for
-finiteness and given, beside the same rows of its truth, to every task
-that scores it; a truth held open streams beside it in the same way, as
+`ctfbench score` points at the run's files (`open_prediction`). A `.mat`
+prediction streams from its file through one buffer of a few MB, each
+block checked for finiteness and given, beside the same rows of its truth,
+to every task that scores it; a truth held open streams beside it, as
 far as the tasks need its rows (the first `short_k` of a forecast, the
 whole window of a reconstruction, none for a long-time score), so a
 command holds neither whole. A score is None exactly for a prediction
 that `validate_submission` names, and `evaluate` records that verdict for
 each prediction, so `ctfbench score` takes its exit status from the None
 scores of its card and words its warnings from the verdicts.
-`evaluate_task` checks its truth although the pack was checked when it
-was read, because library callers may build or change a pack in memory
+`evaluate` checks each truth although the pack was checked when it was
+read, because library callers may build or change a pack in memory
 without `read_pack`; each metric function takes its own truth side.
 Within a `truth_table()` block, as in `ctfbench score`, that check, the
 pack's own and the truth sides are done once per distinct truth (array or
@@ -159,21 +159,23 @@ def _parse_meta(text: str) -> dict[str, str]:
     return meta
 
 
-def prediction_file(run_dir: Path, name: str) -> Path | None:
-    """The file of prediction `name` in `run_dir`: `<name>.mat`, else
-    `<name>.csv`, else None."""
-    for suffix in (".mat", ".csv"):
-        path = run_dir / f"{name}{suffix}"
-        if path.is_file():
-            return path
-    return None
+def open_prediction(run_dir: str | Path, name: str) -> matio.MatrixReader | np.ndarray | None:
+    """Prediction `name` of the run in `run_dir`, from `<name>.mat`, else
+    `<name>.csv`: a `matio.MatrixReader` open on the `.mat` file, for the
+    caller to close, the `.csv` file read whole, or None when the run has
+    neither."""
+    path = Path(run_dir) / f"{name}.mat"
+    if path.is_file():
+        return matio.MatrixReader(path)
+    path = path.with_suffix(".csv")
+    return matio.read_csv(path) if path.is_file() else None
 
 
 def load_submission(run_dir: str | Path, method_name: str | None = None, *,
                     names: Iterable[str] | None = None) -> Submission:
     """Load a run directory of X*pred matrices plus an optional `meta` file.
 
-    Binary `.mat` files are preferred; `.csv` is accepted (`prediction_file`).
+    Binary `.mat` files are preferred; `.csv` is accepted (`open_prediction`).
     The method name comes from the argument, the meta file, or the parent
     directory name, in that order. With `names`, read only those predictions
     (`names=()` reads none); a name outside `PREDICTION_NAMES` is a
@@ -191,11 +193,16 @@ def load_submission(run_dir: str | Path, method_name: str | None = None, *,
         metadata = _parse_meta(meta_path.read_text("utf-8")) if meta_path.is_file() else {}
     except UnicodeDecodeError as exc:
         raise CTFBenchError(f"{meta_path}: meta file is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise CTFBenchError(f"{meta_path}: cannot read: {exc.strerror or exc}") from exc
     predictions = {}
     for name in [n for n in PREDICTION_NAMES if n in wanted]:
-        path = prediction_file(run_dir, name)
-        if path is not None:
-            predictions[name] = matio.read_any(path)
+        pred = open_prediction(run_dir, name)
+        if isinstance(pred, matio.MatrixReader):
+            with pred:
+                pred = pred.read()
+        if pred is not None:
+            predictions[name] = pred
     method = method_name or metadata.get("method") or run_dir.parent.name or run_dir.name
     return Submission(
         method_name=method, run_id=run_dir.name, predictions=predictions, metadata=metadata
@@ -355,15 +362,6 @@ def _score(tasks: list[TaskSpec], pred, pack: DatasetPack,
     finally:
         if isinstance(pred, matio.MatrixReader):
             pred.close()
-
-
-def evaluate_task(task: TaskSpec, sub: Submission, pack: DatasetPack) -> float | None:
-    """Score one task; None when the prediction is missing or invalid.
-
-    Reads only the single test matrix named by the task.
-    """
-    pred = sub.predictions.get(task.prediction_name)
-    return _score([task], pred, pack, sub.run_id)[1][task.score_id]
 
 
 def _aggregate(values: list[float]) -> ScoreAggregate:

@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import ctfbench as cb
-from ctfbench import baselines, cli, datagen, dynamics, matio, referee
+from ctfbench import baselines, datagen, dynamics, matio, referee
 from ctfbench.cli import main
 from ctfbench.metrics import MetricKind
 from conftest import DAMAGED_PACKS, damage, fail_writes_to, oracle_submission, traced_peak
@@ -34,22 +34,20 @@ def evaluate_card(sub, pack):
 
 def record_loads(monkeypatch, refs, new_run=lambda: None):
     """Append a weak reference to each prediction that `score` loads, an
-    open file or an array, to `refs`; call `new_run()` before each run."""
-    reader = cli._reader
+    open file or an array, to `refs`; call `new_run()` before each run's
+    first load."""
+    open_prediction, run_dirs = referee.open_prediction, []
 
-    def recording_reader(run_dir):
-        new_run()
-        load = reader(run_dir)
+    def recording_open_prediction(run_dir, name):
+        if run_dirs[-1:] != [run_dir]:
+            new_run()
+            run_dirs.append(run_dir)
+        pred = open_prediction(run_dir, name)
+        if pred is not None:
+            refs.append(weakref.ref(pred))
+        return pred
 
-        def recording_load(name):
-            pred = load(name)
-            if pred is not None:
-                refs.append(weakref.ref(pred))
-            return pred
-
-        return recording_load
-
-    monkeypatch.setattr(cli, "_reader", recording_reader)
+    monkeypatch.setattr(referee, "open_prediction", recording_open_prediction)
 
 
 def hold(monkeypatch, pack):
@@ -1141,6 +1139,27 @@ class TestScore:
         assert result.exit_code == 1, result.output
         assert f"Error: {run_dir / 'X1pred.csv'}: cannot read: Permission denied" \
             in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_unreadable_meta_is_error(self, runner, cli_pack_dir, tmp_path, monkeypatch):
+        # The suite may run as root, whom no file mode keeps from reading.
+        pack = cb.read_pack(cli_pack_dir)
+        run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
+        read_text = Path.read_text
+
+        def denied(path, *args, **kwargs):
+            if path.name == "meta":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(run_dir),
+             "--out", str(tmp_path / "card.json")],
+        )
+        assert result.exit_code == 1, result.output
+        assert f"Error: {run_dir / 'meta'}: cannot read: Permission denied" in result.output
         assert isinstance(result.exception, SystemExit)
 
     # sha256 of the scorecard JSON that `score` writes on `cli_pack_dir`

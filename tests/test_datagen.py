@@ -431,6 +431,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=why):
             datagen.resolve_config(system, overrides)
 
+    # Settings that `write_pack` would write as a manifest that `read_pack`
+    # refuses are refused when they are made.
+    @pytest.mark.parametrize("overrides,why", [
+        ({"spinup_steps": True}, "spinup_steps: expected int, got true"),
+        ({"extrap_param": True}, "extrap_param: expected float, got true"),
+        ({"created": 5}, "created: expected str, got 5"),
+    ], ids=["spinup-bool", "extrap-bool", "created-int"])
+    def test_setting_that_would_not_read_back_names_its_field(self, overrides, why):
+        with pytest.raises(ValueError, match=f"^{why}$"):
+            cb.build_pack("lorenz", 1, overrides)
+
+    def test_numpy_integer_setting_writes_and_reads_back(self, tmp_path):
+        pack = cb.build_pack("lorenz", 1, {"spinup_steps": np.int64(10)})
+        assert type(pack.manifest.spinup_steps) is int
+        cb.write_pack(pack, tmp_path)
+        assert cb.read_pack(tmp_path, names=("X1test",)).manifest == pack.manifest
+
     def test_ks_defaults(self):
         cfg = datagen.resolve_config("ks")
         assert cfg.dt == 0.025

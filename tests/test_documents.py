@@ -2,8 +2,10 @@
 reads one exits 0, or exits 1 with `Error:`, and never ends in a traceback."""
 
 import copy
+import fnmatch
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -257,3 +259,38 @@ def test_huge_integer_setting_never_tracebacks(runner, docs, tmp_path, value, wh
     for argv in _manifest_commands(docs, pack, tmp_path):
         result = _invoke(runner, argv)
         assert (result.exit_code == 0) if why is None else (why in result.output), argv
+
+
+# The JSON decoder recurses once per level; a document nested deeper than
+# the interpreter's recursion limit is unreadable, not a RecursionError.
+@pytest.mark.parametrize("name", ["store", "manifest"])
+def test_deeply_nested_document_is_named_error(runner, docs, tmp_path, name):
+    if name == "store":
+        path = tmp_path / "board.json"
+        commands = _store_commands(path, docs["card"], tmp_path)
+    else:
+        pack = _pack_with(docs, {}, tmp_path / "pack")
+        path = pack / "manifest.json"
+        commands = _manifest_commands(docs, pack, tmp_path)
+    path.write_text("[" * 200000)
+    for argv in commands:
+        result = _invoke(runner, argv)
+        assert result.exit_code == 1, argv
+        assert f"Error: {path}: not a readable JSON document: maximum recursion depth " \
+            "exceeded" in result.output, argv
+
+
+def test_readme_api_references_resolve():
+    # Each `cb.<dotted name>` in the README names an attribute of the
+    # package, and each `cb.<pattern>*` matches at least one.
+    text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    refs = set(re.findall(r"\bcb\.([A-Za-z_][\w.]*\*?)", text))
+    assert "datagen.open_pack" in refs and "score_*" in refs
+    for ref in sorted(refs):
+        if ref.endswith("*"):
+            assert fnmatch.filter(dir(cb), ref), f"cb.{ref} matches no name"
+            continue
+        obj = cb
+        for part in ref.rstrip(".").split("."):
+            assert hasattr(obj, part), f"cb.{ref} does not resolve"
+            obj = getattr(obj, part)

@@ -217,14 +217,6 @@ def test_csv_single_row(tmp_path):
     assert np.array_equal(out, [[1.5, -2.5]])
 
 
-def test_read_any_dispatches_on_suffix(tmp_path):
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    matio.write_matrix(tmp_path / "a.mat", x)
-    matio.write_csv(tmp_path / "a.csv", x)
-    assert np.array_equal(matio.read_any(tmp_path / "a.mat"), x)
-    assert np.array_equal(matio.read_any(tmp_path / "a.csv"), x)
-
-
 def test_malformed_csv_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\nnot,numbers\n")

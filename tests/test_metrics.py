@@ -347,6 +347,13 @@ class TestMetricWindows:
     def test_numpy_integer_windows_accepted(self):
         assert MetricWindows(short_k=np.int64(5)).short_k == 5
 
+    @pytest.mark.parametrize("name", ["short_k", "long_k", "kmax"])
+    def test_bool_window_names_its_field(self, name):
+        # A bool is an int to Python, but JSON writes it as true, which no
+        # scorecard reads back.
+        with pytest.raises(ValueError, match=f"^{name}: expected int, got true$"):
+            MetricWindows(**{name: True})
+
 
 def _ulps(got, ref):
     return np.abs(got - ref) / np.spacing(np.abs(ref))

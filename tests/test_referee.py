@@ -14,10 +14,10 @@ from ctfbench.referee import (
     ScoreCard,
     aggregate_runs,
     evaluate,
-    evaluate_task,
     find_run_dirs,
     load_leaderboard,
     load_submission,
+    open_prediction,
     read_scorecard,
     task_registry,
     truth_table,
@@ -254,12 +254,19 @@ class TestEvaluate:
         assert missing == ({"E7", "E8"} if kind == "bad_X6pred" else set())
 
     def test_pack_lacking_the_truth_is_named_error(self, lorenz_pack, lorenz_pack_dir):
+        # X1pred scores against the X1test the pack holds; X2pred's truth is
+        # the first that it lacks.
         partial = cb.read_pack(lorenz_pack_dir, names=("X1test",))
         sub = oracle_submission(lorenz_pack)
-        tasks = {t.score_id: t for t in task_registry(lorenz_pack.dataset_id)}
-        assert evaluate_task(tasks["E1"], sub, partial) == 100.0
-        with pytest.raises(cb.PackValidationError, match="pack missing matrix X2test"):
-            evaluate_task(tasks["E3"], sub, partial)
+        loaded = []
+
+        def load(name):
+            loaded.append(name)
+            return sub.predictions[name]
+
+        with pytest.raises(cb.PackValidationError, match="^pack missing matrix X2test$"):
+            evaluate(sub, partial, None, load)
+        assert loaded == ["X1pred", "X2pred"]
 
 
 class _AuditDict(dict):
@@ -273,14 +280,22 @@ class _AuditDict(dict):
 
 
 def test_scoring_touches_only_the_tasks_truth(lorenz_pack):
+    # Between the load of one prediction and the next, `evaluate` reads only
+    # the truth of that prediction's tasks.
     import copy
 
     sub = oracle_submission(lorenz_pack)
-    for task in task_registry(lorenz_pack.dataset_id):
-        audited = copy.copy(lorenz_pack)
-        audited.test = _AuditDict(lorenz_pack.test)
-        evaluate_task(task, sub, audited)
-        assert audited.test.accessed == {task.truth_name}, task.score_id
+    audited = copy.copy(lorenz_pack)
+    audited.test = _AuditDict(lorenz_pack.test)
+    touched = {}
+
+    def load(name):
+        touched[name] = audited.test.accessed = set()
+        return sub.predictions[name]
+
+    assert evaluate(sub, audited, None, load).runs[0].composite == 100.0
+    assert touched == {t.prediction_name: {t.truth_name}
+                       for t in task_registry(lorenz_pack.dataset_id)}
 
 
 def _pack_copy(pack):
@@ -541,6 +556,26 @@ class TestSubmissionIO:
         card = evaluate(loaded, lorenz_pack)
         assert card.runs[0].composite == 100.0
 
+    def test_open_prediction_prefers_mat_then_csv(self, tmp_path):
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        cb.matio.write_matrix(tmp_path / "X1pred.mat", x)
+        cb.matio.write_csv(tmp_path / "X1pred.csv", -x)
+        with open_prediction(tmp_path, "X1pred") as reader:
+            assert isinstance(reader, cb.matio.MatrixReader)
+            assert np.array_equal(reader.read(), x)
+        assert reader._fh.closed
+        assert np.array_equal(load_submission(tmp_path).predictions["X1pred"], x)
+        (tmp_path / "X1pred.mat").unlink()
+        csv = open_prediction(tmp_path, "X1pred")
+        assert type(csv) is np.ndarray and np.array_equal(csv, -x)
+        (tmp_path / "X1pred.csv").unlink()
+        assert open_prediction(tmp_path, "X1pred") is None
+        (tmp_path / "X2pred.mat").write_bytes(b"CTFMAT02" + bytes(16))
+        with pytest.raises(cb.MatrixFormatError) as err:
+            open_prediction(tmp_path, "X2pred")
+        assert str(err.value) == \
+            f"{tmp_path / 'X2pred.mat'}: bad magic b'CTFMAT02', expected b'CTFMAT01'"
+
     def test_names_reads_only_those(self, lorenz_pack, tmp_path):
         run_dir = write_submission(oracle_submission(lorenz_pack), tmp_path)
         loaded = load_submission(run_dir, names=("X9pred", "X2pred"))
@@ -616,6 +651,13 @@ class TestSubmissionIO:
         sub = load_submission(run_dir)
         assert sub.method_name == "my_model"
         assert sub.metadata["seed"] == "3"
+
+    def test_numpy_integer_windows_write_and_read_back(self, lorenz_pack, tmp_path):
+        windows = MetricWindows(short_k=np.int64(50))
+        card = evaluate(cb.make_submission("zeros", lorenz_pack), lorenz_pack, windows)
+        write_scorecard(card, tmp_path / "card.json")
+        read = read_scorecard(tmp_path / "card.json")
+        assert read.windows == card.windows and type(read.windows["short_k"]) is int
 
     def test_meta_not_utf8_rejected(self, tmp_path):
         run_dir = tmp_path / "m" / "run0"
