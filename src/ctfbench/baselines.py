@@ -1,17 +1,8 @@
-"""Naive reference predictors: all zeros, and the column-wise training mean.
-
-Both emit complete submissions covering every prediction file of a pack.
-The zeros baseline reads no pack matrix. The average baseline consumes,
-per task, the training matrix named by the registry (the burn-in matrix
-for the parametric tasks, the single training input otherwise):
-
-    E1/E2 -> X1train   E3/E4 -> X2train   E5/E6 -> X3train
-    E7/E8 -> X4train   E9/E10 -> X5train  E11 -> X9train  E12 -> X10train
-
-`INPUT_NAMES` lists the matrices each kind reads, so a caller can read
-only those (`read_pack(directory, names=INPUT_NAMES[kind])`), or open
-them (`open_pack`), which `ctfbench baseline` does: the average baseline
-streams each input once to take its column means.
+"""Naive reference predictors: all zeros (`predict_zeros`) and the
+column-wise training mean (`predict_average`) of the matrix that
+`average_input_name` names for each task. `make_submission` builds a
+complete submission of either kind, and `INPUT_NAMES` lists the pack
+matrices each kind reads.
 """
 
 from __future__ import annotations
@@ -33,8 +24,7 @@ def predict_zeros(task: TaskSpec) -> np.ndarray:
 def predict_average(task: TaskSpec, train) -> np.ndarray:
     """Every output row is the column-wise mean of the training matrix, an
     array or an open `matio.MatrixReader`: a read-only view of that one
-    row, repeated without a copy. Inside a `matio.truth_table()` block, as
-    in `make_submission`, the mean of each matrix is taken once."""
+    row, repeated without a copy. The mean is kept by `matio._once`."""
     if math.prod(train.shape) == 0:
         raise ValueError("empty training matrix")
     mean = matio._once(train, "column_mean", lambda: _column_mean(train))

@@ -1,50 +1,13 @@
-"""Dataset pack assembly: training/test matrix families plus manifest.
+"""Dataset packs: nineteen training and test matrices cut from six
+simulated trajectories, and the manifest that regenerates them.
 
-A pack holds ten training matrices (X1train..X10train) and nine test
-matrices (X1test..X9test) cut from six simulated trajectories:
-
-* one nominal-parameter trajectory supplies the forecasting pair, the
-  noisy variants with their clean and continued truths, and the
-  limited-data family,
-* three trajectories at the training parameter values supply
-  X6train/X7train/X8train,
-* two trajectories at the interpolation/extrapolation parameter values
-  supply the burn-ins X9train/X10train and the truth continuations
-  X8test/X9test.
-
-`_SOURCES` is the one definition of that layout: for each matrix, the
-trajectory it is cut from, its row window and its noise. `MATRIX_LAYOUT`
-(the published shape table), the simulated steps and the identical-window
-checks are all derived from it. Each trajectory records only the rows
-from the first one cut from it to the last (`_SPANS`); the steps before
-the first are spin-up, so each trajectory's integration mapping holds
-only rows a pack uses. Shapes and windows are validated on every write and
-read. `generate_pack` writes a pack without building it: each matrix goes
-to its file by blocks of rows, and a noisy one is drawn block by block,
-with the bits `build_pack` gathers from the same blocks; a trajectory's
-mapping is freed once its last window is written. Both writers remove
-manifest.json first and write it last, so a write that stops half way
-leaves no manifest to vouch for the matrices. A built or read pack holds
-each group of identical windows as one object. `read_pack` and `open_pack`
-take one path (`_opened`): each named file is opened in `_SOURCES` order,
-each later member of a group is compared with the group's first as the two
-stream in lockstep (`matio.equal`), and the checks scan each distinct
-window once, and once for a whole `matio.truth_table()` block, so both
-raise the same errors in the same order. They differ only in what a
-distinct window becomes: `read_pack` reads it into an array, and
-`open_pack` keeps it as its open `matio.MatrixReader`, which the caller
-streams again as often as it needs (`ctfbench score` streams each truth
-beside each prediction that it scores, run after run).
-Pack construction is a pure function of (system, master_seed, overrides);
-seeds for each stochastic ingredient are derived from the master seed and
-recorded in the manifest. A `Manifest` is
-its `PackConfig`, the one set of rules for the settings, plus the fields
-that the settings and master seed give, so those rules run whenever a
-manifest is made. `read_pack` reads it through `matio.read_document`: each
-field's type is checked, the rules run, then `Manifest.validate` passes it
-exactly when it is, type for type, the manifest `build_pack` writes for the
-settings and master seed it records. The base parameters are the defaults
-of the system's parameter class.
+`_SOURCES` is the one definition of the layout; `MATRIX_LAYOUT`, `_SPANS`
+and the identical-window checks derive from it. `PackConfig` owns the
+rules of the settings and `Manifest.validate` those of a manifest read
+back. `build_pack` builds a pack in memory; `write_pack` writes a built
+one and `generate_pack` one it never holds whole, both through `_write`.
+`read_pack` and `open_pack` read a pack through `_opened`, and every pack
+check is `_checked`'s.
 """
 
 from __future__ import annotations
@@ -446,52 +409,61 @@ def _checked(mats: dict, cols: int) -> None:
             raise PackValidationError(f"{name} must equal {other} (same trajectory window)")
 
 
-@contextmanager
-def _manifest_last(directory: Path, manifest: Manifest):
-    """Remove `directory`'s manifest.json, let the block write the pack's
-    matrices, then write `manifest`: a write that fails or is interrupted
-    leaves a directory that `read_pack` refuses (`missing manifest`), never
-    a manifest beside matrices of another pack."""
+def _write(directory: str | Path, manifest: Manifest, mats) -> None:
+    """Write a pack: remove manifest.json, write each `(name, shape, blocks)`
+    of `mats` to `<name>.mat` by its (first row, rows) `blocks`, then write
+    `manifest`. A write that fails or is interrupted leaves a directory that
+    `read_pack` refuses (`missing manifest`), never a manifest beside
+    matrices of another pack."""
+    directory = Path(directory)
+    matio.make_dir(directory)
     path = directory / "manifest.json"
     matio.remove_file(path)
-    yield
+    for name, shape, blocks in mats:
+        with matio.MatrixWriter(directory / f"{name}.mat", shape) as out:
+            for _, block in blocks:
+                out.write(block)
+        # It may be the last view of a trajectory: unmap that before the
+        # next file's blocks are read.
+        del block
     matio.write_json(path, manifest.to_dict())
 
 
 def write_pack(pack: DatasetPack, directory: str | Path) -> None:
-    """Write one binary matrix file per pack entry, then manifest.json."""
-    directory = Path(directory)
-    matio.make_dir(directory)
+    """Write `pack` by `_write` once `validate_pack` passes it, so an
+    invalid pack leaves the directory as it was."""
     validate_pack(pack)
     mats = {**pack.train, **pack.test}
-    with _manifest_last(directory, pack.manifest):
-        for name in MATRIX_LAYOUT:
-            matio.write_matrix(directory / f"{name}.mat", mats[name])
+    _write(directory, pack.manifest,
+           ((name, mats[name].shape, matio.row_blocks(mats[name])) for name in MATRIX_LAYOUT))
 
 
 def generate_pack(system: str, master_seed: int, overrides: dict | None,
                   directory: str | Path) -> Manifest:
-    """Write the pack that `build_pack` returns as `write_pack` writes it,
-    with the same bytes, and return its manifest. No matrix is held whole:
-    each goes to its file by `matio.row_blocks`, a noise-free one as views
-    of the trajectory's recorded rows and a noisy one drawn block by block,
-    and each block is checked for finiteness before it is written. Each
-    window is let go once its file is written, so a trajectory's recorded
-    rows, its own integration mapping, are freed after its last window in
-    `_SOURCES` order, not when the pack is done."""
-    directory = Path(directory)
-    matio.make_dir(directory)
+    """Write the pack that `build_pack` returns, with the bytes `write_pack`
+    writes, and return its manifest. No matrix is held whole: each goes to
+    its file by `matio.row_blocks`, a noisy one drawn block by block, and
+    each block is checked for finiteness before it is written. Each window
+    is let go once its file is written, so a trajectory's integration
+    mapping is freed after its last window in `_SOURCES` order."""
     manifest, windows = _windows(system, master_seed, overrides)
-    with _manifest_last(directory, manifest):
+
+    def mats():
         while windows:
             name, window, noise = windows.pop(0)
-            blocks = matio.row_blocks(window) if noise is None else _noisy(window, *noise)
-            with matio.MatrixWriter(directory / f"{name}.mat", window.shape) as out:
-                for _, block in blocks:
-                    if not matio._all_finite(block):
-                        raise PackValidationError(f"{name}: {matio.NON_FINITE}")
-                    out.write(block)
+            yield name, window.shape, _finite(
+                name, matio.row_blocks(window) if noise is None else _noisy(window, *noise))
+
+    _write(directory, manifest, mats())
     return manifest
+
+
+def _finite(name: str, blocks):
+    """`blocks`, each checked for finiteness as it passes."""
+    for start, block in blocks:
+        if not matio._all_finite(block):
+            raise PackValidationError(f"{name}: {matio.NON_FINITE}")
+        yield start, block
 
 
 def export_pack_csv(pack: DatasetPack, directory: str | Path) -> None:
@@ -504,50 +476,32 @@ def export_pack_csv(pack: DatasetPack, directory: str | Path) -> None:
 
 
 def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> DatasetPack:
-    """Read and validate a pack written by `write_pack`.
-
-    With `names`, read only those matrices: the manifest is validated in
-    full, each named matrix's shape and finiteness are checked, and so is
-    each identical-window pair of which both members are named. The pack
-    returned holds only the named matrices, and each group of identical
-    windows among them as one array, read once. A later member of such a
-    group is not held while it is read: it is compared with the group's
-    first array as its file streams, and is read whole, as a distinct
-    array, only when it differs. `open_pack` makes the same checks, in the
-    same pass, without holding any matrix; `ctfbench score` reads the test
-    half through it.
-    """
+    """Read and check a pack written by `write_pack` (`_opened`). With
+    `names`, the pack holds only those matrices, and each group of
+    identical windows among them as one array, read once."""
     with _opened(directory, names, matio.MatrixReader.read) as pack:
         return pack
 
 
 def open_pack(directory: str | Path, names: Iterable[str] | None = None):
-    """The pack that `read_pack(directory, names)` returns, checked as it
-    checks it and with the same errors, but with each of its distinct
-    windows held as one open `matio.MatrixReader` in place of an array,
-    for the `with` block that this opens.
-
-    The checks stream the files: each later member of a group is compared
-    in lockstep with the group's first (`matio.equal`), and each distinct
-    window is checked for shape and finiteness block by block
-    (`matio.problem`, kept by `_once` in the caller's `truth_table()`).
-    Each held reader streams its file again wherever the block asks; as it
-    stays open, what it reads is the file that was checked, even after a
-    rename replaced it. The readers are closed when the block ends.
-    """
+    """`read_pack(directory, names)`, with the same checks and errors, for
+    the `with` block that this opens, but with each distinct window held as
+    an open `matio.MatrixReader`: it reads the file that was checked, even
+    after a rename replaced it, and is closed when the block ends."""
     return _opened(directory, names, lambda m: m)
 
 
 @contextmanager
 def _opened(directory: str | Path, names: Iterable[str] | None, window):
-    """The checked pack of `read_pack` and `open_pack`. The manifest is
-    validated, then each named file (all by default) is opened as a
-    `matio.MatrixReader` in `_SOURCES` order, so a missing file or a header
-    that does not fit its size raises as it is met. A later member of an
-    identical-window group that equals its group's first (`matio.equal`, in
-    lockstep) is held as the first's object; any other matrix is
-    `window(reader)`. Then `_checked` runs, and the pack is yielded; every
-    reader is closed when the block ends."""
+    """The checked pack of `read_pack` and `open_pack`, for a `with` block.
+    The manifest is read and validated, then each named file (all by
+    default) is opened as a `matio.MatrixReader` in `_SOURCES` order, so a
+    missing file or a header that does not fit its size raises as it is
+    met. A later member of an identical-window group that equals its
+    group's first as the two stream in lockstep (`matio.equal`) is held as
+    the first's object, never read whole; any other matrix is
+    `window(reader)`. Then `_checked` runs; the readers close when the
+    block ends."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():

@@ -1,21 +1,8 @@
-"""Ground-truth trajectory generators for the Lorenz ODE and the
-Kuramoto-Sivashinsky PDE.
-
-Both integrators are deterministic: identical parameters and configuration
-produce bit-identical trajectories. Trajectories are returned as dense
-float64 matrices with one time step per row, and every trajectory of a
-batch equals the same trajectory integrated alone.
-
-The trajectories of a batch share their time step and may differ in
-spin-up and length. A batch is split across one process per available CPU
-when its rows are wide, rows that end at the same step together, and each
-group of rows is stepped together: KS rows as one numpy array, one state
-row each, and Lorenz rows, each only three values, as tuples of Python
-floats. Every row is judged after every step, spin-up included, up to its
-own last step, and recorded only over its own steps, so a row diverges at
-the same step, with the same message, in any batch. Every `_CHUNK` steps a
-process looks whether another has found a divergence at or before its own
-step, and stops if one has.
+"""Ground-truth trajectories of the Lorenz ODE (`integrate_lorenz`) and the
+Kuramoto-Sivashinsky PDE (`integrate_ks`): deterministic float64 matrices
+of one time step per row. `_lorenz_batch` and `_ks_batch` integrate
+several at once, each as it would be alone; `_integrate` splits a batch
+over processes, and `_drive` steps each part and judges its rows.
 """
 
 from __future__ import annotations
@@ -89,9 +76,8 @@ class KSParams:
 class SimConfig:
     """Integration run configuration.
 
-    `initial_condition` is either the string "seeded-random-smooth" (a
-    seeded superposition of low Fourier modes) or an explicit state vector.
-    `spinup_steps` are integrated and discarded before recording starts, so
+    `initial_condition` is either `RANDOM_SMOOTH` (`make_initial_condition`)
+    or an explicit state vector. `spinup_steps` are integrated and discarded before recording starts, so
     the first recorded row is the state after the spin-up.
     """
 

@@ -1,29 +1,13 @@
-"""Binary matrix file format and CSV interchange.
+"""Matrix files, CSV interchange and JSON documents.
 
-Layout of a `.mat` file: the 8-byte magic ``CTFMAT01``, a little-endian
-u64 row count, a little-endian u64 column count, then rows*cols
-little-endian float64 values in row-major order. Writes are atomic
-(temp file + rename), and a write that fails is a CTFBenchError naming its
-file. Every `.mat` write goes through one `MatrixWriter`, block by block of
-rows, so a matrix need not be held whole, nor contiguous, to be written.
-Every read goes through one `MatrixReader`: it
-checks the header against the file size before it allocates, then either
-streams the payload, from its first row, in blocks of rows through one
-reused buffer of a few MB, each a multiple of `SUM_BLOCK_ROWS` rows, or
-reads its rows from a given one on straight into one array (`read_matrix`:
-one copy of the bytes). An open reader can stream its file again and
-again. `row_blocks` gives an in-memory matrix in the same blocks, so the
-one block path serves both: `equal` compares two matrices, each a file or
-an array, in lockstep, `problem` checks finiteness block by block, and
-`ctfbench score` streams each prediction and its truth through their
-metrics side by side, so a bad header or size, a truncation, or a read
-from a reader already closed gives the same message on every read. `_once`
-keeps a verdict, or other work on a matrix, once per `truth_table()`
-block. CSV files hold one time step per row with full-precision decimal
-values. JSON documents (manifests, scorecards, leaderboards) are written
-with sorted keys, a 2-space indent and a trailing newline, and never hold
-NaN or Infinity; `encode` and `decode` are the one mapping between each
-document and its dataclass.
+A `.mat` file holds the 8-byte magic ``CTFMAT01``, a little-endian u64 row
+count and a u64 column count, then rows*cols little-endian float64 values
+in row-major order. `MatrixWriter` writes every one and `MatrixReader`
+reads every one; `row_blocks` cuts an array into the same blocks of rows,
+so `equal` and `problem` take files and arrays alike. Every file is
+written atomically (`_AtomicFile`). `truth_table` keeps work on a matrix
+once per block (`_once`). `dump_json` owns the JSON document form, and
+`encode` and `decode` the mapping between each document and its dataclass.
 """
 
 from __future__ import annotations
@@ -99,14 +83,11 @@ _TRUTHS: ContextVar[dict | None] = ContextVar("ctfbench_truths", default=None)
 
 @contextmanager
 def truth_table():
-    """Check and transform each distinct matrix once in this block: `_once`
-    keeps the result of each piece of work on a matrix in one table, keyed by
-    the identity of the array or `MatrixReader` that holds it, for the pack
-    checks that `read_pack`, `open_pack` and `validate_pack` share, the
-    referee's truth checks and the truth side of each metric. A matrix
-    replaced by another is a new entry; one changed in place keeps its first
-    results until the block ends. Nested blocks share one table.
-    """
+    """Do each piece of work on a matrix once in this block: `_once` keeps
+    its result in one table, keyed by the identity of the array or
+    `MatrixReader` that holds the matrix. A matrix replaced by another is a
+    new entry; one changed in place keeps its first results until the block
+    ends. Nested blocks share one table."""
     token = _TRUTHS.set({}) if _TRUTHS.get() is None else None
     try:
         yield
@@ -167,10 +148,11 @@ def check_writable(path: str | Path) -> None:
 class _AtomicFile:
     """A new temp file beside `path`, open for binary writes, that replaces
     `path` on `close()` and is removed on `abandon()`. A `with` block closes
-    it when the block completes and abandons it when the block raises. An
-    OSError from a write, or from the flush and close at the end, abandons
-    the file and raises CTFBenchError `<path>: cannot write: <why>`; one
-    from the rename, `<path>: cannot replace: <why>`."""
+    it when the block completes and abandons it when the block raises;
+    `close()` abandons it when anything stops it, an interrupt included. An
+    OSError from a write, or from the flush and close at the end, is a
+    CTFBenchError `<path>: cannot write: <why>`; one from the rename,
+    `<path>: cannot replace: <why>`."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -181,15 +163,18 @@ class _AtomicFile:
         try:
             call(*args)
         except OSError as exc:
-            self.abandon()
             raise CTFBenchError(f"{self.path}: {what}: {exc.strerror or exc}") from exc
 
     def write(self, data) -> None:
         self._named("cannot write", self._fh.write, data)
 
     def close(self) -> None:
-        self._named("cannot write", self._fh.close)
-        self._named("cannot replace", os.replace, self._tmp, self.path)
+        try:
+            self._named("cannot write", self._fh.close)
+            self._named("cannot replace", os.replace, self._tmp, self.path)
+        except BaseException:
+            self.abandon()
+            raise
 
     def abandon(self) -> None:
         with suppress(OSError):  # the flush that failed may fail again
@@ -243,12 +228,10 @@ def row_blocks(x, stop: int | None = None):
 
 class MatrixWriter(_AtomicFile):
     """A matrix file of `shape` open for writing, the mirror of
-    `MatrixReader`: the header, then the rows that `write` appends in order,
-    go into a temp file beside `path`, which replaces `path` on `close()`
-    once it holds the whole payload; closed short of that, or past it, the
-    file is abandoned with a MatrixFormatError. The rest is `_AtomicFile`'s:
-    a failed write is a CTFBenchError naming `path`, and an error leaves
-    `path` as it was."""
+    `MatrixReader`: the header, then the rows that `write` appends in
+    order, go into an `_AtomicFile`, which replaces `path` on `close()` once
+    it holds the whole payload; closed short of that, or past it, the file
+    is abandoned with a MatrixFormatError."""
 
     def __init__(self, path: str | Path, shape: tuple[int, int]):
         super().__init__(path)
@@ -302,16 +285,12 @@ def _header(fh, path: str | Path) -> tuple[int, int]:
 
 class MatrixReader:
     """A matrix file open for reading, whose header has passed the checks
-    of `_header`: `shape` is the (rows, cols) it declares. `blocks()` yields
-    the payload from its first row as (first row, rows) pairs, each a view
-    of one reused buffer of about `_CHUNK_BYTES` that the next block
-    overwrites, and each but the last a multiple of `SUM_BLOCK_ROWS` rows;
-    `read()` reads it into a new array. Each call reads the one open file
-    again from where it asks, so a file replaced by rename after it was
-    opened is never read; one stream at a time. A file that cannot be
-    opened or read, or whose payload ends early, raises MatrixFormatError
-    naming it, as does a read once it is closed. Close it after use
-    (`close()`, or a `with` block)."""
+    of `_header`: `shape` is the (rows, cols) it declares. `blocks()` and
+    `read()` read the one open file again from where they ask, so a file
+    replaced by rename after it was opened is never read; one stream at a
+    time. A file that cannot be opened or read, or whose payload ends early,
+    raises MatrixFormatError naming it, as does a read once it is closed.
+    Close it after use (`close()`, or a `with` block)."""
 
     def __init__(self, path: str | Path):
         self.path, self._got = path, 0
@@ -350,7 +329,9 @@ class MatrixReader:
 
     def blocks(self, stop: int | None = None):
         """The rows before row `stop` (all of them by default) as (first row,
-        rows) pairs, through one reused buffer."""
+        rows) pairs, each a view of one reused buffer of about `_CHUNK_BYTES`
+        that the next block overwrites, and each but the last a multiple of
+        `SUM_BLOCK_ROWS` rows."""
         rows, cols = self.shape
         rows, step = rows if stop is None else min(stop, rows), _block_rows(cols)
         buf = np.empty((min(step, rows), cols), dtype="<f8")
@@ -378,8 +359,7 @@ class MatrixReader:
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
-    """Read a matrix written by `write_matrix`, validating header and size
-    before allocating; a file that cannot be read raises MatrixFormatError."""
+    """Read a matrix written by `write_matrix` whole, by `MatrixReader.read`."""
     with MatrixReader(path) as m:
         return m.read()
 
@@ -400,10 +380,8 @@ def equal(a, b) -> bool:
 
 
 def write_csv(path: str | Path, x: np.ndarray) -> None:
-    """Write a matrix as comma-separated decimal text, one time step per row.
-
-    Values use 17 significant digits, enough to round-trip float64 exactly.
-    """
+    """Write a matrix as comma-separated decimal text, one time step per row,
+    with 17 significant digits, enough to round-trip float64 exactly."""
     _write_csv(path, [_as_matrix(x)])
 
 
@@ -517,17 +495,26 @@ def _check(value: Any, tp: type, at: str) -> None:
 
 
 def _check_fields(obj) -> None:
-    """Hold each `str`, `int` and `float` field of dataclass `obj`, as it
-    is made, to what `decode` reads back: a numpy scalar becomes the equal
-    Python value, and a value of another type (a bool, a `created` of 5) is
-    a ValueError naming the field."""
+    """Hold each `str`, `int` and `float` field of dataclass `obj`, and each
+    element of a tuple field, as it is made, to what `decode` reads back: a
+    numpy scalar becomes the equal Python value, and a value of another type
+    (a bool, a `created` of 5) is a ValueError naming the field."""
     for name, _, hint in _layout(type(obj)):
-        if hint in (str, int, float):
-            value = getattr(obj, name)
-            if isinstance(value, np.generic):
-                value = value.item()
-                object.__setattr__(obj, name, value)
-            _check(value, hint, name)
+        value = getattr(obj, name)
+        if get_origin(hint) is tuple:
+            value = tuple(_held(v, get_args(hint)[0], f"{name}[{i}]") for i, v in enumerate(value))
+        elif hint in (str, int, float):
+            value = _held(value, hint, name)
+        else:
+            continue
+        object.__setattr__(obj, name, value)
+
+
+def _held(value: Any, tp: type, at: str) -> Any:
+    """`value`, a numpy scalar as the equal Python value, once `_check` passes it."""
+    value = value.item() if isinstance(value, np.generic) else value
+    _check(value, tp, at)
+    return value
 
 
 @functools.cache

@@ -1,17 +1,8 @@
-"""Scoring mathematics for prediction benchmarks.
-
-Three raw relative errors S are defined:
-
-* short-time: Frobenius-norm relative error over the leading `short_k`
-  rows of prediction vs truth,
-* long-time spectral: Frobenius-norm relative error between log power
-  spectra of the trailing `long_k` rows (spatio-temporal data),
-* long-time histogram: per-coordinate L1 distance between value
-  histograms of the trailing `long_k` rows (low-dimensional state data).
-
-Each S maps to a score E = clamp(100*(1 - S), -100, 100), so E = 100 is
-a perfect match and an all-zero prediction lands exactly at E = 0 for the
-short-time and spectral errors.
+"""Scoring mathematics: three raw relative errors S of a prediction against
+its truth (`score_short_time`, `score_long_time_spectral`,
+`score_long_time_histogram`), each mapped to a score E by `to_score`.
+`scorer` takes any S from row blocks, so neither side need be held whole.
+`_window` judges every window by `MetricWindows`' rule.
 
 Three choices fix the last bits of every S and are part of the metrics'
 definition. Each Frobenius norm sums its squares in blocks of
@@ -26,25 +17,6 @@ Zero-power convention: the spectral error takes ln(|FFT|^2), which is
 undefined on exactly-zero rows. Any power below 1e-300 is assigned
 log-power 0 instead. An all-zero prediction therefore has a zero spectrum
 matrix and scores S = 1 (E = 0) exactly, anchoring the zeros baseline.
-
-Each S is taken as the prediction's rows pass in order, in blocks that
-each hold a multiple of `SUM_BLOCK_ROWS` rows but the last (`scorer`), so
-neither a prediction nor its truth streamed from its file
-(`matio.MatrixReader`) need ever be held whole: the short-time error adds
-each block's 64-row totals of prediction minus truth up to `short_k`, so
-it reads only the truth's first `short_k` rows, and the long-time errors
-keep a copy of the prediction's trailing `long_k` rows, which they
-transform after the last block. An in-memory prediction or truth gives the
-same blocks (`matio.row_blocks`), or is one block, with the same bits.
-
-Each score takes its truth side (norm, log spectrum or histogram edges)
-through `matio._once`, keyed by the truth object the caller passes (a list
-or a float32 array too) and the windows it depends on: once per truth in a
-`truth_table()` block, on every call outside one. The truth side reads
-only the rows it needs: the first `short_k` or the trailing `long_k`.
-Every window a metric function takes is judged by `MetricWindows`' rule,
-and one that breaks it is a MetricError naming the window; input that is
-not 2-D is a MetricError too.
 """
 
 from __future__ import annotations
@@ -116,17 +88,14 @@ class MetricWindows:
 
 
 def _matrix(x: np.ndarray) -> np.ndarray:
-    """`x` as a 2-D float64 array; any other shape is a MetricError."""
+    """`x` as a 2-D float64 array, or an open `MatrixReader` as it is; any
+    other shape is a MetricError."""
+    if isinstance(x, MatrixReader):
+        return x
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise MetricError(f"expected 2-D matrices, got shape {x.shape}")
     return x
-
-
-def _truth(x):
-    """A truth as a metric reads it: an open `MatrixReader` as it is, else
-    `_matrix(x)`."""
-    return x if isinstance(x, MatrixReader) else _matrix(x)
 
 
 def _pair(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,17 +111,11 @@ def _pair(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @np.errstate(over="ignore")
 def _sum_sq(a: np.ndarray, b: np.ndarray | None = None, total: float = 0.0) -> float:
     """`total` plus sum((a - b)**2), or plus sum(a**2) without `b`, over
-    whole 2-D arrays.
-
-    Rows are taken `SUM_BLOCK_ROWS` at a time into one reused buffer,
-    subtracted and squared there, summed by `np.add.reduce`, and the block
-    totals are added to `total` in row order. Only exactly rounded arithmetic
-    and numpy's own summation run, so the result is the same on every CPU,
-    BLAS and thread count. `0 - t` squares to `t*t`, so a zero `a` gives the
-    same sum as `b` alone: S = 1 exactly. Rows summed in parts that start at
-    multiples of `SUM_BLOCK_ROWS`, each part given the sum so far as `total`,
-    give the bits of one call over all of them.
-    """
+    whole 2-D arrays, summed as the module docstring defines. `0 - t`
+    squares to `t*t`, so a zero `a` gives the same sum as `b` alone: S = 1
+    exactly. Rows summed in parts that start at multiples of
+    `SUM_BLOCK_ROWS`, each part given the sum so far as `total`, give the
+    bits of one call over all of them."""
     rows = a.shape[0]
     buf = np.empty((min(SUM_BLOCK_ROWS, rows),) + a.shape[1:])
     for i in range(0, rows, SUM_BLOCK_ROWS):
@@ -168,10 +131,8 @@ def _sum_sq(a: np.ndarray, b: np.ndarray | None = None, total: float = 0.0) -> f
 
 
 def short_time_reference(truth: np.ndarray, short_k: int) -> float:
-    """||truth[:short_k]||_F, the denominator of the short-time error; a
-    truth may be a `MatrixReader`, whose first `short_k` rows stream."""
-    if not isinstance(truth, MatrixReader):
-        truth = np.asarray(truth, dtype=np.float64)
+    """||truth[:short_k]||_F of a `_matrix` truth, the denominator of the
+    short-time error; of a `MatrixReader`, only those rows stream."""
     _window("short_k", short_k, truth.shape[0])
     total = 0.0
     for _, block in row_blocks(truth, short_k):
@@ -191,13 +152,9 @@ def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int) -> float
 
 @np.errstate(over="ignore", invalid="ignore")
 def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
-    """Log power spectrum of the trailing `long_k` rows along the space axis.
-
-    Each row's power re^2 + im^2 at wavenumbers 0..kmax is taken from its
-    real DFT (`np.fft.rfft`), and mirrored to -kmax..-1, where a real row's
-    power is the same. Columns run from wavenumber -kmax to kmax. The
-    natural log is taken with the zero-power convention (module docstring).
-    """
+    """Log power spectrum of the trailing `long_k` rows along the space
+    axis, columns from wavenumber -kmax to kmax, as the module docstring
+    defines it, zero-power convention included."""
     x = _matrix(x)
     rows, n = x.shape
     if n % 2 != 0:
@@ -222,7 +179,7 @@ def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
 def spectral_reference(truth: np.ndarray, windows: MetricWindows) -> tuple[np.ndarray, float]:
     """The truth's log spectrum (`power_spectrum_rows`) and its Frobenius
     norm; of a `MatrixReader`, only the trailing `long_k` rows are read."""
-    t = tail(_truth(truth), windows.long_k)
+    t = tail(_matrix(truth), windows.long_k)
     p_truth = power_spectrum_rows(t, windows.long_k, windows.kmax)
     return p_truth, math.sqrt(_sum_sq(p_truth))
 
@@ -279,7 +236,7 @@ def histogram_reference(truth: np.ndarray, windows: MetricWindows) -> list:
     """The truth side of `histogram_l1` for each coordinate of the trailing
     `long_k` rows of a 3-column truth (of a `MatrixReader`, only those rows
     are read)."""
-    truth = _truth(truth)
+    truth = _matrix(truth)
     if truth.shape[1] != 3:
         raise MetricError(f"histogram metric requires 3 columns, got {truth.shape[1]}")
     _window("long_k", windows.long_k, truth.shape[0])
@@ -299,9 +256,7 @@ def score_long_time_histogram(pred: np.ndarray, truth: np.ndarray,
 
 
 class _Score:
-    """One S of a prediction that comes in row blocks, in row order: `add`
-    takes each block, with the same rows of the truth before row `need`,
-    and `value`, after the last, gives S. Only `value` takes the truth side
+    """One S, fed as `scorer` says. Only `value` takes the truth side
     (through `_once`) and judges the windows against the truth, so a
     prediction that is never valued raises nothing."""
 
@@ -328,9 +283,6 @@ class _ShortTime(_Score):
         self.total = 0.0
 
     def add(self, start: int, block: np.ndarray, truth: np.ndarray | None = None) -> None:
-        """Take `block`, the prediction's rows from row `start` on, and
-        `truth`, the truth's (any rows from `need` on may be left out);
-        without `truth`, an in-memory truth gives them."""
         stop = min(start + len(block), self.short_k)
         if start < stop:
             t = self.t[start:stop] if truth is None else truth[: stop - start]
@@ -392,7 +344,7 @@ def scorer(kind: MetricKind, truth: np.ndarray, windows: MetricWindows) -> _Scor
     truth's same rows before row `need` (`truth_block` may be left out for
     an in-memory truth), then `value()`. Fed the same values, it gives the
     bits of `score_*`."""
-    t = _truth(truth)
+    t = _matrix(truth)
     if kind is MetricKind.SHORT_TIME:
         return _ShortTime(truth, t, windows.short_k)
     return (_Spectral if kind is MetricKind.LONG_TIME_SPECTRAL else _Histogram)(truth, t, windows)

@@ -1,39 +1,14 @@
-"""Independent scoring: task registry, submission validation, evaluation,
-run aggregation and the persistent leaderboard.
+"""Independent scoring: the task registry (`task_registry`), submissions
+(`load_submission`, `validate_submission`), scoring (`evaluate`), run
+aggregation (`aggregate_runs`) and the leaderboard store
+(`update_leaderboard`).
 
-The registry maps each of the twelve scores E1..E12 to its training
-input(s), optional burn-in, prediction file and ground-truth file. Scoring
-a task touches exactly one test matrix (the task's truth), so the test
-half of a pack is enough to validate and evaluate any submission: held in
-memory (`read_pack(directory, names=TEST_NAMES)`), or held open, one
-`matio.MatrixReader` per distinct window, as `ctfbench score` holds it
-(`datagen.open_pack`). A submission missing or failing validation for a
-prediction receives -100 for every score depending on it, while the
-remaining scores are still computed.
-
-`evaluate` scores a run one prediction at a time, through a loader that
-`ctfbench score` points at the run's files (`open_prediction`). A `.mat`
-prediction streams from its file through one buffer of a few MB, each
-block checked for finiteness and given, beside the same rows of its truth,
-to every task that scores it; a truth held open streams beside it, as
-far as the tasks need its rows (the first `short_k` of a forecast, the
-whole window of a reconstruction, none for a long-time score), so a
-command holds neither whole. A score is None exactly for a prediction
-that `validate_submission` names, and `evaluate` records that verdict for
-each prediction, so `ctfbench score` takes its exit status from the None
-scores of its card and words its warnings from the verdicts.
-`evaluate` checks each truth although the pack was checked when it was
-read, because library callers may build or change a pack in memory
-without `read_pack`; each metric function takes its own truth side.
-Within a `truth_table()` block, as in `ctfbench score`, that check, the
-pack's own and the truth sides are done once per distinct truth (array or
-reader) and shared by every run scored in the block.
-
-Scorecards and the store are read and written by `matio`'s codec. The rules
-that only a document read from disk must meet (score ranges, known
-datasets, exactly E1..E12, a card's composites and aggregates being the
-ones its runs give) are `validate()` hooks, which only the decoder calls,
-so a card built in memory may be partial.
+Scoring a task touches only the task's truth, so the test half of a pack,
+read (`read_pack`) or held open (`datagen.open_pack`), scores any
+submission. Scorecards and the store are read and written by `matio`'s
+codec. The rules that only a document read from disk must meet are
+`validate()` hooks, which only the decoder calls, so a card built in
+memory may be partial.
 """
 
 from __future__ import annotations
@@ -226,13 +201,9 @@ def validate_submission(
 ) -> list[str]:
     """Report violations per prediction; an empty list means fully scoreable."""
     shapes = {t.prediction_name: t.truth_shape for t in task_registry(pack.dataset_id, windows)}
-    verdicts = {name: _verdict(sub.predictions.get(name), shape) for name, shape in shapes.items()}
+    verdicts = {name: _MISSING if sub.predictions.get(name) is None
+                else matio.problem(sub.predictions[name], shape) for name, shape in shapes.items()}
     return [f"{name}: {why}" for name, why in verdicts.items() if why is not None]
-
-
-def _verdict(pred: np.ndarray | None, shape: tuple[int, int]) -> str | None:
-    """Why `pred` cannot be scored against a truth of `shape`, or None."""
-    return _MISSING if pred is None else matio.problem(pred, shape)
 
 
 def _check_aggregate(mean: float, std: float, key: str = "") -> None:
@@ -312,6 +283,8 @@ def read_scorecard(path: str | Path) -> ScoreCard:
 
 
 def _check_truth(pack: DatasetPack, task: TaskSpec) -> np.ndarray:
+    """The task's truth, checked although a pack read from disk was checked
+    when it was read: a library caller may build or change one in memory."""
     truth = pack.matrix(task.truth_name)
     why = _once(truth, task.truth_shape, lambda: matio.problem(truth, task.truth_shape))
     if why is not None:
@@ -337,23 +310,19 @@ def _feed(pred, truth, scorers: list) -> bool:
 
 def _score(tasks: list[TaskSpec], pred, pack: DatasetPack,
            run_id: str) -> tuple[str | None, dict]:
-    """Why prediction `pred` of run `run_id` cannot be scored, or None, and
-    the score of each of `tasks`, which all score it against one truth (None
-    for every task when it cannot be scored). `pred` is None for a missing
-    prediction, an array, or a `matio.MatrixReader`, which is closed here;
-    so may the truth be an array or a reader. The truth is checked first,
-    then the prediction's shape; then each block of rows is checked for
-    finiteness and given to every task beside the same rows of the truth,
-    and the scores are taken after the last block, only when every block
-    was finite. A non-finite S is logged under the run and score id."""
+    """Why prediction `pred`, as `evaluate`'s `load` gives it, of run
+    `run_id` cannot be scored, or None, and the score of each of `tasks`,
+    which all score it against one truth (None for every task when it
+    cannot be scored). The truth is checked first, then the prediction's
+    shape; then its row blocks go to every task (`_feed`), and the scores
+    are taken after the last block, only when every block was finite. A
+    non-finite S is logged under the run and score id."""
     try:
         truth = _check_truth(pack, tasks[0])
         why = _MISSING if pred is None else matio.misfit(pred.shape, truth.shape)
         if why is None:
             scorers = [metrics.scorer(t.metric, truth, t.windows) for t in tasks]
-            if not isinstance(pred, matio.MatrixReader):
-                pred = np.asarray(pred, dtype=np.float64)
-            if _feed(pred, truth, scorers):
+            if _feed(metrics._matrix(pred), truth, scorers):
                 return None, {t.score_id: metrics.to_score(scorer.value(),
                                                            f"[{run_id}] {t.score_id}")
                               for t, scorer in zip(tasks, scorers)}
@@ -373,9 +342,8 @@ def _aggregate(values: list[float]) -> ScoreAggregate:
 
 
 def _card(method: str, dataset: str, runs: list[RunScores], windows: dict) -> ScoreCard:
-    """A ScoreCard whose aggregates are the mean/std of `runs`, a missing
-    score counting as -100; a single run aggregates to its own scores with
-    std 0."""
+    """A ScoreCard of `runs`, aggregated as `aggregate_runs` states: a
+    single run aggregates to its own scores with std 0."""
     return ScoreCard(
         method_name=method,
         dataset_id=dataset,
@@ -394,14 +362,15 @@ def evaluate(sub: Submission, pack: DatasetPack, windows: MetricWindows | None =
              verdicts: dict[str, str | None] | None = None) -> ScoreCard:
     """Score a single run against a pack, producing a one-run ScoreCard.
 
-    The run is scored one prediction at a time: `load(name)`, by default
+    A prediction that `validate_submission` names scores None on every
+    task that depends on it; the others are still scored (`_score`). The
+    run is scored one prediction at a time: `load(name)`, by default
     `sub.predictions.get`, gives the prediction `name`: None when the run
-    has none, an array, or a `matio.MatrixReader` open on its file, which is
-    streamed through every task of the prediction at once and closed. It is
-    called when the prediction's first task comes, and the prediction is
-    dropped after its last task, before the next one is loaded. `verdicts`,
-    when given, is filled in `PREDICTION_NAMES` order with why each
-    prediction cannot be scored, or None when it can.
+    has none, an array, or an open `matio.MatrixReader`, which is closed
+    here. It is called when the prediction's first task comes, and the
+    prediction is dropped after its last task, before the next is loaded.
+    `verdicts`, when given, is filled in `PREDICTION_NAMES` order with why
+    each prediction cannot be scored, or None when it can.
     """
     base = windows or MetricWindows()
     load = sub.predictions.get if load is None else load

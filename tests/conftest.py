@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +135,19 @@ def fail_writes_to(monkeypatch, name):
         return fd, tmp
 
     monkeypatch.setattr(matio, "_temp_beside", temp_beside)
+
+
+def interrupt_rename_to(monkeypatch, name):
+    """Make the rename of a temp file onto a file called `name` raise
+    KeyboardInterrupt before it happens, as Ctrl-C there would."""
+    real = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == name:
+            raise KeyboardInterrupt
+        real(src, dst)
+
+    monkeypatch.setattr(matio.os, "replace", replace)
 
 
 def traced_peak(call, *args, **kwargs):

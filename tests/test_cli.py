@@ -19,7 +19,8 @@ import ctfbench as cb
 from ctfbench import baselines, datagen, dynamics, matio, referee
 from ctfbench.cli import main
 from ctfbench.metrics import MetricKind
-from conftest import DAMAGED_PACKS, damage, fail_writes_to, oracle_submission, traced_peak
+from conftest import (DAMAGED_PACKS, damage, fail_writes_to, interrupt_rename_to,
+                      oracle_submission, traced_peak)
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +295,23 @@ class TestGenerate:
         with pytest.raises(cb.PackValidationError, match="missing manifest"):
             cb.read_pack(pack_copy)
         assert len(list(pack_copy.iterdir())) == 19
+
+    # Ctrl-C at the rename of X2train.mat, after X1train.mat is replaced:
+    # no temp file is left beside the pack, and no manifest.
+    @pytest.mark.parametrize("writer", ["generate", "write_pack"])
+    def test_interrupted_overwrite_leaves_no_temp_file(self, pack_copy, monkeypatch, writer):
+        before = (pack_copy / "X1train.mat").read_bytes()
+        interrupt_rename_to(monkeypatch, "X2train.mat")
+        with pytest.raises(KeyboardInterrupt):
+            if writer == "generate":
+                cb.generate_pack("lorenz", 4, None, pack_copy)
+            else:
+                cb.write_pack(cb.build_pack("lorenz", 4), pack_copy)
+        assert sorted(p.name for p in pack_copy.iterdir()) == sorted(
+            f"{name}.mat" for name in datagen.MATRIX_LAYOUT)
+        assert (pack_copy / "X1train.mat").read_bytes() != before
+        with pytest.raises(cb.PackValidationError, match="missing manifest"):
+            cb.read_pack(pack_copy)
 
     def test_csv_export_streams_the_written_files(self, runner, tmp_path, monkeypatch):
         out, reference = tmp_path / "p", tmp_path / "reference"

@@ -134,6 +134,28 @@ def test_unequal_window_rejected_on_read(lorenz_pack, tmp_path, name, equal_to):
         cb.read_pack(directory, names=(equal_to, name))
 
 
+def _with_nan(x):
+    x = x.copy()
+    x[5, 1] = np.nan
+    return x
+
+
+# `write_pack` validates before it removes the manifest or writes a file.
+@pytest.mark.parametrize("edit,why", [
+    (_nudged, "X4test must equal X1train (same trajectory window)"),
+    (_with_nan, "X4test: contains non-finite values"),
+], ids=["nudged", "nan"])
+def test_invalid_write_leaves_the_pack_as_it_was(lorenz_pack, tmp_path, edit, why):
+    cb.write_pack(lorenz_pack, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    broken = replace(lorenz_pack, test={**lorenz_pack.test,
+                                        "X4test": edit(lorenz_pack.test["X4test"])})
+    with pytest.raises(PackValidationError, match=f"^{re.escape(why)}$"):
+        cb.write_pack(broken, tmp_path)
+    assert len(before) == 20
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_parametric_trajectories_are_distinct(lorenz_pack):
     train, test = lorenz_pack.train, lorenz_pack.test
     assert not np.array_equal(train["X6train"], train["X7train"])
@@ -448,6 +470,19 @@ class TestConfig:
         cb.write_pack(pack, tmp_path)
         assert cb.read_pack(tmp_path, names=("X1test",)).manifest == pack.manifest
 
+    # `resolve_config` casts an override's train_params to float; settings
+    # made directly hold each element to the codec too.
+    def test_numpy_train_params_element_writes_and_reads_back(self):
+        cfg = replace(datagen.resolve_config("lorenz"), train_params=(np.int64(26), 28.0, 30.0))
+        assert cfg.train_params == (26, 28.0, 30.0) and type(cfg.train_params[0]) is int
+        manifest = datagen._manifest(cfg, 1)
+        doc = json.loads(matio.dump_json(manifest.to_dict()))
+        assert matio.decode(datagen.Manifest, doc) == manifest
+
+    def test_bool_train_params_element_names_its_field(self):
+        with pytest.raises(ValueError, match=r"^train_params\[0\]: expected float, got true$"):
+            replace(datagen.resolve_config("lorenz"), train_params=(True, 28.0, 30.0))
+
     def test_ks_defaults(self):
         cfg = datagen.resolve_config("ks")
         assert cfg.dt == 0.025
@@ -634,6 +669,33 @@ def test_generate_frees_each_trajectory_after_its_last_window(tmp_path, monkeypa
     for name, digest in MATRIX_SHA256["lorenz"].items():
         payload = (tmp_path / f"{name}.mat").read_bytes()[24:]
         assert hashlib.sha256(payload).hexdigest() == digest, name
+
+
+# The finiteness check reads a block's pages, which a worker wrote: the
+# trajectory of a window let go must be unmapped before any block of the
+# next file is checked, or the two are resident at once.
+def test_generate_checks_no_block_while_an_earlier_window_is_held(tmp_path, monkeypatch):
+    refs, mapped, real = record_mappings(monkeypatch), collections.defaultdict(set), matio._all_finite
+    writing, init = [], matio.MatrixWriter.__init__
+
+    def opening(self, path, shape):
+        writing.append(Path(path).stem)
+        init(self, path, shape)
+
+    def checking(block):
+        mapped[writing[-1]].update(t for t, ref in zip(TRAJECTORIES, refs) if ref() is not None)
+        return real(block)
+
+    monkeypatch.setattr(matio.MatrixWriter, "__init__", opening)
+    monkeypatch.setattr(matio, "_all_finite", checking)
+    gc.disable()
+    try:
+        datagen.generate_pack("lorenz", 11, None, tmp_path)
+    finally:
+        gc.enable()
+    order = list(datagen._SOURCES)
+    for k, name in enumerate(order):
+        assert mapped[name] == {datagen._SOURCES[later][0] for later in order[k:]}, name
 
 
 @pytest.mark.parametrize("fails", ["X2train.mat", "X1test.mat", "X8test.mat"])

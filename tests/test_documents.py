@@ -1,12 +1,15 @@
 """Malformed manifests, scorecards and leaderboard stores: every command that
 reads one exits 0, or exits 1 with `Error:`, and never ends in a traceback."""
 
+import ast
 import copy
 import fnmatch
+import inspect
 import json
 import os
 import re
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -280,11 +283,16 @@ def test_deeply_nested_document_is_named_error(runner, docs, tmp_path, name):
             "exceeded" in result.output, argv
 
 
+def _readme_refs() -> set[str]:
+    """Each `cb.<dotted name>` and `cb.<pattern>*` that the README names."""
+    text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    return set(re.findall(r"\bcb\.([A-Za-z_][\w.]*\*?)", text))
+
+
 def test_readme_api_references_resolve():
     # Each `cb.<dotted name>` in the README names an attribute of the
     # package, and each `cb.<pattern>*` matches at least one.
-    text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
-    refs = set(re.findall(r"\bcb\.([A-Za-z_][\w.]*\*?)", text))
+    refs = _readme_refs()
     assert "datagen.open_pack" in refs and "score_*" in refs
     for ref in sorted(refs):
         if ref.endswith("*"):
@@ -294,3 +302,45 @@ def test_readme_api_references_resolve():
         for part in ref.rstrip(".").split("."):
             assert hasattr(obj, part), f"cb.{ref} does not resolve"
             obj = getattr(obj, part)
+
+
+# Dataclasses and an enum whose fields are their whole contract.
+_UNDOCUMENTED = {"Leaderboard", "LeaderboardEntry", "MetricKind", "ScoreCard", "Submission",
+                 "TaskSpec"}
+
+
+def _has_own_docstring(obj) -> bool:
+    """Whether the source of function or class `obj` opens with a docstring;
+    a dataclass's generated `__doc__` does not count."""
+    node = ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0]
+    return bool(ast.get_docstring(node))
+
+
+def test_public_names_keep_their_docstrings():
+    # Each function and class in `cb.__all__`, or that a README `cb.`
+    # reference reaches, states its contract in a docstring of its own.
+    objs = {name: getattr(cb, name) for name in cb.__all__}
+    for ref in _readme_refs():
+        if ref.endswith("*"):
+            objs.update((name, getattr(cb, name)) for name in fnmatch.filter(dir(cb), ref))
+            continue
+        obj = cb
+        for part in ref.rstrip(".").split("."):
+            obj = getattr(obj, part)
+        objs[ref] = obj
+    checked = {name: obj for name, obj in objs.items()
+               if (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__name__ not in _UNDOCUMENTED}
+    assert "matio.MatrixWriter" in checked and "score_short_time" in checked
+    assert [name for name, obj in sorted(checked.items()) if not _has_own_docstring(obj)] == []
+
+
+def test_every_command_keeps_its_help_text():
+    def commands(command, path):
+        yield path, command
+        for name, sub in getattr(command, "commands", {}).items():
+            yield from commands(sub, f"{path} {name}")
+
+    found = dict(commands(main, "ctfbench"))
+    assert len(found) == 8 and "ctfbench leaderboard add" in found
+    assert [path for path, command in found.items() if not (command.help or "").strip()] == []

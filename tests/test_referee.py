@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ctfbench as cb
-from conftest import oracle_submission
+from conftest import interrupt_rename_to, oracle_submission
 from ctfbench.metrics import MetricKind, MetricWindows
 from ctfbench.referee import (
     PREDICTION_NAMES,
@@ -434,6 +434,16 @@ class TestLeaderboard:
         entries = board.entries("ODE_Lorenz")
         assert [(e.rank, e.method_name) for e in entries] == [(1, "A"), (2, "B")]
         assert entries[0].composite_mean == 80.0
+
+    def test_interrupted_store_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        store = tmp_path / "board.json"
+        update_leaderboard(store, make_card("A", {}, 50.0))
+        before = store.read_bytes()
+        interrupt_rename_to(monkeypatch, "board.json")
+        with pytest.raises(KeyboardInterrupt):
+            update_leaderboard(store, make_card("B", {}, 70.0))
+        assert [p.name for p in tmp_path.iterdir()] == ["board.json"]
+        assert store.read_bytes() == before
 
     def test_ties_break_alphabetically(self, tmp_path):
         store = tmp_path / "board.json"
