@@ -21,7 +21,7 @@ from typing import Literal
 import numpy as np
 
 from . import matio
-from .matio import _once, truth_table
+from .matio import _once
 # integrate_ks and integrate_lorenz are not called here but stay importable
 # from this module, where the perfbench tracer looks them up.
 from .dynamics import (  # noqa: F401
@@ -393,20 +393,47 @@ def _firsts(names: Iterable[str]) -> dict[str, str]:
 
 def _checked(mats: dict, cols: int) -> None:
     """`validate_pack`'s checks of the matrices in `mats`, which may be any
-    of the pack's, each an array or an open `matio.MatrixReader`: each one's
-    shape and finiteness, and each identical-window pair whose two members
-    are both in `mats` (`matio.equal`). A matrix held under several names of
-    one shape is checked once, under the first, and once in a whole
-    `truth_table()` block."""
-    with truth_table():
-        for name, x in mats.items():
-            shape = (MATRIX_LAYOUT[name][0], cols)
-            why = _once(x, shape, lambda: matio.problem(x, shape))
-            if why is not None:
-                raise PackValidationError(f"{name}: {why}")
-    for name, other in _firsts(mats).items():
-        if mats[name] is not mats[other] and not matio.equal(mats[name], mats[other]):
-            raise PackValidationError(f"{name} must equal {other} (same trajectory window)")
+    of the pack's, each an array or an open `matio.MatrixReader`, in
+    `_SOURCES` order: each one's shape and finiteness, then each
+    identical-window pair whose two members are both in `mats`. Each group
+    of identical windows streams once. Its first member's verdict is
+    `matio.problem`'s, kept by `_once`; a reader's is taken from the blocks
+    that `_beside` gives, so its later members are compared in that same
+    stream. An array costs no read to go over again, so its later members
+    are compared one at a time (`matio.equal`), holding one buffer. A later
+    member held as its first's object is not read; one that differs is
+    judged on its own, and raises `X must equal Y` once every verdict has
+    passed."""
+    firsts, same = _firsts(mats), {}
+    for name, first in firsts.items():
+        x, shape = mats[name], (MATRIX_LAYOUT[name][0], cols)
+        if name == first:
+            later = {n: mats[n] for n, f in firsts.items() if f == name != n and mats[n] is not x}
+            streamed = (_beside(x, later, same),) if isinstance(x, matio.MatrixReader) else ()
+            why = _once(x, shape, lambda: matio.problem(x, shape, *streamed))
+            if why is None:
+                same |= {n: matio.equal(m, x) for n, m in later.items() if n not in same}
+        else:
+            why = None if x is mats[first] or same[name] else matio.problem(x, shape)
+        if why is not None:
+            raise PackValidationError(f"{name}: {why}")
+    for name, first in firsts.items():
+        if same.get(name) is False:
+            raise PackValidationError(f"{name} must equal {first} (same trajectory window)")
+
+
+def _beside(x, later: dict, same: dict):
+    """The row blocks of `x`, each compared (`np.array_equal`), before it is
+    given out, with the same rows of every matrix of `later` of `x`'s shape,
+    which stream in lockstep with it: `same[name]` is False once one
+    differs, and it is then read no further, or True once the last block
+    has passed."""
+    streams = {n: matio.row_blocks(m) for n, m in later.items() if m.shape == x.shape}
+    for start, block in matio.row_blocks(x):
+        for n, rows in streams.items():
+            if same.get(n, True):
+                same[n] = np.array_equal(block, next(rows)[1])
+        yield start, block
 
 
 def _write(directory: str | Path, manifest: Manifest, mats) -> None:
@@ -497,11 +524,11 @@ def _opened(directory: str | Path, names: Iterable[str] | None, window):
     The manifest is read and validated, then each named file (all by
     default) is opened as a `matio.MatrixReader` in `_SOURCES` order, so a
     missing file or a header that does not fit its size raises as it is
-    met. A later member of an identical-window group that equals its
-    group's first as the two stream in lockstep (`matio.equal`) is held as
-    the first's object, never read whole; any other matrix is
-    `window(reader)`. Then `_checked` runs; the readers close when the
-    block ends."""
+    met. The first member of each identical-window group is
+    `window(reader)`; the later members stay readers for `_checked`, which
+    reads each file once and passes only when each later member equals its
+    first. The pack then holds each group as its first's object, and no
+    later member is read whole. The readers close when the block ends."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
@@ -511,14 +538,13 @@ def _opened(directory: str | Path, names: Iterable[str] | None, window):
     unknown = sorted(wanted - set(MATRIX_LAYOUT))
     if unknown:
         raise PackValidationError(f"unknown pack matrices: {', '.join(unknown)}")
-    mats = {}
+    mats, firsts = {}, _firsts(wanted)
     with ExitStack() as held:
-        for name, other in _firsts(wanted).items():
+        for name, first in firsts.items():
             path = directory / f"{name}.mat"
             if not path.is_file():
                 raise PackValidationError(f"missing matrix file: {path}")
             m = held.enter_context(matio.MatrixReader(path))
-            same = other != name and matio.equal(m, mats[other])
-            mats[name] = mats[other] if same else window(m)
+            mats[name] = window(m) if name == first else m
         _checked(mats, DATASET_DIMS[manifest.dataset_id])
-        yield _assemble(mats, manifest)
+        yield _assemble({name: mats[first] for name, first in firsts.items()}, manifest)

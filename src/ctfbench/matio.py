@@ -53,12 +53,14 @@ def misfit(got: tuple[int, ...], shape: tuple[int, int]) -> str | None:
     return None if got == shape else f"shape {tuple(got)} does not match required {shape}"
 
 
-def problem(x, shape: tuple[int, int]) -> str | None:
+def problem(x, shape: tuple[int, int], blocks=None) -> str | None:
     """Why `x`, an array or a `MatrixReader`, is not an acceptable matrix of
     `shape` (wrong shape or a non-finite value), or None when it is. The
-    values are checked by `row_blocks`."""
+    values are checked by `blocks`, by default `row_blocks(x)`, as far as
+    the first non-finite one."""
+    blocks = row_blocks(x) if blocks is None else blocks
     return misfit(x.shape, shape) or (
-        None if all(_all_finite(block) for _, block in row_blocks(x)) else NON_FINITE)
+        None if all(_all_finite(block) for _, block in blocks) else NON_FINITE)
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -109,6 +111,11 @@ def _once(x: np.ndarray, key, work):
     return hit[1]
 
 
+def _kept(x: np.ndarray, key) -> bool:
+    """Whether the open truth table holds `_once`'s result for `x` and `key`."""
+    return (id(x), key) in (_TRUTHS.get() or {})
+
+
 def make_dir(path: Path) -> None:
     """Create directory `path` and its parents; a file in the way or a
     missing permission raises CTFBenchError naming `path`."""
@@ -149,15 +156,20 @@ class _AtomicFile:
     """A new temp file beside `path`, open for binary writes, that replaces
     `path` on `close()` and is removed on `abandon()`. A `with` block closes
     it when the block completes and abandons it when the block raises;
-    `close()` abandons it when anything stops it, an interrupt included. An
-    OSError from a write, or from the flush and close at the end, is a
-    CTFBenchError `<path>: cannot write: <why>`; one from the rename,
-    `<path>: cannot replace: <why>`."""
+    the constructor and `close()` abandon it when anything stops them, an
+    interrupt included. An OSError from a write, or from the flush and
+    close at the end, is a CTFBenchError `<path>: cannot write: <why>`; one
+    from the rename, `<path>: cannot replace: <why>`."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         fd, self._tmp = _temp_beside(self.path)
-        self._fh = os.fdopen(fd, "wb")
+        try:
+            self._fh = os.fdopen(fd, "wb")
+        except BaseException:
+            os.close(fd)
+            os.unlink(self._tmp)
+            raise
 
     def _named(self, what: str, call, *args) -> None:
         try:
@@ -236,7 +248,11 @@ class MatrixWriter(_AtomicFile):
     def __init__(self, path: str | Path, shape: tuple[int, int]):
         super().__init__(path)
         self.shape, self._left = shape, 8 * shape[0] * shape[1]
-        super().write(MAGIC + _HEADER.pack(*shape))
+        try:
+            super().write(MAGIC + _HEADER.pack(*shape))
+        except BaseException:
+            self.abandon()
+            raise
 
     def write(self, block: np.ndarray) -> None:
         """Append the rows of `block`, made contiguous here if they are not."""

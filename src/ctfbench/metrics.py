@@ -30,7 +30,7 @@ import numpy as np
 
 from . import elementary
 from .exceptions import MetricError
-from .matio import SUM_BLOCK_ROWS, MatrixReader, _check_fields, _once, row_blocks, tail
+from .matio import SUM_BLOCK_ROWS, MatrixReader, _check_fields, _kept, _once, tail
 
 logger = logging.getLogger(__name__)
 
@@ -128,16 +128,6 @@ def _sum_sq(a: np.ndarray, b: np.ndarray | None = None, total: float = 0.0) -> f
             np.multiply(block, block, out=block)
         total += float(np.add.reduce(block, axis=None))
     return total
-
-
-def short_time_reference(truth: np.ndarray, short_k: int) -> float:
-    """||truth[:short_k]||_F of a `_matrix` truth, the denominator of the
-    short-time error; of a `MatrixReader`, only those rows stream."""
-    _window("short_k", short_k, truth.shape[0])
-    total = 0.0
-    for _, block in row_blocks(truth, short_k):
-        total = _sum_sq(block, None, total)
-    return math.sqrt(total)
 
 
 def score_short_time(pred: np.ndarray, truth: np.ndarray, short_k: int) -> float:
@@ -273,24 +263,32 @@ class _Score:
 
 
 class _ShortTime(_Score):
-    """The short-time S: `_sum_sq` of each block's rows before `short_k`."""
+    """The short-time S: `_sum_sq` of each block's rows before `short_k`.
+    The truth's own `_sum_sq` over those rows, the reference, is summed from
+    the same truth rows unless the truth table holds it already."""
 
     def __init__(self, truth, t: np.ndarray, short_k: int):
         super().__init__(truth, t)
         if not isinstance(short_k, (int, np.integer)):
             _window("short_k", short_k)  # raises; `value` judges an integer's range
         self.short_k = self.need = short_k
-        self.total = 0.0
+        self.key = (MetricKind.SHORT_TIME, short_k)
+        self.total, self.ref = 0.0, None if _kept(truth, self.key) else 0.0
 
     def add(self, start: int, block: np.ndarray, truth: np.ndarray | None = None) -> None:
         stop = min(start + len(block), self.short_k)
         if start < stop:
             t = self.t[start:stop] if truth is None else truth[: stop - start]
             self.total = _sum_sq(block[: stop - start], t, self.total)
+            if self.ref is not None:
+                self.ref = _sum_sq(t, None, self.ref)
+
+    def _reference(self) -> float:
+        _window("short_k", self.short_k, self.t.shape[0])
+        return math.sqrt(self.ref)
 
     def value(self) -> float:
-        t, k = self.t, self.short_k
-        ref = _once(self.truth, (MetricKind.SHORT_TIME, k), lambda: short_time_reference(t, k))
+        ref = _once(self.truth, self.key, self._reference)
         if ref == 0.0:
             raise MetricError("zero-norm truth window: short-time score undefined")
         return math.sqrt(self.total) / ref

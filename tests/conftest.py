@@ -97,6 +97,13 @@ DAMAGED_PACKS = {
                                   [("nan", "X1test.mat"), ("unlink", "X9test.mat")]),
     "nan_X6test_changed_X3test": ("X6test: contains non-finite values",
                                   [("nudge", "X3test.mat"), ("nan", "X6test.mat")]),
+    "changed_X5test": ("X5test must equal X1test (same trajectory window)",
+                       [("nudge", "X5test.mat")]),
+    "nan_X1test_changed_X5test": ("X1test: contains non-finite values",
+                                  [("nan", "X1test.mat"), ("nudge", "X5test.mat")]),
+    "changed_X3test_nan_X5test": ("X5test: contains non-finite values",
+                                  [("nudge", "X3test.mat"), ("nan", "X5test.mat")]),
+    "nan_X7test": ("X7test: contains non-finite values", [("nan", "X7test.mat")]),
 }
 
 

@@ -877,28 +877,74 @@ class TestScore:
         # the spectrum of E2, E4 and E6; X2test (= X4test) the full-window norm
         # of E3 and E5; X6test (= X7test) the norms of E7 and E9 and the
         # spectrum of E8 and E10; X8test and X9test the norms of E11 and E12.
-        # Three runs take each once. The runs share their files.
+        # Three runs take each once, and sum each truth's squares once: the
+        # rows before short_k (all 10000 of X2test), and the two spectra of
+        # the 500-row tails. The runs share their files.
         run0 = referee.write_submission(oracle_submission(ks_pack), tmp_path / "subs")
         for run_id in ("run1", "run2"):
             (run0.parent / run_id).mkdir()
             for path in run0.iterdir():
                 os.link(path, run0.parent / run_id / path.name)
-        calls = []
-        for name in ("short_time_reference", "spectral_reference"):
-            def counting(truth, window, name=name, real=getattr(cb.metrics, name)):
-                calls.append((name, id(truth), window))
-                return real(truth, window)
+        taken, summed = [], collections.Counter()
+        once, sum_sq = cb.metrics._once, cb.metrics._sum_sq
 
-            monkeypatch.setattr(cb.metrics, name, counting)
+        def counting_once(truth, key, work):
+            return once(truth, key, lambda: taken.append((id(truth), key)) or work())
+
+        def counting_sum_sq(a, b=None, total=0.0):
+            if b is None:
+                summed[a.shape[1]] += len(a)
+            return sum_sq(a, b, total)
+
+        monkeypatch.setattr(cb.metrics, "_once", counting_once)
+        monkeypatch.setattr(cb.metrics, "_sum_sq", counting_sum_sq)
         result = runner.invoke(main, ["score", "--pack", str(ks_test_pack_dir), "--submission",
                                       str(run0.parent), "--runs-glob", "run*",
                                       "--out", str(tmp_path / "card.json"), "--json"])
         assert result.exit_code == 0, result.output
         card = json.loads(result.stdout)
         assert [run["composite"] for run in card["runs"]] == [100.0] * 3
-        assert collections.Counter(name for name, _, _ in calls) == {
-            "short_time_reference": 5, "spectral_reference": 2}
-        assert len(set(calls)) == len(calls)
+        assert collections.Counter(key[0] for _, key in taken) == {
+            MetricKind.SHORT_TIME: 5, MetricKind.LONG_TIME_SPECTRAL: 2}
+        assert len(set(taken)) == len(taken)
+        assert summed == {1024: 4 * 100 + 10000, 2 * 100 + 1: 2 * 500}
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_reads_each_file_the_pinned_times(self, runner, ks_pack, ks_test_pack_dir,
+                                              tmp_path, monkeypatch, runs):
+        # Payload rows read, by file. The check pass reads each test file
+        # once. Each run then reads each prediction once, X2test (= X4test)
+        # beside X2pred and again beside X4pred, and the first short_k = 100
+        # rows of X1test, X6test (beside X6pred and X7pred), X8test and
+        # X9test, which also give the short-time norms. The spectral truth
+        # sides read the 500-row tails of X1test and X6test once per command.
+        run0 = referee.write_submission(oracle_submission(ks_pack), tmp_path / "subs")
+        for i in range(1, runs):
+            (run0.parent / f"run{i}").mkdir()
+            for path in run0.iterdir():
+                os.link(path, run0.parent / f"run{i}" / path.name)
+        reads, fill = collections.Counter(), matio.MatrixReader._fill
+
+        def counting(reader, part):
+            reads[Path(reader.path).stem] += part.nbytes
+            fill(reader, part)
+
+        monkeypatch.setattr(matio.MatrixReader, "_fill", counting)
+        glob = ["--runs-glob", "run*"] if runs > 1 else []
+        result = runner.invoke(main, ["score", "--pack", str(ks_test_pack_dir), "--submission",
+                                      str(run0.parent if glob else run0), *glob,
+                                      "--out", str(tmp_path / "card.json")])
+        assert result.exit_code == 0, result.output
+        rows = {name: datagen.MATRIX_LAYOUT[name][0] for name in datagen.TEST_NAMES}
+        rows |= {pred: runs * rows[pred.replace("pred", "test")]
+                 for pred in referee.PREDICTION_NAMES}
+        for name, more in {"X1test": 500 + 100 * runs, "X2test": 2 * 10000 * runs,
+                           "X6test": 500 + 2 * 100 * runs, "X8test": 100 * runs,
+                           "X9test": 100 * runs}.items():
+            rows[name] += more
+        assert reads == {name: 8 * 1024 * n for name, n in rows.items()}
+        if runs == 1:
+            assert sum(reads.values()) <= 600 << 20  # 589.8 MiB of 421.7 MiB of files
 
     def test_scores_the_checked_files(self, runner, cli_pack_dir, pack_copy, tmp_path,
                                       monkeypatch):
@@ -1017,18 +1063,19 @@ class TestScore:
     def test_checks_each_distinct_truth_once(self, runner, cli_pack_dir, tmp_path,
                                              monkeypatch):
         # X1test = X3test = X5test, X2test = X4test and X6test = X7test: five
-        # distinct truths, checked by `read_pack` and not again by the referee.
-        # The predictions stream past `problem`: their shape is judged from the
-        # file header, their finiteness block by block.
+        # distinct truths, judged by the check pass of `open_pack` (each from
+        # the stream that carries its later members) and not again by the
+        # referee. The predictions stream past `problem`: their shape is
+        # judged from the file header, their finiteness block by block.
         pack = cb.read_pack(cli_pack_dir)
         run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
         del pack
         checked = []
         problem = matio.problem
 
-        def counting_problem(x, shape):
+        def counting_problem(x, shape, *blocks):
             checked.append(shape)
-            return problem(x, shape)
+            return problem(x, shape, *blocks)
 
         monkeypatch.setattr(matio, "problem", counting_problem)
         result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",

@@ -891,11 +891,10 @@ def test_open_pack_matrix_read_after_the_block_is_named_error(lorenz_pack, test_
 
 
 def test_each_read_of_the_test_half_is_pinned(test_windows_dir, monkeypatch):
-    # Payload bytes read, by file. `read_pack` reads each file once. The
-    # check pass of `open_pack` reads each later member once beside its
-    # group's first, and each distinct window once more for its finiteness:
-    # X1test (= X3test = X5test) three times, X2test (= X4test) and X6test
-    # (= X7test) twice.
+    # Payload bytes read, by file. `read_pack` and `open_pack` each read
+    # each file once: `open_pack`'s check pass streams every later member
+    # (X3test and X5test beside X1test, X4test beside X2test, X7test beside
+    # X6test) in lockstep with the one stream that judges its group's first.
     sizes = {f"{name}.mat": (test_windows_dir / f"{name}.mat").stat().st_size - 24
              for name in datagen.TEST_NAMES}
     read, fill = collections.Counter(), matio.MatrixReader._fill
@@ -909,8 +908,7 @@ def test_each_read_of_the_test_half_is_pinned(test_windows_dir, monkeypatch):
     assert read == sizes
     read.clear()
     opened_test_half(test_windows_dir)
-    times = {"X1test.mat": 3, "X2test.mat": 2, "X6test.mat": 2}
-    assert read == {name: size * times.get(name, 1) for name, size in sizes.items()}
+    assert read == sizes
 
 
 def test_later_member_equal_by_value_is_the_first_array(lorenz_pack, test_windows_dir):

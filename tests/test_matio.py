@@ -185,6 +185,32 @@ def test_writer_closed_off_its_shape_publishes_nothing(tmp_path, blocks, written
     assert [p.name for p in tmp_path.iterdir()] == ["x.mat"]
 
 
+def test_interrupt_opening_the_temp_file_leaves_nothing(tmp_path, monkeypatch):
+    opened = []
+
+    def fdopen(fd, *args):
+        opened.append(fd)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(matio.os, "fdopen", fdopen)
+    with pytest.raises(KeyboardInterrupt):
+        matio.write_json(tmp_path / "board.json", {})
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(OSError) as closed:
+        os.fstat(opened[0])
+    assert closed.value.errno == errno.EBADF
+
+
+def test_interrupt_in_the_header_write_leaves_nothing(tmp_path, monkeypatch):
+    def write(self, data):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(matio._AtomicFile, "write", write)
+    with pytest.raises(KeyboardInterrupt):
+        matio.write_matrix(tmp_path / "x.mat", np.ones((4, 3)))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("parent", ["nodir", "afile"])
 def test_check_writable_names_the_path_and_leaves_nothing(tmp_path, parent):
     (tmp_path / "afile").write_text("")

@@ -423,12 +423,11 @@ class TestRawWindows:
         (lambda: power_spectrum_rows(_T, 2, 2.0), "kmax must be an integer, got 2.0"),
         (lambda: power_spectrum_rows(_T, 2.0, 4), "long_k must be an integer, got 2.0"),
         (lambda: score_short_time(_P, _T, 1.5), "short_k must be an integer, got 1.5"),
-        (lambda: metrics.short_time_reference(_T, 2.0), "short_k must be an integer, got 2.0"),
         (lambda: power_spectrum_rows(np.ones(16), 2, 2), "expected 2-D matrices, got shape (16,)"),
         (lambda: metrics.histogram_reference(np.ones(16), MetricWindows(long_k=2)),
          "expected 2-D matrices, got shape (16,)"),
     ], ids=["bins-0", "bins-negative", "bins-float", "kmax-negative", "kmax-float",
-            "long_k-float", "short_k-float", "reference-short_k-float", "spectrum-1d",
+            "long_k-float", "short_k-float", "spectrum-1d",
             "histogram-reference-1d"])
     def test_refused_by_name(self, call, why):
         with pytest.raises(MetricError, match=f"^{re.escape(why)}$"):
@@ -447,10 +446,11 @@ class TestRawWindows:
 # Each kind: its score on a 40-row truth, the function that computes its
 # truth side, and how often that function runs for two scores in one
 # `truth_table()` block and outside one. A spectral score also computes the
-# prediction's spectrum, so `power_spectrum_rows` runs once more per score.
+# prediction's spectrum, so `power_spectrum_rows` runs once more per score,
+# and a short-time score also sums the squares of the prediction's error,
+# so `_sum_sq` does too.
 _SCORES = {
-    "short_time": (lambda p, t: cb.score_short_time(p, t, 5), 3,
-                   "short_time_reference", 1, 2),
+    "short_time": (lambda p, t: cb.score_short_time(p, t, 5), 3, "_sum_sq", 3, 4),
     "spectral": (lambda p, t: cb.score_long_time_spectral(p, t, MetricWindows(long_k=8, kmax=4)),
                  16, "power_spectrum_rows", 3, 4),
     "histogram": (lambda p, t: cb.score_long_time_histogram(p, t, MetricWindows(long_k=30, bins=7)),
