@@ -13,6 +13,7 @@ import numpy as np
 
 from . import matio
 from .datagen import DATASET_DIMS, DatasetPack
+from .metrics import _matrix
 from .referee import Submission, TaskSpec, task_registry
 
 
@@ -22,12 +23,13 @@ def predict_zeros(task: TaskSpec) -> np.ndarray:
 
 
 def predict_average(task: TaskSpec, train) -> np.ndarray:
-    """Every output row is the column-wise mean of the training matrix, an
-    array or an open `matio.MatrixReader`: a read-only view of that one
+    """Every output row is the column-wise mean of the 2-D training matrix,
+    an array or an open `matio.MatrixReader`: a read-only view of that one
     row, repeated without a copy. The mean is kept by `matio._once`."""
-    if math.prod(train.shape) == 0:
+    x = _matrix(train)
+    if math.prod(x.shape) == 0:
         raise ValueError("empty training matrix")
-    mean = matio._once(train, "column_mean", lambda: _column_mean(train))
+    mean = matio._once(train, "column_mean", lambda: _column_mean(x))
     return np.broadcast_to(mean, (task.truth_shape[0], mean.size))
 
 
@@ -36,8 +38,6 @@ def _column_mean(train) -> np.ndarray:
     `matio.row_blocks`, never held whole. numpy sums axis 0 row by row, so
     carrying the running sum in as the first row of each block's sum gives
     the bits of the whole sum; adding the blocks' own sums would not."""
-    if not isinstance(train, matio.MatrixReader):
-        train = np.asarray(train, dtype=np.float64)
     total = None
     for _, block in matio.row_blocks(train):
         if total is not None:

@@ -118,18 +118,10 @@ def _datasets(board: referee.Leaderboard, dataset: str | None) -> list[str]:
 def generate(system, seed, out_dir, data_root, dt, spinup, noise_medium, noise_high,
              train_params, interp, extrap, timestamp, with_csv, as_json):
     """Generate a dataset pack and write it to disk."""
-    overrides = {}
-    for key, value in (
-        ("dt", dt),
-        ("spinup_steps", spinup),
-        ("noise_medium", noise_medium),
-        ("noise_high", noise_high),
-        ("interp_param", interp),
-        ("extrap_param", extrap),
-        ("created", timestamp),
-    ):
-        if value is not None:
-            overrides[key] = value
+    given = {"dt": dt, "spinup_steps": spinup, "noise_medium": noise_medium,
+             "noise_high": noise_high, "interp_param": interp, "extrap_param": extrap,
+             "created": timestamp}
+    overrides = {k: v for k, v in given.items() if v is not None}
     if train_params is not None:
         try:
             overrides["train_params"] = tuple(float(v) for v in train_params.split(","))

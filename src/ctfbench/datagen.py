@@ -1,13 +1,10 @@
 """Dataset packs: nineteen training and test matrices cut from six
 simulated trajectories, and the manifest that regenerates them.
 
-`_SOURCES` is the one definition of the layout; `MATRIX_LAYOUT`, `_SPANS`
-and the identical-window checks derive from it. `PackConfig` owns the
+`_SOURCES` is the one definition of the layout. `PackConfig` owns the
 rules of the settings and `Manifest.validate` those of a manifest read
-back. `build_pack` builds a pack in memory; `write_pack` writes a built
-one and `generate_pack` one it never holds whole, both through `_write`.
-`read_pack` and `open_pack` read a pack through `_opened`, and every pack
-check is `_checked`'s.
+back. Packs are written by `_write`, read by `_opened` and checked by
+`_checked`.
 """
 
 from __future__ import annotations
@@ -71,8 +68,7 @@ _SOURCES: dict[str, tuple[str, int, int, tuple[str, str] | None]] = {
 }
 
 #: trajectory -> (first, end): the rows [first, end) of it that `_SOURCES`
-#: cuts. Only these are recorded; the steps before `first` are spin-up,
-#: integrated and judged, not kept.
+#: cuts, the only ones recorded.
 _SPANS: dict[str, tuple[int, int]] = {
     traj: (min(s for t, s, _, _ in _SOURCES.values() if t == traj),
            max(e for t, _, e, _ in _SOURCES.values() if t == traj))
@@ -260,7 +256,7 @@ def add_noise(x: np.ndarray, level: NoiseLevel, seed: int) -> np.ndarray:
 
 
 def _gather(blocks, shape: tuple[int, ...]) -> np.ndarray:
-    """One new array of `shape` holding the (first row, rows) `blocks`."""
+    """A new array of `shape` holding the (first row, rows) `blocks`."""
     out = np.empty(shape)
     for start, block in blocks:
         out[start:start + len(block)] = block
@@ -282,9 +278,8 @@ def _noisy(x: np.ndarray, fraction: float, seed: int):
 
 
 def _simulate(cfg: PackConfig, seeds: dict[str, int]) -> dict[str, np.ndarray]:
-    """Integrate the six trajectories at their varied parameter values, all
-    in one batch, each recording its `_SPANS` rows: row i of a trajectory is
-    its step `first + i`, and the steps before `first` are spin-up."""
+    """The six trajectories, integrated in one batch, each recording its
+    `_SPANS` rows; the steps before those are spin-up."""
     integrate = {"lorenz": _lorenz_batch, "ks": _ks_batch}[cfg.system]
     values = {
         "trajectory": cfg.nominal_param,
@@ -321,9 +316,8 @@ def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
 
 def _windows(system: str, master_seed: int, overrides: dict | None) -> tuple[Manifest, list]:
     """The manifest of a pack, and each of its matrices in `_SOURCES` order
-    as (name, window, noise): `window` is its noise-free rows, a view of its
-    trajectory's recorded rows (one view per distinct window), and `noise`
-    None or the (sigma fraction, seed) of the noise added to them."""
+    as (name, window, noise): `window` is a view of its noise-free rows, one
+    per distinct window, and `noise` None or the `_noisy` (fraction, seed)."""
     cfg = resolve_config(system, overrides)
     manifest = _manifest(cfg, master_seed)
     runs, cuts, windows = _simulate(cfg, manifest.seeds), {}, []
@@ -384,26 +378,20 @@ def validate_pack(pack: DatasetPack) -> None:
 
 def _firsts(names: Iterable[str]) -> dict[str, str]:
     """Each of `names`, in `_SOURCES` order, mapped to the first of them cut
-    from the same noise-free window: itself for a noisy matrix and for the
-    first member of an identical-window group."""
+    from the same noise-free window (itself when noisy or first)."""
     first: dict[tuple, str] = {}
     return {name: first.setdefault(source, name) if source[3] is None else name
             for name, source in _SOURCES.items() if name in names}
 
 
 def _checked(mats: dict, cols: int) -> None:
-    """`validate_pack`'s checks of the matrices in `mats`, which may be any
-    of the pack's, each an array or an open `matio.MatrixReader`, in
-    `_SOURCES` order: each one's shape and finiteness, then each
-    identical-window pair whose two members are both in `mats`. Each group
-    of identical windows streams once. Its first member's verdict is
-    `matio.problem`'s, kept by `_once`; a reader's is taken from the blocks
-    that `_beside` gives, so its later members are compared in that same
-    stream. An array costs no read to go over again, so its later members
-    are compared one at a time (`matio.equal`), holding one buffer. A later
-    member held as its first's object is not read; one that differs is
-    judged on its own, and raises `X must equal Y` once every verdict has
-    passed."""
+    """`validate_pack`'s checks of `mats` (any of the pack's matrices, each
+    an array or an open `matio.MatrixReader`) in `_SOURCES` order: shape and
+    finiteness (`matio.problem`, kept by `_once`), then identical windows.
+    A reader's later members are compared in its own stream (`_beside`), so
+    each file is read once; an array's, which cost no read, one at a time
+    (`matio.equal`). A later member that differs is judged on its own, and
+    `X must equal Y` comes after every verdict."""
     firsts, same = _firsts(mats), {}
     for name, first in firsts.items():
         x, shape = mats[name], (MATRIX_LAYOUT[name][0], cols)
@@ -423,11 +411,9 @@ def _checked(mats: dict, cols: int) -> None:
 
 
 def _beside(x, later: dict, same: dict):
-    """The row blocks of `x`, each compared (`np.array_equal`), before it is
-    given out, with the same rows of every matrix of `later` of `x`'s shape,
-    which stream in lockstep with it: `same[name]` is False once one
-    differs, and it is then read no further, or True once the last block
-    has passed."""
+    """The row blocks of `x`, each compared first with the same rows of each
+    matrix of `later` of its shape, streamed in lockstep: `same[name]` turns
+    False at a difference, and that one is read no further, or True."""
     streams = {n: matio.row_blocks(m) for n, m in later.items() if m.shape == x.shape}
     for start, block in matio.row_blocks(x):
         for n, rows in streams.items():
@@ -437,11 +423,10 @@ def _beside(x, later: dict, same: dict):
 
 
 def _write(directory: str | Path, manifest: Manifest, mats) -> None:
-    """Write a pack: remove manifest.json, write each `(name, shape, blocks)`
-    of `mats` to `<name>.mat` by its (first row, rows) `blocks`, then write
-    `manifest`. A write that fails or is interrupted leaves a directory that
-    `read_pack` refuses (`missing manifest`), never a manifest beside
-    matrices of another pack."""
+    """Write each `(name, shape, blocks)` of `mats` to `<name>.mat`, between
+    removing and writing manifest.json, so a write that fails or is
+    interrupted leaves `missing manifest`, never a manifest beside matrices
+    of another pack."""
     directory = Path(directory)
     matio.make_dir(directory)
     path = directory / "manifest.json"
@@ -460,9 +445,8 @@ def write_pack(pack: DatasetPack, directory: str | Path) -> None:
     """Write `pack` by `_write` once `validate_pack` passes it, so an
     invalid pack leaves the directory as it was."""
     validate_pack(pack)
-    mats = {**pack.train, **pack.test}
-    _write(directory, pack.manifest,
-           ((name, mats[name].shape, matio.row_blocks(mats[name])) for name in MATRIX_LAYOUT))
+    mats = ((name, pack.matrix(name)) for name in MATRIX_LAYOUT)
+    _write(directory, pack.manifest, ((name, x.shape, matio.row_blocks(x)) for name, x in mats))
 
 
 def generate_pack(system: str, master_seed: int, overrides: dict | None,
@@ -494,12 +478,13 @@ def _finite(name: str, blocks):
 
 
 def export_pack_csv(pack: DatasetPack, directory: str | Path) -> None:
-    """Write every pack matrix as CSV alongside the binary files."""
+    """Write every pack matrix as CSV alongside the binary files; a pack
+    missing one raises PackValidationError before any file is written."""
+    mats = [(name, pack.matrix(name)) for name in MATRIX_LAYOUT]
     directory = Path(directory)
     matio.make_dir(directory)
-    mats = {**pack.train, **pack.test}
-    for name in MATRIX_LAYOUT:
-        matio.write_csv(directory / f"{name}.csv", mats[name])
+    for name, x in mats:
+        matio.write_csv(directory / f"{name}.csv", x)
 
 
 def read_pack(directory: str | Path, names: Iterable[str] | None = None) -> DatasetPack:
@@ -520,15 +505,12 @@ def open_pack(directory: str | Path, names: Iterable[str] | None = None):
 
 @contextmanager
 def _opened(directory: str | Path, names: Iterable[str] | None, window):
-    """The checked pack of `read_pack` and `open_pack`, for a `with` block.
-    The manifest is read and validated, then each named file (all by
-    default) is opened as a `matio.MatrixReader` in `_SOURCES` order, so a
-    missing file or a header that does not fit its size raises as it is
-    met. The first member of each identical-window group is
-    `window(reader)`; the later members stay readers for `_checked`, which
-    reads each file once and passes only when each later member equals its
-    first. The pack then holds each group as its first's object, and no
-    later member is read whole. The readers close when the block ends."""
+    """The checked pack of `read_pack` and `open_pack`, for a `with` block:
+    the manifest is validated, then each named file is opened in `_SOURCES`
+    order, so a missing or malformed file raises as it is met. The pack
+    holds each identical-window group as its first member's
+    `window(reader)`, once `_checked` has read every file once. The readers
+    close when the block ends."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():

@@ -1,8 +1,7 @@
 """Ground-truth trajectories of the Lorenz ODE (`integrate_lorenz`) and the
-Kuramoto-Sivashinsky PDE (`integrate_ks`): deterministic float64 matrices
-of one time step per row. `_lorenz_batch` and `_ks_batch` integrate
-several at once, each as it would be alone; `_integrate` splits a batch
-over processes, and `_drive` steps each part and judges its rows.
+Kuramoto-Sivashinsky PDE (`integrate_ks`), one float64 time step per row.
+`_lorenz_batch` and `_ks_batch` integrate several at once over
+`_integrate`'s processes, each bit-identical to it integrated alone.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ _IC_MODES = 8
 
 
 def _positive(label: str, value: float) -> None:
-    """Refuse a `value` that is not positive and finite, NaN included, and an
-    integer beyond the largest float; the message starts with `label`."""
+    """Refuse a `value` that is not in (0, largest float], NaN included."""
     if not 0 < value <= sys.float_info.max:
         raise ValueError(f"{label} must be positive and finite")
 
@@ -167,21 +165,12 @@ def _diverged(values, among: Sequence[int]) -> int | None:
 
 def _drive(step, state, view, starts: Sequence[int], outs: Sequence[np.ndarray],
            halted) -> tuple[int, int] | None:
-    """Advance the batch `state` one step at a time and write row b of
-    `view(state)` at step i (i = 0 is the initial state) into
-    `outs[b][i - starts[b]]`, for its `len(outs[b])` steps from `starts[b]`
-    on; the steps before are its spin-up.
-
-    A row diverges at the first step whose `view(state)` row is not all
-    finite (`_diverged`). After every step, spin-up included, every row is
-    judged that has not passed its last recorded step. Stops at the first
-    failure and returns its (step; row), the lowest row of that step, or
-    None when every row stays finite.
-
-    Also stops, returning None with rows left unwritten, once `halted(step)`,
-    read every `_CHUNK` steps, says that another batch has diverged at or
-    before the current step: no later step of this one can come first.
-    """
+    """Step `state` and write row b of `view(state)` at step i (0 is the
+    initial state) into `outs[b][i - starts[b]]` while that is in range.
+    Returns the (step, row) of the first row to go non-finite (`_diverged`)
+    before its last recorded step, spin-up included, or None. Stops early,
+    rows unwritten, once `halted(step)` (read every `_CHUNK` steps) says that
+    another batch diverged no later: no later step of this one can win."""
     ends = [start + len(out) for start, out in zip(starts, outs)]
     live = list(range(len(outs)))
     # Overflow is the divergence signal, detected explicitly below.
@@ -241,25 +230,14 @@ def _groups(ends: Sequence[int], count: int) -> list[list[int]]:
 
 def _integrate(start, cfgs: Sequence[SimConfig], cols: int,
                names: Sequence[str] | None) -> list[np.ndarray]:
-    """Integrate a batch whose row b, of `cols` values, records
-    `cfgs[b].total_steps` steps after a spin-up of `cfgs[b].spinup_steps`,
-    and return the recorded rows.
-
-    `start(rows)` gives the (step, state, view) that `_drive` steps for the
-    batch rows listed in `rows`. The rows are split into `_workers` groups
-    (`_groups`) by the step they end at, and each group is driven once.
-    Every group writes each of its rows into that row's own shared
-    anonymous mapping, and its result into one more: the first group in
-    this process, each other one in a fork-start `multiprocessing` process
-    (a fork shares the inputs and the mappings, unpickled). A returned row
-    holds its mapping, which is unmapped, and its pages freed, when the
-    last view of the row goes. A group stops early once `halted` says that
-    another one has a divergence at or before its step. Every worker is
-    joined, and killed first when the parent's own group raises or is
-    interrupted. Raises the DivergenceError of the earliest step over all
-    rows (a tie goes to the lowest row), the same as one batch would, and
-    CTFBenchError when a worker fails.
-    """
+    """The recorded rows of a batch whose row b records `cfgs[b].total_steps`
+    steps of `cols` values after `cfgs[b].spinup_steps`; `start(rows)` gives
+    `_drive`'s (step, state, view) for those rows. The first `_groups` group
+    runs here, each other one in a forked process, which shares the inputs
+    and the mappings unpickled. Each row has a shared anonymous mapping of
+    its own, so its pages are freed when its last view goes. Raises the
+    DivergenceError of the earliest step, as one batch would, or
+    CTFBenchError when a worker fails."""
     starts = [c.spinup_steps for c in cfgs]
     lengths = [c.total_steps for c in cfgs]
     groups = _groups([s + n for s, n in zip(starts, lengths)], _workers(len(cfgs), cols))
@@ -336,15 +314,10 @@ def _lorenz_step(params: LorenzParams, dt: float):
 
 def _lorenz_batch(params: Sequence[LorenzParams], cfgs: Sequence[SimConfig],
                   names: Sequence[str] | None = None) -> list[np.ndarray]:
-    """Integrate one Lorenz trajectory per (params, cfg) pair.
-
-    The rows may differ in parameters, initial condition, spin-up and
-    length; dt is shared. A row of three values is cheaper to step as
-    Python floats than as numpy arrays, so a group's state is its step and
-    a tuple of row tuples, each stepped by its own `_lorenz_step` up to its
-    last recorded step and left as it is after, and each row is
-    bit-identical to the same trajectory integrated alone.
-    """
+    """One Lorenz trajectory per (params, cfg) pair; dt is shared. Three
+    values step faster as Python floats than as a numpy array, so the state
+    is (step, row tuples), each row stepped by its own `_lorenz_step` until
+    its last recorded step."""
     dt = _shared_dt(cfgs)
     ics = [tuple(_resolve_ic(c, 3).tolist()) for c in cfgs]
 
@@ -451,14 +424,9 @@ class _ETDRK4:
 
 def _ks_batch(params: Sequence[KSParams], cfgs: Sequence[SimConfig],
               names: Sequence[str] | None = None) -> list[np.ndarray]:
-    """Integrate one KS trajectory per (params, cfg) pair as one batch.
-
-    The rows may differ in viscosity, initial condition, spin-up and
-    length; the grid and dt are shared. The stepped state carries the grid
-    values of its spectral rows: the next step's first nonlinear term needs
-    them, and they are the recorded rows. Each row is bit-identical to the
-    same trajectory integrated alone.
-    """
+    """One KS trajectory per (params, cfg) pair; grid and dt are shared. The
+    state carries the grid values of its spectral rows: they are the recorded
+    rows, and the next step's first nonlinear term."""
     dt = _shared_dt(cfgs)
     if len({(p.domain_length, p.grid_points) for p in params}) != 1:
         raise ValueError("batched KS trajectories must share domain_length and grid_points")

@@ -5,9 +5,8 @@ count and a u64 column count, then rows*cols little-endian float64 values
 in row-major order. `MatrixWriter` writes every one and `MatrixReader`
 reads every one; `row_blocks` cuts an array into the same blocks of rows,
 so `equal` and `problem` take files and arrays alike. Every file is
-written atomically (`_AtomicFile`). `truth_table` keeps work on a matrix
-once per block (`_once`). `dump_json` owns the JSON document form, and
-`encode` and `decode` the mapping between each document and its dataclass.
+written atomically (`_AtomicFile`). `dump_json` owns the JSON document
+form, and `encode` and `decode` map each document to its dataclass.
 """
 
 from __future__ import annotations
@@ -54,10 +53,9 @@ def misfit(got: tuple[int, ...], shape: tuple[int, int]) -> str | None:
 
 
 def problem(x, shape: tuple[int, int], blocks=None) -> str | None:
-    """Why `x`, an array or a `MatrixReader`, is not an acceptable matrix of
-    `shape` (wrong shape or a non-finite value), or None when it is. The
-    values are checked by `blocks`, by default `row_blocks(x)`, as far as
-    the first non-finite one."""
+    """Why `x`, an array or a `MatrixReader`, is not a finite matrix of
+    `shape`, or None. The values are checked by `blocks`, by default
+    `row_blocks(x)`, as far as the first non-finite one."""
     blocks = row_blocks(x) if blocks is None else blocks
     return misfit(x.shape, shape) or (
         None if all(_all_finite(block) for _, block in blocks) else NON_FINITE)
@@ -99,8 +97,8 @@ def truth_table():
 
 
 def _once(x: np.ndarray, key, work):
-    """`work()` for `x` and `key`, once per truth table or, outside one,
-    every time. Work that raises is not stored: it raises again next time."""
+    """`work()` for `x` and `key`, once per `truth_table` block or, outside
+    one, every time; work that raises is not stored."""
     truths = _TRUTHS.get()
     if truths is None:
         return work()
@@ -117,8 +115,7 @@ def _kept(x: np.ndarray, key) -> bool:
 
 
 def make_dir(path: Path) -> None:
-    """Create directory `path` and its parents; a file in the way or a
-    missing permission raises CTFBenchError naming `path`."""
+    """Create directory `path` and its parents, or raise CTFBenchError naming it."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -126,8 +123,7 @@ def make_dir(path: Path) -> None:
 
 
 def remove_file(path: Path) -> None:
-    """Remove the file `path` if there is one; one that cannot be removed
-    raises CTFBenchError naming `path`."""
+    """Remove the file `path` if there is one, or raise CTFBenchError naming it."""
     try:
         path.unlink(missing_ok=True)
     except OSError as exc:
@@ -135,8 +131,7 @@ def remove_file(path: Path) -> None:
 
 
 def _temp_beside(path: Path) -> tuple[int, str]:
-    """Open a new temp file in `path`'s directory; when that directory takes
-    no new file, CTFBenchError names `path`."""
+    """Open a new temp file beside `path`, or raise CTFBenchError naming it."""
     try:
         return tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     except OSError as exc:
@@ -153,13 +148,11 @@ def check_writable(path: str | Path) -> None:
 
 
 class _AtomicFile:
-    """A new temp file beside `path`, open for binary writes, that replaces
-    `path` on `close()` and is removed on `abandon()`. A `with` block closes
-    it when the block completes and abandons it when the block raises;
-    the constructor and `close()` abandon it when anything stops them, an
-    interrupt included. An OSError from a write, or from the flush and
-    close at the end, is a CTFBenchError `<path>: cannot write: <why>`; one
-    from the rename, `<path>: cannot replace: <why>`."""
+    """A temp file beside `path` for binary writes: `close()` renames it over
+    `path`, and `abandon()` removes it, as does any exception, an interrupt
+    included, in a `with` block, the constructor or `close()`. An OSError is
+    a CTFBenchError `<path>: cannot write: <why>`, or `cannot replace` from
+    the rename."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -222,8 +215,7 @@ SUM_BLOCK_ROWS = 64
 
 
 def _block_rows(cols: int) -> int:
-    """Rows per block of `cols` float64 values: a multiple of `SUM_BLOCK_ROWS`
-    of about `_CHUNK_BYTES` in all."""
+    """Rows per block of `cols` values: a multiple of `SUM_BLOCK_ROWS`."""
     return max(1, _CHUNK_BYTES // (8 * max(1, cols) * SUM_BLOCK_ROWS)) * SUM_BLOCK_ROWS
 
 
@@ -239,11 +231,9 @@ def row_blocks(x, stop: int | None = None):
 
 
 class MatrixWriter(_AtomicFile):
-    """A matrix file of `shape` open for writing, the mirror of
-    `MatrixReader`: the header, then the rows that `write` appends in
-    order, go into an `_AtomicFile`, which replaces `path` on `close()` once
-    it holds the whole payload; closed short of that, or past it, the file
-    is abandoned with a MatrixFormatError."""
+    """A matrix file of `shape` written by rows in order (`write`), the
+    mirror of `MatrixReader`. `close()` replaces `path` once the whole
+    payload is in, and abandons the file with a MatrixFormatError if not."""
 
     def __init__(self, path: str | Path, shape: tuple[int, int]):
         super().__init__(path)
@@ -278,9 +268,8 @@ def write_matrix(path: str | Path, x: np.ndarray) -> None:
 
 
 def _header(fh, path: str | Path) -> tuple[int, int]:
-    """The (rows, cols) that the header of the matrix file open as `fh`
-    declares, once the file's size is the payload they need; any other
-    header raises MatrixFormatError. Leaves `fh` at the payload."""
+    """The (rows, cols) of the matrix file open as `fh`, left at its payload,
+    once the file's size fits them; any other header is a MatrixFormatError."""
     head = fh.read(_PAYLOAD)
     if len(head) < _PAYLOAD:
         raise MatrixFormatError(f"{path}: file too short for a matrix header")
@@ -300,13 +289,10 @@ def _header(fh, path: str | Path) -> tuple[int, int]:
 
 
 class MatrixReader:
-    """A matrix file open for reading, whose header has passed the checks
-    of `_header`: `shape` is the (rows, cols) it declares. `blocks()` and
-    `read()` read the one open file again from where they ask, so a file
-    replaced by rename after it was opened is never read; one stream at a
-    time. A file that cannot be opened or read, or whose payload ends early,
-    raises MatrixFormatError naming it, as does a read once it is closed.
-    Close it after use (`close()`, or a `with` block)."""
+    """A matrix file open for reading; `shape` is its header's (rows, cols)
+    (`_header`). `blocks()` and `read()` seek in the one open file, so one
+    renamed over it later is never read; one stream at a time. A read fault,
+    a short payload or a read after `close()` is a MatrixFormatError."""
 
     def __init__(self, path: str | Path):
         self.path, self._got = path, 0
@@ -318,8 +304,8 @@ class MatrixReader:
             raise
 
     def _io(self, call, *args, **kwargs):
-        """`call(*args, **kwargs)`, an OSError or a ValueError (a read from a
-        reader already closed) raised as a MatrixFormatError."""
+        """`call(*args, **kwargs)`, an OSError or a ValueError (a closed file)
+        raised as a MatrixFormatError."""
         try:
             return call(*args, **kwargs)
         except OSError as exc:
@@ -333,8 +319,7 @@ class MatrixReader:
         self._io(self._fh.seek, _PAYLOAD + self._got)
 
     def _fill(self, part: np.ndarray) -> None:
-        """Read the next `part.nbytes` bytes of the payload into `part`, with
-        as many reads as the file needs, or to its end."""
+        """Fill `part` from the payload, with as many reads as the file needs."""
         view, got = memoryview(part).cast("B"), 0
         while got < part.nbytes and (n := self._io(self._fh.readinto, view[got:])):
             got += n
@@ -344,10 +329,8 @@ class MatrixReader:
                                     f"{self.shape[0] * self.shape[1] * 8} bytes")
 
     def blocks(self, stop: int | None = None):
-        """The rows before row `stop` (all of them by default) as (first row,
-        rows) pairs, each a view of one reused buffer of about `_CHUNK_BYTES`
-        that the next block overwrites, and each but the last a multiple of
-        `SUM_BLOCK_ROWS` rows."""
+        """`row_blocks` of the file, views of one buffer that the next block
+        overwrites."""
         rows, cols = self.shape
         rows, step = rows if stop is None else min(stop, rows), _block_rows(cols)
         buf = np.empty((min(step, rows), cols), dtype="<f8")
@@ -388,9 +371,8 @@ def tail(x, rows: int) -> np.ndarray:
 
 
 def equal(a, b) -> bool:
-    """Whether `a` and `b`, each an array or a `MatrixReader`, hold one
-    shape and equal values (`==`, as `np.array_equal`), compared by
-    `row_blocks` in lockstep, so neither is held whole."""
+    """Whether `a` and `b`, each an array or a `MatrixReader`, are
+    `np.array_equal`, compared by `row_blocks` in lockstep."""
     return a.shape == b.shape and all(
         np.array_equal(p, q) for (_, p), (_, q) in zip(row_blocks(a), row_blocks(b)))
 
@@ -503,8 +485,8 @@ def difference(got: Any, want: Any, at: str = "") -> str | None:
 
 
 def _check(value: Any, tp: type, at: str) -> None:
-    """Refuse a `value` of another type than `tp`. A float is finite, and may
-    be an integer that converts to a finite float."""
+    """Refuse a `value` of another type than `tp`; a float is finite, or an
+    integer that converts to a finite float."""
     if type(value) not in ((int, float) if tp is float else (tp,)) or (
             tp is float and not abs(value) <= sys.float_info.max):
         raise ValueError(f"{at}: expected {tp.__name__}, got {json.dumps(value, default=repr):.40}")
@@ -512,9 +494,8 @@ def _check(value: Any, tp: type, at: str) -> None:
 
 def _check_fields(obj) -> None:
     """Hold each `str`, `int` and `float` field of dataclass `obj`, and each
-    element of a tuple field, as it is made, to what `decode` reads back: a
-    numpy scalar becomes the equal Python value, and a value of another type
-    (a bool, a `created` of 5) is a ValueError naming the field."""
+    element of a tuple field, to what `decode` reads back (`_held`), so a
+    setting the codec could not write back is refused when it is made."""
     for name, _, hint in _layout(type(obj)):
         value = getattr(obj, name)
         if get_origin(hint) is tuple:

@@ -2,7 +2,6 @@
 its truth (`score_short_time`, `score_long_time_spectral`,
 `score_long_time_histogram`), each mapped to a score E by `to_score`.
 `scorer` takes any S from row blocks, so neither side need be held whole.
-`_window` judges every window by `MetricWindows`' rule.
 
 Three choices fix the last bits of every S and are part of the metrics'
 definition. Each Frobenius norm sums its squares in blocks of
@@ -53,7 +52,7 @@ _LEAST = {"short_k": 1, "long_k": 1, "kmax": 1, "bins": 2}
 
 def _window(name: str, value, rows: int | None = None) -> None:
     """Raise a MetricError naming window `name` unless `value` is an integer
-    of at least its `_LEAST` and, when `rows` is given, at most `rows`."""
+    from `_LEAST[name]` up to `rows`, when given."""
     least = _LEAST[name]
     if not isinstance(value, (int, np.integer)):
         raise MetricError(f"{name} must be an integer, got {value!r}")
@@ -168,7 +167,7 @@ def power_spectrum_rows(x: np.ndarray, long_k: int, kmax: int) -> np.ndarray:
 
 def spectral_reference(truth: np.ndarray, windows: MetricWindows) -> tuple[np.ndarray, float]:
     """The truth's log spectrum (`power_spectrum_rows`) and its Frobenius
-    norm; of a `MatrixReader`, only the trailing `long_k` rows are read."""
+    norm, from its trailing `long_k` rows only."""
     t = tail(_matrix(truth), windows.long_k)
     p_truth = power_spectrum_rows(t, windows.long_k, windows.kmax)
     return p_truth, math.sqrt(_sum_sq(p_truth))
@@ -181,8 +180,8 @@ def score_long_time_spectral(pred: np.ndarray, truth: np.ndarray, windows: Metri
 
 
 def _series_reference(truth_series: np.ndarray, bins: int) -> tuple:
-    """The truth side of `histogram_l1`: the series' range, then its bin edges
-    and counts, which are None for a degenerate range."""
+    """The truth side of `histogram_l1`: range, bin edges and counts (the
+    last two None for a degenerate range)."""
     _window("bins", bins)
     t = np.asarray(truth_series, dtype=np.float64).ravel()
     if t.size < 1:
@@ -224,8 +223,7 @@ def histogram_l1(truth_series: np.ndarray, pred_series: np.ndarray, bins: int) -
 
 def histogram_reference(truth: np.ndarray, windows: MetricWindows) -> list:
     """The truth side of `histogram_l1` for each coordinate of the trailing
-    `long_k` rows of a 3-column truth (of a `MatrixReader`, only those rows
-    are read)."""
+    `long_k` rows of a 3-column truth, reading those rows only."""
     truth = _matrix(truth)
     if truth.shape[1] != 3:
         raise MetricError(f"histogram metric requires 3 columns, got {truth.shape[1]}")
@@ -247,8 +245,7 @@ def score_long_time_histogram(pred: np.ndarray, truth: np.ndarray,
 
 class _Score:
     """One S, fed as `scorer` says. Only `value` takes the truth side
-    (through `_once`) and judges the windows against the truth, so a
-    prediction that is never valued raises nothing."""
+    (`_once`) and judges the windows, so an S never valued raises nothing."""
 
     #: The truth's rows, from the first, that `add` takes beside the prediction's.
     need = 0
@@ -263,9 +260,8 @@ class _Score:
 
 
 class _ShortTime(_Score):
-    """The short-time S: `_sum_sq` of each block's rows before `short_k`.
-    The truth's own `_sum_sq` over those rows, the reference, is summed from
-    the same truth rows unless the truth table holds it already."""
+    """The short-time S. Its reference, the truth's own `_sum_sq`, is summed
+    from the same truth rows unless the truth table holds it already."""
 
     def __init__(self, truth, t: np.ndarray, short_k: int):
         super().__init__(truth, t)
@@ -334,14 +330,11 @@ class _Histogram(_Tail):
 
 
 def scorer(kind: MetricKind, truth: np.ndarray, windows: MetricWindows) -> _Score:
-    """The S of metric `kind` against 2-D `truth` (an array, or an open
-    `matio.MatrixReader`) with `windows`, for a prediction of the truth's
-    shape that comes in row blocks: `add(start, block, truth_block)` for
-    each block in row order, each but the last a multiple of
-    `SUM_BLOCK_ROWS` rows (as `matio.row_blocks` gives them), with the
-    truth's same rows before row `need` (`truth_block` may be left out for
-    an in-memory truth), then `value()`. Fed the same values, it gives the
-    bits of `score_*`."""
+    """The S of `kind` against 2-D `truth` (an array or an open
+    `matio.MatrixReader`) for a prediction of its shape, fed in row order by
+    the blocks `matio.row_blocks` cuts: `add(start, block, truth_block)`,
+    with the truth's same rows before row `need` (optional for an in-memory
+    truth), then `value()`, which gives the bits of `score_*`."""
     t = _matrix(truth)
     if kind is MetricKind.SHORT_TIME:
         return _ShortTime(truth, t, windows.short_k)

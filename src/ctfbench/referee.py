@@ -3,12 +3,10 @@
 aggregation (`aggregate_runs`) and the leaderboard store
 (`update_leaderboard`).
 
-Scoring a task touches only the task's truth, so the test half of a pack,
-read (`read_pack`) or held open (`datagen.open_pack`), scores any
-submission. Scorecards and the store are read and written by `matio`'s
-codec. The rules that only a document read from disk must meet are
-`validate()` hooks, which only the decoder calls, so a card built in
-memory may be partial.
+Scoring a task touches only the task's truth, so the test half of a pack
+scores any submission. Scorecards and the store go through `matio`'s
+codec; rules for a document read from disk are `validate()` hooks, which
+only the decoder calls, so a card built in memory may be partial.
 """
 
 from __future__ import annotations
@@ -201,9 +199,22 @@ def validate_submission(
 ) -> list[str]:
     """Report violations per prediction; an empty list means fully scoreable."""
     shapes = {t.prediction_name: t.truth_shape for t in task_registry(pack.dataset_id, windows)}
-    verdicts = {name: _MISSING if sub.predictions.get(name) is None
-                else matio.problem(sub.predictions[name], shape) for name, shape in shapes.items()}
+    preds = {name: _prediction(name, sub.predictions.get(name)) for name in shapes}
+    verdicts = {name: _MISSING if preds[name] is None else matio.problem(preds[name], shape)
+                for name, shape in shapes.items()}
     return [f"{name}: {why}" for name, why in verdicts.items() if why is not None]
+
+
+def _prediction(name: str, pred):
+    """`pred`, unless None or an open `matio.MatrixReader`, as a float64
+    array (itself when it is one); anything that is not an array of numbers
+    is a CTFBenchError naming prediction `name`."""
+    if pred is None or isinstance(pred, matio.MatrixReader):
+        return pred
+    try:
+        return np.asarray(pred, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise CTFBenchError(f"{name}: not a matrix of numbers: {exc}") from exc
 
 
 def _check_aggregate(mean: float, std: float, key: str = "") -> None:
@@ -283,8 +294,8 @@ def read_scorecard(path: str | Path) -> ScoreCard:
 
 
 def _check_truth(pack: DatasetPack, task: TaskSpec) -> np.ndarray:
-    """The task's truth, checked although a pack read from disk was checked
-    when it was read: a library caller may build or change one in memory."""
+    """The task's truth, checked again: a library caller may build or change
+    a pack in memory."""
     truth = pack.matrix(task.truth_name)
     why = _once(truth, task.truth_shape, lambda: matio.problem(truth, task.truth_shape))
     if why is not None:
@@ -293,11 +304,10 @@ def _check_truth(pack: DatasetPack, task: TaskSpec) -> np.ndarray:
 
 
 def _feed(pred, truth, scorers: list) -> bool:
-    """Give each block of `pred`'s rows (`matio.row_blocks`), with the same
-    rows of `truth` as far as any scorer needs them, to every scorer, unless
-    it holds a value that is not finite: then stop there and return False.
-    A function of its own, so that no name holds the last blocks, and with
-    them the readers' buffers, while the scores are taken."""
+    """Give each row block of `pred`, with `truth`'s same rows as far as any
+    scorer needs them, to every scorer; False at a non-finite block. A
+    function of its own so that no name holds the last blocks, and the
+    readers' buffers with them, while the scores are taken."""
     truths = matio.row_blocks(truth, max(scorer.need for scorer in scorers))
     for start, block in matio.row_blocks(pred):
         if not matio._all_finite(block):
@@ -310,19 +320,17 @@ def _feed(pred, truth, scorers: list) -> bool:
 
 def _score(tasks: list[TaskSpec], pred, pack: DatasetPack,
            run_id: str) -> tuple[str | None, dict]:
-    """Why prediction `pred`, as `evaluate`'s `load` gives it, of run
-    `run_id` cannot be scored, or None, and the score of each of `tasks`,
-    which all score it against one truth (None for every task when it
-    cannot be scored). The truth is checked first, then the prediction's
-    shape; then its row blocks go to every task (`_feed`), and the scores
-    are taken after the last block, only when every block was finite. A
-    non-finite S is logged under the run and score id."""
+    """Why `pred`, as `evaluate`'s `load` gives it, cannot be scored, or
+    None, and the score of each of `tasks`, which share its truth (all None
+    when it cannot be). The truth is judged first; a non-finite S is logged
+    under `run_id` and the score id."""
     try:
         truth = _check_truth(pack, tasks[0])
+        pred = _prediction(tasks[0].prediction_name, pred)
         why = _MISSING if pred is None else matio.misfit(pred.shape, truth.shape)
         if why is None:
             scorers = [metrics.scorer(t.metric, truth, t.windows) for t in tasks]
-            if _feed(metrics._matrix(pred), truth, scorers):
+            if _feed(pred, truth, scorers):
                 return None, {t.score_id: metrics.to_score(scorer.value(),
                                                            f"[{run_id}] {t.score_id}")
                               for t, scorer in zip(tasks, scorers)}
@@ -342,8 +350,7 @@ def _aggregate(values: list[float]) -> ScoreAggregate:
 
 
 def _card(method: str, dataset: str, runs: list[RunScores], windows: dict) -> ScoreCard:
-    """A ScoreCard of `runs`, aggregated as `aggregate_runs` states: a
-    single run aggregates to its own scores with std 0."""
+    """A ScoreCard of `runs`, aggregated as `aggregate_runs` states."""
     return ScoreCard(
         method_name=method,
         dataset_id=dataset,
@@ -507,8 +514,8 @@ def save_leaderboard(board: Leaderboard, path: str | Path) -> None:
 
 @contextmanager
 def _store_lock(store: str | Path):
-    """Hold `flock(LOCK_EX)` on the directory of `store`; locking the
-    directory leaves no lock file beside the store."""
+    """Hold `flock(LOCK_EX)` on the directory of `store`, which leaves no
+    lock file beside it."""
     directory = Path(store).parent
     try:
         fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
@@ -559,9 +566,5 @@ def update_leaderboard(store: str | Path, card: ScoreCard) -> Leaderboard:
 def find_run_dirs(root: str | Path, runs_glob: str) -> list[Path]:
     """Run directories under `root` matching a relative glob pattern."""
     root = Path(root)
-    hits = [
-        p
-        for p in sorted(root.rglob("*"))
-        if p.is_dir() and fnmatch.fnmatch(str(p.relative_to(root)), runs_glob)
-    ]
-    return hits
+    return [p for p in sorted(root.rglob("*"))
+            if p.is_dir() and fnmatch.fnmatch(str(p.relative_to(root)), runs_glob)]

@@ -66,6 +66,15 @@ class TestAverage:
             with pytest.raises(ValueError, match="^empty training matrix$"):
                 predict_average(synthetic_task(), np.empty(shape))
 
+    def test_training_matrix_that_is_not_2d_is_named(self):
+        with pytest.raises(cb.MetricError, match=r"^expected 2-D matrices, got shape \(5,\)$"):
+            predict_average(synthetic_task(), np.ones(5))
+
+    def test_nested_lists_give_the_prediction_of_their_array(self):
+        train = [[1.0, 3.0], [3.0, 6.0], [0.5, -2.0]]
+        assert np.array_equal(predict_average(synthetic_task(), train),
+                              predict_average(synthetic_task(), np.array(train)))
+
     @pytest.mark.parametrize("system", ["lorenz", "ks"])
     def test_stream_gives_the_bits_of_the_mean(self, lorenz_pack, ks_pack, tmp_path, system):
         # A 10000-row window, of 3 columns or 1024, streamed from its file

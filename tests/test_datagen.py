@@ -293,6 +293,13 @@ def test_partial_read_checks_shape_and_finiteness(lorenz_pack, tmp_path):
         cb.read_pack(directory, names=["X4train"])
 
 
+def test_csv_export_of_a_partial_pack_writes_nothing(lorenz_pack_dir, tmp_path):
+    partial = cb.read_pack(lorenz_pack_dir, names=("X1train",))
+    with pytest.raises(cb.PackValidationError, match="^pack missing matrix X2train$"):
+        datagen.export_pack_csv(partial, tmp_path / "csv")
+    assert not (tmp_path / "csv").exists()
+
+
 def test_partial_read_of_unknown_matrix_rejected(lorenz_pack_dir):
     with pytest.raises(PackValidationError, match="unknown pack matrices: X11train, X1pred"):
         cb.read_pack(lorenz_pack_dir, names=["X1train", "X11train", "X1pred"])

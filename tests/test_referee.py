@@ -122,6 +122,47 @@ class TestValidation:
         violations = validate_submission(sub, lorenz_pack)
         assert violations == ["X1pred: contains non-finite values"]
 
+    def test_ragged_prediction_is_named(self, lorenz_pack):
+        sub = oracle_submission(lorenz_pack)
+        sub.predictions["X6pred"] = [[1.0, 2.0, 3.0], [1.0]]
+        with pytest.raises(cb.CTFBenchError, match="^X6pred: not a matrix of numbers"):
+            validate_submission(sub, lorenz_pack)
+        with pytest.raises(cb.CTFBenchError, match="^X6pred: not a matrix of numbers"):
+            evaluate(sub, lorenz_pack)
+
+
+def test_nested_list_predictions_score_as_their_arrays(lorenz_pack):
+    sub = oracle_submission(lorenz_pack)
+    as_lists = cb.Submission(sub.method_name, sub.run_id,
+                             {name: x.tolist() for name, x in sub.predictions.items()})
+    assert validate_submission(as_lists, lorenz_pack) == []
+    assert evaluate(as_lists, lorenz_pack).to_dict() == evaluate(sub, lorenz_pack).to_dict()
+
+
+def test_three_dimensional_prediction_keeps_its_shape_verdict(lorenz_pack):
+    sub = oracle_submission(lorenz_pack)
+    sub.predictions["X1pred"] = sub.predictions["X1pred"][None]
+    verdicts = {}
+    card = evaluate(sub, lorenz_pack, verdicts=verdicts)
+    why = "shape (1, 1000, 3) does not match required (1000, 3)"
+    assert verdicts["X1pred"] == why
+    assert validate_submission(sub, lorenz_pack) == [f"X1pred: {why}"]
+    assert card.runs[0].scores["E1"] is None and card.aggregate_scores["E1"].mean == -100.0
+
+
+def test_float64_prediction_is_scored_as_given(lorenz_pack, monkeypatch):
+    sub = oracle_submission(lorenz_pack)
+    seen, row_blocks = [], cb.matio.row_blocks
+
+    def recording(x, stop=None):
+        seen.append(x)
+        return row_blocks(x, stop)
+
+    monkeypatch.setattr(cb.matio, "row_blocks", recording)
+    evaluate(sub, lorenz_pack)
+    given = {id(x) for x in sub.predictions.values()}
+    assert given <= {id(x) for x in seen}
+
 
 def _poke(x, value):
     x = x.copy()

@@ -1,0 +1,60 @@
+"""The repository's tooling: the pytest configuration in pyproject.toml and
+the line counter `tools/loc.py`."""
+
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+LOC = runpy.run_path(str(ROOT / "tools" / "loc.py"))
+
+FAILING_PROPERTY = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 5
+'''
+
+
+def test_a_failing_hypothesis_test_is_one_failure_not_an_internal_error(tmp_path):
+    # Reporting a falsifying example imports libcst, whose import warns of
+    # a deprecation; the config must not turn that into an INTERNALERROR.
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "1 failed" in run.stdout and "INTERNALERROR" not in out, out
+
+
+SAMPLE = '''"""Module docstring,
+two lines."""
+
+# a comment
+import os  # a line with code is code
+
+
+def f():
+    """One line."""
+    return os.sep
+'''
+
+
+def test_loc_counts_each_kind_of_line():
+    assert LOC["count"](SAMPLE) == {"lines": 10, "code": 3, "docstring": 3, "comment": 1,
+                                    "blank": 3}
+
+
+def test_loc_kinds_add_up_to_each_module_line_count():
+    for path in sorted((ROOT / "src" / "ctfbench").glob("*.py")):
+        text = path.read_text()
+        counts = LOC["count"](text)
+        assert counts["lines"] == len(text.splitlines()), path.name
+        assert sum(counts[c] for c in ("code", "docstring", "comment", "blank")) \
+            == counts["lines"], path.name
