@@ -29,21 +29,8 @@ def predict_average(task: TaskSpec, train) -> np.ndarray:
     x = _matrix(train)
     if math.prod(x.shape) == 0:
         raise ValueError("empty training matrix")
-    mean = matio._once(train, "column_mean", lambda: _column_mean(x))
+    mean = matio._once(train, "column_mean", lambda: matio.column_mean(x))
     return np.broadcast_to(mean, (task.truth_shape[0], mean.size))
-
-
-def _column_mean(train) -> np.ndarray:
-    """`train.mean(axis=0)`, bit for bit, with `train` streamed by
-    `matio.row_blocks`, never held whole. numpy sums axis 0 row by row, so
-    carrying the running sum in as the first row of each block's sum gives
-    the bits of the whole sum; adding the blocks' own sums would not."""
-    total = None
-    for _, block in matio.row_blocks(train):
-        if total is not None:
-            block = np.concatenate((total[None], block))
-        total = np.add.reduce(block, axis=0)
-    return total / train.shape[0]
 
 
 def average_input_name(task: TaskSpec) -> str:

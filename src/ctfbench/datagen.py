@@ -75,6 +75,11 @@ _SPANS: dict[str, tuple[int, int]] = {
     for traj, _, _, _ in _SOURCES.values()
 }
 
+#: `_SOURCES` in write order: trajectory by trajectory as `dynamics._groups`
+#: orders rows, so the parent's own group goes before any worker-written one.
+_WRITE_ORDER = {name: source for traj in sorted(_SPANS, key=lambda t: -_SPANS[t][1])
+                for name, source in _SOURCES.items() if source[0] == traj}
+
 #: name -> (rows, start index, end index).
 MATRIX_LAYOUT: dict[str, tuple[int, int, int]] = {
     name: (end - start, start, end) for name, (_, start, end, _) in _SOURCES.items()
@@ -267,8 +272,10 @@ def _noisy(x: np.ndarray, fraction: float, seed: int):
     """The rows of `x` plus Gaussian noise, by `matio.row_blocks`: the noise
     of each column has `fraction` times that column's std over all of `x`,
     and the blocks are drawn in turn from one generator, so they hold the
-    bits of one draw of `x`'s whole shape."""
-    sigma = fraction * x.std(axis=0)
+    bits of one draw of `x`'s whole shape. The std has numpy's bits:
+    `matio.column_mean` streams it where numpy sums axis 0 row by row."""
+    sigma = fraction * (np.sqrt(matio.column_mean(x, matio.column_mean(x)))
+                        if x.flags.c_contiguous and x.size > len(x) else x.std(axis=0))
     rng = np.random.default_rng(seed)
     for start, rows in matio.row_blocks(x):
         block = rng.standard_normal(rows.shape)
@@ -315,13 +322,13 @@ def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
 
 
 def _windows(system: str, master_seed: int, overrides: dict | None) -> tuple[Manifest, list]:
-    """The manifest of a pack, and each of its matrices in `_SOURCES` order
+    """The manifest of a pack, and each of its matrices in `_WRITE_ORDER`
     as (name, window, noise): `window` is a view of its noise-free rows, one
     per distinct window, and `noise` None or the `_noisy` (fraction, seed)."""
     cfg = resolve_config(system, overrides)
     manifest = _manifest(cfg, master_seed)
     runs, cuts, windows = _simulate(cfg, manifest.seeds), {}, []
-    for name, (traj, start, end, noise) in _SOURCES.items():
+    for name, (traj, start, end, noise) in _WRITE_ORDER.items():
         first = _SPANS[traj][0]
         window = cuts.setdefault((traj, start, end), runs[traj][start - first:end - first])
         if noise is not None:
@@ -423,10 +430,10 @@ def _beside(x, later: dict, same: dict):
 
 
 def _write(directory: str | Path, manifest: Manifest, mats) -> None:
-    """Write each `(name, shape, blocks)` of `mats` to `<name>.mat`, between
-    removing and writing manifest.json, so a write that fails or is
-    interrupted leaves `missing manifest`, never a manifest beside matrices
-    of another pack."""
+    """Write each `(name, shape, blocks)` of `mats`, in `_WRITE_ORDER`, to
+    `<name>.mat`, between removing and writing manifest.json, so a write
+    that fails or is interrupted leaves `missing manifest`, never a manifest
+    beside matrices of another pack."""
     directory = Path(directory)
     matio.make_dir(directory)
     path = directory / "manifest.json"
@@ -445,7 +452,7 @@ def write_pack(pack: DatasetPack, directory: str | Path) -> None:
     """Write `pack` by `_write` once `validate_pack` passes it, so an
     invalid pack leaves the directory as it was."""
     validate_pack(pack)
-    mats = ((name, pack.matrix(name)) for name in MATRIX_LAYOUT)
+    mats = ((name, pack.matrix(name)) for name in _WRITE_ORDER)
     _write(directory, pack.manifest, ((name, x.shape, matio.row_blocks(x)) for name, x in mats))
 
 
@@ -454,9 +461,9 @@ def generate_pack(system: str, master_seed: int, overrides: dict | None,
     """Write the pack that `build_pack` returns, with the bytes `write_pack`
     writes, and return its manifest. No matrix is held whole: each goes to
     its file by `matio.row_blocks`, a noisy one drawn block by block, and
-    each block is checked for finiteness before it is written. Each window
-    is let go once its file is written, so a trajectory's integration
-    mapping is freed after its last window in `_SOURCES` order."""
+    each block is checked for finiteness before it is written. Files go in
+    `_WRITE_ORDER`, each window let go once its file is written, so each
+    trajectory's mapping is freed before the next one's first block is read."""
     manifest, windows = _windows(system, master_seed, overrides)
 
     def mats():

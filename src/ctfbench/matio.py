@@ -230,6 +230,24 @@ def row_blocks(x, stop: int | None = None):
     return ((start, x[start:min(start + step, stop)]) for start in range(0, stop, step))
 
 
+def column_mean(x, centre: np.ndarray | None = None) -> np.ndarray:
+    """`x.mean(axis=0)`, or with `centre` `x.var(axis=0)`'s mean of `(x -
+    centre)**2`, with numpy's bits where it sums axis 0 row by row: `x` streams
+    by `row_blocks`, each block after the first led by the running sum."""
+    total = buf = None
+    for _, block in row_blocks(x):
+        if total is None:  # in the layout numpy gives it, so summed as numpy sums it
+            rows = part = block if centre is None else block - centre
+        else:
+            buf = np.empty((len(block) + 1,) + block.shape[1:]) if buf is None else buf
+            rows, part, buf[0] = buf[:len(block) + 1], buf[1:len(block) + 1], total
+            np.subtract(block, 0.0 if centre is None else centre, out=part)  # x - 0.0 is x
+        if centre is not None:
+            np.multiply(part, part, out=part)
+        total = np.add.reduce(rows, axis=0)
+    return total / x.shape[0]
+
+
 class MatrixWriter(_AtomicFile):
     """A matrix file of `shape` written by rows in order (`write`), the
     mirror of `MatrixReader`. `close()` replaces `path` once the whole

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import elementary
 from .exceptions import MetricError
-from .matio import SUM_BLOCK_ROWS, MatrixReader, _check_fields, _kept, _once, tail
+from .matio import SUM_BLOCK_ROWS, MatrixReader, _check_fields, _kept, _once, row_blocks, tail
 
 logger = logging.getLogger(__name__)
 
@@ -86,21 +86,23 @@ class MetricWindows:
         _check_fields(self)
 
 
-def _matrix(x: np.ndarray) -> np.ndarray:
-    """`x` as a 2-D float64 array, or an open `MatrixReader` as it is; any
-    other shape is a MetricError."""
+def _matrix(x: np.ndarray, ndim: int | None = 2) -> np.ndarray:
+    """`x` as a float64 array of `ndim` dimensions (any with None), or an open
+    `MatrixReader` as it is; anything else is a MetricError."""
     if isinstance(x, MatrixReader):
         return x
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise MetricError(f"expected 2-D matrices, got shape {x.shape}")
+    try:
+        x = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise MetricError(f"not a matrix of numbers: {exc}") from exc
+    if ndim is not None and x.ndim != ndim:
+        raise MetricError(f"expected {ndim}-D matrices, got shape {x.shape}")
     return x
 
 
 def _pair(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`pred` and `truth` as float64 arrays of one 2-D shape, else a MetricError."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
+    """`pred` and `truth` (`_matrix`) of one 2-D shape, else a MetricError."""
+    pred, truth = _matrix(pred, None), _matrix(truth, None)
     if pred.shape != truth.shape:
         raise MetricError(f"shape mismatch: prediction {pred.shape} vs truth {truth.shape}")
     return pred, _matrix(truth)
@@ -254,8 +256,10 @@ class _Score:
         self.truth, self.t = truth, t  # the caller's object keys the truth side
 
     def over(self, pred: np.ndarray) -> float:
-        """S of a whole in-memory `pred`, taken as one block."""
-        self.add(0, pred)
+        """S of `pred`, fed by `row_blocks` beside the truth's same rows."""
+        truths = row_blocks(self.t, self.need)
+        for start, block in row_blocks(pred):
+            self.add(start, block, next(truths, (start, None))[1])
         return self.value()
 
 

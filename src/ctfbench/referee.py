@@ -25,7 +25,7 @@ import numpy as np
 
 from . import matio, metrics
 from .datagen import DATASET_DIMS, MATRIX_LAYOUT, DatasetPack
-from .exceptions import CTFBenchError, PackValidationError
+from .exceptions import CTFBenchError, MetricError, PackValidationError
 from .matio import _once, truth_table
 from .metrics import MetricKind, MetricWindows, SCORE_IDS
 
@@ -206,15 +206,14 @@ def validate_submission(
 
 
 def _prediction(name: str, pred):
-    """`pred`, unless None or an open `matio.MatrixReader`, as a float64
-    array (itself when it is one); anything that is not an array of numbers
-    is a CTFBenchError naming prediction `name`."""
-    if pred is None or isinstance(pred, matio.MatrixReader):
-        return pred
+    """`pred`, unless None, as `metrics._matrix` gives it in any shape; its
+    MetricError is a CTFBenchError naming prediction `name`."""
+    if pred is None:
+        return None
     try:
-        return np.asarray(pred, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise CTFBenchError(f"{name}: not a matrix of numbers: {exc}") from exc
+        return metrics._matrix(pred, None)
+    except MetricError as exc:
+        raise CTFBenchError(f"{name}: {exc}") from exc
 
 
 def _check_aggregate(mean: float, std: float, key: str = "") -> None:

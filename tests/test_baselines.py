@@ -70,6 +70,10 @@ class TestAverage:
         with pytest.raises(cb.MetricError, match=r"^expected 2-D matrices, got shape \(5,\)$"):
             predict_average(synthetic_task(), np.ones(5))
 
+    def test_ragged_training_matrix_is_named(self):
+        with pytest.raises(cb.MetricError, match="^not a matrix of numbers: setting an array"):
+            predict_average(synthetic_task(), [[1.0, 2.0], [1.0]])
+
     def test_nested_lists_give_the_prediction_of_their_array(self):
         train = [[1.0, 3.0], [3.0, 6.0], [0.5, -2.0]]
         assert np.array_equal(predict_average(synthetic_task(), train),

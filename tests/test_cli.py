@@ -275,12 +275,16 @@ class TestGenerate:
         assert result.exit_code == 1, result.output
         assert result.output == (
             f"Error: {out / 'X6train.mat'}: cannot write: No space left on device\n")
-        assert sorted(p.name for p in out.iterdir()) == [
-            f"X{i}train.mat" for i in range(1, 6)]
+        # Every file before X6train in the write order: the windows of
+        # `trajectory`, `interpolation` and `extrapolation`.
+        written = [f"X{i}train" for i in (1, 2, 3, 4, 5, 9, 10)] + [
+            f"X{i}test" for i in range(1, 10)]
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"{n}.mat" for n in written)
 
     # The seed-3 pack is overwritten with seed 4, and the write fails at
-    # X8test: the directory holds seed-4 files up to X7test and seed-3 ones
-    # after, and no manifest to vouch for either.
+    # X8test: the directory holds seed-4 files for the windows written before
+    # it (those of `trajectory`, and X9train) and seed-3 ones for the rest,
+    # and no manifest to vouch for either.
     @pytest.mark.parametrize("writer", ["generate", "write_pack"])
     def test_failed_overwrite_leaves_no_manifest(self, runner, pack_copy, monkeypatch, writer):
         fail_writes_to(monkeypatch, "X8test.mat")

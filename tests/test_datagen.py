@@ -417,6 +417,41 @@ class TestAddNoise:
         ratio = delta.std(axis=0) / x.std(axis=0)
         assert np.all(np.abs(ratio - 0.05) <= 0.0025)
 
+    # (1536, 1024) is three 512-row blocks; (10000, 1024) twenty, the last short.
+    @pytest.mark.parametrize("shape", [(1, 3), (11, 5), (5000, 1), (10000, 3), (777, 1024),
+                                       (1536, 1024), (10000, 1024)])
+    def test_streamed_std_is_numpys_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape) * rng.uniform(0.1, 40.0, shape[1]) + rng.uniform(-9, 9, shape[1])
+        streamed = np.sqrt(matio.column_mean(x, matio.column_mean(x)))
+        assert streamed.tobytes() == x.std(axis=0).tobytes()
+
+    def test_column_major_window_keeps_numpys_bits(self):
+        # One block, summed in numpy's own layout: pairwise down each column.
+        x = np.asfortranarray(np.random.default_rng(4).normal(size=(10000, 3)) * 1e3 + 7)
+        mean = matio.column_mean(x)
+        assert mean.tobytes() == x.mean(axis=0).tobytes()
+        assert np.sqrt(matio.column_mean(x, mean)).tobytes() == x.std(axis=0).tobytes()
+
+    # numpy sums axis 0 of these pairwise, not row by row: a vector, one
+    # column, and column-major rows, each longer than one block.
+    @pytest.mark.parametrize("shape, order", [((600000,), "C"), ((600000, 1), "C"),
+                                              ((1536, 1024), "F")],
+                             ids=["vector", "one-column", "column-major"])
+    def test_noise_scale_is_numpys_std_in_any_layout(self, shape, order):
+        x = np.asarray(np.random.default_rng(0).normal(size=shape) * 1e3 + 7, order=order)
+        start, block = next(datagen._noisy(x, 0.05, 9))
+        rows = x[:len(block)]
+        want = np.random.default_rng(9).standard_normal(rows.shape) * (0.05 * x.std(axis=0))
+        assert start == 0 and block.tobytes() == (want + rows).tobytes()
+
+    def test_std_is_taken_without_a_full_size_temporary(self):
+        # A 32 MiB window: its std, then its first noisy block. numpy's
+        # `x.std(axis=0)` alone traces one temporary of the window's size.
+        x = np.random.default_rng(3).normal(size=(4096, 1024))
+        _, peak = traced_peak(next, datagen._noisy(x, 0.05, 1))
+        assert peak < x.nbytes / 2
+
     def test_level_validation(self):
         with pytest.raises(ValueError):
             cb.NoiseLevel("medium", 0.0)
@@ -631,6 +666,26 @@ def test_lorenz_pack_maps_only_the_rows_it_uses(monkeypatch):
 #: the order `dynamics` maps them in.
 TRAJECTORIES = ("trajectory", "param_a", "param_b", "param_c", "interpolation", "extrapolation")
 
+#: The order in which a pack's files are written: the windows of
+#: `trajectory`, `interpolation`, `extrapolation`, then `param_a`-`param_c`,
+#: each trajectory's in `_SOURCES` order.
+WRITE_ORDER = ("X1train", "X2train", "X3train", "X4train", "X5train", "X1test", "X2test",
+               "X3test", "X4test", "X5test", "X6test", "X7test", "X9train", "X8test",
+               "X10train", "X9test", "X6train", "X7train", "X8train")
+
+
+@pytest.mark.parametrize("workers", range(1, 7))
+def test_write_order_starts_with_the_parents_own_group(workers):
+    # `dynamics._groups` integrates its first group in the calling process
+    # and each other one in a worker. Whatever the count, the first group is
+    # a prefix of the write order, so its trajectories are written and
+    # unmapped before a worker-written one is touched.
+    assert tuple(datagen._WRITE_ORDER) == WRITE_ORDER
+    ends = [datagen._SPANS[t][1] for t in TRAJECTORIES]
+    groups = dynamics._groups(ends, workers)
+    written = list(dict.fromkeys(datagen._SOURCES[name][0] for name in WRITE_ORDER))
+    assert {TRAJECTORIES[r] for r in groups[0]} == set(written[:len(groups[0])])
+
 
 def record_mappings(monkeypatch) -> list:
     """A list that gets a weak reference to each mapping `dynamics` makes."""
@@ -660,19 +715,21 @@ def test_generate_frees_each_trajectory_after_its_last_window(tmp_path, monkeypa
         assert not [ref for ref in refs if ref() is not None]
     finally:
         gc.enable()
-    # As each file closes, the trajectories of it and of the files after it
-    # are mapped, and no other, nor the status table.
+    # The files close in `WRITE_ORDER`. As each closes, the trajectories of
+    # it and of the files after it are mapped, and no other, nor the status
+    # table.
+    assert tuple(alive) == WRITE_ORDER
     mapped = {name: {t for t, live in zip(TRAJECTORIES, lives) if live}
               for name, lives in alive.items()}
-    order = list(datagen._SOURCES)
-    for k, name in enumerate(order):
-        assert mapped[name] == {datagen._SOURCES[later][0] for later in order[k:]}, name
+    for k, name in enumerate(WRITE_ORDER):
+        assert mapped[name] == {datagen._SOURCES[later][0] for later in WRITE_ORDER[k:]}, name
         assert not alive[name][6], name
-    assert "param_a" in mapped["X6train"] and "param_a" not in mapped["X7train"]
-    assert "param_b" not in mapped["X8train"] and "param_c" not in mapped["X9train"]
-    assert mapped["X7test"] == {"trajectory", "interpolation", "extrapolation"}
-    assert mapped["X8test"] == {"interpolation", "extrapolation"}
-    assert mapped["X9test"] == {"extrapolation"}
+    params = {"param_a", "param_b", "param_c"}
+    assert mapped["X7test"] == set(TRAJECTORIES)
+    assert mapped["X8test"] == {"interpolation", "extrapolation"} | params
+    assert mapped["X9test"] == {"extrapolation"} | params
+    assert mapped["X6train"] == params
+    assert mapped["X7train"] == {"param_b", "param_c"} and mapped["X8train"] == {"param_c"}
     for name, digest in MATRIX_SHA256["lorenz"].items():
         payload = (tmp_path / f"{name}.mat").read_bytes()[24:]
         assert hashlib.sha256(payload).hexdigest() == digest, name
@@ -683,14 +740,16 @@ def test_generate_frees_each_trajectory_after_its_last_window(tmp_path, monkeypa
 # next file is checked, or the two are resident at once.
 def test_generate_checks_no_block_while_an_earlier_window_is_held(tmp_path, monkeypatch):
     refs, mapped, real = record_mappings(monkeypatch), collections.defaultdict(set), matio._all_finite
-    writing, init = [], matio.MatrixWriter.__init__
+    writing, init, first = [], matio.MatrixWriter.__init__, {}
 
     def opening(self, path, shape):
         writing.append(Path(path).stem)
         init(self, path, shape)
 
     def checking(block):
-        mapped[writing[-1]].update(t for t, ref in zip(TRAJECTORIES, refs) if ref() is not None)
+        live = {t for t, ref in zip(TRAJECTORIES, refs) if ref() is not None}
+        mapped[writing[-1]].update(live)
+        first.setdefault(writing[-1], live)
         return real(block)
 
     monkeypatch.setattr(matio.MatrixWriter, "__init__", opening)
@@ -700,9 +759,12 @@ def test_generate_checks_no_block_while_an_earlier_window_is_held(tmp_path, monk
         datagen.generate_pack("lorenz", 11, None, tmp_path)
     finally:
         gc.enable()
-    order = list(datagen._SOURCES)
-    for k, name in enumerate(order):
-        assert mapped[name] == {datagen._SOURCES[later][0] for later in order[k:]}, name
+    assert tuple(writing) == WRITE_ORDER
+    for k, name in enumerate(WRITE_ORDER):
+        assert mapped[name] == {datagen._SOURCES[later][0] for later in WRITE_ORDER[k:]}, name
+    # By the first block of the first parametric window, the trajectories
+    # that a KS `generate` integrates in its own process are unmapped.
+    assert first["X6train"] == {"param_a", "param_b", "param_c"}
 
 
 @pytest.mark.parametrize("fails", ["X2train.mat", "X1test.mat", "X8test.mat"])

@@ -458,6 +458,34 @@ _SCORES = {
 }
 
 
+class TestNotAMatrixOfNumbers:
+    """What numpy cannot make a float64 matrix of is a MetricError, and an
+    open `MatrixReader` is taken as the matrix its file holds."""
+
+    _TRUTH = np.arange(1.0, 7.0).reshape(2, 3)
+
+    def test_ragged_prediction_is_named(self):
+        with pytest.raises(MetricError, match="^not a matrix of numbers: setting an array"):
+            cb.score_short_time([[1.0, 2.0, 3.0], [1.0]], self._TRUTH, 2)
+
+    def test_text_prediction_is_named(self):
+        with pytest.raises(MetricError, match="^not a matrix of numbers: could not convert"):
+            cb.score_short_time("abc", self._TRUTH, 2)
+
+    @pytest.mark.parametrize("kind, cols", [("short_time", 3), ("spectral", 8),
+                                            ("histogram", 3)])
+    def test_open_reader_scores_as_its_array(self, tmp_path, kind, cols):
+        truth, pred = np.random.default_rng(cols).standard_normal((2, 40, cols))
+        windows = MetricWindows(short_k=30, long_k=20, kmax=2, bins=5)
+        matio.write_matrix(tmp_path / "truth.mat", truth)
+        matio.write_matrix(tmp_path / "pred.mat", pred)
+        want = np.float64(_DIRECT[kind](pred, truth, windows)).tobytes()
+        with matio.MatrixReader(tmp_path / "truth.mat") as t, \
+                matio.MatrixReader(tmp_path / "pred.mat") as p:
+            assert np.float64(_DIRECT[kind](pred, t, windows)).tobytes() == want
+            assert np.float64(_DIRECT[kind](p, t, windows)).tobytes() == want
+
+
 class TestTruthTable:
     """Direct metric calls take their truth side through the one truth table."""
 
