@@ -148,7 +148,8 @@ def generate(system, seed, out_dir, data_root, dt, spinup, noise_medium, noise_h
         raise
     if with_csv:
         for name in datagen.MATRIX_LAYOUT:
-            matio.csv_from_matrix_file(out_dir / f"{name}.mat", out_dir / f"{name}.csv")
+            with matio.MatrixReader(out_dir / f"{name}.mat") as mat:
+                matio.write_csv(out_dir / f"{name}.csv", mat)
     if as_json:
         _echo_json({"dataset": m.dataset_id, "directory": str(out_dir),
                     "matrices": len(datagen.MATRIX_LAYOUT), "manifest": m.to_dict()})
@@ -276,10 +277,8 @@ def leaderboard_add(store, card_paths, as_json):
     for path in card_paths:
         card = referee.read_scorecard(path)
         board = referee.update_leaderboard(store, card)
-        rank = next(
-            e.rank for e in board.entries(card.dataset_id)
-            if e.method_name == card.method_name
-        )
+        rank = next(e.rank for e in board.entries(card.dataset_id)
+                    if e.method_name == card.method_name)
         added.append({"dataset": card.dataset_id, "method": card.method_name, "rank": rank})
     if as_json:
         _echo_json({"added": added})

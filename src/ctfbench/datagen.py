@@ -159,16 +159,12 @@ class PackConfig:
             raise PackValidationError(f"extrap_param: extrapolation parameter "
                                       f"{self.extrap_param} must lie outside [{lo}, {hi}]")
         for label in ("medium", "high"):
-            try:
+            with matio.named(f"noise_{label}", ValueError, ValueError):
                 NoiseLevel(label, getattr(self, f"noise_{label}"))
-            except ValueError as exc:
-                raise ValueError(f"noise_{label}: {exc}") from exc
         for name in ("nominal_param", "train_params", "interp_param", "extrap_param"):
             for value in np.ravel(getattr(self, name)):
-                try:
+                with matio.named(name, ValueError, ValueError):
                     _params(self.system, value)
-                except ValueError as exc:
-                    raise ValueError(f"{name}: {exc}") from exc
         matio._check_fields(self)
 
 
@@ -272,10 +268,9 @@ def _noisy(x: np.ndarray, fraction: float, seed: int):
     """The rows of `x` plus Gaussian noise, by `matio.row_blocks`: the noise
     of each column has `fraction` times that column's std over all of `x`,
     and the blocks are drawn in turn from one generator, so they hold the
-    bits of one draw of `x`'s whole shape. The std has numpy's bits:
-    `matio.column_mean` streams it where numpy sums axis 0 row by row."""
-    sigma = fraction * (np.sqrt(matio.column_mean(x, matio.column_mean(x)))
-                        if x.flags.c_contiguous and x.size > len(x) else x.std(axis=0))
+    bits of one draw of `x`'s whole shape. The std has numpy's bits
+    (`matio.column_mean`)."""
+    sigma = fraction * np.sqrt(matio.column_mean(x, matio.column_mean(x)))
     rng = np.random.default_rng(seed)
     for start, rows in matio.row_blocks(x):
         block = rng.standard_normal(rows.shape)

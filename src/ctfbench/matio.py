@@ -114,29 +114,33 @@ def _kept(x: np.ndarray, key) -> bool:
     return (id(x), key) in (_TRUTHS.get() or {})
 
 
+@contextmanager
+def named(prefix: str, catch=OSError, error: type[Exception] = CTFBenchError):
+    """Raise an exception of `catch` in this block as `error("<prefix>:
+    <why>")`, from it: `why` is an OSError's strerror, or the exception
+    itself when it has none or is of another kind."""
+    try:
+        yield
+    except catch as exc:
+        raise error(f"{prefix}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def make_dir(path: Path) -> None:
     """Create directory `path` and its parents, or raise CTFBenchError naming it."""
-    try:
+    with named(f"{path}: cannot create directory"):
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CTFBenchError(f"{path}: cannot create directory: {exc.strerror}") from exc
 
 
 def remove_file(path: Path) -> None:
     """Remove the file `path` if there is one, or raise CTFBenchError naming it."""
-    try:
+    with named(f"{path}: cannot remove"):
         path.unlink(missing_ok=True)
-    except OSError as exc:
-        raise CTFBenchError(f"{path}: cannot remove: {exc.strerror}") from exc
 
 
 def _temp_beside(path: Path) -> tuple[int, str]:
     """Open a new temp file beside `path`, or raise CTFBenchError naming it."""
-    try:
+    with named(f"{path}: cannot write into {str(path.parent)!r}"):
         return tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    except OSError as exc:
-        raise CTFBenchError(
-            f"{path}: cannot write into {str(path.parent)!r}: {exc.strerror}") from exc
 
 
 def check_writable(path: str | Path) -> None:
@@ -164,19 +168,16 @@ class _AtomicFile:
             os.unlink(self._tmp)
             raise
 
-    def _named(self, what: str, call, *args) -> None:
-        try:
-            call(*args)
-        except OSError as exc:
-            raise CTFBenchError(f"{self.path}: {what}: {exc.strerror or exc}") from exc
-
     def write(self, data) -> None:
-        self._named("cannot write", self._fh.write, data)
+        with named(f"{self.path}: cannot write"):
+            self._fh.write(data)
 
     def close(self) -> None:
         try:
-            self._named("cannot write", self._fh.close)
-            self._named("cannot replace", os.replace, self._tmp, self.path)
+            with named(f"{self.path}: cannot write"):
+                self._fh.close()
+            with named(f"{self.path}: cannot replace"):
+                os.replace(self._tmp, self.path)
         except BaseException:
             self.abandon()
             raise
@@ -232,10 +233,14 @@ def row_blocks(x, stop: int | None = None):
 
 def column_mean(x, centre: np.ndarray | None = None) -> np.ndarray:
     """`x.mean(axis=0)`, or with `centre` `x.var(axis=0)`'s mean of `(x -
-    centre)**2`, with numpy's bits where it sums axis 0 row by row: `x` streams
-    by `row_blocks`, each block after the first led by the running sum."""
+    centre)**2`, with numpy's bits in every layout. An array that numpy sums
+    pairwise down axis 0 (one column, or not C-ordered) is summed whole, by
+    `np.add.reduce`; any other `x`, a `MatrixReader` too, is summed row by
+    row, so it streams by `row_blocks`, each block after the first led by
+    the running sum."""
+    whole = isinstance(x, np.ndarray) and not (x.flags.c_contiguous and x.size > len(x))
     total = buf = None
-    for _, block in row_blocks(x):
+    for _, block in [(0, x)] if whole else row_blocks(x):
         if total is None:  # in the layout numpy gives it, so summed as numpy sums it
             rows = part = block if centre is None else block - centre
         else:
@@ -324,12 +329,8 @@ class MatrixReader:
     def _io(self, call, *args, **kwargs):
         """`call(*args, **kwargs)`, an OSError or a ValueError (a closed file)
         raised as a MatrixFormatError."""
-        try:
+        with named(f"{self.path}: cannot read", (OSError, ValueError), MatrixFormatError):
             return call(*args, **kwargs)
-        except OSError as exc:
-            raise MatrixFormatError(f"{self.path}: cannot read: {exc.strerror}") from exc
-        except ValueError as exc:
-            raise MatrixFormatError(f"{self.path}: cannot read: {exc}") from exc
 
     def _seek(self, row: int) -> None:
         """Go to the first value of row `row`."""
@@ -395,32 +396,22 @@ def equal(a, b) -> bool:
         np.array_equal(p, q) for (_, p), (_, q) in zip(row_blocks(a), row_blocks(b)))
 
 
-def write_csv(path: str | Path, x: np.ndarray) -> None:
-    """Write a matrix as comma-separated decimal text, one time step per row,
-    with 17 significant digits, enough to round-trip float64 exactly."""
-    _write_csv(path, [_as_matrix(x)])
-
-
-def csv_from_matrix_file(mat_path: str | Path, path: str | Path) -> None:
-    """Write the matrix file at `mat_path` to `path` as `write_csv` writes
-    the matrix it holds, by `MatrixReader.blocks`: never held whole."""
-    with MatrixReader(mat_path) as m:
-        _write_csv(path, (part for _, part in m.blocks()))
-
-
-def _write_csv(path: str | Path, blocks) -> None:
-    """Write the rows of `blocks`, in order, as one CSV matrix."""
+def write_csv(path: str | Path, x) -> None:
+    """Write a matrix, an array or an open `MatrixReader`, as comma-separated
+    decimal text, one time step per row, with 17 significant digits, enough
+    to round-trip float64 exactly. It writes by `row_blocks`, each block the
+    bytes it has in the whole matrix, so a reader's is never held whole."""
+    x = x if isinstance(x, MatrixReader) else _as_matrix(x)
     with _AtomicFile(path) as fh:
-        for block in blocks:
+        for _, block in row_blocks(x):
             np.savetxt(fh, block, fmt="%.17g", delimiter=",")
 
 
 def read_csv(path: str | Path) -> np.ndarray:
     """Read a matrix from comma-separated text; an unreadable file is a MatrixFormatError."""
     try:
-        a = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise MatrixFormatError(f"{path}: malformed CSV matrix: {exc}") from exc
+        with named(f"{path}: malformed CSV matrix", ValueError, MatrixFormatError):
+            a = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except OSError as exc:
         # numpy raises FileNotFoundError for a missing path without an errno.
         why = exc.strerror or os.strerror(errno.ENOENT)
@@ -607,7 +598,5 @@ def decode(tp: Any, value: Any, at: str = "") -> Any:
 def read_document(path: str | Path, cls: type, error: type[CTFBenchError] = CTFBenchError):
     """Read the JSON document at `path` as dataclass `cls`; an unreadable
     document or a value that does not fit raises `error` naming `path`."""
-    try:
+    with named(f"{path}: malformed {cls.__name__.lower()} document", ValueError, error):
         return decode(cls, read_json(path, error))
-    except ValueError as exc:
-        raise error(f"{path}: malformed {cls.__name__.lower()} document: {exc}") from exc

@@ -162,12 +162,9 @@ def load_submission(run_dir: str | Path, method_name: str | None = None, *,
     if not run_dir.is_dir():
         raise CTFBenchError(f"submission directory not found: {run_dir}")
     meta_path = run_dir / "meta"
-    try:
+    with (matio.named(f"{meta_path}: cannot read"),
+          matio.named(f"{meta_path}: meta file is not UTF-8 text", UnicodeDecodeError)):
         metadata = _parse_meta(meta_path.read_text("utf-8")) if meta_path.is_file() else {}
-    except UnicodeDecodeError as exc:
-        raise CTFBenchError(f"{meta_path}: meta file is not UTF-8 text: {exc}") from exc
-    except OSError as exc:
-        raise CTFBenchError(f"{meta_path}: cannot read: {exc.strerror or exc}") from exc
     predictions = {}
     for name in [n for n in PREDICTION_NAMES if n in wanted]:
         pred = open_prediction(run_dir, name)
@@ -210,10 +207,8 @@ def _prediction(name: str, pred):
     MetricError is a CTFBenchError naming prediction `name`."""
     if pred is None:
         return None
-    try:
+    with matio.named(name, MetricError):
         return metrics._matrix(pred, None)
-    except MetricError as exc:
-        raise CTFBenchError(f"{name}: {exc}") from exc
 
 
 def _check_aggregate(mean: float, std: float, key: str = "") -> None:
@@ -272,10 +267,8 @@ class ScoreCard:
             raise ValueError(f"dataset: {self.dataset_id!r} is not {' or '.join(DATASET_DIMS)}")
         _check_ids(self.aggregate_scores, "aggregate.scores")
         _check_ids(self.windows, "windows", tuple(f.name for f in fields(MetricWindows)))
-        try:
+        with matio.named("windows", ValueError, ValueError):
             MetricWindows(**self.windows)
-        except ValueError as exc:
-            raise ValueError(f"windows: {exc}") from exc
         if not self.runs:
             raise ValueError("runs: a scorecard holds at least one run")
         rebuilt = _card(self.method_name, self.dataset_id, self.runs, self.windows)
@@ -516,13 +509,9 @@ def _store_lock(store: str | Path):
     """Hold `flock(LOCK_EX)` on the directory of `store`, which leaves no
     lock file beside it."""
     directory = Path(store).parent
-    try:
+    with matio.named(f"{store}: cannot open the leaderboard store's directory "
+                     f"{str(directory)!r}"):
         fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
-    except OSError as exc:
-        raise CTFBenchError(
-            f"{store}: cannot open the leaderboard store's directory {str(directory)!r}: "
-            f"{exc.strerror}"
-        ) from exc
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
         yield

@@ -110,21 +110,27 @@ def render_radar(cards: list[ScoreCard], baseline: ScoreCard | None = None) -> s
     return _svg(w, h, body)
 
 
+#: Left and right margin of a bar chart.
+_MARGIN = 50
+
+
+def _bar_frame(plot_w: int, plot_h: int) -> tuple[int, int, int, list[str]]:
+    """Width, height, base-line y and the body so far (the base line) of a
+    bar chart whose bars span `plot_w` and rise at most `plot_h`."""
+    w, base_y = 2 * _MARGIN + plot_w, 40 + plot_h
+    return w, plot_h + 120, base_y, [
+        f'<line class="axis" x1="{_MARGIN}" y1="{base_y}" x2="{w - _MARGIN}" y2="{base_y}" '
+        'stroke="#333333"/>']
+
+
 def render_ranked_bar(entries: list[LeaderboardEntry]) -> str:
     """One bar per method in leaderboard order, height from composite mean."""
     if not entries:
         raise ValueError("empty leaderboard")
-    bar_w, gap, margin = 56, 24, 50
-    plot_h = 280
-    w = margin * 2 + len(entries) * (bar_w + gap)
-    h = plot_h + 120
-    base_y = 40 + plot_h
-    body = [
-        f'<line class="axis" x1="{margin}" y1="{base_y}" x2="{w - margin}" y2="{base_y}" '
-        'stroke="#333333"/>'
-    ]
+    bar_w, gap, plot_h = 56, 24, 280
+    w, h, base_y, body = _bar_frame(len(entries) * (bar_w + gap), plot_h)
     for i, e in enumerate(entries):
-        x = margin + i * (bar_w + gap)
+        x = _MARGIN + i * (bar_w + gap)
         bar_h = _fraction(e.composite_mean) * plot_h
         y = base_y - bar_h
         color = _PALETTE[i % len(_PALETTE)]
@@ -155,19 +161,11 @@ def render_top3(cards: list[ScoreCard], baseline: ScoreCard | None = None) -> st
         raise ValueError("need at least one card")
     winners = top3_per_score(cards)
     colors = {c.method_name: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(cards)}
-    bar_w, group_gap = 18, 26
+    bar_w, group_gap, plot_h = 18, 26, 240
     group_w = 3 * bar_w + group_gap
-    margin = 50
-    plot_h = 240
-    w = margin * 2 + 12 * group_w
-    h = plot_h + 120
-    base_y = 40 + plot_h
-    body = [
-        f'<line class="axis" x1="{margin}" y1="{base_y}" x2="{w - margin}" y2="{base_y}" '
-        'stroke="#333333"/>'
-    ]
+    w, h, base_y, body = _bar_frame(12 * group_w, plot_h)
     for gi, sid in enumerate(SCORE_IDS):
-        gx = margin + gi * group_w
+        gx = _MARGIN + gi * group_w
         for bi, card in enumerate(winners[sid]):
             mean = card.aggregate_scores[sid].mean
             bar_h = _fraction(mean) * plot_h
@@ -188,13 +186,12 @@ def render_top3(cards: list[ScoreCard], baseline: ScoreCard | None = None) -> st
         body.append(_text(gx + 1.5 * bar_w, base_y + 16.0, sid, "group-label"))
     for i, (name, color) in enumerate(colors.items()):
         body.append(
-            f'<text class="legend" fill="{color}" x="{margin}" y="{base_y + 40 + 14 * i}" '
+            f'<text class="legend" fill="{color}" x="{_MARGIN}" y="{base_y + 40 + 14 * i}" '
             f'text-anchor="start" font-family="sans-serif" font-size="11">{escape(name)}</text>'
         )
     if baseline is not None:
-        body.append(
-            _text(w - margin, base_y + 40, f"baseline: {baseline.method_name}", "legend", "end", 11)
-        )
+        body.append(_text(w - _MARGIN, base_y + 40, f"baseline: {baseline.method_name}",
+                          "legend", "end", 11))
     return _svg(w, h, body)
 
 

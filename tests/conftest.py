@@ -6,11 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import ctfbench as cb
 from ctfbench import datagen, matio
 
 _CRITERIA: dict[str, tuple[str, str]] = {}
+
+# Each property test draws the same examples on every run: derandomized
+# draws, seeded by the test itself, and no example database. Each test's
+# own `@settings` keeps its `max_examples`.
+settings.register_profile("ctfbench", derandomize=True)
+settings.load_profile("ctfbench")
 
 
 @pytest.fixture(autouse=True)

@@ -74,6 +74,15 @@ class TestAverage:
         with pytest.raises(cb.MetricError, match="^not a matrix of numbers: setting an array"):
             predict_average(synthetic_task(), [[1.0, 2.0], [1.0]])
 
+    @pytest.mark.parametrize("layout", ["column_major", "one_column"])
+    def test_mean_has_numpys_bits_in_any_layout(self, layout):
+        # numpy sums these pairwise down axis 0, not row by row.
+        rng = np.random.default_rng(3)
+        train = (np.asfortranarray(rng.standard_normal((3000, 1024)))
+                 if layout == "column_major" else rng.standard_normal((600000, 1)))
+        pred = predict_average(synthetic_task(rows=2, cols=train.shape[1]), train)
+        assert pred[0].tobytes() == train.mean(axis=0).tobytes()
+
     def test_nested_lists_give_the_prediction_of_their_array(self):
         train = [[1.0, 3.0], [3.0, 6.0], [0.5, -2.0]]
         assert np.array_equal(predict_average(synthetic_task(), train),

@@ -233,6 +233,13 @@ class TestGenerate:
         )
         assert result.exit_code == 0
         assert len(list(out.glob("*.csv"))) == 19
+        # The bytes that the same pack in memory gives, written from arrays.
+        ref = tmp_path / "ref"
+        datagen.export_pack_csv(cb.build_pack("lorenz", 1), ref)
+        names = sorted(p.name for p in ref.glob("*.csv"))
+        assert names == sorted(p.name for p in out.glob("*.csv"))
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_json_summary(self, runner, tmp_path):
         result = runner.invoke(

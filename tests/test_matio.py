@@ -3,6 +3,7 @@ import errno
 import os
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ctfbench import matio
+from ctfbench import matio, referee
 from ctfbench.exceptions import CTFBenchError, MatrixFormatError
 from conftest import traced_peak
 
@@ -227,6 +228,33 @@ def test_make_dir_below_a_file_is_named_error(tmp_path):
         matio.make_dir(tmp_path / "afile" / "x")
 
 
+def _boom(*args, **kwargs):
+    raise OSError("boom")
+
+
+def _hold_store_lock(path):
+    with referee._store_lock(path / "store.json"):
+        pass
+
+
+@pytest.mark.parametrize("target, call, message", [
+    ((Path, "mkdir"), lambda p: matio.make_dir(p / "d"), "{p}/d: cannot create directory"),
+    ((Path, "unlink"), lambda p: matio.remove_file(p / "f"), "{p}/f: cannot remove"),
+    ((matio.tempfile, "mkstemp"), lambda p: matio.write_json(p / "x.json", {}),
+     "{p}/x.json: cannot write into '{p}'"),
+    ((matio, "open"), lambda p: matio.MatrixReader(p / "x.mat"), "{p}/x.mat: cannot read"),
+    ((referee.os, "open"), _hold_store_lock,
+     "{p}/store.json: cannot open the leaderboard store's directory '{p}'"),
+], ids=["make_dir", "remove_file", "temp_file", "reader", "store_lock"])
+def test_os_error_without_strerror_is_named_by_its_text(tmp_path, monkeypatch, target, call,
+                                                        message):
+    # OSError("boom") has no strerror; the error names it by its text.
+    monkeypatch.setattr(*target, _boom, raising=False)
+    with pytest.raises(CTFBenchError) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(p=tmp_path) + ": boom"
+
+
 def test_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(1)
     x = rng.normal(size=(9, 3)) * np.pi
@@ -273,6 +301,20 @@ def test_csv_bytes_equal_per_value_format(tmp_path):
     matio.write_csv(path, x)
     expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in x)
     assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_csv_of_a_reader_streams_the_bytes_of_its_array(tmp_path, monkeypatch):
+    # Blocks of 64 rows over 150: each block's text is the whole matrix's.
+    x = np.random.default_rng(8).normal(size=(150, 5))
+    matio.write_matrix(tmp_path / "x.mat", x)
+    monkeypatch.setattr(matio, "_CHUNK_BYTES", 64 * 5 * 8)
+    with matio.MatrixReader(tmp_path / "x.mat") as reader:
+        assert len(list(matio.row_blocks(reader))) == 3
+        matio.write_csv(tmp_path / "reader.csv", reader)
+    matio.write_csv(tmp_path / "array.csv", x)
+    expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in x)
+    for name in ("reader.csv", "array.csv"):
+        assert (tmp_path / name).read_text() == expected, name
 
 
 def test_codec_tuple_round_trip():
