@@ -5,15 +5,15 @@ aggregation (`aggregate_runs`) and the leaderboard store
 
 Scoring a task touches only the task's truth, so the test half of a pack
 scores any submission. Scorecards and the store go through `matio`'s
-codec; rules for a document read from disk are `validate()` hooks, which
-only the decoder calls, so a card built in memory may be partial.
+codec; rules for a document read from disk are `validate()` hooks, so a
+card built in memory may be partial.
 """
 
 from __future__ import annotations
 
 import fcntl
-import fnmatch
 import os
+from collections import Counter
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -441,8 +441,8 @@ class Leaderboard:
             if dataset_id not in DATASET_DIMS:
                 raise ValueError(f"datasets: {dataset_id!r} is not {' or '.join(DATASET_DIMS)}")
             methods = [e.method_name for e in entries]
-            for method in methods:
-                if methods.count(method) > 1:
+            for method, count in Counter(methods).items():
+                if count > 1:
                     raise ValueError(f"datasets.{dataset_id}: method {method!r} is listed twice")
             if methods != [e.method_name for e in _ranked(entries)]:
                 raise ValueError(f"datasets.{dataset_id}: entries are not in board order "
@@ -478,6 +478,12 @@ def load_leaderboard(path: str | Path) -> Leaderboard:
     return matio.read_document(path, Leaderboard)
 
 
+def _target(store: str | Path) -> Path:
+    """`store`, or the file that it links to when it is a symbolic link."""
+    store = Path(store)
+    return store.resolve() if store.is_symlink() else store
+
+
 def _check_regular(store: Path) -> None:
     if store.exists() and not store.is_file():
         raise CTFBenchError(f"{store}: the leaderboard store is not a regular file")
@@ -487,21 +493,14 @@ def check_store(store: str | Path) -> None:
     """Raise the CTFBenchError that `update_leaderboard(store, ...)` would
     raise for a store path that is not a regular file or whose directory
     takes no new file, leaving nothing behind."""
+    store = _target(store)
     matio.check_writable(store)
-    _check_regular(Path(store))
+    _check_regular(store)
 
 
 def save_leaderboard(board: Leaderboard, path: str | Path) -> None:
-    """Write `board` to the store at `path`. A board that would not read
-    back (`load_leaderboard`) is a CTFBenchError naming the store, which is
-    left as it was."""
-    doc = board.to_dict()
-    try:
-        matio.decode(Leaderboard, doc)
-    except ValueError as exc:
-        raise CTFBenchError(f"{path}: leaderboard not saved, it would not read back: "
-                            f"{exc}") from exc
-    matio.write_json(path, doc)
+    """Write `board` to the store at `path`, as it stands."""
+    matio.write_json(path, board.to_dict())
 
 
 @contextmanager
@@ -525,34 +524,33 @@ def update_leaderboard(store: str | Path, card: ScoreCard) -> Leaderboard:
     Ordering is by composite mean descending, ties broken lexicographically
     by method name; ranks are re-assigned contiguously from 1. The
     read-modify-write holds an exclusive lock on the store's directory, so
-    concurrent updates from several processes are never lost.
+    concurrent updates from several processes are never lost; a symbolic
+    link is updated in the file it links to. The load judges the stored
+    entries; the card's entry and the board's rules are judged before the
+    write, and a board that would not read back is a CTFBenchError.
     """
+    store = _target(store)
     with _store_lock(store):
         board = load_leaderboard(store)
-        entries = [
-            e for e in board.datasets.get(card.dataset_id, [])
-            if e.method_name != card.method_name
-        ]
-        entries.append(
-            LeaderboardEntry(
-                rank=0,
-                method_name=card.method_name,
-                composite_mean=card.aggregate_composite.mean,
-                composite_std=card.aggregate_composite.std,
-                scores=dict(card.aggregate_scores),
-                runs=len(card.runs),
-            )
-        )
-        entries = _ranked(entries)
+        comp = card.aggregate_composite
+        entry = LeaderboardEntry(0, card.method_name, comp.mean, comp.std,
+                                 dict(card.aggregate_scores), len(card.runs))
+        entries = _ranked([e for e in board.datasets.get(card.dataset_id, [])
+                           if e.method_name != card.method_name] + [entry])
         for i, e in enumerate(entries):
             e.rank = i + 1
         board.datasets[card.dataset_id] = entries
+        with matio.named(f"{store}: leaderboard not saved, it would not read back", ValueError):
+            matio.decode(LeaderboardEntry, matio.encode(entry),
+                         f"datasets.{card.dataset_id}[{entry.rank - 1}]")
+            board.validate()
         save_leaderboard(board, store)
     return board
 
 
 def find_run_dirs(root: str | Path, runs_glob: str) -> list[Path]:
-    """Run directories under `root` matching a relative glob pattern."""
-    root = Path(root)
-    return [p for p in sorted(root.rglob("*"))
-            if p.is_dir() and fnmatch.fnmatch(str(p.relative_to(root)), runs_glob)]
+    """The directories below `root` that relative `Path.glob` pattern `runs_glob` names."""
+    root, pattern = Path(root), Path(runs_glob)
+    if pattern.is_absolute() or ".." in pattern.parts or not pattern.parts:
+        return []
+    return sorted(p for p in root.glob(runs_glob) if p.is_dir() and p != root)

@@ -528,6 +528,31 @@ class TestScore:
         assert len(payload["runs"]) == 2
         assert payload["aggregate"]["composite"] == {"mean": 100.0, "std": 0.0}
 
+    def test_runs_glob_skips_a_run_s_subdirectories(self, runner, cli_pack_dir, tmp_path):
+        pack = cb.read_pack(cli_pack_dir)
+        for run_id in ("run0", "run1"):
+            referee.write_submission(oracle_submission(pack, run_id=run_id), tmp_path)
+        (tmp_path / "oracle" / "run0" / "plots").mkdir()
+        result = runner.invoke(
+            main,
+            ["score", "--pack", str(cli_pack_dir), "--submission", str(tmp_path / "oracle"),
+             "--runs-glob", "run*", "--json", "--out", str(tmp_path / "card.json")],
+        )
+        assert result.exit_code == 0, result.output
+        assert [run["run_id"] for run in json.loads(result.output)["runs"]] == ["run0", "run1"]
+
+    @pytest.mark.parametrize("pattern", ["/abs*", "../*"])
+    def test_runs_glob_outside_the_submission_matches_nothing(self, runner, cli_pack_dir,
+                                                              tmp_path, pattern):
+        pack = cb.read_pack(cli_pack_dir)
+        referee.write_submission(oracle_submission(pack, run_id="run0"), tmp_path / "subs")
+        submission = tmp_path / "subs" / "oracle"
+        result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",
+                                      str(submission), "--runs-glob", pattern])
+        assert result.exit_code == 1, result.output
+        assert result.output == (
+            f"Error: no run directories match {pattern!r} under {submission}\n")
+
     def test_window_overrides_recorded(self, runner, cli_pack_dir, zeros_run_dir, tmp_path):
         card_path = tmp_path / "card.json"
         result = runner.invoke(
@@ -1369,6 +1394,43 @@ class TestLeaderboardCli:
         )
         assert result.exit_code == 0
         assert "renamed -> rank" in result.output
+
+    def renamed_cards(self, tmp_path, zeros_run_dir, *methods):
+        """Card files of the zeros card under each of `methods`."""
+        card, paths = referee.read_scorecard(zeros_run_dir / "card.json"), []
+        for method in methods:
+            paths.append(tmp_path / f"{method}.json")
+            referee.write_scorecard(replace(card, method_name=method), paths[-1])
+        return paths
+
+    def test_add_several_cards_reports_each_rank_when_added(self, runner, tmp_path,
+                                                            store_with_cards, zeros_run_dir):
+        zz, aa = self.renamed_cards(tmp_path, zeros_run_dir, "zz", "aa")
+        argv = ["leaderboard", "add", "--store", str(store_with_cards),
+                "--card", str(zz), "--card", str(aa)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        # Ties at the zeros composite break by name: aa later ranks ahead of zz.
+        assert result.output == "ODE_Lorenz: zz -> rank 3\nODE_Lorenz: aa -> rank 2\n"
+        assert [e.method_name for e in referee.load_leaderboard(store_with_cards).entries(
+            "ODE_Lorenz")] == ["oracle", "aa", "baseline_zeros", "zz"]
+        result = runner.invoke(main, argv + ["--json"])
+        assert json.loads(result.output) == {"added": [
+            {"dataset": "ODE_Lorenz", "method": "zz", "rank": 4},
+            {"dataset": "ODE_Lorenz", "method": "aa", "rank": 2}]}
+
+    def test_add_stops_at_a_malformed_card_and_keeps_the_earlier_ones(
+            self, runner, tmp_path, store_with_cards, zeros_run_dir):
+        (zz,) = self.renamed_cards(tmp_path, zeros_run_dir, "zz")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        result = runner.invoke(main, ["leaderboard", "add", "--store", str(store_with_cards),
+                                      "--card", str(zz), "--card", str(bad)])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {bad}: not a readable JSON document: ")
+        assert "rank" not in result.output
+        assert [e.method_name for e in referee.load_leaderboard(store_with_cards).entries(
+            "ODE_Lorenz")] == ["oracle", "baseline_zeros", "zz"]
 
     def test_failed_store_write_is_named_error(self, runner, tmp_path, store_with_cards,
                                                zeros_run_dir, monkeypatch):

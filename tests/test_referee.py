@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from ctfbench.referee import (
     ScoreAggregate,
     ScoreCard,
     aggregate_runs,
+    check_store,
     evaluate,
     find_run_dirs,
     load_leaderboard,
@@ -539,6 +542,55 @@ class TestLeaderboard:
         assert [e.method_name for e in load_leaderboard(store).entries("ODE_Lorenz")] == ["A"]
         assert not [p.name for p in tmp_path.iterdir() if p != store]
 
+    @pytest.mark.parametrize("card,why", [
+        (make_card("C", {}, 150.0),
+         "datasets.ODE_Lorenz[0].composite.mean: 150.0 lies outside [-100, 100]"),
+        (make_card("C", {}, float("nan")),
+         "datasets.ODE_Lorenz[2].composite.mean: expected float, got NaN"),
+        (make_card("C", {}, np.float64(50.0)),
+         "datasets.ODE_Lorenz[0].composite.mean: expected float, got 50.0"),
+        (make_card("C", {}, 50.0, dataset="FOO"), "datasets: 'FOO' is not ODE_Lorenz or PDE_KS"),
+        (make_card("C", {}, 50.0, dataset=5), "datasets: 5 is not ODE_Lorenz or PDE_KS"),
+        (make_card(5, {}, 50.0), "datasets.ODE_Lorenz[0].method: expected str, got 5"),
+        (replace(make_card("C", {}, 50.0), aggregate_scores={
+            sid: ScoreAggregate(0.0, 0.0) for sid in cb.metrics.SCORE_IDS[1:]}),
+         "datasets.ODE_Lorenz[0].scores: must hold exactly E1, E2, E3, E4, E5, E6, E7, E8, "
+         "E9, E10, E11, E12, got E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12"),
+        (make_card("C", {"E3": float("nan")}, 50.0),
+         "datasets.ODE_Lorenz[0].scores.E3.mean: expected float, got NaN"),
+        (replace(make_card("C", {}, 50.0), aggregate_composite=ScoreAggregate(50.0, -1.0)),
+         "datasets.ODE_Lorenz[0].composite.std: -1.0 lies outside [0, 100]"),
+    ], ids=["mean-150", "mean-nan", "mean-np-float64", "dataset-FOO", "dataset-5", "method-5",
+            "E1-missing", "E3-nan", "std-negative"])
+    def test_invalid_card_is_refused_as_the_store_would_read_it(self, tmp_path, card, why):
+        store = tmp_path / "board.json"
+        update_leaderboard(store, make_card("A", {}, 42.0))
+        update_leaderboard(store, make_card("B", {}, 10.0))
+        before = store.read_bytes()
+        with pytest.raises(cb.CTFBenchError) as err:
+            update_leaderboard(store, card)
+        assert str(err.value) == f"{store}: leaderboard not saved, it would not read back: {why}"
+        assert store.read_bytes() == before
+        assert not [p.name for p in tmp_path.iterdir() if p != store]
+
+    def test_store_through_a_symlink_updates_its_target(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "other").mkdir()
+        target, link = tmp_path / "real" / "board.json", tmp_path / "other" / "link.json"
+        update_leaderboard(target, make_card("A", {}, 42.0))
+        link.symlink_to(Path("..") / "real" / "board.json")
+        check_store(link)
+        update_leaderboard(link, make_card("B", {}, 70.0))
+        assert link.is_symlink() and link.resolve() == target
+        assert [e.method_name for e in load_leaderboard(target).entries("ODE_Lorenz")] == [
+            "B", "A"]
+        assert [p.name for p in (tmp_path / "other").iterdir()] == ["link.json"]
+        # A link into a directory that does not exist is refused as its update would be.
+        dangling = tmp_path / "other" / "dangling.json"
+        dangling.symlink_to(tmp_path / "nodir" / "board.json")
+        with pytest.raises(cb.CTFBenchError, match="nodir"):
+            check_store(dangling)
+
     def test_missing_store_is_empty(self, tmp_path):
         board = load_leaderboard(tmp_path / "absent.json")
         assert board.datasets == {}
@@ -722,7 +774,12 @@ class TestSubmissionIO:
             cb.Submission("m", "r", {"X11pred": np.zeros((2, 2))})
 
     def test_find_run_dirs(self, tmp_path):
-        for run in ("run0", "run1", "other"):
+        for run in ("run0", "run1", "other", "run0/plots"):
             (tmp_path / "m" / run).mkdir(parents=True)
+        (tmp_path / "m" / "rundown.txt").write_text("")
+        # `*` stays within one path component, and only directories below the root match.
         hits = find_run_dirs(tmp_path, "m/run*")
         assert [p.name for p in hits] == ["run0", "run1"]
+        assert find_run_dirs(tmp_path / "m", "*/plots") == [tmp_path / "m" / "run0" / "plots"]
+        for pattern in (f"{tmp_path}/m/run*", "../m/run*", ""):
+            assert find_run_dirs(tmp_path / "m", pattern) == [], pattern

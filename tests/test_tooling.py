@@ -1,5 +1,5 @@
-"""The repository's tooling: the pytest configuration in pyproject.toml and
-the line counter `tools/loc.py`."""
+"""The repository's tooling: the pytest configuration in pyproject.toml, the
+line counter `tools/loc.py` and the store update timer `tools/store_timing.py`."""
 
 import runpy
 import subprocess
@@ -9,6 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 LOC = runpy.run_path(str(ROOT / "tools" / "loc.py"))
+STORE_TIMING = runpy.run_path(str(ROOT / "tools" / "store_timing.py"))
 
 FAILING_PROPERTY = '''
 from hypothesis import given, strategies as st
@@ -58,3 +59,10 @@ def test_loc_kinds_add_up_to_each_module_line_count():
         assert counts["lines"] == len(text.splitlines()), path.name
         assert sum(counts[c] for c in ("code", "docstring", "comment", "blank")) \
             == counts["lines"], path.name
+
+
+def test_store_update_decodes_each_stored_entry_once_and_the_card_s_entry():
+    # The load decodes the n stored entries; the write judges only the new one.
+    got = STORE_TIMING["measure"](20, repeats=1)
+    assert got["methods"] == 20 and got["entry_decodes"] == 21
+    assert got["update_ms"] > 0
