@@ -272,10 +272,10 @@ def leaderboard():
               multiple=True, required=True)
 @click.option("--json", "as_json", is_flag=True)
 def leaderboard_add(store, card_paths, as_json):
-    """Upsert scorecard document(s) into the store."""
+    """Upsert scorecard document(s) into the store; a card that does not
+    read stops the command before any is stored."""
     added = []
-    for path in card_paths:
-        card = referee.read_scorecard(path)
+    for card in [referee.read_scorecard(path) for path in card_paths]:
         board = referee.update_leaderboard(store, card)
         rank = next(e.rank for e in board.entries(card.dataset_id)
                     if e.method_name == card.method_name)

@@ -3,8 +3,8 @@ simulated trajectories, and the manifest that regenerates them.
 
 `_SOURCES` is the one definition of the layout. `PackConfig` owns the
 rules of the settings and `Manifest.validate` those of a manifest read
-back. Packs are written by `_write`, read by `_opened` and checked by
-`_checked`.
+back. Packs are written in a `_writing` block, each matrix by `_write` or
+a `_Sink`, read by `_opened` and checked by `_checked`.
 """
 
 from __future__ import annotations
@@ -74,11 +74,6 @@ _SPANS: dict[str, tuple[int, int]] = {
            max(e for t, _, e, _ in _SOURCES.values() if t == traj))
     for traj, _, _, _ in _SOURCES.values()
 }
-
-#: `_SOURCES` in write order: trajectory by trajectory as `dynamics._groups`
-#: orders rows, so the parent's own group goes before any worker-written one.
-_WRITE_ORDER = {name: source for traj in sorted(_SPANS, key=lambda t: -_SPANS[t][1])
-                for name, source in _SOURCES.items() if source[0] == traj}
 
 #: name -> (rows, start index, end index).
 MATRIX_LAYOUT: dict[str, tuple[int, int, int]] = {
@@ -279,9 +274,12 @@ def _noisy(x: np.ndarray, fraction: float, seed: int):
         yield start, block
 
 
-def _simulate(cfg: PackConfig, seeds: dict[str, int]) -> dict[str, np.ndarray]:
-    """The six trajectories, integrated in one batch, each recording its
-    `_SPANS` rows; the steps before those are spin-up."""
+def _simulate(cfg: PackConfig, seeds: dict[str, int],
+              sinks=None) -> dict[str, np.ndarray] | None:
+    """The six trajectories by name, integrated in one batch, each recording
+    its `_SPANS` rows; the steps before those are spin-up. With `sinks`, the
+    rows go where `sinks(names)` sends those of the trajectories `names`,
+    as `dynamics._integrate` says, and nothing is returned."""
     integrate = {"lorenz": _lorenz_batch, "ks": _ks_batch}[cfg.system]
     values = {
         "trajectory": cfg.nominal_param,
@@ -297,7 +295,11 @@ def _simulate(cfg: PackConfig, seeds: dict[str, int]) -> dict[str, np.ndarray]:
         first, end = _SPANS[traj]
         sims.append(SimConfig(dt=cfg.dt, total_steps=end - first,
                               spinup_steps=cfg.spinup_steps + first, seed=seeds[traj]))
-    return dict(zip(values, integrate(params, sims, list(values))))
+    names = list(values)
+    if sinks is None:
+        return dict(zip(names, integrate(params, sims, names)))
+    integrate(params, sims, names, lambda rows: sinks([names[r] for r in rows]))
+    return None
 
 
 def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
@@ -316,32 +318,27 @@ def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
     return replace(cfg, **overrides)
 
 
-def _windows(system: str, master_seed: int, overrides: dict | None) -> tuple[Manifest, list]:
-    """The manifest of a pack, and each of its matrices in `_WRITE_ORDER`
-    as (name, window, noise): `window` is a view of its noise-free rows, one
-    per distinct window, and `noise` None or the `_noisy` (fraction, seed)."""
-    cfg = resolve_config(system, overrides)
-    manifest = _manifest(cfg, master_seed)
-    runs, cuts, windows = _simulate(cfg, manifest.seeds), {}, []
-    for name, (traj, start, end, noise) in _WRITE_ORDER.items():
-        first = _SPANS[traj][0]
-        window = cuts.setdefault((traj, start, end), runs[traj][start - first:end - first])
-        if noise is not None:
-            label, seed_name = noise
-            noise = getattr(cfg, f"noise_{label}"), manifest.seeds[seed_name]
-        windows.append((name, window, noise))
-    return manifest, windows
-
-
 def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> DatasetPack:
     """Generate a complete dataset pack. Deterministic in all arguments."""
-    manifest, windows = _windows(system, master_seed, overrides)
-    # A noisy matrix gathers the blocks that `generate_pack` writes.
-    mats = {name: window if noise is None else _gather(_noisy(window, *noise), window.shape)
-            for name, window, noise in windows}
+    cfg = resolve_config(system, overrides)
+    manifest = _manifest(cfg, master_seed)
+    runs, cuts, mats = _simulate(cfg, manifest.seeds), {}, {}
+    for name, (traj, start, end, noise) in _SOURCES.items():
+        first = _SPANS[traj][0]
+        # One view per distinct window; a noisy matrix gathers the blocks
+        # that `generate_pack` writes.
+        window = cuts.setdefault((traj, start, end), runs[traj][start - first:end - first])
+        mats[name] = window if noise is None else _gather(
+            _noisy(window, *_noise(cfg, manifest, noise)), window.shape)
     # Valid as built: `_SOURCES` fixes the shapes and windows, and the
     # integrators raise on a non-finite row. `write_pack` validates anyway.
     return _assemble(mats, manifest)
+
+
+def _noise(cfg: PackConfig, manifest: Manifest, noise: tuple[str, str]) -> tuple[float, int]:
+    """The `_noisy` (fraction, seed) of a `_SOURCES` noise entry."""
+    label, seed_name = noise
+    return getattr(cfg, f"noise_{label}"), manifest.seeds[seed_name]
 
 
 def _manifest(cfg: PackConfig, master_seed: int) -> Manifest:
@@ -424,50 +421,97 @@ def _beside(x, later: dict, same: dict):
         yield start, block
 
 
-def _write(directory: str | Path, manifest: Manifest, mats) -> None:
-    """Write each `(name, shape, blocks)` of `mats`, in `_WRITE_ORDER`, to
-    `<name>.mat`, between removing and writing manifest.json, so a write
-    that fails or is interrupted leaves `missing manifest`, never a manifest
-    beside matrices of another pack."""
+@contextmanager
+def _writing(directory: str | Path, manifest: Manifest):
+    """The pack directory `directory`, made, for a block that writes its
+    matrices: manifest.json is removed before the block and written after
+    it, so a block that fails or is interrupted leaves `missing manifest`,
+    never a manifest beside matrices of another pack."""
     directory = Path(directory)
     matio.make_dir(directory)
     path = directory / "manifest.json"
     matio.remove_file(path)
-    for name, shape, blocks in mats:
-        with matio.MatrixWriter(directory / f"{name}.mat", shape) as out:
-            for _, block in blocks:
-                out.write(block)
-        # It may be the last view of a trajectory: unmap that before the
-        # next file's blocks are read.
-        del block
+    yield directory
     matio.write_json(path, manifest.to_dict())
 
 
+def _write(path: Path, shape: tuple[int, int], blocks) -> None:
+    """Write the (first row, rows) `blocks` of a matrix of `shape` to `path`."""
+    with matio.MatrixWriter(path, shape) as out:
+        for _, block in blocks:
+            out.write(block)
+
+
 def write_pack(pack: DatasetPack, directory: str | Path) -> None:
-    """Write `pack` by `_write` once `validate_pack` passes it, so an
-    invalid pack leaves the directory as it was."""
+    """Write `pack` once `validate_pack` passes it, so an invalid pack
+    leaves the directory as it was."""
     validate_pack(pack)
-    mats = ((name, pack.matrix(name)) for name in _WRITE_ORDER)
-    _write(directory, pack.manifest, ((name, x.shape, matio.row_blocks(x)) for name, x in mats))
+    with _writing(directory, pack.manifest) as directory:
+        for name in MATRIX_LAYOUT:
+            x = pack.matrix(name)
+            _write(directory / f"{name}.mat", x.shape, matio.row_blocks(x))
+
+
+class _Sink:
+    """The recorded rows of trajectory `traj` as `dynamics._drive` writes
+    them, streamed to the pack at `directory`: row i goes through one buffer
+    of `matio._block_rows` rows to the file of each noise-free window that
+    holds it, and a file is closed once its last row is in. The files are
+    opened in `files`, which abandons those still open when it closes."""
+
+    def __init__(self, directory: Path, traj: str, cols: int, files: ExitStack):
+        first, end = _SPANS[traj]
+        self._len, self._windows = end - first, []
+        for name, (source, start, stop, noise) in _SOURCES.items():
+            if source == traj and noise is None:
+                out = matio.MatrixWriter(directory / f"{name}.mat", (stop - start, cols))
+                files.callback(out.abandon)
+                self._windows.append((start - first, stop - first, out))
+        self._buf = np.empty((min(matio._block_rows(cols), self._len), cols))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __setitem__(self, i: int, row) -> None:
+        k = i % len(self._buf)
+        self._buf[k] = row
+        if k + 1 < len(self._buf) and i + 1 < self._len:
+            return
+        first = i - k
+        for start, stop, out in self._windows:
+            lo, hi = max(start, first), min(stop, i + 1)
+            if lo < hi:
+                out.write(self._buf[lo - first:hi - first])
+                if hi == stop:
+                    out.close()
+
+
+@contextmanager
+def _sinks(directory: Path, cols: int, trajs: list[str]):
+    """A `_Sink` for each of `trajs`, for a block that integrates them."""
+    with ExitStack() as files:
+        yield [_Sink(directory, traj, cols, files) for traj in trajs]
 
 
 def generate_pack(system: str, master_seed: int, overrides: dict | None,
                   directory: str | Path) -> Manifest:
     """Write the pack that `build_pack` returns, with the bytes `write_pack`
-    writes, and return its manifest. No matrix is held whole: each goes to
-    its file by `matio.row_blocks`, a noisy one drawn block by block, and
-    each block is checked for finiteness before it is written. Files go in
-    `_WRITE_ORDER`, each window let go once its file is written, so each
-    trajectory's mapping is freed before the next one's first block is read."""
-    manifest, windows = _windows(system, master_seed, overrides)
-
-    def mats():
-        while windows:
-            name, window, noise = windows.pop(0)
-            yield name, window.shape, _finite(
-                name, matio.row_blocks(window) if noise is None else _noisy(window, *noise))
-
-    _write(directory, manifest, mats())
+    writes, and return its manifest. No trajectory is held whole: each
+    process that integrates rows writes them to their noise-free windows'
+    files as they come (`_Sink`). A noisy matrix is then drawn block by
+    block from the file of its window, each block checked for finiteness
+    before it is written."""
+    cfg = resolve_config(system, overrides)
+    manifest = _manifest(cfg, master_seed)
+    cols = DATASET_DIMS[manifest.dataset_id]
+    with _writing(directory, manifest) as directory:
+        _simulate(cfg, manifest.seeds, lambda trajs: _sinks(directory, cols, trajs))
+        for name, (traj, start, end, noise) in _SOURCES.items():
+            if noise is not None:
+                clean = next(n for n, s in _SOURCES.items() if s == (traj, start, end, None))
+                with matio.MatrixReader(directory / f"{clean}.mat") as window:
+                    _write(directory / f"{name}.mat", window.shape,
+                           _finite(name, _noisy(window, *_noise(cfg, manifest, noise))))
     return manifest
 
 

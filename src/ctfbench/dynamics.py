@@ -13,7 +13,9 @@ import os
 import signal
 import sys
 import threading
+import time
 from collections.abc import Sequence
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,14 +165,17 @@ def _diverged(values, among: Sequence[int]) -> int | None:
     return None
 
 
-def _drive(step, state, view, starts: Sequence[int], outs: Sequence[np.ndarray],
+def _drive(step, state, view, starts: Sequence[int], outs: Sequence,
            halted) -> tuple[int, int] | None:
     """Step `state` and write row b of `view(state)` at step i (0 is the
-    initial state) into `outs[b][i - starts[b]]` while that is in range.
-    Returns the (step, row) of the first row to go non-finite (`_diverged`)
-    before its last recorded step, spin-up included, or None. Stops early,
-    rows unwritten, once `halted(step)` (read every `_CHUNK` steps) says that
-    another batch diverged no later: no later step of this one can win."""
+    initial state) into `outs[b][i - starts[b]]` while that is in range:
+    each of `outs` is an array, or any output that takes its rows in order
+    by index and has their count as its length. Returns the (step, row) of
+    the first row to go non-finite (`_diverged`) before its last recorded
+    step, spin-up included, or None. Stops early, rows unwritten, once
+    `halted(step)` (read every `_CHUNK` steps) says that another batch
+    diverged no later, so that no later step of this one can win, or that
+    the batch is given up."""
     ends = [start + len(out) for start, out in zip(starts, outs)]
     live = list(range(len(outs)))
     # Overflow is the divergence signal, detected explicitly below.
@@ -228,21 +233,33 @@ def _groups(ends: Sequence[int], count: int) -> list[list[int]]:
     return [sorted(order[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
-def _integrate(start, cfgs: Sequence[SimConfig], cols: int,
-               names: Sequence[str] | None) -> list[np.ndarray]:
+#: Seconds that a failing parent waits for its halted workers to finish
+#: before it kills those still running.
+_HALT_GRACE_S = 5.0
+
+
+def _integrate(start, cfgs: Sequence[SimConfig], cols: int, names: Sequence[str] | None,
+               sinks=None) -> list[np.ndarray] | None:
     """The recorded rows of a batch whose row b records `cfgs[b].total_steps`
     steps of `cols` values after `cfgs[b].spinup_steps`; `start(rows)` gives
     `_drive`'s (step, state, view) for those rows. The first `_groups` group
     runs here, each other one in a forked process, which shares the inputs
-    and the mappings unpickled. Each row has a shared anonymous mapping of
-    its own, so its pages are freed when its last view goes. Raises the
-    DivergenceError of the earliest step, as one batch would, or
-    CTFBenchError when a worker fails."""
+    unpickled. Each row is written to an output. By default that is a shared
+    anonymous mapping of its own, made before the fork and returned, so its
+    pages are freed when its last view goes. With `sinks`, the outputs of
+    rows are those that the context manager `sinks(rows)` yields in the
+    process that integrates them, and None is returned; a group that stops
+    early (a divergence, a halt, an error) leaves the block with its outputs
+    unfinished. Raises the DivergenceError of the earliest step, as one
+    batch would; a worker's CTFBenchError as it raised it; or CTFBenchError
+    when a worker fails otherwise. A parent that fails halts its workers and
+    joins them, killing only those still running after `_HALT_GRACE_S`."""
     starts = [c.spinup_steps for c in cfgs]
     lengths = [c.total_steps for c in cfgs]
     groups = _groups([s + n for s, n in zip(starts, lengths)], _workers(len(cfgs), cols))
-    outs = [np.frombuffer(mmap.mmap(-1, 8 * n * cols), np.float64).reshape(n, cols)
-            for n in lengths]
+    outs = None if sinks else [
+        np.frombuffer(mmap.mmap(-1, 8 * n * cols), np.float64).reshape(n, cols) for n in lengths]
+    sinks = sinks or (lambda rows: nullcontext([outs[r] for r in rows]))
     # Per group: its (step, row) result; row -1 until it diverges. The step
     # is written first, so a row >= 0 always comes with its step.
     status = np.frombuffer(mmap.mmap(-1, 16 * len(groups)), np.int64).reshape(-1, 2)
@@ -251,38 +268,70 @@ def _integrate(start, cfgs: Sequence[SimConfig], cols: int,
     def halted(step: int) -> bool:
         return bool((status[status[:, 1] >= 0, 0] <= step).any())
 
+    def halt(g: int) -> None:
+        """Give the batch up: group g reports a divergence before step 0,
+        which halts every group at its next check."""
+        status[g, 0] = -1
+        status[g, 1] = 0
+
     def report(g: int) -> None:
         rows = groups[g]
-        found = _drive(*start(rows), [starts[r] for r in rows], [outs[r] for r in rows], halted)
+        with sinks(rows) as group:
+            found = _drive(*start(rows), [starts[r] for r in rows], group, halted)
         if found:
             status[g, 0] = found[0]
             status[g, 1] = rows[found[1]]
 
-    workers = []
+    def work(g: int, errors) -> None:
+        """A worker's `report(g)`: a CTFBenchError halts the other groups
+        and goes to the parent over `errors`, pickled."""
+        try:
+            report(g)
+        except CTFBenchError as exc:
+            halt(g)
+            errors.send(exc)
+            sys.exit(1)
+
+    workers, fork = [], multiprocessing.get_context("fork")
     try:
         # SIGINT stays blocked in the workers: an interrupt is the parent's
-        # to handle, and it kills them. Blocked until the parent holds each
+        # to handle, and it halts them. Blocked until the parent holds each
         # worker, so an interrupt cannot leave one unjoined.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
         try:
             for g in range(1, len(groups)):
-                worker = multiprocessing.get_context("fork").Process(target=report, args=(g,))
+                errors, sent = fork.Pipe(duplex=False)
+                worker = fork.Process(target=work, args=(g, sent))
                 worker.start()
-                workers.append((g, worker))
+                sent.close()
+                workers.append((g, worker, errors))
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         report(0)
-        for g, worker in workers:
+        for g, worker, errors in workers:
             worker.join()
             if worker.exitcode:
+                # Its error, at most a path and a reason, fits the pipe's
+                # buffer; a worker that sent none leaves the pipe at its end.
+                with suppress(EOFError):
+                    raise errors.recv()
                 who = ", ".join(repr(names[r]) for r in groups[g]) if names else groups[g]
                 raise CTFBenchError(f"integration worker for trajectories {who} failed "
                                     f"(exit status {worker.exitcode})")
     finally:
-        for _, worker in workers:
-            if worker.exitcode is None:
-                worker.kill()
-                worker.join()
+        running = [w for _, w, _ in workers if w.exitcode is None]
+        try:
+            if running:
+                halt(0)
+                deadline = time.monotonic() + _HALT_GRACE_S
+                for worker in running:
+                    worker.join(max(0.0, deadline - time.monotonic()))
+        finally:
+            for _, worker, errors in workers:
+                if worker.exitcode is None:
+                    worker.kill()
+                    worker.join()
+                errors.close()
     diverged = status[status[:, 1] >= 0].tolist()
     if diverged:
         step, row = min(diverged)
@@ -313,11 +362,11 @@ def _lorenz_step(params: LorenzParams, dt: float):
 
 
 def _lorenz_batch(params: Sequence[LorenzParams], cfgs: Sequence[SimConfig],
-                  names: Sequence[str] | None = None) -> list[np.ndarray]:
-    """One Lorenz trajectory per (params, cfg) pair; dt is shared. Three
-    values step faster as Python floats than as a numpy array, so the state
-    is (step, row tuples), each row stepped by its own `_lorenz_step` until
-    its last recorded step."""
+                  names: Sequence[str] | None = None, sinks=None) -> list[np.ndarray] | None:
+    """One Lorenz trajectory per (params, cfg) pair, returned or written to
+    `sinks` (`_integrate`); dt is shared. Three values step faster as Python
+    floats than as a numpy array, so the state is (step, row tuples), each
+    row stepped by its own `_lorenz_step` until its last recorded step."""
     dt = _shared_dt(cfgs)
     ics = [tuple(_resolve_ic(c, 3).tolist()) for c in cfgs]
 
@@ -331,7 +380,7 @@ def _lorenz_batch(params: Sequence[LorenzParams], cfgs: Sequence[SimConfig],
 
         return step, (0, tuple(ics[r] for r in rows)), lambda s: s[1]
 
-    return _integrate(start, cfgs, 3, names)
+    return _integrate(start, cfgs, 3, names, sinks)
 
 
 def integrate_lorenz(params: LorenzParams, cfg: SimConfig) -> np.ndarray:
@@ -423,10 +472,11 @@ class _ETDRK4:
 
 
 def _ks_batch(params: Sequence[KSParams], cfgs: Sequence[SimConfig],
-              names: Sequence[str] | None = None) -> list[np.ndarray]:
-    """One KS trajectory per (params, cfg) pair; grid and dt are shared. The
-    state carries the grid values of its spectral rows: they are the recorded
-    rows, and the next step's first nonlinear term."""
+              names: Sequence[str] | None = None, sinks=None) -> list[np.ndarray] | None:
+    """One KS trajectory per (params, cfg) pair, returned or written to
+    `sinks` (`_integrate`); grid and dt are shared. The state carries the
+    grid values of its spectral rows: they are the recorded rows, and the
+    next step's first nonlinear term."""
     dt = _shared_dt(cfgs)
     if len({(p.domain_length, p.grid_points) for p in params}) != 1:
         raise ValueError("batched KS trajectories must share domain_length and grid_points")
@@ -437,7 +487,7 @@ def _ks_batch(params: Sequence[KSParams], cfgs: Sequence[SimConfig],
         stepper = _ETDRK4([params[r] for r in rows], dt)
         return stepper.step, stepper.state(np.fft.rfft(ics[rows])), lambda s: s[1]
 
-    return _integrate(start, cfgs, n, names)
+    return _integrate(start, cfgs, n, names, sinks)
 
 
 def integrate_ks(params: KSParams, cfg: SimConfig) -> np.ndarray:

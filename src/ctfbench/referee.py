@@ -425,8 +425,11 @@ class LeaderboardEntry:
 
 
 def _ranked(entries: list[LeaderboardEntry]) -> list[LeaderboardEntry]:
-    """`entries` in board order: composite mean descending, ties broken by method name."""
-    return sorted(entries, key=lambda e: (-e.composite_mean, e.method_name))
+    """`entries` in board order: composite mean descending, ties broken by
+    method name. A name that is not a `str`, which only an entry not yet
+    judged can hold, is placed by its text, so that it can be judged at its
+    place."""
+    return sorted(entries, key=lambda e: (-e.composite_mean, str(e.method_name)))
 
 
 @dataclass

@@ -1,7 +1,9 @@
 import multiprocessing
 import os
+import signal
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 import ctfbench as cb
-from ctfbench import datagen, matio
+from ctfbench import datagen, dynamics, matio
 
 _CRITERIA: dict[str, tuple[str, str]] = {}
 
@@ -149,6 +151,26 @@ def fail_writes_to(monkeypatch, name):
         return fd, tmp
 
     monkeypatch.setattr(matio, "_temp_beside", temp_beside)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail instead of hanging when the block outlasts `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def force_workers(monkeypatch, count):
+    """Split every integrated batch over `count` processes (fewer for fewer rows)."""
+    monkeypatch.setattr(dynamics, "_workers", lambda rows, cols: min(count, rows))
 
 
 def interrupt_rename_to(monkeypatch, name):

@@ -4,8 +4,10 @@ import errno
 import gc
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
+import time
 import warnings
 import weakref
 from dataclasses import replace
@@ -19,8 +21,8 @@ import ctfbench as cb
 from ctfbench import baselines, datagen, dynamics, matio, referee
 from ctfbench.cli import main
 from ctfbench.metrics import MetricKind
-from conftest import (DAMAGED_PACKS, damage, fail_writes_to, interrupt_rename_to,
-                      oracle_submission, traced_peak)
+from conftest import (DAMAGED_PACKS, damage, deadline, fail_writes_to, force_workers,
+                      interrupt_rename_to, oracle_submission, traced_peak)
 
 
 @pytest.fixture(scope="module")
@@ -282,16 +284,17 @@ class TestGenerate:
         assert result.exit_code == 1, result.output
         assert result.output == (
             f"Error: {out / 'X6train.mat'}: cannot write: No space left on device\n")
-        # Every file before X6train in the write order: the windows of
-        # `trajectory`, `interpolation` and `extrapolation`.
-        written = [f"X{i}train" for i in (1, 2, 3, 4, 5, 9, 10)] + [
-            f"X{i}test" for i in range(1, 10)]
-        assert sorted(p.name for p in out.iterdir()) == sorted(f"{n}.mat" for n in written)
+        # The rows of `param_a`-`param_c` end at step 10999, before those of
+        # every other trajectory (11999), so X6train fails before any file is
+        # complete: every file is abandoned, and the --out made goes too.
+        assert not out.exists()
 
     # The seed-3 pack is overwritten with seed 4, and the write fails at
     # X8test: the directory holds seed-4 files for the windows written before
-    # it (those of `trajectory`, and X9train) and seed-3 ones for the rest,
-    # and no manifest to vouch for either.
+    # it and seed-3 ones for the rest, and no manifest to vouch for either.
+    # `generate` has written the windows of `trajectory`, and X9train, whose
+    # rows end at the same step; `write_pack` every file before it in
+    # `_SOURCES` order.
     @pytest.mark.parametrize("writer", ["generate", "write_pack"])
     def test_failed_overwrite_leaves_no_manifest(self, runner, pack_copy, monkeypatch, writer):
         fail_writes_to(monkeypatch, "X8test.mat")
@@ -323,6 +326,74 @@ class TestGenerate:
         assert (pack_copy / "X1train.mat").read_bytes() != before
         with pytest.raises(cb.PackValidationError, match="missing manifest"):
             cb.read_pack(pack_copy)
+
+    def test_failed_worker_write_is_one_named_error(self, runner, tmp_path, monkeypatch):
+        # X6train is `param_a`'s, which a worker integrates and writes. Its
+        # error reaches the parent as the same named error, once; every temp
+        # file goes, and the worker is joined.
+        force_workers(monkeypatch, 2)
+        fail_writes_to(monkeypatch, "X6train.mat")
+        out = tmp_path / "p"
+        result = runner.invoke(
+            main, ["generate", "--system", "lorenz", "--seed", "3", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output == (
+            f"Error: {out / 'X6train.mat'}: cannot write: No space left on device\n")
+        assert isinstance(result.exception, SystemExit)
+        assert not list(tmp_path.rglob("*.tmp")) and not (out / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_integration_halts_the_workers(self, tmp_path, monkeypatch):
+        # Ctrl-C in the parent at its step 3000 of 12000, while the workers,
+        # which pause at each chunk edge, are at most a third of the way: it
+        # halts them, and they abandon their files and exit. None is killed,
+        # and no file, temp or whole, is left.
+        parent, drive, steps, killed = os.getpid(), dynamics._drive, [0], []
+
+        def patched(step, *args):
+            def interrupted(state):
+                steps[0] += 1
+                if steps[0] == 3000:
+                    raise KeyboardInterrupt
+                return step(state)
+
+            def paused(state):
+                if state[0] % dynamics._CHUNK == 0:
+                    time.sleep(0.01)
+                return step(state)
+
+            return drive(interrupted if os.getpid() == parent else paused, *args)
+
+        kill = multiprocessing.process.BaseProcess.kill
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "kill",
+                            lambda self: killed.append(self.pid) or kill(self))
+        monkeypatch.setattr(dynamics, "_drive", patched)
+        force_workers(monkeypatch, 3)
+        out = tmp_path / "p"
+        with deadline(60), pytest.raises(KeyboardInterrupt):
+            cb.generate_pack("lorenz", 4, None, out)
+        assert killed == [] and multiprocessing.active_children() == []
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_diverging_overwrite_leaves_no_manifest(self, runner, pack_copy, monkeypatch,
+                                                    workers):
+        # At dt 0.15 `param_a` diverges in its spin-up, before any row is
+        # recorded. The manifest is removed before the integration, so the
+        # seed-3 files stay as they were, unvouched for.
+        before = {p.name: p.read_bytes() for p in pack_copy.glob("*.mat")}
+        with pytest.raises(cb.DivergenceError) as built:
+            datagen.build_pack("lorenz", 4, {"dt": 0.15})
+        force_workers(monkeypatch, workers)
+        result = runner.invoke(main, ["generate", "--system", "lorenz", "--seed", "4",
+                                      "--dt", "0.15", "--out", str(pack_copy)])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: {built.value}\n"
+        assert "step 7 of trajectory 'param_a'" in result.output
+        assert {p.name: p.read_bytes() for p in pack_copy.iterdir()} == before
+        with pytest.raises(cb.PackValidationError, match="missing manifest"):
+            cb.read_pack(pack_copy)
+        assert multiprocessing.active_children() == []
 
     def test_csv_export_streams_the_written_files(self, runner, tmp_path, monkeypatch):
         out, reference = tmp_path / "p", tmp_path / "reference"
@@ -1419,18 +1490,22 @@ class TestLeaderboardCli:
             {"dataset": "ODE_Lorenz", "method": "zz", "rank": 4},
             {"dataset": "ODE_Lorenz", "method": "aa", "rank": 2}]}
 
-    def test_add_stops_at_a_malformed_card_and_keeps_the_earlier_ones(
+    def test_add_stores_nothing_when_a_card_is_malformed(
             self, runner, tmp_path, store_with_cards, zeros_run_dir):
+        # Every card is read before the first update, so the good card given
+        # before the malformed one is not stored either.
         (zz,) = self.renamed_cards(tmp_path, zeros_run_dir, "zz")
         bad = tmp_path / "bad.json"
         bad.write_text("{")
+        before = store_with_cards.read_bytes()
         result = runner.invoke(main, ["leaderboard", "add", "--store", str(store_with_cards),
                                       "--card", str(zz), "--card", str(bad)])
         assert result.exit_code == 1
         assert result.output.startswith(f"Error: {bad}: not a readable JSON document: ")
         assert "rank" not in result.output
+        assert store_with_cards.read_bytes() == before
         assert [e.method_name for e in referee.load_leaderboard(store_with_cards).entries(
-            "ODE_Lorenz")] == ["oracle", "baseline_zeros", "zz"]
+            "ODE_Lorenz")] == ["oracle", "baseline_zeros"]
 
     def test_failed_store_write_is_named_error(self, runner, tmp_path, store_with_cards,
                                                zeros_run_dir, monkeypatch):

@@ -19,7 +19,8 @@ from ctfbench import datagen, dynamics, matio
 from ctfbench.cli import main
 from ctfbench.dynamics import LorenzParams, SimConfig, integrate_lorenz
 from ctfbench.exceptions import CTFBenchError, MatrixFormatError, PackValidationError
-from conftest import DAMAGED_PACKS, damage, fail_writes_to, oracle_submission, traced_peak
+from conftest import (DAMAGED_PACKS, damage, fail_writes_to, force_workers, oracle_submission,
+                      traced_peak)
 
 # Independent copy of the published matrix layout: name -> (rows, start, end).
 EXPECTED_LAYOUT = {
@@ -662,128 +663,105 @@ def test_lorenz_pack_maps_only_the_rows_it_uses(monkeypatch):
     assert sizes == [8 * 3 * n for n in rows] + [16 * 1]
 
 
-#: The six trajectories in the order `_simulate` integrates them, which is
-#: the order `dynamics` maps them in.
+#: The six trajectories in the order `_simulate` integrates them.
 TRAJECTORIES = ("trajectory", "param_a", "param_b", "param_c", "interpolation", "extrapolation")
 
-#: The order in which a pack's files are written: the windows of
-#: `trajectory`, `interpolation`, `extrapolation`, then `param_a`-`param_c`,
-#: each trajectory's in `_SOURCES` order.
-WRITE_ORDER = ("X1train", "X2train", "X3train", "X4train", "X5train", "X1test", "X2test",
-               "X3test", "X4test", "X5test", "X6test", "X7test", "X9train", "X8test",
-               "X10train", "X9test", "X6train", "X7train", "X8train")
+#: The matrices that `generate` draws from a written file once every
+#: trajectory is integrated.
+NOISY = ("X2train", "X3train", "X5train")
+
+
+def assert_pinned_pack(directory):
+    """The pack at `directory` holds the pinned seed-11 Lorenz matrices."""
+    for name, digest in MATRIX_SHA256["lorenz"].items():
+        payload = (directory / f"{name}.mat").read_bytes()[24:]
+        assert hashlib.sha256(payload).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("workers", range(1, 7))
-def test_write_order_starts_with_the_parents_own_group(workers):
+def test_write_order_starts_with_the_parents_own_group(tmp_path, monkeypatch, workers):
     # `dynamics._groups` integrates its first group in the calling process
-    # and each other one in a worker. Whatever the count, the first group is
-    # a prefix of the write order, so its trajectories are written and
-    # unmapped before a worker-written one is touched.
-    assert tuple(datagen._WRITE_ORDER) == WRITE_ORDER
-    ends = [datagen._SPANS[t][1] for t in TRAJECTORIES]
-    groups = dynamics._groups(ends, workers)
-    written = list(dict.fromkeys(datagen._SOURCES[name][0] for name in WRITE_ORDER))
-    assert {TRAJECTORIES[r] for r in groups[0]} == set(written[:len(groups[0])])
+    # and each other one in a worker. Whatever the count, each process
+    # writes the noise-free windows of the trajectories it integrates, and
+    # no other; the parent writes its own group's first, then the noisy
+    # matrices. Each file is logged as it is closed, by the process that
+    # closes it.
+    log, close = tmp_path / "closed.log", matio.MatrixWriter.close
+
+    def closing(self):
+        close(self)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {Path(self.path).stem}\n")
+
+    monkeypatch.setattr(matio.MatrixWriter, "close", closing)
+    force_workers(monkeypatch, workers)
+    out = tmp_path / "p"
+    datagen.generate_pack("lorenz", 11, None, out)
+    closed = collections.defaultdict(list)
+    for line in log.read_text().splitlines():
+        pid, name = line.split()
+        closed[int(pid)].append(name)
+    windows = {t: {n for n, s in datagen._SOURCES.items() if s[0] == t and n not in NOISY}
+               for t in TRAJECTORIES}
+    groups = dynamics._groups([datagen._SPANS[t][1] for t in TRAJECTORIES], workers)
+    written = closed.pop(os.getpid())
+    own = set().union(*(windows[TRAJECTORIES[r]] for r in groups[0]))
+    assert set(written[:len(own)]) == own and tuple(written[len(own):]) == NOISY
+    assert sorted(map(sorted, closed.values())) == sorted(
+        sorted(set().union(*(windows[TRAJECTORIES[r]] for r in group))) for group in groups[1:])
+    assert_pinned_pack(out)
 
 
-def record_mappings(monkeypatch) -> list:
-    """A list that gets a weak reference to each mapping `dynamics` makes."""
-    refs, real = [], dynamics.mmap.mmap
+def record_mappings(monkeypatch) -> tuple[list, list]:
+    """Lists that get the length of each mapping `dynamics` makes, and a
+    weak reference to it. A mapping made in a worker fails the worker."""
+    parent, sizes, refs, real = os.getpid(), [], [], dynamics.mmap.mmap
 
-    def recording(*args, **kwargs):
-        shared = real(*args, **kwargs)
+    def recording(fileno, length, *args, **kwargs):
+        assert os.getpid() == parent, "a worker mapped memory"
+        shared = real(fileno, length, *args, **kwargs)
+        sizes.append(length)
         refs.append(weakref.ref(shared))
         return shared
 
     monkeypatch.setattr(dynamics.mmap, "mmap", recording)
-    return refs
+    return sizes, refs
 
 
-def test_generate_frees_each_trajectory_after_its_last_window(tmp_path, monkeypatch):
-    refs, alive, close = record_mappings(monkeypatch), {}, matio.MatrixWriter.close
-
-    def closing(self):
-        close(self)
-        alive[Path(self.path).stem] = [ref() is not None for ref in refs]
-
-    monkeypatch.setattr(matio.MatrixWriter, "close", closing)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_generate_maps_no_trajectory_only_the_status_table(tmp_path, monkeypatch, workers):
+    # Each process streams the rows it integrates to their files: no
+    # trajectory is mapped, in the parent or a worker. The one mapping is
+    # the (step, row) status pair of each group, freed with the batch.
+    sizes, refs = record_mappings(monkeypatch)
+    force_workers(monkeypatch, workers)
     gc.disable()
     try:
         datagen.generate_pack("lorenz", 11, None, tmp_path)
-        assert len(refs) == 7
+        assert sizes == [16 * workers]
         assert not [ref for ref in refs if ref() is not None]
     finally:
         gc.enable()
-    # The files close in `WRITE_ORDER`. As each closes, the trajectories of
-    # it and of the files after it are mapped, and no other, nor the status
-    # table.
-    assert tuple(alive) == WRITE_ORDER
-    mapped = {name: {t for t, live in zip(TRAJECTORIES, lives) if live}
-              for name, lives in alive.items()}
-    for k, name in enumerate(WRITE_ORDER):
-        assert mapped[name] == {datagen._SOURCES[later][0] for later in WRITE_ORDER[k:]}, name
-        assert not alive[name][6], name
-    params = {"param_a", "param_b", "param_c"}
-    assert mapped["X7test"] == set(TRAJECTORIES)
-    assert mapped["X8test"] == {"interpolation", "extrapolation"} | params
-    assert mapped["X9test"] == {"extrapolation"} | params
-    assert mapped["X6train"] == params
-    assert mapped["X7train"] == {"param_b", "param_c"} and mapped["X8train"] == {"param_c"}
-    for name, digest in MATRIX_SHA256["lorenz"].items():
-        payload = (tmp_path / f"{name}.mat").read_bytes()[24:]
-        assert hashlib.sha256(payload).hexdigest() == digest, name
-
-
-# The finiteness check reads a block's pages, which a worker wrote: the
-# trajectory of a window let go must be unmapped before any block of the
-# next file is checked, or the two are resident at once.
-def test_generate_checks_no_block_while_an_earlier_window_is_held(tmp_path, monkeypatch):
-    refs, mapped, real = record_mappings(monkeypatch), collections.defaultdict(set), matio._all_finite
-    writing, init, first = [], matio.MatrixWriter.__init__, {}
-
-    def opening(self, path, shape):
-        writing.append(Path(path).stem)
-        init(self, path, shape)
-
-    def checking(block):
-        live = {t for t, ref in zip(TRAJECTORIES, refs) if ref() is not None}
-        mapped[writing[-1]].update(live)
-        first.setdefault(writing[-1], live)
-        return real(block)
-
-    monkeypatch.setattr(matio.MatrixWriter, "__init__", opening)
-    monkeypatch.setattr(matio, "_all_finite", checking)
-    gc.disable()
-    try:
-        datagen.generate_pack("lorenz", 11, None, tmp_path)
-    finally:
-        gc.enable()
-    assert tuple(writing) == WRITE_ORDER
-    for k, name in enumerate(WRITE_ORDER):
-        assert mapped[name] == {datagen._SOURCES[later][0] for later in WRITE_ORDER[k:]}, name
-    # By the first block of the first parametric window, the trajectories
-    # that a KS `generate` integrates in its own process are unmapped.
-    assert first["X6train"] == {"param_a", "param_b", "param_c"}
+    assert_pinned_pack(tmp_path)
 
 
 @pytest.mark.parametrize("fails", ["X2train.mat", "X1test.mat", "X8test.mat"])
 def test_failed_generate_frees_every_trajectory(tmp_path, monkeypatch, fails):
-    # A write fails mid-pack, inside a noisy matrix's draws or between two
-    # windows of one trajectory: the command ends with no mapping left.
-    refs = record_mappings(monkeypatch)
+    # A write fails inside a noisy matrix's draws, or as a trajectory's rows
+    # are streamed: the command ends with no trajectory ever mapped and no
+    # temp file left. The status table goes with the error, whose traceback
+    # holds the frame that made it in a reference cycle.
+    sizes, refs = record_mappings(monkeypatch)
     fail_writes_to(monkeypatch, fails)
-    gc.disable()
-    try:
-        result = CliRunner().invoke(
-            main, ["generate", "--system", "lorenz", "--seed", "3", "--out", str(tmp_path)])
-        assert result.exit_code == 1, result.output
-        assert result.output == (
-            f"Error: {tmp_path / fails}: cannot write: No space left on device\n")
-        assert len(refs) == 7
-        assert not [ref for ref in refs if ref() is not None]
-    finally:
-        gc.enable()
+    result = CliRunner().invoke(
+        main, ["generate", "--system", "lorenz", "--seed", "3", "--out", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"Error: {tmp_path / fails}: cannot write: No space left on device\n"
+    assert sizes == [16]
+    del result
+    gc.collect()
+    assert not [ref for ref in refs if ref() is not None]
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_lorenz_row_stops_at_its_last_recorded_step(monkeypatch):

@@ -3,7 +3,6 @@ import os
 import signal
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +21,7 @@ from ctfbench.dynamics import (
     make_initial_condition,
 )
 from ctfbench.exceptions import CTFBenchError, DivergenceError
+from conftest import deadline, force_workers
 
 
 def lorenz_cfg(**kw):
@@ -354,25 +354,6 @@ class TestBatch:
         cfgs = [replace(c, spinup_steps=s) for c, s in zip(cfgs, spinups)]
         for p, c, row in zip(params, cfgs, batch(params, cfgs)):
             assert np.array_equal(row, single(p, c))
-
-
-def force_workers(monkeypatch, count):
-    monkeypatch.setattr(dynamics, "_workers", lambda rows, cols: min(count, rows))
-
-
-@contextmanager
-def deadline(seconds):
-    """Fail instead of hanging when the block outlasts `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def in_workers_only(monkeypatch, action):

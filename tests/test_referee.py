@@ -552,6 +552,7 @@ class TestLeaderboard:
         (make_card("C", {}, 50.0, dataset="FOO"), "datasets: 'FOO' is not ODE_Lorenz or PDE_KS"),
         (make_card("C", {}, 50.0, dataset=5), "datasets: 5 is not ODE_Lorenz or PDE_KS"),
         (make_card(5, {}, 50.0), "datasets.ODE_Lorenz[0].method: expected str, got 5"),
+        (make_card(5, {}, 42.0), "datasets.ODE_Lorenz[0].method: expected str, got 5"),
         (replace(make_card("C", {}, 50.0), aggregate_scores={
             sid: ScoreAggregate(0.0, 0.0) for sid in cb.metrics.SCORE_IDS[1:]}),
          "datasets.ODE_Lorenz[0].scores: must hold exactly E1, E2, E3, E4, E5, E6, E7, E8, "
@@ -561,7 +562,7 @@ class TestLeaderboard:
         (replace(make_card("C", {}, 50.0), aggregate_composite=ScoreAggregate(50.0, -1.0)),
          "datasets.ODE_Lorenz[0].composite.std: -1.0 lies outside [0, 100]"),
     ], ids=["mean-150", "mean-nan", "mean-np-float64", "dataset-FOO", "dataset-5", "method-5",
-            "E1-missing", "E3-nan", "std-negative"])
+            "method-5-tied", "E1-missing", "E3-nan", "std-negative"])
     def test_invalid_card_is_refused_as_the_store_would_read_it(self, tmp_path, card, why):
         store = tmp_path / "board.json"
         update_leaderboard(store, make_card("A", {}, 42.0))

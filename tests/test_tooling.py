@@ -1,6 +1,8 @@
 """The repository's tooling: the pytest configuration in pyproject.toml, the
-line counter `tools/loc.py` and the store update timer `tools/store_timing.py`."""
+line counter `tools/loc.py`, the store update timer `tools/store_timing.py`
+and the `generate` memory probe `tools/generate_memory.py`."""
 
+import json
 import runpy
 import subprocess
 import sys
@@ -66,3 +68,24 @@ def test_store_update_decodes_each_stored_entry_once_and_the_card_s_entry():
     got = STORE_TIMING["measure"](20, repeats=1)
     assert got["methods"] == 20 and got["entry_decodes"] == 21
     assert got["update_ms"] > 0
+
+
+GENERATE_MEMORY = str(ROOT / "tools" / "generate_memory.py")
+
+
+def test_generate_memory_prints_one_json_line_of_both_peaks():
+    run = subprocess.run([sys.executable, GENERATE_MEMORY, "lorenz", "1"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    (line,) = run.stdout.splitlines()
+    got = json.loads(line)
+    assert set(got) == {"system", "seed", "wall_s", "self_peak_mb", "workers_peak_mb"}
+    assert got["system"] == "lorenz" and got["seed"] == 1
+    assert got["wall_s"] > 0 and got["self_peak_mb"] > 0 and got["workers_peak_mb"] >= 0
+
+
+def test_generate_memory_takes_only_a_system_and_a_seed():
+    run = subprocess.run([sys.executable, GENERATE_MEMORY, "lorenz"],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == "usage: generate_memory.py {lorenz,ks} SEED\n"
