@@ -274,32 +274,20 @@ def _noisy(x: np.ndarray, fraction: float, seed: int):
         yield start, block
 
 
-def _simulate(cfg: PackConfig, seeds: dict[str, int],
-              sinks=None) -> dict[str, np.ndarray] | None:
+def _simulate(cfg: PackConfig, seeds: dict[str, int], outs=None) -> dict:
     """The six trajectories by name, integrated in one batch, each recording
-    its `_SPANS` rows; the steps before those are spin-up. With `sinks`, the
-    rows go where `sinks(names)` sends those of the trajectories `names`,
-    as `dynamics._integrate` says, and nothing is returned."""
+    its `_SPANS` rows; the steps before those are spin-up. Each is written
+    to its output of `outs`, one per trajectory in `_SPANS` order, by
+    default a shared mapping (`dynamics._integrate`)."""
     integrate = {"lorenz": _lorenz_batch, "ks": _ks_batch}[cfg.system]
-    values = {
-        "trajectory": cfg.nominal_param,
-        "param_a": cfg.train_params[0],
-        "param_b": cfg.train_params[1],
-        "param_c": cfg.train_params[2],
-        "interpolation": cfg.interp_param,
-        "extrapolation": cfg.extrap_param,
-    }
-    params = [_params(cfg.system, value) for value in values.values()]
-    sims = []
-    for traj in values:
-        first, end = _SPANS[traj]
-        sims.append(SimConfig(dt=cfg.dt, total_steps=end - first,
-                              spinup_steps=cfg.spinup_steps + first, seed=seeds[traj]))
-    names = list(values)
-    if sinks is None:
-        return dict(zip(names, integrate(params, sims, names)))
-    integrate(params, sims, names, lambda rows: sinks([names[r] for r in rows]))
-    return None
+    a, b, c = cfg.train_params
+    values = {"trajectory": cfg.nominal_param, "param_a": a, "param_b": b, "param_c": c,
+              "interpolation": cfg.interp_param, "extrapolation": cfg.extrap_param}
+    params = [_params(cfg.system, values[traj]) for traj in _SPANS]
+    sims = [SimConfig(dt=cfg.dt, total_steps=end - first,
+                      spinup_steps=cfg.spinup_steps + first, seed=seeds[traj])
+            for traj, (first, end) in _SPANS.items()]
+    return dict(zip(_SPANS, integrate(params, sims, list(_SPANS), outs)))
 
 
 def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
@@ -457,7 +445,9 @@ class _Sink:
     them, streamed to the pack at `directory`: row i goes through one buffer
     of `matio._block_rows` rows to the file of each noise-free window that
     holds it, and a file is closed once its last row is in. The files are
-    opened in `files`, which abandons those still open when it closes."""
+    made here, headers written, and registered with `files`, which abandons
+    those still open when it closes; the buffer is made at row 0, by the
+    process that integrates `traj`, so no other process holds it."""
 
     def __init__(self, directory: Path, traj: str, cols: int, files: ExitStack):
         first, end = _SPANS[traj]
@@ -467,12 +457,14 @@ class _Sink:
                 out = matio.MatrixWriter(directory / f"{name}.mat", (stop - start, cols))
                 files.callback(out.abandon)
                 self._windows.append((start - first, stop - first, out))
-        self._buf = np.empty((min(matio._block_rows(cols), self._len), cols))
+        self._shape = (min(matio._block_rows(cols), self._len), cols)
 
     def __len__(self) -> int:
         return self._len
 
     def __setitem__(self, i: int, row) -> None:
+        if not i:
+            self._buf = np.empty(self._shape)
         k = i % len(self._buf)
         self._buf[k] = row
         if k + 1 < len(self._buf) and i + 1 < self._len:
@@ -484,13 +476,6 @@ class _Sink:
                 out.write(self._buf[lo - first:hi - first])
                 if hi == stop:
                     out.close()
-
-
-@contextmanager
-def _sinks(directory: Path, cols: int, trajs: list[str]):
-    """A `_Sink` for each of `trajs`, for a block that integrates them."""
-    with ExitStack() as files:
-        yield [_Sink(directory, traj, cols, files) for traj in trajs]
 
 
 def generate_pack(system: str, master_seed: int, overrides: dict | None,
@@ -505,7 +490,13 @@ def generate_pack(system: str, master_seed: int, overrides: dict | None,
     manifest = _manifest(cfg, master_seed)
     cols = DATASET_DIMS[manifest.dataset_id]
     with _writing(directory, manifest) as directory:
-        _simulate(cfg, manifest.seeds, lambda trajs: _sinks(directory, cols, trajs))
+        with ExitStack() as files:
+            # Every file is made here, before the fork, and abandoned here if
+            # the block fails, a killed worker's too. No writer may hold
+            # buffered bytes at the fork (`MatrixWriter` flushes its header),
+            # or this process would write them into a worker's file again.
+            _simulate(cfg, manifest.seeds,
+                      [_Sink(directory, traj, cols, files) for traj in _SPANS])
         for name, (traj, start, end, noise) in _SOURCES.items():
             if noise is not None:
                 clean = next(n for n, s in _SOURCES.items() if s == (traj, start, end, None))

@@ -15,7 +15,7 @@ import sys
 import threading
 import time
 from collections.abc import Sequence
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,27 +239,26 @@ _HALT_GRACE_S = 5.0
 
 
 def _integrate(start, cfgs: Sequence[SimConfig], cols: int, names: Sequence[str] | None,
-               sinks=None) -> list[np.ndarray] | None:
-    """The recorded rows of a batch whose row b records `cfgs[b].total_steps`
-    steps of `cols` values after `cfgs[b].spinup_steps`; `start(rows)` gives
-    `_drive`'s (step, state, view) for those rows. The first `_groups` group
-    runs here, each other one in a forked process, which shares the inputs
-    unpickled. Each row is written to an output. By default that is a shared
-    anonymous mapping of its own, made before the fork and returned, so its
-    pages are freed when its last view goes. With `sinks`, the outputs of
-    rows are those that the context manager `sinks(rows)` yields in the
-    process that integrates them, and None is returned; a group that stops
-    early (a divergence, a halt, an error) leaves the block with its outputs
-    unfinished. Raises the DivergenceError of the earliest step, as one
-    batch would; a worker's CTFBenchError as it raised it; or CTFBenchError
-    when a worker fails otherwise. A parent that fails halts its workers and
-    joins them, killing only those still running after `_HALT_GRACE_S`."""
+               outs: Sequence | None = None) -> Sequence:
+    """`outs`, with row b of the batch written to `outs[b]` (an output that
+    `_drive` takes): `cfgs[b].total_steps` steps of `cols` values after
+    `cfgs[b].spinup_steps`. By default each is a shared anonymous mapping of
+    its own, so its pages are freed when its last view goes. `start(rows)`
+    gives `_drive`'s (step, state, view) for those rows. The first `_groups`
+    group runs here, each other one in a process forked after the outputs
+    are made, which shares the inputs unpickled and writes its rows'
+    outputs. A group that stops early (a divergence, a halt, an error)
+    leaves its outputs unfinished. Raises the DivergenceError of the
+    earliest step, as one batch would; a worker's CTFBenchError as it
+    raised it; or CTFBenchError when a worker fails otherwise. A parent that
+    fails halts its workers and joins them, killing only those still
+    running after `_HALT_GRACE_S`."""
     starts = [c.spinup_steps for c in cfgs]
     lengths = [c.total_steps for c in cfgs]
     groups = _groups([s + n for s, n in zip(starts, lengths)], _workers(len(cfgs), cols))
-    outs = None if sinks else [
-        np.frombuffer(mmap.mmap(-1, 8 * n * cols), np.float64).reshape(n, cols) for n in lengths]
-    sinks = sinks or (lambda rows: nullcontext([outs[r] for r in rows]))
+    if outs is None:
+        outs = [np.frombuffer(mmap.mmap(-1, 8 * n * cols), np.float64).reshape(n, cols)
+                for n in lengths]
     # Per group: its (step, row) result; row -1 until it diverges. The step
     # is written first, so a row >= 0 always comes with its step.
     status = np.frombuffer(mmap.mmap(-1, 16 * len(groups)), np.int64).reshape(-1, 2)
@@ -276,8 +275,7 @@ def _integrate(start, cfgs: Sequence[SimConfig], cols: int, names: Sequence[str]
 
     def report(g: int) -> None:
         rows = groups[g]
-        with sinks(rows) as group:
-            found = _drive(*start(rows), [starts[r] for r in rows], group, halted)
+        found = _drive(*start(rows), [starts[r] for r in rows], [outs[r] for r in rows], halted)
         if found:
             status[g, 0] = found[0]
             status[g, 1] = rows[found[1]]
@@ -362,9 +360,9 @@ def _lorenz_step(params: LorenzParams, dt: float):
 
 
 def _lorenz_batch(params: Sequence[LorenzParams], cfgs: Sequence[SimConfig],
-                  names: Sequence[str] | None = None, sinks=None) -> list[np.ndarray] | None:
-    """One Lorenz trajectory per (params, cfg) pair, returned or written to
-    `sinks` (`_integrate`); dt is shared. Three values step faster as Python
+                  names: Sequence[str] | None = None, outs: Sequence | None = None) -> Sequence:
+    """One Lorenz trajectory per (params, cfg) pair, written to `outs` and
+    returned (`_integrate`); dt is shared. Three values step faster as Python
     floats than as a numpy array, so the state is (step, row tuples), each
     row stepped by its own `_lorenz_step` until its last recorded step."""
     dt = _shared_dt(cfgs)
@@ -380,7 +378,7 @@ def _lorenz_batch(params: Sequence[LorenzParams], cfgs: Sequence[SimConfig],
 
         return step, (0, tuple(ics[r] for r in rows)), lambda s: s[1]
 
-    return _integrate(start, cfgs, 3, names, sinks)
+    return _integrate(start, cfgs, 3, names, outs)
 
 
 def integrate_lorenz(params: LorenzParams, cfg: SimConfig) -> np.ndarray:
@@ -472,9 +470,9 @@ class _ETDRK4:
 
 
 def _ks_batch(params: Sequence[KSParams], cfgs: Sequence[SimConfig],
-              names: Sequence[str] | None = None, sinks=None) -> list[np.ndarray] | None:
-    """One KS trajectory per (params, cfg) pair, returned or written to
-    `sinks` (`_integrate`); grid and dt are shared. The state carries the
+              names: Sequence[str] | None = None, outs: Sequence | None = None) -> Sequence:
+    """One KS trajectory per (params, cfg) pair, written to `outs` and
+    returned (`_integrate`); grid and dt are shared. The state carries the
     grid values of its spectral rows: they are the recorded rows, and the
     next step's first nonlinear term."""
     dt = _shared_dt(cfgs)
@@ -487,7 +485,7 @@ def _ks_batch(params: Sequence[KSParams], cfgs: Sequence[SimConfig],
         stepper = _ETDRK4([params[r] for r in rows], dt)
         return stepper.step, stepper.state(np.fft.rfft(ics[rows])), lambda s: s[1]
 
-    return _integrate(start, cfgs, n, names, sinks)
+    return _integrate(start, cfgs, n, names, outs)
 
 
 def integrate_ks(params: KSParams, cfg: SimConfig) -> np.ndarray:

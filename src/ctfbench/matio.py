@@ -262,7 +262,9 @@ class MatrixWriter(_AtomicFile):
         super().__init__(path)
         self.shape, self._left = shape, 8 * shape[0] * shape[1]
         try:
-            super().write(MAGIC + _HEADER.pack(*shape))
+            with named(f"{self.path}: cannot write"):
+                self._fh.write(MAGIC + _HEADER.pack(*shape))
+                self._fh.flush()  # so that no process forked later writes it again
         except BaseException:
             self.abandon()
             raise

@@ -180,7 +180,12 @@ def load_submission(run_dir: str | Path, method_name: str | None = None, *,
 
 
 def write_submission(sub: Submission, root: str | Path) -> Path:
-    """Write `root/<method>/<run_id>/X*pred.mat` plus a meta file."""
+    """Write `root/<method>/<run_id>/X*pred.mat` plus a meta file, once the
+    method and run id each name one directory: not empty, `.`, `..` or a
+    path (else CTFBenchError)."""
+    for what, part in (("method", sub.method_name), ("run id", sub.run_id)):
+        if part in ("", ".", "..") or {os.sep, os.altsep} & set(part):
+            raise CTFBenchError(f"{what} {part!r}: must name one directory under {root}")
     run_dir = Path(root) / sub.method_name / sub.run_id
     matio.make_dir(run_dir)
     for name, x in sorted(sub.predictions.items()):

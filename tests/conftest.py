@@ -135,22 +135,37 @@ def damage(path, how):
         matio.write_matrix(path, x)
 
 
-def fail_writes_to(monkeypatch, name):
+def fail_writes_to(monkeypatch, name, header=True):
     """Make every write to a file called `name` fail with ENOSPC ("No space
     left on device"): its temp file is made as usual, but the descriptor
-    handed back writes to /dev/full. Only this process is affected."""
+    handed back writes to /dev/full. With `header=False`, a matrix file's
+    24-byte header is written as usual, and its first data write (through
+    `matio.MatrixWriter.write`) fails, in whichever process makes it. Only
+    this process, and those forked from it, are affected."""
     if not os.path.exists("/dev/full"):
         pytest.skip("needs /dev/full")
-    real = matio._temp_beside
+    real, write = matio._temp_beside, matio.MatrixWriter.write
+
+    def to_full(fd):
+        full = os.open("/dev/full", os.O_WRONLY)
+        os.dup2(full, fd)
+        os.close(full)
 
     def temp_beside(path):
         fd, tmp = real(path)
         if path.name == name:
-            os.close(fd)
-            fd = os.open("/dev/full", os.O_WRONLY)
+            to_full(fd)
         return fd, tmp
 
-    monkeypatch.setattr(matio, "_temp_beside", temp_beside)
+    def data_write(self, block):
+        if self.path.name == name:
+            to_full(self._fh.fileno())
+        write(self, block)
+
+    if header:
+        monkeypatch.setattr(matio, "_temp_beside", temp_beside)
+    else:
+        monkeypatch.setattr(matio.MatrixWriter, "write", data_write)
 
 
 @contextmanager

@@ -290,11 +290,11 @@ class TestGenerate:
         assert not out.exists()
 
     # The seed-3 pack is overwritten with seed 4, and the write fails at
-    # X8test: the directory holds seed-4 files for the windows written before
+    # X8test: the directory holds seed-4 files for any windows written before
     # it and seed-3 ones for the rest, and no manifest to vouch for either.
-    # `generate` has written the windows of `trajectory`, and X9train, whose
-    # rows end at the same step; `write_pack` every file before it in
-    # `_SOURCES` order.
+    # `generate` fails at X8test's header, as it makes the files before the
+    # integration, so it has written none; `write_pack` has written every
+    # file before it in `_SOURCES` order.
     @pytest.mark.parametrize("writer", ["generate", "write_pack"])
     def test_failed_overwrite_leaves_no_manifest(self, runner, pack_copy, monkeypatch, writer):
         fail_writes_to(monkeypatch, "X8test.mat")
@@ -328,11 +328,12 @@ class TestGenerate:
             cb.read_pack(pack_copy)
 
     def test_failed_worker_write_is_one_named_error(self, runner, tmp_path, monkeypatch):
-        # X6train is `param_a`'s, which a worker integrates and writes. Its
-        # error reaches the parent as the same named error, once; every temp
-        # file goes, and the worker is joined.
+        # X6train is `param_a`'s, which a worker integrates and writes. The
+        # parent makes the file and writes its header; the worker's first
+        # write of rows fails. Its error reaches the parent as the same named
+        # error, once; every temp file goes, and the worker is joined.
         force_workers(monkeypatch, 2)
-        fail_writes_to(monkeypatch, "X6train.mat")
+        fail_writes_to(monkeypatch, "X6train.mat", header=False)
         out = tmp_path / "p"
         result = runner.invoke(
             main, ["generate", "--system", "lorenz", "--seed", "3", "--out", str(out)])
@@ -346,8 +347,8 @@ class TestGenerate:
     def test_interrupted_integration_halts_the_workers(self, tmp_path, monkeypatch):
         # Ctrl-C in the parent at its step 3000 of 12000, while the workers,
         # which pause at each chunk edge, are at most a third of the way: it
-        # halts them, and they abandon their files and exit. None is killed,
-        # and no file, temp or whole, is left.
+        # halts them, and they exit. None is killed, and no file, temp or
+        # whole, is left.
         parent, drive, steps, killed = os.getpid(), dynamics._drive, [0], []
 
         def patched(step, *args):
@@ -374,6 +375,28 @@ class TestGenerate:
             cb.generate_pack("lorenz", 4, None, out)
         assert killed == [] and multiprocessing.active_children() == []
         assert list(out.iterdir()) == []
+
+    def test_killed_worker_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # Ctrl-C in the parent once its worker is in `_drive`, where the
+        # worker sleeps past the 0.5 s the parent grants it: it is killed.
+        # The parent made every file, the worker's too, and removes them all.
+        parent, drive, started = os.getpid(), dynamics._drive, tmp_path / "started"
+
+        def patched(*args):
+            if os.getpid() != parent:
+                started.touch()
+                time.sleep(60)
+            while not started.exists():
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(dynamics, "_HALT_GRACE_S", 0.5)
+        monkeypatch.setattr(dynamics, "_drive", patched)
+        force_workers(monkeypatch, 2)
+        out = tmp_path / "p"
+        with deadline(30), pytest.raises(KeyboardInterrupt):
+            cb.generate_pack("lorenz", 4, None, out)
+        assert list(out.iterdir()) == [] and multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_diverging_overwrite_leaves_no_manifest(self, runner, pack_copy, monkeypatch,
@@ -474,6 +497,18 @@ class TestBaseline:
         assert result.exit_code == 1, result.output
         assert result.output == f"Error: {error.format(path=path)}\n"
         assert not (tmp_path / "subs" / "baseline_average" / "run0").exists()
+
+    # A run id names one directory under the method's: an empty one, `.`,
+    # `..` or a path would put the run somewhere else.
+    @pytest.mark.parametrize("run_id", ["", ".", "..", "a/b", "{elsewhere}"],
+                             ids=["empty", "dot", "dotdot", "nested", "absolute"])
+    def test_run_id_must_name_one_directory(self, runner, cli_pack_dir, tmp_path, run_id):
+        run_id, out = run_id.format(elsewhere=tmp_path / "elsewhere"), tmp_path / "subs"
+        result = runner.invoke(main, ["baseline", "--kind", "zeros", "--pack", str(cli_pack_dir),
+                                      "--out", str(out), "--run-id", run_id])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: run id {run_id!r}: must name one directory under {out}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_average_holds_no_input_whole(self, runner, ks_pack, tmp_path):
         # The average baseline's KS inputs hold 246 MB, X1train-X3train 82 MB

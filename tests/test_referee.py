@@ -647,6 +647,18 @@ class TestSubmissionIO:
         for name in sub.predictions:
             assert np.array_equal(loaded.predictions[name], sub.predictions[name])
 
+    def test_method_must_name_one_directory(self, tmp_path):
+        # Only the writer holds a name to one directory: a method read back
+        # from `meta` stands as written.
+        sub = cb.Submission("../m", "run0", {"X1pred": np.zeros((2, 3))})
+        subs = tmp_path / "subs"
+        with pytest.raises(cb.CTFBenchError) as err:
+            write_submission(sub, subs)
+        assert str(err.value) == f"method '../m': must name one directory under {subs}"
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "meta").write_text("method=../m\n")
+        assert load_submission(tmp_path).method_name == "../m"
+
     def test_csv_predictions_accepted(self, lorenz_pack, tmp_path):
         from ctfbench import matio
 
