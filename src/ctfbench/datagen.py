@@ -248,7 +248,7 @@ def derive_seeds(master_seed: int) -> dict[str, int]:
 def add_noise(x: np.ndarray, level: NoiseLevel, seed: int) -> np.ndarray:
     """Add zero-mean Gaussian noise, per-column std = sigma_fraction * std(col)."""
     x = np.asarray(x, dtype=np.float64)
-    return _gather(_noisy(x, level.sigma_fraction, seed), x.shape)
+    return _gather(_noisy(x, _std({}, x), level.sigma_fraction, seed), x.shape)
 
 
 def _gather(blocks, shape: tuple[int, ...]) -> np.ndarray:
@@ -259,16 +259,26 @@ def _gather(blocks, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _noisy(x: np.ndarray, fraction: float, seed: int):
+def _std(stds: dict, x, key=None) -> np.ndarray:
+    """`x.std(axis=0)` with numpy's bits (`matio.column_mean`), kept in
+    `stds` under `key`, so each window's noise takes its std from one pair
+    of column passes."""
+    if key not in stds:
+        stds[key] = np.sqrt(matio.column_mean(x, matio.column_mean(x)))
+    return stds[key]
+
+
+def _noisy(x: np.ndarray, std: np.ndarray, fraction: float, seed: int):
     """The rows of `x` plus Gaussian noise, by `matio.row_blocks`: the noise
-    of each column has `fraction` times that column's std over all of `x`,
-    and the blocks are drawn in turn from one generator, so they hold the
-    bits of one draw of `x`'s whole shape. The std has numpy's bits
-    (`matio.column_mean`)."""
-    sigma = fraction * np.sqrt(matio.column_mean(x, matio.column_mean(x)))
+    of each column has `fraction` times that column's `std`, and the blocks
+    are drawn in turn from one generator, so they hold the bits of one draw
+    of `x`'s whole shape. Each block is drawn into one buffer, made at the
+    first block, that the next block overwrites."""
+    sigma, buf = fraction * std, None
     rng = np.random.default_rng(seed)
     for start, rows in matio.row_blocks(x):
-        block = rng.standard_normal(rows.shape)
+        buf = np.empty(rows.shape) if buf is None else buf
+        block = rng.standard_normal(out=buf[:len(rows)])
         block *= sigma
         block += rows
         yield start, block
@@ -310,14 +320,15 @@ def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> 
     """Generate a complete dataset pack. Deterministic in all arguments."""
     cfg = resolve_config(system, overrides)
     manifest = _manifest(cfg, master_seed)
-    runs, cuts, mats = _simulate(cfg, manifest.seeds), {}, {}
+    runs, cuts, stds, mats = _simulate(cfg, manifest.seeds), {}, {}, {}
     for name, (traj, start, end, noise) in _SOURCES.items():
         first = _SPANS[traj][0]
         # One view per distinct window; a noisy matrix gathers the blocks
         # that `generate_pack` writes.
         window = cuts.setdefault((traj, start, end), runs[traj][start - first:end - first])
         mats[name] = window if noise is None else _gather(
-            _noisy(window, *_noise(cfg, manifest, noise)), window.shape)
+            _noisy(window, _std(stds, window, (traj, start, end)),
+                   *_noise(cfg, manifest, noise)), window.shape)
     # Valid as built: `_SOURCES` fixes the shapes and windows, and the
     # integrators raise on a non-finite row. `write_pack` validates anyway.
     return _assemble(mats, manifest)
@@ -497,12 +508,14 @@ def generate_pack(system: str, master_seed: int, overrides: dict | None,
             # or this process would write them into a worker's file again.
             _simulate(cfg, manifest.seeds,
                       [_Sink(directory, traj, cols, files) for traj in _SPANS])
+        stds = {}
         for name, (traj, start, end, noise) in _SOURCES.items():
             if noise is not None:
                 clean = next(n for n, s in _SOURCES.items() if s == (traj, start, end, None))
                 with matio.MatrixReader(directory / f"{clean}.mat") as window:
+                    std = _std(stds, window, clean)
                     _write(directory / f"{name}.mat", window.shape,
-                           _finite(name, _noisy(window, *_noise(cfg, manifest, noise))))
+                           _finite(name, _noisy(window, std, *_noise(cfg, manifest, noise))))
     return manifest
 
 

@@ -3,16 +3,19 @@
 A `.mat` file holds the 8-byte magic ``CTFMAT01``, a little-endian u64 row
 count and a u64 column count, then rows*cols little-endian float64 values
 in row-major order. `MatrixWriter` writes every one and `MatrixReader`
-reads every one; `row_blocks` cuts an array into the same blocks of rows,
-so `equal` and `problem` take files and arrays alike. Every file is
+reads every one, as `CsvReader` reads a CSV matrix; `row_blocks` cuts an
+array into the same blocks of rows, so `equal` and `problem` take files
+and arrays alike. Every file is
 written atomically (`_AtomicFile`). `dump_json` owns the JSON document
 form, and `encode` and `decode` map each document to its dataclass.
 """
 
 from __future__ import annotations
 
+import collections
 import errno
 import functools
+import itertools
 import json
 import math
 import os
@@ -376,6 +379,90 @@ class MatrixReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _plain_shape(fh) -> tuple[int, int] | None:
+    """The (rows, cols) of the CSV text that binary `fh` holds, counted in
+    one pass over its bytes, once the text is plain: ASCII, with no
+    carriage return, `#` or empty line, and a newline after its last row.
+    Then each line is one row, of one more column than the first line has
+    commas. None for any other text, an empty one included."""
+    rows = commas = 0
+    last = b"\n"
+    while chunk := fh.read(_CHUNK_BYTES // 4):  # a quarter block: faster in cache
+        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        if (not chunk.isascii() or b"\r" in chunk or b"#" in chunk
+                or last + chunk[:1] == b"\n\n" or np.any(np.diff(ends) == 1)):
+            return None
+        if not rows:  # still in the first line
+            commas += chunk.count(b",", 0, ends[0] if len(ends) else len(chunk))
+        rows, last = rows + len(ends), chunk[-1:]
+    return (rows, commas + 1) if rows and last == b"\n" else None
+
+
+class CsvReader(MatrixReader):
+    """A CSV matrix file open for reading, with `MatrixReader`'s interface
+    and `read_csv`'s values and errors. `shape` comes from one pass over the
+    file's bytes (`_plain_shape`). A plain file is parsed by `np.loadtxt` as
+    its rows are read, at most `_block_rows` rows a call, from one text
+    handle; any other file is read whole here, by `read_csv`, and its rows
+    are copied from that array. A block that does not parse, or parses to
+    another column count, raises `read_csv`'s error for the whole file, so
+    row numbers count from its top. Leaving a `with` block other than by an
+    interrupt parses the file to its end if no stream has, so its parse
+    error replaces whatever the block returned or raised, as when a CSV
+    file was parsed whole at open."""
+
+    def __init__(self, path: str | Path):
+        self.path, self._whole, self._parsed = path, None, False
+        self._fh = self._io(open, path, encoding="ascii")
+        try:
+            self.shape = self._io(_plain_shape, self._fh.buffer)
+            if self.shape is None:
+                self._whole = read_csv(path)
+                self.shape, self._parsed = self._whole.shape, True
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _seek(self, row: int) -> None:
+        self._first = self._row = row
+        self._io(self._fh.seek, 0)
+        if self._whole is None:
+            self._io(collections.deque, itertools.islice(self._fh, row), 0)
+
+    def _fill(self, part: np.ndarray) -> None:
+        step = _block_rows(self.shape[1])
+        for lo in range(0, len(part), step):
+            rows = part[lo:lo + step]
+            rows[...] = self._next(len(rows))
+            self._row += len(rows)
+        self._parsed |= self._first == 0 and self._row == self.shape[0]
+
+    def _next(self, rows: int) -> np.ndarray:
+        """The next `rows` rows of the file: of the whole array, or parsed
+        now, else `read_csv`'s error for the file."""
+        if self._whole is not None:
+            return self._whole[self._row:self._row + rows]
+        try:
+            with named(f"{self.path}: cannot read", OSError, MatrixFormatError):
+                block = np.loadtxt(self._fh, delimiter=",", dtype=np.float64, ndmin=2,
+                                   max_rows=rows)
+        except ValueError:
+            block = None
+        if block is not None and block.shape == (rows, self.shape[1]):
+            return block
+        self._parsed = True  # by read_csv, now
+        read_csv(self.path)
+        raise MatrixFormatError(f"{self.path}: CSV matrix changed while it was read")
+
+    def __exit__(self, kind, *_) -> None:
+        try:
+            if not (self._parsed or self._fh.closed) and (
+                    kind is None or issubclass(kind, Exception)):
+                collections.deque(self.blocks(), 0)
+        finally:
+            self.close()
 
 
 def read_matrix(path: str | Path) -> np.ndarray:

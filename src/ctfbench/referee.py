@@ -15,7 +15,7 @@ import fcntl
 import os
 from collections import Counter
 from collections.abc import Callable, Iterable
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
@@ -132,16 +132,15 @@ def _parse_meta(text: str) -> dict[str, str]:
     return meta
 
 
-def open_prediction(run_dir: str | Path, name: str) -> matio.MatrixReader | np.ndarray | None:
-    """Prediction `name` of the run in `run_dir`, from `<name>.mat`, else
-    `<name>.csv`: a `matio.MatrixReader` open on the `.mat` file, for the
-    caller to close, the `.csv` file read whole, or None when the run has
-    neither."""
+def open_prediction(run_dir: str | Path, name: str) -> matio.MatrixReader | None:
+    """Prediction `name` of the run in `run_dir`, open for the caller to
+    close: a `matio.MatrixReader` on `<name>.mat`, else a `matio.CsvReader`
+    on `<name>.csv`, or None when the run has neither."""
     path = Path(run_dir) / f"{name}.mat"
     if path.is_file():
         return matio.MatrixReader(path)
     path = path.with_suffix(".csv")
-    return matio.read_csv(path) if path.is_file() else None
+    return matio.CsvReader(path) if path.is_file() else None
 
 
 def load_submission(run_dir: str | Path, method_name: str | None = None, *,
@@ -168,11 +167,9 @@ def load_submission(run_dir: str | Path, method_name: str | None = None, *,
     predictions = {}
     for name in [n for n in PREDICTION_NAMES if n in wanted]:
         pred = open_prediction(run_dir, name)
-        if isinstance(pred, matio.MatrixReader):
-            with pred:
-                pred = pred.read()
         if pred is not None:
-            predictions[name] = pred
+            with pred:
+                predictions[name] = pred.read()
     method = method_name or metadata.get("method") or run_dir.parent.name or run_dir.name
     return Submission(
         method_name=method, run_id=run_dir.name, predictions=predictions, metadata=metadata
@@ -182,18 +179,31 @@ def load_submission(run_dir: str | Path, method_name: str | None = None, *,
 def write_submission(sub: Submission, root: str | Path) -> Path:
     """Write `root/<method>/<run_id>/X*pred.mat` plus a meta file, once the
     method and run id each name one directory: not empty, `.`, `..` or a
-    path (else CTFBenchError)."""
+    path, and the meta file reads back as written (`_meta`); else
+    CTFBenchError, before any file is written."""
     for what, part in (("method", sub.method_name), ("run id", sub.run_id)):
         if part in ("", ".", "..") or {os.sep, os.altsep} & set(part):
             raise CTFBenchError(f"{what} {part!r}: must name one directory under {root}")
+    meta = _meta(sub)
     run_dir = Path(root) / sub.method_name / sub.run_id
     matio.make_dir(run_dir)
     for name, x in sorted(sub.predictions.items()):
         matio.write_matrix(run_dir / f"{name}.mat", x)
-    meta = {"method": sub.method_name, "run_id": sub.run_id, **sub.metadata}
-    lines = "".join(f"{k}={v}\n" for k, v in sorted(meta.items()))
-    matio.atomic_write_bytes(run_dir / "meta", lines.encode())
+    matio.atomic_write_bytes(run_dir / "meta", meta.encode())
     return run_dir
+
+
+def _meta(sub: Submission) -> str:
+    """The meta file of `sub`: a `key=value` line per entry, method and run
+    id included, in key order. An entry that `_parse_meta` would not read
+    back as it is (a line break, a `=` in its key, a key that starts with
+    `#`, outer spaces, a key or value that is not a `str`, or a second
+    method or run id) is a CTFBenchError."""
+    meta = {"method": sub.method_name, "run_id": sub.run_id}
+    for key, value in [*meta.items(), *sub.metadata.items()]:
+        if _parse_meta(f"{key}={value}") != {key: value} or meta.setdefault(key, value) != value:
+            raise CTFBenchError(f"meta entry {key!r}: {value!r} would not read back as written")
+    return "".join(f"{k}={v}\n" for k, v in sorted(meta.items()))
 
 
 def validate_submission(
@@ -320,8 +330,10 @@ def _score(tasks: list[TaskSpec], pred, pack: DatasetPack,
     """Why `pred`, as `evaluate`'s `load` gives it, cannot be scored, or
     None, and the score of each of `tasks`, which share its truth (all None
     when it cannot be). The truth is judged first; a non-finite S is logged
-    under `run_id` and the score id."""
-    try:
+    under `run_id` and the score id. A reader is closed as its `with` block
+    ends, where a CSV file's parse error replaces any other outcome
+    (`matio.CsvReader`)."""
+    with pred if isinstance(pred, matio.MatrixReader) else nullcontext():
         truth = _check_truth(pack, tasks[0])
         pred = _prediction(tasks[0].prediction_name, pred)
         why = _MISSING if pred is None else matio.misfit(pred.shape, truth.shape)
@@ -333,9 +345,6 @@ def _score(tasks: list[TaskSpec], pred, pack: DatasetPack,
                               for t, scorer in zip(tasks, scorers)}
             why = matio.NON_FINITE
         return why, dict.fromkeys(t.score_id for t in tasks)
-    finally:
-        if isinstance(pred, matio.MatrixReader):
-            pred.close()
 
 
 def _aggregate(values: list[float]) -> ScoreAggregate:

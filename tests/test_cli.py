@@ -745,6 +745,50 @@ class TestScore:
         assert result.exit_code == 1, result.output
         assert "Error:" in result.output and "malformed CSV matrix" in result.output
 
+    @pytest.mark.parametrize("text", [
+        "1,2,3\n4,5,6\nnot,a,number\n",
+        "nan,2,3\n" * 600 + "1,2\n" + "1,2,3\n" * 399,
+        "\n".join(["1,2,3"] * 999 + ["1,2,x"]) + "\n",
+    ], ids=["short", "non_finite_first", "full_size"])
+    def test_csv_parse_error_comes_before_the_prediction_s_verdict(self, runner, cli_pack_dir,
+                                                                  tmp_path, monkeypatch, text):
+        # A plain CSV X1pred streams in blocks of 64 rows, but its parse
+        # error still comes first, before a shape or finiteness verdict,
+        # with the whole file's row number.
+        monkeypatch.setattr(matio, "_CHUNK_BYTES", 16)
+        pack = cb.read_pack(cli_pack_dir)
+        run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
+        (run_dir / "X1pred.mat").unlink()
+        path = run_dir / "X1pred.csv"
+        path.write_text(text)
+        with pytest.raises(cb.MatrixFormatError) as info:
+            matio.read_csv(path)
+        result = runner.invoke(
+            main, ["score", "--pack", str(cli_pack_dir), "--submission", str(run_dir)]
+        )
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: {info.value}\n"
+
+    def test_csv_predictions_give_the_card_bytes_of_mat(self, runner, cli_pack_dir, tmp_path):
+        pack = cb.read_pack(cli_pack_dir)
+        sub = oracle_submission(pack)
+        sub.predictions["X3pred"] = sub.predictions["X3pred"][:-1]  # a shape verdict
+        sub.predictions["X6pred"] = np.where(sub.predictions["X6pred"] > 0, np.nan, 0.0)
+        cards = []
+        for kind in ("mat", "csv"):
+            run_dir = referee.write_submission(sub, tmp_path / kind)
+            if kind == "csv":
+                for name in referee.PREDICTION_NAMES:
+                    matio.write_csv(run_dir / f"{name}.csv",
+                                    matio.read_matrix(run_dir / f"{name}.mat"))
+                    (run_dir / f"{name}.mat").unlink()
+            cards.append(tmp_path / f"{kind}.json")
+            result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",
+                                          str(run_dir), "--out", str(cards[-1])])
+            assert result.exit_code == 1, result.output
+            assert "X3pred: shape (999, 3) does not match" in result.output
+        assert cards[0].read_bytes() == cards[1].read_bytes()
+
     def test_short_k_beyond_forecast_window_is_error(self, runner, cli_pack_dir,
                                                      zeros_run_dir):
         result = runner.invoke(
@@ -961,8 +1005,9 @@ class TestScore:
             )
             assert result.exit_code == 1, result.output
             assert len(refs) == 1 and refs[0]() is None
-            # The ragged X1pred.csv is the first prediction read, and fails.
-            assert len(preds) == (8 if damage == "missing_prediction" else 0)
+            # The ragged X1pred.csv is the first prediction opened, and fails
+            # when it is parsed.
+            assert len(preds) == (8 if damage == "missing_prediction" else 1)
             assert not [ref for ref in preds if ref() is not None]
         finally:
             gc.enable()
@@ -997,6 +1042,22 @@ class TestScore:
         )
         assert result.exit_code == 0, result.output
         assert "composite  100.00" in result.output
+        assert peak <= 16 << 20, f"peak {peak / 1e6:.1f} MB"
+
+    def test_streams_a_csv_prediction(self, runner, ks_pack, tmp_path, monkeypatch):
+        # A full-size CSV X2pred (82 MB of values) streams like a `.mat` one.
+        run_dir = referee.write_submission(oracle_submission(ks_pack), tmp_path / "subs")
+        (run_dir / "X2pred.mat").unlink()
+        (run_dir / "X2pred.csv").write_text(("0," * 1023 + "0\n") * 10000)
+        hold(monkeypatch, ks_pack)
+        result, peak = traced_peak(
+            runner.invoke, main,
+            ["score", "--pack", str(tmp_path), "--submission", str(run_dir),
+             "--out", str(tmp_path / "card.json"), "--json"],
+        )
+        assert result.exit_code == 0, result.output
+        scores = json.loads(result.stdout)["runs"][0]["scores"]
+        assert scores["E3"] == 0.0 and scores["E1"] == scores["E4"] == 100.0
         assert peak <= 16 << 20, f"peak {peak / 1e6:.1f} MB"
 
     def test_holds_no_truth_whole(self, runner, ks_pack, ks_test_pack_dir, tmp_path):

@@ -441,7 +441,7 @@ class TestAddNoise:
                              ids=["vector", "one-column", "column-major"])
     def test_noise_scale_is_numpys_std_in_any_layout(self, shape, order):
         x = np.asarray(np.random.default_rng(0).normal(size=shape) * 1e3 + 7, order=order)
-        start, block = next(datagen._noisy(x, 0.05, 9))
+        start, block = next(datagen._noisy(x, datagen._std({}, x), 0.05, 9))
         rows = x[:len(block)]
         want = np.random.default_rng(9).standard_normal(rows.shape) * (0.05 * x.std(axis=0))
         assert start == 0 and block.tobytes() == (want + rows).tobytes()
@@ -450,8 +450,30 @@ class TestAddNoise:
         # A 32 MiB window: its std, then its first noisy block. numpy's
         # `x.std(axis=0)` alone traces one temporary of the window's size.
         x = np.random.default_rng(3).normal(size=(4096, 1024))
-        _, peak = traced_peak(next, datagen._noisy(x, 0.05, 1))
+        _, peak = traced_peak(lambda: next(datagen._noisy(x, datagen._std({}, x), 0.05, 1)))
         assert peak < x.nbytes / 2
+
+    @pytest.mark.parametrize("make", ["build_pack", "generate_pack"])
+    def test_each_window_s_std_takes_two_column_passes(self, tmp_path, monkeypatch, make):
+        # X2train and X3train draw from X1train's window, X5train from
+        # X4train's: each window's std is taken once, by two passes.
+        passes, column_mean = collections.Counter(), matio.column_mean
+
+        def counting(x, centre=None):
+            passes[x.shape] += 1
+            return column_mean(x, centre)
+
+        monkeypatch.setattr(matio, "column_mean", counting)
+        if make == "build_pack":
+            datagen.build_pack("lorenz", 1)
+        else:
+            datagen.generate_pack("lorenz", 1, None, tmp_path)
+        assert passes == {(10000, 3): 2, (100, 3): 2}
+
+    def test_noise_is_drawn_into_one_buffer(self):
+        x = np.random.default_rng(5).normal(size=(1536, 1024))  # three blocks
+        blocks = [block for _, block in datagen._noisy(x, datagen._std({}, x), 0.05, 2)]
+        assert len(blocks) == 3 and all(np.shares_memory(b, blocks[0]) for b in blocks)
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
@@ -802,9 +824,9 @@ def test_generate_holds_one_block_at_a_time(tmp_path, monkeypatch):
         def __getattr__(self, name):
             return getattr(self.rng, name)
 
-        def standard_normal(self, shape):
-            draws.append(shape)
-            return self.rng.standard_normal(shape)
+        def standard_normal(self, *, out):
+            draws.append(out.shape)
+            return self.rng.standard_normal(out=out)
 
     def write(self, block):
         blocks.append(block.shape)

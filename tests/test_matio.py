@@ -2,6 +2,7 @@ import copy
 import errno
 import os
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -315,6 +316,147 @@ def test_csv_of_a_reader_streams_the_bytes_of_its_array(tmp_path, monkeypatch):
     expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in x)
     for name in ("reader.csv", "array.csv"):
         assert (tmp_path / name).read_text() == expected, name
+
+
+def _csv_lines(rows=150, cols=2):
+    x = np.random.default_rng(9).normal(size=(rows, cols)) * 1e3
+    return [",".join(format(v, ".17g") for v in row) for row in x]
+
+
+_LINES = _csv_lines()
+
+#: case -> the bytes of a CSV file; with blocks of 64 rows, 150 rows make
+#: three blocks, the last one short.
+CSV_CASES = {
+    "plain": "\n".join(_LINES) + "\n",
+    "no_final_newline": "\n".join(_LINES),
+    "crlf": "\r\n".join(_LINES) + "\r\n",
+    "lone_cr": "\r".join(_LINES) + "\r",
+    "comments": "# head\n" + "\n".join(_LINES[:70] + ["# middle"] + _LINES[70:]) + "\n",
+    "blank_line": "\n".join(_LINES[:70] + [""] + _LINES[70:]) + "\n",
+    "leading_blank_line": "\n" + "\n".join(_LINES) + "\n",
+    "trailing_blank_lines": "\n".join(_LINES) + "\n\n\n",
+    "whitespace_only_line": "\n".join(_LINES[:100] + ["  "] + _LINES[100:]) + "\n",
+    "trailing_whitespace": "\n".join(_LINES) + "\n  ",
+    "one_row": _LINES[0] + "\n",
+    "one_column": "".join(f"{v}\n" for v in range(150)),
+    "one_value": "7\n",
+    "rows_a_block_multiple": "\n".join(_LINES[:128]) + "\n",
+    "nan_inf": "\n".join(_LINES[:80] + ["nan,inf", "-inf,NaN"] + _LINES[82:]) + "\n",
+    "ragged_in_first_block": "\n".join(_LINES[:10] + ["1,2,3"] + _LINES[11:]) + "\n",
+    "ragged_in_last_block": "\n".join(_LINES[:140] + ["1"] + _LINES[141:]) + "\n",
+    "wider_later_block": "\n".join(_LINES[:64] + [r + ",0" for r in _LINES[64:]]) + "\n",
+    "non_number": "\n".join(_LINES[:100] + ["1,abc"] + _LINES[101:]) + "\n",
+    "empty_field": "\n".join(_LINES[:3] + ["1,"] + _LINES[4:]) + "\n",
+    "empty": "",
+    "only_newlines": "\n\n",
+    "non_ascii_utf8": "\n".join(_LINES[:100] + ["1,2é"] + _LINES[101:]) + "\n",
+}
+CSV_BYTES = {**{k: v.encode() for k, v in CSV_CASES.items()},
+             "non_utf8_byte": ("\n".join(_LINES[:100]) + "\n1,\xff\n").encode("latin-1")}
+
+
+def _outcome(call):
+    """`call()`'s array, or the type and text of the error it raised."""
+    try:
+        return call()
+    except MatrixFormatError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _streamed(path):
+    with matio.CsvReader(path) as reader:
+        blocks = [block.copy() for _, block in reader.blocks()]
+        assert reader.shape == (sum(map(len, blocks)), blocks[0].shape[1])
+        return np.concatenate(blocks)
+
+
+def _read(path):
+    with referee.open_prediction(path.parent, path.stem) as reader:
+        return reader.read()
+
+
+@pytest.mark.parametrize("case", CSV_BYTES)
+def test_csv_reader_gives_the_bits_or_error_of_read_csv(tmp_path, monkeypatch, case):
+    # 16-byte chunks for the count pass, blocks of 64 rows for the parse.
+    monkeypatch.setattr(matio, "_CHUNK_BYTES", 16)
+    path = tmp_path / "x.csv"
+    path.write_bytes(CSV_BYTES[case])
+    with pytest.warns(UserWarning) if case in ("empty", "only_newlines") else nullcontext():
+        want = _outcome(lambda: matio.read_csv(path))
+    for how in (_streamed, _read):
+        with pytest.warns(UserWarning) if case in ("empty", "only_newlines") else nullcontext():
+            got = _outcome(lambda: how(path))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_csv_reader_streams_only_plain_files(tmp_path, monkeypatch):
+    # A plain file is never parsed whole; any other one is, once, at open.
+    monkeypatch.setattr(matio, "_CHUNK_BYTES", 16)
+    parsed = []
+    monkeypatch.setattr(matio, "read_csv", lambda path: parsed.append(path) or
+                        np.zeros((150, 2)))
+    for case in ("plain", "crlf", "comments", "no_final_newline"):
+        path = tmp_path / f"{case}.csv"
+        path.write_text(CSV_CASES[case], newline="")
+        with matio.CsvReader(path) as reader:
+            assert len(list(reader.blocks())) == 3
+        assert parsed == ([] if case == "plain" else [path])
+        parsed.clear()
+
+
+def test_csv_reader_reads_from_any_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(matio, "_CHUNK_BYTES", 16)
+    path = tmp_path / "x.csv"
+    path.write_text(CSV_CASES["plain"])
+    want = matio.read_csv(path)
+    with matio.CsvReader(path) as reader:
+        for first in (0, 1, 63, 64, 149):
+            assert np.array_equal(reader.read(first), want[first:])
+            assert np.array_equal(matio.tail(reader, 20), want[-20:])
+
+
+@pytest.mark.parametrize("case", ["ragged_in_last_block", "non_number"])
+def test_csv_reader_left_early_raises_the_parse_error(tmp_path, monkeypatch, case):
+    # Leaving the block after the first rows, by a return or an error,
+    # parses the rest: the file's error comes first, as if parsed whole.
+    monkeypatch.setattr(matio, "_CHUNK_BYTES", 16)
+    path = tmp_path / "x.csv"
+    path.write_text(CSV_CASES[case])
+    want = _outcome(lambda: matio.read_csv(path))
+    for leave in (lambda: None, lambda: 1 / 0):
+        with pytest.raises(MatrixFormatError) as info:
+            with matio.CsvReader(path) as reader:
+                next(reader.blocks())
+                leave()
+        assert f"MatrixFormatError: {info.value}" == want and reader._fh.closed
+    with pytest.raises(KeyboardInterrupt):  # an interrupt is not held up by a parse
+        with matio.CsvReader(path) as reader:
+            raise KeyboardInterrupt
+    assert reader._fh.closed
+
+
+def test_closed_csv_reader_is_named_error(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text(CSV_CASES["plain"])
+    reader = matio.CsvReader(path)
+    reader.close()
+    with pytest.raises(MatrixFormatError, match=f"^{re.escape(str(path))}: cannot read: "):
+        reader.read()
+
+
+def test_csv_reader_names_a_changed_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(matio, "_CHUNK_BYTES", 16)
+    path = tmp_path / "x.csv"
+    path.write_text(CSV_CASES["plain"])
+    with matio.CsvReader(path) as reader:
+        path.write_text("\n".join(_LINES[:100]) + "\n")
+        with pytest.raises(MatrixFormatError,
+                           match=f"^{re.escape(str(path))}: CSV matrix changed while it was read$"):
+            list(reader.blocks())
 
 
 def test_codec_tuple_round_trip():

@@ -270,6 +270,19 @@ class TestEvaluate:
         with pytest.raises(cb.PackValidationError, match="corrupted pack"):
             evaluate(oracle_submission(lorenz_pack), broken)
 
+    def test_csv_parse_error_comes_before_a_corrupted_truth(self, lorenz_pack, tmp_path):
+        # As when a CSV prediction was parsed whole at its load.
+        import copy
+        import functools
+
+        broken = copy.copy(lorenz_pack)
+        broken.test = dict(lorenz_pack.test, X1test=np.full((1000, 3), np.inf))
+        (tmp_path / "X1pred.csv").write_text("1,2,3\n1,2\n")
+        load = functools.partial(open_prediction, tmp_path)
+        with pytest.raises(cb.MatrixFormatError, match="malformed CSV matrix: the number "
+                                                       "of columns changed from 3 to 2 at row 2"):
+            evaluate(oracle_submission(lorenz_pack), broken, load=load)
+
 
     @pytest.mark.parametrize("kind", ["average", "bad_X6pred"])
     def test_each_prediction_is_checked_once_per_run(self, lorenz_pack, monkeypatch, kind):
@@ -659,6 +672,36 @@ class TestSubmissionIO:
         (tmp_path / "meta").write_text("method=../m\n")
         assert load_submission(tmp_path).method_name == "../m"
 
+    @pytest.mark.parametrize("method, run_id, metadata, entry", [
+        ("m\nrun_note=x", "r0", {}, "'method': 'm\\nrun_note=x'"),
+        ("m", "r0\r", {}, "'run_id': 'r0\\r'"),
+        ("m", "r0", {"note": "a\u2028b"}, "'note': 'a\\u2028b'"),
+        ("m", "r0", {"a=b": "c"}, "'a=b': 'c'"),
+        ("m", "r0", {"#note": "c"}, "'#note': 'c'"),
+        ("m", "r0", {"note": " c"}, "'note': ' c'"),
+        (" m", "r0", {}, "'method': ' m'"),
+        ("m", "r0", {"method": "other"}, "'method': 'other'"),
+        ("m", "r0", {"seed": 1}, "'seed': 1"),
+    ], ids=["newline_in_method", "cr_in_run_id", "line_separator", "equals_in_key",
+            "comment_key", "outer_space", "outer_space_in_method", "second_method", "int"])
+    def test_meta_that_would_not_read_back_is_refused(self, tmp_path, method, run_id,
+                                                      metadata, entry):
+        sub = cb.Submission(method, run_id, {"X1pred": np.zeros((2, 3))}, metadata)
+        with pytest.raises(cb.CTFBenchError) as err:
+            write_submission(sub, tmp_path / "subs")
+        assert str(err.value) == f"meta entry {entry} would not read back as written"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_meta_reads_back_as_written(self, tmp_path):
+        sub = cb.Submission("m", "r0", {"X1pred": np.zeros((2, 3))},
+                            {"method": "m", "note": "a = b # c", "": "empty key"})
+        run_dir = write_submission(sub, tmp_path)
+        assert (run_dir / "meta").read_text() == \
+            "=empty key\nmethod=m\nnote=a = b # c\nrun_id=r0\n"
+        loaded = load_submission(run_dir)
+        assert (loaded.method_name, loaded.run_id) == ("m", "r0")
+        assert loaded.metadata == {"method": "m", "run_id": "r0", **sub.metadata}
+
     def test_csv_predictions_accepted(self, lorenz_pack, tmp_path):
         from ctfbench import matio
 
@@ -682,8 +725,10 @@ class TestSubmissionIO:
         assert reader._fh.closed
         assert np.array_equal(load_submission(tmp_path).predictions["X1pred"], x)
         (tmp_path / "X1pred.mat").unlink()
-        csv = open_prediction(tmp_path, "X1pred")
-        assert type(csv) is np.ndarray and np.array_equal(csv, -x)
+        with open_prediction(tmp_path, "X1pred") as csv:
+            assert type(csv) is cb.matio.CsvReader and csv.shape == x.shape
+            assert np.array_equal(csv.read(), -x)
+        assert csv._fh.closed
         (tmp_path / "X1pred.csv").unlink()
         assert open_prediction(tmp_path, "X1pred") is None
         (tmp_path / "X2pred.mat").write_bytes(b"CTFMAT02" + bytes(16))

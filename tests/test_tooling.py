@@ -1,12 +1,17 @@
 """The repository's tooling: the pytest configuration in pyproject.toml, the
 line counter `tools/loc.py`, the store update timer `tools/store_timing.py`
-and the `generate` memory probe `tools/generate_memory.py`."""
+and the memory probes `tools/generate_memory.py` and `tools/score_memory.py`."""
 
 import json
 import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import ctfbench as cb
+from conftest import oracle_submission
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,3 +94,42 @@ def test_generate_memory_takes_only_a_system_and_a_seed():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr == "usage: generate_memory.py {lorenz,ks} SEED\n"
+
+
+SCORE_MEMORY = str(ROOT / "tools" / "score_memory.py")
+
+
+@pytest.mark.parametrize("csv", [False, True], ids=["mat", "csv"])
+def test_score_memory_prints_one_json_line_of_the_score(lorenz_pack, lorenz_pack_dir, tmp_path,
+                                                        csv):
+    run_dir = cb.write_submission(oracle_submission(lorenz_pack), tmp_path)
+    if csv:
+        for path in run_dir.glob("*.mat"):
+            cb.matio.write_csv(path.with_suffix(".csv"), cb.matio.read_matrix(path))
+            path.unlink()
+    run = subprocess.run([sys.executable, SCORE_MEMORY, str(lorenz_pack_dir), str(run_dir)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    (line,) = run.stdout.splitlines()
+    got = json.loads(line)
+    assert got == {"pack": str(lorenz_pack_dir), "run": str(run_dir), "exit": 0,
+                   "wall_s": got["wall_s"], "self_peak_mb": got["self_peak_mb"]}
+    assert got["wall_s"] > 0 and got["self_peak_mb"] > 0
+    assert sorted(p.name for p in tmp_path.rglob("*card*")) == []
+
+
+def test_score_memory_reports_the_exit_code_of_a_score_with_violations(lorenz_pack_dir, tmp_path):
+    run_dir = tmp_path / "empty" / "run0"
+    run_dir.mkdir(parents=True)
+    run = subprocess.run([sys.executable, SCORE_MEMORY, str(lorenz_pack_dir), str(run_dir)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["exit"] == 1
+    assert "X1pred: missing prediction; affected scores get -100" in run.stderr
+
+
+def test_score_memory_takes_only_a_pack_and_a_run():
+    run = subprocess.run([sys.executable, SCORE_MEMORY, "pack"],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == "usage: score_memory.py PACK RUN\n"
