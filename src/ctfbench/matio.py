@@ -3,15 +3,18 @@
 A `.mat` file holds the 8-byte magic ``CTFMAT01``, a little-endian u64 row
 count and a u64 column count, then rows*cols little-endian float64 values
 in row-major order. `MatrixWriter` writes every one and `MatrixReader`
-reads every one, as `CsvReader` reads a CSV matrix; `row_blocks` cuts an
-array into the same blocks of rows, so `equal` and `problem` take files
-and arrays alike. Every file is
-written atomically (`_AtomicFile`). `dump_json` owns the JSON document
-form, and `encode` and `decode` map each document to its dataclass.
+reads every one. `CsvReader` reads a CSV matrix through the same
+interface: it counts the rows in one pass over the file's bytes, then
+parses them block by block as they stream. `row_blocks` cuts an array
+into the same blocks of rows, so `equal` and `problem` take files and
+arrays alike. Every file is written atomically (`_AtomicFile`).
+`dump_json` owns the JSON document form, and `encode` and `decode` map
+each document to its dataclass.
 """
 
 from __future__ import annotations
 
+import codecs
 import collections
 import errno
 import functools
@@ -22,6 +25,7 @@ import os
 import struct
 import sys
 import tempfile
+import warnings
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import fields, is_dataclass
@@ -381,55 +385,69 @@ class MatrixReader:
         self.close()
 
 
-def _plain_shape(fh) -> tuple[int, int] | None:
-    """The (rows, cols) of the CSV text that binary `fh` holds, counted in
-    one pass over its bytes, once the text is plain: ASCII, with no
-    carriage return, `#` or empty line, and a newline after its last row.
-    Then each line is one row, of one more column than the first line has
-    commas. None for any other text, an empty one included."""
-    rows = commas = 0
-    last = b"\n"
-    while chunk := fh.read(_CHUNK_BYTES // 4):  # a quarter block: faster in cache
-        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
-        if (not chunk.isascii() or b"\r" in chunk or b"#" in chunk
-                or last + chunk[:1] == b"\n\n" or np.any(np.diff(ends) == 1)):
-            return None
-        if not rows:  # still in the first line
-            commas += chunk.count(b",", 0, ends[0] if len(ends) else len(chunk))
-        rows, last = rows + len(ends), chunk[-1:]
-    return (rows, commas + 1) if rows and last == b"\n" else None
+def _csv_rows(fh, path: str | Path) -> int:
+    """The rows of the CSV text that binary `fh` holds, counted in one pass
+    over its bytes by `np.loadtxt`'s line rules: a line ends at LF, CR LF
+    or a lone CR, and is a row unless it is empty or starts with `#`. So a
+    row starts at the first byte and after each LF and CR, at any byte but
+    those two and `#`. The pass decodes each chunk that is not ASCII as
+    UTF-8: a byte that does not decode is a MatrixFormatError that names
+    its offset in the file and its line."""
+    rows, last, utf8 = 0, b"\n", codecs.getincrementaldecoder("utf-8")()
+    try:
+        while chunk := fh.read(_CHUNK_BYTES // 4):  # a quarter block: faster in cache
+            b = np.frombuffer(last + chunk, np.uint8)
+            cut = np.flatnonzero(b[:-1] <= 13)  # each LF and CR, and any other control byte
+            head = b[cut[(b[cut] == 10) | (b[cut] == 13)] + 1]  # the first byte of a later line
+            rows += int(np.count_nonzero((head != 10) & (head != 13) & (head != 35)))
+            if utf8.getstate()[0] or not chunk.isascii():  # held: a character cut short
+                utf8.decode(chunk)
+            last = chunk[-1:]
+        utf8.decode(b"", final=True)
+    except UnicodeDecodeError as exc:  # exc.object: the bytes held, then the chunk
+        at = fh.tell() - len(exc.object) + exc.start
+        fh.seek(0)
+        before = fh.read(at)
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise MatrixFormatError(f"{path}: malformed CSV matrix: byte 0x{exc.object[exc.start]:02x} "
+                                f"at offset {at} (line {line}) is not UTF-8: {exc.reason}") from exc
+    return rows
 
 
 class CsvReader(MatrixReader):
     """A CSV matrix file open for reading, with `MatrixReader`'s interface
-    and `read_csv`'s values and errors. `shape` comes from one pass over the
-    file's bytes (`_plain_shape`). A plain file is parsed by `np.loadtxt` as
-    its rows are read, at most `_block_rows` rows a call, from one text
-    handle; any other file is read whole here, by `read_csv`, and its rows
-    are copied from that array. A block that does not parse, or parses to
-    another column count, raises `read_csv`'s error for the whole file, so
-    row numbers count from its top. Leaving a `with` block other than by an
-    interrupt parses the file to its end if no stream has, so its parse
+    and `read_csv`'s values and errors. Its rows are counted in one pass
+    over the file's bytes (`_csv_rows`), and its columns are one more than
+    the commas of its first row. Its rows are parsed by `np.loadtxt` as
+    they are read, at most `_block_rows` rows a call, from one UTF-8 text
+    handle. A file with no row, and a block that does not parse or parses
+    to another column count, raise `read_csv`'s error for the whole file,
+    so row numbers count from its top. Leaving a `with` block other than by
+    an interrupt parses the file to its end if no stream has, so its parse
     error replaces whatever the block returned or raised, as when a CSV
     file was parsed whole at open."""
 
     def __init__(self, path: str | Path):
-        self.path, self._whole, self._parsed = path, None, False
-        self._fh = self._io(open, path, encoding="ascii")
+        self.path, self._parsed = path, False
+        self._fh = self._io(open, path, encoding="utf-8")
         try:
-            self.shape = self._io(_plain_shape, self._fh.buffer)
-            if self.shape is None:
-                self._whole = read_csv(path)
-                self.shape, self._parsed = self._whole.shape, True
+            rows = self._io(_csv_rows, self._fh.buffer, path)
+            self._seek(0)
+            self.shape = rows, 1 + self._io(next, self._rows(), "").partition("#")[0].count(",")
+            if not rows:
+                self._failed()
         except BaseException:
             self._fh.close()
             raise
 
+    def _rows(self):
+        """The lines of the text handle, from where it is, that are rows."""
+        return (line for line in self._fh if not line.startswith(("\n", "#")))
+
     def _seek(self, row: int) -> None:
         self._first = self._row = row
         self._io(self._fh.seek, 0)
-        if self._whole is None:
-            self._io(collections.deque, itertools.islice(self._fh, row), 0)
+        self._io(collections.deque, itertools.islice(self._rows(), row), 0)
 
     def _fill(self, part: np.ndarray) -> None:
         step = _block_rows(self.shape[1])
@@ -440,18 +458,19 @@ class CsvReader(MatrixReader):
         self._parsed |= self._first == 0 and self._row == self.shape[0]
 
     def _next(self, rows: int) -> np.ndarray:
-        """The next `rows` rows of the file: of the whole array, or parsed
-        now, else `read_csv`'s error for the file."""
-        if self._whole is not None:
-            return self._whole[self._row:self._row + rows]
-        try:
+        """The next `rows` rows of the file, parsed now, else `read_csv`'s
+        error for the file."""
+        with warnings.catch_warnings(), suppress(ValueError):
+            warnings.filterwarnings("ignore", "Input line", UserWarning)  # a line skipped
             with named(f"{self.path}: cannot read", OSError, MatrixFormatError):
-                block = np.loadtxt(self._fh, delimiter=",", dtype=np.float64, ndmin=2,
-                                   max_rows=rows)
-        except ValueError:
-            block = None
-        if block is not None and block.shape == (rows, self.shape[1]):
-            return block
+                block = np.loadtxt(self._fh, delimiter=",", ndmin=2, max_rows=rows)
+            if block.shape == (rows, self.shape[1]):
+                return block
+        self._failed()
+
+    def _failed(self) -> None:
+        """Raise `read_csv`'s error for the file, or, if it reads, say that
+        the file changed."""
         self._parsed = True  # by read_csv, now
         read_csv(self.path)
         raise MatrixFormatError(f"{self.path}: CSV matrix changed while it was read")
@@ -497,10 +516,13 @@ def write_csv(path: str | Path, x) -> None:
 
 
 def read_csv(path: str | Path) -> np.ndarray:
-    """Read a matrix from comma-separated text; an unreadable file is a MatrixFormatError."""
+    """Read a matrix from comma-separated UTF-8 text; an unreadable file is a
+    MatrixFormatError."""
     try:
+        with open(path, "rb") as fh:
+            _csv_rows(fh, path)  # a byte that is not UTF-8 is named first, as by `CsvReader`
         with named(f"{path}: malformed CSV matrix", ValueError, MatrixFormatError):
-            a = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+            a = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2, encoding="utf-8")
     except OSError as exc:
         # numpy raises FileNotFoundError for a missing path without an errno.
         why = exc.strerror or os.strerror(errno.ENOENT)

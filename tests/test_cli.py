@@ -770,24 +770,29 @@ class TestScore:
         assert result.output == f"Error: {info.value}\n"
 
     def test_csv_predictions_give_the_card_bytes_of_mat(self, runner, cli_pack_dir, tmp_path):
+        # LF, CR LF, and LF with a `#` header, a comment and blank lines.
         pack = cb.read_pack(cli_pack_dir)
         sub = oracle_submission(pack)
         sub.predictions["X3pred"] = sub.predictions["X3pred"][:-1]  # a shape verdict
         sub.predictions["X6pred"] = np.where(sub.predictions["X6pred"] > 0, np.nan, 0.0)
-        cards = []
-        for kind in ("mat", "csv"):
+        styles = {"csv": lambda text: text, "crlf": lambda text: text.replace(b"\n", b"\r\n"),
+                  "commented": lambda text: b"# X\n\n" + text.replace(b"\n", b"\n\n# row\n", 7)}
+        outputs = []
+        for kind in ("mat", *styles):
             run_dir = referee.write_submission(sub, tmp_path / kind)
-            if kind == "csv":
+            if kind != "mat":
                 for name in referee.PREDICTION_NAMES:
-                    matio.write_csv(run_dir / f"{name}.csv",
-                                    matio.read_matrix(run_dir / f"{name}.mat"))
+                    path = run_dir / f"{name}.csv"
+                    matio.write_csv(path, matio.read_matrix(run_dir / f"{name}.mat"))
+                    path.write_bytes(styles[kind](path.read_bytes()))
                     (run_dir / f"{name}.mat").unlink()
-            cards.append(tmp_path / f"{kind}.json")
+            card = tmp_path / f"{kind}.json"
             result = runner.invoke(main, ["score", "--pack", str(cli_pack_dir), "--submission",
-                                          str(run_dir), "--out", str(cards[-1])])
+                                          str(run_dir), "--out", str(card)])
             assert result.exit_code == 1, result.output
-            assert "X3pred: shape (999, 3) does not match" in result.output
-        assert cards[0].read_bytes() == cards[1].read_bytes()
+            assert "X3pred: shape (999, 3) does not match" in result.stderr
+            outputs.append((card.read_bytes(), result.stderr))
+        assert outputs[1:] == outputs[:1] * len(styles)
 
     def test_short_k_beyond_forecast_window_is_error(self, runner, cli_pack_dir,
                                                      zeros_run_dir):

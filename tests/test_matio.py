@@ -2,10 +2,13 @@ import copy
 import errno
 import os
 import re
+import tempfile
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -351,9 +354,15 @@ CSV_CASES = {
     "empty": "",
     "only_newlines": "\n\n",
     "non_ascii_utf8": "\n".join(_LINES[:100] + ["1,2é"] + _LINES[101:]) + "\n",
+    # The two bytes of "é" are bytes 15 and 16: a 16-byte chunk ends between them.
+    "non_ascii_comment": "#" + " " * 14 + "é\n" + "\n".join(_LINES) + "\n",
 }
 CSV_BYTES = {**{k: v.encode() for k, v in CSV_CASES.items()},
              "non_utf8_byte": ("\n".join(_LINES[:100]) + "\n1,\xff\n").encode("latin-1")}
+#: The readable cases with CR line ends, a comment, an empty line, no final
+#: newline or a non-ASCII byte: each has 150 rows, as "plain" has.
+READABLE = ("crlf", "lone_cr", "comments", "blank_line", "leading_blank_line",
+            "no_final_newline", "non_ascii_comment")
 
 
 def _outcome(call):
@@ -393,30 +402,69 @@ def test_csv_reader_gives_the_bits_or_error_of_read_csv(tmp_path, monkeypatch, c
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_csv_reader_streams_only_plain_files(tmp_path, monkeypatch):
-    # A plain file is never parsed whole; any other one is, once, at open.
+@given(st.lists(st.sampled_from(["1", "2.5", ",", " ", "#", "\n", "\r", "\r\n", "é"]),
+                max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_csv_reader_gives_the_outcome_of_read_csv_for_any_text(pieces):
+    # Line ends of every kind, comments, blank and whitespace lines, and
+    # characters cut by the 4-byte reads of the count pass.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(matio, "_CHUNK_BYTES", 16), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's note on a file with no row
+        path = Path(tmp) / "x.csv"
+        path.write_bytes("".join(pieces).encode())
+        want, got = _outcome(lambda: matio.read_csv(path)), _outcome(lambda: _streamed(path))
+    assert type(got) is type(want)
+    assert got == want if isinstance(want, str) else (
+        (got.shape, got.tobytes()) == (want.shape, want.tobytes()))
+
+
+def test_csv_reader_streams_every_readable_file(tmp_path, monkeypatch):
+    # No readable file is parsed whole, at open or later.
     monkeypatch.setattr(matio, "_CHUNK_BYTES", 16)
-    parsed = []
-    monkeypatch.setattr(matio, "read_csv", lambda path: parsed.append(path) or
-                        np.zeros((150, 2)))
-    for case in ("plain", "crlf", "comments", "no_final_newline"):
+    monkeypatch.setattr(matio, "read_csv", lambda path: pytest.fail(f"{path} parsed whole"))
+    for case in ("plain", *READABLE):
         path = tmp_path / f"{case}.csv"
-        path.write_text(CSV_CASES[case], newline="")
+        path.write_bytes(CSV_BYTES[case])
         with matio.CsvReader(path) as reader:
-            assert len(list(reader.blocks())) == 3
-        assert parsed == ([] if case == "plain" else [path])
-        parsed.clear()
+            assert repr(reader.shape) == "(150, 2)" and len(list(reader.blocks())) == 3, case
 
 
 def test_csv_reader_reads_from_any_row(tmp_path, monkeypatch):
+    # Each row skipped on the way to the first is a row, not a line.
+    monkeypatch.setattr(matio, "_CHUNK_BYTES", 16)
+    for case in ("plain", *READABLE):
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes(CSV_BYTES[case])
+        want = matio.read_csv(path)
+        with matio.CsvReader(path) as reader:
+            for first in (0, 1, 63, 64, 149):
+                assert np.array_equal(reader.read(first), want[first:]), (case, first)
+                assert np.array_equal(matio.tail(reader, 20), want[-20:]), case
+
+
+@pytest.mark.parametrize("data,offset,line,why", [
+    (("\n".join(_LINES[:100]) + "\n1,\xff\n").encode("latin-1"),
+     len("\n".join(_LINES[:100])) + 3, 101, "invalid start byte"),
+    (b"1,2\n" * 5000 + b"1,\xff\n", 20002, 5001, "invalid start byte"),
+    (b"1,2\r\n# \r\r1,2\r\xc3", 13, 5, "unexpected end of data"),
+    (b"1,2\r1,\xc3\xa9\xa9\n", 8, 2, "invalid start byte"),
+    (b"1,2\n1,2\xc34\n5,6\n", 7, 2, "invalid continuation byte"),
+], ids=["non_utf8_byte", "late_line", "crlf_cut_short", "after_a_character",
+        "cut_short_before_an_ascii_read"])
+def test_csv_byte_not_utf8_is_named_by_offset_and_line(tmp_path, monkeypatch, data, offset,
+                                                       line, why):
+    # The offset counts from the file's first byte, and the line from 1, a
+    # CR LF ending one line.
     monkeypatch.setattr(matio, "_CHUNK_BYTES", 16)
     path = tmp_path / "x.csv"
-    path.write_text(CSV_CASES["plain"])
-    want = matio.read_csv(path)
-    with matio.CsvReader(path) as reader:
-        for first in (0, 1, 63, 64, 149):
-            assert np.array_equal(reader.read(first), want[first:])
-            assert np.array_equal(matio.tail(reader, 20), want[-20:])
+    path.write_bytes(data)
+    want = (f"{path}: malformed CSV matrix: byte 0x{data[offset]:02x} at offset {offset} "
+            f"(line {line}) is not UTF-8: {why}")
+    for how in (matio.read_csv, matio.CsvReader):
+        with pytest.raises(MatrixFormatError) as info:
+            how(path)
+        assert str(info.value) == want
 
 
 @pytest.mark.parametrize("case", ["ragged_in_last_block", "non_number"])
