@@ -135,11 +135,10 @@ def generate(system, seed, out_dir, data_root, dt, spinup, noise_medium, noise_h
         if data_root is None:
             raise click.ClickException("either --out or CTF_DATA_ROOT/--data-root is required")
         out_dir = data_root / datagen.SYSTEMS[system]
-    # --out is made before the integration, so that an unwritable path fails
-    # fast, and on failure the directories made here that are still empty go.
+    # On failure, the directories that `generate_pack` made and that are
+    # still empty go.
     made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     try:
-        make_dir(out_dir)
         m = datagen.generate_pack(system, seed, overrides, out_dir)
     except BaseException:
         for directory in made:  # deepest first

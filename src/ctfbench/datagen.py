@@ -3,12 +3,15 @@ simulated trajectories, and the manifest that regenerates them.
 
 `_SOURCES` is the one definition of the layout. `PackConfig` owns the
 rules of the settings and `Manifest.validate` those of a manifest read
-back. Packs are written in a `_writing` block, each matrix by `_write` or
-a `_Sink`, read by `_opened` and checked by `_checked`.
+back. `generate_pack` is the one pipeline that makes a pack; `build_pack`
+reads back what it writes. Packs are written in a `_writing` block, each
+matrix by `_write` or a `_Sink`, read by `_opened` and checked by
+`_checked`.
 """
 
 from __future__ import annotations
 
+import tempfile
 from collections.abc import Iterable
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -200,7 +203,7 @@ class Manifest(PackConfig):
     to_dict = matio.encode
 
     def validate(self) -> None:
-        """Pass exactly when `build_pack` writes this, type for type, for the
+        """Pass exactly when `generate_pack` writes this, type for type, for the
         settings and master seed it records. The settings passed their rules
         when this was made and stand as recorded (`"nominal_param": 1` is an
         integer setting), so a difference lies in a field that they and the
@@ -248,13 +251,8 @@ def derive_seeds(master_seed: int) -> dict[str, int]:
 def add_noise(x: np.ndarray, level: NoiseLevel, seed: int) -> np.ndarray:
     """Add zero-mean Gaussian noise, per-column std = sigma_fraction * std(col)."""
     x = np.asarray(x, dtype=np.float64)
-    return _gather(_noisy(x, _std({}, x), level.sigma_fraction, seed), x.shape)
-
-
-def _gather(blocks, shape: tuple[int, ...]) -> np.ndarray:
-    """A new array of `shape` holding the (first row, rows) `blocks`."""
-    out = np.empty(shape)
-    for start, block in blocks:
+    out = np.empty(x.shape)
+    for start, block in _noisy(x, _std({}, x), level.sigma_fraction, seed):
         out[start:start + len(block)] = block
     return out
 
@@ -284,11 +282,10 @@ def _noisy(x: np.ndarray, std: np.ndarray, fraction: float, seed: int):
         yield start, block
 
 
-def _simulate(cfg: PackConfig, seeds: dict[str, int], outs=None) -> dict:
-    """The six trajectories by name, integrated in one batch, each recording
-    its `_SPANS` rows; the steps before those are spin-up. Each is written
-    to its output of `outs`, one per trajectory in `_SPANS` order, by
-    default a shared mapping (`dynamics._integrate`)."""
+def _simulate(cfg: PackConfig, seeds: dict[str, int], outs: list) -> None:
+    """Integrate the six trajectories in one batch, each recording its
+    `_SPANS` rows into its output of `outs`, one per trajectory in `_SPANS`
+    order (`dynamics._integrate`); the steps before those are spin-up."""
     integrate = {"lorenz": _lorenz_batch, "ks": _ks_batch}[cfg.system]
     a, b, c = cfg.train_params
     values = {"trajectory": cfg.nominal_param, "param_a": a, "param_b": b, "param_c": c,
@@ -297,7 +294,7 @@ def _simulate(cfg: PackConfig, seeds: dict[str, int], outs=None) -> dict:
     sims = [SimConfig(dt=cfg.dt, total_steps=end - first,
                       spinup_steps=cfg.spinup_steps + first, seed=seeds[traj])
             for traj, (first, end) in _SPANS.items()]
-    return dict(zip(_SPANS, integrate(params, sims, list(_SPANS), outs)))
+    integrate(params, sims, list(_SPANS), outs)
 
 
 def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
@@ -317,27 +314,15 @@ def resolve_config(system: str, overrides: dict | None = None) -> PackConfig:
 
 
 def build_pack(system: str, master_seed: int, overrides: dict | None = None) -> DatasetPack:
-    """Generate a complete dataset pack. Deterministic in all arguments."""
-    cfg = resolve_config(system, overrides)
-    manifest = _manifest(cfg, master_seed)
-    runs, cuts, stds, mats = _simulate(cfg, manifest.seeds), {}, {}, {}
-    for name, (traj, start, end, noise) in _SOURCES.items():
-        first = _SPANS[traj][0]
-        # One view per distinct window; a noisy matrix gathers the blocks
-        # that `generate_pack` writes.
-        window = cuts.setdefault((traj, start, end), runs[traj][start - first:end - first])
-        mats[name] = window if noise is None else _gather(
-            _noisy(window, _std(stds, window, (traj, start, end)),
-                   *_noise(cfg, manifest, noise)), window.shape)
-    # Valid as built: `_SOURCES` fixes the shapes and windows, and the
-    # integrators raise on a non-finite row. `write_pack` validates anyway.
-    return _assemble(mats, manifest)
-
-
-def _noise(cfg: PackConfig, manifest: Manifest, noise: tuple[str, str]) -> tuple[float, int]:
-    """The `_noisy` (fraction, seed) of a `_SOURCES` noise entry."""
-    label, seed_name = noise
-    return getattr(cfg, f"noise_{label}"), manifest.seeds[seed_name]
+    """Generate a complete dataset pack. Deterministic in all arguments: the
+    pack that `generate_pack` writes into a temporary directory of
+    `tempfile.gettempdir()`, which needs the pack's size on disk (716 MB
+    for KS), read back by `read_pack`. The directory goes when this ends."""
+    with matio.named(f"{tempfile.gettempdir()}: cannot create a temporary directory"):
+        temp = tempfile.TemporaryDirectory()
+    with temp as directory:
+        generate_pack(system, master_seed, overrides, directory)
+        return read_pack(directory)
 
 
 def _manifest(cfg: PackConfig, master_seed: int) -> Manifest:
@@ -355,15 +340,6 @@ def _manifest(cfg: PackConfig, master_seed: int) -> Manifest:
             name: {"rows": rows, "cols": DATASET_DIMS[dataset_id], "start": start, "end": end}
             for name, (rows, start, end) in MATRIX_LAYOUT.items()
         },
-    )
-
-
-def _assemble(mats: dict[str, np.ndarray], manifest: Manifest) -> DatasetPack:
-    """Split `mats` into the train and test families."""
-    return DatasetPack(
-        train={name: mats[name] for name in TRAIN_NAMES if name in mats},
-        test={name: mats[name] for name in TEST_NAMES if name in mats},
-        manifest=manifest,
     )
 
 
@@ -491,12 +467,12 @@ class _Sink:
 
 def generate_pack(system: str, master_seed: int, overrides: dict | None,
                   directory: str | Path) -> Manifest:
-    """Write the pack that `build_pack` returns, with the bytes `write_pack`
-    writes, and return its manifest. No trajectory is held whole: each
-    process that integrates rows writes them to their noise-free windows'
-    files as they come (`_Sink`). A noisy matrix is then drawn block by
-    block from the file of its window, each block checked for finiteness
-    before it is written."""
+    """Write the pack of `system`, `master_seed` and `overrides`, with the
+    bytes that `write_pack` writes, and return its manifest. No trajectory
+    is held whole: each process that integrates rows writes them to their
+    noise-free windows' files as they come (`_Sink`). A noisy matrix is
+    then drawn block by block from the file of its window, each block
+    checked for finiteness before it is written."""
     cfg = resolve_config(system, overrides)
     manifest = _manifest(cfg, master_seed)
     cols = DATASET_DIMS[manifest.dataset_id]
@@ -512,10 +488,11 @@ def generate_pack(system: str, master_seed: int, overrides: dict | None,
         for name, (traj, start, end, noise) in _SOURCES.items():
             if noise is not None:
                 clean = next(n for n, s in _SOURCES.items() if s == (traj, start, end, None))
+                label, seed_name = noise
                 with matio.MatrixReader(directory / f"{clean}.mat") as window:
-                    std = _std(stds, window, clean)
-                    _write(directory / f"{name}.mat", window.shape,
-                           _finite(name, _noisy(window, std, *_noise(cfg, manifest, noise))))
+                    blocks = _noisy(window, _std(stds, window, clean),
+                                    getattr(cfg, f"noise_{label}"), manifest.seeds[seed_name])
+                    _write(directory / f"{name}.mat", window.shape, _finite(name, blocks))
     return manifest
 
 
@@ -579,4 +556,6 @@ def _opened(directory: str | Path, names: Iterable[str] | None, window):
             m = held.enter_context(matio.MatrixReader(path))
             mats[name] = window(m) if name == first else m
         _checked(mats, DATASET_DIMS[manifest.dataset_id])
-        yield _assemble({name: mats[first] for name, first in firsts.items()}, manifest)
+        mats = {name: mats[first] for name, first in firsts.items()}
+        yield DatasetPack({n: m for n, m in mats.items() if n in TRAIN_NAMES},
+                          {n: m for n, m in mats.items() if n in TEST_NAMES}, manifest)

@@ -520,7 +520,9 @@ def read_csv(path: str | Path) -> np.ndarray:
     MatrixFormatError."""
     try:
         with open(path, "rb") as fh:
-            _csv_rows(fh, path)  # a byte that is not UTF-8 is named first, as by `CsvReader`
+            rows = _csv_rows(fh, path)  # a byte that is not UTF-8 is named first, as by `CsvReader`
+        if not rows:  # before `np.loadtxt`, which would warn that it read no data
+            raise MatrixFormatError(f"{path}: empty CSV matrix")
         with named(f"{path}: malformed CSV matrix", ValueError, MatrixFormatError):
             a = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2, encoding="utf-8")
     except OSError as exc:

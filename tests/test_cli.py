@@ -7,6 +7,8 @@ import json
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 import time
 import warnings
 import weakref
@@ -153,10 +155,10 @@ class TestGenerate:
         assert isinstance(result.exception, SystemExit)
 
     def test_out_is_a_file_fails_before_integrating(self, runner, tmp_path, monkeypatch):
-        def build_pack(*args):
+        def simulate(*args):
             pytest.fail("integrated a pack it cannot write")
 
-        monkeypatch.setattr(datagen, "build_pack", build_pack)
+        monkeypatch.setattr(datagen, "_simulate", simulate)
         out = tmp_path / "afile"
         out.write_text("not a directory")
         result = runner.invoke(main, ["generate", "--system", "ks", "--out", str(out)])
@@ -294,9 +296,12 @@ class TestGenerate:
     # it and seed-3 ones for the rest, and no manifest to vouch for either.
     # `generate` fails at X8test's header, as it makes the files before the
     # integration, so it has written none; `write_pack` has written every
-    # file before it in `_SOURCES` order.
+    # file before it in `_SOURCES` order. The pack it writes is built before
+    # the fault is armed, which would otherwise fire in `build_pack`'s own
+    # temporary directory.
     @pytest.mark.parametrize("writer", ["generate", "write_pack"])
     def test_failed_overwrite_leaves_no_manifest(self, runner, pack_copy, monkeypatch, writer):
+        pack = cb.build_pack("lorenz", 4) if writer == "write_pack" else None
         fail_writes_to(monkeypatch, "X8test.mat")
         why = f"{pack_copy / 'X8test.mat'}: cannot write: No space left on device"
         if writer == "generate":
@@ -305,25 +310,40 @@ class TestGenerate:
             assert result.exit_code == 1 and result.output == f"Error: {why}\n", result.output
         else:
             with pytest.raises(cb.CTFBenchError, match=why):
-                cb.write_pack(cb.build_pack("lorenz", 4), pack_copy)
+                cb.write_pack(pack, pack_copy)
         with pytest.raises(cb.PackValidationError, match="missing manifest"):
             cb.read_pack(pack_copy)
         assert len(list(pack_copy.iterdir())) == 19
 
-    # Ctrl-C at the rename of X2train.mat, after X1train.mat is replaced:
-    # no temp file is left beside the pack, and no manifest.
+    # Ctrl-C at the rename of any one matrix file: that file is left as it
+    # was, no temp file is left beside the pack, and no manifest. The files
+    # written before it are replaced: for `write_pack`, those before it in
+    # `_SOURCES` order; for `generate`, at a noisy file, every noise-free
+    # file and the noisy ones before it. The pack that `write_pack` writes
+    # is built before the interrupt is armed.
+    @pytest.mark.parametrize("name", datagen.MATRIX_LAYOUT)
     @pytest.mark.parametrize("writer", ["generate", "write_pack"])
-    def test_interrupted_overwrite_leaves_no_temp_file(self, pack_copy, monkeypatch, writer):
-        before = (pack_copy / "X1train.mat").read_bytes()
-        interrupt_rename_to(monkeypatch, "X2train.mat")
+    def test_interrupted_overwrite_leaves_no_temp_file(self, pack_copy, monkeypatch, writer,
+                                                       name):
+        pack = cb.build_pack("lorenz", 4) if writer == "write_pack" else None
+        before = {p.name: p.read_bytes() for p in pack_copy.glob("*.mat")}
+        interrupt_rename_to(monkeypatch, f"{name}.mat")
         with pytest.raises(KeyboardInterrupt):
             if writer == "generate":
                 cb.generate_pack("lorenz", 4, None, pack_copy)
             else:
-                cb.write_pack(cb.build_pack("lorenz", 4), pack_copy)
-        assert sorted(p.name for p in pack_copy.iterdir()) == sorted(
-            f"{name}.mat" for name in datagen.MATRIX_LAYOUT)
-        assert (pack_copy / "X1train.mat").read_bytes() != before
+                cb.write_pack(pack, pack_copy)
+        after = {p.name: p.read_bytes() for p in pack_copy.iterdir()}
+        assert sorted(after) == sorted(before) == sorted(
+            f"{n}.mat" for n in datagen.MATRIX_LAYOUT)
+        assert after[f"{name}.mat"] == before[f"{name}.mat"]
+        names = list(datagen.MATRIX_LAYOUT)
+        replaced = names[:names.index(name)]
+        if writer == "generate":
+            noisy = [n for n, source in datagen._SOURCES.items() if source[3] is not None]
+            replaced = [n for n in names if n not in noisy or n in replaced] \
+                if name in noisy else []
+        assert all(after[f"{n}.mat"] != before[f"{n}.mat"] for n in replaced)
         with pytest.raises(cb.PackValidationError, match="missing manifest"):
             cb.read_pack(pack_copy)
 
@@ -744,6 +764,23 @@ class TestScore:
         )
         assert result.exit_code == 1, result.output
         assert "Error:" in result.output and "malformed CSV matrix" in result.output
+
+    def test_empty_csv_prediction_is_only_the_error_line(self, cli_pack_dir, tmp_path):
+        # In a process of its own, where numpy's warnings print as they
+        # would for a user: an empty X1pred.csv fails before `np.loadtxt`
+        # could warn that it read no data.
+        pack = cb.read_pack(cli_pack_dir)
+        run_dir = referee.write_submission(oracle_submission(pack), tmp_path / "subs")
+        (run_dir / "X1pred.mat").unlink()
+        (run_dir / "X1pred.csv").write_text("")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        src = str(Path(cb.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ctfbench.cli", "score", "--pack", str(cli_pack_dir),
+             "--submission", str(run_dir)], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == f"Error: {run_dir / 'X1pred.csv'}: empty CSV matrix\n"
 
     @pytest.mark.parametrize("text", [
         "1,2,3\n4,5,6\nnot,a,number\n",

@@ -2,8 +2,10 @@ import collections
 import gc
 import hashlib
 import json
+import multiprocessing
 import os
 import re
+import tempfile
 import weakref
 from dataclasses import replace
 from functools import partial
@@ -18,9 +20,10 @@ import ctfbench as cb
 from ctfbench import datagen, dynamics, matio
 from ctfbench.cli import main
 from ctfbench.dynamics import LorenzParams, SimConfig, integrate_lorenz
-from ctfbench.exceptions import CTFBenchError, MatrixFormatError, PackValidationError
-from conftest import (DAMAGED_PACKS, damage, fail_writes_to, force_workers, oracle_submission,
-                      traced_peak)
+from ctfbench.exceptions import (CTFBenchError, DivergenceError, MatrixFormatError,
+                                 PackValidationError)
+from conftest import (DAMAGED_PACKS, damage, fail_writes_to, force_workers, interrupt_rename_to,
+                      oracle_submission, traced_peak)
 
 # Independent copy of the published matrix layout: name -> (rows, start, end).
 EXPECTED_LAYOUT = {
@@ -667,22 +670,54 @@ def test_pack_bytes_pinned(request, system):
 
 
 def test_lorenz_pack_maps_only_the_rows_it_uses(monkeypatch):
-    sizes, real = [], dynamics.mmap.mmap
+    recorded, real = [], datagen._simulate
 
-    def recording(fileno, length, *args, **kwargs):
-        sizes.append(length)
-        return real(fileno, length, *args, **kwargs)
+    def recording(cfg, seeds, outs):
+        recorded.extend(len(out) for out in outs)
+        real(cfg, seeds, outs)
 
-    monkeypatch.setattr(dynamics.mmap, "mmap", recording)
+    monkeypatch.setattr(datagen, "_simulate", recording)
     datagen.build_pack("lorenz", 7)
-    # One group of six rows of three values, each row in a mapping of its
-    # own, in `_SOURCES` order: `trajectory` records rows 0-11000,
-    # `param_a`-`param_c` 0-10000, `interpolation` and `extrapolation`
-    # 9900-11000, not 0-11000; 43200 rows in all, not 63000. Then one
-    # mapping for the group's (step, row) status pair.
+    # One `_Sink` per trajectory, in `_SOURCES` order: `trajectory` records
+    # rows 0-11000, `param_a`-`param_c` 0-10000, `interpolation` and
+    # `extrapolation` 9900-11000, not 0-11000; 43200 rows in all, not 63000.
     rows = [11000, 10000, 10000, 10000, 1100, 1100]
     assert sum(rows) == 43200
-    assert sizes == [8 * 3 * n for n in rows] + [16 * 1]
+    assert recorded == rows
+
+
+@pytest.mark.parametrize("outcome", ["built", "diverged", "worker_write_failed", "interrupted"])
+def test_build_pack_leaves_nothing_in_the_temp_directory(tmp_path, monkeypatch, outcome):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    if outcome == "built":
+        datagen.build_pack("lorenz", 1)
+    elif outcome == "diverged":
+        with pytest.raises(DivergenceError):
+            datagen.build_pack("lorenz", 1, {"dt": 0.15})
+    elif outcome == "worker_write_failed":
+        # `param_a`'s rows go to X6train from a worker; its error is the
+        # parent's one named error, naming the file in the temp directory.
+        force_workers(monkeypatch, 2)
+        fail_writes_to(monkeypatch, "X6train.mat", header=False)
+        with pytest.raises(CTFBenchError) as info:
+            datagen.build_pack("lorenz", 1)
+        assert re.fullmatch(f"{re.escape(str(tmp_path))}/[^/]+/X6train.mat: "
+                            f"cannot write: No space left on device", str(info.value))
+        assert multiprocessing.active_children() == []
+    else:
+        interrupt_rename_to(monkeypatch, "X2train.mat")
+        with pytest.raises(KeyboardInterrupt):
+            datagen.build_pack("lorenz", 1)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_build_pack_in_a_temp_root_that_is_a_file_is_named_error(tmp_path, monkeypatch):
+    root = tmp_path / "afile"
+    root.write_text("not a directory")
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    with pytest.raises(CTFBenchError, match=f"^{re.escape(str(root))}: "
+                                            f"cannot create a temporary directory: "):
+        datagen.build_pack("lorenz", 1)
 
 
 #: The six trajectories in the order `_simulate` integrates them.
