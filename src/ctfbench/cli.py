@@ -223,7 +223,10 @@ def score(ctx, pack_dir, submission_dir, runs_glob, method, short_k, long_k, kma
     out_path = card_out or Path(submission_dir) / "scorecard.json"
     check_writable(out_path)
     if store is not None:
-        referee.check_store(store)
+        target = referee.check_store(store)
+        # A write to a path replaces a link there, not the link's target.
+        if len({p.parent.resolve() / p.name for p in (out_path, target)}) == 1:
+            raise CTFBenchError(f"{out_path}: the scorecard would overwrite the leaderboard store")
     cards = []
     with referee.truth_table(), datagen.open_pack(pack_dir, names=datagen.TEST_NAMES) as pack:
         if runs_glob:

@@ -21,7 +21,6 @@ from typing import Literal
 import numpy as np
 
 from . import matio
-from .matio import _once
 # integrate_ks and integrate_lorenz are not called here but stay importable
 # from this module, where the perfbench tracer looks them up.
 from .dynamics import (  # noqa: F401
@@ -361,9 +360,9 @@ def _firsts(names: Iterable[str]) -> dict[str, str]:
 def _checked(mats: dict, cols: int) -> None:
     """`validate_pack`'s checks of `mats` (any of the pack's matrices, each
     an array or an open `matio.MatrixReader`) in `_SOURCES` order: shape and
-    finiteness (`matio.problem`, kept by `_once`), then identical windows.
-    A reader's later members are compared in its own stream (`_beside`), so
-    each file is read once; an array's, which cost no read, one at a time
+    finiteness (`matio.verdict`), then identical windows. A reader's later
+    members are compared in its own stream (`_beside`), so each file is
+    read once; an array's, which cost no read, one at a time
     (`matio.equal`). A later member that differs is judged on its own, and
     `X must equal Y` comes after every verdict."""
     firsts, same = _firsts(mats), {}
@@ -372,7 +371,7 @@ def _checked(mats: dict, cols: int) -> None:
         if name == first:
             later = {n: mats[n] for n, f in firsts.items() if f == name != n and mats[n] is not x}
             streamed = (_beside(x, later, same),) if isinstance(x, matio.MatrixReader) else ()
-            why = _once(x, shape, lambda: matio.problem(x, shape, *streamed))
+            why = matio.verdict(x, shape, *streamed)
             if why is None:
                 same |= {n: matio.equal(m, x) for n, m in later.items() if n not in same}
         else:

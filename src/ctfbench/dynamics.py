@@ -13,7 +13,6 @@ import os
 import signal
 import sys
 import threading
-import time
 from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass
@@ -233,11 +232,6 @@ def _groups(ends: Sequence[int], count: int) -> list[list[int]]:
     return [sorted(order[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
-#: Seconds that a failing parent waits for its halted workers to finish
-#: before it kills those still running.
-_HALT_GRACE_S = 5.0
-
-
 def _integrate(start, cfgs: Sequence[SimConfig], cols: int, names: Sequence[str] | None,
                outs: Sequence | None = None) -> Sequence:
     """`outs`, with row b of the batch written to `outs[b]` (an output that
@@ -251,8 +245,7 @@ def _integrate(start, cfgs: Sequence[SimConfig], cols: int, names: Sequence[str]
     leaves its outputs unfinished. Raises the DivergenceError of the
     earliest step, as one batch would; a worker's CTFBenchError as it
     raised it; or CTFBenchError when a worker fails otherwise. A parent that
-    fails halts its workers and joins them, killing only those still
-    running after `_HALT_GRACE_S`."""
+    fails kills its live workers and reaps them at once."""
     starts = [c.spinup_steps for c in cfgs]
     lengths = [c.total_steps for c in cfgs]
     groups = _groups([s + n for s, n in zip(starts, lengths)], _workers(len(cfgs), cols))
@@ -267,12 +260,6 @@ def _integrate(start, cfgs: Sequence[SimConfig], cols: int, names: Sequence[str]
     def halted(step: int) -> bool:
         return bool((status[status[:, 1] >= 0, 0] <= step).any())
 
-    def halt(g: int) -> None:
-        """Give the batch up: group g reports a divergence before step 0,
-        which halts every group at its next check."""
-        status[g, 0] = -1
-        status[g, 1] = 0
-
     def report(g: int) -> None:
         rows = groups[g]
         found = _drive(*start(rows), [starts[r] for r in rows], [outs[r] for r in rows], halted)
@@ -281,19 +268,23 @@ def _integrate(start, cfgs: Sequence[SimConfig], cols: int, names: Sequence[str]
             status[g, 1] = rows[found[1]]
 
     def work(g: int, errors) -> None:
-        """A worker's `report(g)`: a CTFBenchError halts the other groups
-        and goes to the parent over `errors`, pickled."""
+        """A worker's `report(g)`. A worker that fails for any reason gives
+        the batch up: group g reports a divergence before step 0, which
+        halts every group at its next check. Its CTFBenchError then goes to
+        the parent over `errors`, pickled; any other exception is raised."""
         try:
             report(g)
-        except CTFBenchError as exc:
-            halt(g)
+        except BaseException as exc:
+            status[g, 0], status[g, 1] = -1, 0
+            if not isinstance(exc, CTFBenchError):
+                raise
             errors.send(exc)
             sys.exit(1)
 
     workers, fork = [], multiprocessing.get_context("fork")
     try:
         # SIGINT stays blocked in the workers: an interrupt is the parent's
-        # to handle, and it halts them. Blocked until the parent holds each
+        # to handle, and it kills them. Blocked until the parent holds each
         # worker, so an interrupt cannot leave one unjoined.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
         try:
@@ -317,19 +308,11 @@ def _integrate(start, cfgs: Sequence[SimConfig], cols: int, names: Sequence[str]
                 raise CTFBenchError(f"integration worker for trajectories {who} failed "
                                     f"(exit status {worker.exitcode})")
     finally:
-        running = [w for _, w, _ in workers if w.exitcode is None]
-        try:
-            if running:
-                halt(0)
-                deadline = time.monotonic() + _HALT_GRACE_S
-                for worker in running:
-                    worker.join(max(0.0, deadline - time.monotonic()))
-        finally:
-            for _, worker, errors in workers:
-                if worker.exitcode is None:
-                    worker.kill()
-                    worker.join()
-                errors.close()
+        for _, worker, errors in workers:
+            if worker.exitcode is None:
+                worker.kill()
+                worker.join()
+            errors.close()
     diverged = status[status[:, 1] >= 0].tolist()
     if diverged:
         step, row = min(diverged)

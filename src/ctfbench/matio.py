@@ -116,6 +116,12 @@ def _once(x: np.ndarray, key, work):
     return hit[1]
 
 
+def verdict(x, shape: tuple[int, int], *blocks) -> str | None:
+    """`problem(x, shape, *blocks)`, once per `truth_table` block
+    (`_once`): the one key of a matrix's verdict, whoever judges it."""
+    return _once(x, shape, lambda: problem(x, shape, *blocks))
+
+
 def _kept(x: np.ndarray, key) -> bool:
     """Whether the open truth table holds `_once`'s result for `x` and `key`."""
     return (id(x), key) in (_TRUTHS.get() or {})

@@ -26,7 +26,7 @@ import numpy as np
 from . import matio, metrics
 from .datagen import DATASET_DIMS, MATRIX_LAYOUT, DatasetPack
 from .exceptions import CTFBenchError, MetricError, PackValidationError
-from .matio import _once, truth_table
+from .matio import truth_table
 from .metrics import MetricKind, MetricWindows, SCORE_IDS
 
 SCORECARD_FORMAT = "ctfbench-scorecard/1"
@@ -304,7 +304,7 @@ def _check_truth(pack: DatasetPack, task: TaskSpec) -> np.ndarray:
     """The task's truth, checked again: a library caller may build or change
     a pack in memory."""
     truth = pack.matrix(task.truth_name)
-    why = _once(truth, task.truth_shape, lambda: matio.problem(truth, task.truth_shape))
+    why = matio.verdict(truth, task.truth_shape)
     if why is not None:
         raise PackValidationError(f"corrupted pack: {task.truth_name}: {why}")
     return truth
@@ -486,9 +486,9 @@ class Leaderboard:
 
 
 def load_leaderboard(path: str | Path) -> Leaderboard:
-    """Load the leaderboard store; a path that does not exist yields an
-    empty board, and any other path that is not a regular file is an error."""
-    path = Path(path)
+    """Load the leaderboard store at `_target(path)`; a path that does not
+    exist yields an empty board, and any other that is not a regular file is an error."""
+    path = _target(path)
     _check_regular(path)
     if not path.exists():
         return Leaderboard()
@@ -496,9 +496,12 @@ def load_leaderboard(path: str | Path) -> Leaderboard:
 
 
 def _target(store: str | Path) -> Path:
-    """`store`, or the file that it links to when it is a symbolic link."""
-    store = Path(store)
-    return store.resolve() if store.is_symlink() else store
+    """`store`, or the file that it links to when it is a symbolic link; a
+    link that loops is a CTFBenchError."""
+    store, target = Path(store), Path(os.path.realpath(store))
+    if target.is_symlink():  # `realpath` ends at a link only where links loop
+        raise CTFBenchError(f"{store}: the leaderboard store is a symbolic link loop")
+    return target if store.is_symlink() else store
 
 
 def _check_regular(store: Path) -> None:
@@ -506,13 +509,15 @@ def _check_regular(store: Path) -> None:
         raise CTFBenchError(f"{store}: the leaderboard store is not a regular file")
 
 
-def check_store(store: str | Path) -> None:
+def check_store(store: str | Path) -> Path:
     """Raise the CTFBenchError that `update_leaderboard(store, ...)` would
     raise for a store path that is not a regular file or whose directory
-    takes no new file, leaving nothing behind."""
+    takes no new file, leaving nothing behind; else return the file that
+    the update writes (`_target`)."""
     store = _target(store)
     matio.check_writable(store)
     _check_regular(store)
+    return store
 
 
 def save_leaderboard(board: Leaderboard, path: str | Path) -> None:

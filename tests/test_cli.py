@@ -267,6 +267,16 @@ class TestGenerate:
         assert "Error:" in result.output
         assert "exactly three" in result.output
 
+    def test_unparsable_train_params_is_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["generate", "--system", "lorenz", "--train-params", "1,x",
+             "--out", str(tmp_path / "p")],
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: cannot parse --train-params '1,x'\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_timestamp_override_lands_in_manifest(self, runner, tmp_path):
         out = tmp_path / "stamped"
         result = runner.invoke(
@@ -364,12 +374,12 @@ class TestGenerate:
         assert not list(tmp_path.rglob("*.tmp")) and not (out / "manifest.json").exists()
         assert multiprocessing.active_children() == []
 
-    def test_interrupted_integration_halts_the_workers(self, tmp_path, monkeypatch):
+    def test_interrupted_integration_kills_the_workers(self, tmp_path, monkeypatch):
         # Ctrl-C in the parent at its step 3000 of 12000, while the workers,
         # which pause at each chunk edge, are at most a third of the way: it
-        # halts them, and they exit. None is killed, and no file, temp or
-        # whole, is left.
-        parent, drive, steps, killed = os.getpid(), dynamics._drive, [0], []
+        # kills each of them at once and reaps it. No file, temp or whole,
+        # is left.
+        parent, drive, steps, killed, forked = os.getpid(), dynamics._drive, [0], [], []
 
         def patched(step, *args):
             def interrupted(state):
@@ -385,21 +395,29 @@ class TestGenerate:
 
             return drive(interrupted if os.getpid() == parent else paused, *args)
 
-        kill = multiprocessing.process.BaseProcess.kill
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        kill, fork = multiprocessing.process.BaseProcess.kill, os.fork
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "kill",
                             lambda self: killed.append(self.pid) or kill(self))
+        monkeypatch.setattr(os, "fork", recording_fork)
         monkeypatch.setattr(dynamics, "_drive", patched)
         force_workers(monkeypatch, 3)
         out = tmp_path / "p"
         with deadline(60), pytest.raises(KeyboardInterrupt):
             cb.generate_pack("lorenz", 4, None, out)
-        assert killed == [] and multiprocessing.active_children() == []
+        assert len(forked) == 2 and killed == forked
+        assert multiprocessing.active_children() == []
         assert list(out.iterdir()) == []
 
     def test_killed_worker_leaves_no_temp_file(self, tmp_path, monkeypatch):
         # Ctrl-C in the parent once its worker is in `_drive`, where the
-        # worker sleeps past the 0.5 s the parent grants it: it is killed.
-        # The parent made every file, the worker's too, and removes them all.
+        # worker sleeps: the parent kills it at once. The parent made every
+        # file, the worker's too, and removes them all.
         parent, drive, started = os.getpid(), dynamics._drive, tmp_path / "started"
 
         def patched(*args):
@@ -410,7 +428,6 @@ class TestGenerate:
                 time.sleep(0.01)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(dynamics, "_HALT_GRACE_S", 0.5)
         monkeypatch.setattr(dynamics, "_drive", patched)
         force_workers(monkeypatch, 2)
         out = tmp_path / "p"
@@ -485,6 +502,15 @@ class TestBaseline:
     def baseline(self, runner, kind, pack_dir, out):
         return runner.invoke(main, ["baseline", "--kind", kind, "--pack", str(pack_dir),
                                     "--out", str(out)])
+
+    def test_json_summary(self, runner, cli_pack_dir, tmp_path):
+        result = runner.invoke(main, ["baseline", "--kind", "zeros", "--pack", str(cli_pack_dir),
+                                      "--out", str(tmp_path), "--run-id", "r1", "--json"])
+        assert result.exit_code == 0, result.output
+        assert result.output == json.dumps(
+            {"directory": str(tmp_path / "baseline_zeros" / "r1"), "method": "baseline_zeros",
+             "predictions": [f"X{i}pred" for i in range(1, 10)], "run_id": "r1"},
+            indent=2, sort_keys=True) + "\n"
 
     def test_zeros_reads_no_matrix(self, runner, pack_copy, zeros_run_dir, tmp_path):
         (pack_copy / "X7test.mat").unlink()
@@ -753,6 +779,48 @@ class TestScore:
         assert evaluated == [] and not card.exists()
         assert sorted(p.name for p in tmp_path.rglob("*")) == \
             (["board.json", "nodir"] if where == "directory" else [])
+
+    @pytest.mark.parametrize("how", ["out", "default_out", "other_spelling", "store_link"])
+    def test_out_that_is_the_store_fails_before_scoring(self, runner, cli_pack_dir,
+                                                        zeros_run_dir, tmp_path, monkeypatch,
+                                                        how):
+        # Writing the card would replace the store, whose methods would all
+        # be lost: refused before any scoring, the store left as it was.
+        run = shutil.copytree(zeros_run_dir, tmp_path / "run",
+                              ignore=shutil.ignore_patterns("scorecard.json"))
+        store = run / "scorecard.json"
+        args = ["score", "--pack", str(cli_pack_dir), "--submission", str(run), "--store"]
+        assert runner.invoke(main, [*args, str(store), "--out",
+                                    str(tmp_path / "first.json")]).exit_code == 0
+        before = store.read_bytes()
+        out = {"out": ["--out", str(store)], "default_out": [],
+               "other_spelling": ["--out", str(run / ".." / "run" / "scorecard.json")],
+               "store_link": ["--out", str(store)]}[how]
+        if how == "store_link":
+            (tmp_path / "link.json").symlink_to(store)
+            store = tmp_path / "link.json"
+        evaluated = []
+        monkeypatch.setattr(referee, "evaluate", lambda *args: evaluated.append(args))
+        result = runner.invoke(main, [*args, str(store), *out])
+        assert result.exit_code == 1, result.output
+        card = out[1] if out else str(run / "scorecard.json")
+        assert result.output == (
+            f"Error: {card}: the scorecard would overwrite the leaderboard store\n")
+        assert evaluated == [] and (run / "scorecard.json").read_bytes() == before
+
+    def test_out_that_links_to_the_store_replaces_only_the_link(self, runner, cli_pack_dir,
+                                                                zeros_run_dir, tmp_path):
+        store, link = tmp_path / "board.json", tmp_path / "card.json"
+        args = ["score", "--pack", str(cli_pack_dir), "--submission", str(zeros_run_dir),
+                "--store", str(store), "--out"]
+        assert runner.invoke(main, [*args, str(tmp_path / "first.json")]).exit_code == 0
+        link.symlink_to(store)
+        result = runner.invoke(main, [*args, str(link)])
+        assert result.exit_code == 0, result.output
+        assert not link.is_symlink()
+        assert link.read_bytes() == (tmp_path / "first.json").read_bytes()
+        assert [e.method_name for e in referee.load_leaderboard(store).entries("ODE_Lorenz")] == [
+            "baseline_zeros"]
 
     def test_ragged_csv_prediction_is_error(self, runner, cli_pack_dir, tmp_path):
         pack = cb.read_pack(cli_pack_dir)
@@ -1770,6 +1838,15 @@ class TestReportCli:
         assert (out / "scores_ODE_Lorenz.csv").is_file()
         assert (out / "scores_ODE_Lorenz.md").is_file()
 
+    def test_json_lists_the_written_files(self, runner, store, tmp_path):
+        out = tmp_path / "tables"
+        result = runner.invoke(main, ["report", "--kind", "table", "--store", str(store),
+                                      "--out", str(out), "--json"])
+        assert result.exit_code == 0, result.output
+        assert result.output == json.dumps(
+            {"written": [str(out / "scores_ODE_Lorenz.csv"), str(out / "scores_ODE_Lorenz.md")]},
+            indent=2) + "\n"
+
     def test_empty_store_clean_message(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -1932,6 +2009,26 @@ class TestBrokenStore:
         result = runner.invoke(main, [*command(tmp_path / "charts"), "--store", str(store)])
         assert result.exit_code == 1, result.output
         assert f"Error: {store}: the leaderboard store is not a regular file" in result.output
+
+    @pytest.mark.parametrize("command", [
+        lambda card, out, pack, run: ["leaderboard", "show"],
+        lambda card, out, pack, run: ["report", "--kind", "table", "--out", str(out)],
+        lambda card, out, pack, run: ["leaderboard", "add", "--card", str(card)],
+        lambda card, out, pack, run: ["score", "--pack", str(pack), "--submission", str(run),
+                                      "--out", str(out)],
+    ], ids=["show", "report", "add", "score"])
+    def test_symlink_loop_store_is_error(self, runner, card_path, cli_pack_dir, zeros_run_dir,
+                                         tmp_path, monkeypatch, command):
+        store = tmp_path / "loop.json"
+        store.symlink_to(store.name)
+        evaluated = []
+        monkeypatch.setattr(referee, "evaluate", lambda *args: evaluated.append(args))
+        argv = command(card_path, tmp_path / "out", cli_pack_dir, zeros_run_dir)
+        result = runner.invoke(main, [*argv, "--store", str(store)])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: {store}: the leaderboard store is a symbolic link loop\n"
+        assert evaluated == [] and store.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["card.json", "loop.json"]
 
     def test_card_missing_scores_is_error(self, runner, card_path, tmp_path):
         doc = json.loads(card_path.read_text())

@@ -250,6 +250,28 @@ def test_manifest_key_build_pack_never_writes_is_error(runner, docs, tmp_path, e
         assert result.exit_code == 1 and f"Error: {why}" in result.output, argv
 
 
+# Settings that `generate` refuses are named by the rule that refuses them.
+@pytest.mark.parametrize("edit, why", [
+    (_set("system", "x"), "system: unsupported dataset system 'x'"),
+    (_set("seeds", "master", -1), "seeds.master: must be >= 0, got -1"),
+], ids=["system-x", "master-negative"])
+def test_manifest_setting_generate_refuses_is_error(docs, tmp_path, edit, why):
+    pack = _pack_with(docs, edit(_document(docs, "manifest")), tmp_path / "pack")
+    with pytest.raises(cb.PackValidationError) as err:
+        cb.read_pack(pack, names=())
+    assert str(err.value) == f"{pack / 'manifest.json'}: malformed manifest document: {why}"
+
+
+def test_card_without_runs_is_not_stored(runner, docs, tmp_path):
+    card, store = tmp_path / "card.json", tmp_path / "board.json"
+    card.write_text(json.dumps(_set("runs", [])(_document(docs, "card"))))
+    result = _invoke(runner, ["leaderboard", "add", "--store", store, "--card", card])
+    assert result.exit_code == 1
+    assert result.output == (f"Error: {card}: malformed scorecard document: "
+                             "runs: a scorecard holds at least one run\n")
+    assert not store.exists()
+
+
 # JSON integers are exact: one beyond int64 is a float setting when a float
 # holds it, and a named error when none does.
 @pytest.mark.parametrize("value, why", [

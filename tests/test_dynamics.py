@@ -182,6 +182,10 @@ class TestIntegrateKS:
             integrate_ks(params, cfg)
         assert err.value.step == 7
 
+    def test_initial_condition_of_no_points_is_error(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            make_initial_condition(dynamics.RANDOM_SMOOTH, 0, 1)
+
     def test_explicit_ic_length_checked(self):
         with pytest.raises(ValueError, match="initial condition"):
             integrate_ks(
@@ -342,6 +346,12 @@ class TestBatch:
                               (dynamics._ks_batch, KSParams(grid_points=64))):
             with pytest.raises(ValueError, match="^batched trajectories must share dt$"):
                 batch([params] * 2, cfgs)
+
+    def test_ks_rows_must_share_grid(self):
+        params = [KSParams(grid_points=n) for n in (64, 128)]
+        with pytest.raises(ValueError, match="^batched KS trajectories must share "
+                                             "domain_length and grid_points$"):
+            dynamics._ks_batch(params, [SimConfig(dt=0.025, total_steps=3)] * 2)
 
     @pytest.mark.parametrize("batch, rows, single", [
         (dynamics._lorenz_batch, lambda t: lorenz_rows(t), integrate_lorenz),
@@ -552,12 +562,38 @@ class TestWorkerSplit:
         monkeypatch.setattr(os, "fork", recording_fork)
         force_workers(monkeypatch, 3)
         params, cfgs = ks_rows(SPLIT_LENGTHS)
-        with deadline(30), pytest.raises(KeyboardInterrupt):
+        with deadline(2), pytest.raises(KeyboardInterrupt):
             dynamics._ks_batch(params, cfgs)
         assert len(forked) == 2
         for pid in forked:
             with pytest.raises(ChildProcessError):  # already reaped
                 os.waitpid(pid, os.WNOHANG)
+
+    def test_worker_memory_error_halts_the_parent(self, monkeypatch):
+        # The worker fails before its first step. The parent starts its own
+        # 20 chunks once the worker has exited, and stops at its first
+        # check, where it sees the worker's give-up.
+        parent, drive, steps = os.getpid(), dynamics._drive, [0]
+
+        def patched(step, *args):
+            if os.getpid() != parent:
+                raise MemoryError("simulated")
+            while multiprocessing.active_children():
+                time.sleep(0.01)
+
+            def counted(state):
+                steps[0] += 1
+                return step(state)
+
+            return drive(counted, *args)
+
+        monkeypatch.setattr(dynamics, "_drive", patched)
+        force_workers(monkeypatch, 2)
+        params, cfgs = ks_rows((20 * dynamics._CHUNK, 20 * dynamics._CHUNK))
+        with deadline(60), pytest.raises(CTFBenchError) as err:
+            dynamics._ks_batch(params, cfgs, ["w", "x"])
+        assert str(err.value) == "integration worker for trajectories 'x' failed (exit status 1)"
+        assert steps[0] <= dynamics._CHUNK
 
     def test_one_cpu_forks_nothing(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

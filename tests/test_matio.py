@@ -149,6 +149,14 @@ def test_unreadable_file_is_named_error(mat, monkeypatch):
         matio.read_matrix(path)
 
 
+def test_header_of_no_rows_rejected(tmp_path):
+    path = tmp_path / "empty.mat"
+    path.write_bytes(b"CTFMAT01" + (0).to_bytes(8, "little") + (3).to_bytes(8, "little"))
+    with pytest.raises(MatrixFormatError) as err:
+        matio.read_matrix(path)
+    assert str(err.value) == f"{path}: invalid header dimensions [0, 3]"
+
+
 def test_too_short_file_rejected(tmp_path):
     path = tmp_path / "short.mat"
     path.write_bytes(b"CTFMAT01")

@@ -201,6 +201,10 @@ class TestHistogramL1:
         with pytest.raises(MetricError, match="lengths"):
             histogram_l1([1.0, 2.0], [1.0], 5)
 
+    def test_empty_series_rejected(self):
+        with pytest.raises(MetricError, match="^empty series$"):
+            histogram_l1([], [], 41)
+
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(9)
         for _ in range(200):

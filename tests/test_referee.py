@@ -463,6 +463,12 @@ class TestAggregateRuns:
         with pytest.raises(ValueError, match="mixed methods"):
             aggregate_runs([a, b])
 
+    def test_mixed_datasets_rejected(self, lorenz_pack):
+        a = evaluate(oracle_submission(lorenz_pack), lorenz_pack)
+        with pytest.raises(ValueError) as err:
+            aggregate_runs([a, replace(a, dataset_id="PDE_KS")])
+        assert str(err.value) == "cannot aggregate mixed datasets: ['ODE_Lorenz', 'PDE_KS']"
+
     def test_mixed_windows_rejected(self, lorenz_pack):
         sub = oracle_submission(lorenz_pack)
         a = evaluate(sub, lorenz_pack, MetricWindows(short_k=10))
@@ -659,6 +665,11 @@ class TestSubmissionIO:
         assert set(loaded.predictions) == set(sub.predictions)
         for name in sub.predictions:
             assert np.array_equal(loaded.predictions[name], sub.predictions[name])
+
+    def test_missing_directory_is_error(self, tmp_path):
+        with pytest.raises(cb.CTFBenchError) as err:
+            load_submission(tmp_path / "absent")
+        assert str(err.value) == f"submission directory not found: {tmp_path / 'absent'}"
 
     def test_method_must_name_one_directory(self, tmp_path):
         # Only the writer holds a name to one directory: a method read back
